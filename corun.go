@@ -514,8 +514,9 @@ type (
 	Arrival = online.Arrival
 	// ServeResult summarizes a served arrival stream.
 	ServeResult = online.Result
-	// ServePolicy selects the per-epoch scheduling policy.
-	ServePolicy = online.Policy
+	// ServePolicy selects the per-epoch scheduling policy by its
+	// policy-registry name (any name Policies lists).
+	ServePolicy = string
 	// JobOutcome records one served job's latency.
 	JobOutcome = online.JobOutcome
 )
@@ -575,7 +576,7 @@ func (s *System) ServeCluster(arrivals []Arrival, nodes int, bal Balancer, polic
 	return cluster.Serve(cluster.Options{
 		Cfg: s.cfg, Mem: s.mem, Char: s.char,
 		Nodes: nodes, CapPerNode: s.cap,
-		Balancer: bal, Policy: string(policy), Seed: seed,
+		Balancer: bal, Policy: policy, Seed: seed,
 	}, arrivals)
 }
 

@@ -82,7 +82,7 @@ func Serve(opts Options, arrivals []online.Arrival) (*Result, error) {
 	}
 	polName := opts.Policy
 	if polName == "" {
-		polName = string(online.PolicyHCSPlus)
+		polName = online.PolicyHCSPlus
 	}
 	canonical, err := policy.Canonical(polName)
 	if err != nil {
@@ -126,7 +126,7 @@ func Serve(opts Options, arrivals []online.Arrival) (*Result, error) {
 	for n := 0; n < opts.Nodes; n++ {
 		nodeRes, err := online.Serve(online.Options{
 			Cfg: opts.Cfg, Mem: opts.Mem, Char: opts.Char,
-			Cap: opts.CapPerNode, Policy: online.Policy(canonical), Seed: opts.Seed + int64(n),
+			Cap: opts.CapPerNode, Policy: canonical, Seed: opts.Seed + int64(n),
 		}, perNode[n])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", n, err)

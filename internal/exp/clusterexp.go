@@ -34,10 +34,10 @@ func (s *Suite) Cluster() (*ClusterResult, error) {
 		return nil, err
 	}
 	res := &ClusterResult{}
-	run := func(label string, nodes int, bal cluster.Balancer, pol online.Policy) error {
+	run := func(label string, nodes int, bal cluster.Balancer, pol string) error {
 		r, err := cluster.Serve(cluster.Options{
 			Cfg: s.Cfg, Mem: s.Mem, Char: s.Char,
-			Nodes: nodes, CapPerNode: 15, Balancer: bal, Policy: string(pol), Seed: 1,
+			Nodes: nodes, CapPerNode: 15, Balancer: bal, Policy: pol, Seed: 1,
 		}, arrivals)
 		if err != nil {
 			return err

@@ -32,7 +32,7 @@ func (s *Suite) Online() (*OnlineResult, error) {
 		return nil, err
 	}
 	res := &OnlineResult{Jobs: len(arrivals)}
-	for _, pol := range []online.Policy{
+	for _, pol := range []string{
 		online.PolicyHCSPlus, online.PolicyHCS, online.PolicyDefault, online.PolicyRandom,
 	} {
 		r, err := online.Serve(online.Options{
@@ -43,7 +43,7 @@ func (s *Suite) Online() (*OnlineResult, error) {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, OnlineRow{
-			Policy:       pol.String(),
+			Policy:       pol,
 			Done:         r.Done,
 			MeanResponse: r.MeanResponse,
 			MaxResponse:  r.MaxResponse,

@@ -263,26 +263,6 @@ func (c *Coordinator) Start(ctx context.Context) {
 // Stop ends the background loops; idempotent.
 func (c *Coordinator) Stop() { c.stopOnce.Do(func() { close(c.stop) }) }
 
-// WaitReady blocks until at least one node is healthy or the deadline
-// passes — the readiness gate fleet clients (and corunbench's fleet
-// mode) poll instead of sleeping a fixed interval.
-func (c *Coordinator) WaitReady(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if c.HealthyNodes() > 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet: no node became ready within %v", timeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-}
-
 // HealthyNodes counts members currently in rotation.
 func (c *Coordinator) HealthyNodes() int {
 	c.mu.Lock()

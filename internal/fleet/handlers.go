@@ -536,8 +536,7 @@ type nodeView struct {
 }
 
 // handleNodes reports the coordinator's live member table — the
-// operator's fleet dashboard and the load harness's per-node
-// placement evidence.
+// operator's fleet dashboard, with per-node placement counts.
 func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
 	views := make([]nodeView, 0, len(c.members))

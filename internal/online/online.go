@@ -29,67 +29,40 @@ import (
 	"corun/internal/workload"
 )
 
-// Policy names the per-epoch scheduling policy. It is a canonical name
-// from the internal/policy registry — the single source of truth for
-// which policies exist — so every registered planner (hcs+, hcs,
-// optimal, anneal, genetic, ...) can serve epochs, while the Random
-// and Default names keep the paper's dispatcher-driven baseline
-// semantics (section VI-A) rather than their planned registry forms.
-type Policy string
-
-// The paper's serving policies. Any other registered policy name is
-// equally valid; these constants exist for the common cases and
-// backwards compatibility.
+// The paper's serving policies, by canonical internal/policy registry
+// name. Any other registered name serves epochs equally well; Random
+// and Default are named here because PlanEpoch runs them as the
+// paper's dispatcher-driven baselines (section VI-A) rather than in
+// their planned registry forms.
 const (
 	// PolicyHCSPlus plans each epoch with HCS plus refinement.
-	PolicyHCSPlus Policy = "hcs+"
+	PolicyHCSPlus = "hcs+"
 	// PolicyHCS plans with plain HCS.
-	PolicyHCS Policy = "hcs"
+	PolicyHCS = "hcs"
 	// PolicyRandom dispatches each epoch with the Random baseline.
-	PolicyRandom Policy = "random"
+	PolicyRandom = "random"
 	// PolicyDefault dispatches each epoch with the Default baseline.
-	PolicyDefault Policy = "default"
+	PolicyDefault = "default"
 )
 
-// String implements fmt.Stringer.
-func (p Policy) String() string { return string(p) }
-
-// Canonical resolves the policy through the registry to its canonical
-// name (aliases and case differences collapse). Unknown names are an
-// error listing every registered policy.
-func (p Policy) Canonical() (Policy, error) {
-	name, err := policy.Canonical(string(p))
+// CheckPolicy resolves name through the policy registry (aliases,
+// case-insensitive) and checks it can serve epochs: every policy
+// except the dispatcher-driven Random baseline plans over the
+// predictive model and therefore needs the offline characterization.
+// It returns the canonical name. Every entry point that accepts a
+// policy from outside (server config, POST /v1/policy, journal
+// recovery) funnels through this check, so an unknown or unservable
+// name is rejected up front with the same error PlanEpoch would
+// return mid-epoch.
+func CheckPolicy(name string, haveChar bool) (string, error) {
+	pol, err := policy.Canonical(name)
 	if err != nil {
 		return "", err
 	}
-	return Policy(name), nil
-}
-
-// Valid reports whether p names a registered policy. Callers accepting
-// policy values from the outside (flags, HTTP requests) should check
-// this rather than letting an unknown value surface as a mid-epoch
-// scheduling error.
-func (p Policy) Valid() error {
-	_, err := p.Canonical()
-	return err
-}
-
-// Policies returns every registered policy by canonical name, sorted.
-func Policies() []Policy {
-	names := policy.Names()
-	out := make([]Policy, len(names))
-	for i, n := range names {
-		out[i] = Policy(n)
+	if pol != PolicyRandom && !haveChar {
+		return "", fmt.Errorf("online: model-based policies need a characterization")
 	}
-	return out
-}
-
-// ParsePolicy resolves a policy name through the registry (canonical
-// names and aliases, case-insensitive) to its canonical Policy value.
-// Unknown names are an error listing every registered policy, never a
-// silent default — API layers turn this into a 400.
-func ParsePolicy(s string) (Policy, error) {
-	return Policy(s).Canonical()
+	return pol, nil
 }
 
 // Arrival is one job arriving at the server.
@@ -125,7 +98,8 @@ type Options struct {
 	// execution alongside Cap.
 	Domains apu.DomainCaps
 
-	Policy Policy
+	// Policy is a policy registry name (canonical or alias).
+	Policy string
 	// Seed drives the Random policy and refinement sampling.
 	Seed int64
 
@@ -147,29 +121,26 @@ type Options struct {
 
 // Validate checks the options themselves (not an arrival stream):
 // machine and memory models must be present, the policy must be a
-// defined one, model-based policies need a characterization, and the
-// cap must be non-negative.
+// registered one, model-based policies need a characterization, and
+// the caps must be feasible on the machine.
 func (o Options) Validate() error {
+	_, err := o.check()
+	return err
+}
+
+// check is Validate returning the policy's canonical name.
+func (o Options) check() (string, error) {
 	if o.Cfg == nil || o.Mem == nil {
-		return fmt.Errorf("online: nil machine or memory model")
+		return "", fmt.Errorf("online: nil machine or memory model")
 	}
-	pol, err := o.Policy.Canonical()
+	pol, err := CheckPolicy(o.Policy, o.Char != nil)
 	if err != nil {
-		return err
-	}
-	if o.Cap < 0 {
-		return fmt.Errorf("online: negative power cap %v", o.Cap)
+		return "", err
 	}
 	if err := o.Cfg.CheckCaps(o.Cap, o.Domains); err != nil {
-		return err
+		return "", err
 	}
-	// Every policy except the dispatcher-driven Random baseline plans
-	// over the predictive model and therefore needs the offline
-	// characterization.
-	if pol != PolicyRandom && o.Char == nil {
-		return fmt.Errorf("online: model-based policies need a characterization")
-	}
-	return nil
+	return pol, nil
 }
 
 // JobOutcome records one served job.
@@ -233,12 +204,12 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 	next := 0
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	for next < len(sorted) || clock < res.Done {
-		if next >= len(sorted) {
+	// stop is why serving ended early (ctx cancelled, Hook error);
+	// the partial Result is summarized all the same.
+	var stop error
+	for next < len(sorted) {
+		if stop = ctx.Err(); stop != nil {
 			break
-		}
-		if err := ctx.Err(); err != nil {
-			return res, err
 		}
 		// Wait for work.
 		if sorted[next].At > clock {
@@ -272,6 +243,9 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 				Finished: clock + c.End,
 			})
 		}
+		// The epoch's outcomes are recorded, so Done covers it before
+		// the hook gets a chance to abort.
+		res.Done = clock + simRes.Makespan
 		if opts.Hook != nil {
 			stats := EpochStats{
 				Index:    res.Epochs - 1,
@@ -280,14 +254,11 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 				Makespan: simRes.Makespan,
 				EnergyJ:  simRes.EnergyJ,
 			}
-			if err := opts.Hook(stats); err != nil {
-				return res, err
+			if stop = opts.Hook(stats); stop != nil {
+				break
 			}
 		}
-		clock += simRes.Makespan
-		if clock > res.Done {
-			res.Done = clock
-		}
+		clock = res.Done
 	}
 
 	sum, max := 0.0, units.Seconds(0)
@@ -302,7 +273,7 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 		res.MeanResponse = units.Seconds(sum / float64(len(res.Outcomes)))
 	}
 	res.MaxResponse = max
-	return res, nil
+	return res, stop
 }
 
 // Epoch is the outcome of one scheduling round: the plan (nil for the
@@ -324,10 +295,7 @@ type Epoch struct {
 // plans a schedule over the (memoized) predictive model, and executes
 // that plan.
 func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	pol, err := opts.Policy.Canonical()
+	pol, err := opts.check()
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +333,7 @@ func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, er
 			return nil, err
 		}
 		cx.Domains = opts.Domains // before the first query: the memos assume fixed caps
-		plan, err := policy.Plan(string(pol), cx, policy.Options{Seed: seed})
+		plan, err := policy.Plan(pol, cx, policy.Options{Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ var (
 	charErr  error
 )
 
-func testOptions(t *testing.T, policy Policy) Options {
+func testOptions(t *testing.T, policy string) Options {
 	t.Helper()
 	cfg := apu.DefaultConfig()
 	mem := memsys.Default()
@@ -159,7 +159,7 @@ func TestSparseArrivals(t *testing.T) {
 		{At: 0, Prog: prog, Scale: 1, Label: "a"},
 		{At: 500, Prog: prog, Scale: 1, Label: "b"},
 	}
-	for _, p := range []Policy{PolicyHCSPlus, PolicyRandom, PolicyDefault} {
+	for _, p := range []string{PolicyHCSPlus, PolicyRandom, PolicyDefault} {
 		r, err := Serve(testOptions(t, p), as)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -173,16 +173,6 @@ func TestSparseArrivals(t *testing.T) {
 				t.Errorf("%v: job b started at %v before its arrival", p, o.Started)
 			}
 		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if PolicyHCSPlus.String() != "hcs+" || PolicyRandom.String() != "random" ||
-		PolicyHCS.String() != "hcs" || PolicyDefault.String() != "default" {
-		t.Error("policy names wrong")
-	}
-	if Policy("fifo").String() != "fifo" {
-		t.Error("unknown policy does not render its own name")
 	}
 }
 
@@ -205,39 +195,9 @@ func TestServePolicyHCS(t *testing.T) {
 
 // Unknown policies error cleanly.
 func TestServeUnknownPolicy(t *testing.T) {
-	opts := testOptions(t, Policy("fifo"))
+	opts := testOptions(t, "fifo")
 	if _, err := Serve(opts, []Arrival{{Prog: workload.MustByName("lud"), Scale: 1}}); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{
-		"hcs+": PolicyHCSPlus, "HCSPLUS": PolicyHCSPlus, " hcs ": PolicyHCS,
-		"random": PolicyRandom, "Default": PolicyDefault,
-	}
-	for in, want := range cases {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "hcs++", "fifo", "42"} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted", bad)
-		}
-	}
-	for _, p := range Policies() {
-		if err := p.Valid(); err != nil {
-			t.Errorf("%v invalid: %v", p, err)
-		}
-		rt, err := ParsePolicy(p.String())
-		if err != nil || rt != p {
-			t.Errorf("round trip %v -> %q -> %v, %v", p, p.String(), rt, err)
-		}
-	}
-	if err := Policy("fifo").Valid(); err == nil {
-		t.Error(`Policy("fifo") valid`)
 	}
 }
 
@@ -247,7 +207,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := opts
-	bad.Policy = Policy("fifo")
+	bad.Policy = "fifo"
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown policy validated")
 	}
@@ -291,6 +251,22 @@ func TestServeContextCancel(t *testing.T) {
 	if len(res.Outcomes) == 0 {
 		t.Error("cancelled serve lost the completed epoch's outcomes")
 	}
+	checkPartial(t, res)
+}
+
+// checkPartial asserts that a Result returned alongside an error is
+// still consistent: Done covers every recorded outcome and the
+// response summary is filled in.
+func checkPartial(t *testing.T, res *Result) {
+	t.Helper()
+	for _, o := range res.Outcomes {
+		if res.Done < o.Finished {
+			t.Errorf("Done %v before %s finished at %v", res.Done, o.Label, o.Finished)
+		}
+	}
+	if res.MaxResponse <= 0 || res.MeanResponse <= 0 {
+		t.Errorf("response summary unset: mean %v, max %v", res.MeanResponse, res.MaxResponse)
+	}
 }
 
 func TestServeHookAbort(t *testing.T) {
@@ -308,12 +284,17 @@ func TestServeHookAbort(t *testing.T) {
 		}
 		return sentinel
 	}
-	if _, err := Serve(opts, as); !errors.Is(err, sentinel) {
+	res, err := Serve(opts, as)
+	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 	if calls != 1 {
 		t.Fatalf("hook called %d times, want 1", calls)
 	}
+	if res == nil || len(res.Outcomes) == 0 {
+		t.Fatalf("res = %+v, want the aborted epoch's outcomes", res)
+	}
+	checkPartial(t, res)
 }
 
 func TestPlanEpoch(t *testing.T) {

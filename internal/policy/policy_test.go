@@ -28,6 +28,7 @@ func TestParseNormalizesCaseAliasesWhitespace(t *testing.T) {
 		" Genetic\t":    "genetic",
 		"OPTIMAL":       "optimal",
 		"Random":        "random",
+		"Default":       "default",
 	}
 	for in, want := range cases {
 		p, err := policy.Parse(in)
@@ -43,9 +44,19 @@ func TestParseNormalizesCaseAliasesWhitespace(t *testing.T) {
 			t.Errorf("Canonical(%q) = %q, %v, want %q", in, canon, err, want)
 		}
 	}
+	for _, name := range policy.Names() {
+		if canon, err := policy.Canonical(name); err != nil || canon != name {
+			t.Errorf("Canonical(%q) = %q, %v; canonical names must round-trip", name, canon, err)
+		}
+	}
 }
 
 func TestParseUnknownListsEveryValidName(t *testing.T) {
+	for _, bad := range []string{"", "hcs++", "fifo", "42"} {
+		if _, err := policy.Canonical(bad); err == nil {
+			t.Errorf("Canonical(%q) succeeded", bad)
+		}
+	}
 	_, err := policy.Parse("no-such-policy")
 	if err == nil {
 		t.Fatal("Parse of an unknown name succeeded")

@@ -372,99 +372,6 @@ func (h *Histogram) write(w io.Writer) error {
 	return nil
 }
 
-// Summary reports quantiles over a sliding window of recent
-// observations, plus a cumulative sum and count — the standard
-// Prometheus summary exposition. Quantiles are computed at scrape
-// time from the last windowSize observations (a fixed-size ring), so
-// they track current behaviour rather than the process's lifetime.
-type Summary struct {
-	nm, hp    string
-	quantiles []float64
-	mu        sync.Mutex
-	window    []float64 // ring buffer of recent observations
-	next      int       // ring write position
-	filled    int       // observations in the ring (≤ len(window))
-	sum       float64
-	count     uint64
-}
-
-// summaryWindow is the ring size backing Summary quantiles.
-const summaryWindow = 512
-
-// NewSummary registers a summary with the given quantiles (each in
-// [0, 1], ascending).
-func (r *Registry) NewSummary(name, help string, quantiles []float64) *Summary {
-	for i, q := range quantiles {
-		if q < 0 || q > 1 {
-			panic(fmt.Sprintf("promtext: summary %s quantile %v outside [0,1]", name, q))
-		}
-		if i > 0 && q <= quantiles[i-1] {
-			panic(fmt.Sprintf("promtext: summary %s quantiles not ascending", name))
-		}
-	}
-	s := &Summary{
-		nm: name, hp: help,
-		quantiles: append([]float64(nil), quantiles...),
-		window:    make([]float64, summaryWindow),
-	}
-	r.register(s)
-	return s
-}
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	s.mu.Lock()
-	s.window[s.next] = v
-	s.next = (s.next + 1) % len(s.window)
-	if s.filled < len(s.window) {
-		s.filled++
-	}
-	s.sum += v
-	s.count++
-	s.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-func (s *Summary) name() string { return s.nm }
-func (s *Summary) help() string { return s.hp }
-func (s *Summary) typ() string  { return "summary" }
-func (s *Summary) write(w io.Writer) error {
-	s.mu.Lock()
-	recent := append([]float64(nil), s.window[:s.filled]...)
-	sum, count := s.sum, s.count
-	s.mu.Unlock()
-	sort.Float64s(recent)
-	for _, q := range s.quantiles {
-		// An empty summary exposes NaN quantiles, per convention.
-		v := math.NaN()
-		if len(recent) > 0 {
-			// Nearest-rank: the smallest observation with at least a
-			// q fraction of the window at or below it. The previous
-			// round-to-nearest index biased quantiles upward (p50 of
-			// 1..100 read as 51).
-			idx := int(math.Ceil(q*float64(len(recent)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(recent) {
-				idx = len(recent) - 1
-			}
-			v = recent[idx]
-		}
-		if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n", s.nm, formatFloat(q), formatFloat(v)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", s.nm, formatFloat(sum), s.nm, count)
-	return err
-}
-
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):

@@ -115,165 +115,6 @@ func TestGaugeVec(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	r := NewRegistry()
-	s := r.NewSummary("append_seconds", "Append latency.", []float64{0.5, 0.9, 0.99})
-
-	// Empty summaries expose NaN quantiles but zero sum/count.
-	var buf strings.Builder
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{
-		"# TYPE append_seconds summary",
-		`append_seconds{quantile="0.5"} NaN`,
-		`append_seconds{quantile="0.99"} NaN`,
-		"append_seconds_sum 0",
-		"append_seconds_count 0",
-	} {
-		if !strings.Contains(buf.String(), w+"\n") {
-			t.Errorf("empty summary missing %q:\n%s", w, buf.String())
-		}
-	}
-
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
-	}
-	buf.Reset()
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{
-		`append_seconds{quantile="0.5"} 50`,
-		`append_seconds{quantile="0.9"} 90`,
-		`append_seconds{quantile="0.99"} 99`,
-		"append_seconds_sum 5050",
-		"append_seconds_count 100",
-	} {
-		if !strings.Contains(buf.String(), w+"\n") {
-			t.Errorf("summary missing %q:\n%s", w, buf.String())
-		}
-	}
-
-	// Quantiles track the recent window; sum and count stay cumulative.
-	for i := 0; i < 2*summaryWindow; i++ {
-		s.Observe(9)
-	}
-	buf.Reset()
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `append_seconds{quantile="0.5"} 9`+"\n") {
-		t.Errorf("old observations still dominate:\n%s", buf.String())
-	}
-	if want := uint64(100 + 2*summaryWindow); s.Count() != want {
-		t.Errorf("count %d, want %d", s.Count(), want)
-	}
-
-	for _, fn := range []func(){
-		func() { r.NewSummary("q_range", "x", []float64{0.5, 1.5}) },
-		func() { r.NewSummary("q_order", "x", []float64{0.9, 0.5}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad quantiles accepted")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestSummaryQuantileEdges pins the nearest-rank quantile on the
-// degenerate windows: empty, one sample, all-duplicate samples, two
-// samples, the q=0 and q=1 extremes, and a wrapped ring where only
-// the newest windowSize observations may count.
-func TestSummaryQuantileEdges(t *testing.T) {
-	cases := []struct {
-		name      string
-		quantiles []float64
-		observe   func(s *Summary)
-		want      map[string]string // quantile label -> formatted value
-	}{
-		{
-			name:      "empty window",
-			quantiles: []float64{0, 0.5, 1},
-			observe:   func(*Summary) {},
-			want:      map[string]string{"0": "NaN", "0.5": "NaN", "1": "NaN"},
-		},
-		{
-			name:      "single sample is every quantile",
-			quantiles: []float64{0, 0.5, 0.99, 1},
-			observe:   func(s *Summary) { s.Observe(7.5) },
-			want:      map[string]string{"0": "7.5", "0.5": "7.5", "0.99": "7.5", "1": "7.5"},
-		},
-		{
-			name:      "duplicates collapse to the one value",
-			quantiles: []float64{0.5, 0.9},
-			observe: func(s *Summary) {
-				for i := 0; i < 10; i++ {
-					s.Observe(3)
-				}
-			},
-			want: map[string]string{"0.5": "3", "0.9": "3"},
-		},
-		{
-			name:      "two samples split at the median",
-			quantiles: []float64{0.25, 0.5, 0.75, 1},
-			observe: func(s *Summary) {
-				s.Observe(10)
-				s.Observe(20)
-			},
-			// Nearest-rank: p<=0.5 is the lower sample, above it the
-			// upper — the old rounding put p50 on the upper sample.
-			want: map[string]string{"0.25": "10", "0.5": "10", "0.75": "20", "1": "20"},
-		},
-		{
-			name:      "extremes are min and max",
-			quantiles: []float64{0, 1},
-			observe: func(s *Summary) {
-				for i := 1; i <= 9; i++ {
-					s.Observe(float64(i))
-				}
-			},
-			want: map[string]string{"0": "1", "1": "9"},
-		},
-		{
-			name:      "wrapped ring keeps only the newest window",
-			quantiles: []float64{0, 0.5, 1},
-			observe: func(s *Summary) {
-				// One windowful of 100s, then a windowful of 5s: the
-				// 100s must be fully evicted.
-				for i := 0; i < summaryWindow; i++ {
-					s.Observe(100)
-				}
-				for i := 0; i < summaryWindow; i++ {
-					s.Observe(5)
-				}
-			},
-			want: map[string]string{"0": "5", "0.5": "5", "1": "5"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegistry()
-			s := r.NewSummary("edge_seconds", "Edge case.", tc.quantiles)
-			tc.observe(s)
-			var buf strings.Builder
-			if err := r.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			for q, v := range tc.want {
-				line := `edge_seconds{quantile="` + q + `"} ` + v + "\n"
-				if !strings.Contains(buf.String(), line) {
-					t.Errorf("missing %q in:\n%s", strings.TrimSpace(line), buf.String())
-				}
-			}
-		})
-	}
-}
-
 func TestRegistryHandler(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("hits_total", "Hits.").Inc()
@@ -323,7 +164,6 @@ func TestConcurrentUse(t *testing.T) {
 	g := r.NewGauge("g", "x")
 	v := r.NewCounterVec("v_total", "x", "k")
 	h := r.NewHistogram("h_seconds", "x", []float64{1, 10})
-	s := r.NewSummary("s_seconds", "x", []float64{0.5})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -334,7 +174,6 @@ func TestConcurrentUse(t *testing.T) {
 				g.Add(1)
 				v.Inc("a")
 				h.Observe(float64(j % 20))
-				s.Observe(float64(j % 20))
 				if j%50 == 0 {
 					var sb strings.Builder
 					_ = r.Write(&sb)
@@ -343,8 +182,8 @@ func TestConcurrentUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Value() != 1600 || g.Value() != 1600 || v.Value("a") != 1600 || h.Count() != 1600 || s.Count() != 1600 {
-		t.Errorf("lost updates: c=%v g=%v v=%v h=%v s=%v",
-			c.Value(), g.Value(), v.Value("a"), h.Count(), s.Count())
+	if c.Value() != 1600 || g.Value() != 1600 || v.Value("a") != 1600 || h.Count() != 1600 {
+		t.Errorf("lost updates: c=%v g=%v v=%v h=%v",
+			c.Value(), g.Value(), v.Value("a"), h.Count())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"corun/internal/admission"
-	"corun/internal/online"
 	"corun/internal/policy"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -278,7 +277,7 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"policies": policy.List(),
-		"active":   s.Policy().String(),
+		"active":   s.Policy(),
 	})
 }
 
@@ -292,7 +291,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
-	p, err := online.ParsePolicy(req.Policy)
+	p, err := policy.Canonical(req.Policy)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -305,7 +304,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"policy": p.String()})
+	writeJSON(w, http.StatusOK, map[string]string{"policy": p})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -76,17 +76,13 @@ func (s *Server) openJournal() error {
 		}
 	}
 	if st.Policy != "" {
-		p, err := online.ParsePolicy(st.Policy)
+		p, err := online.CheckPolicy(st.Policy, s.cfg.Char != nil)
 		if err != nil {
-			return fail(fmt.Errorf("server: recovered policy: %w", err))
-		}
-		probe := online.Options{Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char, Policy: p}
-		if err := probe.Validate(); err != nil {
 			return fail(fmt.Errorf("server: recovered policy: %w", err))
 		}
 		s.setPolicyNow(p)
 	} else {
-		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: s.policyNow().String()}); err != nil {
+		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: s.policyNow()}); err != nil {
 			return fail(err)
 		}
 	}

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"corun/internal/online"
+	"corun/internal/policy"
 	"corun/internal/promtext"
 )
 
@@ -44,7 +44,7 @@ type metrics struct {
 	jlErrors        *promtext.Counter
 	jlRecovered     *promtext.Gauge
 	jlTruncated     *promtext.Gauge
-	jlAppendLatency *promtext.Summary
+	jlAppendLatency *promtext.Histogram
 
 	// Failure-handling instrumentation: journal write retries and
 	// drops, the circuit breaker, load shedding, and the failpoint
@@ -136,9 +136,9 @@ func newMetrics() *metrics {
 			"Non-terminal jobs restored from the journal and re-enqueued at startup."),
 		jlTruncated: reg.NewGauge("corund_journal_truncated_tail_bytes",
 			"Bytes of torn or corrupt log tail truncated during startup recovery."),
-		jlAppendLatency: reg.NewSummary("corund_journal_append_latency_seconds",
+		jlAppendLatency: reg.NewHistogram("corund_journal_append_latency_seconds",
 			"Latency of journal appends, including any group-commit fsync wait.",
-			[]float64{0.5, 0.9, 0.99}),
+			[]float64{10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}),
 		jlBatches: reg.NewCounter("corund_journal_batches_total",
 			"Commits issued by the journal writer goroutine (each is one Append and at most one fsync, shared by every submission it coalesced)."),
 		jlBatchRecords: reg.NewHistogram("corund_journal_batch_records",
@@ -175,8 +175,8 @@ func newMetrics() *metrics {
 	}
 	// Pre-register every policy's series so dashboards see zeros
 	// instead of absent series before the first epoch.
-	for _, p := range online.Policies() {
-		m.scheduled.Add(p.String(), 0)
+	for _, p := range policy.Names() {
+		m.scheduled.Add(p, 0)
 	}
 	for _, d := range []string{"pp0", "pp1"} {
 		m.domainWatts.Set(d, 0)

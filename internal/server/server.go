@@ -125,8 +125,9 @@ type Config struct {
 	// changed live (POST /v1/cap) and are journaled/restored.
 	Domains apu.DomainCaps
 
-	// Policy plans each epoch; defaults to PolicyHCSPlus.
-	Policy online.Policy
+	// Policy is the policy registry name that plans each epoch;
+	// defaults to online.PolicyHCSPlus.
+	Policy string
 
 	// Seed drives refinement sampling and the Random policy.
 	Seed int64
@@ -389,7 +390,7 @@ type Server struct {
 	capBits   atomic.Uint64            // units.Watts
 	pp0Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
 	pp1Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
-	policyV   atomic.Pointer[string]   // online.Policy as string
+	policyV   atomic.Pointer[string]   // canonical policy name
 	simClock  atomic.Uint64            // units.Seconds
 	lastPlan  atomic.Pointer[PlanView] // immutable once stored
 	planCache atomic.Pointer[planCacheEntry]
@@ -433,12 +434,13 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	// Reuse the epoch scheduler's own option validation so the daemon
-	// rejects exactly what PlanEpoch would.
-	probe := online.Options{Cfg: cfg.Machine, Mem: cfg.Mem, Char: cfg.Char, Cap: cfg.Cap, Domains: cfg.Domains, Policy: cfg.Policy}
-	if err := probe.Validate(); err != nil {
+	// The epoch scheduler's own checks, so the daemon rejects exactly
+	// what PlanEpoch would.
+	pol, err := online.CheckPolicy(cfg.Policy, cfg.Char != nil)
+	if err != nil {
 		return nil, err
 	}
+	cfg.Policy = pol
 	if err := cfg.Machine.CheckCaps(cfg.Cap, cfg.Domains); err != nil {
 		return nil, err
 	}
@@ -578,12 +580,9 @@ func (s *Server) publishDomainCapGauges(dc apu.DomainCaps) {
 	s.m.domainCapWatts.Set("pp1", float64(dc.PP1))
 }
 
-func (s *Server) setPolicyNow(p online.Policy) {
-	str := string(p)
-	s.policyV.Store(&str)
-}
+func (s *Server) setPolicyNow(p string) { s.policyV.Store(&p) }
 
-func (s *Server) policyNow() online.Policy { return online.Policy(*s.policyV.Load()) }
+func (s *Server) policyNow() string { return *s.policyV.Load() }
 
 func (s *Server) setClock(c units.Seconds) { s.simClock.Store(math.Float64bits(float64(c))) }
 
@@ -834,22 +833,22 @@ func capRecord(cap units.Watts, dc apu.DomainCaps) journal.Record {
 	return r
 }
 
-// Policy returns the active epoch policy.
-func (s *Server) Policy() online.Policy { return s.policyNow() }
+// Policy returns the active epoch policy's canonical name.
+func (s *Server) Policy() string { return s.policyNow() }
 
-// SetPolicy changes the epoch policy live; it applies from the next
-// epoch. Model-based policies require the server to hold a
-// characterization. The change is journaled before it is acknowledged
-// (or applied), so a restart restores it.
-func (s *Server) SetPolicy(p online.Policy) error {
-	probe := online.Options{Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char, Policy: p}
-	if err := probe.Validate(); err != nil {
+// SetPolicy changes the epoch policy live, by any registry spelling;
+// it applies from the next epoch. Model-based policies require the
+// server to hold a characterization. The change is journaled before
+// it is acknowledged (or applied), so a restart restores it.
+func (s *Server) SetPolicy(name string) error {
+	p, err := online.CheckPolicy(name, s.cfg.Char != nil)
+	if err != nil {
 		return err
 	}
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
 	if s.jl != nil {
-		if err := s.appendDurable(journal.Record{Type: journal.TypePolicyChanged, Policy: p.String()}); err != nil {
+		if err := s.appendDurable(journal.Record{Type: journal.TypePolicyChanged, Policy: p}); err != nil {
 			if errors.Is(err, ErrDegraded) {
 				return err
 			}
@@ -1184,7 +1183,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 
 	s.m.epochs.Inc()
 	s.m.done.Add(float64(len(res.Completions)))
-	s.m.scheduled.Add(policy.String(), float64(len(res.Completions)))
+	s.m.scheduled.Add(policy, float64(len(res.Completions)))
 	s.m.energy.Add(res.EnergyJ)
 	s.m.simMakespan.Set(float64(res.Makespan))
 	s.m.simClock.Set(float64(endClock))
@@ -1281,10 +1280,10 @@ func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
 // pre-registered so dashboards see zeros instead of absent series.
 var bindingConstraints = []string{"none", "pp0", "pp1", "package", "thermal"}
 
-func newPlanView(epoch int, policy online.Policy, capW units.Watts, dc apu.DomainCaps, clock units.Seconds, batch []Job) PlanView {
+func newPlanView(epoch int, policy string, capW units.Watts, dc apu.DomainCaps, clock units.Seconds, batch []Job) PlanView {
 	pv := PlanView{
 		Epoch:       epoch,
-		Policy:      policy.String(),
+		Policy:      policy,
 		CapWatts:    float64(capW),
 		PP0CapWatts: float64(dc.PP0),
 		PP1CapWatts: float64(dc.PP1),

@@ -422,7 +422,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestBadRequests covers the API's 4xx paths, including the bad-policy
-// 400 that online.ParsePolicy enables.
+// 400 from the policy registry.
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -487,7 +487,7 @@ func TestListPolicies(t *testing.T) {
 	if want := policy.Names(); !reflect.DeepEqual(names, want) {
 		t.Errorf("policies %v, want %v", names, want)
 	}
-	if got.Active != s.Policy().String() {
+	if got.Active != s.Policy() {
 		t.Errorf("active %q, want %q", got.Active, s.Policy())
 	}
 	s.Drain()
@@ -540,7 +540,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Policy: online.PolicyHCSPlus}); err == nil {
 		t.Error("model policy without characterization accepted")
 	}
-	if _, err := New(Config{Policy: online.Policy("fifo")}); err == nil {
+	if _, err := New(Config{Policy: "fifo"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	if _, err := New(Config{Policy: online.PolicyRandom, Cap: 0.5}); err == nil {
