@@ -147,8 +147,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for refinement sampling and the random policy")
 	dataDir := flag.String("data-dir", "", "durable state journal directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "always", "journal fsync policy: always | interval | never")
-	jlBatch := flag.Int("journal-batch", 256, "max records the journal writer coalesces into one commit/fsync")
-	jlGather := flag.Duration("journal-gather", time.Millisecond, "group-commit window: how long the writer holds a batch open for in-flight submitters (negative = disabled)")
 	jlRetries := flag.Int("journal-retries", 3, "retries after a transient journal write failure (negative = no retries)")
 	retryBase := flag.Duration("retry-base", 5*time.Millisecond, "initial journal retry backoff (doubles per attempt, jittered)")
 	retryMax := flag.Duration("retry-max", 250*time.Millisecond, "journal retry backoff ceiling")
@@ -176,8 +174,6 @@ func main() {
 	cfg.TenantWeights = weights
 	cfg.TenantQueue = *tenantQueue
 	cfg.MaxBatch = *maxBatch
-	cfg.JournalBatch = *jlBatch
-	cfg.JournalGather = *jlGather
 	cfg.JournalRetries = *jlRetries
 	cfg.RetryBase = *retryBase
 	cfg.RetryMax = *retryMax
@@ -231,14 +227,9 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 	if err != nil {
 		log.Fatalf("corund: -balancer: %v", err)
 	}
-	var mcfg *apu.Config
-	switch strings.ToLower(machine) {
-	case "ivybridge", "":
-		mcfg = apu.DefaultConfig()
-	case "kaveri":
-		mcfg = apu.KaveriConfig()
-	default:
-		log.Fatalf("corund: unknown machine %q", machine)
+	mcfg, err := machineByName(machine, 0)
+	if err != nil {
+		log.Fatalf("corund: %v", err)
 	}
 	co, err := fleet.New(fleet.Config{
 		Nodes:             nodes,
@@ -270,27 +261,37 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 	log.Printf("corund: coordinator stopped")
 }
 
-// buildConfig assembles the server configuration: machine preset,
-// policy, the characterization (measured, or loaded from a file),
-// and the durability options.
-func buildConfig(machine, policyName string, capW float64, maxQueue int, epochGap time.Duration, seed int64, charFile, saveChar, dataDir, fsync string, tmaxC float64) (*server.Config, error) {
+// machineByName resolves a -machine preset; a non-zero tmaxC overrides
+// its thermal trip point on a private copy (the presets are shared
+// package globals).
+func machineByName(name string, tmaxC float64) (*apu.Config, error) {
 	var mcfg *apu.Config
-	switch strings.ToLower(machine) {
+	switch strings.ToLower(name) {
 	case "ivybridge", "":
 		mcfg = apu.DefaultConfig()
 	case "kaveri":
 		mcfg = apu.KaveriConfig()
 	default:
-		return nil, fmt.Errorf("unknown machine %q", machine)
+		return nil, fmt.Errorf("unknown machine %q", name)
 	}
 	if tmaxC != 0 {
-		// Copy before mutating: the presets are shared package globals.
 		tp := mcfg.Thermal
 		tp.TMaxC = tmaxC
 		if err := tp.Validate(); err != nil {
 			return nil, fmt.Errorf("-tmax: %w", err)
 		}
 		mcfg = mcfg.WithThermal(tp)
+	}
+	return mcfg, nil
+}
+
+// buildConfig assembles the server configuration: machine preset,
+// policy, the characterization (measured, or loaded from a file),
+// and the durability options.
+func buildConfig(machine, policyName string, capW float64, maxQueue int, epochGap time.Duration, seed int64, charFile, saveChar, dataDir, fsync string, tmaxC float64) (*server.Config, error) {
+	mcfg, err := machineByName(machine, tmaxC)
+	if err != nil {
+		return nil, err
 	}
 	pol, err := policy.Canonical(policyName)
 	if err != nil {

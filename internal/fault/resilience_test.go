@@ -86,6 +86,18 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 	}
 }
 
+func TestBackoffFirstTrySuccessAllocatesNothing(t *testing.T) {
+	b := Backoff{Base: time.Millisecond, Max: time.Second, Jitter: 0.2, Seed: 1, Attempts: 4}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Run(func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first-try success allocated %v times per Run, want 0", allocs)
+	}
+}
+
 func TestBackoffZeroValueSingleAttempt(t *testing.T) {
 	calls := 0
 	err := Backoff{}.Run(func(int) error { calls++; return errors.New("x") })

@@ -59,13 +59,16 @@ func (b Backoff) Run(op func(attempt int) error) error {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
+	// Only a retry sleep reads the jitter PRNG, so the first retry
+	// builds it: a first-try success — every healthy journal commit —
+	// allocates nothing.
 	var rng *rand.Rand
-	if b.Jitter > 0 {
-		rng = rand.New(rand.NewSource(b.Seed))
-	}
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
+			if rng == nil && b.Jitter > 0 {
+				rng = rand.New(rand.NewSource(b.Seed))
+			}
 			sleep(b.delay(attempt-1, rng))
 		}
 		err = op(attempt)

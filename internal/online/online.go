@@ -12,7 +12,6 @@
 package online
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -73,20 +72,6 @@ type Arrival struct {
 	Label string
 }
 
-// EpochStats describes one completed scheduling epoch to a Hook.
-type EpochStats struct {
-	// Index counts epochs from 0.
-	Index int
-	// Clock is the server time at which the epoch started.
-	Clock units.Seconds
-	// Jobs is the epoch's batch size.
-	Jobs int
-	// Makespan is the epoch's simulated duration.
-	Makespan units.Seconds
-	// EnergyJ is the epoch's energy.
-	EnergyJ float64
-}
-
 // Options configures the server.
 type Options struct {
 	Cfg  *apu.Config
@@ -110,25 +95,13 @@ type Options struct {
 	// expose in-flight state (job status, predicted finish) while the
 	// epoch executes.
 	Planned func(plan *core.Schedule, predicted units.Seconds)
-
-	// Hook, if set, observes each completed epoch. Returning an error
-	// aborts serving — together with ServeContext this is the
-	// injectable step hook that lets a caller pace epochs in real or
-	// accelerated time instead of running the stream to completion as
-	// fast as possible.
-	Hook func(EpochStats) error
 }
 
-// Validate checks the options themselves (not an arrival stream):
-// machine and memory models must be present, the policy must be a
-// registered one, model-based policies need a characterization, and
-// the caps must be feasible on the machine.
-func (o Options) Validate() error {
-	_, err := o.check()
-	return err
-}
-
-// check is Validate returning the policy's canonical name.
+// check validates the options themselves (not an arrival stream) and
+// returns the policy's canonical name: machine and memory models must
+// be present, the policy must be a registered one, model-based
+// policies need a characterization, and the caps must be feasible on
+// the machine.
 func (o Options) check() (string, error) {
 	if o.Cfg == nil || o.Mem == nil {
 		return "", fmt.Errorf("online: nil machine or memory model")
@@ -170,19 +143,9 @@ type Result struct {
 	EnergyJ float64
 }
 
-// Serve runs the arrival stream to completion. It is ServeContext
-// with a background context — no cancellation path.
+// Serve runs the arrival stream to completion.
 func Serve(opts Options, arrivals []Arrival) (*Result, error) {
-	return ServeContext(context.Background(), opts, arrivals)
-}
-
-// ServeContext runs the arrival stream to completion or until ctx is
-// cancelled. Cancellation is checked between epochs: the in-flight
-// epoch always completes (the simulated machine is non-preemptive),
-// then serving stops with ctx.Err(). This is the cancellation path a
-// draining daemon uses.
-func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Result, error) {
-	if err := opts.Validate(); err != nil {
+	if _, err := opts.check(); err != nil {
 		return nil, err
 	}
 	if len(arrivals) == 0 {
@@ -204,13 +167,7 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 	next := 0
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	// stop is why serving ended early (ctx cancelled, Hook error);
-	// the partial Result is summarized all the same.
-	var stop error
 	for next < len(sorted) {
-		if stop = ctx.Err(); stop != nil {
-			break
-		}
 		// Wait for work.
 		if sorted[next].At > clock {
 			clock = sorted[next].At
@@ -243,21 +200,7 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 				Finished: clock + c.End,
 			})
 		}
-		// The epoch's outcomes are recorded, so Done covers it before
-		// the hook gets a chance to abort.
 		res.Done = clock + simRes.Makespan
-		if opts.Hook != nil {
-			stats := EpochStats{
-				Index:    res.Epochs - 1,
-				Clock:    clock,
-				Jobs:     len(batch),
-				Makespan: simRes.Makespan,
-				EnergyJ:  simRes.EnergyJ,
-			}
-			if stop = opts.Hook(stats); stop != nil {
-				break
-			}
-		}
 		clock = res.Done
 	}
 
@@ -273,7 +216,7 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 		res.MeanResponse = units.Seconds(sum / float64(len(res.Outcomes)))
 	}
 	res.MaxResponse = max
-	return res, stop
+	return res, nil
 }
 
 // Epoch is the outcome of one scheduling round: the plan (nil for the

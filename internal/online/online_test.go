@@ -1,8 +1,6 @@
 package online
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"testing"
 
@@ -203,98 +201,31 @@ func TestServeUnknownPolicy(t *testing.T) {
 
 func TestOptionsValidate(t *testing.T) {
 	opts := testOptions(t, PolicyHCSPlus)
-	if err := opts.Validate(); err != nil {
-		t.Fatal(err)
+	if pol, err := opts.check(); err != nil || pol != PolicyHCSPlus {
+		t.Fatalf("check() = %q, %v", pol, err)
 	}
 	bad := opts
 	bad.Policy = "fifo"
-	if err := bad.Validate(); err == nil {
+	if _, err := bad.check(); err == nil {
 		t.Error("unknown policy validated")
 	}
 	bad = opts
 	bad.Cap = -1
-	if err := bad.Validate(); err == nil {
+	if _, err := bad.check(); err == nil {
 		t.Error("negative cap validated")
 	}
 	// Default dispatch ranks jobs with the predictive model, so it
 	// needs the characterization too.
 	bad = testOptions(t, PolicyDefault)
 	bad.Char = nil
-	if err := bad.Validate(); err == nil {
+	if _, err := bad.check(); err == nil {
 		t.Error("default policy without characterization validated")
 	}
 	ok := testOptions(t, PolicyRandom)
 	ok.Char = nil
-	if err := ok.Validate(); err != nil {
+	if _, err := ok.check(); err != nil {
 		t.Errorf("random policy without characterization rejected: %v", err)
 	}
-}
-
-func TestServeContextCancel(t *testing.T) {
-	opts := testOptions(t, PolicyHCSPlus)
-	as, err := GenerateArrivals(8, 200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cancel after the first epoch via the hook: the in-flight epoch
-	// completes, the remaining stream is abandoned.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts.Hook = func(EpochStats) error { cancel(); return nil }
-	res, err := ServeContext(ctx, opts, as)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Epochs != 1 {
-		t.Fatalf("res = %+v, want exactly 1 epoch", res)
-	}
-	if len(res.Outcomes) == 0 {
-		t.Error("cancelled serve lost the completed epoch's outcomes")
-	}
-	checkPartial(t, res)
-}
-
-// checkPartial asserts that a Result returned alongside an error is
-// still consistent: Done covers every recorded outcome and the
-// response summary is filled in.
-func checkPartial(t *testing.T, res *Result) {
-	t.Helper()
-	for _, o := range res.Outcomes {
-		if res.Done < o.Finished {
-			t.Errorf("Done %v before %s finished at %v", res.Done, o.Label, o.Finished)
-		}
-	}
-	if res.MaxResponse <= 0 || res.MeanResponse <= 0 {
-		t.Errorf("response summary unset: mean %v, max %v", res.MeanResponse, res.MaxResponse)
-	}
-}
-
-func TestServeHookAbort(t *testing.T) {
-	opts := testOptions(t, PolicyRandom)
-	as, err := GenerateArrivals(6, 100, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	sentinel := errors.New("stop here")
-	opts.Hook = func(s EpochStats) error {
-		calls++
-		if s.Jobs <= 0 || s.Makespan <= 0 {
-			t.Errorf("malformed stats %+v", s)
-		}
-		return sentinel
-	}
-	res, err := Serve(opts, as)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if calls != 1 {
-		t.Fatalf("hook called %d times, want 1", calls)
-	}
-	if res == nil || len(res.Outcomes) == 0 {
-		t.Fatalf("res = %+v, want the aborted epoch's outcomes", res)
-	}
-	checkPartial(t, res)
 }
 
 func TestPlanEpoch(t *testing.T) {

@@ -26,10 +26,9 @@ import (
 )
 
 // SitePlan is the failpoint (internal/fault) checked on every plan
-// request that resolves through the registry — both the one-shot Plan
-// and Engine.Plan — against the fault.Default registry. Arming it
-// injects planning failures or latency (a planning-epoch overrun)
-// into every front end at once.
+// request that resolves through the registry (Plan) against the
+// fault.Default registry. Arming it injects planning failures or
+// latency (a planning-epoch overrun) into every front end at once.
 const SitePlan = "policy/plan"
 
 // Options passes per-plan knobs to a policy. The zero value is a valid

@@ -112,35 +112,25 @@ func TestListDescribesEveryPolicy(t *testing.T) {
 	}
 }
 
-func TestEngineResolvesThroughRegistry(t *testing.T) {
-	if _, err := policy.NewEngine(nil); err == nil {
-		t.Error("NewEngine(nil) succeeded")
-	}
+func TestPlanResolvesThroughRegistry(t *testing.T) {
 	batch := testBatch(t)
-	pred := predictorFor(t, batch)
-	eng, err := policy.NewEngine(contextOver(t, pred))
-	if err != nil {
-		t.Fatal(err)
+	cx := contextOver(t, predictorFor(t, batch))
+	if _, err := policy.Plan("bogus", cx, policy.Options{}); err == nil {
+		t.Error("Plan of an unknown name succeeded")
 	}
-	if _, err := eng.Plan("bogus", policy.Options{}); err == nil {
-		t.Error("Engine.Plan of an unknown name succeeded")
-	}
-	plan, err := eng.Plan("hcsplus", policy.Options{Seed: 7})
+	plan, err := policy.Plan("hcsplus", cx, policy.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Validate(len(batch)); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := policy.Plan("hcs+", eng.Context(), policy.Options{Seed: 7})
+	canonical, err := policy.Plan("hcs+", cx, policy.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plan, direct) {
-		t.Errorf("engine plan %v differs from direct plan %v", plan, direct)
-	}
-	if _, err := eng.PredictedMakespan(plan); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(plan, canonical) {
+		t.Errorf("alias plan %v differs from canonical-name plan %v", plan, canonical)
 	}
 }
 

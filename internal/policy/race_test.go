@@ -1,9 +1,9 @@
 package policy_test
 
-// Concurrency test for the shared scheduling engine, written to run
-// under `go test -race` (part of `make verify`), mirroring the style of
-// internal/server/race_test.go: many goroutines plan every registered
-// policy through one engine whose context sits on one shared
+// Concurrency test for policy.Plan over one shared core.Context,
+// written to run under `go test -race` (part of `make verify`),
+// mirroring the style of internal/server/race_test.go: many goroutines
+// plan every registered policy over one context that sits on one shared
 // model.CachedPredictor, while others evaluate makespans. Beyond the
 // absence of data races, each policy must return the same plan to
 // every goroutine — the memo tables may reorder work but never change
@@ -18,26 +18,23 @@ import (
 	"corun/internal/policy"
 )
 
-func TestEngineConcurrentPlanning(t *testing.T) {
+func TestConcurrentPlanning(t *testing.T) {
 	batch := testBatch(t)
 	pred := predictorFor(t, batch)
 	cached, err := model.NewCachedPredictor(pred, testCfg(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := policy.NewEngine(contextOver(t, cached))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cx := contextOver(t, cached)
 
 	// Serial reference answers, planned before any concurrency starts.
 	want := map[string]string{}
 	for _, name := range policy.Names() {
-		plan, err := eng.Plan(name, policy.Options{Seed: 7})
+		plan, err := policy.Plan(name, cx, policy.Options{Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ms, err := eng.PredictedMakespan(plan)
+		ms, err := cx.PredictedMakespan(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,12 +48,12 @@ func TestEngineConcurrentPlanning(t *testing.T) {
 			wg.Add(1)
 			go func(name string) {
 				defer wg.Done()
-				plan, err := eng.Plan(name, policy.Options{Seed: 7})
+				plan, err := policy.Plan(name, cx, policy.Options{Seed: 7})
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					return
 				}
-				ms, err := eng.PredictedMakespan(plan)
+				ms, err := cx.PredictedMakespan(plan)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					return

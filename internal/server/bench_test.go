@@ -1,10 +1,19 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"corun/internal/journal"
+	"corun/internal/online"
+	"corun/internal/workload"
 )
 
 // benchServer builds an in-memory server (no scheduler loop, no
@@ -67,5 +76,55 @@ func BenchmarkJobHandler(b *testing.B) {
 		if w.Code != http.StatusOK {
 			b.Fatalf("job -> %d: %s", w.Code, w.Body)
 		}
+	}
+}
+
+// BenchmarkSubmitDurable measures the durable submit→ack path at 1, 4
+// and 32 concurrent in-process submitters: a real journal under
+// FsyncAlways, with the scheduler loop running the random dispatcher
+// beside them so its terminal batches commit too. submits/s is the ack
+// rate; fsyncs/job (submission and terminal commits together) is how
+// much of the fsync cost the journal's group commit shared.
+func BenchmarkSubmitDurable(b *testing.B) {
+	for _, conc := range []int{1, 4, 32} {
+		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
+			s := newTestServer(b, func(c *Config) {
+				c.Policy = online.PolicyRandom
+				c.MaxQueue = 1 << 20
+				c.DataDir = b.TempDir()
+				c.Fsync = journal.FsyncAlways
+			})
+			s.Start(context.Background())
+			b.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				if err := s.DrainAndWait(ctx); err != nil {
+					b.Error(err)
+				}
+				s.Close()
+			})
+			spec := workload.JobSpec{Program: "cfd", Scale: 1.1}
+			fsyncs0 := s.m.jlFsyncs.Value()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < conc; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := s.Submit(spec); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submits/s")
+			b.ReportMetric((s.m.jlFsyncs.Value()-fsyncs0)/float64(b.N), "fsyncs/job")
+		})
 	}
 }

@@ -1,0 +1,199 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"corun/internal/fault"
+	"corun/internal/journal"
+	"corun/internal/online"
+)
+
+// TestSubmitDurableAck is the submit→ack path's property test: eight
+// concurrent submitters commit beside the running scheduler (whose
+// terminal batches are committers too) against a real journal with
+// fsync faults injected on several schedules. Every submission is
+// acked or failed exactly once (acked + failed == submitted), and for
+// every acked job the journal's durable watermark, read right after
+// the ack, covers the sequence number Append assigned its submission
+// record. Retries and the breaker are off so an injected fault fails
+// the submission it hit instead of being absorbed. Run under -race, the
+// test also proves the direct commit path is data-race free.
+func TestSubmitDurableAck(t *testing.T) {
+	schedules := []struct {
+		name string
+		rule *fault.Rule
+	}{
+		{"no-faults", nil},
+		{"every-3rd-fsync", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Every: 3, Msg: "injected fsync"}},
+		{"first-5-fsyncs", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: 5, Msg: "injected fsync"}},
+	}
+	for _, sched := range schedules {
+		t.Run(sched.name, func(t *testing.T) {
+			const goroutines, perG = 8, 50
+			dir := t.TempDir()
+			reg := fault.NewRegistry()
+			s := newTestServer(t, func(c *Config) {
+				c.Policy = online.PolicyRandom
+				c.MaxQueue = goroutines * perG
+				c.DataDir = dir
+				c.Fsync = journal.FsyncAlways
+				c.SnapshotBytes = -1 // keep every record in the log for the check below
+				c.Faults = reg
+				c.JournalRetries = -1
+				c.BreakerThreshold = -1
+			})
+			// Arm after New, past the cap/policy records a fresh dir seeds.
+			if sched.rule != nil {
+				if err := reg.Arm(*sched.rule); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Start(context.Background())
+
+			spec := mustSpec(t, "lud")
+			var mu sync.Mutex
+			durableAtAck := map[string]uint64{}
+			failed := 0
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						j, err := s.Submit(spec)
+						d := s.jl.DurableSeq()
+						mu.Lock()
+						if err != nil {
+							failed++
+						} else {
+							durableAtAck[j.ID] = d
+						}
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			reg.Disarm()
+			drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := s.DrainAndWait(drainCtx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			acked := len(durableAtAck)
+			if acked+failed != goroutines*perG {
+				t.Fatalf("acked %d + failed %d = %d, want exactly %d (no lost or double acks)",
+					acked, failed, acked+failed, goroutines*perG)
+			}
+			if sched.rule == nil && failed != 0 {
+				t.Fatalf("%d submissions failed with no faults armed", failed)
+			}
+			if acked == 0 {
+				t.Fatal("every submission failed; the property was never exercised")
+			}
+
+			submittedSeq := map[string]uint64{}
+			data, err := os.ReadFile(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(data); {
+				r, n, err := journal.DecodeRecord(data[off:])
+				if err != nil {
+					t.Fatalf("log offset %d: %v", off, err)
+				}
+				if r.Type == journal.TypeJobSubmitted {
+					submittedSeq[r.Job.ID] = r.Seq
+				}
+				off += n
+			}
+			for id, d := range durableAtAck {
+				seq, ok := submittedSeq[id]
+				if !ok {
+					t.Errorf("acked job %s has no submission record in the log", id)
+				} else if d < seq {
+					t.Errorf("acked job %s: seq %d > durable watermark %d at its ack", id, seq, d)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitMetricsCountAppends pins what feeds
+// corund_journal_batches_total and corund_journal_batch_records now
+// that nothing sits between a committer and the journal: one Append is
+// one commit, whatever its record count. The scheduler loop stays
+// stopped so the test owns every commit.
+func TestCommitMetricsCountAppends(t *testing.T) {
+	s := newJournalServer(t, t.TempDir())
+	scrape := func() (batches, batchRecs, appends float64) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		body := w.Body.String()
+		return metricValue(t, body, "corund_journal_batches_total"),
+			metricValue(t, body, "corund_journal_batch_records_sum"),
+			metricValue(t, body, "corund_journal_appends_total")
+	}
+	b0, r0, a0 := scrape()
+	if b0 != 2 || a0 != 2 {
+		t.Fatalf("fresh data dir: %v commits of %v records, want the 2 seeding commits (cap, policy)", b0, a0)
+	}
+
+	// Three single-record commits: a submission and two control changes.
+	if _, err := s.Submit(mustSpec(t, "lud")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCap(14); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPolicy(online.PolicyHCS); err != nil {
+		t.Fatal(err)
+	}
+	// One three-record commit, the shape of a scheduler terminal batch.
+	watts := 13.0
+	rec := journal.Record{Type: journal.TypeCapChanged, CapWatts: &watts}
+	s.journalAppend([]journal.Record{rec, rec, rec})
+
+	b1, r1, a1 := scrape()
+	if b1-b0 != 4 {
+		t.Errorf("corund_journal_batches_total advanced by %v over 4 commits", b1-b0)
+	}
+	if a1-a0 != 6 || r1-r0 != 6 {
+		t.Errorf("appends advanced by %v, batch_records_sum by %v, want 6 records each", a1-a0, r1-r0)
+	}
+}
+
+// TestSubmitAfterCloseRefused: a commit that races Close gets the
+// journal's ErrClosed, which is the drain path, not a fault — the
+// submitter sees ErrDraining, its reservation is released (a leaked
+// one would turn the third refusal into ErrQueueFull), and the breaker
+// does not count it.
+func TestSubmitAfterCloseRefused(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = t.TempDir()
+		c.MaxQueue = 2
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*s.cfg.BreakerThreshold; i++ {
+		if _, err := s.Submit(mustSpec(t, "lud")); !errors.Is(err, ErrDraining) {
+			t.Fatalf("submit %d after Close = %v, want ErrDraining", i, err)
+		}
+	}
+	if st := s.brk.State(); st != fault.BreakerClosed {
+		t.Errorf("breaker %v after closed-journal refusals, want closed", st)
+	}
+}

@@ -32,6 +32,10 @@ func (s *Server) openJournal() error {
 				s.m.jlAppends.Add(float64(records))
 				s.m.jlBytes.Add(float64(bytes))
 				s.m.jlAppendLatency.Observe(latency.Seconds())
+				// One Append is one commit: its records share one
+				// write and at most one fsync.
+				s.m.jlBatches.Inc()
+				s.m.jlBatchRecords.Observe(float64(records))
 			},
 			Fsync:         func() { s.m.jlFsyncs.Inc() },
 			Snapshot:      func() { s.m.jlSnapshots.Inc() },
@@ -189,21 +193,7 @@ func (s *Server) appendDurable(recs ...journal.Record) error {
 // restart the affected jobs replay as non-terminal and re-run, so an
 // acknowledged job is still never lost.
 func (s *Server) journalAppend(recs []journal.Record) {
-	if s.jl == nil || len(recs) == 0 {
-		return
-	}
-	// Route through the writer goroutine so the scheduler's terminal
-	// records share batches (and fsyncs) with in-flight submission acks
-	// instead of contending with them on the journal lock. The call
-	// still blocks until the batch is durable, so drain and recovery
-	// semantics are unchanged. The writer is stopped only after the
-	// scheduler loop exits (Close), so ErrClosed here means a direct
-	// append raced an explicit Close — fall through to the old path.
-	err := s.jw.submit(recs)
-	if errors.Is(err, journal.ErrClosed) {
-		err = s.appendDurable(recs...)
-	}
-	if err != nil {
+	if err := s.appendDurable(recs...); err != nil {
 		if !errors.Is(err, ErrDegraded) && !errors.Is(err, journal.ErrClosed) {
 			s.m.jlErrors.Inc()
 		}

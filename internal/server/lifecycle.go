@@ -38,16 +38,15 @@ func (s *Server) DrainAndWait(ctx context.Context) error {
 	}
 }
 
-// Close quiesces the journal writer goroutine (flushing and acking
-// everything already queued) and then releases the durable state
-// journal, fsyncing it first; it is a no-op for in-memory servers and
-// idempotent. ListenAndServe closes after its drain; standalone users
-// of Start/Drain should Close once Drained has fired.
+// Close releases the durable state journal, fsyncing it first; it is a
+// no-op for in-memory servers and idempotent. A commit racing Close
+// gets journal.ErrClosed (a submit reports it as ErrDraining).
+// ListenAndServe closes after its drain; standalone users of
+// Start/Drain should Close once Drained has fired.
 func (s *Server) Close() error {
 	if s.jl == nil {
 		return nil
 	}
-	s.jw.stopWriter()
 	return s.jl.Close()
 }
 

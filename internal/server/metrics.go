@@ -140,9 +140,9 @@ func newMetrics() *metrics {
 			"Latency of journal appends, including any group-commit fsync wait.",
 			[]float64{10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}),
 		jlBatches: reg.NewCounter("corund_journal_batches_total",
-			"Commits issued by the journal writer goroutine (each is one Append and at most one fsync, shared by every submission it coalesced)."),
+			"Journal commits: Append calls, each one write and at most one fsync (concurrent commits share fsyncs, see corund_journal_fsyncs_total)."),
 		jlBatchRecords: reg.NewHistogram("corund_journal_batch_records",
-			"Records coalesced per journal writer commit.",
+			"Records per journal commit.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		jlRetries: reg.NewCounter("corund_journal_retries_total",
 			"Journal write retries (backoff attempts past the first)."),

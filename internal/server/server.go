@@ -33,13 +33,13 @@
 //
 // Serving-path concurrency model (see DESIGN.md §2h): there is no
 // global server mutex. The job table is striped with immutable
-// atomic-pointer snapshots (jobTable), journal commits flow through a
-// dedicated writer goroutine that batches concurrent submitters into
-// one fsync (journalWriter), the admission selector and the draining
-// flag sit behind the small admMu, cap/policy/clock/plan are atomics,
-// and everything else — epoch planning, queue-shape gauges, trace
-// bookkeeping — belongs to the scheduler goroutine, off the request
-// path.
+// atomic-pointer snapshots (jobTable), every journal commit is a
+// direct appendDurable call whose fsync concurrent committers share
+// through the journal's own group commit, the admission selector and
+// the draining flag sit behind the small admMu, cap/policy/clock/plan
+// are atomics, and everything else — epoch planning, queue-shape
+// gauges, trace bookkeeping — belongs to the scheduler goroutine, off
+// the request path.
 package server
 
 import (
@@ -181,19 +181,6 @@ type Config struct {
 	// threshold (0 = the journal's default). Ignored without DataDir.
 	SnapshotBytes int64
 
-	// JournalBatch bounds how many records the journal writer
-	// goroutine coalesces into one commit (one Append, one fsync under
-	// FsyncAlways). Defaults to 256. Ignored without DataDir.
-	JournalBatch int
-
-	// JournalGather is the writer's group-commit window: when more
-	// committers are in flight than the writer has collected, it holds
-	// the batch open up to this long so they share one fsync. A lone
-	// sequential committer never waits (the gate is the in-flight
-	// count, not a fixed delay). Defaults to 1ms; negative disables.
-	// Ignored without DataDir.
-	JournalGather time.Duration
-
 	// Faults is the failpoint registry checked at the daemon's
 	// injection sites (SiteAdmit, SiteEpoch, and the journal's sites);
 	// nil uses fault.Default, which costs one atomic load while
@@ -247,12 +234,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DrainTimeout == 0 {
 		out.DrainTimeout = 30 * time.Second
-	}
-	if out.JournalBatch == 0 {
-		out.JournalBatch = 256
-	}
-	if out.JournalGather == 0 {
-		out.JournalGather = time.Millisecond
 	}
 	if out.Faults == nil {
 		out.Faults = fault.Default
@@ -356,7 +337,6 @@ type Server struct {
 	cfg    Config
 	m      *metrics
 	jl     *journal.Journal // nil without Config.DataDir
-	jw     *journalWriter   // non-nil exactly when jl is
 	faults *fault.Registry
 	brk    *fault.Breaker // nil when Config.BreakerThreshold < 0
 	bo     fault.Backoff  // journal write retry schedule
@@ -509,15 +489,6 @@ func New(cfg Config) (*Server, error) {
 		if err := s.openJournal(); err != nil {
 			return nil, err
 		}
-		s.jw = newJournalWriter(
-			func(recs []journal.Record) error { return s.appendDurable(recs...) },
-			cfg.JournalBatch,
-			cfg.JournalGather,
-			func(reqs, recs int) {
-				s.m.jlBatches.Inc()
-				s.m.jlBatchRecords.Observe(float64(recs))
-			},
-		)
 	}
 	return s, nil
 }
@@ -650,10 +621,9 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 		spec:        spec,
 	}
 	if s.jl != nil {
-		// The writer goroutine coalesces this record with every other
-		// in-flight submission into one commit (one fsync); the ack
-		// waits only for its own batch.
-		err := s.jw.submit([]journal.Record{{Type: journal.TypeJobSubmitted, Job: recordFromJob(j)}})
+		// Concurrent submitters share fsyncs through the journal's group
+		// commit; the ack waits only for its own record to be durable.
+		err := s.appendDurable(journal.Record{Type: journal.TypeJobSubmitted, Job: recordFromJob(j)})
 		if err != nil {
 			s.admMu.Lock()
 			s.adm.Unreserve(spec.Tenant)
