@@ -278,6 +278,16 @@ func (s *System) DomainCaps() DomainCaps { return s.domains }
 // Prepare profiles the batch offline and assembles the predictive
 // model and scheduling context for it.
 func (s *System) Prepare(batch []*Instance) (*Workload, error) {
+	pred, err := s.predictor(batch)
+	if err != nil {
+		return nil, err
+	}
+	return s.workloadOver(pred, batch)
+}
+
+// predictor profiles the batch and binds the profiles to the system's
+// characterization.
+func (s *System) predictor(batch []*Instance) (*model.Predictor, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("corun: empty batch")
 	}
@@ -293,14 +303,15 @@ func (s *System) Prepare(batch []*Instance) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := model.NewPredictor(s.char, prof)
-	if err != nil {
-		return nil, err
-	}
-	// The memoizing wrapper persists for the workload's lifetime, so
-	// planning the same batch repeatedly (or under several policies)
-	// answers each staged-interpolation query once.
-	cached, err := model.NewCachedPredictor(pred, s.cfg)
+	return model.NewPredictor(s.char, prof)
+}
+
+// workloadOver builds the batch's scheduling context over its oracle,
+// read through the characterization's pair tables: every batch this
+// System prepares shares them, so a program pair's degradations are
+// interpolated once for the System's lifetime.
+func (s *System) workloadOver(o model.Oracle, batch []*Instance) (*Workload, error) {
+	cached, err := model.NewCachedPredictor(o, s.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -319,29 +330,15 @@ func (s *System) Prepare(batch []*Instance) (*Workload, error) {
 // Costs 2N short measured runs; dramatically tightens predictions for
 // latency-sensitive outliers like dwt2d.
 func (s *System) PrepareCalibrated(batch []*Instance) (*Workload, error) {
-	w, err := s.Prepare(batch)
+	pred, err := s.predictor(batch)
 	if err != nil {
 		return nil, err
 	}
-	base, ok := model.Unwrap(w.cx.Oracle.(model.Oracle)).(*model.Predictor)
-	if !ok {
-		return nil, fmt.Errorf("corun: internal: unexpected oracle type")
-	}
-	cal, err := model.NewCalibratedPredictor(base, model.CalibrateOptions{Batch: batch})
+	cal, err := model.NewCalibratedPredictor(pred, model.CalibrateOptions{Batch: batch})
 	if err != nil {
 		return nil, err
 	}
-	cached, err := model.NewCachedPredictor(cal, s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	cx, err := core.NewContext(cached, s.cfg, s.cap)
-	if err != nil {
-		return nil, err
-	}
-	cx.Domains = s.domains
-	w.cx = cx
-	return w, nil
+	return s.workloadOver(cal, batch)
 }
 
 // Workload is a prepared batch: profiles, predictions, and scheduling

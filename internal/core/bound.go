@@ -55,42 +55,15 @@ func (cx *Context) boundTerm(i int) (units.Seconds, error) {
 
 // boundTermOn computes l'_{i,p} for one processor.
 func (cx *Context) boundTermOn(i int, d apu.Device) (units.Seconds, bool) {
-	o := cx.Oracle
 	solo, okSolo := cx.BestSoloTime(i, d)
-	minCoRun := -1.0
-	for j := 0; j < o.NumJobs(); j++ {
-		if j == i {
-			continue
-		}
-		for _, f := range cx.freqLevels(d) {
-			for _, g := range cx.freqLevels(d.Other()) {
-				if cx.Capped() {
-					var p units.Watts
-					if d == apu.CPU {
-						p = o.CoRunPower(i, f, j, g)
-					} else {
-						p = o.CoRunPower(j, g, i, f)
-					}
-					if p > cx.Cap {
-						continue
-					}
-				}
-				t := float64(o.StandaloneTime(i, d, f)) * (1 + o.Degradation(i, d, f, j, g))
-				if minCoRun < 0 || t < minCoRun {
-					minCoRun = t
-				}
-			}
-		}
-	}
+	minCoRun, okCoRun := cx.MinCoRunTime(i, d)
 	switch {
-	case !okSolo && minCoRun < 0:
+	case !okSolo && !okCoRun:
 		return 0, false
 	case !okSolo:
-		return units.Seconds(minCoRun), true
-	case minCoRun < 0:
-		return 2 * solo, true
-	case minCoRun < 2*float64(solo):
-		return units.Seconds(minCoRun), true
+		return minCoRun, true
+	case okCoRun && minCoRun < 2*solo:
+		return minCoRun, true
 	default:
 		return 2 * solo, true
 	}
@@ -106,25 +79,21 @@ func (cx *Context) MinCoRunTime(i int, d apu.Device) (units.Seconds, bool) {
 		if j == i {
 			continue
 		}
-		for _, f := range cx.freqLevels(d) {
-			for _, g := range cx.freqLevels(d.Other()) {
-				if cx.Capped() {
-					var p units.Watts
-					if d == apu.CPU {
-						p = o.CoRunPower(i, f, j, g)
-					} else {
-						p = o.CoRunPower(j, g, i, f)
-					}
-					if p > cx.Cap {
-						continue
-					}
-				}
-				t := float64(o.StandaloneTime(i, d, f)) * (1 + o.Degradation(i, d, f, j, g))
-				if best < 0 || t < best {
-					best = t
-				}
-			}
+		c, g := i, j
+		if d == apu.GPU {
+			c, g = j, i
 		}
+		cx.eachFeasible(c, g, func(fc, fg int) bool {
+			f, fOther := fc, fg
+			if d == apu.GPU {
+				f, fOther = fg, fc
+			}
+			t := float64(o.StandaloneTime(i, d, f)) * (1 + o.Degradation(i, d, f, j, fOther))
+			if best < 0 || t < best {
+				best = t
+			}
+			return true
+		})
 	}
 	if best < 0 {
 		return 0, false

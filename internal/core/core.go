@@ -75,13 +75,19 @@ type Context struct {
 	// query: the memo tables assume it is fixed.
 	FreqStride int
 
+	// levels holds the traversed frequency indices of each device,
+	// fixed at the first query.
+	levelsOnce sync.Once
+	levels     [apu.NumDevices][]int
+
 	// mu guards the memo tables; a Context may be shared by concurrent
 	// planners (e.g. evaluating refinement candidates in parallel) as
 	// long as the Oracle itself is safe for concurrent reads.
-	mu       sync.Mutex
-	pairMemo map[pairMemoKey]pairChoice
-	soloMemo map[soloMemoKey]soloChoice
-	msMemo   map[string]units.Seconds
+	mu         sync.Mutex
+	pairMemo   map[pairMemoKey]pairChoice
+	minDegMemo map[pairMemoKey]minDegradation
+	soloMemo   map[soloMemoKey]soloChoice
+	msMemo     map[string]units.Seconds
 }
 
 // maxMakespanMemo bounds the predicted-makespan memo: the search
@@ -95,6 +101,11 @@ type pairChoice struct {
 	fp FreqPair
 	dc float64 // degradation of the CPU job
 	dg float64 // degradation of the GPU job
+	ok bool
+}
+
+type minDegradation struct {
+	d  float64
 	ok bool
 }
 
@@ -121,6 +132,7 @@ func NewContext(o Oracle, cfg *apu.Config, cap units.Watts) (*Context, error) {
 		Cap:        cap,
 		FreqStride: 1,
 		pairMemo:   map[pairMemoKey]pairChoice{},
+		minDegMemo: map[pairMemoKey]minDegradation{},
 		soloMemo:   map[soloMemoKey]soloChoice{},
 		msMemo:     map[string]units.Seconds{},
 	}, nil
@@ -138,11 +150,36 @@ func (cx *Context) stride() int {
 // traverses: every stride-th level counted down from the maximum, so
 // the top level is always included.
 func (cx *Context) freqLevels(d apu.Device) []int {
-	var out []int
-	for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
-		out = append(out, f)
+	cx.levelsOnce.Do(func() {
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
+				cx.levels[d] = append(cx.levels[d], f)
+			}
+		}
+	})
+	return cx.levels[d]
+}
+
+// eachFeasible is the frequency traversal of section IV-A.2: it visits
+// every traversed operating point (fc, fg) of CPU job c beside GPU job
+// g that fits every configured constraint — the package cap and the
+// plane caps alike — CPU levels outermost, both from the top down,
+// until visit returns false. Every question the algorithms ask about a
+// co-running pair goes through it, so they cannot disagree on what is
+// feasible.
+func (cx *Context) eachFeasible(c, g int, visit func(fc, fg int) bool) {
+	capped := cx.Capped()
+	gpuLevels := cx.freqLevels(apu.GPU)
+	for _, fc := range cx.freqLevels(apu.CPU) {
+		for _, fg := range gpuLevels {
+			if capped && !cx.pairFits(c, fc, g, fg) {
+				continue
+			}
+			if !visit(fc, fg) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // Capped reports whether any power constraint is in force — the
@@ -332,43 +369,45 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 	}
 	best := pairChoice{}
 	bestScore := -1.0
-	for _, fc := range cx.freqLevels(apu.CPU) {
-		for _, fg := range cx.freqLevels(apu.GPU) {
-			if cx.Capped() && !cx.pairFits(c, fc, g, fg) {
-				continue
-			}
-			dc := o.Degradation(c, apu.CPU, fc, g, fg)
-			dg := o.Degradation(g, apu.GPU, fg, c, fc)
-			tc := float64(o.StandaloneTime(c, apu.CPU, fc)) * (1 + dc)
-			tg := float64(o.StandaloneTime(g, apu.GPU, fg)) * (1 + dg)
-			score := float64(refC)/tc + float64(refG)/tg
-			if score > bestScore {
-				bestScore = score
-				best = pairChoice{fp: FreqPair{fc, fg}, dc: dc, dg: dg, ok: true}
-			}
+	cx.eachFeasible(c, g, func(fc, fg int) bool {
+		dc := o.Degradation(c, apu.CPU, fc, g, fg)
+		dg := o.Degradation(g, apu.GPU, fg, c, fc)
+		tc := float64(o.StandaloneTime(c, apu.CPU, fc)) * (1 + dc)
+		tg := float64(o.StandaloneTime(g, apu.GPU, fg)) * (1 + dg)
+		score := float64(refC)/tc + float64(refG)/tg
+		if score > bestScore {
+			bestScore = score
+			best = pairChoice{fp: FreqPair{fc, fg}, dc: dc, dg: dg, ok: true}
 		}
-	}
+		return true
+	})
 	return best
 }
 
 // MinPairDegradation returns the minimal combined degradation (d_c +
 // d_g) over all cap-feasible frequency pairs for CPU job c beside GPU
 // job g — the interference metric of step 3. ok is false when no
-// feasible pair exists.
+// feasible pair exists. Step 3 asks it of every candidate against the
+// running job at every pick, so the answer is memoized per pair.
 func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
-	o := cx.Oracle
-	best := 0.0
-	found := false
-	for _, fc := range cx.freqLevels(apu.CPU) {
-		for _, fg := range cx.freqLevels(apu.GPU) {
-			if cx.Capped() && !cx.pairFits(c, fc, g, fg) {
-				continue
-			}
-			d := o.Degradation(c, apu.CPU, fc, g, fg) + o.Degradation(g, apu.GPU, fg, c, fc)
-			if !found || d < best {
-				best, found = d, true
-			}
-		}
+	key := pairMemoKey{c, g}
+	cx.mu.Lock()
+	if v, ok := cx.minDegMemo[key]; ok {
+		cx.mu.Unlock()
+		return v.d, v.ok
 	}
-	return best, found
+	cx.mu.Unlock()
+	o := cx.Oracle
+	var min minDegradation
+	cx.eachFeasible(c, g, func(fc, fg int) bool {
+		d := o.Degradation(c, apu.CPU, fc, g, fg) + o.Degradation(g, apu.GPU, fg, c, fc)
+		if !min.ok || d < min.d {
+			min = minDegradation{d: d, ok: true}
+		}
+		return true
+	})
+	cx.mu.Lock()
+	cx.minDegMemo[key] = min
+	cx.mu.Unlock()
+	return min.d, min.ok
 }

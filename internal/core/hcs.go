@@ -55,16 +55,20 @@ func (cx *Context) PartitionJobs() Partition {
 	return p
 }
 
-// Categorize labels each job by processor preference using its best
-// cap-feasible standalone times (step 2, with the IV-A.2 change: times
-// at the highest frequency the cap allows). Jobs with no feasible
+// Categorize labels each listed job by processor preference using its
+// best cap-feasible standalone times (step 2, with the IV-A.2 change:
+// times at the highest frequency the cap allows). Jobs with no feasible
 // operating point on one device prefer the other; jobs feasible
-// nowhere are reported in the error.
-func (cx *Context) Categorize(jobs []int, threshold float64) (map[int]Preference, error) {
+// nowhere are reported in the error. The result is indexed by job;
+// jobs not listed read NonPreferred.
+func (cx *Context) Categorize(jobs []int, threshold float64) ([]Preference, error) {
 	if threshold <= 0 {
 		threshold = DefaultPreferenceThreshold
 	}
-	out := make(map[int]Preference, len(jobs))
+	out := make([]Preference, cx.Oracle.NumJobs())
+	for i := range out {
+		out[i] = NonPreferred
+	}
 	for _, i := range jobs {
 		tc, okC := cx.BestSoloTime(i, apu.CPU)
 		tg, okG := cx.BestSoloTime(i, apu.GPU)
@@ -162,15 +166,20 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 
 // greedyPlan is step 3: simulate the schedule on predicted times,
 // always filling an idle device from its preference-ordered candidate
-// sets with the least-interference job.
-func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, error) {
+// sets with the least-interference job. sco is ascending.
+func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) {
 	s := &Schedule{Exclusive: map[int]bool{}}
-	remaining := map[int]bool{}
-	for _, j := range sco {
-		remaining[j] = true
+	// remaining stays in ascending job order, so everything summed or
+	// scanned over it is summed and scanned in one fixed order.
+	remaining := append([]int(nil), sco...)
+	take := func(j int) {
+		k := sort.SearchInts(remaining, j)
+		remaining = append(remaining[:k], remaining[k+1:]...)
 	}
 
-	var cpuRun, gpuRun *plannedJob
+	var runs [apu.NumDevices]plannedJob
+	var cpuRun, gpuRun *plannedJob // into runs; nil while the device is idle
+	var cand []int                 // reused by every pick
 
 	// remainingWorkOn estimates the other device's outstanding work:
 	// its running job's remaining time plus the best solo times of all
@@ -182,7 +191,7 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 				total += run.frac * float64(t)
 			}
 		}
-		for j := range remaining {
+		for _, j := range remaining {
 			if j == exclude {
 				continue
 			}
@@ -194,7 +203,8 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 	}
 
 	pick := func(dev apu.Device, other *plannedJob) int {
-		cand, class := cx.candidates(dev, remaining, prefs)
+		var class Preference
+		cand, class = candidates(cand[:0], dev, remaining, prefs)
 		if len(cand) == 0 {
 			return -1
 		}
@@ -280,15 +290,17 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 	for step := 0; step < maxSteps; step++ {
 		if gpuRun == nil {
 			if j := pick(apu.GPU, cpuRun); j >= 0 {
-				gpuRun = &plannedJob{idx: j, frac: 1}
-				delete(remaining, j)
+				runs[apu.GPU] = plannedJob{idx: j, frac: 1}
+				gpuRun = &runs[apu.GPU]
+				take(j)
 				s.GPUOrder = append(s.GPUOrder, j)
 			}
 		}
 		if cpuRun == nil {
 			if j := pick(apu.CPU, gpuRun); j >= 0 {
-				cpuRun = &plannedJob{idx: j, frac: 1}
-				delete(remaining, j)
+				runs[apu.CPU] = plannedJob{idx: j, frac: 1}
+				cpuRun = &runs[apu.CPU]
+				take(j)
 				s.CPUOrder = append(s.CPUOrder, j)
 			}
 		}
@@ -351,26 +363,25 @@ func otherPreference(dev apu.Device) Preference {
 	return CPUPreferred
 }
 
-// candidates lists the remaining jobs in the preference order of the
-// device: its preferred set first, then non-preferred, then the other
-// device's preferred set (step 3's scheduling rule). It also reports
-// which class the candidates came from.
-func (cx *Context) candidates(dev apu.Device, remaining map[int]bool, prefs map[int]Preference) ([]int, Preference) {
+// candidates appends to buf the remaining jobs of the first non-empty
+// class in the preference order of the device: its preferred set, then
+// non-preferred, then the other device's preferred set (step 3's
+// scheduling rule). It also reports which class the candidates came
+// from. remaining is ascending, and so is the result.
+func candidates(buf []int, dev apu.Device, remaining []int, prefs []Preference) ([]int, Preference) {
 	mine := CPUPreferred
 	if dev == apu.GPU {
 		mine = GPUPreferred
 	}
-	for _, want := range []Preference{mine, NonPreferred, otherPreference(dev)} {
-		var out []int
-		for j := range remaining {
+	for _, want := range [...]Preference{mine, NonPreferred, otherPreference(dev)} {
+		for _, j := range remaining {
 			if prefs[j] == want {
-				out = append(out, j)
+				buf = append(buf, j)
 			}
 		}
-		if len(out) > 0 {
-			sort.Ints(out) // determinism
-			return out, want
+		if len(buf) > 0 {
+			return buf, want
 		}
 	}
-	return nil, NonPreferred
+	return buf, NonPreferred
 }

@@ -45,36 +45,31 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	try := func(mutate func(*Schedule)) {
-		cand := best.Clone()
-		mutate(cand)
-		t, err := cx.PredictedMakespan(cand)
-		if err == nil && t < bestT {
-			best, bestT = cand, t
+	// try swaps q[i] with r[j] in place and undoes the swap unless the
+	// predicted makespan improved. A swap keeps every job placed once,
+	// so the candidates need no validation of their own.
+	try := func(q []int, i int, r []int, j int) {
+		q[i], r[j] = r[j], q[i]
+		if t, err := cx.predictedMakespan(best); err == nil && t < bestT {
+			bestT = t
+			return
 		}
+		q[i], r[j] = r[j], q[i]
 	}
 
 	// Step 1: adjacent swaps, CPU list then GPU list.
 	if !opts.SkipAdjacent {
-		for _, getQ := range []func(*Schedule) []int{
-			func(s *Schedule) []int { return s.CPUOrder },
-			func(s *Schedule) []int { return s.GPUOrder },
-		} {
-			for i := 0; i+1 < len(getQ(best)); i++ {
-				i := i
-				try(func(c *Schedule) {
-					q := getQ(c)
-					q[i], q[i+1] = q[i+1], q[i]
-				})
+		for _, q := range [][]int{best.CPUOrder, best.GPUOrder} {
+			for i := 0; i+1 < len(q); i++ {
+				try(q, i, q, i+1)
 			}
 		}
 	}
 
 	// Step 2: random in-device swaps.
 	for k := 0; !opts.SkipRandomInQueue && k < swaps; k++ {
-		useCPU := rng.Intn(2) == 0
 		q := best.CPUOrder
-		if !useCPU {
+		if rng.Intn(2) != 0 {
 			q = best.GPUOrder
 		}
 		if len(q) < 2 {
@@ -84,13 +79,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 		if i == j {
 			continue
 		}
-		try(func(c *Schedule) {
-			qq := c.CPUOrder
-			if !useCPU {
-				qq = c.GPUOrder
-			}
-			qq[i], qq[j] = qq[j], qq[i]
-		})
+		try(q, i, q, j)
 	}
 
 	// Step 3: random cross-device swaps.
@@ -99,9 +88,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 			break
 		}
 		i, j := rng.Intn(len(best.CPUOrder)), rng.Intn(len(best.GPUOrder))
-		try(func(c *Schedule) {
-			c.CPUOrder[i], c.GPUOrder[j] = c.GPUOrder[j], c.CPUOrder[i]
-		})
+		try(best.CPUOrder, i, best.GPUOrder, j)
 	}
 
 	return best, bestT, nil

@@ -90,11 +90,10 @@ type plannedJob struct {
 	frac float64 // fraction of the job's work still to do
 }
 
-// memoKey encodes the schedule's planning-relevant content — both
-// dispatch orders with per-job exclusivity marks — as the predicted-
-// makespan memo key.
-func (s *Schedule) memoKey() string {
-	b := make([]byte, 0, 4*(len(s.CPUOrder)+len(s.GPUOrder))+1)
+// appendMemoKey appends the schedule's planning-relevant content —
+// both dispatch orders with per-job exclusivity marks — to b: the
+// predicted-makespan memo key.
+func (s *Schedule) appendMemoKey(b []byte) []byte {
 	appendQ := func(q []int) {
 		for _, j := range q {
 			b = strconv.AppendInt(b, int64(j), 10)
@@ -107,7 +106,7 @@ func (s *Schedule) memoKey() string {
 	appendQ(s.CPUOrder)
 	b = append(b, '|')
 	appendQ(s.GPUOrder)
-	return string(b)
+	return b
 }
 
 // PredictedMakespan evaluates the schedule on predicted data: it walks
@@ -121,29 +120,36 @@ func (cx *Context) PredictedMakespan(s *Schedule) (units.Seconds, error) {
 	if err := s.Validate(cx.Oracle.NumJobs()); err != nil {
 		return 0, err
 	}
-	key := s.memoKey()
+	return cx.predictedMakespan(s)
+}
+
+// predictedMakespan is PredictedMakespan of a schedule already known
+// to place every job exactly once.
+func (cx *Context) predictedMakespan(s *Schedule) (units.Seconds, error) {
+	var buf [128]byte // the key of a 16-job batch stays on the stack
+	key := s.appendMemoKey(buf[:0])
 	cx.mu.Lock()
-	if t, ok := cx.msMemo[key]; ok {
-		cx.mu.Unlock()
+	t, ok := cx.msMemo[string(key)]
+	cx.mu.Unlock()
+	if ok {
 		return t, nil
 	}
-	cx.mu.Unlock()
 	t, err := cx.predictedMakespanUncached(s)
 	if err != nil {
 		return 0, err
 	}
 	cx.mu.Lock()
 	if len(cx.msMemo) < maxMakespanMemo {
-		cx.msMemo[key] = t
+		cx.msMemo[string(key)] = t
 	}
 	cx.mu.Unlock()
 	return t, nil
 }
 
 func (cx *Context) predictedMakespanUncached(s *Schedule) (units.Seconds, error) {
-	cpuQ := append([]int(nil), s.CPUOrder...)
-	gpuQ := append([]int(nil), s.GPUOrder...)
-	var cpuRun, gpuRun *plannedJob
+	cpuQ, gpuQ := s.CPUOrder, s.GPUOrder
+	var runs [apu.NumDevices]plannedJob
+	var cpuRun, gpuRun *plannedJob // into runs; nil while the device is idle
 	now := 0.0
 
 	const maxSegments = 1 << 20
@@ -152,14 +158,16 @@ func (cx *Context) predictedMakespanUncached(s *Schedule) (units.Seconds, error)
 		if cpuRun == nil && len(cpuQ) > 0 {
 			head := cpuQ[0]
 			if cx.mayDispatch(s, head, gpuRun) {
-				cpuRun = &plannedJob{idx: head, frac: 1}
+				runs[apu.CPU] = plannedJob{idx: head, frac: 1}
+				cpuRun = &runs[apu.CPU]
 				cpuQ = cpuQ[1:]
 			}
 		}
 		if gpuRun == nil && len(gpuQ) > 0 {
 			head := gpuQ[0]
 			if cx.mayDispatch(s, head, cpuRun) {
-				gpuRun = &plannedJob{idx: head, frac: 1}
+				runs[apu.GPU] = plannedJob{idx: head, frac: 1}
+				gpuRun = &runs[apu.GPU]
 				gpuQ = gpuQ[1:]
 			}
 		}

@@ -97,20 +97,15 @@ func (cx *Context) pairEverBeneficial(c, g int) bool {
 		return false
 	}
 	seq := seqC + seqG
-	for _, fc := range cx.freqLevels(apu.CPU) {
-		for _, fg := range cx.freqLevels(apu.GPU) {
-			if cx.Capped() && o.CoRunPower(c, fc, g, fg) > cx.Cap {
-				continue
-			}
-			dc := o.Degradation(c, apu.CPU, fc, g, fg)
-			dg := o.Degradation(g, apu.GPU, fg, c, fc)
-			// The partition test applies the theorem's conservative
-			// (naive-length) comparison, as step 1 prescribes.
-			ms := NaivePairMakespan(o.StandaloneTime(c, apu.CPU, fc), o.StandaloneTime(g, apu.GPU, fg), dc, dg)
-			if ms < seq {
-				return true
-			}
-		}
-	}
-	return false
+	beneficial := false
+	cx.eachFeasible(c, g, func(fc, fg int) bool {
+		dc := o.Degradation(c, apu.CPU, fc, g, fg)
+		dg := o.Degradation(g, apu.GPU, fg, c, fc)
+		// The partition test applies the theorem's conservative
+		// (naive-length) comparison, as step 1 prescribes.
+		ms := NaivePairMakespan(o.StandaloneTime(c, apu.CPU, fc), o.StandaloneTime(g, apu.GPU, fg), dc, dg)
+		beneficial = ms < seq
+		return !beneficial
+	})
+	return beneficial
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"corun/internal/apu"
@@ -21,57 +20,49 @@ type Oracle interface {
 	CoRunPower(i, f, j, g int) units.Watts
 }
 
-// CachedPredictor memoizes the oracle's Degradation queries — the one
-// lookup worth caching: the staged-interpolation Predictor pays ~100 ns
-// per query and the GroundTruthOracle a whole co-run simulation, and
-// every planning pass (epoch after epoch in corund, permutation after
-// permutation in the optimal search) asks for the same pairs again.
-// The memo is a dense lock-free table indexed by (job, device, level,
-// co-runner, level), so a hit costs two atomic loads — a mutex-guarded
-// map would cost more than recomputing the prediction. The remaining
-// oracle queries are pure table reads (StandaloneTime/Power, and
-// CoRunPower, which is the standalone-power sum) at ~4 ns each; they
-// are delegated uncached because no memo can beat them.
+// CachedPredictor is one batch's view of the characterization's pair
+// tables (see pairCache): it maps each job index to the job's two
+// bandwidth ladders and answers Degradation with a read of the pair's
+// table, so the staged interpolation runs once per program pair for as
+// long as the Characterization lives — not once per batch, cap or
+// policy. The view itself holds no predictions, only the ladders and
+// the table addresses it has already looked up; it is as cheap to make
+// as the batch is long, and a new batch simply makes a new one over the
+// same Characterization.
 //
-// It is safe for concurrent use. The memo keys on job indices and
-// frequency levels only, which makes it cap-independent: changing the
-// power cap needs a new scheduling context but may keep the same
-// CachedPredictor. Re-profiling or re-characterizing invalidates the
-// cached values — build a fresh CachedPredictor over the new oracle.
+// Over a CalibratedPredictor the view multiplies the job's learned
+// factor onto the shared table value. Over any other oracle (the
+// GroundTruthOracle, which memoizes its own measurements) it forwards
+// Degradation unchanged. The remaining queries are profile-table reads
+// (StandaloneTime/Power, and CoRunPower, their sum) and are always
+// forwarded.
+//
+// It is safe for concurrent use, and so is sharing one Characterization
+// between the views of concurrently planned batches.
 type CachedPredictor struct {
 	base Oracle
 
-	// Dense memo geometry: jobs × devices × levels × jobs × levels,
-	// with one shared level stride covering both devices.
-	n, fmax int
+	// char is nil when base is not a function of a characterization.
+	char *Characterization
+	n    int
+	// ladders[d][i] is job i's interned ladder on device d.
+	ladders [apu.NumDevices][]*ladder
+	// scale[i][d] is the calibrated factor of job i on device d; nil
+	// over an uncalibrated Predictor.
+	scale [][]float64
+	// tabs[c*n+g] is the table of job c on the CPU beside job g on the
+	// GPU, once this view has looked it up.
+	tabs []atomic.Pointer[pairTable]
 
-	// state[k] is 1 once vals[k] holds Float64bits of the prediction.
-	// Writers store the value before the flag; with Go's sequentially
-	// consistent atomics a reader that observes state 1 therefore
-	// observes the value. Two goroutines may race to fill the same
-	// slot, but the oracle is deterministic, so they store identical
-	// bits.
-	state []atomic.Uint32
-	vals  []atomic.Uint64
-
-	// Hit/miss counters are striped across padded cache lines and
-	// indexed by memo slot: the parallel searches call Degradation from
-	// every worker, and a single shared counter would serialize them on
-	// one contended line.
-	hits   [counterStripes]paddedCounter
-	misses [counterStripes]paddedCounter
+	// hits and misses count the view's table lookups, not its queries:
+	// a query for a pair the view already holds is a plain read.
+	hits, misses atomic.Uint64
 }
 
-// counterStripes is a power of two so the stripe index is a mask.
-const counterStripes = 16
-
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [56]byte // pad to a 64-byte cache line
-}
-
-// NewCachedPredictor wraps an oracle in the memoizing layer; cfg
-// bounds the frequency-level axes of the memo table.
+// NewCachedPredictor builds the batch's view over base. The ladders are
+// read from the base oracle's own profile, clocks included, so that the
+// view answers exactly what base answers; cfg, the machine that profile
+// was collected on, is only checked to be there.
 func NewCachedPredictor(base Oracle, cfg *apu.Config) (*CachedPredictor, error) {
 	if base == nil {
 		return nil, fmt.Errorf("model: nil oracle")
@@ -79,31 +70,25 @@ func NewCachedPredictor(base Oracle, cfg *apu.Config) (*CachedPredictor, error) 
 	if cfg == nil {
 		return nil, fmt.Errorf("model: nil machine config")
 	}
-	n := base.NumJobs()
-	fmax := cfg.NumFreqs(apu.CPU)
-	if g := cfg.NumFreqs(apu.GPU); g > fmax {
-		fmax = g
+	c := &CachedPredictor{base: base, n: base.NumJobs()}
+	var pred *Predictor
+	switch b := base.(type) {
+	case *Predictor:
+		pred = b
+	case *CalibratedPredictor:
+		pred, c.scale = b.Predictor, b.scale
+	default:
+		return c, nil
 	}
-	size := n * apu.NumDevices * fmax * n * fmax
-	return &CachedPredictor{
-		base:  base,
-		n:     n,
-		fmax:  fmax,
-		state: make([]atomic.Uint32, size),
-		vals:  make([]atomic.Uint64, size),
-	}, nil
-}
-
-// Base returns the wrapped oracle.
-func (c *CachedPredictor) Base() Oracle { return c.base }
-
-// Unwrap peels the caching layer off an oracle, returning the base
-// oracle of a CachedPredictor and every other oracle unchanged.
-func Unwrap(o Oracle) Oracle {
-	if c, ok := o.(*CachedPredictor); ok {
-		return c.base
+	c.char = pred.Char
+	for d := apu.CPU; d <= apu.GPU; d++ {
+		c.ladders[d] = make([]*ladder, c.n)
+		for i := range c.ladders[d] {
+			c.ladders[d][i] = c.char.internLadder(pred.Prof, i, d)
+		}
 	}
-	return o
+	c.tabs = make([]atomic.Pointer[pairTable], c.n*c.n)
+	return c, nil
 }
 
 // NumJobs delegates to the base oracle.
@@ -119,61 +104,71 @@ func (c *CachedPredictor) StandalonePower(i int, d apu.Device, f int) units.Watt
 	return c.base.StandalonePower(i, d, f)
 }
 
-// slot maps a degradation query to its memo index, or -1 when the
-// query lies outside the table (defensively: the planners only issue
-// in-range queries).
-func (c *CachedPredictor) slot(i int, dev apu.Device, f, j, g int) int {
-	if i < 0 || i >= c.n || j < 0 || j >= c.n ||
-		f < 0 || f >= c.fmax || g < 0 || g >= c.fmax ||
-		dev != apu.CPU && dev != apu.GPU {
-		return -1
-	}
-	return ((((i*apu.NumDevices)+int(dev))*c.fmax+f)*c.n+j)*c.fmax + g
-}
-
-// Degradation memoizes the base oracle's degradation prediction.
+// Degradation reads the base oracle's prediction out of the pair's
+// table.
 func (c *CachedPredictor) Degradation(i int, dev apu.Device, f, j, g int) float64 {
-	k := c.slot(i, dev, f, j, g)
-	if k < 0 {
-		c.misses[0].n.Add(1)
+	if c.char == nil {
 		return c.base.Degradation(i, dev, f, j, g)
 	}
-	if c.state[k].Load() != 0 {
-		c.hits[k&(counterStripes-1)].n.Add(1)
-		return math.Float64frombits(c.vals[k].Load())
+	cj, fc, gj, fg := i, f, j, g
+	if dev == apu.GPU {
+		cj, fc, gj, fg = j, g, i, f
 	}
-	c.misses[k&(counterStripes-1)].n.Add(1)
-	v := c.base.Degradation(i, dev, f, j, g)
-	c.vals[k].Store(math.Float64bits(v))
-	c.state[k].Store(1)
-	return v
+	if uint(cj) >= uint(c.n) || uint(gj) >= uint(c.n) {
+		panic(fmt.Sprintf("model: degradation query for jobs (%d,%d) of %d", i, j, c.n))
+	}
+	t := c.tabs[cj*c.n+gj].Load()
+	if t == nil {
+		t = c.lookup(cj, gj)
+	}
+	d := t.at(dev, fc, fg)
+	if c.scale != nil {
+		d *= c.scale[i][dev]
+	}
+	return d
+}
+
+// lookup fetches the table of CPU job cj beside GPU job gj from the
+// characterization — which builds it if no batch has met the pair
+// before — and keeps its address for the view's later queries.
+func (c *CachedPredictor) lookup(cj, gj int) *pairTable {
+	t, built := c.char.pairTable(c.ladders[apu.CPU][cj], c.ladders[apu.GPU][gj])
+	c.tabs[cj*c.n+gj].Store(t)
+	if built {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return t
 }
 
 // CoRunPower delegates to the base oracle: the paper's power model is
-// the sum of two standalone-power table reads, cheaper than any memo
-// lookup could be.
+// the sum of two standalone-power table reads.
 func (c *CachedPredictor) CoRunPower(i, f, j, g int) units.Watts {
 	return c.base.CoRunPower(i, f, j, g)
 }
 
-// CacheStats reports the cache's effectiveness.
+// CacheStats reports where a view's pair tables came from.
 type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
+	// Hits counts the pairs whose table was resident in the
+	// characterization when the view first needed it.
+	Hits uint64
+	// Misses counts the pairs whose table the view had to build: zero
+	// for every batch of programs the characterization has planned
+	// before.
+	Misses uint64
+	// Entries is the number of table values the view reads without
+	// going back to the characterization.
 	Entries int
 }
 
-// Stats returns a snapshot of hit/miss counters and the filled memo
-// size.
+// Stats returns a snapshot of the view's counters. A view over an
+// oracle without tables reports zeros.
 func (c *CachedPredictor) Stats() CacheStats {
-	var s CacheStats
-	for i := range c.hits {
-		s.Hits += c.hits[i].n.Load()
-		s.Misses += c.misses[i].n.Load()
-	}
-	for k := range c.state {
-		if c.state[k].Load() != 0 {
-			s.Entries++
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	for k := range c.tabs {
+		if t := c.tabs[k].Load(); t != nil {
+			s.Entries += len(t.vals)
 		}
 	}
 	return s

@@ -57,44 +57,64 @@ type Surface struct {
 	DegGPU [][]float64
 }
 
+// cut is a position on one interpolation axis: the two bracketing grid
+// indices and the weight of the upper one.
+type cut struct {
+	lo, hi int
+	t      float64
+}
+
+// side selects the surface's degradation table for one device.
+func (s *Surface) side(dev apu.Device) [][]float64 {
+	if dev == apu.CPU {
+		return s.DegCPU
+	}
+	return s.DegGPU
+}
+
+// bilerp is stage one of the staged interpolation: bilinear in a
+// surface's (cpu-bandwidth, gpu-bandwidth) plane.
+func bilerp(table [][]float64, cpu, gpu cut) float64 {
+	v0 := units.Lerp(table[cpu.lo][gpu.lo], table[cpu.lo][gpu.hi], gpu.t)
+	v1 := units.Lerp(table[cpu.hi][gpu.lo], table[cpu.hi][gpu.hi], gpu.t)
+	return units.Lerp(v0, v1, cpu.t)
+}
+
 // valueAt bilinearly interpolates one of the surface's tables at the
 // given bandwidth coordinates, clamping outside the grid.
-func (s *Surface) valueAt(table [][]float64, cpuBW, gpuBW float64) float64 {
-	i0, i1, tx := bracket(s.CPUBW, cpuBW)
-	j0, j1, ty := bracket(s.GPUBW, gpuBW)
-	v0 := units.Lerp(table[i0][j0], table[i0][j1], ty)
-	v1 := units.Lerp(table[i1][j0], table[i1][j1], ty)
-	return units.Lerp(v0, v1, tx)
+func (s *Surface) valueAt(dev apu.Device, cpuBW, gpuBW float64) float64 {
+	return bilerp(s.side(dev), bracket(s.CPUBW, cpuBW), bracket(s.GPUBW, gpuBW))
 }
 
 // DegradationCPUAt interpolates the CPU-side degradation at the given
 // standalone bandwidths.
 func (s *Surface) DegradationCPUAt(cpuBW, gpuBW float64) float64 {
-	return s.valueAt(s.DegCPU, cpuBW, gpuBW)
+	return s.valueAt(apu.CPU, cpuBW, gpuBW)
 }
 
 // DegradationGPUAt interpolates the GPU-side degradation.
 func (s *Surface) DegradationGPUAt(cpuBW, gpuBW float64) float64 {
-	return s.valueAt(s.DegGPU, cpuBW, gpuBW)
+	return s.valueAt(apu.GPU, cpuBW, gpuBW)
 }
 
-// bracket finds indices i0 <= i1 and the interpolation weight t such
-// that xs[i0] <= x <= xs[i1] (clamped at the edges). xs is ascending.
-func bracket(xs []float64, x float64) (int, int, float64) {
+// bracket finds the cut of ascending xs at x: indices lo <= hi with
+// xs[lo] <= x <= xs[hi] (clamped at the edges) and the interpolation
+// weight.
+func bracket(xs []float64, x float64) cut {
 	n := len(xs)
 	if n == 1 || x <= xs[0] {
-		return 0, 0, 0
+		return cut{}
 	}
 	if x >= xs[n-1] {
-		return n - 1, n - 1, 0
+		return cut{lo: n - 1, hi: n - 1}
 	}
 	hi := sort.SearchFloat64s(xs, x)
 	lo := hi - 1
 	span := xs[hi] - xs[lo]
 	if span <= 0 {
-		return lo, hi, 0
+		return cut{lo: lo, hi: hi}
 	}
-	return lo, hi, (x - xs[lo]) / span
+	return cut{lo: lo, hi: hi, t: (x - xs[lo]) / span}
 }
 
 // Characterization is the full staged characterization: a sparse grid
@@ -112,6 +132,11 @@ type Characterization struct {
 	// interpolation weights.
 	cpuFreqGHz []float64
 	gpuFreqGHz []float64
+
+	// pairs memoizes Degradation per program pair; see pairCache. It
+	// is not part of the persisted form: a loaded characterization
+	// starts with an empty cache.
+	pairs pairCache
 }
 
 // CharacterizeOptions configures the characterization pass.
@@ -265,16 +290,16 @@ func (c *Characterization) SurfaceAt(a, b int) *Surface { return c.Surfaces[a][b
 // gpuGHz). This is the staged interpolation: bandwidth-plane bilinear
 // per surface, then frequency-plane bilinear across surfaces.
 func (c *Characterization) Degradation(dev apu.Device, cpuBW, gpuBW, cpuGHz, gpuGHz float64) float64 {
-	a0, a1, ta := bracket(c.cpuFreqGHz, cpuGHz)
-	b0, b1, tb := bracket(c.gpuFreqGHz, gpuGHz)
-	val := func(a, b int) float64 {
-		s := c.Surfaces[a][b]
-		if dev == apu.CPU {
-			return s.DegradationCPUAt(cpuBW, gpuBW)
-		}
-		return s.DegradationGPUAt(cpuBW, gpuBW)
-	}
-	v0 := units.Lerp(val(a0, b0), val(a0, b1), tb)
-	v1 := units.Lerp(val(a1, b0), val(a1, b1), tb)
-	return units.Lerp(v0, v1, ta)
+	return acrossSurfaces(bracket(c.cpuFreqGHz, cpuGHz), bracket(c.gpuFreqGHz, gpuGHz), func(a, b int) float64 {
+		return c.Surfaces[a][b].valueAt(dev, cpuBW, gpuBW)
+	})
+}
+
+// acrossSurfaces is stage two: bilinear across the four surfaces that
+// bracket the frequency pair, val(a, b) being stage one on surface
+// (a, b).
+func acrossSurfaces(cpu, gpu cut, val func(a, b int) float64) float64 {
+	v0 := units.Lerp(val(cpu.lo, gpu.lo), val(cpu.lo, gpu.hi), gpu.t)
+	v1 := units.Lerp(val(cpu.hi, gpu.lo), val(cpu.hi, gpu.hi), gpu.t)
+	return units.Lerp(v0, v1, cpu.t)
 }

@@ -46,12 +46,12 @@ func TestBracket(t *testing.T) {
 		{99, 3, 3, 0},
 	}
 	for _, c := range cases {
-		i0, i1, tt := bracket(xs, c.x)
-		if i0 != c.i0 || i1 != c.i1 || math.Abs(tt-c.t) > 1e-12 {
-			t.Errorf("bracket(%v) = (%d,%d,%v), want (%d,%d,%v)", c.x, i0, i1, tt, c.i0, c.i1, c.t)
+		got := bracket(xs, c.x)
+		if got.lo != c.i0 || got.hi != c.i1 || math.Abs(got.t-c.t) > 1e-12 {
+			t.Errorf("bracket(%v) = %+v, want (%d,%d,%v)", c.x, got, c.i0, c.i1, c.t)
 		}
 	}
-	if i0, i1, tt := bracket([]float64{3}, 5); i0 != 0 || i1 != 0 || tt != 0 {
+	if got := bracket([]float64{3}, 5); got != (cut{}) {
 		t.Error("single-point bracket broken")
 	}
 }

@@ -296,9 +296,10 @@ func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, er
 }
 
 // epochOracle assembles the epoch's predictive oracle: profile the
-// batch, bind the profiles to the characterization, and wrap the
-// result in the memoizing cache so repeated interpolation queries
-// within the planning pass are answered once.
+// batch, bind the profiles to the characterization, and read the
+// result through the characterization's pair tables, so a program pair
+// is interpolated once for as long as opts.Char lives, not once per
+// epoch.
 func epochOracle(opts Options, batch []*workload.Instance) (core.Oracle, error) {
 	prof, err := profile.Collect(opts.Cfg, opts.Mem, batch)
 	if err != nil {

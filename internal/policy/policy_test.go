@@ -172,9 +172,10 @@ func TestCachedPredictorMatchesUncachedBitForBit(t *testing.T) {
 			t.Errorf("%s: cached makespan %v differs from uncached %v", name, gotT, wantT)
 		}
 	}
-	stats := cached.Stats()
-	if stats.Misses == 0 || stats.Hits == 0 {
-		t.Errorf("cache never exercised: %+v", stats)
+	// Whether the tables were built here or by an earlier test over the
+	// shared characterization, the view must have looked them up.
+	if stats := cached.Stats(); stats.Hits+stats.Misses == 0 {
+		t.Errorf("pair tables never consulted: %+v", stats)
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 	"sync"
 	"testing"
 
+	"corun/internal/core"
 	"corun/internal/model"
 	"corun/internal/policy"
+	"corun/internal/profile"
+	"corun/internal/workload"
 )
 
 func TestConcurrentPlanning(t *testing.T) {
@@ -78,8 +81,87 @@ func TestConcurrentPlanning(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if s := cached.Stats(); s.Hits == 0 {
-		t.Errorf("shared cache saw no hits across %d planning calls: %+v",
+	if s := cached.Stats(); s.Hits+s.Misses == 0 {
+		t.Errorf("shared view looked up no pair table across %d planning calls: %+v",
 			planners*len(policy.Names()), s)
+	}
+}
+
+// TestConcurrentBatchesShareOneCharacterization is the daemon-plus-
+// /v1/plan pattern: two goroutines plan different batches at once, each
+// through its own view, over one characterization whose pair tables are
+// still empty, so they race to build the tables of the programs the
+// batches share. Each must get the plan it gets alone from the raw
+// predictor.
+func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
+	cfg, mem, _ := characterize(t)
+	char, err := model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := workload.Subset("hotspot", "lud", "dwt2d", "leukocyte", "heartwall", "cfd", "srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]*workload.Instance{testBatch(t), other}
+
+	predictors := make([]*model.Predictor, len(batches))
+	want := make([]string, len(batches))
+	for k, batch := range batches {
+		prof, err := profile.Collect(cfg, mem, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if predictors[k], err = model.NewPredictor(char, prof); err != nil {
+			t.Fatal(err)
+		}
+		alone := contextOver(t, predictors[k])
+		plan, err := policy.Plan("hcs+", alone, policy.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := alone.PredictedMakespan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = fmt.Sprintf("%v @ %v", plan, ms)
+	}
+	if s := char.PairCacheStats(); s.Tables != 0 {
+		t.Fatalf("raw predictors filled the cache: %+v", s)
+	}
+
+	var wg sync.WaitGroup
+	for k := range batches {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			view, err := model.NewCachedPredictor(predictors[k], cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cx, err := core.NewContext(view, cfg, testCap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plan, err := policy.Plan("hcs+", cx, policy.Options{Seed: 7})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ms, err := cx.PredictedMakespan(plan)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := fmt.Sprintf("%v @ %v", plan, ms); got != want[k] {
+				t.Errorf("batch %d: planned concurrently %s, alone %s", k, got, want[k])
+			}
+		}(k)
+	}
+	wg.Wait()
+	if s := char.PairCacheStats(); s.Tables == 0 {
+		t.Error("no pair table resident after two planned batches")
 	}
 }

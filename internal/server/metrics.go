@@ -70,6 +70,13 @@ type metrics struct {
 	preemptions    *promtext.Counter
 	oldestWait     *promtext.Gauge
 
+	// Model instrumentation: the characterization's pair-table cache.
+	// In steady state the interpolation counter stands still (every
+	// program pair in service has its table) and the table gauge sits
+	// under the cache's bound.
+	pairTables     *promtext.Gauge
+	interpolations *promtext.Counter
+
 	// nodeInfo is the build-info-style identity series: constant 1 with
 	// the node's stable fleet ID as the label, so fleet-level dashboards
 	// can attribute every other series scraped from this daemon. Only
@@ -170,6 +177,10 @@ func newMetrics() *metrics {
 			"Claimed batch members requeued at an epoch boundary for a higher-priority arrival."),
 		oldestWait: reg.NewGauge("corund_oldest_waiting_job_age_seconds",
 			"Age of the oldest queued job (0 when the queue is empty); the starvation signal."),
+		pairTables: reg.NewGauge("corund_model_pair_tables",
+			"Per-program-pair degradation tables resident in the characterization's cache (0 without a characterization)."),
+		interpolations: reg.NewCounter("corund_model_interpolations_total",
+			"Staged interpolations computed into pair tables; stops growing once every program pair in service has its table."),
 		nodeInfo: reg.NewGaugeVec("corund_node_info",
 			"Constant 1, labeled with the daemon's stable fleet node ID (absent without -node-id).", "node"),
 	}

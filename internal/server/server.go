@@ -378,6 +378,9 @@ type Server struct {
 	// epochCount is owned by the scheduler goroutine (recovery writes
 	// it before the loop starts).
 	epochCount int
+	// interpolationsSeen is what corund_model_interpolations_total has
+	// already been advanced by; scheduler goroutine only.
+	interpolationsSeen uint64
 
 	// jobsCache is the version-keyed encoded GET /v1/jobs response;
 	// jobsCacheMu serializes rebuilds (readers never take it).
@@ -674,6 +677,18 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 	default:
 	}
 	return j, nil
+}
+
+// syncModelMetrics publishes the state of the characterization's
+// pair-table cache after an epoch. Scheduler goroutine only.
+func (s *Server) syncModelMetrics() {
+	if s.cfg.Char == nil {
+		return
+	}
+	st := s.cfg.Char.PairCacheStats()
+	s.m.pairTables.Set(float64(st.Tables))
+	s.m.interpolations.Add(float64(st.Interpolations - s.interpolationsSeen))
+	s.interpolationsSeen = st.Interpolations
 }
 
 // syncQueueGauges refreshes the queue-shape gauges from the admission
@@ -1115,6 +1130,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	ep, err := online.PlanEpoch(opts, insts, seed)
 	s.m.epochLatency.Observe(time.Since(start).Seconds())
 	s.lastEpochWall.Store(int64(time.Since(start)))
+	s.syncModelMetrics()
 	if err != nil {
 		s.finishEpochErr(batch, epoch, err)
 		return

@@ -1,0 +1,209 @@
+package corun
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// rescaledFig11 copies the Fig. 11 batch with a seeded input size per
+// instance (uniform in [0.8, 1.3), four decimals), the epoch stream
+// corunmark's plan-fig11 workload plans.
+func rescaledFig11(base []*Instance, rng *rand.Rand) []*Instance {
+	out := make([]*Instance, len(base))
+	for i, in := range base {
+		c := *in
+		c.Scale = float64(8000+rng.Intn(5000)) / 10000
+		out[i] = &c
+	}
+	return out
+}
+
+// planEpoch is one daemon epoch through the facade: profile and model
+// the batch, plan it with HCS+, run the plan.
+func planEpoch(sys *System, batch []*Instance, seed int64) (*Schedule, *Report, error) {
+	w, err := sys.Prepare(batch)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := w.ScheduleSeeded("hcs+", seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	report, err := w.Run(plan)
+	return plan, report, err
+}
+
+// fig11Golden is the SHA-256 over the first 40 rescaled Fig. 11 epochs
+// of each seed — both dispatch orders, the exclusive set and the bits
+// of the simulated makespan, hashed as corunmark's plan-fig11 digest
+// hashes them — recorded at the commit before the characterization-
+// scoped pair tables. Anything that caches a prediction must return
+// the float64 the uncached model computes, so these never change
+// unless the plans do.
+var fig11Golden = map[int64]string{
+	41: "414620846994f626264128874a578c01c523022aacae4f8b92e9cf946b58e4f7",
+	42: "bf9ef4bb74b9af91669e8f04821636d3668bc0ff37d225a516cf12eee375d8c9",
+	43: "4886c6c8c6287633c6edf59e582caa347cd4676758ff01f369c7f8e2bbab706c",
+}
+
+func TestFig11EpochsGolden(t *testing.T) {
+	sys := capped15(t)
+	base := Batch16()
+	for seed := int64(41); seed <= 43; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := sha256.New()
+		for epoch := 0; epoch < 40; epoch++ {
+			plan, report, err := planEpoch(sys, rescaledFig11(base, rng), seed+int64(epoch))
+			if err != nil {
+				t.Fatalf("seed %d epoch %d: %v", seed, epoch, err)
+			}
+			var exclusive []int
+			for j, on := range plan.Exclusive {
+				if on {
+					exclusive = append(exclusive, j)
+				}
+			}
+			sort.Ints(exclusive)
+			fmt.Fprintf(h, "%v|%v|%v|%x\n", plan.CPUOrder, plan.GPUOrder, exclusive, math.Float64bits(float64(report.Makespan)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != fig11Golden[seed] {
+			t.Errorf("seed %d: digest %s, want %s", seed, got, fig11Golden[seed])
+		}
+	}
+}
+
+// BenchmarkPlanEpochFig11 times one epoch of the Fig. 11 batch, rescaled
+// per iteration. warm plans every epoch over one System whose
+// degradation tables an untimed first epoch has filled: a daemon's
+// steady state. cold reloads the characterization before every epoch
+// (untimed), so each one fills the tables from nothing: a daemon's first
+// epoch.
+func BenchmarkPlanEpochFig11(b *testing.B) {
+	base := Batch16()
+	run := func(b *testing.B, system func() *System) {
+		rng := rand.New(rand.NewSource(41))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sys, batch := system(), rescaledFig11(base, rng)
+			b.StartTimer()
+			if _, _, err := planEpoch(sys, batch, 41+int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sys, err := NewSystem(WithPowerCap(15))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := sys.SaveCharacterization(&saved); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("warm", func(b *testing.B) {
+		if _, _, err := planEpoch(sys, base, 41); err != nil {
+			b.Fatal(err)
+		}
+		run(b, func() *System { return sys })
+	})
+	b.Run("cold", func(b *testing.B) {
+		run(b, func() *System {
+			fresh, err := NewSystem(WithPowerCap(15), WithCharacterizationFrom(bytes.NewReader(saved.Bytes())))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return fresh
+		})
+	})
+}
+
+// A package cap given as a domain is the package cap: the same plan,
+// run and bound through the facade (it used to leave every job in S_seq
+// and the bound at the sequential sum).
+func TestDomainPackageCapThroughFacade(t *testing.T) {
+	var saved bytes.Buffer
+	if err := capped15(t).SaveCharacterization(&saved); err != nil {
+		t.Fatal(err)
+	}
+	domain, err := NewSystem(WithDomainCaps(DomainCaps{Package: 15}), WithCharacterizationFrom(&saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		plan     string
+		makespan Seconds
+		bound    Seconds
+	}
+	run := func(sys *System) outcome {
+		w, err := sys.Prepare(Batch8())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := w.ScheduleHCS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := w.Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := w.LowerBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{plan.String(), report.Makespan, bound}
+	}
+	if want, got := run(capped15(t)), run(domain); got != want {
+		t.Errorf("WithDomainCaps{Package: 15} gave %+v, WithPowerCap(15) %+v", got, want)
+	}
+}
+
+// A System that has planned more distinct custom programs than its pair
+// tables hold keeps planning, and plans each batch as a System that has
+// seen nothing else does.
+func TestCustomProgramsBeyondTheTableBound(t *testing.T) {
+	var saved bytes.Buffer
+	shared := capped15(t)
+	if err := shared.SaveCharacterization(&saved); err != nil {
+		t.Fatal(err)
+	}
+	const perBatch, batches = 5, 30 // 150 programs; the bound is 64 ladders
+	for b := 0; b < batches; b++ {
+		batch := make([]*Instance, perBatch)
+		for i := range batch {
+			k := float64(b*perBatch + i)
+			in, err := NewInstance(ProgramSpec{
+				Name: fmt.Sprintf("custom-%d-%d", b, i), Work: 60,
+				CPUEff: 0.6, GPUEff: 0.8 + 0.4*float64(i), CPUSens: 0.25, GPUSens: 0.1,
+				Phases: []PhaseSpec{{Frac: 0.7, BytesPerOp: 0.3 + 0.011*k}, {Frac: 0.3, BytesPerOp: 0.2}},
+			}, i, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = in
+		}
+		fresh, err := NewSystem(WithPowerCap(15), WithCharacterizationFrom(bytes.NewReader(saved.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPlan, wantReport, err := planEpoch(fresh, batch, int64(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPlan, gotReport, err := planEpoch(shared, batch, int64(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotPlan.String() != wantPlan.String() || gotReport.Makespan != wantReport.Makespan {
+			t.Fatalf("batch %d: %v (%v) over the long-lived System, %v (%v) over a fresh one",
+				b, gotPlan, gotReport.Makespan, wantPlan, wantReport.Makespan)
+		}
+	}
+}
