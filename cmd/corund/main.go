@@ -197,6 +197,15 @@ func main() {
 
 	durability := "in-memory"
 	if cfg.DataDir != "" {
+		rec := s.Recovery()
+		snapshot := "no"
+		if rec.SnapshotLoaded {
+			snapshot = "yes"
+		}
+		const tenthMs = 100 * time.Microsecond
+		log.Printf("corund: recovered %d jobs (%d records replayed, snapshot %s, %d slow-path decodes, %d bytes truncated, %d re-queued) in %v (journal open %v)",
+			rec.Jobs, rec.RecordsReplayed, snapshot, rec.SlowPathRecords, rec.TruncatedTailBytes, rec.Requeued,
+			rec.Total.Round(tenthMs), rec.JournalOpen.Round(tenthMs))
 		// The server may have recovered a different cap/policy than
 		// the flags; report what it actually runs with.
 		durability = fmt.Sprintf("journal %s, fsync %s", cfg.DataDir, cfg.Fsync)

@@ -7,7 +7,10 @@ package journal
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func benchJournal(b *testing.B, pol FsyncPolicy) *Journal {
@@ -100,33 +103,95 @@ func BenchmarkDecodeRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkRecover measures replaying a 1k-record log from scratch —
-// the restart cost of a daemon that crashed before its first
-// compaction.
+// BenchmarkRecover measures Open on an existing directory — the
+// journal's share of a daemon restart. jobs=1024 is a log-only replay
+// (a daemon that crashed before its first compaction). jobs=15000 is
+// shaped like the directory corunmark's serve-ack leaves behind: two
+// records per job (submitted alone, done in epoch batches), compaction
+// at the default 4 MiB, so Open reads a multi-MB snapshot and then a
+// tail of several thousand records.
 func BenchmarkRecover(b *testing.B) {
-	dir := b.TempDir()
-	j, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotBytes: -1})
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		jobs          int
+		snapshotBytes int64
+		minTail       int
+	}{
+		{jobs: 1024, snapshotBytes: -1, minTail: 1024},
+		{jobs: 15000, snapshotBytes: 0, minTail: 7000},
+	} {
+		b.Run(fmt.Sprintf("jobs=%d", tc.jobs), func(b *testing.B) {
+			dir := b.TempDir()
+			writeServeShaped(b, dir, tc.jobs, tc.snapshotBytes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, st, stats, err := Open(Options{Dir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(st.Jobs) != tc.jobs || stats.RecordsReplayed < tc.minTail || stats.SlowPathRecords != 0 {
+					b.Fatalf("recovered %d jobs, %+v", len(st.Jobs), stats)
+				}
+				j.Close()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perJob := 1 / (float64(b.N) * float64(tc.jobs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*perJob, "ns/job")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)*perJob, "B/job")
+		})
 	}
-	for i := 0; i < 1024; i++ {
-		if err := j.Append(jobRecord(fmt.Sprintf("job-%06d", i))); err != nil {
-			b.Fatal(err)
+}
+
+// writeServeShaped journals jobs the way a serving daemon does: every
+// job's submitted record in an Append of its own, and after every 4
+// submissions (serve-ack's epochs run 3-4 jobs) one Append with their
+// done records and the epoch's clock.
+func writeServeShaped(tb testing.TB, dir string, jobs int, snapshotBytes int64) {
+	tb.Helper()
+	j, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotBytes: snapshotBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const epochJobs = 4
+	programs := []string{"streamcluster", "cfd", "dwt2d", "hotspot", "srad", "lud", "leukocyte", "heartwall"}
+	t0 := time.Date(2026, 10, 2, 9, 0, 0, 0, time.UTC)
+	var epoch []Record
+	for i := 0; i < jobs; i++ {
+		// Irrational steps, so the floats print at full width like the
+		// simulator's do.
+		p := programs[i%len(programs)]
+		jr := JobRecord{
+			ID: fmt.Sprintf("job-%06d", i), Program: p, Label: p, Scale: 0.9 + float64(i%3001)/1e4,
+			Tenant: "default", Priority: "normal",
+			SubmittedAt: t0.Add(time.Duration(i) * 987654 * time.Nanosecond),
+			ArrivedSimS: float64(i/epochJobs) * 29 * math.Pi, State: "queued",
+		}
+		sub := jr
+		if err := j.Append(Record{Type: TypeJobSubmitted, Job: &sub}); err != nil {
+			tb.Fatal(err)
+		}
+		clock := float64(i/epochJobs+1) * 29 * math.Pi
+		jr.State, jr.Epoch = "done", i/epochJobs+1
+		jr.StartedSimS = jr.ArrivedSimS + float64(i%epochJobs)*math.E
+		jr.FinishedSimS = clock - float64(i%epochJobs)*math.Sqrt2
+		jr.PredictedFinishSimS = jr.FinishedSimS * (1 - 1e-3/math.Pi)
+		jr.ResponseS = jr.FinishedSimS - jr.ArrivedSimS
+		jr.Device = []string{"CPU", "GPU"}[i%2]
+		if i%epochJobs != 0 {
+			jr.Partner = fmt.Sprintf("job-%06d", i-1)
+		}
+		epoch = append(epoch, Record{Type: TypeJobState, Job: &jr, SimClockS: clock})
+		if len(epoch) == epochJobs || i == jobs-1 {
+			if err := j.Append(epoch...); err != nil {
+				tb.Fatal(err)
+			}
+			epoch = nil
 		}
 	}
 	if err := j.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, st, _, err := Open(Options{Dir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(st.Jobs) != 1024 {
-			b.Fatalf("recovered %d jobs", len(st.Jobs))
-		}
-		j.Close()
+		tb.Fatal(err)
 	}
 }

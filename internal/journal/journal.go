@@ -113,6 +113,11 @@ type RecoverStats struct {
 	TruncatedTailBytes int64
 	// Jobs is the number of jobs in the recovered state.
 	Jobs int
+	// SlowPathRecords counts the payloads — replayed or skipped log
+	// records, and the snapshot document as one — that the schema
+	// decoder declined and encoding/json decoded instead. 0 on a
+	// journal this version wrote with plain-ASCII strings.
+	SlowPathRecords int
 }
 
 // ErrClosed is returned by operations on a closed journal.
@@ -188,14 +193,22 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 
 	st := NewState()
 	var lastSeq uint64
+	intern := make(map[string]string)
 	snapPath := filepath.Join(opts.Dir, snapName)
 	if b, err := os.ReadFile(snapPath); err == nil {
-		var sf snapshotFile
 		// A corrupt snapshot is not recoverable by truncation — it is
 		// the compacted history — so unlike a torn log tail it is
 		// fatal.
-		if err := json.Unmarshal(b, &sf); err != nil {
-			return nil, nil, stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
+		var sf snapshotFile
+		if !fastSnapshot(b, intern, &sf) {
+			if err := json.Unmarshal(b, &sf); err != nil {
+				return nil, nil, stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
+			}
+			stats.SlowPathRecords++
+		}
+		if sf.Version != snapshotVersion {
+			return nil, nil, stats, fmt.Errorf("journal: corrupt snapshot %s: version %d, this build reads %d",
+				snapPath, sf.Version, snapshotVersion)
 		}
 		if sf.State != nil {
 			st = sf.State
@@ -211,14 +224,14 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("journal: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readSized(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, stats, fmt.Errorf("journal: reading log: %w", err)
 	}
 	off := 0
 	for off < len(data) {
-		r, n, err := DecodeRecord(data[off:])
+		r, n, slow, err := decodeFrame(data[off:], intern)
 		if err != nil {
 			// Torn or corrupt tail: every frame past this point is
 			// unframed noise, so cut the log here and carry on from
@@ -233,6 +246,9 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 				return nil, nil, stats, fmt.Errorf("journal: %w", err)
 			}
 			break
+		}
+		if slow {
+			stats.SlowPathRecords++
 		}
 		if r.Seq > lastSeq {
 			if err := st.Apply(r); err != nil {
@@ -267,6 +283,24 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	}
 	return j, st.Clone(), stats, nil
 }
+
+// readSized reads f to its end with one allocation of its stat size:
+// the journal owns the file, so nobody appends to it meanwhile.
+func readSized(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// snapshotVersion is the only snapshot document format this build
+// writes or reads.
+const snapshotVersion = 1
 
 // snapshotFile is the on-disk snapshot document.
 type snapshotFile struct {
@@ -434,7 +468,7 @@ func (j *Journal) compactLocked() error {
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
-	b, err := json.Marshal(&snapshotFile{Version: 1, LastSeq: j.seq, State: j.state})
+	b, err := json.Marshal(&snapshotFile{Version: snapshotVersion, LastSeq: j.seq, State: j.state})
 	if err != nil {
 		return fmt.Errorf("journal: encoding snapshot: %w", err)
 	}

@@ -167,26 +167,36 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // complete frame with a CRC mismatch, oversized length, or payload
 // that fails to decode or validate is ErrCorrupt.
 func DecodeRecord(b []byte) (Record, int, error) {
+	r, n, _, err := decodeFrame(b, nil)
+	return r, n, err
+}
+
+// decodeFrame is DecodeRecord with the read path's extras: intern is
+// the Open-wide string table (nil = none), and slow reports a payload
+// the schema decoder (decode.go) declined and json.Unmarshal decoded.
+func decodeFrame(b []byte, intern map[string]string) (r Record, consumed int, slow bool, err error) {
 	if len(b) < frameHeader {
-		return Record{}, 0, ErrTornRecord
+		return Record{}, 0, false, ErrTornRecord
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
 	if n > MaxRecordBytes {
-		return Record{}, 0, fmt.Errorf("%w: length %d exceeds %d", ErrCorrupt, n, MaxRecordBytes)
+		return Record{}, 0, false, fmt.Errorf("%w: length %d exceeds %d", ErrCorrupt, n, MaxRecordBytes)
 	}
 	if uint32(len(b)-frameHeader) < n {
-		return Record{}, 0, ErrTornRecord
+		return Record{}, 0, false, ErrTornRecord
 	}
 	payload := b[frameHeader : frameHeader+int(n)]
 	if got := crc32.ChecksumIEEE(payload); got != binary.LittleEndian.Uint32(b[4:8]) {
-		return Record{}, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+		return Record{}, 0, false, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if !fastRecord(payload, intern, &r) {
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return Record{}, 0, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		slow = true
 	}
 	if err := r.Validate(); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return Record{}, 0, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return r, frameHeader + int(n), nil
+	return r, frameHeader + int(n), slow, nil
 }

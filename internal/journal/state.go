@@ -30,7 +30,7 @@ func NewState() *State {
 // reindex rebuilds the job index after the struct was populated by
 // JSON decoding (the index is derived, never serialized).
 func (st *State) reindex() {
-	st.byID = map[string]int{}
+	st.byID = make(map[string]int, len(st.Jobs))
 	for i, j := range st.Jobs {
 		st.byID[j.ID] = i
 	}

@@ -27,7 +27,10 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"corun/internal/apu"
 	"corun/internal/memsys"
@@ -160,8 +163,14 @@ func defaultFreqLevels(cfg *apu.Config, d apu.Device) []int {
 }
 
 // Characterize runs the micro-kernel co-run grid on the ground-truth
-// simulator and assembles the staged characterization.
+// simulator and assembles the staged characterization. The surfaces
+// are independent simulations, so they are measured on up to
+// GOMAXPROCS goroutines; the result does not depend on how many.
 func Characterize(opts CharacterizeOptions) (*Characterization, error) {
+	return characterize(opts, runtime.GOMAXPROCS(0))
+}
+
+func characterize(opts CharacterizeOptions, workers int) (*Characterization, error) {
 	if opts.Cfg == nil || opts.Mem == nil {
 		return nil, fmt.Errorf("model: nil machine or memory model")
 	}
@@ -191,16 +200,37 @@ func Characterize(opts CharacterizeOptions) (*Characterization, error) {
 	for _, l := range gpuLvls {
 		c.gpuFreqGHz = append(c.gpuFreqGHz, float64(opts.Cfg.Freq(apu.GPU, l)))
 	}
-	c.Surfaces = make([][]*Surface, len(cpuLvls))
-	for a, cf := range cpuLvls {
-		c.Surfaces[a] = make([]*Surface, len(gpuLvls))
-		for b, gf := range gpuLvls {
-			s, err := characterizeSurface(opts, levels, cf, gf)
-			if err != nil {
-				return nil, err
+	// Workers claim surfaces by flat index and write only their own
+	// slots; errors are kept per slot so the one reported is the first
+	// in grid order, whichever worker hit it.
+	n := len(cpuLvls) * len(gpuLvls)
+	flat := make([]*Surface, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				flat[k], errs[k] = characterizeSurface(opts, levels, cpuLvls[k/len(gpuLvls)], gpuLvls[k%len(gpuLvls)])
 			}
-			c.Surfaces[a][b] = s
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
+	}
+	c.Surfaces = make([][]*Surface, len(cpuLvls))
+	for a := range cpuLvls {
+		lo, hi := a*len(gpuLvls), (a+1)*len(gpuLvls)
+		c.Surfaces[a] = flat[lo:hi:hi]
 	}
 	return c, nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"corun/internal/apu"
+	"corun/internal/memsys"
+	"corun/internal/units"
 )
 
 func TestCharacterizationSaveLoadRoundTrip(t *testing.T) {
@@ -35,6 +37,33 @@ func TestCharacterizationSaveLoadRoundTrip(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("%v at (%v,%v,%v,%v): loaded %v vs original %v",
 				tc.dev, tc.cbw, tc.gbw, tc.cghz, tc.gghz, got, want)
+		}
+	}
+}
+
+// TestCharacterizeWorkersDoNotChangeTheResult: the surfaces are
+// measured on a worker pool, and the saved characterization must be
+// byte-for-byte the one a single worker produces (default 3x3
+// frequency grid, so the workers have nine surfaces to split).
+func TestCharacterizeWorkersDoNotChangeTheResult(t *testing.T) {
+	saved := func(workers int) []byte {
+		c, err := characterize(CharacterizeOptions{
+			Cfg: apu.DefaultConfig(), Mem: memsys.Default(),
+			Levels: []units.GBps{0, 2.75, 5.5, 8.25, 11},
+		}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	serial := saved(1)
+	for _, workers := range []int{2, 4, 64} {
+		if !bytes.Equal(saved(workers), serial) {
+			t.Errorf("%d workers saved a different characterization than 1", workers)
 		}
 	}
 }

@@ -16,6 +16,22 @@ import (
 	"corun/internal/workload"
 )
 
+// Recovery describes what startup recovery found and what it cost;
+// the zero value means the daemon runs without a journal.
+type Recovery struct {
+	journal.RecoverStats
+	// Requeued counts the acknowledged, non-terminal jobs put back on
+	// the queue (Jobs, in RecoverStats, counts every job restored).
+	Requeued int
+	// JournalOpen is the time journal.Open took: reading, decoding and
+	// replaying snapshot and log. Total adds restoring the job table
+	// and the admission queues from the recovered state.
+	JournalOpen, Total time.Duration
+}
+
+// Recovery reports the startup recovery New performed.
+func (s *Server) Recovery() Recovery { return s.recovery }
+
 // openJournal opens (and recovers) the durable state journal in
 // cfg.DataDir, restoring the power cap, active policy, scheduling
 // clock, and job table. Non-terminal jobs are re-enqueued: their
@@ -23,6 +39,7 @@ import (
 // and get replanned by the first epoch after Start. Called from New
 // before the scheduler loop exists, so no locking is needed.
 func (s *Server) openJournal() error {
+	start := time.Now()
 	jl, st, stats, err := journal.Open(journal.Options{
 		Dir:           s.cfg.DataDir,
 		Fsync:         s.cfg.Fsync,
@@ -47,6 +64,7 @@ func (s *Server) openJournal() error {
 		return err
 	}
 	s.jl = jl
+	opened := time.Since(start)
 
 	// Recovered cap and policy win over the configured (flag) values:
 	// the journal carries the live changes made through the API, and a
@@ -92,6 +110,7 @@ func (s *Server) openJournal() error {
 	}
 
 	requeued := 0
+	s.table.reserve(len(st.Jobs))
 	for _, jr := range st.Jobs {
 		j := jobFromRecord(jr)
 		if !j.State.Terminal() {
@@ -131,6 +150,9 @@ func (s *Server) openJournal() error {
 	s.m.simClock.Set(float64(s.clock()))
 	s.m.jlRecovered.Set(float64(requeued))
 	s.m.jlTruncated.Set(float64(stats.TruncatedTailBytes))
+	s.m.jlReplayed.Set(float64(stats.RecordsReplayed))
+	s.recovery = Recovery{RecoverStats: stats, Requeued: requeued, JournalOpen: opened, Total: time.Since(start)}
+	s.m.jlRecoverySeconds.Set(s.recovery.Total.Seconds())
 	return nil
 }
 

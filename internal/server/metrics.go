@@ -37,14 +37,16 @@ type metrics struct {
 
 	// Journal instrumentation. Registered unconditionally so
 	// dashboards see zeros (not absent series) on in-memory daemons.
-	jlAppends       *promtext.Counter
-	jlFsyncs        *promtext.Counter
-	jlBytes         *promtext.Counter
-	jlSnapshots     *promtext.Counter
-	jlErrors        *promtext.Counter
-	jlRecovered     *promtext.Gauge
-	jlTruncated     *promtext.Gauge
-	jlAppendLatency *promtext.Histogram
+	jlAppends         *promtext.Counter
+	jlFsyncs          *promtext.Counter
+	jlBytes           *promtext.Counter
+	jlSnapshots       *promtext.Counter
+	jlErrors          *promtext.Counter
+	jlRecovered       *promtext.Gauge
+	jlTruncated       *promtext.Gauge
+	jlReplayed        *promtext.Gauge
+	jlRecoverySeconds *promtext.Gauge
+	jlAppendLatency   *promtext.Histogram
 
 	// Failure-handling instrumentation: journal write retries and
 	// drops, the circuit breaker, load shedding, and the failpoint
@@ -140,9 +142,13 @@ func newMetrics() *metrics {
 		jlErrors: reg.NewCounter("corund_journal_errors_total",
 			"Journal append failures for job lifecycle records (the epoch proceeds; durability of those records is lost)."),
 		jlRecovered: reg.NewGauge("corund_journal_recovered_jobs",
-			"Non-terminal jobs restored from the journal and re-enqueued at startup."),
+			"Non-terminal jobs restored from the journal and re-enqueued at startup (not the jobs readable after it: terminal ones are restored too)."),
 		jlTruncated: reg.NewGauge("corund_journal_truncated_tail_bytes",
 			"Bytes of torn or corrupt log tail truncated during startup recovery."),
+		jlReplayed: reg.NewGauge("corund_journal_replayed_records",
+			"Log records replayed on top of the snapshot during startup recovery."),
+		jlRecoverySeconds: reg.NewGauge("corund_journal_recovery_seconds",
+			"Wall time of startup recovery: opening and replaying the journal, then restoring the job table and queues."),
 		jlAppendLatency: reg.NewHistogram("corund_journal_append_latency_seconds",
 			"Latency of journal appends, including any group-commit fsync wait.",
 			[]float64{10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}),

@@ -101,6 +101,21 @@ func TestCrashRecovery(t *testing.T) {
 	if got := s2.Jobs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("jobs not restored bit-for-bit:\n got %+v\nwant %+v", got, want)
 	}
+	// What the boot log and /metrics say about it: 2 seeding records
+	// (cap, policy) + 3 submissions + 2 control changes replayed, all
+	// written by this build and so none through the slow path.
+	rec := s2.Recovery()
+	if rec.Jobs != len(want) || rec.Requeued != len(want) || rec.RecordsReplayed != 7 ||
+		rec.SlowPathRecords != 0 || rec.TruncatedTailBytes != 6 || rec.SnapshotLoaded {
+		t.Errorf("recovery report %+v", rec)
+	}
+	if rec.JournalOpen <= 0 || rec.Total < rec.JournalOpen {
+		t.Errorf("recovery timings: open %v, total %v", rec.JournalOpen, rec.Total)
+	}
+	if s2.m.jlReplayed.Value() != 7 || s2.m.jlRecoverySeconds.Value() != rec.Total.Seconds() {
+		t.Errorf("gauges: replayed %v, seconds %v; report %+v",
+			s2.m.jlReplayed.Value(), s2.m.jlRecoverySeconds.Value(), rec)
+	}
 
 	// The recovered queue is live: start the scheduler and the
 	// re-enqueued jobs run to completion.

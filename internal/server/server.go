@@ -408,6 +408,9 @@ type Server struct {
 	// /readyz reports 503 until then.
 	ready     chan struct{}
 	readyOnce sync.Once
+
+	// recovery is what openJournal found; written once, in New.
+	recovery Recovery
 }
 
 // New validates the configuration and builds a server. Call Start to

@@ -47,10 +47,15 @@ type jobEntry struct {
 	snap atomic.Pointer[Job]
 }
 
-func (t *jobTable) init() {
+func (t *jobTable) init() { t.reserve(0) }
+
+// reserve sizes the still-empty table for n jobs, so restoring a
+// journal's worth of them does not rehash every stripe a dozen times.
+func (t *jobTable) reserve(n int) {
 	for i := range t.stripes {
-		t.stripes[i].m = make(map[string]*jobEntry)
+		t.stripes[i].m = make(map[string]*jobEntry, n/tableStripes+1)
 	}
+	t.order = make([]string, 0, n)
 }
 
 // stripeFor hashes a job ID onto its stripe (FNV-1a).
