@@ -29,7 +29,6 @@ import (
 	"io"
 
 	"corun/internal/apu"
-	"corun/internal/cluster"
 	"corun/internal/core"
 	"corun/internal/gantt"
 	"corun/internal/kernelsim"
@@ -37,7 +36,6 @@ import (
 	"corun/internal/model"
 	"corun/internal/online"
 	"corun/internal/policy"
-	"corun/internal/profile"
 	"corun/internal/sim"
 	"corun/internal/trace"
 	"corun/internal/units"
@@ -275,51 +273,30 @@ func (s *System) PowerCap() Watts { return s.cap }
 // unenforced).
 func (s *System) DomainCaps() DomainCaps { return s.domains }
 
+// options is the system as internal/online sees it: the input of the
+// batch → context pipeline every planner shares (Options.Predictor and
+// Context) and of online.Serve.
+func (s *System) options() online.Options {
+	return online.Options{Cfg: s.cfg, Mem: s.mem, Char: s.char, Cap: s.cap, Domains: s.domains}
+}
+
 // Prepare profiles the batch offline and assembles the predictive
-// model and scheduling context for it.
+// model and scheduling context for it. Every batch a System prepares
+// reads the characterization's pair tables, so a program pair's
+// degradations are interpolated once for the System's lifetime.
 func (s *System) Prepare(batch []*Instance) (*Workload, error) {
-	pred, err := s.predictor(batch)
+	pred, err := s.options().Predictor(batch)
 	if err != nil {
 		return nil, err
 	}
 	return s.workloadOver(pred, batch)
 }
 
-// predictor profiles the batch and binds the profiles to the system's
-// characterization.
-func (s *System) predictor(batch []*Instance) (*model.Predictor, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("corun: empty batch")
-	}
-	for i, in := range batch {
-		if in == nil {
-			return nil, fmt.Errorf("corun: nil instance at %d", i)
-		}
-		if in.ID != i {
-			return nil, fmt.Errorf("corun: instance %q has ID %d at position %d; IDs must equal positions", in.Label, in.ID, i)
-		}
-	}
-	prof, err := profile.Collect(s.cfg, s.mem, batch)
-	if err != nil {
-		return nil, err
-	}
-	return model.NewPredictor(s.char, prof)
-}
-
-// workloadOver builds the batch's scheduling context over its oracle,
-// read through the characterization's pair tables: every batch this
-// System prepares shares them, so a program pair's degradations are
-// interpolated once for the System's lifetime.
 func (s *System) workloadOver(o model.Oracle, batch []*Instance) (*Workload, error) {
-	cached, err := model.NewCachedPredictor(o, s.cfg)
+	cx, err := s.options().Context(o)
 	if err != nil {
 		return nil, err
 	}
-	cx, err := core.NewContext(cached, s.cfg, s.cap)
-	if err != nil {
-		return nil, err
-	}
-	cx.Domains = s.domains
 	return &Workload{sys: s, batch: batch, cx: cx}, nil
 }
 
@@ -330,7 +307,7 @@ func (s *System) workloadOver(o model.Oracle, batch []*Instance) (*Workload, err
 // Costs 2N short measured runs; dramatically tightens predictions for
 // latency-sensitive outliers like dwt2d.
 func (s *System) PrepareCalibrated(batch []*Instance) (*Workload, error) {
-	pred, err := s.predictor(batch)
+	pred, err := s.options().Predictor(batch)
 	if err != nil {
 		return nil, err
 	}
@@ -545,36 +522,9 @@ func ArrivalOf(name string, at, scale float64) (Arrival, error) {
 // Serve runs an arrival stream through the online epoch scheduler on
 // this system, planning each epoch's queue with the given policy.
 func (s *System) Serve(arrivals []Arrival, policy ServePolicy, seed int64) (*ServeResult, error) {
-	return online.Serve(online.Options{
-		Cfg: s.cfg, Mem: s.mem, Char: s.char, Cap: s.cap, Domains: s.domains,
-		Policy: policy, Seed: seed,
-	}, arrivals)
-}
-
-// Cluster re-exports; see the internal/cluster package docs.
-type (
-	// Balancer selects a cluster's job-placement policy.
-	Balancer = cluster.Balancer
-	// ClusterResult summarizes a fleet run.
-	ClusterResult = cluster.Result
-)
-
-// Cluster balancing policies.
-const (
-	RoundRobin    = cluster.RoundRobin
-	LeastLoaded   = cluster.LeastLoaded
-	AffinityAware = cluster.AffinityAware
-)
-
-// ServeCluster balances an arrival stream across a fleet of identical
-// nodes (each a copy of this system) and serves every node's share
-// with the online epoch scheduler.
-func (s *System) ServeCluster(arrivals []Arrival, nodes int, bal Balancer, policy ServePolicy, seed int64) (*ClusterResult, error) {
-	return cluster.Serve(cluster.Options{
-		Cfg: s.cfg, Mem: s.mem, Char: s.char,
-		Nodes: nodes, CapPerNode: s.cap,
-		Balancer: bal, Policy: policy, Seed: seed,
-	}, arrivals)
+	opts := s.options()
+	opts.Policy, opts.Seed = policy, seed
+	return online.Serve(opts, arrivals)
 }
 
 // PredictPairDegradation returns the model's predicted mutual

@@ -85,24 +85,6 @@ func TestBatchAccessor(t *testing.T) {
 	}
 }
 
-func TestServeClusterValidation(t *testing.T) {
-	s := capped15(t)
-	if _, err := s.ServeCluster(nil, 0, RoundRobin, ServeHCSPlus, 1); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	a, err := ArrivalOf("lud", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.ServeCluster([]Arrival{a}, 2, LeastLoaded, ServeHCSPlus, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerNode) != 2 {
-		t.Errorf("%d nodes in result", len(res.PerNode))
-	}
-}
-
 func TestArrivalOfValidation(t *testing.T) {
 	if _, err := ArrivalOf("nope", 0, 1); err == nil {
 		t.Error("unknown benchmark accepted")

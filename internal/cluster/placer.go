@@ -1,16 +1,26 @@
+// Package cluster is the placement library that scales the
+// co-scheduling runtime from one APU node to a fleet: pure scoring over
+// node snapshots, with no dependency on the simulation or scheduling
+// stack (it imports the standard library only). The live coordinator
+// in internal/fleet routes every arrival through a Placer, and so does
+// the offline fleet study in internal/exp (EX-CLU), so "which node gets
+// this job" is decided by exactly one piece of code whether the nodes
+// are real daemons across a network or simulated in-process.
+//
+// The paper motivates job co-scheduling as "a cheap (virtually free)
+// way to significantly improve system throughput for shared servers,
+// workstation clusters, and data centers"; this package is the cluster
+// piece of that story. It also exposes the interaction between
+// balancing and co-scheduling: a balancer that spreads complementary
+// jobs apart starves each node's co-run pairing opportunities, so the
+// affinity-aware policy groups CPU- and GPU-preferred work — and the
+// headroom-aware policy extends that to uneven per-node power budgets.
 package cluster
 
 import (
 	"fmt"
 	"strings"
 )
-
-// This file is the placement core: pure scoring over node snapshots,
-// with no dependency on the simulation stack. The offline Serve path
-// (cluster.go) and the live fleet coordinator (internal/fleet) both
-// route arrivals through a Placer, so "which node gets this job" is
-// decided by exactly one piece of code whether the nodes are simulated
-// in-process or real daemons across a network.
 
 // Balancer selects the node for each arriving job.
 type Balancer int
@@ -114,9 +124,8 @@ func (h JobHint) BestTimeS() float64 {
 }
 
 // Placer picks nodes for arriving jobs under one balancing policy. It
-// is not safe for concurrent use; callers serialize Picks (both the
-// offline Serve loop and the fleet coordinator place one job at a
-// time under their own lock).
+// is not safe for concurrent use; callers serialize Picks (the fleet
+// coordinator places one job at a time under its own lock).
 type Placer struct {
 	strategy Balancer
 	next     int // round-robin cursor

@@ -148,3 +148,13 @@ func TestHeadroomAwareZeroHeadroomRanksLast(t *testing.T) {
 		t.Fatalf("job placed on powerless node %d, want 1", idx)
 	}
 }
+
+func TestBalancerString(t *testing.T) {
+	if RoundRobin.String() != "round-robin" || LeastLoaded.String() != "least-loaded" ||
+		AffinityAware.String() != "affinity-aware" {
+		t.Error("balancer names wrong")
+	}
+	if Balancer(9).String() == "" {
+		t.Error("unknown balancer renders empty")
+	}
+}

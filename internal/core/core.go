@@ -187,14 +187,8 @@ func (cx *Context) eachFeasible(c, g int, visit func(fc, fg int) bool) {
 func (cx *Context) Capped() bool { return cx.Cap > 0 || cx.Domains.Any() }
 
 // packageCap returns the effective package limit: the tighter of Cap
-// and the Domains' package entry (zero = uncapped).
-func (cx *Context) packageCap() units.Watts {
-	c := cx.Cap
-	if p := cx.Domains.Package; p > 0 && (c <= 0 || p < c) {
-		c = p
-	}
-	return c
-}
+// and the Domains' package entry (zero or negative = uncapped).
+func (cx *Context) packageCap() units.Watts { return cx.Domains.WithPackage(cx.Cap).Package }
 
 // domainOracle is the per-plane extension the Context looks for on its
 // Oracle; it mirrors model.DomainOracle without importing the package.

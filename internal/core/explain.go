@@ -56,107 +56,26 @@ func (cx *Context) ExplainPlan(w io.Writer, s *Schedule, labels []string) error 
 		return err
 	}
 	// Replay the predicted timeline and report each dispatch with its
-	// chosen frequencies.
-	return cx.explainTimeline(w, s, name)
-}
-
-// explainTimeline replays the predicted schedule and prints each
-// dispatch with its chosen frequencies and predicted degradations.
-func (cx *Context) explainTimeline(w io.Writer, s *Schedule, name func(int) string) error {
-	cpuQ := append([]int(nil), s.CPUOrder...)
-	gpuQ := append([]int(nil), s.GPUOrder...)
-	var cpuRun, gpuRun *plannedJob
-	now := 0.0
-	for steps := 0; steps < 1<<16; steps++ {
-		if cpuRun == nil && len(cpuQ) > 0 && cx.mayDispatch(s, cpuQ[0], gpuRun) {
-			cpuRun = &plannedJob{idx: cpuQ[0], frac: 1}
-			cpuQ = cpuQ[1:]
-			if err := cx.explainDispatch(w, now, apu.CPU, cpuRun, gpuRun, name); err != nil {
-				return err
-			}
-		}
-		if gpuRun == nil && len(gpuQ) > 0 && cx.mayDispatch(s, gpuQ[0], cpuRun) {
-			gpuRun = &plannedJob{idx: gpuQ[0], frac: 1}
-			gpuQ = gpuQ[1:]
-			if err := cx.explainDispatch(w, now, apu.GPU, gpuRun, cpuRun, name); err != nil {
-				return err
-			}
-		}
-		if cpuRun == nil && gpuRun == nil {
+	// chosen frequencies and predicted degradation.
+	_, err = cx.walk(s, func(ev timelineEvent) error {
+		if ev.done {
 			return nil
 		}
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
-		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
+		ci, gi := asPair(ev.dev, ev.job, ev.other)
 		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
 		if !ok {
-			return fmt.Errorf("core: infeasible pairing (%d,%d)", ci, gi)
+			return fmt.Errorf("core: no cap-feasible frequencies for pair (%d,%d)", ci, gi)
 		}
-		var cpuRate, gpuRate float64
-		if cpuRun != nil {
-			cpuRate = 1 / (float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc))
+		beside := "idle"
+		if ev.other >= 0 {
+			beside = name(ev.other)
 		}
-		if gpuRun != nil {
-			gpuRate = 1 / (float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg))
-		}
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
-		}
-		now += dt
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
-		}
-	}
-	return fmt.Errorf("core: explanation exceeded step limit")
-}
-
-func (cx *Context) explainDispatch(w io.Writer, now float64, dev apu.Device, run, other *plannedJob, name func(int) string) error {
-	ci, gi := -1, -1
-	if dev == apu.CPU {
-		ci = run.idx
-		if other != nil {
-			gi = other.idx
-		}
-	} else {
-		gi = run.idx
-		if other != nil {
-			ci = other.idx
-		}
-	}
-	fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-	if !ok {
-		return fmt.Errorf("core: infeasible pairing (%d,%d)", ci, gi)
-	}
-	beside := "idle"
-	if other != nil {
-		beside = name(other.idx)
-	}
-	deg := dc
-	if dev == apu.GPU {
-		deg = dg
-	}
-	_, err := fmt.Fprintf(w, "  t=%7.1fs  %v <- %-16s beside %-16s freqs %v/%v  predicted degradation %.0f%%\n",
-		now, dev, name(run.idx), beside,
-		cx.Cfg.Freq(apu.CPU, fp.CPU), cx.Cfg.Freq(apu.GPU, fp.GPU), 100*deg)
+		deg := [apu.NumDevices]float64{dc, dg}[ev.dev]
+		_, err := fmt.Fprintf(w, "  t=%7.1fs  %v <- %-16s beside %-16s freqs %v/%v  predicted degradation %.0f%%\n",
+			ev.now, ev.dev, name(ev.job), beside,
+			cx.Cfg.Freq(apu.CPU, fp.CPU), cx.Cfg.Freq(apu.GPU, fp.GPU), 100*deg)
+		return err
+	})
 	return err
 }
 

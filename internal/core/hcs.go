@@ -133,7 +133,7 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 	}
 
 	// Step 3: greedy planning on predicted times.
-	s, err := cx.greedyPlan(part.SCo, prefs)
+	s, err := cx.greedyPlan(part.SCo, prefs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +166,9 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 
 // greedyPlan is step 3: simulate the schedule on predicted times,
 // always filling an idle device from its preference-ordered candidate
-// sets with the least-interference job. sco is ascending.
-func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) {
+// sets with the least-interference job. sco is ascending. visit, when
+// not nil, sees each completion on the planner's own timeline.
+func (cx *Context) greedyPlan(sco []int, prefs []Preference, visit func(timelineEvent) error) (*Schedule, error) {
 	s := &Schedule{Exclusive: map[int]bool{}}
 	// remaining stays in ascending job order, so everything summed or
 	// scanned over it is summed and scanned in one fixed order.
@@ -177,18 +178,17 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 		remaining = append(remaining[:k], remaining[k+1:]...)
 	}
 
-	var runs [apu.NumDevices]plannedJob
-	var cpuRun, gpuRun *plannedJob // into runs; nil while the device is idle
-	var cand []int                 // reused by every pick
+	tl := newTimeline()
+	var cand []int // reused by every pick
 
 	// remainingWorkOn estimates the other device's outstanding work:
 	// its running job's remaining time plus the best solo times of all
 	// still-unassigned jobs (which would otherwise run there).
-	remainingWorkOn := func(dev apu.Device, run *plannedJob, exclude int) float64 {
+	remainingWorkOn := func(dev apu.Device, exclude int) float64 {
 		total := 0.0
-		if run != nil {
-			if t, ok := cx.BestSoloTime(run.idx, dev); ok {
-				total += run.frac * float64(t)
+		if run := tl.job[dev]; run >= 0 {
+			if t, ok := cx.BestSoloTime(run, dev); ok {
+				total += tl.frac[dev] * float64(t)
 			}
 		}
 		for _, j := range remaining {
@@ -202,7 +202,10 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 		return total
 	}
 
-	pick := func(dev apu.Device, other *plannedJob) int {
+	// pick chooses the job to start on idle device dev beside whatever
+	// the other device is running (other < 0: nothing).
+	pick := func(dev apu.Device) int {
+		other := tl.job[dev.Other()]
 		var class Preference
 		cand, class = candidates(cand[:0], dev, remaining, prefs)
 		if len(cand) == 0 {
@@ -228,16 +231,12 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 					continue
 				}
 				est := float64(t)
-				if other != nil {
-					c, g := j, other.idx
-					if dev == apu.GPU {
-						c, g = other.idx, j
-					}
-					if d, ok := cx.MinPairDegradation(c, g); ok {
+				if other >= 0 {
+					if d, ok := cx.MinPairDegradation(asPair(dev, j, other)); ok {
 						est *= 1 + d
 					}
 				}
-				if est > remainingWorkOn(dev.Other(), other, j) {
+				if est > remainingWorkOn(dev.Other(), j) {
 					continue
 				}
 				tPref, ok := cx.BestSoloTime(j, dev.Other())
@@ -251,7 +250,7 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 			}
 			return best
 		}
-		if other == nil {
+		if other < 0 {
 			// No co-runner: take the longest job to keep devices busy.
 			best, bestT := -1, -1.0
 			for _, j := range cand {
@@ -268,11 +267,7 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 		// Least combined interference against the running job.
 		best, bestD := -1, 0.0
 		for _, j := range cand {
-			c, g := j, other.idx
-			if dev == apu.GPU {
-				c, g = other.idx, j
-			}
-			d, ok := cx.MinPairDegradation(c, g)
+			d, ok := cx.MinPairDegradation(asPair(dev, j, other))
 			if !ok {
 				continue
 			}
@@ -286,73 +281,43 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference) (*Schedule, error) 
 	// Seed the GPU with the longest GPU-preferred job (step 3's
 	// starting rule); pick() already falls back through the sets when
 	// GPU-preferred is empty.
-	const maxSteps = 1 << 20
-	for step := 0; step < maxSteps; step++ {
-		if gpuRun == nil {
-			if j := pick(apu.GPU, cpuRun); j >= 0 {
-				runs[apu.GPU] = plannedJob{idx: j, frac: 1}
-				gpuRun = &runs[apu.GPU]
+	for {
+		for _, dev := range [...]apu.Device{apu.GPU, apu.CPU} {
+			if tl.job[dev] >= 0 {
+				continue
+			}
+			if j := pick(dev); j >= 0 {
+				tl.start(dev, j)
 				take(j)
-				s.GPUOrder = append(s.GPUOrder, j)
+				if dev == apu.CPU {
+					s.CPUOrder = append(s.CPUOrder, j)
+				} else {
+					s.GPUOrder = append(s.GPUOrder, j)
+				}
 			}
 		}
-		if cpuRun == nil {
-			if j := pick(apu.CPU, gpuRun); j >= 0 {
-				runs[apu.CPU] = plannedJob{idx: j, frac: 1}
-				cpuRun = &runs[apu.CPU]
-				take(j)
-				s.CPUOrder = append(s.CPUOrder, j)
-			}
-		}
-		if cpuRun == nil && gpuRun == nil {
+		if tl.idle() {
 			if len(remaining) == 0 {
 				return s, nil
 			}
 			return nil, fmt.Errorf("core: greedy plan stuck with %d jobs (cap infeasible?)", len(remaining))
 		}
-
-		// Advance predicted time to the earliest completion.
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
+		if err := tl.advance(cx); err != nil {
+			return nil, err
 		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
-		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-		if !ok {
-			return nil, fmt.Errorf("core: no feasible frequencies for pair (%d,%d)", ci, gi)
-		}
-		var cpuRate, gpuRate float64
-		if cpuRun != nil {
-			cpuRate = 1 / (float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc))
-		}
-		if gpuRun != nil {
-			gpuRate = 1 / (float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg))
-		}
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
-		}
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
+		if err := tl.visitDone(visit); err != nil {
+			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("core: greedy plan exceeded step limit")
+}
+
+// asPair orders job, on dev, and other, on the opposite device, as
+// (CPU job, GPU job).
+func asPair(dev apu.Device, job, other int) (c, g int) {
+	if dev == apu.GPU {
+		return other, job
+	}
+	return job, other
 }
 
 // otherPreference names the preference class of the opposite device.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"corun/internal/apu"
@@ -65,6 +66,13 @@ func (s *Schedule) Validate(n int) error {
 	return nil
 }
 
+// mayStart is the exclusivity rule of planning and execution alike: an
+// exclusive job waits for the other device to drain (other = its job,
+// -1 when idle), and nothing starts beside a running exclusive job.
+func (s *Schedule) mayStart(job, other int) bool {
+	return other < 0 || !(s.Exclusive[job] || s.Exclusive[other])
+}
+
 // String renders the schedule compactly.
 func (s *Schedule) String() string {
 	mark := func(j int) string {
@@ -82,12 +90,6 @@ func (s *Schedule) String() string {
 		gpu[i] = mark(j)
 	}
 	return fmt.Sprintf("CPU:%v GPU:%v", cpu, gpu)
-}
-
-// plannedJob tracks one job's progress in the predicted evaluator.
-type plannedJob struct {
-	idx  int
-	frac float64 // fraction of the job's work still to do
 }
 
 // appendMemoKey appends the schedule's planning-relevant content —
@@ -109,12 +111,9 @@ func (s *Schedule) appendMemoKey(b []byte) []byte {
 	return b
 }
 
-// PredictedMakespan evaluates the schedule on predicted data: it walks
-// the two queues with the same dispatch and exclusivity rules the
-// executor uses, applying ChoosePairFreqs to every pairing and the
-// side-note partial-overlap arithmetic to every segment. It is the
-// objective function of the HCS+ refinement and of the search
-// policies, which revisit candidate schedules, so successful
+// PredictedMakespan evaluates the schedule on predicted data (see
+// walk). It is the objective function of the HCS+ refinement and of the
+// search policies, which revisit candidate schedules, so successful
 // evaluations are memoized (bounded; see maxMakespanMemo).
 func (cx *Context) PredictedMakespan(s *Schedule) (units.Seconds, error) {
 	if err := s.Validate(cx.Oracle.NumJobs()); err != nil {
@@ -134,7 +133,7 @@ func (cx *Context) predictedMakespan(s *Schedule) (units.Seconds, error) {
 	if ok {
 		return t, nil
 	}
-	t, err := cx.predictedMakespanUncached(s)
+	t, err := cx.walk(s, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -146,105 +145,135 @@ func (cx *Context) predictedMakespan(s *Schedule) (units.Seconds, error) {
 	return t, nil
 }
 
-func (cx *Context) predictedMakespanUncached(s *Schedule) (units.Seconds, error) {
-	cpuQ, gpuQ := s.CPUOrder, s.GPUOrder
-	var runs [apu.NumDevices]plannedJob
-	var cpuRun, gpuRun *plannedJob // into runs; nil while the device is idle
-	now := 0.0
-
-	const maxSegments = 1 << 20
-	for seg := 0; seg < maxSegments; seg++ {
-		// Dispatch, honouring exclusivity.
-		if cpuRun == nil && len(cpuQ) > 0 {
-			head := cpuQ[0]
-			if cx.mayDispatch(s, head, gpuRun) {
-				runs[apu.CPU] = plannedJob{idx: head, frac: 1}
-				cpuRun = &runs[apu.CPU]
-				cpuQ = cpuQ[1:]
-			}
-		}
-		if gpuRun == nil && len(gpuQ) > 0 {
-			head := gpuQ[0]
-			if cx.mayDispatch(s, head, cpuRun) {
-				runs[apu.GPU] = plannedJob{idx: head, frac: 1}
-				gpuRun = &runs[apu.GPU]
-				gpuQ = gpuQ[1:]
-			}
-		}
-		if cpuRun == nil && gpuRun == nil {
-			if len(cpuQ) == 0 && len(gpuQ) == 0 {
-				return units.Seconds(now), nil
-			}
-			return 0, fmt.Errorf("core: schedule deadlocked with %d CPU / %d GPU jobs pending", len(cpuQ), len(gpuQ))
-		}
-
-		// Rates for the current pairing.
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
-		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
-		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-		if !ok {
-			return 0, fmt.Errorf("core: no cap-feasible frequencies for pair (%d,%d)", ci, gi)
-		}
-		var cpuRate, gpuRate float64 // fraction of job per second
-		if cpuRun != nil {
-			l := float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc)
-			cpuRate = 1 / l
-		}
-		if gpuRun != nil {
-			l := float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg)
-			gpuRate = 1 / l
-		}
-
-		// Advance to the earliest completion.
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
-		}
-		now += dt
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("core: predicted evaluation exceeded segment limit")
+// timeline is the predicted machine: the job each device runs (-1 =
+// idle), the fraction of it still to do, the clock, and the jobs the
+// last advance completed (-1 = none). Predicted time moves only here —
+// walk (PredictedMakespan, ExplainPlan) and HCS step 3 both start jobs
+// on one and advance it — and it stays a plain value on the caller's
+// stack.
+type timeline struct {
+	job   [apu.NumDevices]int
+	frac  [apu.NumDevices]float64
+	done  [apu.NumDevices]int
+	now   float64
+	steps int
 }
 
-// mayDispatch applies the exclusivity rule: an exclusive job waits for
-// the other device to drain, and nothing starts beside a running
-// exclusive job.
-func (cx *Context) mayDispatch(s *Schedule, job int, otherRun *plannedJob) bool {
-	if otherRun == nil {
-		return true
-	}
-	if s.Exclusive[job] || s.Exclusive[otherRun.idx] {
-		return false
-	}
-	return true
+// maxTimelineSteps bounds the advances of one timeline. Each completes
+// a job, so only a walk whose rates are not numbers reaches it.
+const maxTimelineSteps = 1 << 20
+
+func newTimeline() timeline {
+	return timeline{job: [apu.NumDevices]int{-1, -1}, done: [apu.NumDevices]int{-1, -1}}
 }
 
-func minPos(a, b float64) float64 {
-	if a < b {
-		return a
+func (tl *timeline) idle() bool { return tl.job[apu.CPU] < 0 && tl.job[apu.GPU] < 0 }
+
+// start dispatches job on the idle device dev.
+func (tl *timeline) start(dev apu.Device, job int) {
+	tl.job[dev], tl.frac[dev] = job, 1
+}
+
+// advance moves the clock to the earliest completion among the running
+// jobs (at least one): the pair's frequencies by ChoosePairFreqs, each
+// job's rate from its standalone time there and its predicted
+// degradation, the side-note partial-overlap arithmetic for the
+// survivor.
+func (tl *timeline) advance(cx *Context) error {
+	tl.done = [apu.NumDevices]int{-1, -1}
+	if tl.steps++; tl.steps > maxTimelineSteps {
+		return fmt.Errorf("core: predicted timeline exceeded step limit")
 	}
-	return b
+	fp, dc, dg, ok := cx.ChoosePairFreqs(tl.job[apu.CPU], tl.job[apu.GPU])
+	if !ok {
+		return fmt.Errorf("core: no cap-feasible frequencies for pair (%d,%d)", tl.job[apu.CPU], tl.job[apu.GPU])
+	}
+	freq := [apu.NumDevices]int{fp.CPU, fp.GPU}
+	deg := [apu.NumDevices]float64{dc, dg}
+	var rate [apu.NumDevices]float64 // fraction of the job per second
+	dt := math.Inf(1)
+	for d := apu.CPU; d <= apu.GPU; d++ {
+		if tl.job[d] < 0 {
+			continue
+		}
+		rate[d] = 1 / (float64(cx.Oracle.StandaloneTime(tl.job[d], d, freq[d])) * (1 + deg[d]))
+		if left := tl.frac[d] / rate[d]; left < dt {
+			dt = left
+		}
+	}
+	tl.now += dt
+	for d := apu.CPU; d <= apu.GPU; d++ {
+		if tl.job[d] < 0 {
+			continue
+		}
+		tl.frac[d] -= rate[d] * dt
+		if tl.frac[d] <= 1e-12 {
+			tl.done[d], tl.job[d] = tl.job[d], -1
+		}
+	}
+	return nil
+}
+
+// timelineEvent is what a timeline visitor sees: job started on dev at
+// time now beside other (-1 = idle) or, with done set, completed there.
+type timelineEvent struct {
+	now   float64
+	dev   apu.Device
+	job   int
+	other int
+	done  bool
+}
+
+// visitDone shows visit, when not nil, what advance just completed.
+func (tl *timeline) visitDone(visit func(timelineEvent) error) error {
+	if visit == nil {
+		return nil
+	}
+	for d := apu.CPU; d <= apu.GPU; d++ {
+		if tl.done[d] < 0 {
+			continue
+		}
+		if err := visit(timelineEvent{now: tl.now, dev: d, job: tl.done[d], other: tl.job[d.Other()], done: true}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk plays a schedule that places every job exactly once on a
+// timeline as the executor dispatches it — CPU queue first, mayStart
+// before every start — and returns the predicted makespan. visit, when
+// not nil, sees every start and completion in time order.
+func (cx *Context) walk(s *Schedule, visit func(timelineEvent) error) (units.Seconds, error) {
+	queues := [apu.NumDevices][]int{s.CPUOrder, s.GPUOrder}
+	tl := newTimeline()
+	for {
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			q, other := queues[d], tl.job[d.Other()]
+			if tl.job[d] >= 0 || len(q) == 0 || !s.mayStart(q[0], other) {
+				continue
+			}
+			tl.start(d, q[0])
+			queues[d] = q[1:]
+			if visit != nil {
+				if err := visit(timelineEvent{now: tl.now, dev: d, job: q[0], other: other}); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if tl.idle() {
+			if len(queues[apu.CPU]) == 0 && len(queues[apu.GPU]) == 0 {
+				return units.Seconds(tl.now), nil
+			}
+			return 0, fmt.Errorf("core: schedule deadlocked with %d CPU / %d GPU jobs pending", len(queues[apu.CPU]), len(queues[apu.GPU]))
+		}
+		if err := tl.advance(cx); err != nil {
+			return 0, err
+		}
+		if err := tl.visitDone(visit); err != nil {
+			return 0, err
+		}
+	}
 }
 
 // scheduleDispatcher executes a Schedule on the real simulator with the
@@ -279,25 +308,16 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 	head := (*q)[0]
 
 	// Identify the job on the other device, if any.
-	var other *workload.Instance
-	if dev == apu.CPU {
-		other = view.GPUJob
-	} else if len(view.CPUJobs) > 0 {
-		other = view.CPUJobs[0]
+	other := -1
+	if dev == apu.CPU && view.GPUJob != nil {
+		other = view.GPUJob.ID
+	} else if dev == apu.GPU && len(view.CPUJobs) > 0 {
+		other = view.CPUJobs[0].ID
 	}
-	if other != nil && (d.s.Exclusive[head] || d.s.Exclusive[other.ID]) {
+	if !d.s.mayStart(head, other) {
 		return nil // wait for the other device to drain
 	}
-
-	otherIdx := -1
-	if other != nil {
-		otherIdx = other.ID
-	}
-	ci, gi := head, otherIdx
-	if dev == apu.GPU {
-		ci, gi = otherIdx, head
-	}
-	fp, _, _, ok := d.cx.ChoosePairFreqs(ci, gi)
+	fp, _, _, ok := d.cx.ChoosePairFreqs(asPair(dev, head, other))
 	if !ok {
 		// No feasible setting: fall back to the floor frequencies and
 		// let the cap-violation accounting surface the problem.

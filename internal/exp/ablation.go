@@ -6,7 +6,6 @@ import (
 
 	"corun/internal/core"
 	"corun/internal/model"
-	"corun/internal/profile"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -33,7 +32,7 @@ type AblationResult struct {
 func (s *Suite) Ablations() (*AblationResult, error) {
 	const cap = 15
 	batch := workload.Batch16()
-	cx, _, err := s.context(batch, cap)
+	cx, pred, err := s.context(batch, cap)
 	if err != nil {
 		return nil, err
 	}
@@ -130,19 +129,11 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 
 	// Online-calibrated model (section V.C's "lightweight methods ...
 	// on the fly" realized): per-job corrections from 2N probe co-runs.
-	calProf, err := profile.Collect(s.Cfg, s.Mem, batch)
+	calPred, err := model.NewCalibratedPredictor(pred, model.CalibrateOptions{Batch: batch})
 	if err != nil {
 		return nil, err
 	}
-	calBase, err := model.NewPredictor(s.Char, calProf)
-	if err != nil {
-		return nil, err
-	}
-	calPred, err := model.NewCalibratedPredictor(calBase, model.CalibrateOptions{Batch: batch})
-	if err != nil {
-		return nil, err
-	}
-	calCx, err := core.NewContext(calPred, s.Cfg, cap)
+	calCx, err := s.options(cap).Context(calPred)
 	if err != nil {
 		return nil, err
 	}
@@ -153,15 +144,11 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 
 	// Ground-truth oracle instead of the predictive model: isolates
 	// prediction error from scheduling error.
-	prof, err := profile.Collect(s.Cfg, s.Mem, batch)
+	gt, err := model.NewGroundTruthOracle(pred.Prof, batch)
 	if err != nil {
 		return nil, err
 	}
-	gt, err := model.NewGroundTruthOracle(prof, batch)
-	if err != nil {
-		return nil, err
-	}
-	gtCx, err := core.NewContext(gt, s.Cfg, cap)
+	gtCx, err := s.options(cap).Context(gt)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sort"
 
+	"corun/internal/apu"
 	"corun/internal/cluster"
 	"corun/internal/online"
 	"corun/internal/units"
@@ -27,6 +29,78 @@ type ClusterResult struct {
 	Rows []ClusterRow
 }
 
+// serveFleet is EX-CLU's offline fleet of identical nodes: every arrival
+// is placed by cluster.Placer on the standalone-time hints the live
+// coordinator (internal/fleet) feeds it, then each node serves its
+// share with the online epoch scheduler under its own 15 W cap (node n
+// seeded 1+n). It returns the fleet summary (Label unset) and each
+// node's result.
+func (s *Suite) serveFleet(arrivals []online.Arrival, nodes int, bal cluster.Balancer, pol string) (ClusterRow, []*online.Result, error) {
+	const capPerNode = 15
+	if nodes <= 0 {
+		return ClusterRow{}, nil, fmt.Errorf("exp: need at least one node, got %d", nodes)
+	}
+	placer, err := cluster.NewPlacer(bal)
+	if err != nil {
+		return ClusterRow{}, nil, err
+	}
+	sorted := append([]online.Arrival(nil), arrivals...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+
+	share := make([][]online.Arrival, nodes)
+	state := make([]cluster.NodeState, nodes)
+	for n := range state {
+		state[n].HeadroomW = capPerNode
+	}
+	cmax, gmax := s.maxFreqs()
+	for _, a := range sorted {
+		hint := cluster.JobHint{
+			CPUTimeS: float64(a.Prog.StandaloneTime(apu.CPU, s.Cfg.Freq(apu.CPU, cmax), s.Mem, a.Scale)),
+			GPUTimeS: float64(a.Prog.StandaloneTime(apu.GPU, s.Cfg.Freq(apu.GPU, gmax), s.Mem, a.Scale)),
+		}
+		n, err := placer.Pick(hint, state)
+		if err != nil {
+			return ClusterRow{}, nil, err
+		}
+		share[n] = append(share[n], a)
+		state[n].Load += hint.BestTimeS()
+		state[n].BiasGPU += hint.BiasGPU()
+	}
+
+	row := ClusterRow{Nodes: nodes}
+	perNode := make([]*online.Result, nodes)
+	var sumResp, jobs float64
+	var first units.Seconds // earliest node finish
+	for n := range perNode {
+		opts := s.options(capPerNode)
+		opts.Policy, opts.Seed = pol, 1+int64(n)
+		r, err := online.Serve(opts, share[n])
+		if err != nil {
+			return ClusterRow{}, nil, fmt.Errorf("exp: fleet node %d: %w", n, err)
+		}
+		perNode[n] = r
+		row.EnergyJ += r.EnergyJ
+		for _, o := range r.Outcomes {
+			sumResp += float64(o.Response())
+			jobs++
+		}
+		if r.Done > row.Done {
+			row.Done = r.Done
+		}
+		if n == 0 || r.Done < first {
+			first = r.Done
+		}
+	}
+	if jobs > 0 {
+		row.MeanResponse = units.Seconds(sumResp / jobs)
+	}
+	if row.Done > 0 {
+		// 0 is a perfectly balanced fleet.
+		row.Imbalance = float64(row.Done-first) / float64(row.Done)
+	}
+	return row, perNode, nil
+}
+
 // Cluster runs the study.
 func (s *Suite) Cluster() (*ClusterResult, error) {
 	arrivals, err := online.GenerateArrivals(36, 6, 11)
@@ -34,35 +108,26 @@ func (s *Suite) Cluster() (*ClusterResult, error) {
 		return nil, err
 	}
 	res := &ClusterResult{}
-	run := func(label string, nodes int, bal cluster.Balancer, pol string) error {
-		r, err := cluster.Serve(cluster.Options{
-			Cfg: s.Cfg, Mem: s.Mem, Char: s.Char,
-			Nodes: nodes, CapPerNode: 15, Balancer: bal, Policy: pol, Seed: 1,
-		}, arrivals)
+	for _, c := range []struct {
+		label string
+		nodes int
+		bal   cluster.Balancer
+		pol   string
+	}{
+		{"1-node hcs+ affinity", 1, cluster.AffinityAware, online.PolicyHCSPlus},
+		{"2-node hcs+ affinity", 2, cluster.AffinityAware, online.PolicyHCSPlus},
+		{"4-node hcs+ affinity", 4, cluster.AffinityAware, online.PolicyHCSPlus},
+		{"3-node hcs+ round-robin", 3, cluster.RoundRobin, online.PolicyHCSPlus},
+		{"3-node hcs+ least-loaded", 3, cluster.LeastLoaded, online.PolicyHCSPlus},
+		{"3-node random affinity", 3, cluster.AffinityAware, online.PolicyRandom},
+		{"3-node hcs+ affinity", 3, cluster.AffinityAware, online.PolicyHCSPlus},
+	} {
+		row, _, err := s.serveFleet(arrivals, c.nodes, c.bal, c.pol)
 		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, ClusterRow{
-			Label: label, Nodes: nodes, Done: r.Done,
-			MeanResponse: r.MeanResponse, EnergyJ: r.TotalEnergyJ, Imbalance: r.Imbalance,
-		})
-		return nil
-	}
-	for _, n := range []int{1, 2, 4} {
-		if err := run(fmt.Sprintf("%d-node hcs+ affinity", n), n, cluster.AffinityAware, online.PolicyHCSPlus); err != nil {
 			return nil, err
 		}
-	}
-	for _, bal := range []cluster.Balancer{cluster.RoundRobin, cluster.LeastLoaded} {
-		if err := run("3-node hcs+ "+bal.String(), 3, bal, online.PolicyHCSPlus); err != nil {
-			return nil, err
-		}
-	}
-	if err := run("3-node random affinity", 3, cluster.AffinityAware, online.PolicyRandom); err != nil {
-		return nil, err
-	}
-	if err := run("3-node hcs+ affinity", 3, cluster.AffinityAware, online.PolicyHCSPlus); err != nil {
-		return nil, err
+		row.Label = c.label
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -7,7 +7,7 @@ import (
 	"corun/internal/core"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/profile"
+	"corun/internal/online"
 	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -62,15 +62,12 @@ func (s *Suite) Sensitivity() (*SensitivityResult, error) {
 			return nil, err
 		}
 		batch := workload.Batch8()
-		prof, err := profile.Collect(s.Cfg, mem, batch)
+		o := online.Options{Cfg: s.Cfg, Mem: mem, Char: char, Cap: cap}
+		pred, err := o.Predictor(batch)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := model.NewPredictor(char, prof)
-		if err != nil {
-			return nil, err
-		}
-		cx, err := core.NewContext(pred, s.Cfg, cap)
+		cx, err := o.Context(pred)
 		if err != nil {
 			return nil, err
 		}

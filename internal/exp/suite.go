@@ -14,7 +14,7 @@ import (
 	"corun/internal/core"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/profile"
+	"corun/internal/online"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -39,18 +39,21 @@ func NewSuite() (*Suite, error) {
 	return &Suite{Cfg: cfg, Mem: mem, Char: char}, nil
 }
 
+// options is the suite as the shared batch → context pipeline
+// (online.Options.Predictor and Context) sees it, under a cap.
+func (s *Suite) options(cap units.Watts) online.Options {
+	return online.Options{Cfg: s.Cfg, Mem: s.Mem, Char: s.Char, Cap: cap}
+}
+
 // context assembles the prediction pipeline and scheduling context for
-// a batch under a cap.
+// a batch under a cap, and also returns the batch's uncached predictor.
 func (s *Suite) context(batch []*workload.Instance, cap units.Watts) (*core.Context, *model.Predictor, error) {
-	prof, err := profile.Collect(s.Cfg, s.Mem, batch)
+	o := s.options(cap)
+	pred, err := o.Predictor(batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	pred, err := model.NewPredictor(s.Char, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	cx, err := core.NewContext(pred, s.Cfg, cap)
+	cx, err := o.Context(pred)
 	if err != nil {
 		return nil, nil, err
 	}

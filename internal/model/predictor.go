@@ -76,17 +76,26 @@ func (p *Predictor) Degradation(i int, dev apu.Device, f, j, g int) float64 {
 // sum of the standalone powers at the same frequencies (idle counted
 // once). Either job index may be negative to denote an idle device.
 func (p *Predictor) CoRunPower(i, f, j, g int) units.Watts {
-	idle := p.Prof.Cfg.IdlePower
-	switch {
-	case i < 0 && j < 0:
-		return idle
-	case i < 0:
-		return p.Prof.Power(j, apu.GPU, g)
-	case j < 0:
-		return p.Prof.Power(i, apu.CPU, f)
-	default:
-		return p.Prof.Power(i, apu.CPU, f) + p.Prof.Power(j, apu.GPU, g) - idle
+	return coRunPower(p.Prof, i, f, j, g)
+}
+
+// coRunPower is the paper's power model over a batch's standalone
+// profiles: the sum of the two solo package powers with the idle power
+// counted once; a negative job index denotes an idle device. The
+// planner asks it of every operating point of every pair, so it is
+// shaped to fit the inliner's budget inside its two callers.
+func coRunPower(prof *profile.Standalone, i, f, j, g int) units.Watts {
+	if i < 0 {
+		if j < 0 {
+			return prof.Cfg.IdlePower
+		}
+		return prof.Power(j, apu.GPU, g)
 	}
+	cpu := prof.Power(i, apu.CPU, f)
+	if j < 0 {
+		return cpu
+	}
+	return cpu + prof.Power(j, apu.GPU, g) - prof.Cfg.IdlePower
 }
 
 // GroundTruthOracle answers the same queries as Predictor but by
@@ -161,15 +170,5 @@ func (o *GroundTruthOracle) Degradation(i int, dev apu.Device, f, j, g int) floa
 // CoRunPower uses the same standalone-sum estimate as the Predictor
 // (the paper's power model is already near-exact).
 func (o *GroundTruthOracle) CoRunPower(i, f, j, g int) units.Watts {
-	idle := o.Prof.Cfg.IdlePower
-	switch {
-	case i < 0 && j < 0:
-		return idle
-	case i < 0:
-		return o.Prof.Power(j, apu.GPU, g)
-	case j < 0:
-		return o.Prof.Power(i, apu.CPU, f)
-	default:
-		return o.Prof.Power(i, apu.CPU, f) + o.Prof.Power(j, apu.GPU, g) - idle
-	}
+	return coRunPower(o.Prof, i, f, j, g)
 }

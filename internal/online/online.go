@@ -242,74 +242,109 @@ func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, er
 	if err != nil {
 		return nil, err
 	}
-	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
-	switch pol {
-	case PolicyRandom:
-		if opts.Planned != nil {
-			opts.Planned(nil, 0)
-		}
-		res, err := core.ExecuteRandom(execOpts, batch, seed, sim.GPUBiased)
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Result: res}, nil
-	case PolicyDefault:
-		pred, err := epochOracle(opts, batch)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Planned != nil {
-			opts.Planned(nil, 0)
-		}
-		res, err := core.ExecuteDefault(execOpts, batch, pred, sim.GPUBiased)
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Result: res}, nil
-	default:
-		pred, err := epochOracle(opts, batch)
-		if err != nil {
-			return nil, err
-		}
-		cx, err := core.NewContext(pred, opts.Cfg, opts.Cap)
-		if err != nil {
-			return nil, err
-		}
-		cx.Domains = opts.Domains // before the first query: the memos assume fixed caps
-		plan, err := policy.Plan(pol, cx, policy.Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		predicted, err := cx.PredictedMakespan(plan)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Planned != nil {
-			opts.Planned(plan.Clone(), predicted)
-		}
-		res, err := cx.Execute(plan, batch, execOpts)
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Plan: plan, Predicted: predicted, Result: res}, nil
+	// Random never consults the model; every other policy starts from
+	// the batch's predictor.
+	var pred *model.Predictor
+	if pol == PolicyRandom {
+		err = checkBatch(batch)
+	} else {
+		pred, err = opts.Predictor(batch)
 	}
+	if err != nil {
+		return nil, err
+	}
+	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
+	if pol == PolicyRandom || pol == PolicyDefault {
+		if opts.Planned != nil {
+			opts.Planned(nil, 0)
+		}
+		var res *sim.Result
+		if pol == PolicyRandom {
+			res, err = core.ExecuteRandom(execOpts, batch, seed, sim.GPUBiased)
+		} else {
+			res, err = core.ExecuteDefault(execOpts, batch, pred, sim.GPUBiased)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &Epoch{Result: res}, nil
+	}
+	cx, err := opts.Context(pred)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := policy.Plan(pol, cx, policy.Options{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	predicted, err := cx.PredictedMakespan(plan)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Planned != nil {
+		opts.Planned(plan.Clone(), predicted)
+	}
+	res, err := cx.Execute(plan, batch, execOpts)
+	if err != nil {
+		return nil, err
+	}
+	return &Epoch{Plan: plan, Predicted: predicted, Result: res}, nil
 }
 
-// epochOracle assembles the epoch's predictive oracle: profile the
-// batch, bind the profiles to the characterization, and read the
-// result through the characterization's pair tables, so a program pair
-// is interpolated once for as long as opts.Char lives, not once per
-// epoch.
-func epochOracle(opts Options, batch []*workload.Instance) (core.Oracle, error) {
-	prof, err := profile.Collect(opts.Cfg, opts.Mem, batch)
+// checkBatch rejects a batch that cannot be indexed by position: empty,
+// holding a nil instance, or numbered otherwise.
+func checkBatch(batch []*workload.Instance) error {
+	if len(batch) == 0 {
+		return fmt.Errorf("online: empty batch")
+	}
+	for i, in := range batch {
+		if in == nil {
+			return fmt.Errorf("online: nil instance at %d", i)
+		}
+		if in.ID != i {
+			return fmt.Errorf("online: instance %q has ID %d at position %d; IDs must equal positions", in.Label, in.ID, i)
+		}
+	}
+	return nil
+}
+
+// Predictor and Context are the two steps of the one pipeline from a
+// batch to a scheduling context (only Cfg, Mem, Char, Cap and Domains
+// are read). PlanEpoch — hence Serve and the corund daemon — the corun
+// facade's Prepare and the evaluation harness all build their contexts
+// here, so they cannot disagree on batch validation, on reading
+// degradations through the pair tables, or on the caps the planner sees.
+//
+// Predictor checks the batch, profiles it offline on the options'
+// machine and binds the profiles to the characterization. Callers that
+// wrap the result (the calibrated model) or need its profile (the
+// ground-truth oracle) do so before handing an oracle to Context.
+func (o Options) Predictor(batch []*workload.Instance) (*model.Predictor, error) {
+	if err := checkBatch(batch); err != nil {
+		return nil, err
+	}
+	prof, err := profile.Collect(o.Cfg, o.Mem, batch)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := model.NewPredictor(opts.Char, prof)
+	return model.NewPredictor(o.Char, prof)
+}
+
+// Context builds the scheduling context over a batch's oracle, read
+// through the characterization's pair tables (a program pair is
+// interpolated once for as long as the characterization lives), under
+// the options' package and per-plane caps.
+func (o Options) Context(oracle model.Oracle) (*core.Context, error) {
+	cached, err := model.NewCachedPredictor(oracle, o.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	return model.NewCachedPredictor(pred, opts.Cfg)
+	cx, err := core.NewContext(cached, o.Cfg, o.Cap)
+	if err != nil {
+		return nil, err
+	}
+	cx.Domains = o.Domains // before the first query: the memos assume fixed caps
+	return cx, nil
 }
 
 // GenerateArrivals produces a seeded arrival stream: n jobs drawn

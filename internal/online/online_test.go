@@ -267,3 +267,23 @@ func TestPlanEpoch(t *testing.T) {
 		t.Error("empty options accepted")
 	}
 }
+
+// The batch checks the facade's Prepare has always made are the
+// pipeline's own, so PlanEpoch rejects the same batches — under a
+// planned policy (through Predictor) and under the Random dispatcher,
+// which never builds a predictor.
+func TestPlanEpochRejectsMalformedBatch(t *testing.T) {
+	misnumbered := workload.Batch8()
+	misnumbered[2].ID = 7
+	for name, batch := range map[string][]*workload.Instance{
+		"empty batch":   nil,
+		"nil instance":  {nil},
+		"ID ≠ position": misnumbered,
+	} {
+		for _, pol := range []string{PolicyHCSPlus, PolicyRandom} {
+			if _, err := PlanEpoch(testOptions(t, pol), batch, 1); err == nil {
+				t.Errorf("%s accepted under %s", name, pol)
+			}
+		}
+	}
+}

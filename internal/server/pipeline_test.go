@@ -1,0 +1,153 @@
+package server
+
+import (
+	"context"
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"corun/internal/apu"
+	"corun/internal/online"
+	"corun/internal/units"
+	"corun/internal/workload"
+)
+
+// TestOneEpochEveryEntryPoint is the daemon's leg of the root package's
+// test of the same name: the rescaled Fig. 11 batch, queued whole and
+// served as the daemon's first epoch, is planned and simulated exactly
+// as one direct online.PlanEpoch call at that epoch's seed plans and
+// simulates it — same dispatch orders, exclusive set and makespan bits —
+// under a package cap, a PP1 plane cap and a package cap given as a
+// domain.
+func TestOneEpochEveryEntryPoint(t *testing.T) {
+	const seed = 41
+	rng := rand.New(rand.NewSource(seed))
+	batch := workload.Batch16()
+	for _, in := range batch {
+		in.Scale = float64(8000+rng.Intn(5000)) / 10000
+	}
+	for _, cc := range []struct {
+		name    string
+		cap     units.Watts
+		domains apu.DomainCaps
+	}{
+		{"cap15", 15, apu.DomainCaps{}},
+		{"pp1-9", 0, apu.DomainCaps{PP1: 9}},
+		{"package15", 0, apu.DomainCaps{Package: 15}},
+	} {
+		for _, pol := range []string{online.PolicyHCS, online.PolicyHCSPlus} {
+			t.Run(cc.name+"/"+pol, func(t *testing.T) {
+				s := newTestServer(t, func(c *Config) {
+					c.Cap, c.Domains, c.Policy, c.Seed = cc.cap, cc.domains, pol, seed
+				})
+				ids := make([]string, len(batch))
+				for i, in := range batch {
+					j, err := s.Submit(workload.JobSpec{Program: in.Prog.Name, Scale: in.Scale})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[i] = j.ID
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				s.Start(ctx)
+				waitAllTerminal(t, s, len(batch), 60*time.Second)
+				pv, ok := s.Plan()
+				if !ok || pv.Epoch != 1 || !reflect.DeepEqual(pv.Jobs, ids) {
+					t.Fatalf("the batch was not served as epoch 1 in submission order: %+v", pv)
+				}
+
+				ep, err := online.PlanEpoch(online.Options{
+					Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char,
+					Cap: cc.cap, Domains: cc.domains, Policy: pol,
+				}, batch, epochSeed(seed, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want PlanView
+				fillPlan(&want, ep.Plan, ep.Predicted, s.Jobs())
+				if !reflect.DeepEqual(pv.CPUOrder, want.CPUOrder) || !reflect.DeepEqual(pv.GPUOrder, want.GPUOrder) ||
+					!reflect.DeepEqual(pv.Exclusive, want.Exclusive) {
+					t.Errorf("daemon planned CPU %v GPU %v exclusive %v, PlanEpoch CPU %v GPU %v exclusive %v",
+						pv.CPUOrder, pv.GPUOrder, pv.Exclusive, want.CPUOrder, want.GPUOrder, want.Exclusive)
+				}
+				if got, want := math.Float64bits(pv.SimulatedMakespanS), math.Float64bits(float64(ep.Result.Makespan)); got != want {
+					t.Errorf("daemon makespan %v, PlanEpoch %v", pv.SimulatedMakespanS, ep.Result.Makespan)
+				}
+			})
+		}
+	}
+}
+
+// TestTraceEncodingsAgree serves a few epochs and reads GET /v1/trace
+// both ways: the CSV rows and the JSON samples are the same epochs with
+// the same values.
+func TestTraceEncodingsAgree(t *testing.T) {
+	s := newTestServer(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const epochs = 3
+	for n, prog := range []string{"cfd", "dwt2d", "lud"} {
+		if code, body := postJSON(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"program":%q}`, prog)); code != http.StatusAccepted {
+			t.Fatalf("submit %s -> %d: %s", prog, code, body)
+		}
+		waitAllTerminal(t, s, n+1, 60*time.Second) // one job an epoch
+	}
+
+	code, body := get(t, ts.URL+"/v1/trace")
+	if code != http.StatusOK {
+		t.Fatalf("csv trace -> %d", code)
+	}
+	rows, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+epochs {
+		t.Fatalf("csv trace has %d rows, want a header and %d epochs:\n%s", len(rows), epochs, body)
+	}
+	code, body = get(t, ts.URL+"/v1/trace?format=json")
+	if code != http.StatusOK {
+		t.Fatalf("json trace -> %d", code)
+	}
+	var tr struct {
+		Series []struct {
+			Name, Unit string
+			Samples    []struct{ T, V float64 }
+		}
+	}
+	if err := json.Unmarshal([]byte(body), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Series) != len(rows[0])-1 {
+		t.Fatalf("json trace has %d series, csv %d columns", len(tr.Series), len(rows[0])-1)
+	}
+	for k, series := range tr.Series {
+		if want := series.Name + "_" + series.Unit; rows[0][k+1] != want {
+			t.Errorf("csv column %d is %q, json series %q", k+1, rows[0][k+1], want)
+		}
+		if len(series.Samples) != epochs {
+			t.Fatalf("json series %s has %d samples, want %d", series.Name, len(series.Samples), epochs)
+		}
+		for e, sm := range series.Samples {
+			row := rows[1+e]
+			if got, want := row[0], fmt.Sprintf("%.3f", sm.T); got != want {
+				t.Errorf("epoch %d: csv time %s, json %s", e, got, want)
+			}
+			if got, want := row[k+1], fmt.Sprintf("%.4f", sm.V); got != want {
+				t.Errorf("epoch %d %s: csv %s, json %s", e, series.Name, got, want)
+			}
+		}
+	}
+}

@@ -97,6 +97,11 @@ const (
 	SiteEpoch = "server/epoch"
 )
 
+// maxTraceEpochs bounds the epoch trace GET /v1/trace serves: a daemon
+// appends to it every epoch for the life of the process, so it keeps
+// the most recent epochs only.
+const maxTraceEpochs = 4096
+
 // Config configures a daemon instance.
 type Config struct {
 	// Machine and Mem default to the paper's Ivy Bridge-like node.
@@ -392,6 +397,8 @@ type Server struct {
 	// stored — the window where the version-capture order matters.
 	testHookListSnapshot func()
 
+	// The epoch trace behind GET /v1/trace: one sample per series per
+	// epoch, the most recent maxTraceEpochs epochs kept.
 	traceMu       sync.Mutex
 	traceMakespan *trace.Series
 	tracePower    *trace.Series
@@ -430,6 +437,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Machine.CheckCaps(cfg.Cap, cfg.Domains); err != nil {
 		return nil, err
 	}
+	// The daemon holds one package cap: a package entry among the
+	// domains tightens Cap, as in the planner and the simulator.
+	cfg.Cap = cfg.Domains.WithPackage(cfg.Cap).Package
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("server: negative max queue %d", cfg.MaxQueue)
 	}
@@ -787,6 +797,7 @@ func (s *Server) SetCaps(cap units.Watts, dc apu.DomainCaps) error {
 	if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
 		return err
 	}
+	cap = dc.WithPackage(cap).Package // as in New: one package cap
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
 	if s.jl != nil {
@@ -936,23 +947,15 @@ func (s *Server) Clock() units.Seconds { return s.clock() }
 func (s *Server) WriteTrace(w io.Writer, asJSON bool) error {
 	s.traceMu.Lock()
 	series := []*trace.Series{
-		cloneSeries(s.traceMakespan),
-		cloneSeries(s.tracePower),
-		cloneSeries(s.traceBatch),
+		s.traceMakespan.Clone(),
+		s.tracePower.Clone(),
+		s.traceBatch.Clone(),
 	}
 	s.traceMu.Unlock()
 	if asJSON {
 		return trace.WriteJSON(w, series...)
 	}
 	return trace.WriteMultiCSV(w, series...)
-}
-
-func cloneSeries(s *trace.Series) *trace.Series {
-	out := trace.NewSeries(s.Name, s.Unit)
-	for _, sm := range s.Samples() {
-		out.MustAdd(sm.Time, sm.Value)
-	}
-	return out
 }
 
 // WriteMetrics renders the Prometheus text exposition.
@@ -1195,6 +1198,9 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	s.traceMakespan.MustAdd(endClock, float64(res.Makespan))
 	s.tracePower.MustAdd(endClock, float64(res.AvgPower))
 	s.traceBatch.MustAdd(endClock, float64(len(batch)))
+	for _, series := range []*trace.Series{s.traceMakespan, s.tracePower, s.traceBatch} {
+		series.Trim(maxTraceEpochs)
+	}
 	s.traceMu.Unlock()
 
 	done := newPlanView(epoch, policy, capW, domains, clock, batch)

@@ -45,14 +45,8 @@ type BiasedGovernor struct {
 }
 
 // packageCap returns the effective package limit: the tighter of Cap
-// and the Domains' package plane (zero = uncapped).
-func (g *BiasedGovernor) packageCap() units.Watts {
-	c := g.Cap
-	if p := g.Domains.Package; p > 0 && (c <= 0 || p < c) {
-		c = p
-	}
-	return c
-}
+// and the Domains' package plane (zero or negative = uncapped).
+func (g *BiasedGovernor) packageCap() units.Watts { return g.Domains.WithPackage(g.Cap).Package }
 
 // Adjust implements Governor.
 func (g *BiasedGovernor) Adjust(power units.Watts, view *View, cfg *apu.Config) (int, int) {

@@ -18,7 +18,8 @@ type Sample struct {
 	Value float64
 }
 
-// Series is an append-only time series with a name and a unit label.
+// Series is a time series with a name and a unit label: samples are
+// appended in time order, and a long-lived holder may Trim the oldest.
 type Series struct {
 	Name string
 	Unit string
@@ -49,6 +50,20 @@ func (s *Series) MustAdd(t units.Seconds, v float64) {
 	if err := s.Add(t, v); err != nil {
 		panic(err)
 	}
+}
+
+// Trim drops the oldest samples so that at most keep remain: the bound
+// a holder that appends for the life of a process puts on its memory
+// (the dropped storage is released the next time Add grows the series).
+func (s *Series) Trim(keep int) {
+	if n := len(s.samples); n > keep {
+		s.samples = s.samples[n-keep:]
+	}
+}
+
+// Clone returns an independent copy of the series.
+func (s *Series) Clone() *Series {
+	return &Series{Name: s.Name, Unit: s.Unit, samples: s.Samples()}
 }
 
 // Len returns the number of samples.

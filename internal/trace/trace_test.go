@@ -183,3 +183,40 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("sample lost: %+v", out.Series[0].Samples())
 	}
 }
+
+// A holder that trims after every add keeps the newest samples only:
+// capacity+k adds leave capacity samples, the k oldest gone, still in
+// time order and still refusing a sample older than the last.
+func TestTrimKeepsNewest(t *testing.T) {
+	const capacity, extra = 4, 3
+	s := NewSeries("epochs", "s")
+	for i := 0; i < capacity+extra; i++ {
+		s.MustAdd(units.Seconds(i), float64(10*i))
+		s.Trim(capacity)
+		if want := min(i+1, capacity); s.Len() != want {
+			t.Fatalf("after %d adds the series holds %d samples, want %d", i+1, s.Len(), want)
+		}
+	}
+	for i := 0; i < s.Len(); i++ {
+		if want := (Sample{Time: units.Seconds(extra + i), Value: float64(10 * (extra + i))}); s.At(i) != want {
+			t.Errorf("sample %d = %+v, want %+v", i, s.At(i), want)
+		}
+	}
+	if err := s.Add(units.Seconds(capacity+extra-2), 0); err == nil {
+		t.Error("a trimmed series accepted an out-of-order sample")
+	}
+	s.Trim(capacity + 1) // nothing to drop
+	if s.Len() != capacity {
+		t.Errorf("trimming above the length changed it to %d", s.Len())
+	}
+}
+
+func TestCloneIndependent(t *testing.T) {
+	s := NewSeries("p", "W")
+	s.MustAdd(0, 1)
+	c := s.Clone()
+	s.MustAdd(1, 2)
+	if c.Name != "p" || c.Unit != "W" || c.Len() != 1 || c.At(0) != s.At(0) {
+		t.Errorf("clone %+v of %+v", c, s)
+	}
+}

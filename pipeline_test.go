@@ -1,0 +1,84 @@
+package corun
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"corun/internal/online"
+)
+
+// exclusiveSet lists a plan's exclusive jobs in ascending order.
+func exclusiveSet(s *Schedule) []int {
+	out := []int{}
+	for j, on := range s.Exclusive {
+		if on {
+			out = append(out, j)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestOneEpochEveryEntryPoint plans and runs one rescaled Fig. 11 epoch
+// through the facade (Prepare → ScheduleSeeded → Run) and through
+// online.PlanEpoch, the call the daemon makes, and wants one answer:
+// the same dispatch orders, exclusive set and simulated makespan bits,
+// whether the cap arrives as the package cap, as a PP1 plane cap or as
+// the package entry of the domain caps. The daemon's own leg —
+// server.Server against online.PlanEpoch at the same epoch seed — is
+// TestOneEpochEveryEntryPoint in internal/server.
+func TestOneEpochEveryEntryPoint(t *testing.T) {
+	var saved bytes.Buffer
+	if err := capped15(t).SaveCharacterization(&saved); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 41
+	batch := rescaledFig11(Batch16(), rand.New(rand.NewSource(seed)))
+	for _, cc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"cap15", []Option{WithPowerCap(15)}},
+		{"pp1-9", []Option{WithDomainCaps(DomainCaps{PP1: 9})}},
+		{"package15", []Option{WithDomainCaps(DomainCaps{Package: 15})}},
+	} {
+		sys, err := NewSystem(append(cc.opts, WithCharacterizationFrom(bytes.NewReader(saved.Bytes())))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []string{"hcs", "hcs+"} {
+			t.Run(cc.name+"/"+pol, func(t *testing.T) {
+				w, err := sys.Prepare(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := w.ScheduleSeeded(pol, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				report, err := w.Run(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ep, err := online.PlanEpoch(online.Options{
+					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
+					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
+				}, batch, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plan.CPUOrder, ep.Plan.CPUOrder) || !reflect.DeepEqual(plan.GPUOrder, ep.Plan.GPUOrder) ||
+					!reflect.DeepEqual(exclusiveSet(plan), exclusiveSet(ep.Plan)) {
+					t.Errorf("facade planned %v, PlanEpoch %v", plan, ep.Plan)
+				}
+				if got, want := math.Float64bits(float64(ep.Result.Makespan)), math.Float64bits(float64(report.Makespan)); got != want {
+					t.Errorf("PlanEpoch makespan %v, facade %v", ep.Result.Makespan, report.Makespan)
+				}
+			})
+		}
+	}
+}
