@@ -3,7 +3,7 @@ GOFMT ?= gofmt
 BENCHTIME ?= 1s
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet fmtcheck bench fuzz verify corund clean
+.PHONY: all build test race vet fmtcheck bench fuzz verify size corund clean
 
 all: build
 
@@ -57,6 +57,12 @@ verify: fmtcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd bench/corunmark && $(GO) vet ./... && $(GO) test ./...
+
+# size prints the module's Go line counts outside bench/ (a module of
+# its own), non-test and test — the figure a simplification PR quotes.
+size:
+	@count() { find . -name '*.go' -not -path './bench/*' -not -path './.*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	echo "non-test Go: $$(count -not -name '*_test.go') lines; test Go: $$(count -name '*_test.go') lines (outside bench/)"
 
 corund:
 	$(GO) build -o bin/corund ./cmd/corund

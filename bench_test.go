@@ -363,14 +363,14 @@ func BenchmarkExtOnlineServing(b *testing.B) {
 		}
 		smart, err := online.Serve(online.Options{
 			Cfg: s.Cfg, Mem: s.Mem, Char: s.Char, Cap: 15,
-			Policy: online.PolicyHCSPlus, Seed: 1,
+			Policy: "hcs+", Seed: 1,
 		}, arrivals)
 		if err != nil {
 			b.Fatal(err)
 		}
 		naive, err := online.Serve(online.Options{
 			Cfg: s.Cfg, Mem: s.Mem, Char: s.Char, Cap: 15,
-			Policy: online.PolicyRandom, Seed: 1,
+			Policy: "random", Seed: 1,
 		}, arrivals)
 		if err != nil {
 			b.Fatal(err)
@@ -426,7 +426,7 @@ func BenchmarkOptimalGap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, optT, err := cx.OptimalSchedule()
+		_, optT, err := cx.OptimalScheduleOpts(core.OptimalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,7 @@
 //	       [-addr :8080] [-fleet-cap watts] [-node-floor watts]
 //	       [-balancer headroom|affinity|leastloaded|roundrobin]
 //	       [-health-interval dur] [-rebalance-interval dur]
-//	       [-plan-cache dur] [-request-timeout dur]
+//	       [-request-timeout dur]
 //
 // -node-id gives the daemon a stable fleet identity: job IDs are
 // minted as "<node-id>-job-%06d" (so a fleet coordinator can route
@@ -35,10 +35,11 @@
 // internal/fleet for the API surface (notably GET /v1/nodes, the
 // fleet dashboard).
 //
-// The epoch policy is any name registered in the policy registry
-// (hcs+, hcs, optimal, anneal, genetic, random, default, ...);
-// GET /v1/policies lists the live set and POST /v1/policy hot-swaps
-// it.
+// The epoch policy is any row of the policy registry, by name or
+// alias — the planners (hcs+, hcs, optimal, anneal, genetic) and the
+// paper's dispatcher-driven baselines (random, default = default-gpu,
+// default-cpu) alike; GET /v1/policies lists them and POST /v1/policy
+// hot-swaps the active one.
 //
 // Jobs may carry a tenant and a priority class (low | normal | high);
 // the admission layer drains tenants under weighted fair queueing.
@@ -134,7 +135,6 @@ func main() {
 	balancerFlag := flag.String("balancer", "headroom", "coordinator mode: placement policy: roundrobin | leastloaded | affinity | headroom")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "coordinator mode: node /readyz poll period")
 	rebalanceInterval := flag.Duration("rebalance-interval", 2*time.Second, "coordinator mode: power budget repartition period")
-	planCache := flag.Duration("plan-cache", 100*time.Millisecond, "coordinator mode: aggregated /v1/plan cache TTL")
 	policyFlag := flag.String("policy", "hcs+", "epoch scheduling policy: "+strings.Join(policy.Names(), " | "))
 	machine := flag.String("machine", "ivybridge", "machine preset: ivybridge | kaveri")
 	maxQueue := flag.Int("max-queue", 256, "admission control: max queued jobs before 429")
@@ -158,7 +158,7 @@ func main() {
 
 	if *coordinator {
 		runCoordinator(*addr, *nodesFlag, *fleetCap, *nodeFloor, *balancerFlag,
-			*machine, *healthInterval, *rebalanceInterval, *planCache, *reqTimeout)
+			*machine, *healthInterval, *rebalanceInterval, *reqTimeout)
 		return
 	}
 
@@ -227,7 +227,7 @@ func main() {
 // characterization runs — placement hints come straight from the
 // analytic kernel model.
 func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balancer, machine string,
-	healthInterval, rebalanceInterval, planCache, reqTimeout time.Duration) {
+	healthInterval, rebalanceInterval, reqTimeout time.Duration) {
 	nodes, err := fleet.ParseNodes(nodesSpec)
 	if err != nil {
 		log.Fatalf("corund: -nodes: %v", err)
@@ -248,7 +248,6 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 		Machine:           mcfg,
 		HealthInterval:    healthInterval,
 		RebalanceInterval: rebalanceInterval,
-		PlanCacheTTL:      planCache,
 		RequestTimeout:    reqTimeout,
 	})
 	if err != nil {

@@ -6,10 +6,9 @@
 //	corunsched [-cap watts] [-policy name] [-batch 8|16]
 //	           [-jobs name,name,...] [-seed n] [-v]
 //
-// The planned policies come from the policy registry (run with
-// -policy help to list them); "random", "default-gpu", and
-// "default-cpu" additionally name the paper's dispatcher-driven
-// baseline executions.
+// Every policy name — the planned policies and the paper's
+// dispatcher-driven baselines alike — comes from the policy registry;
+// run with -policy help to list them.
 //
 // Examples:
 //
@@ -29,14 +28,14 @@ import (
 
 func main() {
 	cap := flag.Float64("cap", 15, "package power cap in watts (0 = uncapped)")
-	policy := flag.String("policy", "hcs+", policyUsage())
+	policy := flag.String("policy", corun.ServeHCSPlus, policyUsage())
 	batchSize := flag.Int("batch", 8, "use the paper's 8- or 16-instance batch")
 	jobs := flag.String("jobs", "", "comma-separated benchmark names overriding -batch")
 	seed := flag.Int64("seed", 1, "seed for the random policy")
 	verbose := flag.Bool("v", false, "print per-job completions")
 	chart := flag.Bool("gantt", false, "render the executed schedule as an ASCII Gantt chart")
 	machine := flag.String("machine", "ivybridge", "machine preset: ivybridge | kaveri")
-	explain := flag.Bool("explain", false, "for hcs/hcs+: explain the planned schedule before running it")
+	explain := flag.Bool("explain", false, "for the planned policies: explain the schedule that was run")
 	flag.Parse()
 
 	batch, err := buildBatch(*jobs, *batchSize)
@@ -62,43 +61,23 @@ func main() {
 		fatal(err)
 	}
 
-	var report *corun.Report
-	// The dispatcher-driven baseline executions keep their historical
-	// names; every other name is a planned policy resolved through the
-	// registry, which rejects unknown names with the valid list.
 	switch strings.ToLower(strings.TrimSpace(*policy)) {
 	case "help", "list":
 		listPolicies(os.Stdout)
 		return
-	case "random":
-		report, err = w.RunRandom(*seed, corun.GPUBiased)
-		if err != nil {
-			fatal(err)
-		}
-	case "default-gpu":
-		report, err = w.RunDefault(corun.GPUBiased)
-		if err != nil {
-			fatal(err)
-		}
-	case "default-cpu":
-		report, err = w.RunDefault(corun.CPUBiased)
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		plan, err := w.ScheduleSeeded(*policy, *seed)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	// The registry rejects unknown names with the valid list. plan is
+	// nil for the baselines that dispatch instead of following one.
+	plan, report, err := w.RunPolicy(*policy, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	if plan != nil {
 		fmt.Println("schedule:", plan)
 		if *explain {
 			if err := w.ExplainPlan(os.Stdout, plan); err != nil {
 				fatal(err)
 			}
-		}
-		report, err = w.Run(plan)
-		if err != nil {
-			fatal(err)
 		}
 	}
 
@@ -142,13 +121,11 @@ func buildBatch(jobs string, batchSize int) ([]*corun.Instance, error) {
 // policyUsage builds the -policy help text from the registry instead
 // of a hand-maintained list.
 func policyUsage() string {
-	names := append(corun.Policies(), "default-gpu", "default-cpu")
-	return "planned policy from the registry, or a dispatcher baseline: " +
-		strings.Join(names, " | ") + " (or 'help' to describe them)"
+	return "policy from the registry: " + strings.Join(corun.Policies(), " | ") +
+		" (or 'help' to describe them)"
 }
 
-// listPolicies describes every registered policy plus the dispatcher
-// baselines.
+// listPolicies describes every registered policy.
 func listPolicies(w io.Writer) {
 	fmt.Fprintln(w, "registered policies:")
 	for _, info := range corun.DescribePolicies() {
@@ -158,9 +135,6 @@ func listPolicies(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %-24s %s\n", name, info.Description)
 	}
-	fmt.Fprintln(w, "dispatcher baselines:")
-	fmt.Fprintf(w, "  %-24s %s\n", "default-gpu", "Default baseline executed under the GPU-biased governor")
-	fmt.Fprintf(w, "  %-24s %s\n", "default-cpu", "Default baseline executed under the CPU-biased governor")
 }
 
 func fatal(err error) {

@@ -346,9 +346,10 @@ type PolicyInfo = policy.Info
 func DescribePolicies() []PolicyInfo { return policy.List() }
 
 // Schedule plans the batch with any registered policy, resolved by
-// name through the policy registry ("hcs", "hcs+", "optimal",
-// "anneal", "genetic", "random", "default", or any alias). Unknown
-// names return an error listing the valid ones.
+// name through the policy table (any name or alias DescribePolicies
+// lists). Unknown names return an error listing the valid ones. For
+// the dispatcher-driven baselines this is their planned form, not what
+// RunPolicy executes.
 func (w *Workload) Schedule(policyName string) (*Schedule, error) {
 	return w.ScheduleSeeded(policyName, defaultPlanSeed)
 }
@@ -445,8 +446,22 @@ func (w *Workload) Run(s *Schedule) (*Report, error) {
 	return reportOf(r), nil
 }
 
+// RunPolicy plans and executes the batch under any registered policy —
+// the one call the online scheduler and the corund daemon make per
+// epoch. The returned schedule is nil for the dispatcher-driven
+// baselines ("random", "default", "default-cpu"), which place jobs as
+// processors fall idle instead of following a plan.
+func (w *Workload) RunPolicy(policyName string, seed int64) (*Schedule, *Report, error) {
+	plan, _, r, err := policy.Run(policyName, w.cx, w.batch, w.execOpts(), policy.Options{Seed: seed}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, reportOf(r), nil
+}
+
 // RunRandom executes the Random baseline with the given seed; the cap
-// is enforced by the bias's reactive governor.
+// is enforced by the bias's reactive governor. GPUBiased is the
+// "random" policy.
 func (w *Workload) RunRandom(seed int64, bias Bias) (*Report, error) {
 	r, err := core.ExecuteRandom(w.execOpts(), w.batch, seed, bias)
 	if err != nil {
@@ -456,7 +471,8 @@ func (w *Workload) RunRandom(seed int64, bias Bias) (*Report, error) {
 }
 
 // RunDefault executes the Default baseline (ranking partition, CPU
-// multiprogramming) under the bias's reactive governor.
+// multiprogramming) under the bias's reactive governor: the "default"
+// policy when GPUBiased, "default-cpu" when CPUBiased.
 func (w *Workload) RunDefault(bias Bias) (*Report, error) {
 	r, err := core.ExecuteDefault(w.execOpts(), w.batch, w.cx.Oracle, bias)
 	if err != nil {
@@ -497,10 +513,10 @@ type (
 
 // Online serving policies.
 const (
-	ServeHCSPlus = online.PolicyHCSPlus
-	ServeHCS     = online.PolicyHCS
-	ServeRandom  = online.PolicyRandom
-	ServeDefault = online.PolicyDefault
+	ServeHCSPlus = "hcs+"
+	ServeHCS     = "hcs"
+	ServeRandom  = "random"
+	ServeDefault = "default"
 )
 
 // GenerateArrivals produces a seeded random arrival stream over the

@@ -2,8 +2,8 @@
 // for the corund daemon, decoupled from "who co-runs under the cap"
 // (the epoch planner's question). It provides tenant identity,
 // priority classes, per-tenant queue bounds, and weighted fair
-// queueing across tenants, behind the Selector seam the server's
-// epoch loop consumes.
+// queueing across tenants, in the Queue the server's epoch loop claims
+// work from.
 //
 // Fairness is virtual-time weighted fair queueing in the start-time
 // (SFQ) formulation: every enqueued job is stamped with a start tag
@@ -159,69 +159,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Selector is the seam between admission and epoch planning: the
-// server's scheduler loop claims work exclusively through it, while
-// the job table, journal, and lifecycle stay with the server.
-// Implementations are not safe for concurrent use — the caller
-// provides the synchronization (corund guards every call with the
-// server mutex, keeping ordering atomic with its job table).
-type Selector interface {
-	// Reserve claims admission capacity for one job of the tenant
-	// before the caller's write-ahead journal round trip, so
-	// concurrent submitters cannot overshoot a bound while the lock
-	// is released. It returns a *FullError naming the bound that is
-	// exhausted. Every successful Reserve is paired with exactly one
-	// AddReserved (the job was journaled and enqueues) or Unreserve
-	// (the journal write failed or admission aborted).
-	Reserve(tenant string) error
-	Unreserve(tenant string)
-	AddReserved(e Entry)
-
-	// Add is Reserve + AddReserved fused, for callers without a
-	// journal window between the bound check and the enqueue.
-	Add(e Entry) error
-
-	// Restore enqueues without a bound check: recovery must re-admit
-	// every journaled non-terminal job even if bounds were lowered
-	// between runs. Entries restore in call order, so replaying in
-	// record order rebuilds each tenant queue in arrival order and
-	// the WFQ tags pin the same selection order a live daemon would
-	// have used.
-	Restore(e Entry)
-
-	// Len is the number of queued (admitted, unclaimed) entries.
-	Len() int
-
-	// SelectBatch pops up to max entries in selection order: strict
-	// priority across classes, virtual-time WFQ across tenants within
-	// a class, arrival order within a tenant. max <= 0 pops
-	// everything.
-	SelectBatch(max int, now time.Time) []Entry
-
-	// Preempt revisits a claimed batch at the epoch boundary (the end
-	// of the batching gap). It first fills the batch to max from the
-	// queues in selection order — arrivals during the gap still
-	// coalesce into the epoch — and then, with the batch at capacity,
-	// swaps in queued entries whose class is strictly higher than the
-	// lowest class present, requeuing each displaced member at the
-	// front of its tenant queue with its original virtual-time tags
-	// (so it is first among its class next epoch, not resubmitted).
-	// max <= 0 means unbounded: everything absorbs, nothing requeues.
-	Preempt(batch []Entry, max int, now time.Time) (kept, requeued []Entry)
-
-	// Per-tenant observability: queue depths, the EWMA drain rate in
-	// jobs/sec (0 until a tenant has been selected from twice), and
-	// the age of the oldest queued entry (0 when idle).
-	TenantDepth(tenant string) int
-	Depths() map[string]int
-	// EachDepth visits every tenant's queue depth without allocating
-	// the Depths map — the gauge-refresh path runs it once per claimed
-	// batch.
-	EachDepth(fn func(tenant string, depth int))
-	DrainRate(tenant string) float64
-	OldestWait(now time.Time) time.Duration
-}
-
 // tenant is one tenant's admission state.
 type tenant struct {
 	name   string
@@ -246,8 +183,13 @@ func (t *tenant) head(c Class) (Entry, bool) {
 	return t.queues[c][0], true
 }
 
-// Queue is the Selector implementation: per-tenant, per-class FIFO
-// queues arbitrated by virtual-time WFQ. Not safe for concurrent use.
+// Queue is the seam between admission and epoch planning: the server's
+// scheduler loop claims work exclusively through it, while the job
+// table, journal, and lifecycle stay with the server. It holds
+// per-tenant, per-class FIFO queues arbitrated by virtual-time WFQ.
+// Not safe for concurrent use — the caller provides the
+// synchronization (corund guards every call with one mutex, keeping
+// ordering atomic with its job table).
 type Queue struct {
 	cfg     Config
 	tenants map[string]*tenant
@@ -258,8 +200,6 @@ type Queue struct {
 	reserved int
 	seq      uint64
 }
-
-var _ Selector = (*Queue)(nil)
 
 // New validates the configuration and builds an empty queue.
 func New(cfg Config) (*Queue, error) {
@@ -299,7 +239,13 @@ func (q *Queue) tenantState(name string) *tenant {
 	return t
 }
 
-// Reserve claims capacity for one job of the tenant; see Selector.
+// Reserve claims admission capacity for one job of the tenant before
+// the caller's write-ahead journal round trip, so concurrent
+// submitters cannot overshoot a bound while the lock is released. It
+// returns a *FullError naming the bound that is exhausted. Every
+// successful Reserve is paired with exactly one AddReserved (the job
+// was journaled and enqueues) or Unreserve (the journal write failed
+// or admission aborted).
 func (q *Queue) Reserve(tenantName string) error {
 	tenantName = CanonicalTenant(tenantName)
 	t := q.tenantState(tenantName)
@@ -314,7 +260,7 @@ func (q *Queue) Reserve(tenantName string) error {
 	return nil
 }
 
-// Unreserve releases one reservation; see Selector.
+// Unreserve releases one reservation.
 func (q *Queue) Unreserve(tenantName string) {
 	t := q.tenantState(CanonicalTenant(tenantName))
 	if t.reserved > 0 {
@@ -329,7 +275,9 @@ func (q *Queue) AddReserved(e Entry) {
 	q.enqueue(e)
 }
 
-// Add admits one entry, checking bounds.
+// Add admits one entry, checking bounds: Reserve + AddReserved fused,
+// for callers without a journal window between the bound check and
+// the enqueue.
 func (q *Queue) Add(e Entry) error {
 	if err := q.Reserve(e.Tenant); err != nil {
 		return err
@@ -338,7 +286,11 @@ func (q *Queue) Add(e Entry) error {
 	return nil
 }
 
-// Restore enqueues without a bound check (the recovery path).
+// Restore enqueues without a bound check: recovery must re-admit every
+// journaled non-terminal job even if bounds were lowered between runs.
+// Entries restore in call order, so replaying in record order rebuilds
+// each tenant queue in arrival order and the WFQ tags pin the same
+// selection order a live daemon would have used.
 func (q *Queue) Restore(e Entry) { q.enqueue(e) }
 
 // enqueue stamps the entry's arrival sequence and WFQ start tag and
@@ -415,7 +367,9 @@ func (q *Queue) requeueFront(e Entry) {
 	q.length++
 }
 
-// SelectBatch pops up to max entries in selection order; see Selector.
+// SelectBatch pops up to max entries in selection order: strict
+// priority across classes, virtual-time WFQ across tenants within a
+// class, arrival order within a tenant. max <= 0 pops everything.
 func (q *Queue) SelectBatch(max int, now time.Time) []Entry {
 	var out []Entry
 	counts := map[*tenant]int{}
@@ -431,7 +385,15 @@ func (q *Queue) SelectBatch(max int, now time.Time) []Entry {
 	return out
 }
 
-// Preempt revisits a claimed batch at the epoch boundary; see Selector.
+// Preempt revisits a claimed batch at the epoch boundary (the end of
+// the batching gap). It first fills the batch to max from the queues
+// in selection order — arrivals during the gap still coalesce into the
+// epoch — and then, with the batch at capacity, swaps in queued
+// entries whose class is strictly higher than the lowest class
+// present, requeuing each displaced member at the front of its tenant
+// queue with its original virtual-time tags (so it is first among its
+// class next epoch, not resubmitted). max <= 0 means unbounded:
+// everything absorbs, nothing requeues.
 func (q *Queue) Preempt(batch []Entry, max int, now time.Time) (kept, requeued []Entry) {
 	counts := map[*tenant]int{}
 	// Absorb: arrivals during the gap coalesce into the epoch while
@@ -510,17 +472,9 @@ func (q *Queue) TenantDepth(tenantName string) int {
 	return 0
 }
 
-// Depths returns every seen tenant's queue depth (including zeros, so
-// gauges for drained tenants reset instead of going stale).
-func (q *Queue) Depths() map[string]int {
-	out := make(map[string]int, len(q.tenants))
-	for name, t := range q.tenants {
-		out[name] = t.depth
-	}
-	return out
-}
-
-// EachDepth visits every tenant's queue depth, allocation-free.
+// EachDepth visits every seen tenant's queue depth (including zeros,
+// so gauges for drained tenants reset instead of going stale) without
+// allocating — the gauge-refresh path runs it once per claimed batch.
 func (q *Queue) EachDepth(fn func(tenant string, depth int)) {
 	for name, t := range q.tenants {
 		fn(name, t.depth)

@@ -256,8 +256,8 @@ func TestObservability(t *testing.T) {
 		t.Fatalf(`TenantDepth("") = %d, want 1 (default tenant)`, got)
 	}
 	want := map[string]int{"a": 2, DefaultTenant: 1}
-	if got := q.Depths(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Depths() = %v, want %v", got, want)
+	if got := depths(q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("EachDepth visited %v, want %v", got, want)
 	}
 	if got := q.OldestWait(t0.Add(10 * time.Second)); got != 10*time.Second {
 		t.Fatalf("OldestWait = %v, want 10s", got)
@@ -279,9 +279,16 @@ func TestObservability(t *testing.T) {
 		t.Fatalf("OldestWait on empty queue = %v, want 0", got)
 	}
 	wantEmpty := map[string]int{"a": 0, DefaultTenant: 0}
-	if got := q.Depths(); !reflect.DeepEqual(got, wantEmpty) {
-		t.Fatalf("Depths() after drain = %v, want %v", got, wantEmpty)
+	if got := depths(q); !reflect.DeepEqual(got, wantEmpty) {
+		t.Fatalf("EachDepth after drain visited %v, want %v", got, wantEmpty)
 	}
+}
+
+// depths collects what EachDepth visits.
+func depths(q *Queue) map[string]int {
+	out := map[string]int{}
+	q.EachDepth(func(tenant string, depth int) { out[tenant] = depth })
+	return out
 }
 
 // TestNewValidation rejects bad configurations.

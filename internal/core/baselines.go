@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
 	"corun/internal/apu"
 	"corun/internal/sim"
-	"corun/internal/units"
 	"corun/internal/workload"
 )
 
@@ -85,26 +83,6 @@ func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64, bia
 		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
 	}
 	return sim.Run(simOpts, newRandomDispatcher(batch, seed))
-}
-
-// RandomAverage runs ExecuteRandom over n seeds (0..n-1 offset by
-// seedBase) and returns the mean makespan along with the individual
-// results. The paper averages 20 seeds.
-func RandomAverage(opts ExecOptions, batch []*workload.Instance, n int, seedBase int64, bias sim.Bias) (units.Seconds, []*sim.Result, error) {
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("core: need at least one random seed")
-	}
-	var results []*sim.Result
-	sum := 0.0
-	for s := 0; s < n; s++ {
-		r, err := ExecuteRandom(opts, batch, seedBase+int64(s), bias)
-		if err != nil {
-			return 0, nil, err
-		}
-		results = append(results, r)
-		sum += float64(r.Makespan)
-	}
-	return units.Seconds(sum / float64(n)), results, nil
 }
 
 // RandomPlan builds the planned-schedule form of the Random baseline:

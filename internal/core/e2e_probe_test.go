@@ -17,10 +17,7 @@ func TestProbeFigure10(t *testing.T) {
 		}
 		cx, opts := testContext(t, batch, 15)
 
-		randAvg, _, err := RandomAverage(opts, batch, 20, 1, sim.GPUBiased)
-		if err != nil {
-			t.Fatal(err)
-		}
+		randAvg := randomAverage(t, opts, batch, 20, 1)
 		defG, err := ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
 		if err != nil {
 			t.Fatal(err)

@@ -96,10 +96,7 @@ func TestFigure10Ordering(t *testing.T) {
 	batch := workload.Batch8()
 	cx, opts := testContext(t, batch, 15)
 
-	randAvg, _, err := RandomAverage(opts, batch, 10, 1, sim.GPUBiased)
-	if err != nil {
-		t.Fatal(err)
-	}
+	randAvg := randomAverage(t, opts, batch, 10, 1)
 	defG, err := ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +137,7 @@ func TestFigure11Ordering(t *testing.T) {
 	batch := workload.Batch16()
 	cx, opts := testContext(t, batch, 15)
 
-	randAvg, _, err := RandomAverage(opts, batch, 10, 1, sim.GPUBiased)
-	if err != nil {
-		t.Fatal(err)
-	}
+	randAvg := randomAverage(t, opts, batch, 10, 1)
 	defG, err := ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
 	if err != nil {
 		t.Fatal(err)
@@ -201,10 +195,7 @@ func TestLowerBoundBelowAll(t *testing.T) {
 	if float64(bound) > float64(res.Makespan) {
 		t.Errorf("bound %v exceeds an achieved makespan %v", bound, res.Makespan)
 	}
-	rnd, _, err := RandomAverage(opts, batch, 5, 3, sim.GPUBiased)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rnd := randomAverage(t, opts, batch, 5, 3)
 	if float64(bound) > float64(rnd) {
 		t.Errorf("bound %v exceeds the random average %v", bound, rnd)
 	}
@@ -344,19 +335,18 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestRandomAverageValidation(t *testing.T) {
-	batch := workload.Batch8()
-	_, opts := testContext(t, batch, 15)
-	if _, _, err := RandomAverage(opts, batch, 0, 0, sim.GPUBiased); err == nil {
-		t.Error("zero seeds accepted")
+// randomAverage is the mean Random makespan over n seeds from base.
+func randomAverage(t *testing.T, opts ExecOptions, batch []*workload.Instance, n int, base int64) units.Seconds {
+	t.Helper()
+	sum := 0.0
+	for s := 0; s < n; s++ {
+		r, err := ExecuteRandom(opts, batch, base+int64(s), sim.GPUBiased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += float64(r.Makespan)
 	}
-	avg, results, err := RandomAverage(opts, batch, 3, 0, sim.GPUBiased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 || avg <= 0 {
-		t.Errorf("RandomAverage returned %d results, avg %v", len(results), avg)
-	}
+	return units.Seconds(sum / float64(n))
 }
 
 // All 16 jobs complete under every policy (no job lost by a dispatcher).

@@ -38,9 +38,9 @@ func boundedWorkers(requested, tasks int) int {
 	return w
 }
 
-// OptimalSchedule exhaustively searches every (CPU order, GPU order)
-// partition of the batch and returns the schedule with the smallest
-// predicted makespan, along with that makespan.
+// OptimalScheduleOpts exhaustively searches every (CPU order, GPU
+// order) partition of the batch and returns the schedule with the
+// smallest predicted makespan, along with that makespan.
 //
 // The search optimizes the same predicted objective the heuristics use
 // (frequencies per pairing via ChoosePairFreqs, side-note overlap
@@ -49,16 +49,12 @@ func boundedWorkers(requested, tasks int) int {
 // problem is NP-hard (section IV), which is exactly why this is only
 // feasible for small batches — it exists to validate the heuristics
 // and the lower bound, not to replace them.
-func (cx *Context) OptimalSchedule() (*Schedule, units.Seconds, error) {
-	return cx.OptimalScheduleOpts(OptimalOptions{})
-}
-
-// OptimalScheduleOpts is OptimalSchedule with an explicit worker pool:
-// each CPU-side subset of the batch is an independent permutation
-// search, so the 2^n subsets fan out across the pool. Results are
-// merged in subset order with a strict less-than comparison, so the
-// returned schedule is bit-for-bit identical for every worker count,
-// including the serial search.
+//
+// Each CPU-side subset of the batch is an independent permutation
+// search, so the 2^n subsets fan out across the options' worker pool.
+// Results are merged in subset order with a strict less-than
+// comparison, so the returned schedule is bit-for-bit identical for
+// every worker count, including the serial search.
 func (cx *Context) OptimalScheduleOpts(opts OptimalOptions) (*Schedule, units.Seconds, error) {
 	n := cx.Oracle.NumJobs()
 	if n == 0 {

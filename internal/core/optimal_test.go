@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"corun/internal/units"
@@ -9,12 +10,12 @@ import (
 
 func TestOptimalEmptyAndOversized(t *testing.T) {
 	cx, _ := testContext(t, nil, 0)
-	s, m, err := cx.OptimalSchedule()
+	s, m, err := cx.OptimalScheduleOpts(OptimalOptions{})
 	if err != nil || m != 0 || len(s.Jobs()) != 0 {
 		t.Errorf("empty optimal: %v %v %v", s, m, err)
 	}
 	big, _ := testContext(t, workload.Batch16(), 15)
-	if _, _, err := big.OptimalSchedule(); err == nil {
+	if _, _, err := big.OptimalScheduleOpts(OptimalOptions{}); err == nil {
 		t.Error("oversized batch accepted")
 	}
 }
@@ -28,7 +29,7 @@ func TestOptimalDominatesHeuristics(t *testing.T) {
 	}
 	cx, opts := testContext(t, batch, 15)
 
-	opt, optT, err := cx.OptimalSchedule()
+	opt, optT, err := cx.OptimalScheduleOpts(OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestHeuristicNearOptimalAcrossCaps(t *testing.T) {
 	}
 	for _, cap := range []float64{0, 14, 16, 20} {
 		cx, _ := testContext(t, batch, units.Watts(cap))
-		_, optT, err := cx.OptimalSchedule()
+		_, optT, err := cx.OptimalScheduleOpts(OptimalOptions{})
 		if err != nil {
 			t.Fatalf("cap %v: %v", cap, err)
 		}
@@ -104,6 +105,44 @@ func TestHeuristicNearOptimalAcrossCaps(t *testing.T) {
 		}
 		if float64(plusT) > float64(optT)*1.30 {
 			t.Errorf("cap %v: HCS+ %v vs optimal %v (>30%% gap)", cap, plusT, optT)
+		}
+	}
+}
+
+// TestParallelSearchMatchesSerial pins the determinism contract of the
+// worker-pool fan-out: the optimal and genetic searches return the
+// same result for every worker count.
+func TestParallelSearchMatchesSerial(t *testing.T) {
+	batch, err := workload.Subset("streamcluster", "cfd", "dwt2d", "hotspot", "srad", "lud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, _ := testContext(t, batch, 15)
+	start, err := cx.HCS(HCSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := map[string]func(workers int) (*Schedule, units.Seconds, error){
+		"optimal": func(workers int) (*Schedule, units.Seconds, error) {
+			return cx.OptimalScheduleOpts(OptimalOptions{Workers: workers})
+		},
+		"genetic": func(workers int) (*Schedule, units.Seconds, error) {
+			return cx.Genetic(GeneticOptions{Seed: 7, SeedSchedule: start, Workers: workers})
+		},
+	}
+	for name, search := range searches {
+		serial, serialT, err := search(1)
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", name, err)
+		}
+		for _, workers := range []int{0, 2, 7} {
+			fanned, fannedT, err := search(workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !reflect.DeepEqual(serial, fanned) || serialT != fannedT {
+				t.Errorf("%s: workers=%d found %v (%v), serial %v (%v)", name, workers, fanned, fannedT, serial, serialT)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
 	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -53,28 +52,18 @@ func (s *Suite) CapEnforcement() (*CapEnforceResult, error) {
 	}
 
 	// Model-based planning: HCS+ chooses cap-feasible frequencies.
-	plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: 7})
-	if err != nil {
+	planned, err := s.run(cx, batch, "hcs+", armSeed)
+	if err := add("planned (HCS+)", planned.Result, err); err != nil {
 		return nil, err
 	}
-	planned, err := cx.Execute(plan, batch, s.execOptions(cap))
-	if err := add("planned (HCS+)", planned, err); err != nil {
-		return nil, err
-	}
+	plan := planned.Plan
 
 	// Reactive software governor on the same dispatch order: run the
 	// HCS+ queues but let the biased governor pick frequencies.
-	var cpuQ, gpuQ []*workload.Instance
-	for _, j := range plan.CPUOrder {
-		cpuQ = append(cpuQ, batch[j])
-	}
-	for _, j := range plan.GPUOrder {
-		gpuQ = append(gpuQ, batch[j])
-	}
 	reactive, err := sim.Run(sim.Options{
 		Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
 		Governor: &sim.BiasedGovernor{Cap: cap, Bias: sim.GPUBiased},
-	}, sim.NewQueueDispatcher(cpuQ, gpuQ, nil))
+	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder), nil))
 	if err := add("reactive governor", reactive, err); err != nil {
 		return nil, err
 	}

@@ -114,13 +114,13 @@ func (s *Suite) Cluster() (*ClusterResult, error) {
 		bal   cluster.Balancer
 		pol   string
 	}{
-		{"1-node hcs+ affinity", 1, cluster.AffinityAware, online.PolicyHCSPlus},
-		{"2-node hcs+ affinity", 2, cluster.AffinityAware, online.PolicyHCSPlus},
-		{"4-node hcs+ affinity", 4, cluster.AffinityAware, online.PolicyHCSPlus},
-		{"3-node hcs+ round-robin", 3, cluster.RoundRobin, online.PolicyHCSPlus},
-		{"3-node hcs+ least-loaded", 3, cluster.LeastLoaded, online.PolicyHCSPlus},
-		{"3-node random affinity", 3, cluster.AffinityAware, online.PolicyRandom},
-		{"3-node hcs+ affinity", 3, cluster.AffinityAware, online.PolicyHCSPlus},
+		{"1-node hcs+ affinity", 1, cluster.AffinityAware, "hcs+"},
+		{"2-node hcs+ affinity", 2, cluster.AffinityAware, "hcs+"},
+		{"4-node hcs+ affinity", 4, cluster.AffinityAware, "hcs+"},
+		{"3-node hcs+ round-robin", 3, cluster.RoundRobin, "hcs+"},
+		{"3-node hcs+ least-loaded", 3, cluster.LeastLoaded, "hcs+"},
+		{"3-node random affinity", 3, cluster.AffinityAware, "random"},
+		{"3-node hcs+ affinity", 3, cluster.AffinityAware, "hcs+"},
 	} {
 		row, _, err := s.serveFleet(arrivals, c.nodes, c.bal, c.pol)
 		if err != nil {

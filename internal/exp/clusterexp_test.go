@@ -22,7 +22,7 @@ func fleetArrivals(t *testing.T, n int, gap float64, seed int64) []online.Arriva
 
 func serveFleetT(t *testing.T, as []online.Arrival, nodes int, bal cluster.Balancer) (ClusterRow, []*online.Result) {
 	t.Helper()
-	row, perNode, err := testSuite(t).serveFleet(as, nodes, bal, online.PolicyHCSPlus)
+	row, perNode, err := testSuite(t).serveFleet(as, nodes, bal, "hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,10 @@ func serveFleetT(t *testing.T, as []online.Arrival, nodes int, bal cluster.Balan
 func TestFleetValidation(t *testing.T) {
 	s := testSuite(t)
 	as := fleetArrivals(t, 4, 10, 1)
-	if _, _, err := s.serveFleet(as, 0, cluster.RoundRobin, online.PolicyHCSPlus); err == nil {
+	if _, _, err := s.serveFleet(as, 0, cluster.RoundRobin, "hcs+"); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, _, err := s.serveFleet(as, 2, cluster.Balancer(99), online.PolicyHCSPlus); err == nil {
+	if _, _, err := s.serveFleet(as, 2, cluster.Balancer(99), "hcs+"); err == nil {
 		t.Error("unknown balancer accepted")
 	}
 	if _, _, err := s.serveFleet(as, 2, cluster.RoundRobin, "no-such-policy"); err == nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -40,46 +38,25 @@ func (s *Suite) Energy() (*EnergyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := s.execOptions(cap)
 	res := &EnergyResult{N: len(batch), Cap: cap}
-
-	add := func(policy string, r *sim.Result, err error) error {
+	for _, arm := range []struct {
+		label, policy string
+		seed          int64
+	}{
+		{"Random", "random", 1}, {"Default_G", "default", armSeed}, {"HCS", "hcs", armSeed}, {"HCS+", "hcs+", armSeed},
+	} {
+		a, err := s.run(cx, batch, arm.policy, arm.seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		r := a.Result
 		res.Rows = append(res.Rows, EnergyRow{
-			Policy:   policy,
+			Policy:   arm.label,
 			Makespan: r.Makespan,
 			EnergyJ:  r.EnergyJ,
 			EDP:      r.EnergyJ * float64(r.Makespan),
 			AvgPower: r.AvgPower,
 		})
-		return nil
-	}
-
-	rnd, err := core.ExecuteRandom(opts, batch, 1, sim.GPUBiased)
-	if err := add("Random", rnd, err); err != nil {
-		return nil, err
-	}
-	def, err := core.ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
-	if err := add("Default_G", def, err); err != nil {
-		return nil, err
-	}
-	hcs, err := cx.HCS(core.HCSOptions{})
-	if err != nil {
-		return nil, err
-	}
-	hr, err := cx.Execute(hcs, batch, opts)
-	if err := add("HCS", hr, err); err != nil {
-		return nil, err
-	}
-	plan, _, err := cx.Refine(hcs, core.RefineOptions{Seed: 7})
-	if err != nil {
-		return nil, err
-	}
-	pr, err := cx.Execute(plan, batch, opts)
-	if err := add("HCS+", pr, err); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

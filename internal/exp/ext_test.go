@@ -1,9 +1,13 @@
 package exp
 
 import (
-	"corun/internal/workload"
 	"strings"
 	"testing"
+
+	"corun/internal/core"
+	"corun/internal/sim"
+	"corun/internal/units"
+	"corun/internal/workload"
 )
 
 func TestEnergy(t *testing.T) {
@@ -289,7 +293,7 @@ func TestSpeedupStudyCustom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.SpeedupStudy(batch, 18, 3)
+	r, err := s.speedupStudy(batch, 18, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +356,34 @@ func TestOnlineStudy(t *testing.T) {
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The Random arm is averaged in one place; it needs a seed to average.
+func TestRandomAverageValidation(t *testing.T) {
+	s := testSuite(t)
+	batch := workload.Batch8()
+	cx, _, err := s.context(batch, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.randomAverage(cx, batch, 0); err == nil {
+		t.Error("zero seeds accepted")
+	}
+	avg, err := s.randomAverage(cx, batch, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seeds 1..3, summed in order, are what the figures have always averaged.
+	sum := 0.0
+	for seed := int64(1); seed <= 3; seed++ {
+		r, err := core.ExecuteRandom(s.execOptions(15), batch, seed, sim.GPUBiased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += float64(r.Makespan)
+	}
+	if want := units.Seconds(sum / 3); avg != want || avg <= 0 {
+		t.Errorf("randomAverage = %v, want %v", avg, want)
 	}
 }

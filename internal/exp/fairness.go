@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -46,7 +44,6 @@ func (s *Suite) Fairness() (*FairnessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := s.execOptions(cap)
 	res := &FairnessResult{N: len(batch), Cap: cap}
 
 	solo := make([]float64, len(batch))
@@ -58,11 +55,18 @@ func (s *Suite) Fairness() (*FairnessResult, error) {
 		solo[i] = float64(t)
 	}
 
-	add := func(policy string, r *sim.Result, err error) error {
+	for _, arm := range []struct {
+		label, policy string
+		seed          int64
+	}{
+		{"Random", "random", 1}, {"Default_G", "default", armSeed}, {"HCS+", "hcs+", armSeed},
+	} {
+		a, err := s.run(cx, batch, arm.policy, arm.seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		row := FairnessRow{Policy: policy, Makespan: r.Makespan}
+		r := a.Result
+		row := FairnessRow{Policy: arm.label, Makespan: r.Makespan}
 		sumNTT, sumTP := 0.0, 0.0
 		for _, c := range r.Completions {
 			ntt := float64(c.End) / solo[c.Inst.ID]
@@ -75,24 +79,6 @@ func (s *Suite) Fairness() (*FairnessResult, error) {
 		row.ANTT = sumNTT / float64(len(r.Completions))
 		row.STP = sumTP
 		res.Rows = append(res.Rows, row)
-		return nil
-	}
-
-	rnd, err := core.ExecuteRandom(opts, batch, 1, sim.GPUBiased)
-	if err := add("Random", rnd, err); err != nil {
-		return nil, err
-	}
-	def, err := core.ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
-	if err := add("Default_G", def, err); err != nil {
-		return nil, err
-	}
-	plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: 7})
-	if err != nil {
-		return nil, err
-	}
-	pr, err := cx.Execute(plan, batch, opts)
-	if err := add("HCS+", pr, err); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -49,58 +47,46 @@ func (s *Suite) Figure11() (*SpeedupResult, error) {
 	return s.speedupStudy(workload.Batch16(), 15, 20)
 }
 
-// SpeedupStudy runs the full policy comparison on an arbitrary batch —
-// the generalized Figures 10/11 machinery exposed for custom caps and
-// workloads.
-func (s *Suite) SpeedupStudy(batch []*workload.Instance, cap units.Watts, randomSeeds int) (*SpeedupResult, error) {
-	return s.speedupStudy(batch, cap, randomSeeds)
-}
+// armSeed seeds the stochastic planners (HCS+ refinement) wherever an
+// experiment does not sweep it.
+const armSeed = 7
 
 func (s *Suite) speedupStudy(batch []*workload.Instance, cap units.Watts, randomSeeds int) (*SpeedupResult, error) {
 	cx, _, err := s.context(batch, cap)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.execOptions(cap)
 	res := &SpeedupResult{N: len(batch), Cap: cap}
 
-	res.RandomAvg, _, err = core.RandomAverage(opts, batch, randomSeeds, 1, sim.GPUBiased)
+	res.RandomAvg, err = s.randomAverage(cx, batch, randomSeeds)
 	if err != nil {
 		return nil, err
 	}
-	dg, err := core.ExecuteDefault(opts, batch, cx.Oracle, sim.GPUBiased)
+	dg, err := s.run(cx, batch, "default", armSeed)
 	if err != nil {
 		return nil, err
 	}
-	res.DefaultG = dg.Makespan
-	dc, err := core.ExecuteDefault(opts, batch, cx.Oracle, sim.CPUBiased)
+	res.DefaultG = dg.Result.Makespan
+	dc, err := s.run(cx, batch, "default-cpu", armSeed)
 	if err != nil {
 		return nil, err
 	}
-	res.DefaultC = dc.Makespan
+	res.DefaultC = dc.Result.Makespan
 
-	hcs, err := cx.HCS(core.HCSOptions{})
+	hcs, err := s.run(cx, batch, "hcs", armSeed)
 	if err != nil {
 		return nil, err
 	}
-	hr, err := cx.Execute(hcs, batch, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.HCS = hr.Makespan
-	res.HCSViolations = hr.CapViolations
+	res.HCS = hcs.Result.Makespan
+	res.HCSViolations = hcs.Result.CapViolations
 
-	plus, _, err := cx.Refine(hcs, core.RefineOptions{Seed: 7})
+	plus, err := s.run(cx, batch, "hcs+", armSeed)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := cx.Execute(plus, batch, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.HCSPlus = pr.Makespan
-	res.HCSPlusViolations = pr.CapViolations
-	res.HCSPlusMaxExcess = pr.MaxExcess
+	res.HCSPlus = plus.Result.Makespan
+	res.HCSPlusViolations = plus.Result.CapViolations
+	res.HCSPlusMaxExcess = plus.Result.MaxExcess
 
 	res.Bound, err = cx.LowerBound()
 	if err != nil {

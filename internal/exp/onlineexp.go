@@ -33,7 +33,7 @@ func (s *Suite) Online() (*OnlineResult, error) {
 	}
 	res := &OnlineResult{Jobs: len(arrivals)}
 	for _, pol := range []string{
-		online.PolicyHCSPlus, online.PolicyHCS, online.PolicyDefault, online.PolicyRandom,
+		"hcs+", "hcs", "default", "random",
 	} {
 		r, err := online.Serve(online.Options{
 			Cfg: s.Cfg, Mem: s.Mem, Char: s.Char, Cap: 15,

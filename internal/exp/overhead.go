@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"corun/internal/core"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -30,16 +29,11 @@ func (s *Suite) Overhead() (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: 7})
+	plus, err := s.run(cx, batch, "hcs+", armSeed)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	res, err := cx.Execute(plan, batch, s.execOptions(15))
-	if err != nil {
-		return nil, err
-	}
+	elapsed, res := plus.PlanTime, plus.Result
 	out := &OverheadResult{
 		N:             len(batch),
 		SchedulerTime: elapsed,

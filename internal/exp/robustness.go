@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/stats"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -52,24 +50,19 @@ func (s *Suite) Robustness(workloads int, randomSeeds int) (*RobustnessResult, e
 		if err != nil {
 			return nil, err
 		}
-		opts := s.execOptions(cap)
-		randAvg, _, err := core.RandomAverage(opts, batch, randomSeeds, 1, sim.GPUBiased)
+		randAvg, err := s.randomAverage(cx, batch, randomSeeds)
 		if err != nil {
 			return nil, err
 		}
-		plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		pr, err := cx.Execute(plan, batch, opts)
+		plus, err := s.run(cx, batch, "hcs+", seed)
 		if err != nil {
 			return nil, err
 		}
 		row := RobustnessRow{
 			Seed:    seed,
 			Random:  randAvg,
-			HCSPlus: pr.Makespan,
-			Speedup: float64(randAvg)/float64(pr.Makespan) - 1,
+			HCSPlus: plus.Result.Makespan,
+			Speedup: float64(randAvg)/float64(plus.Result.Makespan) - 1,
 		}
 		if row.Speedup > 0 {
 			res.Wins++

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -47,27 +45,20 @@ func (s *Suite) Scalability(sizes []int, randomSeeds int) (*ScalabilityResult, e
 		if err != nil {
 			return nil, err
 		}
-		opts := s.execOptions(cap)
-		randAvg, _, err := core.RandomAverage(opts, batch, randomSeeds, 1, sim.GPUBiased)
+		randAvg, err := s.randomAverage(cx, batch, randomSeeds)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: 7})
-		if err != nil {
-			return nil, err
-		}
-		planTime := time.Since(start)
-		pr, err := cx.Execute(plan, batch, opts)
+		plus, err := s.run(cx, batch, "hcs+", armSeed)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, ScalabilityRow{
 			N:        n,
 			Random:   randAvg,
-			HCSPlus:  pr.Makespan,
-			Speedup:  float64(randAvg)/float64(pr.Makespan) - 1,
-			PlanTime: planTime,
+			HCSPlus:  plus.Result.Makespan,
+			Speedup:  float64(randAvg)/float64(plus.Result.Makespan) - 1,
+			PlanTime: plus.PlanTime,
 		})
 	}
 	return res, nil

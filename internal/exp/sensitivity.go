@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/core"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/online"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -62,33 +59,24 @@ func (s *Suite) Sensitivity() (*SensitivityResult, error) {
 			return nil, err
 		}
 		batch := workload.Batch8()
-		o := online.Options{Cfg: s.Cfg, Mem: mem, Char: char, Cap: cap}
-		pred, err := o.Predictor(batch)
+		perturbed := &Suite{Cfg: s.Cfg, Mem: mem, Char: char}
+		cx, _, err := perturbed.context(batch, cap)
 		if err != nil {
 			return nil, err
 		}
-		cx, err := o.Context(pred)
+		randAvg, err := perturbed.randomAverage(cx, batch, 5)
 		if err != nil {
 			return nil, err
 		}
-		opts := core.ExecOptions{Cfg: s.Cfg, Mem: mem, Cap: cap}
-		randAvg, _, err := core.RandomAverage(opts, batch, 5, 1, sim.GPUBiased)
-		if err != nil {
-			return nil, err
-		}
-		plan, _, err := cx.HCSPlus(core.HCSOptions{}, core.RefineOptions{Seed: 7})
-		if err != nil {
-			return nil, err
-		}
-		pr, err := cx.Execute(plan, batch, opts)
+		plus, err := perturbed.run(cx, batch, "hcs+", armSeed)
 		if err != nil {
 			return nil, err
 		}
 		row := SensitivityRow{
 			Name:    v.name,
 			Random:  randAvg,
-			HCSPlus: pr.Makespan,
-			Speedup: float64(randAvg)/float64(pr.Makespan) - 1,
+			HCSPlus: plus.Result.Makespan,
+			Speedup: float64(randAvg)/float64(plus.Result.Makespan) - 1,
 		}
 		if row.Speedup <= 0 {
 			res.AllHold = false

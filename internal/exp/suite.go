@@ -9,12 +9,15 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
 	"corun/internal/apu"
 	"corun/internal/core"
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/online"
+	"corun/internal/policy"
+	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -63,6 +66,49 @@ func (s *Suite) context(batch []*workload.Instance, cap units.Watts) (*core.Cont
 // execOptions builds the simulator-facing execution options.
 func (s *Suite) execOptions(cap units.Watts) core.ExecOptions {
 	return core.ExecOptions{Cfg: s.Cfg, Mem: s.Mem, Cap: cap}
+}
+
+// armRun is one policy's run of a batch.
+type armRun struct {
+	// Plan is the schedule that was executed; nil for the
+	// dispatcher-driven baselines.
+	Plan *core.Schedule
+	// PlanTime is the wall time the policy took to produce Plan.
+	PlanTime time.Duration
+	Result   *sim.Result
+}
+
+// run executes one arm of a comparison: the named policy table row on
+// the batch, under the context's caps — the same call the online
+// scheduler and the daemon make per epoch, so an experiment cannot run
+// a different scheduler under a policy's name.
+func (s *Suite) run(cx *core.Context, batch []*workload.Instance, name string, seed int64) (armRun, error) {
+	var a armRun
+	var err error
+	start := time.Now()
+	a.Plan, _, a.Result, err = policy.Run(name, cx, batch,
+		core.ExecOptions{Cfg: s.Cfg, Mem: s.Mem, Cap: cx.Cap, Domains: cx.Domains},
+		policy.Options{Seed: seed},
+		func(*core.Schedule, units.Seconds) { a.PlanTime = time.Since(start) })
+	return a, err
+}
+
+// randomAverage is the Random arm as the paper reports it (20 seeds in
+// Figures 10/11): the mean makespan of the random policy over seeds
+// 1..n.
+func (s *Suite) randomAverage(cx *core.Context, batch []*workload.Instance, n int) (units.Seconds, error) {
+	if n <= 0 {
+		return 0, fmt.Errorf("exp: need at least one random seed")
+	}
+	sum := 0.0
+	for seed := 1; seed <= n; seed++ {
+		a, err := s.run(cx, batch, "random", int64(seed))
+		if err != nil {
+			return 0, err
+		}
+		sum += float64(a.Result.Makespan)
+	}
+	return units.Seconds(sum / float64(n)), nil
 }
 
 // maxFreqs returns the maximum frequency indices of both devices.

@@ -116,12 +116,6 @@ type Config struct {
 	// (default 2s). Ignored when BudgetW is 0.
 	RebalanceInterval time.Duration
 
-	// PlanCacheTTL bounds the staleness of the aggregated GET /v1/plan
-	// fan-out (default 100ms): fleet-wide reads are served from a
-	// cached aggregate so dashboards polling the coordinator do not
-	// multiply into N upstream requests each.
-	PlanCacheTTL time.Duration
-
 	// RequestTimeout is the per-request deadline on the coordinator's
 	// own API (default 0 = none); Client overrides the upstream HTTP
 	// client (default: 5s timeout).
@@ -155,9 +149,6 @@ func (c *Config) withDefaults() Config {
 	if out.RebalanceInterval == 0 {
 		out.RebalanceInterval = 2 * time.Second
 	}
-	if out.PlanCacheTTL == 0 {
-		out.PlanCacheTTL = 100 * time.Millisecond
-	}
 	if out.Client == nil {
 		// Every data-path request is proxied to a handful of node URLs,
 		// so the stock two-idle-conns-per-host transport would churn TCP
@@ -185,10 +176,6 @@ type Coordinator struct {
 	members []*member
 	placer  *cluster.Placer
 	budgetW float64
-
-	planMu     sync.Mutex
-	planCached []byte
-	planAt     time.Time
 
 	cmax, gmax int // cached max frequency indices for placement hints
 

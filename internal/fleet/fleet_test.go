@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"corun/internal/fleet"
-	"corun/internal/online"
 	"corun/internal/server"
 )
 
@@ -39,7 +38,7 @@ func startNode(t testing.TB, id, dataDir, addr string) *testNode {
 	t.Helper()
 	s, err := server.New(server.Config{
 		Cap:      15,
-		Policy:   online.PolicyRandom,
+		Policy:   "random",
 		Seed:     1,
 		EpochGap: 2 * time.Millisecond,
 		NodeID:   id,
@@ -116,7 +115,6 @@ func startFleet(t testing.TB, nodes []*testNode, budgetW float64) (*fleet.Coordi
 		BudgetW:           budgetW,
 		HealthInterval:    50 * time.Millisecond,
 		RebalanceInterval: 100 * time.Millisecond,
-		PlanCacheTTL:      20 * time.Millisecond,
 		Client:            &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {

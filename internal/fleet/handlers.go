@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"corun/internal/cluster"
 	"corun/internal/policy"
@@ -319,27 +318,10 @@ type planNode struct {
 }
 
 // handlePlan serves the fleet-wide plan aggregate: the budget, a
-// power roll-up, and each node's latest epoch plan verbatim. The
-// fan-out result is cached for PlanCacheTTL so N dashboards polling
-// the coordinator do not turn into N×nodes upstream request streams.
+// power roll-up, and each node's latest epoch plan verbatim, fetched
+// from every node on each request.
 func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
-	if c.planCached != nil && time.Since(c.planAt) < c.cfg.PlanCacheTTL {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(c.planCached)
-		return
-	}
-	body := c.buildPlan(r.Context())
-	c.planCached = body
-	c.planAt = time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-func (c *Coordinator) buildPlan(ctx context.Context) []byte {
+	ctx := r.Context()
 	plans := make([]json.RawMessage, len(c.members))
 	var wg sync.WaitGroup
 	for i, mb := range c.members {
@@ -403,8 +385,7 @@ func (c *Coordinator) buildPlan(ctx context.Context) []byte {
 		view.Nodes[mb.id] = pn
 	}
 	c.mu.Unlock()
-	buf, _ := json.MarshalIndent(view, "", "  ")
-	return append(buf, '\n')
+	writeJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleGetCap(w http.ResponseWriter, _ *http.Request) {

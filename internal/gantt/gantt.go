@@ -27,17 +27,9 @@ type bar struct {
 	lane       int
 }
 
-// Render writes the chart for a simulation result. width is the number
-// of columns used for the time axis; values below 20 are raised to 20.
-func Render(w io.Writer, res *sim.Result, width int) error {
-	if res == nil {
-		return fmt.Errorf("gantt: nil result")
-	}
-	return RenderParts(w, res.Completions, res.Makespan, width)
-}
-
-// RenderParts draws the chart from raw completions and a makespan, for
-// callers that carry reports rather than simulator results.
+// RenderParts draws the chart from a run's completions and makespan.
+// width is the number of columns used for the time axis; values below
+// 20 are raised to 20.
 func RenderParts(w io.Writer, completions []sim.Completion, makespan units.Seconds, width int) error {
 	if width < 20 {
 		width = 20

@@ -33,7 +33,7 @@ func run(t *testing.T, cpu, gpu []string, slots int) *sim.Result {
 func TestRenderBasic(t *testing.T) {
 	res := run(t, []string{"dwt2d"}, []string{"hotspot", "lud"}, 1)
 	var b strings.Builder
-	if err := Render(&b, res, 60); err != nil {
+	if err := RenderParts(&b, res.Completions, res.Makespan, 60); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -53,7 +53,7 @@ func TestRenderBasic(t *testing.T) {
 func TestRenderMultiprogrammedLanes(t *testing.T) {
 	res := run(t, []string{"dwt2d", "lud", "cfd"}, nil, 3)
 	var b strings.Builder
-	if err := Render(&b, res, 60); err != nil {
+	if err := RenderParts(&b, res.Completions, res.Makespan, 60); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -76,21 +76,18 @@ func TestRenderMultiprogrammedLanes(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := Render(&b, &sim.Result{}, 40); err != nil {
+	if err := RenderParts(&b, nil, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "empty") {
 		t.Errorf("empty schedule not marked: %q", b.String())
-	}
-	if err := Render(&b, nil, 40); err == nil {
-		t.Error("nil result accepted")
 	}
 }
 
 func TestRenderTinyWidthClamped(t *testing.T) {
 	res := run(t, nil, []string{"hotspot"}, 1)
 	var b strings.Builder
-	if err := Render(&b, res, 1); err != nil {
+	if err := RenderParts(&b, res.Completions, res.Makespan, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "hotspo") {

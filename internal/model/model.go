@@ -89,17 +89,6 @@ func (s *Surface) valueAt(dev apu.Device, cpuBW, gpuBW float64) float64 {
 	return bilerp(s.side(dev), bracket(s.CPUBW, cpuBW), bracket(s.GPUBW, gpuBW))
 }
 
-// DegradationCPUAt interpolates the CPU-side degradation at the given
-// standalone bandwidths.
-func (s *Surface) DegradationCPUAt(cpuBW, gpuBW float64) float64 {
-	return s.valueAt(apu.CPU, cpuBW, gpuBW)
-}
-
-// DegradationGPUAt interpolates the GPU-side degradation.
-func (s *Surface) DegradationGPUAt(cpuBW, gpuBW float64) float64 {
-	return s.valueAt(apu.GPU, cpuBW, gpuBW)
-}
-
 // bracket finds the cut of ascending xs at x: indices lo <= hi with
 // xs[lo] <= x <= xs[hi] (clamped at the edges) and the interpolation
 // weight.

@@ -61,7 +61,7 @@ func TestSurfaceInterpolationExactAtGridPoints(t *testing.T) {
 	s := c.SurfaceAt(1, 1) // max freqs
 	for i, cb := range s.CPUBW {
 		for j, gb := range s.GPUBW {
-			got := s.DegradationCPUAt(cb, gb)
+			got := s.valueAt(apu.CPU, cb, gb)
 			if math.Abs(got-s.DegCPU[i][j]) > 1e-9 {
 				t.Errorf("surface not exact at grid point (%d,%d): %v vs %v", i, j, got, s.DegCPU[i][j])
 			}

@@ -28,26 +28,9 @@ import (
 	"corun/internal/workload"
 )
 
-// The paper's serving policies, by canonical internal/policy registry
-// name. Any other registered name serves epochs equally well; Random
-// and Default are named here because PlanEpoch runs them as the
-// paper's dispatcher-driven baselines (section VI-A) rather than in
-// their planned registry forms.
-const (
-	// PolicyHCSPlus plans each epoch with HCS plus refinement.
-	PolicyHCSPlus = "hcs+"
-	// PolicyHCS plans with plain HCS.
-	PolicyHCS = "hcs"
-	// PolicyRandom dispatches each epoch with the Random baseline.
-	PolicyRandom = "random"
-	// PolicyDefault dispatches each epoch with the Default baseline.
-	PolicyDefault = "default"
-)
-
-// CheckPolicy resolves name through the policy registry (aliases,
-// case-insensitive) and checks it can serve epochs: every policy
-// except the dispatcher-driven Random baseline plans over the
-// predictive model and therefore needs the offline characterization.
+// CheckPolicy resolves name through the policy table (aliases,
+// case-insensitive) and checks it can serve epochs: a policy that
+// plans over the predictive model needs the offline characterization.
 // It returns the canonical name. Every entry point that accepts a
 // policy from outside (server config, POST /v1/policy, journal
 // recovery) funnels through this check, so an unknown or unservable
@@ -58,7 +41,7 @@ func CheckPolicy(name string, haveChar bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if pol != PolicyRandom && !haveChar {
+	if policy.NeedsModel(pol) && !haveChar {
 		return "", fmt.Errorf("online: model-based policies need a characterization")
 	}
 	return pol, nil
@@ -83,7 +66,7 @@ type Options struct {
 	// execution alongside Cap.
 	Domains apu.DomainCaps
 
-	// Policy is a policy registry name (canonical or alias).
+	// Policy is a policy table name (canonical or alias).
 	Policy string
 	// Seed drives the Random policy and refinement sampling.
 	Seed int64
@@ -229,62 +212,33 @@ type Epoch struct {
 }
 
 // PlanEpoch schedules and executes one queued batch under the options'
-// policy. Instance IDs in the batch must equal their indices. This is
-// the building block a long-running daemon drives directly: it owns
-// the queue and the clock, and calls PlanEpoch once per round.
+// policy, through the policy table's one run entry point. Instance IDs
+// in the batch must equal their indices. This is the building block a
+// long-running daemon drives directly: it owns the queue and the
+// clock, and calls PlanEpoch once per round.
 //
-// The Random and Default names run the paper's dispatcher-driven
-// baselines; every other name resolves through the policy registry,
-// plans a schedule over the (memoized) predictive model, and executes
-// that plan.
+// A policy that needs the model gets the batch's predictor and
+// scheduling context; one that does not (the Random baseline) profiles
+// nothing.
 func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, error) {
 	pol, err := opts.check()
 	if err != nil {
 		return nil, err
 	}
-	// Random never consults the model; every other policy starts from
-	// the batch's predictor.
-	var pred *model.Predictor
-	if pol == PolicyRandom {
-		err = checkBatch(batch)
+	var cx *core.Context
+	if policy.NeedsModel(pol) {
+		var pred *model.Predictor
+		if pred, err = opts.Predictor(batch); err == nil {
+			cx, err = opts.Context(pred)
+		}
 	} else {
-		pred, err = opts.Predictor(batch)
+		err = checkBatch(batch)
 	}
 	if err != nil {
 		return nil, err
 	}
 	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
-	if pol == PolicyRandom || pol == PolicyDefault {
-		if opts.Planned != nil {
-			opts.Planned(nil, 0)
-		}
-		var res *sim.Result
-		if pol == PolicyRandom {
-			res, err = core.ExecuteRandom(execOpts, batch, seed, sim.GPUBiased)
-		} else {
-			res, err = core.ExecuteDefault(execOpts, batch, pred, sim.GPUBiased)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Result: res}, nil
-	}
-	cx, err := opts.Context(pred)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := policy.Plan(pol, cx, policy.Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	predicted, err := cx.PredictedMakespan(plan)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Planned != nil {
-		opts.Planned(plan.Clone(), predicted)
-	}
-	res, err := cx.Execute(plan, batch, execOpts)
+	plan, predicted, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, opts.Planned)
 	if err != nil {
 		return nil, err
 	}

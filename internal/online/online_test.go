@@ -74,7 +74,7 @@ func TestServeValidation(t *testing.T) {
 	if _, err := Serve(Options{}, []Arrival{{}}); err == nil {
 		t.Error("empty options accepted")
 	}
-	opts := testOptions(t, PolicyHCSPlus)
+	opts := testOptions(t, "hcs+")
 	if _, err := Serve(opts, []Arrival{{Prog: nil, Scale: 1}}); err == nil {
 		t.Error("nil program accepted")
 	}
@@ -93,7 +93,7 @@ func TestServeValidation(t *testing.T) {
 }
 
 func TestServeAllJobsFinish(t *testing.T) {
-	opts := testOptions(t, PolicyHCSPlus)
+	opts := testOptions(t, "hcs+")
 	as, err := GenerateArrivals(12, 40, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +134,11 @@ func TestHCSPlusBeatsRandomOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smart, err := Serve(testOptions(t, PolicyHCSPlus), as)
+	smart, err := Serve(testOptions(t, "hcs+"), as)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Serve(testOptions(t, PolicyRandom), as)
+	naive, err := Serve(testOptions(t, "random"), as)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSparseArrivals(t *testing.T) {
 		{At: 0, Prog: prog, Scale: 1, Label: "a"},
 		{At: 500, Prog: prog, Scale: 1, Label: "b"},
 	}
-	for _, p := range []string{PolicyHCSPlus, PolicyRandom, PolicyDefault} {
+	for _, p := range []string{"hcs+", "random", "default"} {
 		r, err := Serve(testOptions(t, p), as)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -177,7 +177,7 @@ func TestSparseArrivals(t *testing.T) {
 // The plain-HCS policy also serves correctly (the branch without
 // refinement).
 func TestServePolicyHCS(t *testing.T) {
-	opts := testOptions(t, PolicyHCS)
+	opts := testOptions(t, "hcs")
 	as, err := GenerateArrivals(6, 15, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +200,8 @@ func TestServeUnknownPolicy(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	opts := testOptions(t, PolicyHCSPlus)
-	if pol, err := opts.check(); err != nil || pol != PolicyHCSPlus {
+	opts := testOptions(t, "hcs+")
+	if pol, err := opts.check(); err != nil || pol != "hcs+" {
 		t.Fatalf("check() = %q, %v", pol, err)
 	}
 	bad := opts
@@ -216,12 +216,12 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	// Default dispatch ranks jobs with the predictive model, so it
 	// needs the characterization too.
-	bad = testOptions(t, PolicyDefault)
+	bad = testOptions(t, "default")
 	bad.Char = nil
 	if _, err := bad.check(); err == nil {
 		t.Error("default policy without characterization validated")
 	}
-	ok := testOptions(t, PolicyRandom)
+	ok := testOptions(t, "random")
 	ok.Char = nil
 	if _, err := ok.check(); err != nil {
 		t.Errorf("random policy without characterization rejected: %v", err)
@@ -229,7 +229,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestPlanEpoch(t *testing.T) {
-	opts := testOptions(t, PolicyHCSPlus)
+	opts := testOptions(t, "hcs+")
 	batch := workload.Batch8()
 	var sawPlan bool
 	opts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
@@ -250,7 +250,7 @@ func TestPlanEpoch(t *testing.T) {
 	}
 
 	// Baselines have no plan but still call the hook.
-	ropts := testOptions(t, PolicyRandom)
+	ropts := testOptions(t, "random")
 	hookRan := false
 	ropts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
 		hookRan = plan == nil && predicted == 0
@@ -280,7 +280,7 @@ func TestPlanEpochRejectsMalformedBatch(t *testing.T) {
 		"nil instance":  {nil},
 		"ID ≠ position": misnumbered,
 	} {
-		for _, pol := range []string{PolicyHCSPlus, PolicyRandom} {
+		for _, pol := range []string{"hcs+", "random"} {
 			if _, err := PlanEpoch(testOptions(t, pol), batch, 1); err == nil {
 				t.Errorf("%s accepted under %s", name, pol)
 			}

@@ -4,8 +4,8 @@ package policy_test
 // user-facing string surface (POST /v1/policy bodies, -policy flags).
 // The seed corpus covers every canonical name, every alias, spelling
 // variants, and near-misses; additional literal seeds live in
-// testdata/fuzz/FuzzParse. Properties: Parse never panics, accepted
-// spellings resolve to a registered canonical name and re-parse
+// testdata/fuzz/FuzzParse. Properties: Canonical never panics, accepted
+// spellings resolve to a registered canonical name and resolve
 // identically under the case/whitespace normalization, and rejections
 // list every valid policy.
 
@@ -29,14 +29,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("   ")
 	f.Add("hcs++")
 	f.Add("hcs plus")
-	f.Add("default-gpu") // dispatcher baseline name, not a planned policy
+	f.Add("default_gpu") // near-miss of the default-gpu alias
 	f.Add("Optimal\n")
 
 	f.Fuzz(func(t *testing.T, name string) {
-		p, err := policy.Parse(name)
+		canon, err := policy.Canonical(name)
 		if err != nil {
-			if p != nil {
-				t.Fatalf("Parse(%q) returned a policy alongside an error", name)
+			if canon != "" {
+				t.Fatalf("Canonical(%q) returned a name alongside an error", name)
 			}
 			for _, valid := range policy.Names() {
 				if !strings.Contains(err.Error(), valid) {
@@ -45,28 +45,24 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		canon := p.Name()
 		registered := false
 		for _, n := range policy.Names() {
 			registered = registered || n == canon
 		}
 		if !registered {
-			t.Fatalf("Parse(%q) resolved to unregistered policy %q", name, canon)
+			t.Fatalf("Canonical(%q) resolved to unregistered policy %q", name, canon)
 		}
-		// Canonical names round-trip through Parse and Canonical.
-		if again, err := policy.Parse(canon); err != nil || again.Name() != canon {
-			t.Errorf("canonical %q does not round-trip: %v", canon, err)
-		}
-		if c, err := policy.Canonical(name); err != nil || c != canon {
-			t.Errorf("Canonical(%q) = %q, %v, want %q", name, c, err, canon)
+		// Canonical names round-trip.
+		if again, err := policy.Canonical(canon); err != nil || again != canon {
+			t.Errorf("canonical %q does not round-trip: %q, %v", canon, again, err)
 		}
 		// Normalization is idempotent over case and whitespace (guard
 		// against the rare Unicode spellings whose upper-case form
 		// lower-cases differently).
 		variant := " " + strings.ToUpper(name) + "\t"
 		if strings.ToLower(strings.ToUpper(name)) == strings.ToLower(name) {
-			if v, err := policy.Parse(variant); err != nil || v.Name() != canon {
-				t.Errorf("Parse(%q) = %v, want policy %q", variant, err, canon)
+			if v, err := policy.Canonical(variant); err != nil || v != canon {
+				t.Errorf("Canonical(%q) = %q, %v, want policy %q", variant, v, err, canon)
 			}
 		}
 	})

@@ -1,194 +1,205 @@
-// Package policy is the pluggable co-scheduling layer: one registry
-// through which every front end — the corun facade, the online epoch
-// scheduler, the corund daemon, and the command-line tools — resolves
-// scheduling policies by name.
+// Package policy is the co-scheduling policy table: the one place that
+// knows what a policy is. Every front end — the corun facade, the
+// online epoch scheduler, the corund daemon, the command-line tools
+// and the evaluation harness — resolves a policy by name here and
+// plans or runs it through Plan and Run; nothing outside this package
+// compares a policy name.
 //
-// The paper's contribution is a family of interchangeable policies
-// (HCS, HCS+, the optimal bound, the Random/Default baselines)
-// evaluated under one predictive model; this package makes that family
-// a first-class extension point. A new policy is a one-file change:
-// implement Policy and call Register from an init function.
+// The paper's evaluation (section VI-A) is a family of interchangeable
+// arms — Random, Default_G, Default_C, HCS, HCS+ and the optimal bound
+// — judged under one predictive model on one machine. Each arm is one
+// row of the table in table.go: canonical name, aliases, description,
+// whether it needs the model, how it plans and, for the
+// dispatcher-driven baselines, how it executes. A new policy is one
+// more row.
 //
-// The registry stores each policy under a canonical name plus optional
-// aliases; Parse normalizes case and whitespace and rejects unknown
-// names with an error that lists every valid one, so API layers can
-// surface it directly as a 400.
+// Names are matched lower-case with surrounding whitespace removed;
+// an unknown name is rejected with an error that lists every valid
+// one, so API layers can surface it directly as a 400.
 package policy
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"corun/internal/core"
 	"corun/internal/fault"
+	"corun/internal/sim"
+	"corun/internal/units"
+	"corun/internal/workload"
 )
 
-// SitePlan is the failpoint (internal/fault) checked on every plan
-// request that resolves through the registry (Plan) against the
-// fault.Default registry. Arming it injects planning failures or
-// latency (a planning-epoch overrun) into every front end at once.
+// SitePlan is the failpoint (internal/fault) checked, against the
+// fault.Default registry, each time a row plans (Plan, and Run for the
+// rows that execute their plan). Arming it injects planning failures
+// or latency (a planning-epoch overrun) into every front end at once.
 const SitePlan = "policy/plan"
 
 // Options passes per-plan knobs to a policy. The zero value is a valid
-// default for every registered policy.
+// default for every policy.
 type Options struct {
 	// Seed drives the stochastic parts: refinement sampling in hcs+,
-	// the metaheuristic searches, and the random baseline plan.
+	// the metaheuristic searches, and the random baseline.
 	Seed int64
-
-	// HCS tunes the heuristic steps of the hcs/hcs+ policies (and the
-	// HCS seed the metaheuristics start from).
-	HCS core.HCSOptions
-
-	// Workers bounds the worker pool of the parallel searches
-	// (optimal, genetic); zero picks a machine-sized default.
-	Workers int
 }
 
-// Policy plans a co-schedule for a prepared scheduling context. A
-// Policy must be safe for concurrent Plan calls: all per-batch state
-// lives in the Context (whose memo tables are lock-guarded), never in
-// the Policy value itself.
-type Policy interface {
-	// Name is the canonical, lower-case registry name.
-	Name() string
-
-	// Plan produces a schedule for the context's batch. Implementations
-	// must not retain or mutate the context beyond its documented
-	// thread-safe query surface.
-	Plan(cx *core.Context, opts Options) (*core.Schedule, error)
-}
-
-// Describer is optionally implemented by a Policy to expose a one-line
-// summary (shown by GET /v1/policies and the command-line tools).
-type Describer interface {
-	Describe() string
-}
-
-// Info describes one registry entry.
+// Info describes one row of the table.
 type Info struct {
 	// Name is the canonical name.
 	Name string `json:"name"`
-	// Aliases are alternate spellings accepted by Parse.
+	// Aliases are alternate spellings accepted wherever a name is.
 	Aliases []string `json:"aliases,omitempty"`
-	// Description is the policy's one-line summary, if it has one.
+	// Description is the policy's one-line summary.
 	Description string `json:"description,omitempty"`
 }
 
-var registry = struct {
-	sync.RWMutex
-	byName  map[string]Policy // canonical names and aliases
-	entries map[string]*Info  // canonical name -> info
-}{
-	byName:  map[string]Policy{},
-	entries: map[string]*Info{},
+// row is one policy. Rows are immutable after package initialization
+// and their functions keep no state of their own (per-batch state
+// lives in the Context, whose memo tables are lock-guarded), so any
+// number of goroutines may plan and run the same row at once.
+type row struct {
+	name    string
+	aliases []string // sorted
+	desc    string
+
+	// modelFree rows never consult the predictive model: they serve
+	// without a characterization and Run accepts a nil Context.
+	modelFree bool
+
+	// plan produces the row's schedule for the context's batch.
+	plan func(cx *core.Context, seed int64) (*core.Schedule, error)
+
+	// exec, when set, is how the row executes a batch: the
+	// dispatcher-driven baselines place jobs as processors fall idle
+	// instead of following their planned form. Rows without it execute
+	// their plan.
+	exec func(cx *core.Context, batch []*workload.Instance, opts core.ExecOptions, seed int64) (*sim.Result, error)
 }
 
-// normalize is the single spelling rule of the registry: names are
+// byName indexes the table by canonical name and alias; names holds
+// the canonical names, sorted. Both are built once, here, and only
+// read afterwards (the package's table test checks that no two rows
+// share a spelling).
+var byName, names = func() (map[string]*row, []string) {
+	idx := make(map[string]*row, 2*len(table))
+	sorted := make([]string, 0, len(table))
+	for i := range table {
+		r := &table[i]
+		idx[r.name] = r
+		for _, a := range r.aliases {
+			idx[a] = r
+		}
+		sorted = append(sorted, r.name)
+	}
+	sort.Strings(sorted)
+	return idx, sorted
+}()
+
+// normalize is the single spelling rule of the table: names are
 // compared lower-case with surrounding whitespace removed.
 func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// Register adds a policy under its canonical name plus any aliases.
-// Registering a duplicate name or alias panics: collisions are
-// programmer errors, caught at init time.
-func Register(p Policy, aliases ...string) {
-	if p == nil {
-		panic("policy: Register(nil)")
+// lookup resolves a policy name (canonical or alias, case-insensitive,
+// surrounding whitespace ignored) to its row. Unknown names are an
+// error listing every valid name — never a silent default.
+func lookup(name string) (*row, error) {
+	if r := byName[normalize(name)]; r != nil {
+		return r, nil
 	}
-	name := normalize(p.Name())
-	if name == "" {
-		panic("policy: Register with empty name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	registry.byName[name] = p
-	info := &Info{Name: name}
-	if d, ok := p.(Describer); ok {
-		info.Description = d.Describe()
-	}
-	for _, a := range aliases {
-		a = normalize(a)
-		if a == "" || a == name {
-			continue
-		}
-		if _, dup := registry.byName[a]; dup {
-			panic(fmt.Sprintf("policy: duplicate registration of alias %q", a))
-		}
-		registry.byName[a] = p
-		info.Aliases = append(info.Aliases, a)
-	}
-	sort.Strings(info.Aliases)
-	registry.entries[name] = info
-}
-
-// Parse resolves a policy name (canonical or alias, case-insensitive,
-// surrounding whitespace ignored) to its registered Policy. Unknown
-// names are an error listing every valid name — never a silent
-// default.
-func Parse(name string) (Policy, error) {
-	key := normalize(name)
-	registry.RLock()
-	p, ok := registry.byName[key]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (valid: %s)", name, strings.Join(Names(), " | "))
-	}
-	return p, nil
+	return nil, fmt.Errorf("policy: unknown policy %q (valid: %s)", name, strings.Join(names, " | "))
 }
 
 // Canonical maps any accepted spelling to the canonical name; unknown
-// names return the Parse error.
+// names return the lookup error.
 func Canonical(name string) (string, error) {
-	p, err := Parse(name)
+	r, err := lookup(name)
 	if err != nil {
 		return "", err
 	}
-	return p.Name(), nil
+	return r.name, nil
 }
 
-// Names returns the canonical names of every registered policy,
-// sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.entries))
-	for name := range registry.entries {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+// NeedsModel reports whether the named policy plans over the
+// predictive model and therefore needs the offline characterization
+// (and a Context to Run on). Only a known model-free row reports
+// false; unknown names are reported as needing it.
+func NeedsModel(name string) bool {
+	r := byName[normalize(name)]
+	return r == nil || !r.modelFree
 }
 
-// List returns every registry entry's metadata, sorted by canonical
-// name.
+// Names returns the canonical names of every policy, sorted.
+func Names() []string { return append([]string(nil), names...) }
+
+// List returns every row's metadata, sorted by canonical name.
 func List() []Info {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Info, 0, len(registry.entries))
-	for _, info := range registry.entries {
-		cp := *info
-		cp.Aliases = append([]string(nil), info.Aliases...)
-		out = append(out, cp)
+	out := make([]Info, len(names))
+	for i, name := range names {
+		r := byName[name]
+		out[i] = Info{Name: r.name, Aliases: append([]string(nil), r.aliases...), Description: r.desc}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Plan is the one-shot form: resolve name and plan on cx.
+// Plan resolves name and returns its schedule for the context's batch.
+// The dispatcher-driven baselines plan too — their planned form is a
+// plain Schedule that flows through the same predicted-makespan and
+// execution paths as every other row's — but that is not how Run
+// executes them.
 func Plan(name string, cx *core.Context, opts Options) (*core.Schedule, error) {
-	p, err := Parse(name)
+	r, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	if err := fault.Default.Hit(SitePlan); err != nil {
 		return nil, err
 	}
-	return p.Plan(cx, opts)
+	return r.plan(cx, opts.Seed)
+}
+
+// Run executes the named policy on a batch on the ground-truth
+// simulator — the one way any front end runs an arm. Instance IDs in
+// the batch must equal their indices. cx is the batch's scheduling
+// context; it may be nil for a row that needs no model (NeedsModel).
+//
+// A row that executes its plan returns the plan and the model's
+// predicted makespan for it beside the result; planned, if not nil,
+// observes both after planning and before execution. A
+// dispatcher-driven baseline has no plan to follow: planned sees, and
+// Run returns, a nil plan and a zero prediction.
+func Run(name string, cx *core.Context, batch []*workload.Instance, exec core.ExecOptions, opts Options,
+	planned func(plan *core.Schedule, predicted units.Seconds)) (*core.Schedule, units.Seconds, *sim.Result, error) {
+	r, err := lookup(name)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if cx == nil && !r.modelFree {
+		return nil, 0, nil, fmt.Errorf("policy: %s needs a scheduling context", r.name)
+	}
+	if r.exec != nil {
+		if planned != nil {
+			planned(nil, 0)
+		}
+		res, err := r.exec(cx, batch, exec, opts.Seed)
+		return nil, 0, res, err
+	}
+	plan, err := Plan(r.name, cx, opts)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	predicted, err := cx.PredictedMakespan(plan)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if planned != nil {
+		planned(plan.Clone(), predicted)
+	}
+	res, err := cx.Execute(plan, batch, exec)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return plan, predicted, res, nil
 }

@@ -5,13 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"corun/internal/core"
 	"corun/internal/model"
 	"corun/internal/policy"
 )
 
 func TestNamesCoverThePaperFamily(t *testing.T) {
-	want := []string{"anneal", "default", "genetic", "hcs", "hcs+", "optimal", "random"}
+	want := []string{"anneal", "default", "default-cpu", "genetic", "hcs", "hcs+", "optimal", "random"}
 	if got := policy.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -31,14 +30,6 @@ func TestParseNormalizesCaseAliasesWhitespace(t *testing.T) {
 		"Default":       "default",
 	}
 	for in, want := range cases {
-		p, err := policy.Parse(in)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", in, err)
-			continue
-		}
-		if p.Name() != want {
-			t.Errorf("Parse(%q).Name() = %q, want %q", in, p.Name(), want)
-		}
 		canon, err := policy.Canonical(in)
 		if err != nil || canon != want {
 			t.Errorf("Canonical(%q) = %q, %v, want %q", in, canon, err, want)
@@ -57,39 +48,15 @@ func TestParseUnknownListsEveryValidName(t *testing.T) {
 			t.Errorf("Canonical(%q) succeeded", bad)
 		}
 	}
-	_, err := policy.Parse("no-such-policy")
+	_, err := policy.Canonical("no-such-policy")
 	if err == nil {
-		t.Fatal("Parse of an unknown name succeeded")
+		t.Fatal("Canonical of an unknown name succeeded")
 	}
 	for _, name := range policy.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("rejection %q does not list valid policy %q", err, name)
 		}
 	}
-}
-
-// stub is a minimal Policy for registration-collision tests.
-type stub struct{ name string }
-
-func (s *stub) Name() string { return s.name }
-func (s *stub) Plan(*core.Context, policy.Options) (*core.Schedule, error) {
-	return nil, nil
-}
-
-func TestRegisterRejectsCollisionsAndNil(t *testing.T) {
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		fn()
-	}
-	mustPanic("nil policy", func() { policy.Register(nil) })
-	mustPanic("empty name", func() { policy.Register(&stub{name: "  "}) })
-	mustPanic("duplicate canonical name", func() { policy.Register(&stub{name: "hcs"}) })
-	mustPanic("name colliding with an alias", func() { policy.Register(&stub{name: "HCSPlus"}) })
 }
 
 func TestListDescribesEveryPolicy(t *testing.T) {
@@ -106,6 +73,9 @@ func TestListDescribesEveryPolicy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(aliases["hcs+"], []string{"hcsplus"}) {
 		t.Errorf("hcs+ aliases = %v, want [hcsplus]", aliases["hcs+"])
+	}
+	if !reflect.DeepEqual(aliases["default"], []string{"default-gpu"}) {
+		t.Errorf("default aliases = %v, want [default-gpu]", aliases["default"])
 	}
 	if !reflect.DeepEqual(aliases["genetic"], []string{"metaheuristic"}) {
 		t.Errorf("genetic aliases = %v, want [metaheuristic]", aliases["genetic"])
@@ -176,29 +146,5 @@ func TestCachedPredictorMatchesUncachedBitForBit(t *testing.T) {
 	// shared characterization, the view must have looked them up.
 	if stats := cached.Stats(); stats.Hits+stats.Misses == 0 {
 		t.Errorf("pair tables never consulted: %+v", stats)
-	}
-}
-
-// TestParallelSearchMatchesSerial pins the determinism contract of the
-// worker-pool fan-out: the optimal and genetic searches return the
-// same result for every worker count.
-func TestParallelSearchMatchesSerial(t *testing.T) {
-	batch := testBatch(t)
-	pred := predictorFor(t, batch)
-	cx := contextOver(t, pred)
-	for _, name := range []string{"optimal", "genetic"} {
-		serial, err := policy.Plan(name, cx, policy.Options{Seed: 7, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", name, err)
-		}
-		for _, workers := range []int{0, 2, 7} {
-			fanned, err := policy.Plan(name, cx, policy.Options{Seed: 7, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(serial, fanned) {
-				t.Errorf("%s: workers=%d plan %v differs from serial %v", name, workers, fanned, serial)
-			}
-		}
 	}
 }

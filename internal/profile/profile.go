@@ -132,23 +132,3 @@ func (s *Standalone) BestFreqUnderCap(i int, d apu.Device, cap units.Watts) (int
 	}
 	return 0, false
 }
-
-// BestTimeUnderCap returns the fastest standalone (device, level) for
-// instance i under the cap. The boolean reports whether any operating
-// point fits.
-func (s *Standalone) BestTimeUnderCap(i int, cap units.Watts) (apu.Device, int, units.Seconds, bool) {
-	bestDev, bestF := apu.CPU, -1
-	bestT := units.Seconds(0)
-	found := false
-	for d := apu.CPU; d <= apu.GPU; d++ {
-		f, ok := s.BestFreqUnderCap(i, d, cap)
-		if !ok {
-			continue
-		}
-		t := s.Entries[i][d][f].Time
-		if !found || t < bestT {
-			bestDev, bestF, bestT, found = d, f, t, true
-		}
-	}
-	return bestDev, bestF, bestT, found
-}

@@ -145,37 +145,26 @@ func TestBestFreqUnderCap(t *testing.T) {
 	}
 }
 
-func TestBestTimeUnderCap(t *testing.T) {
-	s := collect(t, workload.Batch8())
-	// streamcluster prefers the GPU uncapped.
-	d, f, tm, ok := s.BestTimeUnderCap(0, 0)
-	if !ok || d != apu.GPU || f != s.Cfg.MaxFreqIndex(apu.GPU) {
-		t.Errorf("streamcluster best = %v@%d, want GPU@max", d, f)
-	}
-	if tm <= 0 {
-		t.Error("non-positive best time")
-	}
-	// dwt2d prefers the CPU uncapped.
-	d, _, _, ok = s.BestTimeUnderCap(2, 0)
-	if !ok || d != apu.CPU {
-		t.Errorf("dwt2d best device = %v, want CPU", d)
-	}
-	// Infeasible cap.
-	if _, _, _, ok := s.BestTimeUnderCap(0, 1); ok {
-		t.Error("1 W cap reported feasible")
-	}
-}
-
 // GPU-preferred programs must remain GPU-preferred under a 15 W cap —
 // the preference categorization the scheduler relies on.
 func TestPreferencesStableUnderCap(t *testing.T) {
 	s := collect(t, workload.Batch8())
-	d, _, _, ok := s.BestTimeUnderCap(0, 15) // streamcluster
-	if !ok || d != apu.GPU {
-		t.Errorf("streamcluster under 15 W prefers %v, want GPU", d)
-	}
-	d, _, _, ok = s.BestTimeUnderCap(2, 15) // dwt2d
-	if !ok || d != apu.CPU {
-		t.Errorf("dwt2d under 15 W prefers %v, want CPU", d)
+	for _, c := range []struct {
+		job  int
+		name string
+		want apu.Device
+	}{{0, "streamcluster", apu.GPU}, {2, "dwt2d", apu.CPU}} {
+		var best [apu.NumDevices]units.Seconds
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			f, ok := s.BestFreqUnderCap(c.job, d, 15)
+			if !ok {
+				t.Fatalf("%s has no 15 W operating point on %v", c.name, d)
+			}
+			best[d] = s.Entries[c.job][d][f].Time
+		}
+		other := apu.CPU + apu.GPU - c.want
+		if best[c.want] >= best[other] {
+			t.Errorf("%s under 15 W: %v on %v, %v on %v; want %v faster", c.name, best[c.want], c.want, best[other], other, c.want)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"corun/internal/journal"
-	"corun/internal/online"
 	"corun/internal/workload"
 )
 
@@ -89,7 +88,7 @@ func BenchmarkSubmitDurable(b *testing.B) {
 	for _, conc := range []int{1, 4, 32} {
 		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
 			s := newTestServer(b, func(c *Config) {
-				c.Policy = online.PolicyRandom
+				c.Policy = "random"
 				c.MaxQueue = 1 << 20
 				c.DataDir = b.TempDir()
 				c.Fsync = journal.FsyncAlways

@@ -13,7 +13,6 @@ import (
 
 	"corun/internal/fault"
 	"corun/internal/journal"
-	"corun/internal/online"
 )
 
 // TestSubmitDurableAck is the submit→ack path's property test: eight
@@ -41,7 +40,7 @@ func TestSubmitDurableAck(t *testing.T) {
 			dir := t.TempDir()
 			reg := fault.NewRegistry()
 			s := newTestServer(t, func(c *Config) {
-				c.Policy = online.PolicyRandom
+				c.Policy = "random"
 				c.MaxQueue = goroutines * perG
 				c.DataDir = dir
 				c.Fsync = journal.FsyncAlways
@@ -158,7 +157,7 @@ func TestCommitMetricsCountAppends(t *testing.T) {
 	if err := s.SetCap(14); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetPolicy(online.PolicyHCS); err != nil {
+	if err := s.SetPolicy("hcs"); err != nil {
 		t.Fatal(err)
 	}
 	// One three-record commit, the shape of a scheduler terminal batch.

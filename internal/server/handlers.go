@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,15 +166,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(out)
 }
 
+// handleJobs walks the table on every request: each job resolves to
+// the snapshot current when it is visited, so a list issued after an
+// acked submit always contains it.
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	body, err := s.jobsJSON()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -203,23 +198,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("server: no epoch has been planned yet"))
 		return
 	}
-	// Stored PlanViews are immutable, so the encoded body is cached by
-	// pointer identity: between epochs, polls reuse the same bytes.
-	c := s.planCache.Load()
-	if c == nil || c.pv != pv {
-		var bb bytes.Buffer
-		enc := json.NewEncoder(&bb)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(pv); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		c = &planCacheEntry{pv: pv, body: bb.Bytes()}
-		s.planCache.Store(c)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(c.body)
+	writeJSON(w, http.StatusOK, pv)
 }
 
 func (s *Server) capBody() map[string]float64 {

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"corun/internal/online"
 )
 
 func TestValidateNodeID(t *testing.T) {
@@ -82,7 +80,7 @@ func TestNodeIDJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	mkNode := func() *Server {
 		s, err := New(Config{
-			Cap: 15, Policy: online.PolicyRandom, Seed: 1,
+			Cap: 15, Policy: "random", Seed: 1,
 			EpochGap: 2 * time.Millisecond,
 			NodeID:   "n7", DataDir: dir,
 		})

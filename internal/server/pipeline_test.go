@@ -26,7 +26,9 @@ import (
 // as one direct online.PlanEpoch call at that epoch's seed plans and
 // simulates it — same dispatch orders, exclusive set and makespan bits —
 // under a package cap, a PP1 plane cap and a package cap given as a
-// domain.
+// domain. The dispatcher-driven baselines publish no plan; for them
+// (and for the planned policies too) every job finishes on the device
+// and at the instant PlanEpoch's completion for it says.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
 	const seed = 41
 	rng := rand.New(rand.NewSource(seed))
@@ -43,7 +45,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 		{"pp1-9", 0, apu.DomainCaps{PP1: 9}},
 		{"package15", 0, apu.DomainCaps{Package: 15}},
 	} {
-		for _, pol := range []string{online.PolicyHCS, online.PolicyHCSPlus} {
+		for _, pol := range []string{"hcs", "hcs+", "random", "default", "default-cpu"} {
 			t.Run(cc.name+"/"+pol, func(t *testing.T) {
 				s := newTestServer(t, func(c *Config) {
 					c.Cap, c.Domains, c.Policy, c.Seed = cc.cap, cc.domains, pol, seed
@@ -81,6 +83,16 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				}
 				if got, want := math.Float64bits(pv.SimulatedMakespanS), math.Float64bits(float64(ep.Result.Makespan)); got != want {
 					t.Errorf("daemon makespan %v, PlanEpoch %v", pv.SimulatedMakespanS, ep.Result.Makespan)
+				}
+				// Epoch 1 starts at sim clock 0, so finish times are the
+				// simulator's own, and equal finish times are an equal
+				// completion order.
+				jobs := s.Jobs()
+				for _, c := range ep.Result.Completions {
+					j := jobs[c.Inst.ID]
+					if j.Device != c.Dev.String() || math.Float64bits(j.FinishedSimS) != math.Float64bits(float64(c.End)) {
+						t.Errorf("daemon finished %s on %s at %v, PlanEpoch on %v at %v", j.ID, j.Device, j.FinishedSimS, c.Dev, c.End)
+					}
 				}
 			})
 		}

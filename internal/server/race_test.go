@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"corun/internal/online"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -81,9 +80,9 @@ func TestJobTableConcurrency(t *testing.T) {
 				t.Errorf("set cap: %v", err)
 				return
 			}
-			p := online.PolicyHCSPlus
+			p := "hcs+"
 			if i%2 == 1 {
-				p = online.PolicyRandom
+				p = "random"
 			}
 			if err := s.SetPolicy(p); err != nil {
 				t.Errorf("set policy: %v", err)
@@ -136,7 +135,7 @@ func TestJobTableConcurrency(t *testing.T) {
 // paths.
 func TestRandomPolicySubmissionRace(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
-		c.Policy = online.PolicyRandom
+		c.Policy = "random"
 		c.EpochGap = time.Millisecond
 		c.MaxQueue = 10_000
 	})

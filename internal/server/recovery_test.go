@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"corun/internal/journal"
-	"corun/internal/online"
 	"corun/internal/workload"
 )
 
@@ -86,8 +85,8 @@ func TestCrashRecovery(t *testing.T) {
 	if got := s2.Cap(); got != 12 {
 		t.Errorf("recovered cap %v, want 12", got)
 	}
-	if got := s2.Policy(); got != online.PolicyHCS {
-		t.Errorf("recovered policy %v, want %v", got, online.PolicyHCS)
+	if got := s2.Policy(); got != "hcs" {
+		t.Errorf("recovered policy %v, want %v", got, "hcs")
 	}
 	if got := s2.QueueDepth(); got != len(want) {
 		t.Errorf("queue depth %d, want %d re-enqueued jobs", got, len(want))

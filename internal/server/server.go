@@ -19,7 +19,7 @@
 // bound named in the body), and with Config.MaxBatch set a higher-
 // priority arrival preempts the lowest-priority claimed batch members
 // at the epoch boundary. The epoch loop never orders jobs itself; it
-// claims work exclusively through the admission.Selector seam.
+// claims work exclusively through the admission.Queue.
 // SIGTERM-style shutdown is graceful: draining stops admission, the
 // in-flight epoch completes, queued jobs are flushed through final
 // rounds, and the loop exits.
@@ -43,9 +43,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -131,7 +129,7 @@ type Config struct {
 	Domains apu.DomainCaps
 
 	// Policy is the policy registry name that plans each epoch;
-	// defaults to online.PolicyHCSPlus.
+	// defaults to "hcs+".
 	Policy string
 
 	// Seed drives refinement sampling and the Random policy.
@@ -229,7 +227,7 @@ func (c *Config) withDefaults() Config {
 		out.Machine = apu.DefaultConfig()
 	}
 	if out.Policy == "" {
-		out.Policy = online.PolicyHCSPlus
+		out.Policy = "hcs+"
 	}
 	if out.Mem == nil {
 		out.Mem = memsys.Default()
@@ -310,21 +308,6 @@ func (p *PlanView) clone() PlanView {
 	return out
 }
 
-// jobsCacheEntry is one immutable encoded GET /v1/jobs response,
-// keyed by the table version captured BEFORE the table was iterated
-// (see jobsJSON for why that side matters).
-type jobsCacheEntry struct {
-	version uint64
-	body    []byte
-}
-
-// planCacheEntry caches the encoded GET /v1/plan body for one stored
-// PlanView (matched by pointer identity — stored views are immutable).
-type planCacheEntry struct {
-	pv   *PlanView
-	body []byte
-}
-
 // Server is the daemon: job table, scheduler goroutine, metrics, and
 // (when configured with a data dir) the durable state journal.
 //
@@ -334,7 +317,7 @@ type planCacheEntry struct {
 //   - admMu: the admission selector and every decision that must be
 //     atomic with it (reserve/enqueue/claim/preempt, the post-journal
 //     draining re-check, the loop's exit decision).
-//   - jobsCacheMu / traceMu / ctlMu / arena.mu: small, single-purpose.
+//   - traceMu / ctlMu / arena.mu: small, single-purpose.
 //
 // The scheduler goroutine exclusively owns epochCount and the private
 // batch copies it mutates between publishes.
@@ -360,7 +343,7 @@ type Server struct {
 	// call is made under admMu, as is every draining decision that
 	// must be atomic with the queue (a Queue is not concurrency-safe).
 	admMu    sync.Mutex
-	adm      admission.Selector
+	adm      *admission.Queue
 	draining atomic.Bool
 
 	// table is the sharded job table; arena slab-allocates the records
@@ -372,13 +355,12 @@ type Server struct {
 
 	// Control state read on the request path, written by control calls
 	// and the scheduler: float64 bit patterns and pointers.
-	capBits   atomic.Uint64            // units.Watts
-	pp0Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
-	pp1Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
-	policyV   atomic.Pointer[string]   // canonical policy name
-	simClock  atomic.Uint64            // units.Seconds
-	lastPlan  atomic.Pointer[PlanView] // immutable once stored
-	planCache atomic.Pointer[planCacheEntry]
+	capBits  atomic.Uint64            // units.Watts
+	pp0Bits  atomic.Uint64            // units.Watts (0 = plane uncapped)
+	pp1Bits  atomic.Uint64            // units.Watts (0 = plane uncapped)
+	policyV  atomic.Pointer[string]   // canonical policy name
+	simClock atomic.Uint64            // units.Seconds
+	lastPlan atomic.Pointer[PlanView] // immutable once stored
 
 	// epochCount is owned by the scheduler goroutine (recovery writes
 	// it before the loop starts).
@@ -386,16 +368,6 @@ type Server struct {
 	// interpolationsSeen is what corund_model_interpolations_total has
 	// already been advanced by; scheduler goroutine only.
 	interpolationsSeen uint64
-
-	// jobsCache is the version-keyed encoded GET /v1/jobs response;
-	// jobsCacheMu serializes rebuilds (readers never take it).
-	jobsCacheMu sync.Mutex
-	jobsCache   atomic.Pointer[jobsCacheEntry]
-
-	// testHookListSnapshot, when set by a test, runs inside jobsJSON
-	// after the table snapshot is taken and before the cache entry is
-	// stored — the window where the version-capture order matters.
-	testHookListSnapshot func()
 
 	// The epoch trace behind GET /v1/trace: one sample per series per
 	// epoch, the most recent maxTraceEpochs epochs kept.
@@ -730,46 +702,6 @@ func (s *Server) jobRef(id string) *Job { return s.table.get(id) }
 // Jobs returns snapshots of every job in submission order.
 func (s *Server) Jobs() []Job { return s.table.snapshotOrdered() }
 
-// jobsJSON returns the encoded GET /v1/jobs response body. The
-// encoding is cached against the table version: while no job changes
-// state, repeated polls (the dashboard pattern) reuse the same bytes.
-// Callers must not mutate the returned slice.
-//
-// The cache entry is keyed by the version captured BEFORE the table
-// is iterated. Under striping the iteration is not atomic — jobs can
-// transition mid-walk — so the body may contain state newer than the
-// captured version, never older. Keying by the pre-iteration version
-// makes that safe: any write acked after the capture bumps the
-// version past the key, so the next read misses and rebuilds. Keying
-// by a post-iteration version would let a body that MISSED a
-// mid-iteration write be served for that write's version — a stale
-// read after an acked write (pinned by TestJobsCacheVersionSkew).
-func (s *Server) jobsJSON() ([]byte, error) {
-	if c := s.jobsCache.Load(); c != nil && c.version == s.table.version.Load() {
-		return c.body, nil
-	}
-	s.jobsCacheMu.Lock()
-	defer s.jobsCacheMu.Unlock()
-	ver := s.table.version.Load() // BEFORE snapshotOrdered, see above
-	if c := s.jobsCache.Load(); c != nil && c.version == ver {
-		return c.body, nil
-	}
-	jobs := s.table.snapshotOrdered()
-	if h := s.testHookListSnapshot; h != nil {
-		h()
-	}
-	// Encode outside every lock the serving or scheduling paths take;
-	// jobsCacheMu only serializes concurrent re-encoders.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]any{"jobs": jobs}); err != nil {
-		return nil, err
-	}
-	s.jobsCache.Store(&jobsCacheEntry{version: ver, body: buf.Bytes()})
-	return buf.Bytes(), nil
-}
-
 // QueueDepth returns the number of admitted-but-unclaimed jobs.
 func (s *Server) QueueDepth() int {
 	s.admMu.Lock()
@@ -1038,15 +970,12 @@ func (s *Server) claimBatch() []admission.Entry {
 }
 
 // publishBatch publishes fresh immutable snapshots for every job in
-// the scheduler's private batch, then bumps the table version once so
-// the whole transition becomes visible to the list cache atomically
-// enough (snapshots first, version last).
+// the scheduler's private batch.
 func (s *Server) publishBatch(batch []Job) {
 	for i := range batch {
 		pj := batch[i]
 		s.table.publish(&pj)
 	}
-	s.table.bump()
 }
 
 // runEpoch finalizes the claimed batch at the epoch boundary and runs

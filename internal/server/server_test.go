@@ -17,7 +17,6 @@ import (
 	"corun/internal/apu"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/online"
 	"corun/internal/policy"
 	"corun/internal/workload"
 )
@@ -43,7 +42,7 @@ func testChar(t testing.TB) *model.Characterization {
 
 func newTestServer(t testing.TB, mod func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{Char: testChar(t), Cap: 15, Policy: online.PolicyHCSPlus, Seed: 1}
+	cfg := Config{Char: testChar(t), Cap: 15, Policy: "hcs+", Seed: 1}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -537,23 +536,23 @@ func TestLiveCapAndPolicy(t *testing.T) {
 
 // TestConfigValidation covers New's rejection paths.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Policy: online.PolicyHCSPlus}); err == nil {
+	if _, err := New(Config{Policy: "hcs+"}); err == nil {
 		t.Error("model policy without characterization accepted")
 	}
 	if _, err := New(Config{Policy: "fifo"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New(Config{Policy: online.PolicyRandom, Cap: 0.5}); err == nil {
+	if _, err := New(Config{Policy: "random", Cap: 0.5}); err == nil {
 		t.Error("infeasible cap accepted")
 	}
-	if _, err := New(Config{Policy: online.PolicyRandom, MaxQueue: -1}); err == nil {
+	if _, err := New(Config{Policy: "random", MaxQueue: -1}); err == nil {
 		t.Error("negative queue bound accepted")
 	}
-	s, err := New(Config{Policy: online.PolicyRandom})
+	s, err := New(Config{Policy: "random"})
 	if err != nil {
 		t.Fatalf("random policy without characterization should work: %v", err)
 	}
-	if err := s.SetPolicy(online.PolicyHCS); err == nil {
+	if err := s.SetPolicy("hcs"); err == nil {
 		t.Error("switch to model policy without characterization accepted")
 	}
 	if err := s.SetCap(-1); err == nil {

@@ -10,25 +10,15 @@ import (
 // maps small without wasting cache lines on a mostly-idle daemon.
 const tableStripes = 32
 
-// jobTable is the sharded job table behind GET /v1/jobs/{id} and the
-// version-keyed list cache. Membership is striped by a hash of the job
-// ID: inserts take one stripe's write lock, lookups its read lock.
+// jobTable is the sharded job table behind GET /v1/jobs/{id} and GET
+// /v1/jobs. Membership is striped by a hash of the job ID: inserts
+// take one stripe's write lock, lookups its read lock.
 // Job *state* never sits behind any lock: each entry holds an
 // atomic.Pointer to an immutable Job snapshot, and a state transition
 // publishes a fresh snapshot (RCU-style). Readers therefore never
 // block on the scheduler, and the scheduler never waits for readers.
-//
-// The ordering contract for the list cache: every mutation publishes
-// its snapshots first and bumps version last, so a reader that
-// observes version v also observes every snapshot published before
-// the bump to v. insert bumps once per job; the scheduler batches a
-// whole epoch's transitions under a single bump.
 type jobTable struct {
 	stripes [tableStripes]tableStripe
-
-	// version counts published mutations; the GET /v1/jobs cache is
-	// keyed by it. Bumped strictly after the snapshots it covers.
-	version atomic.Uint64
 
 	// order is the append-only submission order; orderMu guards the
 	// append (elements, once written, are immutable).
@@ -68,9 +58,8 @@ func stripeFor(id string) int {
 	return int(h & (tableStripes - 1))
 }
 
-// insert publishes a new job: membership, submission order, and one
-// version bump. The caller hands over ownership — j must not be
-// mutated after insert.
+// insert publishes a new job: membership, then submission order. The
+// caller hands over ownership — j must not be mutated after insert.
 func (t *jobTable) insert(j *Job) {
 	e := &jobEntry{}
 	e.snap.Store(j)
@@ -81,12 +70,9 @@ func (t *jobTable) insert(j *Job) {
 	t.orderMu.Lock()
 	t.order = append(t.order, j.ID)
 	t.orderMu.Unlock()
-	t.version.Add(1)
 }
 
-// publish swaps in a new immutable snapshot for an existing job. It
-// does NOT bump the version — the caller bumps once per transition
-// batch (see bump), after every publish of the batch.
+// publish swaps in a new immutable snapshot for an existing job.
 func (t *jobTable) publish(j *Job) {
 	st := &t.stripes[stripeFor(j.ID)]
 	st.mu.RLock()
@@ -96,10 +82,6 @@ func (t *jobTable) publish(j *Job) {
 		e.snap.Store(j)
 	}
 }
-
-// bump makes all previously published snapshots visible to the
-// version-keyed caches.
-func (t *jobTable) bump() { t.version.Add(1) }
 
 // get returns the job's current immutable snapshot (nil if unknown).
 // Callers must not mutate it.

@@ -64,11 +64,6 @@ func (q *QueueDispatcher) Next(dev apu.Device, view *View) *Dispatch {
 	return d
 }
 
-// Remaining reports how many queued jobs have not been dispatched yet.
-func (q *QueueDispatcher) Remaining() int {
-	return (len(q.CPUQueue) - q.cpuNext) + (len(q.GPUQueue) - q.gpuNext)
-}
-
 // repeatDispatcher runs a target instance once on its device while
 // continuously re-launching copies of a co-runner on the other device.
 // Combined with Options.StopInstance it measures pairwise co-run

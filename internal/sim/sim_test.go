@@ -139,9 +139,6 @@ func TestQueueDispatcherOrdering(t *testing.T) {
 	if res.Completions[1].Start < res.Completions[0].End-1e-9 {
 		t.Error("second job started before first finished on a 1-slot CPU")
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", d.Remaining())
-	}
 }
 
 // Makespan equals the last completion time and completions are in

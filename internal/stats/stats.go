@@ -149,25 +149,6 @@ func (h *Histogram) WriteTable(w io.Writer, percent bool) error {
 	return nil
 }
 
-// Mean of absolute values inserted is not recoverable from bins, so
-// evaluation code keeps raw slices; GeoMean and SpeedupOver help there.
-
-// GeoMean returns the geometric mean of positive values; zero or
-// negative inputs are rejected with an error.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty set")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
 // SpeedupOver converts a baseline and an improved makespan to the
 // fractional speedup the paper quotes: baseline/improved - 1.
 func SpeedupOver(baseline, improved float64) float64 {

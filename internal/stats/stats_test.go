@@ -101,19 +101,6 @@ func TestNewHistogramPanics(t *testing.T) {
 	NewHistogram(0, 0)
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, %v", g, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("GeoMean of empty set accepted")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("GeoMean of negative values accepted")
-	}
-}
-
 func TestSpeedupOver(t *testing.T) {
 	if got := SpeedupOver(150, 100); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("SpeedupOver(150,100) = %v, want 0.5", got)

@@ -37,16 +37,8 @@ func (b GBps) String() string { return fmt.Sprintf("%.2fGB/s", float64(b)) }
 // String implements fmt.Stringer.
 func (s Seconds) String() string { return fmt.Sprintf("%.2fs", float64(s)) }
 
-// MHz converts the frequency to megahertz.
-func (f GHz) MHz() float64 { return float64(f) * 1000 }
-
 // Epsilon is the default tolerance used when comparing simulated quantities.
 const Epsilon = 1e-9
-
-// ApproxEqual reports whether a and b differ by at most tol.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
 
 // RelErr returns the relative error of predicted with respect to actual,
 // |predicted-actual| / |actual|. When actual is (near) zero it falls back to
@@ -71,11 +63,3 @@ func Clamp(v, lo, hi float64) float64 {
 
 // Lerp linearly interpolates between a and b by t in [0,1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// SafeDiv divides a by b, returning 0 when b is (near) zero.
-func SafeDiv(a, b float64) float64 {
-	if math.Abs(b) < Epsilon {
-		return 0
-	}
-	return a / b
-}

@@ -22,21 +22,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestMHz(t *testing.T) {
-	if got := GHz(1.25).MHz(); got != 1250 {
-		t.Errorf("GHz(1.25).MHz() = %v, want 1250", got)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("values within tolerance reported unequal")
-	}
-	if ApproxEqual(1.0, 1.1, 1e-3) {
-		t.Error("values outside tolerance reported equal")
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if got := RelErr(110, 100); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("RelErr(110,100) = %v, want 0.1", got)
@@ -73,15 +58,6 @@ func TestLerp(t *testing.T) {
 	}
 	if got := Lerp(2, 4, 1); got != 4 {
 		t.Errorf("Lerp endpoints broken: t=1 gives %v", got)
-	}
-}
-
-func TestSafeDiv(t *testing.T) {
-	if got := SafeDiv(10, 2); got != 5 {
-		t.Errorf("SafeDiv(10,2) = %v, want 5", got)
-	}
-	if got := SafeDiv(10, 0); got != 0 {
-		t.Errorf("SafeDiv(10,0) = %v, want 0", got)
 	}
 }
 

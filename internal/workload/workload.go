@@ -13,7 +13,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"corun/internal/kernelsim"
 )
@@ -231,10 +230,4 @@ func Validate() error {
 		seen[p.Name] = true
 	}
 	return nil
-}
-
-// SortByID orders a batch by instance ID in place (useful after
-// scheduling algorithms shuffle batches).
-func SortByID(batch []*Instance) {
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ID < batch[j].ID })
 }

@@ -199,18 +199,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestSortByID(t *testing.T) {
-	b := Batch8()
-	b[0], b[7] = b[7], b[0]
-	b[3], b[5] = b[5], b[3]
-	SortByID(b)
-	for i, in := range b {
-		if in.ID != i {
-			t.Fatalf("SortByID left ID %d at position %d", in.ID, i)
-		}
-	}
-}
-
 func TestInstanceString(t *testing.T) {
 	in := &Instance{Label: "cfd#2"}
 	if in.String() != "cfd#2" {

@@ -2,10 +2,12 @@ package corun
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"corun/internal/online"
@@ -28,7 +30,10 @@ func exclusiveSet(s *Schedule) []int {
 // online.PlanEpoch, the call the daemon makes, and wants one answer:
 // the same dispatch orders, exclusive set and simulated makespan bits,
 // whether the cap arrives as the package cap, as a PP1 plane cap or as
-// the package entry of the domain caps. The daemon's own leg —
+// the package entry of the domain caps. The dispatcher-driven baselines
+// have no plan to compare: the facade's bias-taking methods,
+// RunPolicy and PlanEpoch must complete the same jobs on the same
+// devices in the same order at the same instants. The daemon's own leg —
 // server.Server against online.PlanEpoch at the same epoch seed — is
 // TestOneEpochEveryEntryPoint in internal/server.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
@@ -78,7 +83,62 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if got, want := math.Float64bits(float64(ep.Result.Makespan)), math.Float64bits(float64(report.Makespan)); got != want {
 					t.Errorf("PlanEpoch makespan %v, facade %v", ep.Result.Makespan, report.Makespan)
 				}
+				byName, ran, err := w.RunPolicy(pol, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(byName, plan) || completionBits(ran.Completions, ran.Makespan) != completionBits(report.Completions, report.Makespan) {
+					t.Errorf("RunPolicy planned %v (makespan %v), ScheduleSeeded+Run %v (%v)", byName, ran.Makespan, plan, report.Makespan)
+				}
+			})
+		}
+		for pol, run := range map[string]func(w *Workload) (*Report, error){
+			"random":      func(w *Workload) (*Report, error) { return w.RunRandom(seed, GPUBiased) },
+			"default":     func(w *Workload) (*Report, error) { return w.RunDefault(GPUBiased) },
+			"default-cpu": func(w *Workload) (*Report, error) { return w.RunDefault(CPUBiased) },
+		} {
+			t.Run(cc.name+"/"+pol, func(t *testing.T) {
+				w, err := sys.Prepare(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				report, err := run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, byName, err := w.RunPolicy(pol, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ep, err := online.PlanEpoch(online.Options{
+					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
+					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
+				}, batch, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan != nil || ep.Plan != nil || ep.Predicted != 0 {
+					t.Errorf("a dispatcher-driven baseline reported a plan: RunPolicy %v, PlanEpoch %v (predicted %v)", plan, ep.Plan, ep.Predicted)
+				}
+				want := completionBits(report.Completions, report.Makespan)
+				if got := completionBits(byName.Completions, byName.Makespan); got != want {
+					t.Errorf("RunPolicy(%q) ran\n%s\nthe bias-taking method\n%s", pol, got, want)
+				}
+				if got := completionBits(ep.Result.Completions, ep.Result.Makespan); got != want {
+					t.Errorf("PlanEpoch ran\n%s\nthe facade\n%s", got, want)
+				}
 			})
 		}
 	}
+}
+
+// completionBits spells a run as its completions in order — job,
+// device, end time — and its makespan, floats by their bits.
+func completionBits(cs []Completion, makespan Seconds) string {
+	var b strings.Builder
+	for _, c := range cs {
+		fmt.Fprintf(&b, "%d@%v:%x ", c.Inst.ID, c.Dev, math.Float64bits(float64(c.End)))
+	}
+	fmt.Fprintf(&b, "makespan:%x", math.Float64bits(float64(makespan)))
+	return b.String()
 }

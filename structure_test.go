@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"corun/internal/policy"
 )
 
 // TestOnePipelineOnePlacer guards two structural facts a reviewer
@@ -25,25 +27,7 @@ func TestOnePipelineOnePlacer(t *testing.T) {
 		"corun/internal/model": "NewCachedPredictor",
 	}
 	sites := map[string][]string{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
 		local := map[string]string{} // name in this file → guarded import path
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
@@ -51,11 +35,7 @@ func TestOnePipelineOnePlacer(t *testing.T) {
 				t.Errorf("%s imports %s; internal/cluster is standard-library only", path, p)
 			}
 			if _, ok := guarded[p]; ok {
-				name := p[strings.LastIndex(p, "/")+1:]
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				local[name] = p
+				local[importName(imp)] = p
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -75,14 +55,123 @@ func TestOnePipelineOnePlacer(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, ctor := range guarded {
 		if got := sites[ctor]; len(got) != 1 || !strings.HasPrefix(got[0], "internal/online/") {
 			t.Errorf("%s is called at %v; want exactly one non-test call site, in internal/online", ctor, got)
 		}
 	}
+}
+
+// eachNonTestFile parses every non-test Go file of this module (bench/
+// is a module of its own) and hands it to visit with its slash-
+// separated directory.
+func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, path, dir string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		visit(fset, filepath.ToSlash(path), filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// importName is the name an import is referred to by in its file.
+func importName(imp *ast.ImportSpec) string {
+	if imp.Name != nil {
+		return imp.Name.Name
+	}
+	p, _ := strconv.Unquote(imp.Path.Value)
+	return p[strings.LastIndex(p, "/")+1:]
+}
+
+// TestAPolicyIsARow guards the policy table's monopoly on knowing what
+// a policy is. Outside internal/policy (and tests, and bench/): no
+// ==, != or case compares against a string literal that spells a
+// policy name or alias; the dispatcher baselines' executors
+// (core.ExecuteRandom, core.ExecuteDefault) are called only by the
+// table's rows and by the facade's two bias-taking methods, which can
+// ask for a governor bias no row has; and the evaluation harness runs
+// its arms by name — only ablation.go, whose knobs are not policies,
+// calls the HCS steps directly.
+func TestAPolicyIsARow(t *testing.T) {
+	spelling := map[string]bool{}
+	for _, info := range policy.List() {
+		spelling[info.Name] = true
+		for _, a := range info.Aliases {
+			spelling[a] = true
+		}
+	}
+	names := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return false
+		}
+		v, err := strconv.Unquote(lit.Value)
+		return err == nil && spelling[strings.ToLower(strings.TrimSpace(v))]
+	}
+	executors := map[string]bool{"ExecuteRandom": true, "ExecuteDefault": true}
+	facadeCallers := map[string]bool{"RunRandom": true, "RunDefault": true}
+	hcsSteps := map[string]bool{"HCS": true, "Refine": true, "HCSPlus": true}
+
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		if dir == "internal/policy" {
+			return
+		}
+		coreName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"corun/internal/core"` {
+				coreName = importName(imp)
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if (n.Op == token.EQL || n.Op == token.NEQ) && (names(n.X) || names(n.Y)) {
+						t.Errorf("%s compares against a policy name", fset.Position(n.Pos()))
+					}
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if names(e) {
+							t.Errorf("%s switches on a policy name", fset.Position(e.Pos()))
+						}
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && coreName != "" && x.Name == coreName && executors[sel.Sel.Name] {
+						if !(dir == "." && fn != nil && fn.Recv != nil && facadeCallers[fn.Name.Name]) {
+							t.Errorf("%s calls core.%s; baselines run through policy.Run", fset.Position(n.Pos()), sel.Sel.Name)
+						}
+					}
+					if dir == "internal/exp" && path != "internal/exp/ablation.go" && hcsSteps[sel.Sel.Name] {
+						t.Errorf("%s calls %s directly; experiments run arms by policy name (Suite.run)", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
 }
