@@ -3,7 +3,7 @@ GOFMT ?= gofmt
 BENCHTIME ?= 1s
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet fmtcheck bench fuzz verify size corund clean
+.PHONY: all build test race vet cross fmtcheck bench fuzz verify size corund clean
 
 all: build
 
@@ -18,6 +18,15 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# cross builds the module for the other side of internal/journal's
+# build-tagged pair (sync_linux.go / sync_other.go) and vets that tag
+# set too, so a Linux-only syscall cannot leak out of the tagged file.
+# Both targets compile offline with the stock toolchain.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 
 # fmtcheck fails (listing the offenders) if any file needs gofmt.
 fmtcheck:
@@ -46,13 +55,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpecJSON -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzAdmissionSpec -fuzztime=$(FUZZTIME) ./internal/admission/
 
-# verify is the tier-1 gate: everything must be gofmt-clean, compile,
-# vet clean, and pass the full test suite under the race detector.
+# verify is the tier-1 gate: everything must be gofmt-clean, compile
+# (for the non-Linux build tags as well), vet clean under both tag
+# sets, and pass the full test suite under the race detector.
 # bench/corunmark is a Go module of its own, so ./... never reaches
 # it; its smoke test builds corund and the probe (the one importer of
 # corun/internal/... outside this module) and runs all four benchmark
 # workloads at 1/50 size, which is what catches an internal rename.
-verify: fmtcheck
+verify: fmtcheck cross
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -82,7 +82,7 @@
 //	corund -data-dir /tmp/d -fault-spec 'journal/fsync=error(every=3,times=10)'
 //
 // Sites: journal/append, journal/fsync, journal/snapshot,
-// server/admit, server/epoch, policy/plan. Kinds: error(msg,...),
+// journal/prealloc, server/admit, server/epoch, policy/plan. Kinds: error(msg,...),
 // latency(dur,...), panic(...); schedule args every=N, after=N,
 // times=K, p=F, seed=S. Per-site hit and injection counts are
 // exported as corund_fault_hits_total / corund_fault_injections_total.
@@ -203,8 +203,8 @@ func main() {
 			snapshot = "yes"
 		}
 		const tenthMs = 100 * time.Microsecond
-		log.Printf("corund: recovered %d jobs (%d records replayed, snapshot %s, %d slow-path decodes, %d bytes truncated, %d re-queued) in %v (journal open %v)",
-			rec.Jobs, rec.RecordsReplayed, snapshot, rec.SlowPathRecords, rec.TruncatedTailBytes, rec.Requeued,
+		log.Printf("corund: recovered %d jobs (%d records replayed, snapshot %s, %d slow-path decodes, %d bytes truncated, %d preallocated bytes trimmed, %d re-queued) in %v (journal open %v)",
+			rec.Jobs, rec.RecordsReplayed, snapshot, rec.SlowPathRecords, rec.TruncatedTailBytes, rec.PreallocatedTailBytes, rec.Requeued,
 			rec.Total.Round(tenthMs), rec.JournalOpen.Round(tenthMs))
 		// The server may have recovered a different cap/policy than
 		// the flags; report what it actually runs with.

@@ -12,6 +12,7 @@ package journal
 // commit before the schema decoder existed (TestGoldenPR16).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -312,7 +313,23 @@ func referenceOpen(t *testing.T, dir string) (*State, RecoverStats) {
 		var r Record
 		payload, ok := referenceFrame(data[off:])
 		if !ok || json.Unmarshal(payload, &r) != nil || r.Validate() != nil {
-			stats.TruncatedTailBytes = int64(len(data) - off)
+			// The rule for what a bad tail counts as, stated on its own:
+			// zeros at the end of the file are preallocation, and so are
+			// zeros under a zero length field; the rest is torn. (A zero
+			// header passes referenceFrame — the CRC of nothing is 0 —
+			// and fails here as an empty JSON document.)
+			tail := data[off:]
+			lo, hi := 0, len(tail)
+			for hi > 0 && tail[hi-1] == 0 {
+				hi--
+			}
+			if len(tail) >= 4 && tail[0]|tail[1]|tail[2]|tail[3] == 0 {
+				for lo < hi && tail[lo] == 0 {
+					lo++
+				}
+			}
+			stats.TruncatedTailBytes = int64(hi - lo)
+			stats.PreallocatedTailBytes = int64(len(tail) - (hi - lo))
 			break
 		}
 		if r.Seq > lastSeq {
@@ -356,9 +373,11 @@ func copyDir(t *testing.T, from string) string {
 }
 
 // TestOpenMatchesReferenceReplay runs Open and the reference replay
-// over one directory with everything recovery has to cope with: a
+// over one directory with everything recovery has to cope with — a
 // snapshot from a compaction forced mid-stream, leftover records the
-// snapshot already covers, a tail, and a torn final frame.
+// snapshot already covers, a tail — ending in each thing a log can end
+// in: a torn final frame, the zeros of a preallocation nobody trimmed,
+// both, zeros with garbage past them, and (the log alone) only zeros.
 func TestOpenMatchesReferenceReplay(t *testing.T) {
 	dir := t.TempDir()
 	writeServeShaped(t, dir, 600, 128<<10)
@@ -374,22 +393,44 @@ func TestOpenMatchesReferenceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log = append(append(stale, log...), torn[:len(torn)-5]...)
-	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	torn = torn[:len(torn)-5]
+	log = append(stale, log...)
+	zeros := make([]byte, 4096)
+	garbage := []byte{0x2a, 0, 0, 0, 0xde, 0xad}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	want, wantStats := referenceOpen(t, dir)
-	if !wantStats.SnapshotLoaded || wantStats.RecordsReplayed == 0 || wantStats.Jobs != 600 ||
-		wantStats.TruncatedTailBytes != int64(len(torn)-5) {
-		t.Fatalf("the directory is not the shape this test is about: %+v", wantStats)
-	}
-	_, got, gotStats := openT(t, Options{Dir: copyDir(t, dir)})
-	if gotStats != wantStats {
-		t.Fatalf("stats %+v, reference %+v", gotStats, wantStats)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Open and the reference replay disagree:\n got %s\nwant %s", dump(got), dump(want))
+	for _, tc := range []struct {
+		name             string
+		log              []byte
+		jobs             int
+		torn, prealloced int
+	}{
+		{"torn frame", cat(log, torn), 600, len(torn), 0},
+		{"valid frames then zeros", cat(log, zeros), 600, 0, len(zeros)},
+		{"torn frame then zeros", cat(log, torn, zeros), 600, len(torn), len(zeros)},
+		{"zero header then garbage", cat(log, zeros, garbage), 600, len(garbage), len(zeros)},
+		{"all zero", zeros, 0, 0, len(zeros)},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, logName), tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := referenceOpen(t, dir)
+		if tc.jobs == 0 {
+			tc.jobs = wantStats.Jobs // whatever the snapshot alone holds
+		} else if wantStats.RecordsReplayed == 0 {
+			t.Fatalf("%s: no tail replayed: %+v", tc.name, wantStats)
+		}
+		if !wantStats.SnapshotLoaded || wantStats.Jobs != tc.jobs || wantStats.Jobs == 0 ||
+			wantStats.TruncatedTailBytes != int64(tc.torn) || wantStats.PreallocatedTailBytes != int64(tc.prealloced) {
+			t.Fatalf("%s: the directory is not the shape this test is about: %+v", tc.name, wantStats)
+		}
+		_, got, gotStats := openT(t, Options{Dir: copyDir(t, dir)})
+		if gotStats != wantStats {
+			t.Fatalf("%s: stats %+v, reference %+v", tc.name, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Open and the reference replay disagree:\n got %s\nwant %s", tc.name, dump(got), dump(want))
+		}
 	}
 }
 

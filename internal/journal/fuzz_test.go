@@ -3,13 +3,16 @@ package journal
 // Fuzz target for the WAL record framing — the bytes the daemon
 // trusts after a crash. The seed corpus covers the interesting
 // classes (a valid frame, a truncated length, a flipped CRC byte, a
-// zero-length payload); additional literal seeds live in
+// zero length field over zeros, over garbage, and behind a valid
+// frame); additional literal seeds live in
 // testdata/fuzz/FuzzDecodeRecord. Properties: DecodeRecord never
 // panics on arbitrary input, corrupt or torn input yields an error
-// (never a record), and an accepted record validates and survives an
+// (never a record), end-of-log is reported for all-zero input and
+// nothing else, and an accepted record validates and survives an
 // encode/decode round trip.
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -32,9 +35,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[5] ^= 0xff // flipped CRC byte
 	f.Add(flipped)
-	f.Add(make([]byte, frameHeader)) // zero-length payload
+	f.Add(make([]byte, frameHeader)) // zero length field, zero CRC: the shortest end of log
 	f.Add([]byte{})
-	f.Add(append(append([]byte(nil), valid...), valid...)) // two frames
+	f.Add(append(append([]byte(nil), valid...), valid...))                              // two frames
+	f.Add(make([]byte, 4096))                                                           // a preallocated tail
+	f.Add(append(make([]byte, 12), 0x2a, 0, 0, 0, 0xde, 0xad))                          // zero header, then garbage
+	f.Add(append(append(append([]byte(nil), valid...), valid...), make([]byte, 64)...)) // valid frames, then zeros
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, n, err := DecodeRecord(b)
@@ -42,8 +48,11 @@ func FuzzDecodeRecord(f *testing.F) {
 			if n != 0 {
 				t.Fatalf("error %v consumed %d bytes", err, n)
 			}
-			if !errors.Is(err, ErrTornRecord) && !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, ErrTornRecord) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrEndOfLog) {
 				t.Fatalf("unclassified decode error: %v", err)
+			}
+			if allZero := len(b) >= frameHeader && len(bytes.Trim(b, "\x00")) == 0; errors.Is(err, ErrEndOfLog) != allZero {
+				t.Fatalf("all-zero input %t, error %v", allZero, err)
 			}
 			return
 		}

@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,12 +24,22 @@ import (
 // injected error there is safe to retry with a fresh Append;
 // SiteFsync is checked in place of the fsync syscall, after the
 // frames reached the log, so its failures surface as *SyncError and
-// must be retried with Sync; SiteSnapshot fails a compaction cycle.
+// must be retried with Sync; SiteSnapshot fails a compaction cycle;
+// SitePrealloc is checked in place of the preallocating syscall, whose
+// failure only means the log runs unpreallocated until the next chunk.
 const (
 	SiteAppend   = "journal/append"
 	SiteFsync    = "journal/fsync"
 	SiteSnapshot = "journal/snapshot"
+	SitePrealloc = "journal/prealloc"
 )
+
+// preallocChunk is how far ahead of the write offset the log file is
+// preallocated (sync_linux.go): on the first append after Open or a
+// compaction, and again whenever an append would cross the reserved
+// end. At twice the default SnapshotBytes a steady-state compaction
+// cycle reserves once and never extends mid-way.
+const preallocChunk = 8 << 20
 
 // FsyncPolicy selects when appends are forced to stable storage.
 type FsyncPolicy string
@@ -64,8 +76,17 @@ type Observer struct {
 	// Append reports one Append call: records written, framed bytes,
 	// and the call's latency (including any group-commit fsync wait).
 	Append func(records, bytes int, latency time.Duration)
-	// Fsync reports one fsync syscall on the log.
-	Fsync func()
+	// Fsync reports one commit syscall on the log and how long it took.
+	Fsync func(took time.Duration)
+	// SyncWait reports how long a commit waited for the one ahead of it:
+	// the time an appender that needs durability spent queued behind
+	// another appender's flush and fsync.
+	SyncWait func(waited time.Duration)
+	// PreallocFallback reports a refused preallocation (no fallocate on
+	// this filesystem, no space, SitePrealloc): the log runs unreserved
+	// up to the next chunk boundary, exactly as durable, each commit
+	// dearer. It is never an append error.
+	PreallocFallback func(error)
 	// Snapshot reports one snapshot-plus-compaction cycle.
 	Snapshot func()
 	// SnapshotError reports a failed threshold-triggered compaction.
@@ -96,8 +117,9 @@ type Options struct {
 	Observer Observer
 
 	// Faults is the failpoint registry checked at the journal's
-	// injection sites (SiteAppend, SiteFsync, SiteSnapshot); nil uses
-	// fault.Default, which is free while disarmed.
+	// injection sites (SiteAppend, SiteFsync, SiteSnapshot,
+	// SitePrealloc); nil uses fault.Default, which is free while
+	// disarmed.
 	Faults *fault.Registry
 }
 
@@ -109,8 +131,13 @@ type RecoverStats struct {
 	// snapshot (records already covered by the snapshot are skipped).
 	RecordsReplayed int
 	// TruncatedTailBytes is the size of the torn or corrupt log
-	// suffix that recovery cut off; 0 for a clean log.
+	// suffix that recovery cut off, zeros around it not counted; 0 for
+	// a clean log.
 	TruncatedTailBytes int64
+	// PreallocatedTailBytes is the size of the zero tail recovery
+	// trimmed: preallocation a process that died without Close left
+	// behind. 0 after any clean shutdown.
+	PreallocatedTailBytes int64
 	// Jobs is the number of jobs in the recovered state.
 	Jobs int
 	// SlowPathRecords counts the payloads — replayed or skipped log
@@ -152,6 +179,7 @@ type Journal struct {
 	bw       *bufio.Writer
 	seq      uint64 // last assigned sequence number
 	logBytes int64  // log size including still-buffered bytes
+	allocEnd int64  // end of the chunk last reserved; 0 = none since Open or a compaction
 	state    *State // replay mirror, source of snapshots
 	encBuf   []byte // frame-encoding scratch, reused across Appends
 	closed   bool
@@ -164,9 +192,11 @@ type Journal struct {
 }
 
 // Open recovers the journal in opts.Dir — loading the snapshot if
-// present, replaying the log tail, and truncating a torn or corrupt
-// final record — and returns the open journal, the recovered state
-// (an independent copy), and recovery statistics.
+// present, replaying the log tail, and cutting the file back to its
+// last whole frame (dropping a torn or corrupt final record, or the
+// zero tail a killed process's preallocation left) — and returns the
+// open journal, the recovered state (an independent copy), and
+// recovery statistics. It reserves nothing: the first Append does.
 func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	var stats RecoverStats
 	if opts.Dir == "" {
@@ -229,22 +259,17 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		f.Close()
 		return nil, nil, stats, fmt.Errorf("journal: reading log: %w", err)
 	}
+	// Zeros at the end of the file are preallocation the writer never
+	// reached (a frame ends in its payload's closing brace, never in a
+	// zero), so the scan stops where they start.
+	content := len(data) - zeroSuffix(data)
 	off := 0
-	for off < len(data) {
-		r, n, slow, err := decodeFrame(data[off:], intern)
+	for off < content {
+		r, n, slow, err := decodeFrame(data[off:content], intern)
 		if err != nil {
 			// Torn or corrupt tail: every frame past this point is
-			// unframed noise, so cut the log here and carry on from
-			// the last good record.
-			stats.TruncatedTailBytes = int64(len(data) - off)
-			if err := f.Truncate(int64(off)); err != nil {
-				f.Close()
-				return nil, nil, stats, fmt.Errorf("journal: truncating torn tail: %w", err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, nil, stats, fmt.Errorf("journal: %w", err)
-			}
+			// unframed noise, so the log is cut here and carries on
+			// from the last good record.
 			break
 		}
 		if slow {
@@ -259,6 +284,18 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 			stats.RecordsReplayed++
 		}
 		off += n
+	}
+	if off < len(data) {
+		stats.TruncatedTailBytes = tornBytes(data[off:content])
+		stats.PreallocatedTailBytes = int64(len(data)-off) - stats.TruncatedTailBytes
+		if err := f.Truncate(int64(off)); err != nil {
+			f.Close()
+			return nil, nil, stats, fmt.Errorf("journal: truncating log tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, stats, fmt.Errorf("journal: %w", err)
+		}
 	}
 	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
 		f.Close()
@@ -282,6 +319,17 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		go j.intervalLoop()
 	}
 	return j, st.Clone(), stats, nil
+}
+
+// tornBytes sizes the damage in a log tail that did not decode, its
+// trailing zeros already set aside. Zeros under a zero length field —
+// where the writer stopped cleanly — are preallocation as well, up to
+// whatever was scribbled past them.
+func tornBytes(tail []byte) int64 {
+	if len(tail) >= 4 && binary.LittleEndian.Uint32(tail) == 0 {
+		tail = bytes.TrimLeft(tail, "\x00")
+	}
+	return int64(len(tail))
 }
 
 // readSized reads f to its end with one allocation of its stat size:
@@ -350,6 +398,16 @@ func (j *Journal) Append(recs ...Record) error {
 		}
 	}
 	j.encBuf = buf
+	var perr error
+	if j.logBytes+int64(len(buf)) > j.allocEnd {
+		// Refused or not, the next attempt is a chunk (or a compaction)
+		// away: a filesystem without fallocate costs one failed syscall
+		// per chunk, not one per append.
+		if perr = j.opts.Faults.Hit(SitePrealloc); perr == nil {
+			perr = preallocate(j.f, j.logBytes, preallocChunk)
+		}
+		j.allocEnd = j.logBytes + preallocChunk
+	}
 	if _, err := j.bw.Write(buf); err != nil {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: write: %w", err)
@@ -364,6 +422,9 @@ func (j *Journal) Append(recs ...Record) error {
 	needSnap := j.opts.SnapshotBytes > 0 && j.logBytes >= j.opts.SnapshotBytes
 	j.mu.Unlock()
 
+	if obs := j.opts.Observer.PreallocFallback; perr != nil && obs != nil {
+		obs(perr)
+	}
 	if j.opts.Fsync == FsyncAlways {
 		err = j.syncTo(target)
 	}
@@ -415,8 +476,12 @@ func (j *Journal) syncTo(target uint64) error {
 	if j.durable.Load() >= target {
 		return nil
 	}
+	queued := time.Now()
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
+	if obs := j.opts.Observer.SyncWait; obs != nil {
+		obs(time.Since(queued))
+	}
 	if j.durable.Load() >= target {
 		return nil
 	}
@@ -435,12 +500,13 @@ func (j *Journal) syncTo(target uint64) error {
 	if err := j.opts.Faults.Hit(SiteFsync); err != nil {
 		return &SyncError{Err: err}
 	}
-	if err := f.Sync(); err != nil {
+	began := time.Now()
+	if err := datasync(f); err != nil {
 		return &SyncError{Err: fmt.Errorf("journal: fsync: %w", err)}
 	}
 	j.durable.Store(flushed)
 	if obs := j.opts.Observer.Fsync; obs != nil {
-		obs()
+		obs(time.Since(began))
 	}
 	return nil
 }
@@ -503,7 +569,7 @@ func (j *Journal) compactLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.logBytes = 0
+	j.logBytes, j.allocEnd = 0, 0
 	j.durable.Store(j.seq)
 	if obs := j.opts.Observer.Snapshot; obs != nil {
 		obs()
@@ -528,8 +594,10 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Close flushes, fsyncs, and closes the log; it is idempotent, and
-// further appends return ErrClosed.
+// Close flushes the log, trims what preallocation is left past its
+// last frame — so a closed log is exactly its records, and the next
+// Open reads no zero tail — fsyncs, and closes it; it is idempotent,
+// and further appends return ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -548,7 +616,13 @@ func (j *Journal) Close() error {
 	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	err := j.bw.Flush()
+	size, reserved := j.logBytes, j.allocEnd != 0
 	j.mu.Unlock()
+	if err == nil && reserved {
+		if err = j.f.Truncate(size); err != nil {
+			err = fmt.Errorf("journal: trimming preallocation: %w", err)
+		}
+	}
 	if serr := j.f.Sync(); err == nil {
 		err = serr
 	}

@@ -140,11 +140,13 @@ func TestSnapshotCompaction(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(dir, snapName)); err != nil || fi.Size() == 0 {
 		t.Fatalf("snapshot file: %v", err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, logName)); err != nil || fi.Size() > 4096 {
-		t.Fatalf("log not compacted: %v bytes", fi.Size())
-	}
+	// Judged after Close: an open log is up to one preallocated chunk
+	// larger than its records.
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, logName)); err != nil || fi.Size() > 4096 {
+		t.Fatalf("log not compacted: %v bytes", fi.Size())
 	}
 
 	// Recovery = snapshot + tail; everything must be there.
@@ -228,7 +230,7 @@ func TestGroupCommit(t *testing.T) {
 		Dir:   dir,
 		Fsync: FsyncAlways,
 		Observer: Observer{
-			Fsync:  func() { fsyncs.Add(1) },
+			Fsync:  func(time.Duration) { fsyncs.Add(1) },
 			Append: func(records, bytes int, _ time.Duration) { appends.Add(int64(records)) },
 		},
 	})

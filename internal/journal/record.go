@@ -16,6 +16,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -122,7 +123,13 @@ func (r Record) Validate() error {
 // little-endian IEEE CRC32 of the payload, then the payload (the
 // record's JSON encoding). The CRC covers only the payload; a bad
 // length is caught by the MaxRecordBytes bound or by the CRC of
-// whatever bytes the bogus length selects.
+// whatever bytes the bogus length selects. A payload is never empty
+// (a record's JSON is at least "{}"), so a zero length field is not a
+// frame: followed by nothing but zeros it is the end of the log — the
+// preallocated, never-written rest of the file — and anything else
+// after it is corruption. It has to be its own case because the CRC
+// cannot catch it: the CRC-32 of no bytes is 0, so eight zero bytes
+// are a header that checks out.
 const frameHeader = 8
 
 // MaxRecordBytes bounds one record's payload. Anything larger in the
@@ -136,10 +143,29 @@ const MaxRecordBytes = 1 << 20
 // absurd length, undecodable payload). Recovery treats both the same
 // way — truncate the log from the bad frame on — but callers that
 // scan buffers need to tell "feed me more bytes" from "give up".
+//
+// ErrEndOfLog is neither: a zero length field with only zeros behind
+// it, which is where a preallocated log ends.
 var (
 	ErrTornRecord = errors.New("journal: torn record (short frame)")
 	ErrCorrupt    = errors.New("journal: corrupt record")
+	ErrEndOfLog   = errors.New("journal: end of log (zeros to the end)")
 )
+
+// zeroSuffix counts the zero bytes b ends in, a page at a time: the
+// tail a killed writer leaves is most of a preallocation chunk.
+func zeroSuffix(b []byte) int {
+	n := 0
+	for len(b)-n >= len(zeroPage) && bytes.Equal(b[len(b)-n-len(zeroPage):len(b)-n], zeroPage[:]) {
+		n += len(zeroPage)
+	}
+	for n < len(b) && b[len(b)-n-1] == 0 {
+		n++
+	}
+	return n
+}
+
+var zeroPage [4096]byte
 
 // AppendRecord appends the framed encoding of r to dst and returns
 // the extended slice.
@@ -163,9 +189,11 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 
 // DecodeRecord decodes the first framed record in b, returning the
 // record and the number of bytes consumed. It never panics on
-// arbitrary input: a frame extending past b is ErrTornRecord, and a
+// arbitrary input: a frame extending past b is ErrTornRecord; a
 // complete frame with a CRC mismatch, oversized length, or payload
-// that fails to decode or validate is ErrCorrupt.
+// that fails to decode or validate is ErrCorrupt; and a zero length
+// field is ErrEndOfLog when the rest of b is zero too, ErrCorrupt
+// (empty payload) when it is not.
 func DecodeRecord(b []byte) (Record, int, error) {
 	r, n, _, err := decodeFrame(b, nil)
 	return r, n, err
@@ -179,6 +207,12 @@ func decodeFrame(b []byte, intern map[string]string) (r Record, consumed int, sl
 		return Record{}, 0, false, ErrTornRecord
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
+	if n == 0 {
+		if zeroSuffix(b) == len(b) {
+			return Record{}, 0, false, ErrEndOfLog
+		}
+		return Record{}, 0, false, fmt.Errorf("%w: empty payload", ErrCorrupt)
+	}
 	if n > MaxRecordBytes {
 		return Record{}, 0, false, fmt.Errorf("%w: length %d exceeds %d", ErrCorrupt, n, MaxRecordBytes)
 	}

@@ -141,10 +141,24 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 		t.Errorf("oversized length: err %v, want ErrCorrupt", err)
 	}
 
-	// A zero-length payload frames fine but decodes to nothing.
-	var zero [frameHeader]byte
-	if _, _, err := DecodeRecord(zero[:]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("zero-length payload: err %v, want ErrCorrupt", err)
+	// A zero length field frames fine (the CRC-32 of no bytes is 0) but
+	// is no record: over nothing but zeros it is where a preallocated
+	// log ends, over anything else it is corruption.
+	zeros := make([]byte, 64)
+	for _, n := range []int{frameHeader, frameHeader + 1, len(zeros)} {
+		if _, _, err := DecodeRecord(zeros[:n]); !errors.Is(err, ErrEndOfLog) {
+			t.Errorf("%d zero bytes: err %v, want ErrEndOfLog", n, err)
+		}
+	}
+	for _, tail := range [][]byte{{1}, {0, 0, 0, 0, 0xde, 0xad}, frame} {
+		b := append(zeros[:frameHeader:frameHeader], tail...)
+		if _, _, err := DecodeRecord(b); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "empty payload") {
+			t.Errorf("zero header then % x: err %v, want ErrCorrupt (empty payload)", tail, err)
+		}
+	}
+	// A zero length over a non-zero CRC field is the same corruption.
+	if _, _, err := DecodeRecord([]byte{0, 0, 0, 0, 1, 0, 0, 0}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("zero length, non-zero crc: err %v, want ErrCorrupt", err)
 	}
 
 	// A frame holding valid JSON that fails record validation is

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,12 @@ func TestSubmitDurableAck(t *testing.T) {
 			}
 			wg.Wait()
 			reg.Disarm()
+			// The property is about the log as the daemon really writes
+			// it: a chunk reserved ahead of the records, trimmed by Close.
+			open, err := os.Stat(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
 			drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			if err := s.DrainAndWait(drainCtx); err != nil {
@@ -106,6 +113,9 @@ func TestSubmitDurableAck(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join(dir, walName))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if runtime.GOOS == "linux" && open.Size() <= int64(len(data)) {
+				t.Errorf("the log was %d bytes while open and is %d closed: it ran unpreallocated", open.Size(), len(data))
 			}
 			for off := 0; off < len(data); {
 				r, n, err := journal.DecodeRecord(data[off:])
@@ -136,11 +146,14 @@ func TestSubmitDurableAck(t *testing.T) {
 // stopped so the test owns every commit.
 func TestCommitMetricsCountAppends(t *testing.T) {
 	s := newJournalServer(t, t.TempDir())
-	scrape := func() (batches, batchRecs, appends float64) {
-		t.Helper()
+	metricsBody := func() string {
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-		body := w.Body.String()
+		return w.Body.String()
+	}
+	scrape := func() (batches, batchRecs, appends float64) {
+		t.Helper()
+		body := metricsBody()
 		return metricValue(t, body, "corund_journal_batches_total"),
 			metricValue(t, body, "corund_journal_batch_records_sum"),
 			metricValue(t, body, "corund_journal_appends_total")
@@ -171,6 +184,62 @@ func TestCommitMetricsCountAppends(t *testing.T) {
 	}
 	if a1-a0 != 6 || r1-r0 != 6 {
 		t.Errorf("appends advanced by %v, batch_records_sum by %v, want 6 records each", a1-a0, r1-r0)
+	}
+	// Every fsync of the six commits was timed, and so was each
+	// commit's wait for the one ahead of it; nothing refused the log
+	// its preallocation.
+	body := metricsBody()
+	for name, want := range map[string]float64{
+		"corund_journal_fsyncs_total":             6,
+		"corund_journal_fsync_seconds_count":      6,
+		"corund_journal_sync_wait_seconds_count":  6,
+		"corund_journal_prealloc_fallbacks_total": 0,
+	} {
+		if got := metricValue(t, body, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestPreallocFaultRunsUnpreallocated: a filesystem that refuses the
+// log its preallocation (the journal/prealloc failpoint here) costs
+// the daemon nothing but speed — submissions are acked and durable,
+// the breaker sees no failure — and /metrics says it happened, once
+// per chunk rather than once per append.
+func TestPreallocFaultRunsUnpreallocated(t *testing.T) {
+	reg := fault.NewRegistry()
+	if err := reg.ArmSpec("journal/prealloc=error(every=1)"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := newTestServer(t, func(c *Config) {
+		c.DataDir = dir
+		c.Fsync = journal.FsyncAlways
+		c.Faults = reg
+		c.JournalRetries = -1
+	})
+	defer s.Close()
+	for i := 0; i < 5; i++ {
+		j, err := s.Submit(mustSpec(t, "lud"))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if s.jl.DurableSeq() < s.jl.LastSeq() {
+			t.Fatalf("job %s acked ahead of the durable watermark", j.ID)
+		}
+	}
+	if got := s.m.jlPreallocFallbacks.Value(); got != 1 {
+		t.Errorf("corund_journal_prealloc_fallbacks_total = %v, want 1", got)
+	}
+	if st := s.brk.State(); st != fault.BreakerClosed {
+		t.Errorf("breaker %v, want closed", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newJournalServer(t, dir)
+	if rec := s2.Recovery(); rec.Jobs != 5 || rec.TruncatedTailBytes != 0 || rec.PreallocatedTailBytes != 0 {
+		t.Errorf("recovery report %+v", rec)
 	}
 }
 

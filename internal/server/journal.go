@@ -54,9 +54,14 @@ func (s *Server) openJournal() error {
 				s.m.jlBatches.Inc()
 				s.m.jlBatchRecords.Observe(float64(records))
 			},
-			Fsync:         func() { s.m.jlFsyncs.Inc() },
-			Snapshot:      func() { s.m.jlSnapshots.Inc() },
-			SnapshotError: func(error) { s.m.jlSnapErrors.Inc() },
+			Fsync: func(took time.Duration) {
+				s.m.jlFsyncs.Inc()
+				s.m.jlFsyncSeconds.Observe(took.Seconds())
+			},
+			SyncWait:         func(waited time.Duration) { s.m.jlSyncWait.Observe(waited.Seconds()) },
+			PreallocFallback: func(error) { s.m.jlPreallocFallbacks.Inc() },
+			Snapshot:         func() { s.m.jlSnapshots.Inc() },
+			SnapshotError:    func(error) { s.m.jlSnapErrors.Inc() },
 		},
 		Faults: s.cfg.Faults,
 	})
@@ -150,6 +155,7 @@ func (s *Server) openJournal() error {
 	s.m.simClock.Set(float64(s.clock()))
 	s.m.jlRecovered.Set(float64(requeued))
 	s.m.jlTruncated.Set(float64(stats.TruncatedTailBytes))
+	s.m.jlPreallocTail.Set(float64(stats.PreallocatedTailBytes))
 	s.m.jlReplayed.Set(float64(stats.RecordsReplayed))
 	s.recovery = Recovery{RecoverStats: stats, Requeued: requeued, JournalOpen: opened, Total: time.Since(start)}
 	s.m.jlRecoverySeconds.Set(s.recovery.Total.Seconds())

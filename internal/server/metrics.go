@@ -37,16 +37,20 @@ type metrics struct {
 
 	// Journal instrumentation. Registered unconditionally so
 	// dashboards see zeros (not absent series) on in-memory daemons.
-	jlAppends         *promtext.Counter
-	jlFsyncs          *promtext.Counter
-	jlBytes           *promtext.Counter
-	jlSnapshots       *promtext.Counter
-	jlErrors          *promtext.Counter
-	jlRecovered       *promtext.Gauge
-	jlTruncated       *promtext.Gauge
-	jlReplayed        *promtext.Gauge
-	jlRecoverySeconds *promtext.Gauge
-	jlAppendLatency   *promtext.Histogram
+	jlAppends           *promtext.Counter
+	jlFsyncs            *promtext.Counter
+	jlBytes             *promtext.Counter
+	jlSnapshots         *promtext.Counter
+	jlErrors            *promtext.Counter
+	jlRecovered         *promtext.Gauge
+	jlTruncated         *promtext.Gauge
+	jlPreallocTail      *promtext.Gauge
+	jlReplayed          *promtext.Gauge
+	jlRecoverySeconds   *promtext.Gauge
+	jlAppendLatency     *promtext.Histogram
+	jlFsyncSeconds      *promtext.Histogram
+	jlSyncWait          *promtext.Histogram
+	jlPreallocFallbacks *promtext.Counter
 
 	// Failure-handling instrumentation: journal write retries and
 	// drops, the circuit breaker, load shedding, and the failpoint
@@ -85,6 +89,11 @@ type metrics struct {
 	// set when Config.NodeID is configured.
 	nodeInfo *promtext.GaugeVec
 }
+
+// journalSyncBuckets resolve the journal's two sub-millisecond waits —
+// the commit syscall and the queue behind it — finely enough that a
+// 50 µs shift in either moves a bucket.
+var journalSyncBuckets = []float64{25e-6, 50e-6, 75e-6, 100e-6, 150e-6, 200e-6, 300e-6, 500e-6, 750e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 100e-3, 1}
 
 func newMetrics() *metrics {
 	reg := promtext.NewRegistry()
@@ -145,6 +154,8 @@ func newMetrics() *metrics {
 			"Non-terminal jobs restored from the journal and re-enqueued at startup (not the jobs readable after it: terminal ones are restored too)."),
 		jlTruncated: reg.NewGauge("corund_journal_truncated_tail_bytes",
 			"Bytes of torn or corrupt log tail truncated during startup recovery."),
+		jlPreallocTail: reg.NewGauge("corund_journal_preallocated_tail_bytes",
+			"Bytes of zero tail trimmed during startup recovery: preallocation a process killed without a clean shutdown left behind."),
 		jlReplayed: reg.NewGauge("corund_journal_replayed_records",
 			"Log records replayed on top of the snapshot during startup recovery."),
 		jlRecoverySeconds: reg.NewGauge("corund_journal_recovery_seconds",
@@ -152,6 +163,14 @@ func newMetrics() *metrics {
 		jlAppendLatency: reg.NewHistogram("corund_journal_append_latency_seconds",
 			"Latency of journal appends, including any group-commit fsync wait.",
 			[]float64{10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}),
+		jlFsyncSeconds: reg.NewHistogram("corund_journal_fsync_seconds",
+			"Duration of the journal's commit syscall (fdatasync on Linux), one observation per corund_journal_fsyncs_total.",
+			journalSyncBuckets),
+		jlSyncWait: reg.NewHistogram("corund_journal_sync_wait_seconds",
+			"Time a commit waited for the one ahead of it: an appender queued behind another appender's flush and fsync.",
+			journalSyncBuckets),
+		jlPreallocFallbacks: reg.NewCounter("corund_journal_prealloc_fallbacks_total",
+			"Refused log preallocations (filesystem without fallocate, no space, injected): the log runs unreserved up to the next chunk boundary, as durable, each commit dearer."),
 		jlBatches: reg.NewCounter("corund_journal_batches_total",
 			"Journal commits: Append calls, each one write and at most one fsync (concurrent commits share fsyncs, see corund_journal_fsyncs_total)."),
 		jlBatchRecords: reg.NewHistogram("corund_journal_batch_records",

@@ -7,11 +7,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +136,94 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if j4.ID != "job-000003" {
 		t.Errorf("post-recovery ID %s, want job-000003", j4.ID)
+	}
+}
+
+// TestCrashRecoveryPreallocatedLog is the crash as a running daemon
+// really leaves it: killed without Close, so the log is its records,
+// then a write cut short, then the untouched rest of the chunk the
+// journal had reserved. Recovery must bring back every acked job,
+// report the partial frame as torn and the zeros as preallocation —
+// each under its own name — and leave a log a clean shutdown trims.
+func TestCrashRecoveryPreallocatedLog(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newJournalServer(t, dir)
+	for _, p := range []string{"streamcluster", "dwt2d", "hotspot"} {
+		if _, err := s1.Submit(workload.JobSpec{Program: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s1.Jobs()
+
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := 0
+	for logical < len(data) {
+		_, n, err := journal.DecodeRecord(data[logical:])
+		if err != nil {
+			if !errors.Is(err, journal.ErrEndOfLog) {
+				t.Fatalf("log offset %d: %v", logical, err)
+			}
+			break
+		}
+		logical += n
+	}
+	if runtime.GOOS == "linux" && len(data) == logical {
+		t.Fatal("the running daemon's log is not preallocated")
+	}
+	frame, err := journal.AppendRecord(nil, journal.Record{Type: journal.TypePolicyChanged, Policy: "hcs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := frame[:len(frame)-7]
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(partial, int64(logical)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size := max(len(data), logical+len(partial))
+
+	s2 := newJournalServer(t, dir)
+	if got := s2.Jobs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("jobs not restored bit-for-bit:\n got %+v\nwant %+v", got, want)
+	}
+	rec := s2.Recovery()
+	if rec.RecordsReplayed != 5 || rec.Requeued != len(want) ||
+		rec.TruncatedTailBytes != int64(len(partial)) ||
+		rec.PreallocatedTailBytes != int64(size-logical-len(partial)) {
+		t.Errorf("recovery report %+v, want %d torn and %d preallocated bytes",
+			rec, len(partial), size-logical-len(partial))
+	}
+	if s2.m.jlTruncated.Value() != float64(rec.TruncatedTailBytes) ||
+		s2.m.jlPreallocTail.Value() != float64(rec.PreallocatedTailBytes) {
+		t.Errorf("gauges: truncated %v, preallocated %v; report %+v",
+			s2.m.jlTruncated.Value(), s2.m.jlPreallocTail.Value(), rec)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(logical) {
+		t.Errorf("log is %d bytes after recovery (%v), want it cut back to %d", fi.Size(), err, logical)
+	}
+
+	// The recovered daemon runs the jobs and shuts down cleanly; the
+	// next start finds nothing to repair.
+	s2.Start(context.Background())
+	waitAllTerminal(t, s2, len(want), 60*time.Second)
+	if err := s2.DrainAndWait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := newJournalServer(t, dir)
+	if rec := s3.Recovery(); rec.TruncatedTailBytes != 0 || rec.PreallocatedTailBytes != 0 || rec.Jobs != len(want) {
+		t.Errorf("after a clean shutdown: %+v", rec)
 	}
 }
 
