@@ -9,13 +9,11 @@
 //	       [-machine ivybridge|kaveri] [-max-queue n] [-epoch-gap dur]
 //	       [-tenant-queue n] [-tenant-weights tenant=w,...] [-max-batch n]
 //	       [-char file] [-save-char file] [-seed n]
-//	       [-data-dir dir] [-fsync always|interval|never]
-//	       [-journal-retries n] [-retry-base dur] [-retry-max dur]
-//	       [-breaker-threshold n] [-breaker-cooldown dur]
+//	       [-data-dir dir] [-fsync always|never]
 //	       [-request-timeout dur] [-fault-spec spec]
 //
 //	corund -coordinator -nodes n0=http://h0:8081,n1=http://h1:8082,...
-//	       [-addr :8080] [-fleet-cap watts] [-node-floor watts]
+//	       [-addr :8080] [-fleet-cap watts]
 //	       [-balancer headroom|affinity|leastloaded|roundrobin]
 //	       [-health-interval dur] [-rebalance-interval dur]
 //	       [-request-timeout dur]
@@ -29,9 +27,11 @@
 // (internal/fleet): instead of scheduling jobs itself, it fronts the
 // corund daemons listed in -nodes with the same /v1/* API, places
 // each submission with the fragmentation-aware balancer, partitions
-// -fleet-cap watts across the nodes by demand (rebalanced every
-// -rebalance-interval; 0 = leave node caps alone), tracks node
-// health by polling /readyz, and reroutes around failed nodes. See
+// -fleet-cap watts across the nodes by demand on top of a 5 W floor
+// per healthy node (rebalanced every -rebalance-interval; 0 = leave
+// node caps alone), tracks node health by polling /readyz (two failed
+// probes in a row take a node out of rotation), and reroutes around
+// failed nodes. See
 // internal/fleet for the API surface (notably GET /v1/nodes, the
 // fleet dashboard).
 //
@@ -59,21 +59,21 @@
 // change is journaled (write-ahead log + snapshots, see
 // internal/journal), and restarting against the same directory
 // restores the power cap, active policy, and job table, re-enqueuing
-// every non-terminal job. -fsync tunes the durability/latency
-// trade-off: always (default) fsyncs each acknowledged change,
-// interval fsyncs on a 100ms timer, never leaves flushing to the OS.
+// every non-terminal job. -fsync picks the durability/latency
+// trade-off: always (default) acknowledges a change only once it is
+// fsynced, never leaves flushing to the OS (a process crash loses
+// nothing, a machine crash what the kernel had not written back).
 // Without -data-dir the daemon keeps its original in-memory
 // behaviour.
 //
-// Journal writes that fail transiently are retried with jittered
-// exponential backoff (-journal-retries attempts past the first,
-// spaced -retry-base doubling up to -retry-max). Writes that keep
-// failing trip a circuit breaker (-breaker-threshold consecutive
-// failures) into a documented degraded mode: journaling is suspended,
-// /readyz reports "degraded", and submissions and cap/policy changes
-// are shed with 503 + Retry-After until a probe write succeeds after
-// -breaker-cooldown. Acknowledged jobs are never lost — the daemon
-// refuses work it cannot make durable rather than acking it.
+// Journal writes that fail transiently are retried three times, with
+// backoff doubling from 5ms toward 250ms under ±20% jitter. Five
+// commits in a row that fail past their retries trip a circuit breaker
+// into a documented degraded mode: journaling is suspended, /readyz
+// reports "degraded", and submissions and cap/policy changes are shed
+// with 503 + Retry-After until a probe write succeeds after a 2s
+// cooldown. Acknowledged jobs are never lost — the daemon refuses work
+// it cannot make durable rather than acking it.
 // -request-timeout puts a per-request deadline on every API endpoint.
 //
 // -fault-spec arms the deterministic failpoint registry
@@ -131,7 +131,6 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "run as a fleet coordinator over the daemons in -nodes instead of scheduling locally")
 	nodesFlag := flag.String("nodes", "", "coordinator mode: comma list of member daemons, id=url,...")
 	fleetCap := flag.Float64("fleet-cap", 0, "coordinator mode: fleet-wide power budget partitioned across nodes (0 = leave node caps alone)")
-	nodeFloor := flag.Float64("node-floor", 5, "coordinator mode: minimum power share per healthy node in watts")
 	balancerFlag := flag.String("balancer", "headroom", "coordinator mode: placement policy: roundrobin | leastloaded | affinity | headroom")
 	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "coordinator mode: node /readyz poll period")
 	rebalanceInterval := flag.Duration("rebalance-interval", 2*time.Second, "coordinator mode: power budget repartition period")
@@ -146,18 +145,13 @@ func main() {
 	saveChar := flag.String("save-char", "", "save the measured characterization to this file")
 	seed := flag.Int64("seed", 1, "seed for refinement sampling and the random policy")
 	dataDir := flag.String("data-dir", "", "durable state journal directory (empty = in-memory only)")
-	fsync := flag.String("fsync", "always", "journal fsync policy: always | interval | never")
-	jlRetries := flag.Int("journal-retries", 3, "retries after a transient journal write failure (negative = no retries)")
-	retryBase := flag.Duration("retry-base", 5*time.Millisecond, "initial journal retry backoff (doubles per attempt, jittered)")
-	retryMax := flag.Duration("retry-max", 250*time.Millisecond, "journal retry backoff ceiling")
-	brkThreshold := flag.Int("breaker-threshold", 5, "consecutive journal failures that trip the breaker into degraded mode (negative = disabled)")
-	brkCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "wait before the open breaker allows a probe write")
+	fsync := flag.String("fsync", "always", "journal fsync policy: always | never")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline on the HTTP API (0 = none)")
 	faultSpec := flag.String("fault-spec", "", "arm deterministic failpoints, e.g. 'journal/fsync=error(every=3,times=5);policy/plan=latency(50ms,p=0.5,seed=7)'")
 	flag.Parse()
 
 	if *coordinator {
-		runCoordinator(*addr, *nodesFlag, *fleetCap, *nodeFloor, *balancerFlag,
+		runCoordinator(*addr, *nodesFlag, *fleetCap, *balancerFlag,
 			*machine, *healthInterval, *rebalanceInterval, *reqTimeout)
 		return
 	}
@@ -174,11 +168,6 @@ func main() {
 	cfg.TenantWeights = weights
 	cfg.TenantQueue = *tenantQueue
 	cfg.MaxBatch = *maxBatch
-	cfg.JournalRetries = *jlRetries
-	cfg.RetryBase = *retryBase
-	cfg.RetryMax = *retryMax
-	cfg.BreakerThreshold = *brkThreshold
-	cfg.BreakerCooldown = *brkCooldown
 	cfg.RequestTimeout = *reqTimeout
 	cfg.NodeID = *nodeID
 	if *faultSpec != "" {
@@ -226,7 +215,7 @@ func main() {
 // front door (internal/fleet) instead of a scheduling node. No
 // characterization runs — placement hints come straight from the
 // analytic kernel model.
-func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balancer, machine string,
+func runCoordinator(addr, nodesSpec string, fleetCap float64, balancer, machine string,
 	healthInterval, rebalanceInterval, reqTimeout time.Duration) {
 	nodes, err := fleet.ParseNodes(nodesSpec)
 	if err != nil {
@@ -243,7 +232,6 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 	co, err := fleet.New(fleet.Config{
 		Nodes:             nodes,
 		BudgetW:           fleetCap,
-		FloorW:            nodeFloor,
 		Balancer:          bal,
 		Machine:           mcfg,
 		HealthInterval:    healthInterval,
@@ -259,7 +247,7 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 
 	budget := "node caps unmanaged"
 	if fleetCap > 0 {
-		budget = fmt.Sprintf("budget %gW, floor %gW", fleetCap, nodeFloor)
+		budget = fmt.Sprintf("budget %gW", fleetCap)
 	}
 	log.Printf("corund: coordinating %d nodes on %s (balancer %s, %s)",
 		len(nodes), addr, bal, budget)
@@ -317,7 +305,6 @@ func buildConfig(machine, policyName string, capW float64, maxQueue int, epochGa
 	}
 	return &server.Config{
 		Machine:  mcfg,
-		Mem:      mem,
 		Char:     char,
 		Cap:      units.Watts(capW),
 		Policy:   pol,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,14 +28,14 @@ func TestBuildConfig(t *testing.T) {
 	// Reload the saved characterization — the fleet deployment path —
 	// with the durable journal enabled.
 	dataDir := filepath.Join(dir, "state")
-	cfg2, err := buildConfig("ivybridge", "hcs", 16, 32, 0, 2, charPath, "", dataDir, "interval", 0)
+	cfg2, err := buildConfig("ivybridge", "hcs", 16, 32, 0, 2, charPath, "", dataDir, "never", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg2.Char == nil {
 		t.Fatal("characterization not loaded")
 	}
-	if cfg2.DataDir != dataDir || cfg2.Fsync != journal.FsyncInterval {
+	if cfg2.DataDir != dataDir || cfg2.Fsync != journal.FsyncNever {
 		t.Fatalf("durability config %q/%q", cfg2.DataDir, cfg2.Fsync)
 	}
 
@@ -47,8 +48,11 @@ func TestBuildConfig(t *testing.T) {
 	if _, err := buildConfig("ivybridge", "hcs+", 15, 0, 0, 1, filepath.Join(dir, "missing.json"), "", "", "always", 0); err == nil {
 		t.Error("missing characterization file accepted")
 	}
-	if _, err := buildConfig("ivybridge", "hcs+", 15, 0, 0, 1, "", "", "", "everysooften", 0); err == nil {
-		t.Error("unknown fsync policy accepted")
+	for _, fsync := range []string{"everysooften", "interval"} {
+		_, err := buildConfig("ivybridge", "hcs+", 15, 0, 0, 1, charPath, "", "", fsync, 0)
+		if err == nil || !strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "never") {
+			t.Errorf("-fsync %s: %v, want an error naming always and never", fsync, err)
+		}
 	}
 	if _, err := buildConfig("ivybridge", "hcs+", 15, 0, 0, 1, "", "", "", "always", -40); err == nil {
 		t.Error("trip point below ambient accepted")

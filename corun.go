@@ -177,13 +177,6 @@ func DefaultMachine() *Machine { return apu.DefaultConfig() }
 // KaveriMachine returns an AMD A10-7850K-like desktop APU preset.
 func KaveriMachine() *Machine { return apu.KaveriConfig() }
 
-// WithCharacterizationLevels overrides the number of micro-benchmark
-// bandwidth levels used to characterize the degradation space (the
-// paper uses 11 over 0-11 GB/s).
-func WithCharacterizationLevels(n int) Option {
-	return func(s *System) { s.charLevels = n }
-}
-
 // WithCharacterizationFrom loads a previously saved characterization
 // (see System.SaveCharacterization) instead of re-measuring the
 // degradation space — the deployment path where the offline stage ran
@@ -200,7 +193,6 @@ type System struct {
 	cap        units.Watts
 	domains    apu.DomainCaps
 	tmax       *float64
-	charLevels int
 	charSource io.Reader
 	char       *model.Characterization
 }
@@ -214,9 +206,8 @@ func (s *System) SaveCharacterization(w io.Writer) error {
 // NewSystem builds the runtime and runs the characterization pass.
 func NewSystem(opts ...Option) (*System, error) {
 	s := &System{
-		cfg:        apu.DefaultConfig(),
-		mem:        memsys.Default(),
-		charLevels: 11,
+		cfg: apu.DefaultConfig(),
+		mem: memsys.Default(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -240,27 +231,12 @@ func NewSystem(opts ...Option) (*System, error) {
 		s.char = char
 		return s, nil
 	}
-	var levels []units.GBps
-	if s.charLevels != 11 {
-		if s.charLevels < 2 {
-			return nil, fmt.Errorf("corun: need at least 2 characterization levels, got %d", s.charLevels)
-		}
-		levels = microLevels(s.charLevels)
-	}
-	char, err := model.Characterize(model.CharacterizeOptions{Cfg: s.cfg, Mem: s.mem, Levels: levels})
+	char, err := model.Characterize(model.CharacterizeOptions{Cfg: s.cfg, Mem: s.mem})
 	if err != nil {
 		return nil, err
 	}
 	s.char = char
 	return s, nil
-}
-
-func microLevels(n int) []units.GBps {
-	out := make([]units.GBps, n)
-	for i := range out {
-		out[i] = units.GBps(11 * float64(i) / float64(n-1))
-	}
-	return out
 }
 
 // Machine returns the machine description the system simulates.

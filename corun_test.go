@@ -41,9 +41,6 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(WithPowerCap(1)); err == nil {
 		t.Error("infeasible cap accepted")
 	}
-	if _, err := NewSystem(WithCharacterizationLevels(1)); err == nil {
-		t.Error("single characterization level accepted")
-	}
 	bad := *capped15(t).Machine()
 	bad.CPUCores = 0
 	if _, err := NewSystem(WithMachine(&bad)); err == nil {
@@ -156,24 +153,6 @@ func TestSubsetAndNames(t *testing.T) {
 	}
 	if _, err := Subset("nope"); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-func TestCustomCharacterizationLevels(t *testing.T) {
-	s, err := NewSystem(WithCharacterizationLevels(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.Prepare(Batch8())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := w.ScheduleHCS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(plan); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Suite) CapEnforcement() (*CapEnforceResult, error) {
 	// Hardware clamp, no software control at all.
 	hard, err := sim.Run(sim.Options{
 		Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
-		HardCap: true, HardCapBias: sim.GPUBiased,
+		HardCap: true,
 	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder), nil))
 	if err := add("hardware clamp", hard, err); err != nil {
 		return nil, err

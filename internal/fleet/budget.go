@@ -68,7 +68,7 @@ func (c *Coordinator) rebalance(ctx context.Context) {
 		demand[i] = float64(mb.queueDepth + mb.placedSincePoll)
 		healthy[i] = mb.healthy
 	}
-	shares := Partition(budget, c.cfg.FloorW, demand, healthy)
+	shares := Partition(budget, floorWatts, demand, healthy)
 	type push struct {
 		mb *member
 		w  float64

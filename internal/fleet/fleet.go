@@ -44,6 +44,17 @@ import (
 	"corun/internal/workload"
 )
 
+// floorWatts is the minimum power share a healthy node is ever
+// assigned: above the default machine's minimum co-run power, so a
+// floored node still schedules. Demand-proportional slices are handed
+// out on top of the floors.
+const floorWatts = 5
+
+// healthFailures is how many consecutive probe transport errors take a
+// node out of rotation; a well-formed not-ready answer takes effect
+// immediately.
+const healthFailures = 2
+
 // NodeConfig names one member daemon: its stable identity (the
 // corund -node-id, embedded in the jobs IDs it mints) and its base
 // URL.
@@ -89,28 +100,18 @@ type Config struct {
 	// each node reports on /readyz.
 	BudgetW float64
 
-	// FloorW is the minimum share a healthy node is ever assigned
-	// (default 5 W — above the default machine's minimum co-run power,
-	// so a floored node still schedules). Demand-proportional slices
-	// are handed out on top of the floors.
-	FloorW float64
-
 	// Balancer picks the placement policy; defaults to
 	// cluster.HeadroomAware, the fragmentation-aware scorer.
 	Balancer cluster.Balancer
 
-	// Machine and Mem drive placement hints (standalone-time estimates
-	// at max frequency — no characterization needed); they default to
-	// the paper's Ivy Bridge-like node and should match the members.
+	// Machine drives placement hints (standalone-time estimates at max
+	// frequency under the default memory model — no characterization
+	// needed); it defaults to the paper's Ivy Bridge-like node and
+	// should match the members.
 	Machine *apu.Config
-	Mem     *memsys.Model
 
-	// HealthInterval is the /readyz poll period (default 500ms);
-	// HealthFailures is how many consecutive probe transport errors
-	// mark a node unhealthy (default 2; a well-formed not-ready answer
-	// takes effect immediately).
+	// HealthInterval is the /readyz poll period (default 500ms).
 	HealthInterval time.Duration
-	HealthFailures int
 
 	// RebalanceInterval is the power-budget repartition period
 	// (default 2s). Ignored when BudgetW is 0.
@@ -125,9 +126,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.FloorW == 0 {
-		out.FloorW = 5
-	}
 	if out.Balancer == 0 && out.BudgetW != 0 {
 		// The zero Balancer value is RoundRobin; a power-managed fleet
 		// wants the fragmentation-aware default unless explicitly asked
@@ -137,14 +135,8 @@ func (c *Config) withDefaults() Config {
 	if out.Machine == nil {
 		out.Machine = apu.DefaultConfig()
 	}
-	if out.Mem == nil {
-		out.Mem = memsys.Default()
-	}
 	if out.HealthInterval == 0 {
 		out.HealthInterval = 500 * time.Millisecond
-	}
-	if out.HealthFailures == 0 {
-		out.HealthFailures = 2
 	}
 	if out.RebalanceInterval == 0 {
 		out.RebalanceInterval = 2 * time.Second
@@ -169,6 +161,7 @@ func (c *Config) withDefaults() Config {
 // the power-budget partition, and the outward /v1/* API.
 type Coordinator struct {
 	cfg    Config
+	mem    *memsys.Model
 	client *http.Client
 	m      *metrics
 
@@ -194,15 +187,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BudgetW < 0 {
 		return nil, fmt.Errorf("fleet: negative power budget %g", cfg.BudgetW)
 	}
-	if cfg.FloorW < 0 {
-		return nil, fmt.Errorf("fleet: negative node floor %g", cfg.FloorW)
-	}
 	placer, err := cluster.NewPlacer(cfg.Balancer)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
 		cfg:     cfg,
+		mem:     memsys.Default(),
 		client:  cfg.Client,
 		m:       newMetrics(),
 		placer:  placer,
@@ -331,8 +322,8 @@ func (c *Coordinator) hintFor(spec workload.JobSpec) (cluster.JobHint, error) {
 		scale = 1
 	}
 	return cluster.JobHint{
-		CPUTimeS: float64(prog.StandaloneTime(apu.CPU, c.cfg.Machine.Freq(apu.CPU, c.cmax), c.cfg.Mem, scale)),
-		GPUTimeS: float64(prog.StandaloneTime(apu.GPU, c.cfg.Machine.Freq(apu.GPU, c.gmax), c.cfg.Mem, scale)),
+		CPUTimeS: float64(prog.StandaloneTime(apu.CPU, c.cfg.Machine.Freq(apu.CPU, c.cmax), c.mem, scale)),
+		GPUTimeS: float64(prog.StandaloneTime(apu.GPU, c.cfg.Machine.Freq(apu.GPU, c.gmax), c.mem, scale)),
 	}, nil
 }
 

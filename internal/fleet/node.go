@@ -84,7 +84,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 // probe hits one node's /readyz. A well-formed answer takes effect
 // immediately (ready → healthy, draining/degraded/starting →
 // unhealthy); transport errors flip the node only after
-// HealthFailures consecutive misses, so one dropped packet does not
+// healthFailures consecutive misses, so one dropped packet does not
 // eject a serving node. An answer claiming a different node identity
 // is a mis-wiring (two fleets sharing a port, a stale DNS entry) and
 // keeps the node out of rotation.
@@ -97,7 +97,7 @@ func (c *Coordinator) probe(ctx context.Context, mb *member) {
 		mb.fails++
 		mb.lastErr = err.Error()
 		c.m.probeFailures.Inc(mb.id)
-		if mb.fails >= c.cfg.HealthFailures {
+		if mb.fails >= healthFailures {
 			mb.healthy = false
 			mb.status = "unreachable"
 		}

@@ -25,7 +25,7 @@ func benchJournal(b *testing.B, pol FsyncPolicy) *Journal {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	for _, pol := range []FsyncPolicy{FsyncNever, FsyncInterval, FsyncAlways} {
+	for _, pol := range []FsyncPolicy{FsyncNever, FsyncAlways} {
 		b.Run(string(pol), func(b *testing.B) {
 			j := benchJournal(b, pol)
 			rec := jobRecord("job-000000")

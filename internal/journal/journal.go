@@ -46,14 +46,12 @@ type FsyncPolicy string
 
 // The fsync policies. Always makes every Append block until its
 // records are fsynced (group commit shares the syscall across
-// concurrent appenders); Interval fsyncs on a background timer,
-// bounding loss to one interval; Never leaves flushing to the OS —
-// a process crash loses nothing, a machine crash loses what the
-// kernel had not written back.
+// concurrent appenders); Never leaves flushing to the OS — a process
+// crash loses nothing, a machine crash loses what the kernel had not
+// written back.
 const (
-	FsyncAlways   FsyncPolicy = "always"
-	FsyncInterval FsyncPolicy = "interval"
-	FsyncNever    FsyncPolicy = "never"
+	FsyncAlways FsyncPolicy = "always"
+	FsyncNever  FsyncPolicy = "never"
 )
 
 // ParseFsyncPolicy normalizes a policy name; empty means FsyncAlways.
@@ -61,11 +59,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch p := FsyncPolicy(strings.ToLower(strings.TrimSpace(s))); p {
 	case "":
 		return FsyncAlways, nil
-	case FsyncAlways, FsyncInterval, FsyncNever:
+	case FsyncAlways, FsyncNever:
 		return p, nil
 	default:
-		return "", fmt.Errorf("journal: unknown fsync policy %q (valid: %s | %s | %s)",
-			s, FsyncAlways, FsyncInterval, FsyncNever)
+		return "", fmt.Errorf("journal: unknown fsync policy %q (valid: %s | %s)", s, FsyncAlways, FsyncNever)
 	}
 }
 
@@ -105,9 +102,6 @@ type Options struct {
 
 	// Fsync is the durability policy; default FsyncAlways.
 	Fsync FsyncPolicy
-
-	// FsyncInterval is the FsyncInterval timer period; default 100ms.
-	FsyncInterval time.Duration
 
 	// SnapshotBytes is the log size that triggers snapshot-plus-
 	// compaction; default 4 MiB, negative disables compaction.
@@ -186,9 +180,6 @@ type Journal struct {
 
 	syncMu  sync.Mutex    // serializes fsync and compaction
 	durable atomic.Uint64 // last seq known flushed and fsynced
-
-	stopInterval chan struct{}
-	intervalDone chan struct{}
 }
 
 // Open recovers the journal in opts.Dir — loading the snapshot if
@@ -207,9 +198,6 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	}
 	if _, err := ParseFsyncPolicy(string(opts.Fsync)); err != nil {
 		return nil, nil, stats, err
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
 	}
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = 4 << 20
@@ -313,11 +301,6 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		state:    st,
 	}
 	j.durable.Store(lastSeq)
-	if opts.Fsync == FsyncInterval {
-		j.stopInterval = make(chan struct{})
-		j.intervalDone = make(chan struct{})
-		go j.intervalLoop()
-	}
 	return j, st.Clone(), stats, nil
 }
 
@@ -606,12 +589,6 @@ func (j *Journal) Close() error {
 	}
 	j.closed = true
 	j.mu.Unlock()
-	// Stop the interval syncer before taking syncMu: it may be inside
-	// Sync, which needs the lock to finish.
-	if j.stopInterval != nil {
-		close(j.stopInterval)
-		<-j.intervalDone
-	}
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
 	j.mu.Lock()
@@ -630,20 +607,4 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-func (j *Journal) intervalLoop() {
-	defer close(j.intervalDone)
-	t := time.NewTicker(j.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.stopInterval:
-			return
-		case <-t.C:
-			// ErrClosed here only means Close won the race; its own
-			// final flush-and-sync covers the tail.
-			_ = j.Sync()
-		}
-	}
 }

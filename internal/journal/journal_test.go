@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,26 +264,32 @@ func TestGroupCommit(t *testing.T) {
 	t.Logf("group commit: %d records, %d fsyncs", writers*per, fsyncs.Load())
 }
 
+// TestFsyncIntervalAndNever: under never, Close flushes and fsyncs
+// whatever the policy left behind; a journal asked for interval — no
+// mode of this package — refuses to open, naming the two there are.
 func TestFsyncIntervalAndNever(t *testing.T) {
-	for _, pol := range []FsyncPolicy{FsyncInterval, FsyncNever} {
-		t.Run(string(pol), func(t *testing.T) {
-			dir := t.TempDir()
-			j, _, _ := openT(t, Options{Dir: dir, Fsync: pol, FsyncInterval: time.Millisecond})
-			for i := 0; i < 10; i++ {
-				if err := j.Append(jobRecord(fmt.Sprintf("job-%06d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Close flushes and fsyncs whatever the policy left behind.
-			if err := j.Close(); err != nil {
+	t.Run("interval", func(t *testing.T) {
+		_, _, _, err := Open(Options{Dir: t.TempDir(), Fsync: "interval"})
+		if err == nil || !strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "never") {
+			t.Fatalf("Open with fsync interval = %v, want an error naming always and never", err)
+		}
+	})
+	t.Run("never", func(t *testing.T) {
+		dir := t.TempDir()
+		j, _, _ := openT(t, Options{Dir: dir, Fsync: FsyncNever})
+		for i := 0; i < 10; i++ {
+			if err := j.Append(jobRecord(fmt.Sprintf("job-%06d", i))); err != nil {
 				t.Fatal(err)
 			}
-			_, st, _ := openT(t, Options{Dir: dir})
-			if len(st.Jobs) != 10 {
-				t.Fatalf("recovered %d jobs", len(st.Jobs))
-			}
-		})
-	}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, st, _ := openT(t, Options{Dir: dir})
+		if len(st.Jobs) != 10 {
+			t.Fatalf("recovered %d jobs", len(st.Jobs))
+		}
+	})
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
@@ -290,7 +297,6 @@ func TestParseFsyncPolicy(t *testing.T) {
 		"":         FsyncAlways,
 		"always":   FsyncAlways,
 		" ALWAYS ": FsyncAlways,
-		"interval": FsyncInterval,
 		"Never\t":  FsyncNever,
 	} {
 		got, err := ParseFsyncPolicy(in)
@@ -298,8 +304,10 @@ func TestParseFsyncPolicy(t *testing.T) {
 			t.Errorf("ParseFsyncPolicy(%q) = %q, %v", in, got, err)
 		}
 	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParseFsyncPolicy(bad); err == nil {
+			t.Errorf("fsync policy %q accepted", bad)
+		}
 	}
 }
 

@@ -361,10 +361,9 @@ func TestClosedLogGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string]Options{
-		"always":   {Fsync: FsyncAlways},
-		"interval": {Fsync: FsyncInterval},
-		"never":    {Fsync: FsyncNever},
-		"refused":  {Faults: refused},
+		"always":  {Fsync: FsyncAlways},
+		"never":   {Fsync: FsyncNever},
+		"refused": {Faults: refused},
 	} {
 		opts.Dir = t.TempDir()
 		j, _, _, err := Open(opts)

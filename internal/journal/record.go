@@ -6,8 +6,8 @@
 // Record appended to the log; replaying snapshot + log tail rebuilds
 // the full server state after a crash or redeploy.
 //
-// Durability is tunable (FsyncAlways | FsyncInterval | FsyncNever)
-// with group commit: concurrent appenders waiting on the same fsync
+// Durability is FsyncAlways (the default) or FsyncNever, with group
+// commit: concurrent appenders waiting on the same fsync
 // share one syscall. Once the log outgrows a size threshold the
 // journal writes an atomic snapshot of the materialized State and
 // truncates the log. Recovery is tolerant of a torn or corrupt tail

@@ -34,15 +34,15 @@ type CalibratedPredictor struct {
 type CalibrateOptions struct {
 	// Batch is the instance set the profile was collected for.
 	Batch []*workload.Instance
-
-	// ProbeTarget is the micro-kernel bandwidth level of the reference
-	// co-runner; zero defaults to 8 GB/s (a demanding but not
-	// saturating stressor).
-	ProbeTarget units.GBps
-
-	// MaxScale clamps the learned corrections; zero defaults to 4.
-	MaxScale float64
 }
+
+// probeTarget is the micro-kernel bandwidth level of the reference
+// co-runner: a demanding but not saturating stressor. maxScale clamps
+// the learned corrections to [1/maxScale, maxScale].
+const (
+	probeTarget units.GBps = 8
+	maxScale               = 4.0 // a float constant: 1/maxScale is 0.25, not 0
+)
 
 // NewCalibratedPredictor measures one probe co-run per (job, device)
 // on the ground-truth simulator and fits the correction factors. The
@@ -55,14 +55,6 @@ func NewCalibratedPredictor(base *Predictor, opts CalibrateOptions) (*Calibrated
 	if len(opts.Batch) != base.NumJobs() {
 		return nil, fmt.Errorf("model: batch size %d does not match profile %d", len(opts.Batch), base.NumJobs())
 	}
-	target := opts.ProbeTarget
-	if target <= 0 {
-		target = 8
-	}
-	maxScale := opts.MaxScale
-	if maxScale <= 0 {
-		maxScale = 4
-	}
 	cfg, mem := base.Prof.Cfg, base.Prof.Mem
 
 	cmax := cfg.MaxFreqIndex(apu.CPU)
@@ -72,7 +64,7 @@ func NewCalibratedPredictor(base *Predictor, opts CalibrateOptions) (*Calibrated
 
 	// The reference stressor runs on the opposite device; its
 	// standalone bandwidth indexes the prediction surface.
-	probeProg, err := microbench.Kernel(target, cfg)
+	probeProg, err := microbench.Kernel(probeTarget, cfg)
 	if err != nil {
 		return nil, err
 	}

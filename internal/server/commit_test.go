@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +24,14 @@ import (
 // acked or failed exactly once (acked + failed == submitted), and for
 // every acked job the journal's durable watermark, read right after
 // the ack, covers the sequence number Append assigned its submission
-// record. Retries and the breaker are off so an injected fault fails
-// the submission it hit instead of being absorbed. Run under -race, the
-// test also proves the direct commit path is data-race free.
+// record. Retries and the breaker are the daemon's own: an isolated
+// fault is absorbed by a Sync retry, whose durability the watermark
+// check then verifies, and the storm — journalAttempts fsyncs for each
+// of breakerThreshold commits — can fail commits outright and trip the
+// breaker, whose cooldown the test's clock skips. The log stays far
+// below the journal's compaction threshold, so every record is still in
+// it for the check. Run under -race, the test also proves the direct
+// commit path is data-race free.
 func TestSubmitDurableAck(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -34,6 +40,7 @@ func TestSubmitDurableAck(t *testing.T) {
 		{"no-faults", nil},
 		{"every-3rd-fsync", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Every: 3, Msg: "injected fsync"}},
 		{"first-5-fsyncs", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: 5, Msg: "injected fsync"}},
+		{"storm", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: journalAttempts * breakerThreshold, Msg: "injected fsync"}},
 	}
 	for _, sched := range schedules {
 		t.Run(sched.name, func(t *testing.T) {
@@ -45,11 +52,13 @@ func TestSubmitDurableAck(t *testing.T) {
 				c.MaxQueue = goroutines * perG
 				c.DataDir = dir
 				c.Fsync = journal.FsyncAlways
-				c.SnapshotBytes = -1 // keep every record in the log for the check below
 				c.Faults = reg
-				c.JournalRetries = -1
-				c.BreakerThreshold = -1
 			})
+			// Every reading of the breaker's clock is one cooldown after the
+			// last, so an open breaker half-opens at its next Allow.
+			var ticks atomic.Int64
+			start := time.Now()
+			s.brk.SetClock(func() time.Time { return start.Add(time.Duration(ticks.Add(1)) * breakerCooldown) })
 			// Arm after New, past the cap/policy records a fresh dir seeds.
 			if sched.rule != nil {
 				if err := reg.Arm(*sched.rule); err != nil {
@@ -216,7 +225,6 @@ func TestPreallocFaultRunsUnpreallocated(t *testing.T) {
 		c.DataDir = dir
 		c.Fsync = journal.FsyncAlways
 		c.Faults = reg
-		c.JournalRetries = -1
 	})
 	defer s.Close()
 	for i := 0; i < 5; i++ {
@@ -256,7 +264,7 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2*s.cfg.BreakerThreshold; i++ {
+	for i := 0; i < 2*breakerThreshold; i++ {
 		if _, err := s.Submit(mustSpec(t, "lud")); !errors.Is(err, ErrDraining) {
 			t.Fatalf("submit %d after Close = %v, want ErrDraining", i, err)
 		}

@@ -128,11 +128,13 @@ func TestFaultedFsyncLifecycle(t *testing.T) {
 }
 
 // TestFsyncStormDegradesAndRecovers is the acceptance scenario: a
-// storm of fsync failures (no retries to absorb them) trips the
-// breaker into degraded mode — visible on /readyz, the breaker and
-// shed metrics, and 503 + Retry-After responses — and the daemon
-// recovers automatically via half-open probes once the injection
-// schedule exhausts. No acknowledged job is lost at any point.
+// storm of fsync failures outlasts the retries of breakerThreshold
+// commits in a row and trips the breaker into degraded mode — visible
+// on /readyz, the breaker and shed metrics, and 503 + Retry-After
+// responses — and the daemon recovers automatically via half-open
+// probes once the injection schedule exhausts. The breaker runs on the
+// test's clock, so each cooldown passes when the test advances it, not
+// after a sleep. No acknowledged job is lost at any point.
 func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry()
@@ -140,11 +142,20 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		c.DataDir = dir
 		c.Fsync = journal.FsyncAlways
 		c.Faults = reg
-		c.JournalRetries = -1 // surface every failure to the breaker
-		c.BreakerThreshold = 2
-		c.BreakerCooldown = 250 * time.Millisecond
 	})
 	t.Cleanup(func() { s.Close() })
+	var clockMu sync.Mutex
+	now := time.Now()
+	s.brk.SetClock(func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	})
+	coolDown := func() {
+		clockMu.Lock()
+		now = now.Add(breakerCooldown)
+		clockMu.Unlock()
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -159,14 +170,19 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const storm = 8
+	// A failed commit spends journalAttempts fsyncs: the append's, then
+	// one per Sync retry. The storm fails breakerThreshold commits, then
+	// two half-open probes.
+	const failedProbes = 2
+	const storm = journalAttempts * (breakerThreshold + failedProbes)
 	if err := reg.Arm(fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: storm, Msg: "fsync storm"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Two consecutive failures trip the breaker. Both submissions are
-	// refused — never acknowledged-but-undurable.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold consecutive failed commits trip the breaker. Every
+	// one of those submissions is refused — never acknowledged-but-
+	// undurable.
+	for i := 0; i < breakerThreshold; i++ {
 		code, hdr, body := postRaw(t, ts.URL+"/v1/jobs", `{"program":"lud"}`)
 		if code != http.StatusServiceUnavailable {
 			t.Fatalf("storm submit %d -> %d: %s", i, code, body)
@@ -194,33 +210,33 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		t.Errorf("cap change while degraded -> %d: %s", code, body)
 	}
 	_, mbody := get(t, ts.URL+"/metrics")
-	if v := metricValue(t, mbody, "corund_breaker_trips_total"); v < 1 {
-		t.Errorf("breaker trips %v, want >= 1", v)
+	if v := metricValue(t, mbody, "corund_breaker_trips_total"); v != 1 {
+		t.Errorf("breaker trips %v, want 1", v)
 	}
 	if v := metricValue(t, mbody, "corund_breaker_state"); v != float64(fault.BreakerOpen) {
 		t.Errorf("breaker state %v, want open (%d)", v, fault.BreakerOpen)
 	}
 
-	// Automatic recovery: half-open probes burn through the schedule,
-	// and once it exhausts a probe succeeds and the breaker closes.
-	deadline := time.Now().Add(60 * time.Second)
-	recovered := false
-	var postID string
-	for time.Now().Before(deadline) {
-		code, _, body := postRaw(t, ts.URL+"/v1/jobs", `{"program":"lud"}`)
-		if code == http.StatusAccepted {
-			var j Job
-			if err := json.Unmarshal([]byte(body), &j); err != nil {
-				t.Fatal(err)
-			}
-			postID = j.ID
-			recovered = true
-			break
+	// Automatic recovery: each cooldown lets one probe through. The
+	// first failedProbes burn the rest of the schedule and re-open the
+	// breaker; the next finds the journal working and closes it.
+	for i := 0; i < failedProbes; i++ {
+		coolDown()
+		if code, _, body := postRaw(t, ts.URL+"/v1/jobs", `{"program":"lud"}`); code != http.StatusServiceUnavailable {
+			t.Fatalf("probe %d inside the storm -> %d: %s", i, code, body)
 		}
-		time.Sleep(20 * time.Millisecond)
+		if !s.Degraded() {
+			t.Fatalf("probe %d failed but the breaker closed", i)
+		}
 	}
-	if !recovered {
-		t.Fatal("daemon did not recover after the fault schedule exhausted")
+	coolDown()
+	code, body = postJSON(t, ts.URL+"/v1/jobs", `{"program":"lud"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("probe after the storm -> %d: %s", code, body)
+	}
+	var post Job
+	if err := json.Unmarshal([]byte(body), &post); err != nil {
+		t.Fatal(err)
 	}
 	if s.Degraded() {
 		t.Error("breaker still away from closed after a successful probe")
@@ -235,6 +251,9 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 	_, mbody = get(t, ts.URL+"/metrics")
 	if v := metricValue(t, mbody, "corund_breaker_state"); v != float64(fault.BreakerClosed) {
 		t.Errorf("breaker state %v after recovery, want closed", v)
+	}
+	if v := metricValue(t, mbody, "corund_breaker_trips_total"); v != 1+failedProbes {
+		t.Errorf("breaker trips %v, want %d (the trip and each failed probe)", v, 1+failedProbes)
 	}
 	if v := metricValue(t, mbody, "corund_jobs_shed_total"); v < 1 {
 		t.Errorf("shed %v, want >= 1", v)
@@ -252,7 +271,7 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newJournalServer(t, dir)
-	for _, id := range []string{preStorm.ID, postID} {
+	for _, id := range []string{preStorm.ID, post.ID} {
 		if _, ok := s2.Job(id); !ok {
 			t.Errorf("acked job %s lost across restart", id)
 		}

@@ -202,11 +202,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) capBody() map[string]float64 {
-	dc := s.DomainCaps()
+	c := s.ctl.Load()
 	return map[string]float64{
-		"cap_watts": float64(s.Cap()),
-		"pp0_watts": float64(dc.PP0),
-		"pp1_watts": float64(dc.PP1),
+		"cap_watts": float64(c.cap),
+		"pp0_watts": float64(c.domains.PP0),
+		"pp1_watts": float64(c.domains.PP1),
 	}
 }
 
@@ -229,8 +229,8 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	// Absent fields keep their current value, so a package-only client
 	// (or an old one that never learned the plane fields) doesn't
 	// silently clear plane caps set by someone else.
-	cap := s.Cap()
-	dc := s.DomainCaps()
+	c := s.ctl.Load()
+	cap, dc := c.cap, c.domains
 	if req.CapWatts != nil {
 		cap = units.Watts(*req.CapWatts)
 	}

@@ -78,8 +78,9 @@ func appendPaddedInt(b []byte, n int64, width int) []byte {
 	return append(b, s...)
 }
 
-// appendJobJSON encodes one job exactly as encoding/json would encode
-// *Job (field order and omitempty included), compactly.
+// appendJobJSON encodes one job exactly as json.Marshal encodes *Job
+// (field order, omitempty, string escaping and float format included);
+// FuzzAppendJobJSON holds it to that.
 func appendJobJSON(b []byte, j *Job) []byte {
 	b = append(b, `{"id":`...)
 	b = appendJSONString(b, j.ID)
@@ -152,23 +153,29 @@ func appendJobJSON(b []byte, j *Job) []byte {
 
 // appendJSONFloat appends v the way encoding/json encodes a float64:
 // shortest representation, fixed notation except for very small or
-// very large magnitudes.
+// very large magnitudes, and a two-digit negative exponent cut to one
+// ("1e-07" → "1e-7").
 func appendJSONFloat(b []byte, v float64) []byte {
 	abs := math.Abs(v)
-	f := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		f = 'e'
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(b, v, 'f', -1, 64)
 	}
-	return strconv.AppendFloat(b, v, f, -1, 64)
+	b = strconv.AppendFloat(b, v, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // appendJSONString appends s as a JSON string. The fast path covers
-// printable ASCII without quotes or backslashes (every ID, state, and
-// program name); anything else — user-controlled labels and error
-// text — takes the escaping path.
+// printable ASCII that encoding/json leaves alone — no quotes,
+// backslashes, or the HTML-significant <, >, & — which is every ID,
+// state, and program name; anything else — user-controlled labels and
+// error text — takes the escaping path.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return appendJSONStringSlow(b, s)
 		}
 	}
@@ -179,25 +186,47 @@ func appendJSONString(b []byte, s string) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// appendJSONStringSlow escapes as encoding/json does by default: short
+// escapes for backspace, form feed, newline, return and tab; a
+// six-character u-escape for the other control bytes, for <, >, &,
+// and for the JavaScript line separators U+2028 and U+2029; and the
+// escaped U+FFFD for each byte of invalid UTF-8.
 func appendJSONStringSlow(b []byte, s string) []byte {
 	b = append(b, '"')
-	for _, r := range s { // range re-decodes; invalid UTF-8 becomes U+FFFD, like encoding/json
-		switch {
-		case r == '"':
-			b = append(b, '\\', '"')
-		case r == '\\':
-			b = append(b, '\\', '\\')
-		case r == '\n':
-			b = append(b, '\\', 'n')
-		case r == '\r':
-			b = append(b, '\\', 'r')
-		case r == '\t':
-			b = append(b, '\\', 't')
-		case r < 0x20:
-			b = append(b, '\\', 'u', '0', '0', hexDigits[r>>4], hexDigits[r&0xf])
-		default:
-			b = utf8.AppendRune(b, r)
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c == '\b':
+				b = append(b, '\\', 'b')
+			case c == '\f':
+				b = append(b, '\\', 'f')
+			case c == '\n':
+				b = append(b, '\\', 'n')
+			case c == '\r':
+				b = append(b, '\\', 'r')
+			case c == '\t':
+				b = append(b, '\\', 't')
+			case c < 0x20 || c == '<' || c == '>' || c == '&':
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			default:
+				b = append(b, c)
+			}
+			i++
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
 	}
 	return append(b, '"')
 }

@@ -41,9 +41,8 @@ func (s *Server) Recovery() Recovery { return s.recovery }
 func (s *Server) openJournal() error {
 	start := time.Now()
 	jl, st, stats, err := journal.Open(journal.Options{
-		Dir:           s.cfg.DataDir,
-		Fsync:         s.cfg.Fsync,
-		SnapshotBytes: s.cfg.SnapshotBytes,
+		Dir:   s.cfg.DataDir,
+		Fsync: s.cfg.Fsync,
 		Observer: journal.Observer{
 			Append: func(records, bytes int, latency time.Duration) {
 				s.m.jlAppends.Add(float64(records))
@@ -81,24 +80,21 @@ func (s *Server) openJournal() error {
 		s.jl = nil
 		return err
 	}
+	ctl := *s.ctl.Load()
 	if st.CapWatts != nil {
-		cap := units.Watts(*st.CapWatts)
-		var dc apu.DomainCaps
+		ctl.cap = units.Watts(*st.CapWatts)
+		ctl.domains = apu.DomainCaps{}
 		if st.PP0Watts != nil {
-			dc.PP0 = units.Watts(*st.PP0Watts)
+			ctl.domains.PP0 = units.Watts(*st.PP0Watts)
 		}
 		if st.PP1Watts != nil {
-			dc.PP1 = units.Watts(*st.PP1Watts)
+			ctl.domains.PP1 = units.Watts(*st.PP1Watts)
 		}
-		if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
+		if err := s.cfg.Machine.CheckCaps(ctl.cap, ctl.domains); err != nil {
 			return fail(fmt.Errorf("server: recovered power cap: %w", err))
 		}
-		s.setCapWatts(cap)
-		s.setDomainWatts(dc)
-		s.m.capWatts.Set(float64(cap))
-		s.publishDomainCapGauges(dc)
 	} else {
-		if err := jl.Append(capRecord(s.capWatts(), s.domainWatts())); err != nil {
+		if err := jl.Append(capRecord(ctl.cap, ctl.domains)); err != nil {
 			return fail(err)
 		}
 	}
@@ -107,12 +103,13 @@ func (s *Server) openJournal() error {
 		if err != nil {
 			return fail(fmt.Errorf("server: recovered policy: %w", err))
 		}
-		s.setPolicyNow(p)
+		ctl.policy = p
 	} else {
-		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: s.policyNow()}); err != nil {
+		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: ctl.policy}); err != nil {
 			return fail(err)
 		}
 	}
+	s.setControl(ctl)
 
 	requeued := 0
 	s.table.reserve(len(st.Jobs))
@@ -173,7 +170,7 @@ func (s *Server) appendDurable(recs ...journal.Record) error {
 	if s.jl == nil || len(recs) == 0 {
 		return nil
 	}
-	if s.brk != nil && !s.brk.Allow() {
+	if !s.brk.Allow() {
 		return ErrDegraded
 	}
 	appended := false
@@ -201,14 +198,12 @@ func (s *Server) appendDurable(recs ...journal.Record) error {
 	})
 	if err != nil {
 		// A closed journal is the drain path, not a fault.
-		if s.brk != nil && !errors.Is(err, journal.ErrClosed) {
+		if !errors.Is(err, journal.ErrClosed) {
 			s.brk.Failure()
 		}
 		return err
 	}
-	if s.brk != nil {
-		s.brk.Success()
-	}
+	s.brk.Success()
 	return nil
 }
 

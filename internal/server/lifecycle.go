@@ -52,7 +52,7 @@ func (s *Server) Close() error {
 
 // ListenAndServe runs the daemon at addr until ctx is cancelled, then
 // drains gracefully: admission stops, the scheduler flushes its queue
-// (bounded by Config.DrainTimeout), and the HTTP listener shuts down.
+// (bounded by drainTimeout), and the HTTP listener shuts down.
 // It returns nil on a clean drain.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -76,7 +76,7 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := s.DrainAndWait(drainCtx)
 	if cerr := s.Close(); cerr != nil && drainErr == nil {

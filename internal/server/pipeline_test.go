@@ -68,7 +68,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				}
 
 				ep, err := online.PlanEpoch(online.Options{
-					Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char,
+					Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 					Cap: cc.cap, Domains: cc.domains, Policy: pol,
 				}, batch, epochSeed(seed, 1))
 				if err != nil {

@@ -11,12 +11,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"corun/internal/apu"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -354,4 +356,71 @@ func TestHTTPConcurrency(t *testing.T) {
 	}
 	s.Drain()
 	<-s.Drained()
+}
+
+// TestCapsNeverTorn flips SetCaps between two valid cap states while
+// epochs run and plans are read: every plan was made under exactly one
+// of the two — package cap and plane cap from the same call — never a
+// combination nobody requested or journaled.
+func TestCapsNeverTorn(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.EpochGap = time.Millisecond
+		c.MaxQueue = 10_000
+	})
+	s.Start(context.Background())
+	type caps struct{ pkg, pp1 float64 }
+	states := []caps{{15, 0}, {18, 9}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the flipper
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := states[i%2]
+			if err := s.SetCaps(units.Watts(st.pkg), apu.DomainCaps{PP1: units.Watts(st.pp1)}); err != nil {
+				t.Errorf("set caps %+v: %v", st, err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	seen := map[caps]int{}
+	go func() { // the plan reader
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if pv, ok := s.Plan(); ok {
+				got := caps{pv.CapWatts, pv.PP1CapWatts}
+				if got != states[0] && got != states[1] {
+					t.Errorf("epoch %d (%s) planned under %+v, which was never set", pv.Epoch, pv.State, got)
+					return
+				}
+				seen[got]++
+			}
+			runtime.Gosched()
+		}
+	}()
+	const jobs = 60
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(workload.JobSpec{Program: "lud", Scale: 1}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitAllTerminal(t, s, jobs, 120*time.Second)
+	close(stop)
+	wg.Wait()
+	if len(seen) == 0 {
+		t.Fatal("no plan was ever read")
+	}
+	t.Logf("plans read per cap state: %v", seen)
 }

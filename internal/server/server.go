@@ -36,8 +36,9 @@
 // atomic-pointer snapshots (jobTable), every journal commit is a
 // direct appendDurable call whose fsync concurrent committers share
 // through the journal's own group commit, the admission selector and
-// the draining flag sit behind the small admMu, cap/policy/clock/plan
-// are atomics, and everything else — epoch planning, queue-shape
+// the draining flag sit behind the small admMu, the control state (one
+// immutable cap+planes+policy value), clock and plan are atomics, and
+// everything else — epoch planning, queue-shape
 // gauges, trace bookkeeping — belongs to the scheduler goroutine, off
 // the request path.
 package server
@@ -100,11 +101,26 @@ const (
 // the most recent epochs only.
 const maxTraceEpochs = 4096
 
+// The journal failure policy (DESIGN.md §2d). A commit is tried
+// journalAttempts times — the first write and three retries — with the
+// gaps growing from retryBase toward retryMax under ±retryJitter seeded
+// jitter; breakerThreshold consecutive commits that fail past their
+// retries trip the breaker, which sheds for breakerCooldown before it
+// lets a probe through. drainTimeout bounds ListenAndServe's drain.
+const (
+	journalAttempts  = 4
+	retryBase        = 5 * time.Millisecond
+	retryMax         = 250 * time.Millisecond
+	retryJitter      = 0.2
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Second
+	drainTimeout     = 30 * time.Second
+)
+
 // Config configures a daemon instance.
 type Config struct {
-	// Machine and Mem default to the paper's Ivy Bridge-like node.
+	// Machine defaults to the paper's Ivy Bridge-like node.
 	Machine *apu.Config
-	Mem     *memsys.Model
 
 	// NodeID is the daemon's stable fleet identity ([A-Za-z0-9._]{1,32},
 	// dashes allowed but not leading/trailing). When set, job IDs are
@@ -164,10 +180,6 @@ type Config struct {
 	// immediately.
 	EpochGap time.Duration
 
-	// DrainTimeout bounds how long ListenAndServe waits for the drain
-	// to finish after cancellation. Defaults to 30s.
-	DrainTimeout time.Duration
-
 	// DataDir enables the durable state journal: every acknowledged
 	// state change (job admission, lifecycle transition, cap change,
 	// policy change) is logged under this directory, and a restart
@@ -180,40 +192,12 @@ type Config struct {
 	// journal.FsyncAlways. Ignored without DataDir.
 	Fsync journal.FsyncPolicy
 
-	// SnapshotBytes overrides the journal's snapshot-plus-compaction
-	// threshold (0 = the journal's default). Ignored without DataDir.
-	SnapshotBytes int64
-
 	// Faults is the failpoint registry checked at the daemon's
 	// injection sites (SiteAdmit, SiteEpoch, and the journal's sites);
 	// nil uses fault.Default, which costs one atomic load while
 	// disarmed. Hits and injections are exported as
 	// corund_fault_hits_total / corund_fault_injections_total.
 	Faults *fault.Registry
-
-	// JournalRetries bounds how many times a failed journal write is
-	// retried (with jittered exponential backoff) before the failure
-	// surfaces and counts against the circuit breaker. 0 means the
-	// default of 3; negative disables retries.
-	JournalRetries int
-
-	// RetryBase and RetryMax shape the retry backoff: delays grow
-	// exponentially from RetryBase (default 5ms) toward RetryMax
-	// (default 250ms) with ±20% seeded jitter.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
-	// BreakerThreshold is how many consecutive journal failures (each
-	// already past its retries) trip the circuit breaker into degraded
-	// mode: journaling is suspended, submissions and control changes
-	// get 503 + Retry-After, and /readyz reports "degraded" until a
-	// half-open probe succeeds. 0 means the default of 5; negative
-	// disables the breaker.
-	BreakerThreshold int
-
-	// BreakerCooldown is how long the breaker sheds before allowing a
-	// probe; default 2s.
-	BreakerCooldown time.Duration
 
 	// RequestTimeout is the per-request deadline on the HTTP API:
 	// Handler wraps the mux so a request that exceeds it gets 503.
@@ -229,34 +213,24 @@ func (c *Config) withDefaults() Config {
 	if out.Policy == "" {
 		out.Policy = "hcs+"
 	}
-	if out.Mem == nil {
-		out.Mem = memsys.Default()
-	}
 	if out.MaxQueue == 0 {
 		out.MaxQueue = 256
-	}
-	if out.DrainTimeout == 0 {
-		out.DrainTimeout = 30 * time.Second
 	}
 	if out.Faults == nil {
 		out.Faults = fault.Default
 	}
-	if out.JournalRetries == 0 {
-		out.JournalRetries = 3
-	}
-	if out.RetryBase == 0 {
-		out.RetryBase = 5 * time.Millisecond
-	}
-	if out.RetryMax == 0 {
-		out.RetryMax = 250 * time.Millisecond
-	}
-	if out.BreakerThreshold == 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerCooldown == 0 {
-		out.BreakerCooldown = 2 * time.Second
-	}
 	return out
+}
+
+// control is what an epoch plans under: the package cap, the plane
+// caps and the policy. A published control is immutable — SetCaps and
+// SetPolicy store a modified copy under ctlMu — so an epoch's one load
+// sees a combination that was requested and journaled, never a mix of
+// two.
+type control struct {
+	cap     units.Watts
+	domains apu.DomainCaps
+	policy  string
 }
 
 // PlanView is the JSON form of one epoch's schedule, served by
@@ -312,7 +286,7 @@ func (p *PlanView) clone() PlanView {
 // (when configured with a data dir) the durable state journal.
 //
 // Locking, from hot to cold:
-//   - none: job reads (table snapshots), cap/policy/clock/plan reads,
+//   - none: job reads (table snapshots), control/clock/plan reads,
 //     the draining fast check — all atomics.
 //   - admMu: the admission selector and every decision that must be
 //     atomic with it (reserve/enqueue/claim/preempt, the post-journal
@@ -323,19 +297,21 @@ func (p *PlanView) clone() PlanView {
 // batch copies it mutates between publishes.
 type Server struct {
 	cfg    Config
+	mem    *memsys.Model
 	m      *metrics
 	jl     *journal.Journal // nil without Config.DataDir
 	faults *fault.Registry
-	brk    *fault.Breaker // nil when Config.BreakerThreshold < 0
-	bo     fault.Backoff  // journal write retry schedule
+	brk    *fault.Breaker
+	bo     fault.Backoff // journal write retry schedule
 
 	// lastEpochWall is the wall-clock nanoseconds of the most recent
 	// epoch's planning+execution, feeding the Retry-After hint on
 	// load-shedding responses.
 	lastEpochWall atomic.Int64
 
-	// ctlMu serializes cap and policy changes so their journal order
-	// matches their in-memory apply order.
+	// ctl is the control state; ctlMu serializes its writers so their
+	// journal order matches their publish order.
+	ctl   atomic.Pointer[control]
 	ctlMu sync.Mutex
 
 	// adm owns job ordering and eligibility: tenant queues, priority
@@ -353,12 +329,8 @@ type Server struct {
 	nextID   atomic.Int64
 	idPrefix string // "job-" or "<node-id>-job-"
 
-	// Control state read on the request path, written by control calls
-	// and the scheduler: float64 bit patterns and pointers.
-	capBits  atomic.Uint64            // units.Watts
-	pp0Bits  atomic.Uint64            // units.Watts (0 = plane uncapped)
-	pp1Bits  atomic.Uint64            // units.Watts (0 = plane uncapped)
-	policyV  atomic.Pointer[string]   // canonical policy name
+	// Read on the request path, written by the scheduler: a float64 bit
+	// pattern and a pointer.
 	simClock atomic.Uint64            // units.Seconds
 	lastPlan atomic.Pointer[PlanView] // immutable once stored
 
@@ -410,8 +382,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// The daemon holds one package cap: a package entry among the
-	// domains tightens Cap, as in the planner and the simulator.
-	cfg.Cap = cfg.Domains.WithPackage(cfg.Cap).Package
+	// domains tightens Cap, as in the planner and the simulator, and
+	// the domains keep the two planes.
+	cfg.Cap, cfg.Domains.Package = cfg.Domains.WithPackage(cfg.Cap).Package, 0
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("server: negative max queue %d", cfg.MaxQueue)
 	}
@@ -431,6 +404,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:           cfg,
+		mem:           memsys.Default(),
 		adm:           adm,
 		m:             newMetrics(),
 		idPrefix:      "job-",
@@ -447,11 +421,7 @@ func New(cfg Config) (*Server, error) {
 		s.idPrefix = cfg.NodeID + "-job-"
 		s.m.nodeInfo.Set(cfg.NodeID, 1)
 	}
-	s.setCapWatts(cfg.Cap)
-	s.setDomainWatts(cfg.Domains)
-	s.setPolicyNow(cfg.Policy)
-	s.m.capWatts.Set(float64(cfg.Cap))
-	s.publishDomainCapGauges(cfg.Domains)
+	s.setControl(control{cap: cfg.Cap, domains: cfg.Domains, policy: cfg.Policy})
 	s.faults = cfg.Faults
 	s.faults.Subscribe(func(ev fault.Event) {
 		s.m.faultHits.Inc(ev.Site)
@@ -460,19 +430,17 @@ func New(cfg Config) (*Server, error) {
 		}
 	})
 	s.bo = fault.Backoff{
-		Base: cfg.RetryBase, Max: cfg.RetryMax,
-		Jitter: 0.2, Seed: cfg.Seed,
-		Attempts: 1 + max(0, cfg.JournalRetries),
+		Base: retryBase, Max: retryMax,
+		Jitter: retryJitter, Seed: cfg.Seed,
+		Attempts: journalAttempts,
 	}
-	if cfg.BreakerThreshold > 0 {
-		s.brk = fault.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		s.brk.OnChange(func(_, to fault.BreakerState) {
-			s.m.brkState.Set(float64(to))
-			if to == fault.BreakerOpen {
-				s.m.brkTrips.Inc()
-			}
-		})
-	}
+	s.brk = fault.NewBreaker(breakerThreshold, breakerCooldown)
+	s.brk.OnChange(func(_, to fault.BreakerState) {
+		s.m.brkState.Set(float64(to))
+		if to == fault.BreakerOpen {
+			s.m.brkTrips.Inc()
+		}
+	})
 	if cfg.DataDir != "" {
 		if err := s.openJournal(); err != nil {
 			return nil, err
@@ -514,34 +482,14 @@ func (s *Server) mintJobID() string {
 	return string(buf)
 }
 
-// Atomic accessors for the control state read on the request path.
-
-func (s *Server) setCapWatts(c units.Watts) { s.capBits.Store(math.Float64bits(float64(c))) }
-
-func (s *Server) capWatts() units.Watts {
-	return units.Watts(math.Float64frombits(s.capBits.Load()))
+// setControl publishes c and the cap gauges. Callers hold ctlMu, or
+// run before the server is shared (New, recovery).
+func (s *Server) setControl(c control) {
+	s.ctl.Store(&c)
+	s.m.capWatts.Set(float64(c.cap))
+	s.m.domainCapWatts.Set("pp0", float64(c.domains.PP0))
+	s.m.domainCapWatts.Set("pp1", float64(c.domains.PP1))
 }
-
-func (s *Server) setDomainWatts(dc apu.DomainCaps) {
-	s.pp0Bits.Store(math.Float64bits(float64(dc.PP0)))
-	s.pp1Bits.Store(math.Float64bits(float64(dc.PP1)))
-}
-
-func (s *Server) domainWatts() apu.DomainCaps {
-	return apu.DomainCaps{
-		PP0: units.Watts(math.Float64frombits(s.pp0Bits.Load())),
-		PP1: units.Watts(math.Float64frombits(s.pp1Bits.Load())),
-	}
-}
-
-func (s *Server) publishDomainCapGauges(dc apu.DomainCaps) {
-	s.m.domainCapWatts.Set("pp0", float64(dc.PP0))
-	s.m.domainCapWatts.Set("pp1", float64(dc.PP1))
-}
-
-func (s *Server) setPolicyNow(p string) { s.policyV.Store(&p) }
-
-func (s *Server) policyNow() string { return *s.policyV.Load() }
 
 func (s *Server) setClock(c units.Seconds) { s.simClock.Store(math.Float64bits(float64(c))) }
 
@@ -710,15 +658,15 @@ func (s *Server) QueueDepth() int {
 }
 
 // Cap returns the active power cap.
-func (s *Server) Cap() units.Watts { return s.capWatts() }
+func (s *Server) Cap() units.Watts { return s.ctl.Load().cap }
 
 // DomainCaps returns the active per-plane caps (zero = unenforced).
-func (s *Server) DomainCaps() apu.DomainCaps { return s.domainWatts() }
+func (s *Server) DomainCaps() apu.DomainCaps { return s.ctl.Load().domains }
 
 // SetCap changes the package power cap live, leaving any per-plane
 // caps as they are; it applies from the next epoch.
 func (s *Server) SetCap(cap units.Watts) error {
-	return s.SetCaps(cap, s.domainWatts())
+	return s.SetCaps(cap, s.DomainCaps())
 }
 
 // SetCaps changes the package and per-plane power caps together; they
@@ -729,21 +677,27 @@ func (s *Server) SetCaps(cap units.Watts, dc apu.DomainCaps) error {
 	if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
 		return err
 	}
-	cap = dc.WithPackage(cap).Package // as in New: one package cap
+	cap, dc.Package = dc.WithPackage(cap).Package, 0 // as in New: one package cap
+	return s.changeControl(capRecord(cap, dc), "cap", func(c *control) { c.cap, c.domains = cap, dc })
+}
+
+// changeControl journals rec, then publishes the current control state
+// with apply made to it; ctlMu keeps journal order and publish order
+// the same.
+func (s *Server) changeControl(rec journal.Record, what string, apply func(*control)) error {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
 	if s.jl != nil {
-		if err := s.appendDurable(capRecord(cap, dc)); err != nil {
+		if err := s.appendDurable(rec); err != nil {
 			if errors.Is(err, ErrDegraded) {
 				return err
 			}
-			return fmt.Errorf("%w: journaling cap change: %v", ErrJournal, err)
+			return fmt.Errorf("%w: journaling %s change: %v", ErrJournal, what, err)
 		}
 	}
-	s.setCapWatts(cap)
-	s.setDomainWatts(dc)
-	s.m.capWatts.Set(float64(cap))
-	s.publishDomainCapGauges(dc)
+	c := *s.ctl.Load()
+	apply(&c)
+	s.setControl(c)
 	return nil
 }
 
@@ -765,7 +719,7 @@ func capRecord(cap units.Watts, dc apu.DomainCaps) journal.Record {
 }
 
 // Policy returns the active epoch policy's canonical name.
-func (s *Server) Policy() string { return s.policyNow() }
+func (s *Server) Policy() string { return s.ctl.Load().policy }
 
 // SetPolicy changes the epoch policy live, by any registry spelling;
 // it applies from the next epoch. Model-based policies require the
@@ -776,18 +730,7 @@ func (s *Server) SetPolicy(name string) error {
 	if err != nil {
 		return err
 	}
-	s.ctlMu.Lock()
-	defer s.ctlMu.Unlock()
-	if s.jl != nil {
-		if err := s.appendDurable(journal.Record{Type: journal.TypePolicyChanged, Policy: p}); err != nil {
-			if errors.Is(err, ErrDegraded) {
-				return err
-			}
-			return fmt.Errorf("%w: journaling policy change: %v", ErrJournal, err)
-		}
-	}
-	s.setPolicyNow(p)
-	return nil
+	return s.changeControl(journal.Record{Type: journal.TypePolicyChanged, Policy: p}, "policy", func(c *control) { c.policy = p })
 }
 
 // Plan returns the most recent epoch's schedule, if any epoch has been
@@ -808,19 +751,15 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // shed, and /readyz reports "degraded". The daemon leaves this state
 // through a successful half-open probe once the cooldown elapses —
 // i.e. automatically, as soon as the journal works again.
-func (s *Server) Degraded() bool {
-	return s.brk != nil && s.brk.State() != fault.BreakerClosed
-}
+func (s *Server) Degraded() bool { return s.brk.State() != fault.BreakerClosed }
 
 // retryAfterSeconds is the Retry-After hint on load-shedding
 // responses: the breaker cooldown remainder while degraded, otherwise
 // roughly two epochs of the most recent planning+execution latency.
 func (s *Server) retryAfterSeconds() int {
-	if s.brk != nil {
-		if until := s.brk.OpenUntil(); !until.IsZero() {
-			if d := time.Until(until); d > 0 {
-				return 1 + int(d/time.Second)
-			}
+	if until := s.brk.OpenUntil(); !until.IsZero() {
+		if d := time.Until(until); d > 0 {
+			return 1 + int(d/time.Second)
 		}
 	}
 	if ns := s.lastEpochWall.Load(); ns > 0 {
@@ -1006,8 +945,8 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		batch[i] = *e.Payload.(*Job)
 	}
 	epoch := s.epochCount + 1
-	capW, policy := s.capWatts(), s.policyNow()
-	domains := s.domainWatts()
+	ctl := s.ctl.Load()
+	capW, domains, policy := ctl.cap, ctl.domains, ctl.policy
 	clock := s.clock()
 	seed := epochSeed(s.cfg.Seed, epoch)
 	insts := make([]*workload.Instance, len(batch))
@@ -1041,7 +980,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	}
 
 	opts := online.Options{
-		Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char,
+		Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 		Cap: capW, Domains: domains, Policy: policy, Seed: seed,
 	}
 	opts.Planned = func(plan *core.Schedule, predicted units.Seconds) {

@@ -188,10 +188,7 @@ func TestInvariantThermalThrottleBoundsTemperature(t *testing.T) {
 	// One tick's worth of heat: the largest temperature step a single
 	// sample interval at max package power can produce.
 	maxP := cfg.PackagePower(cfg.MaxFreqIndex(apu.CPU), cfg.MaxFreqIndex(apu.GPU), 1, 1, true)
-	oneTick := float64(maxP) * float64(opts.SampleInterval) / cfg.Thermal.CThermal
-	if opts.SampleInterval <= 0 {
-		oneTick = float64(maxP) * 1 / cfg.Thermal.CThermal
-	}
+	oneTick := float64(maxP) * float64(sampleInterval) / cfg.Thermal.CThermal
 	if res.MaxTempC > cfg.Thermal.TMaxC+oneTick {
 		t.Errorf("max temp %.3f C exceeds TMax %.1f C by more than one tick's heat %.3f C",
 			res.MaxTempC, cfg.Thermal.TMaxC, oneTick)

@@ -29,6 +29,19 @@ import (
 // eps is the simulator's internal time/work tolerance.
 const eps = 1e-9
 
+// Machine constants of the substitution (DESIGN.md §1). Power is
+// sampled at RAPL's 1 Hz; the reactive governor ticks four times as
+// often, since hardware power controllers react faster than the 1 Hz
+// observability sampling. A multiprogrammed CPU loses csOverhead of
+// each job's throughput to context switches and inflates the jobs'
+// memory traffic by localityInflation, per job beyond the first.
+const (
+	sampleInterval    units.Seconds = 1
+	governorInterval  units.Seconds = 0.25
+	csOverhead                      = 0.06
+	localityInflation               = 0.08
+)
+
 // Options configures one simulation run.
 type Options struct {
 	// Cfg is the machine description. Required.
@@ -45,15 +58,10 @@ type Options struct {
 	// HardCap enables RAPL-style hardware enforcement: whenever the
 	// instantaneous package power would exceed PowerCap, frequencies
 	// are clamped down immediately (within the event, i.e. at hardware
-	// time scales), sacrificing HardCapBias's non-preferred device
-	// first. Software above may still pick frequencies; the clamp is a
-	// backstop.
+	// time scales), GPU-biased: the CPU is lowered first, like Intel's
+	// RAPL balancing toward graphics. Software above may still pick
+	// frequencies; the clamp is a backstop.
 	HardCap bool
-
-	// HardCapBias picks the device the hardware clamp sacrifices first
-	// (default GPUBiased: lower the CPU first, like Intel's RAPL
-	// balancing toward graphics).
-	HardCapBias Bias
 
 	// DomainCaps are optional RAPL-style per-plane limits (PP0 cores /
 	// PP1 iGPU / package) accounted alongside PowerCap. With HardCap
@@ -61,9 +69,6 @@ type Options struct {
 	// way per-plane violations are counted in the Result and the
 	// binding constraint reported.
 	DomainCaps apu.DomainCaps
-
-	// SampleInterval is the power-sampling period; zero defaults to 1 s.
-	SampleInterval units.Seconds
 
 	// CPUSlots is how many jobs may time-share the CPU at once; zero
 	// defaults to 1 (the co-scheduling policies of the paper never
@@ -80,25 +85,12 @@ type Options struct {
 	// tick (reactive power capping, as the biased baselines do).
 	Governor Governor
 
-	// GovernorInterval is the reactive controller's period; zero
-	// defaults to 0.25 s (hardware power controllers react much faster
-	// than the 1 Hz observability sampling).
-	GovernorInterval units.Seconds
-
 	// StopInstance, if non-nil, ends the simulation the moment this
 	// instance completes (used for pairwise degradation measurement).
 	StopInstance *workload.Instance
 
 	// MaxTime aborts runaway simulations; zero defaults to 1e6 s.
 	MaxTime units.Seconds
-
-	// CSOverhead is the per-extra-job context-switch throughput loss
-	// on a multiprogrammed CPU; zero defaults to 0.06.
-	CSOverhead float64
-
-	// LocalityInflation is the per-extra-job memory-traffic inflation
-	// on a multiprogrammed CPU; zero defaults to 0.08.
-	LocalityInflation float64
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -112,12 +104,6 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Mem == nil {
 		return out, fmt.Errorf("sim: Options.Mem is required")
 	}
-	if out.SampleInterval <= 0 {
-		out.SampleInterval = 1
-	}
-	if out.GovernorInterval <= 0 {
-		out.GovernorInterval = 0.25
-	}
 	if out.CPUSlots <= 0 {
 		out.CPUSlots = 1
 	}
@@ -129,12 +115,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.MaxTime <= 0 {
 		out.MaxTime = 1e6
-	}
-	if out.CSOverhead == 0 {
-		out.CSOverhead = 0.06
-	}
-	if out.LocalityInflation == 0 {
-		out.LocalityInflation = 0.08
 	}
 	return out, nil
 }
@@ -388,8 +368,8 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 	}
 	thermal := o.Cfg.Thermal
 
-	nextSample := o.SampleInterval
-	nextGov := o.GovernorInterval
+	nextSample := sampleInterval
+	nextGov := governorInterval
 	intervalEnergy := 0.0
 	intervalPP0E, intervalPP1E := 0.0, 0.0
 	pp0E, pp1E := 0.0, 0.0
@@ -420,18 +400,10 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		// the package fits the cap (or both devices hit their floors).
 		if o.HardCap && o.PowerCap > 0 {
 			for power > o.PowerCap && (st.cpuFreq > 0 || st.gpuFreq > 0) {
-				if o.HardCapBias == GPUBiased {
-					if st.cpuFreq > 0 {
-						st.cpuFreq--
-					} else {
-						st.gpuFreq--
-					}
+				if st.cpuFreq > 0 {
+					st.cpuFreq--
 				} else {
-					if st.gpuFreq > 0 {
-						st.gpuFreq--
-					} else {
-						st.cpuFreq--
-					}
+					st.gpuFreq--
 				}
 				cpuUtil, gpuUtil = st.computeRates()
 				power = st.packagePower(cpuUtil, gpuUtil)
@@ -441,7 +413,7 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 
 		// Per-plane hardware clamp: a plane cap meters one device, so
 		// the clamp steps that device down; a package entry in the
-		// domain caps trades per HardCapBias like the package cap.
+		// domain caps lowers the CPU first, like the package cap.
 		if o.HardCap && o.DomainCaps.Any() {
 		domainClamp:
 			for !o.DomainCaps.Allows(st.split) {
@@ -452,7 +424,7 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 					st.gpuFreq--
 				case o.DomainCaps.Package > 0 && st.split.Package() > o.DomainCaps.Package &&
 					(st.cpuFreq > 0 || st.gpuFreq > 0):
-					if (o.HardCapBias == GPUBiased && st.cpuFreq > 0) || st.gpuFreq == 0 {
+					if st.cpuFreq > 0 {
 						st.cpuFreq--
 					} else {
 						st.gpuFreq--
@@ -571,7 +543,7 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		if o.Governor != nil && st.now >= nextGov-units.Seconds(eps) {
 			cf, gf := o.Governor.Adjust(power, st.view(), o.Cfg)
 			st.setFreqs(cf, gf)
-			nextGov += o.GovernorInterval
+			nextGov += governorInterval
 		}
 
 		// Sample tick.
@@ -604,7 +576,7 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 			intervalEnergy = 0
 			intervalPP0E, intervalPP1E = 0, 0
 			intervalStart = st.now
-			nextSample += o.SampleInterval
+			nextSample += sampleInterval
 		}
 	}
 	if !stopped {
@@ -696,8 +668,8 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	inflation := 1.0
 	perJobScale := 1.0
 	if k > 1 {
-		perJobScale = math.Max(0.4, 1-st.opts.CSOverhead*float64(k-1))
-		inflation = math.Min(1.5, 1+st.opts.LocalityInflation*float64(k-1))
+		perJobScale = math.Max(0.4, 1-csOverhead*float64(k-1))
+		inflation = math.Min(1.5, 1+localityInflation*float64(k-1))
 	}
 	cpuDemand := 0.0
 	cpuSensNum := 0.0

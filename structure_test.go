@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,4 +177,93 @@ func TestAPolicyIsARow(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestEveryKnobIsListed makes a new setting a visible edit: corund's
+// flags and the fields of the four configuration structs that reach
+// the daemon are pinned to the lists below, and README.md documents
+// every listed flag and none of the ones turned into constants (bench/
+// is exempt: it only passes flags). A setting earns a place here when a
+// second non-test caller needs another value, when it is a deployment
+// setting, or when a test can reach what it guards no other way
+// (ROADMAP.md item 8(f) lists each kept one with its reason).
+func TestEveryKnobIsListed(t *testing.T) {
+	flags := []string{
+		"addr", "cap", "cap-pp0", "cap-pp1", "tmax", "node-id",
+		"coordinator", "nodes", "fleet-cap", "balancer", "health-interval",
+		"rebalance-interval", "policy", "machine", "max-queue", "tenant-queue",
+		"tenant-weights", "max-batch", "epoch-gap", "char", "save-char", "seed",
+		"data-dir", "fsync", "request-timeout", "fault-spec",
+	}
+	removed := []string{"journal-retries", "retry-base", "retry-max", "breaker-threshold", "breaker-cooldown", "node-floor"}
+	fields := map[string][]string{
+		"internal/server.Config": {"Machine", "NodeID", "Char", "Cap", "Domains", "Policy", "Seed",
+			"MaxQueue", "TenantQueue", "TenantWeights", "MaxBatch", "EpochGap", "DataDir", "Fsync",
+			"Faults", "RequestTimeout"},
+		"internal/fleet.Config": {"Nodes", "BudgetW", "Balancer", "Machine", "HealthInterval",
+			"RebalanceInterval", "RequestTimeout", "Client"},
+		"internal/journal.Options": {"Dir", "Fsync", "SnapshotBytes", "Observer", "Faults"},
+		"internal/sim.Options": {"Cfg", "Mem", "PowerCap", "HardCap", "DomainCaps", "CPUSlots",
+			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
+	}
+
+	var gotFlags []string
+	gotFields := map[string][]string{}
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || dir != "cmd/corund" || len(n.Args) == 0 {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+					return true
+				}
+				if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					gotFlags = append(gotFlags, name)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				key := dir + "." + n.Name.Name
+				if _, listed := fields[key]; !ok || !listed {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						gotFields[key] = append(gotFields[key], id.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if !slices.Equal(gotFlags, flags) {
+		t.Errorf("corund flags are %q, the list says %q", gotFlags, flags)
+	}
+	for key, want := range fields {
+		if got := gotFields[key]; !slices.Equal(got, want) {
+			t.Errorf("%s fields are %q, the list says %q", key, got, want)
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mentioned := func(name string) bool {
+		re := regexp.MustCompile(`(^|[^A-Za-z0-9-])-` + regexp.QuoteMeta(name) + `($|[^A-Za-z0-9-])`)
+		return re.Match(readme)
+	}
+	for _, name := range flags {
+		if !mentioned(name) {
+			t.Errorf("README.md never mentions -%s", name)
+		}
+	}
+	for _, name := range removed {
+		if mentioned(name) {
+			t.Errorf("README.md still mentions -%s, which is a constant now", name)
+		}
+	}
 }
