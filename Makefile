@@ -46,6 +46,8 @@ bench:
 
 # fuzz smoke-runs every fuzz target for FUZZTIME each (go test takes
 # one -fuzz pattern per invocation, hence one line per target).
+# FuzzAppendJobJSON holds the daemon's one HTTP job encoder to
+# json.Marshal of the HTTP schema spelled as a test-local struct.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/journal/

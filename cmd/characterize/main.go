@@ -1,6 +1,8 @@
 // Command characterize runs the micro-benchmark characterization pass
 // (section V) and dumps the co-run degradation surfaces as CSV, one
-// row per (cpu-level, gpu-level) cell.
+// row per (cpu-level, gpu-level) cell. To persist a characterization
+// for planning, use corund -save-char, which measures the staged
+// frequency grid the planner interpolates over.
 //
 // Usage:
 //
@@ -21,7 +23,6 @@ import (
 func main() {
 	nLevels := flag.Int("levels", 11, "number of micro-kernel bandwidth levels over 0-11 GB/s")
 	freqs := flag.String("freqs", "max", "max = only the top-frequency surface; all = the staged grid")
-	save := flag.String("save", "", "write the characterization as JSON to this file instead of dumping CSV")
 	flag.Parse()
 
 	cfg := apu.DefaultConfig()
@@ -38,21 +39,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "characterize:", err)
 		os.Exit(1)
-	}
-
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "characterize:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := char.Save(f); err != nil {
-			fmt.Fprintln(os.Stderr, "characterize:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "characterization written to %s\n", *save)
-		return
 	}
 
 	fmt.Println("cpu_ghz,gpu_ghz,cpu_bw_gbps,gpu_bw_gbps,deg_cpu,deg_gpu")

@@ -59,8 +59,6 @@ type (
 	Instance = workload.Instance
 	// Schedule is a planned co-schedule.
 	Schedule = core.Schedule
-	// Bias selects a reactive governor's sacrificial device.
-	Bias = sim.Bias
 	// DomainCaps are RAPL-style per-plane power caps (PP0 = CPU cores,
 	// PP1 = iGPU, Package tightens the package cap).
 	DomainCaps = apu.DomainCaps
@@ -74,13 +72,10 @@ type (
 	Program = workload.Instance
 )
 
-// Device and bias constants.
+// Device constants.
 const (
 	CPU = apu.CPU
 	GPU = apu.GPU
-
-	GPUBiased = sim.GPUBiased
-	CPUBiased = sim.CPUBiased
 )
 
 // Batch8 returns the paper's 8-program workload.
@@ -433,28 +428,6 @@ func (w *Workload) RunPolicy(policyName string, seed int64) (*Schedule, *Report,
 		return nil, nil, err
 	}
 	return plan, reportOf(r), nil
-}
-
-// RunRandom executes the Random baseline with the given seed; the cap
-// is enforced by the bias's reactive governor. GPUBiased is the
-// "random" policy.
-func (w *Workload) RunRandom(seed int64, bias Bias) (*Report, error) {
-	r, err := core.ExecuteRandom(w.execOpts(), w.batch, seed, bias)
-	if err != nil {
-		return nil, err
-	}
-	return reportOf(r), nil
-}
-
-// RunDefault executes the Default baseline (ranking partition, CPU
-// multiprogramming) under the bias's reactive governor: the "default"
-// policy when GPUBiased, "default-cpu" when CPUBiased.
-func (w *Workload) RunDefault(bias Bias) (*Report, error) {
-	r, err := core.ExecuteDefault(w.execOpts(), w.batch, w.cx.Oracle, bias)
-	if err != nil {
-		return nil, err
-	}
-	return reportOf(r), nil
 }
 
 // StandaloneTime returns the profiled solo time of batch job i on a

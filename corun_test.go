@@ -89,14 +89,14 @@ func TestEndToEndQuickstart(t *testing.T) {
 	}
 
 	// Baselines are worse.
-	rnd, err := w.RunRandom(1, GPUBiased)
+	_, rnd, err := w.RunPolicy("random", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rnd.Makespan <= rep.Makespan {
 		t.Errorf("random (%v) should lose to HCS+ (%v)", rnd.Makespan, rep.Makespan)
 	}
-	def, err := w.RunDefault(GPUBiased)
+	_, def, err := w.RunPolicy("default", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestKaveriMachineEndToEnd(t *testing.T) {
 	if len(rep.Completions) != 8 {
 		t.Fatalf("%d completions", len(rep.Completions))
 	}
-	rnd, err := w.RunRandom(1, GPUBiased)
+	_, rnd, err := w.RunPolicy("random", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

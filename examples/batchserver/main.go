@@ -52,9 +52,9 @@ func main() {
 		}
 
 		// Naive: first-come first-served under the reactive governor
-		// (the Random dispatcher with a fixed seed behaves as an
-		// arrival-order scheduler here).
-		naive, err := w.RunRandom(int64(batchNo), corun.GPUBiased)
+		// (the "random" policy's dispatcher with a fixed seed behaves as
+		// an arrival-order scheduler here).
+		_, naive, err := w.RunPolicy("random", int64(batchNo))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rnd, err := w.RunRandom(1, corun.GPUBiased)
+	_, rnd, err := w.RunPolicy("random", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

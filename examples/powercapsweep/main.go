@@ -1,7 +1,8 @@
 // Powercapsweep: study how the power cap changes the scheduling
 // landscape. For caps from just-feasible up to uncapped, it plans and
-// executes HCS+ and the baselines on the 8-program batch, printing one
-// row per cap — the kind of table an operator would consult when
+// executes HCS+ and the baselines (Random and Default, each run by its
+// policy name through Workload.RunPolicy) on the 8-program batch,
+// printing one row per cap — the kind of table an operator would consult when
 // choosing a rack-level cap.
 package main
 
@@ -34,11 +35,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rnd, err := w.RunRandom(1, corun.GPUBiased)
+		_, rnd, err := w.RunPolicy("random", 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		def, err := w.RunDefault(corun.GPUBiased)
+		_, def, err := w.RunPolicy("default", 0)
 		if err != nil {
 			log.Fatal(err)
 		}

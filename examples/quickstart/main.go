@@ -39,12 +39,14 @@ func main() {
 	fmt.Printf("HCS+   makespan %.1fs  avg power %.2f W  cap violations %d\n",
 		float64(rep.Makespan), float64(rep.AvgPower), rep.CapViolations)
 
-	// Baselines for comparison.
-	rnd, err := w.RunRandom(1, corun.GPUBiased)
+	// Baselines for comparison, run by policy name as the daemon runs
+	// them: both dispatch as processors fall idle under the paper's
+	// GPU-biased reactive governor, so there is no plan to return.
+	_, rnd, err := w.RunPolicy("random", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	def, err := w.RunDefault(corun.GPUBiased)
+	_, def, err := w.RunPolicy("default", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func ExecuteDefault(opts ExecOptions, batch []*workload.Instance, o Oracle, bias
 	if opts.Cap > 0 || opts.Domains.Any() {
 		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
 	}
-	return sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ, nil))
+	return sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ))
 }
 
 func maxInt(a, b int) int {

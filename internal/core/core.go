@@ -42,6 +42,11 @@ type Oracle interface {
 	// and job j on the GPU at level g; a negative job index denotes an
 	// idle device.
 	CoRunPower(i, f, j, g int) units.Watts
+
+	// CoRunSplit is CoRunPower broken down into RAPL-style planes (PP0
+	// the CPU cores, PP1 the iGPU, the rest uncore); its Package() total
+	// equals CoRunPower with the same arguments.
+	CoRunSplit(i, f, j, g int) apu.PowerSplit
 }
 
 // FreqPair is one DVFS operating point of the whole package.
@@ -62,10 +67,7 @@ type Context struct {
 	// Domains are optional RAPL-style per-plane caps enforced on top of
 	// Cap: a PP0 entry bounds the CPU cores' power, PP1 the iGPU's, and
 	// a Package entry tightens Cap. Like FreqStride, set it before the
-	// first query — the memo tables assume the caps are fixed. Plane
-	// splits come from the Oracle when it implements model.DomainOracle
-	// (the Context type-asserts for a CoRunSplit method); otherwise a
-	// conservative split is derived from the standalone powers.
+	// first query — the memo tables assume the caps are fixed.
 	Domains apu.DomainCaps
 
 	// FreqStride coarsens the frequency traversal: only every
@@ -190,38 +192,13 @@ func (cx *Context) Capped() bool { return cx.Cap > 0 || cx.Domains.Any() }
 // and the Domains' package entry (zero or negative = uncapped).
 func (cx *Context) packageCap() units.Watts { return cx.Domains.WithPackage(cx.Cap).Package }
 
-// domainOracle is the per-plane extension the Context looks for on its
-// Oracle; it mirrors model.DomainOracle without importing the package.
-type domainOracle interface {
-	CoRunSplit(i, f, j, g int) apu.PowerSplit
-}
-
-// split breaks the pair's predicted power into planes, preferring the
-// oracle's own decomposition. The fallback attributes everything above
-// idle to the plane of the device running it — conservative for PP0
-// (the host thread lands in PP1's gross term) but exact in total.
-func (cx *Context) split(i, f, j, g int) apu.PowerSplit {
-	if d, ok := cx.Oracle.(domainOracle); ok {
-		return d.CoRunSplit(i, f, j, g)
-	}
-	idle := cx.Oracle.CoRunPower(-1, 0, -1, 0)
-	s := apu.PowerSplit{Uncore: idle}
-	if i >= 0 {
-		s.PP0 = cx.Oracle.StandalonePower(i, apu.CPU, f) - idle
-	}
-	if j >= 0 {
-		s.PP1 = cx.Oracle.StandalonePower(j, apu.GPU, g) - idle
-	}
-	return s
-}
-
 // planesFit reports whether the pair's plane split respects the
 // configured PP0/PP1 caps.
 func (cx *Context) planesFit(i, f, j, g int) bool {
 	if cx.Domains.PP0 <= 0 && cx.Domains.PP1 <= 0 {
 		return true
 	}
-	s := cx.split(i, f, j, g)
+	s := cx.Oracle.CoRunSplit(i, f, j, g)
 	if cx.Domains.PP0 > 0 && s.PP0 > cx.Domains.PP0 {
 		return false
 	}
@@ -261,7 +238,7 @@ func (cx *Context) Binding(c, fc, g, fg int) (apu.Constraint, float64) {
 	if !dc.Any() {
 		return apu.ConstraintNone, 0
 	}
-	return dc.Binding(cx.split(c, fc, g, fg))
+	return dc.Binding(cx.Oracle.CoRunSplit(c, fc, g, fg))
 }
 
 // BestSoloFreq returns the fastest cap-feasible frequency level for

@@ -53,7 +53,7 @@ func TestPlanDomainCapDiffersFromPackageCap(t *testing.T) {
 			if !ok {
 				t.Fatalf("pair (%d,%d) infeasible under a %v PP1 cap", c, g, capW)
 			}
-			if s := pp1.split(c, fp.CPU, g, fp.GPU); s.PP1 > capW {
+			if s := pp1.Oracle.CoRunSplit(c, fp.CPU, g, fp.GPU); s.PP1 > capW {
 				t.Errorf("pair (%d,%d) freqs %v: PP1 %v over the %v plane cap", c, g, fp, s.PP1, capW)
 			}
 		}
@@ -98,7 +98,7 @@ func TestBestSoloFreqPlaneCap(t *testing.T) {
 	if f >= cx.Cfg.MaxFreqIndex(apu.CPU) {
 		t.Errorf("5 W PP0 cap should force the CPU below max, got %d", f)
 	}
-	if s := cx.split(2, f, -1, 0); s.PP0 > 5 {
+	if s := cx.Oracle.CoRunSplit(2, f, -1, 0); s.PP0 > 5 {
 		t.Errorf("chosen level's PP0 %v violates the plane cap", s.PP0)
 	}
 	gf, ok := cx.BestSoloFreq(0, apu.GPU)

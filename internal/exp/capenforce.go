@@ -63,7 +63,7 @@ func (s *Suite) CapEnforcement() (*CapEnforceResult, error) {
 	reactive, err := sim.Run(sim.Options{
 		Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
 		Governor: &sim.BiasedGovernor{Cap: cap, Bias: sim.GPUBiased},
-	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder), nil))
+	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder)))
 	if err := add("reactive governor", reactive, err); err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func (s *Suite) CapEnforcement() (*CapEnforceResult, error) {
 	hard, err := sim.Run(sim.Options{
 		Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
 		HardCap: true,
-	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder), nil))
+	}, sim.NewQueueDispatcher(cloneBatchQ(batch, plan.CPUOrder), cloneBatchQ(batch, plan.GPUOrder)))
 	if err := add("hardware clamp", hard, err); err != nil {
 		return nil, err
 	}

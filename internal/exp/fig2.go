@@ -145,7 +145,7 @@ func (s *Suite) Example3() (*Example3Result, error) {
 				Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
 				InitCPUFreq: sim.Pin(fp[0]), InitGPUFreq: sim.Pin(fp[1]),
 			}
-			r, err := sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ, nil))
+			r, err := sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ))
 			if err != nil {
 				return nil, err
 			}

@@ -60,7 +60,7 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 		var cpuQ, gpuQ []*workload.Instance
 		cpuQ = []*workload.Instance{target}
 		gpuQ = []*workload.Instance{co}
-		r, err := sim.Run(opts, sim.NewQueueDispatcher(cpuQ, gpuQ, nil))
+		r, err := sim.Run(opts, sim.NewQueueDispatcher(cpuQ, gpuQ))
 		if err != nil {
 			return nil, err
 		}

@@ -505,7 +505,7 @@ func TestRestartRecovery(t *testing.T) {
 	// Let the recovered queue drain so both reads see a settled record.
 	waitFor(t, 10*time.Second, func() bool {
 		for _, j := range restarted.s.Jobs() {
-			if !j.State.Terminal() {
+			if j.State != server.JobDone && j.State != server.JobFailed {
 				return false
 			}
 		}

@@ -23,7 +23,7 @@ func run(t *testing.T, cpu, gpu []string, slots int) *sim.Result {
 		id++
 	}
 	opts := sim.Options{Cfg: apu.DefaultConfig(), Mem: memsys.Default(), CPUSlots: slots}
-	res, err := sim.Run(opts, sim.NewQueueDispatcher(cpuQ, gpuQ, nil))
+	res, err := sim.Run(opts, sim.NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}

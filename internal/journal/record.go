@@ -39,29 +39,35 @@ const (
 	TypePolicyChanged Type = "policy_changed"
 )
 
-// JobRecord is the journaled view of one job: the admission fields
-// plus whatever outcome fields the job has accumulated. It mirrors
-// the server's externally visible job record so recovery can restore
-// it bit-for-bit.
+// JobRecord is one job: the admission fields plus whatever outcome
+// fields the job has accumulated. It is the daemon's job record itself
+// (server.Job), so recovery restores exactly what was journaled. The
+// tags are the journal's encoding; the daemon writes its HTTP form
+// with its own encoder.
 type JobRecord struct {
 	ID          string    `json:"id"`
 	Program     string    `json:"program,omitempty"`
 	Scale       float64   `json:"scale,omitempty"`
 	Label       string    `json:"label,omitempty"`
 	DeadlineS   float64   `json:"deadline_s,omitempty"`
-	Tenant      string    `json:"tenant,omitempty"`
+	Tenant      string    `json:"tenant,omitempty"` // empty only on journals older than admission
 	Priority    string    `json:"priority,omitempty"`
 	SubmittedAt time.Time `json:"submitted_at"`
-	ArrivedSimS float64   `json:"arrived_sim_s,omitempty"`
+	ArrivedSimS float64   `json:"arrived_sim_s,omitempty"` // scheduling clock at admission
 
 	State string `json:"state,omitempty"`
-	Epoch int    `json:"epoch,omitempty"`
+	Epoch int    `json:"epoch,omitempty"` // 1-based round that served the job; 0 while queued
 
+	// PredictedFinishSimS is the model's estimate published at planning
+	// (model policies only); ResponseS is FinishedSimS - ArrivedSimS.
 	StartedSimS         float64 `json:"started_sim_s,omitempty"`
 	FinishedSimS        float64 `json:"finished_sim_s,omitempty"`
 	PredictedFinishSimS float64 `json:"predicted_finish_sim_s,omitempty"`
 	ResponseS           float64 `json:"response_s,omitempty"`
 
+	// Partner is the job co-run beside for the longest overlap, empty
+	// if the job ran alone; DeadlineMet is set for done jobs that set a
+	// deadline.
 	Device      string `json:"device,omitempty"`
 	Partner     string `json:"partner,omitempty"`
 	DeadlineMet *bool  `json:"deadline_met,omitempty"`

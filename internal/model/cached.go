@@ -18,6 +18,7 @@ type Oracle interface {
 	StandalonePower(i int, d apu.Device, f int) units.Watts
 	Degradation(i int, dev apu.Device, f, j, g int) float64
 	CoRunPower(i, f, j, g int) units.Watts
+	CoRunSplit(i, f, j, g int) apu.PowerSplit
 }
 
 // CachedPredictor is one batch's view of the characterization's pair

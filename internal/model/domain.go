@@ -5,19 +5,6 @@ import (
 	"corun/internal/profile"
 )
 
-// DomainOracle is the optional per-plane extension of Oracle: oracles
-// that can break their co-run power prediction down into RAPL-style
-// planes implement it, and the scheduling layer type-asserts for it
-// when domain caps are configured (falling back to a conservative
-// derivation otherwise).
-type DomainOracle interface {
-	// CoRunSplit predicts the per-plane power of job i on the CPU at
-	// level f co-running with job j on the GPU at level g; negative
-	// indices denote an idle device. The split's Package() total
-	// equals CoRunPower with the same arguments.
-	CoRunSplit(i, f, j, g int) apu.PowerSplit
-}
-
 // profileSplit breaks the standalone-sum power model down by plane.
 // The profile's conventions (see profile.standalonePower): a CPU solo
 // measurement is idle + CPU activity; a GPU solo measurement is idle +
@@ -40,34 +27,20 @@ func profileSplit(prof *profile.Standalone, i, f, j, g int) apu.PowerSplit {
 	return s
 }
 
-// CoRunSplit implements DomainOracle over the standalone profiles.
+// CoRunSplit implements Oracle over the standalone profiles.
 func (p *Predictor) CoRunSplit(i, f, j, g int) apu.PowerSplit {
 	return profileSplit(p.Prof, i, f, j, g)
 }
 
-// CoRunSplit implements DomainOracle; like CoRunPower it uses the
+// CoRunSplit implements Oracle; like CoRunPower it uses the
 // standalone-sum model (the paper's power model is near-exact, so the
 // ground-truth arm only re-measures degradation).
 func (o *GroundTruthOracle) CoRunSplit(i, f, j, g int) apu.PowerSplit {
 	return profileSplit(o.Prof, i, f, j, g)
 }
 
-// CoRunSplit forwards to the wrapped oracle when it is domain-aware;
-// plane splits are two table reads, nothing worth memoizing.
+// CoRunSplit delegates to the base oracle: plane splits are two table
+// reads, nothing worth memoizing.
 func (c *CachedPredictor) CoRunSplit(i, f, j, g int) apu.PowerSplit {
-	if d, ok := c.base.(DomainOracle); ok {
-		return d.CoRunSplit(i, f, j, g)
-	}
-	// A non-domain-aware base: attribute everything above idle to the
-	// plane of the device that runs it (host thread included in PP1's
-	// gross term — conservative for PP0, exact for the package total).
-	idle := c.base.CoRunPower(-1, 0, -1, 0)
-	s := apu.PowerSplit{Uncore: idle}
-	if i >= 0 {
-		s.PP0 = c.base.StandalonePower(i, apu.CPU, f) - idle
-	}
-	if j >= 0 {
-		s.PP1 = c.base.StandalonePower(j, apu.GPU, g) - idle
-	}
-	return s
+	return c.base.CoRunSplit(i, f, j, g)
 }

@@ -168,9 +168,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleJobs walks the table on every request: each job resolves to
 // the snapshot current when it is visited, so a list issued after an
-// acked submit always contains it.
+// acked submit always contains it. Every job is written by
+// appendJobJSON, the encoder of the single-job bodies.
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+	refs := s.table.ordered()
+	jobs := make([]json.RawMessage, len(refs))
+	var buf []byte // one growing buffer; each element keeps the array it was written into
+	for i, j := range refs {
+		start := len(buf)
+		buf = appendJobJSON(buf, j)
+		jobs[i] = buf[start:len(buf):len(buf)]
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the POST /v1/jobs near-zero-alloc toolkit: pooled
-// request/response buffers, slab-allocated job records, and
-// hand-rolled JSON encoding for the single-job bodies (the submit ack
-// and GET /v1/jobs/{id}). The encoders mirror encoding/json's output
-// for the Job struct — same field order, same omitempty behaviour,
-// same float and time formats — just without the reflection walk and
-// the per-request encoder state.
+// request/response buffers, slab-allocated job records, and the one
+// JSON encoder of a job's HTTP form (the submit ack, GET
+// /v1/jobs/{id} and each element of GET /v1/jobs). The encoders write
+// what encoding/json writes — same escaping, same float and time
+// formats — without the reflection walk and the per-request encoder
+// state.
 
 // reqBuf is a pooled scratch buffer, reused first for the request
 // body and then for the response encoding (the decoded spec does not
@@ -78,9 +78,11 @@ func appendPaddedInt(b []byte, n int64, width int) []byte {
 	return append(b, s...)
 }
 
-// appendJobJSON encodes one job exactly as json.Marshal encodes *Job
-// (field order, omitempty, string escaping and float format included);
-// FuzzAppendJobJSON holds it to that.
+// appendJobJSON encodes one job's HTTP form: always id, program, scale,
+// label, state, submitted_at and arrived_sim_s, the other fields only
+// when set, in the order below, escaped and formatted as encoding/json
+// would. FuzzAppendJobJSON holds it to json.Marshal of the schema
+// spelled as a tagged struct.
 func appendJobJSON(b []byte, j *Job) []byte {
 	b = append(b, `{"id":`...)
 	b = appendJSONString(b, j.ID)
@@ -95,7 +97,7 @@ func appendJobJSON(b []byte, j *Job) []byte {
 		b = appendJSONFloat(b, j.DeadlineS)
 	}
 	b = append(b, `,"state":`...)
-	b = appendJSONString(b, string(j.State))
+	b = appendJSONString(b, j.State)
 	b = append(b, `,"submitted_at":"`...)
 	b = j.SubmittedAt.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, '"')

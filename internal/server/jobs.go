@@ -1,13 +1,6 @@
 package server
 
-import (
-	"time"
-
-	"corun/internal/workload"
-)
-
-// JobState is a job's position in its lifecycle.
-type JobState string
+import "corun/internal/journal"
 
 // Job lifecycle states. A job is queued on admission, planned when the
 // scheduler claims its epoch and computes a schedule, running while
@@ -15,62 +8,20 @@ type JobState string
 // afterwards. Epochs are non-preemptive: once planned, a job always
 // reaches a terminal state.
 const (
-	JobQueued  JobState = "queued"
-	JobPlanned JobState = "planned"
-	JobRunning JobState = "running"
-	JobDone    JobState = "done"
-	JobFailed  JobState = "failed"
+	JobQueued  = "queued"
+	JobPlanned = "planned"
+	JobRunning = "running"
+	JobDone    = "done"
+	JobFailed  = "failed"
 )
 
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
+// terminal reports whether a job state is final.
+func terminal(state string) bool { return state == JobDone || state == JobFailed }
 
-// Job is one submitted job and its scheduling outcome, as served by
-// GET /v1/jobs/{id}. Fields with the Sim suffix are simulated seconds
-// on the node's scheduling clock (which advances by each epoch's
-// makespan); SubmittedAt is wall-clock time.
-type Job struct {
-	ID          string    `json:"id"`
-	Program     string    `json:"program"`
-	Scale       float64   `json:"scale"`
-	Label       string    `json:"label"`
-	DeadlineS   float64   `json:"deadline_s,omitempty"`
-	State       JobState  `json:"state"`
-	SubmittedAt time.Time `json:"submitted_at"`
-
-	// Tenant and Priority are the job's admission coordinates: the
-	// tenant queue it waited in and its priority class. Empty only on
-	// jobs recovered from journals written before the fields existed.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority string `json:"priority,omitempty"`
-
-	// Epoch is the 1-based scheduling round that served the job; 0
-	// while queued.
-	Epoch int `json:"epoch,omitempty"`
-
-	// ArrivedSimS is the scheduling clock at admission; StartedSimS and
-	// FinishedSimS bound the job's execution; PredictedFinishSimS is the
-	// model's estimate published at planning time (model policies only).
-	ArrivedSimS         float64 `json:"arrived_sim_s"`
-	StartedSimS         float64 `json:"started_sim_s,omitempty"`
-	FinishedSimS        float64 `json:"finished_sim_s,omitempty"`
-	PredictedFinishSimS float64 `json:"predicted_finish_sim_s,omitempty"`
-
-	// ResponseS is FinishedSimS - ArrivedSimS for done jobs.
-	ResponseS float64 `json:"response_s,omitempty"`
-
-	// Device is where the job ran ("CPU"/"GPU"); Partner is the job ID
-	// it co-ran beside for the longest overlap, empty if it ran alone.
-	Device  string `json:"device,omitempty"`
-	Partner string `json:"partner,omitempty"`
-
-	// DeadlineMet reports the deadline outcome for done jobs that set
-	// one; absent otherwise.
-	DeadlineMet *bool `json:"deadline_met,omitempty"`
-
-	// Error explains a failed job.
-	Error string `json:"error,omitempty"`
-
-	// spec retains the decoded submission for epoch batch building.
-	spec workload.JobSpec
-}
+// Job is one submitted job and its scheduling outcome: the journal's
+// record of it, which is also what the job table publishes and what
+// GET /v1/jobs/{id} serves (appendJobJSON writes the HTTP form). Fields
+// with the Sim suffix are simulated seconds on the node's scheduling
+// clock (which advances by each epoch's makespan); SubmittedAt is
+// wall-clock time.
+type Job = journal.JobRecord

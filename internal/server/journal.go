@@ -13,7 +13,6 @@ import (
 	"corun/internal/journal"
 	"corun/internal/online"
 	"corun/internal/units"
-	"corun/internal/workload"
 )
 
 // Recovery describes what startup recovery found and what it cost;
@@ -111,11 +110,12 @@ func (s *Server) openJournal() error {
 	}
 	s.setControl(ctl)
 
+	// The recovered state is Open's own copy, so its records become the
+	// table's snapshots as they are.
 	requeued := 0
 	s.table.reserve(len(st.Jobs))
-	for _, jr := range st.Jobs {
-		j := jobFromRecord(jr)
-		if !j.State.Terminal() {
+	for _, j := range st.Jobs {
+		if !terminal(j.State) {
 			// The previous process acknowledged the job but never
 			// finished it; any in-flight epoch is gone, so it starts
 			// over from the queue. Jobs restore through the admission
@@ -224,81 +224,19 @@ func (s *Server) journalAppend(recs []journal.Record) {
 	}
 }
 
-// stateRecord captures a job's post-transition view. clock is the
-// scheduling clock after the transition's epoch (0 for transitions
-// that do not advance it).
-func stateRecord(j *Job, clock float64) journal.Record {
-	return journal.Record{Type: journal.TypeJobState, Job: recordFromJob(j), SimClockS: clock}
-}
-
-// recordFromJob and jobFromRecord convert between the server's job
-// table entry and its journaled form, field for field — recovery
-// must restore acknowledged jobs bit-for-bit.
-func recordFromJob(j *Job) *journal.JobRecord {
-	jr := &journal.JobRecord{
-		ID:                  j.ID,
-		Program:             j.Program,
-		Scale:               j.Scale,
-		Label:               j.Label,
-		DeadlineS:           j.DeadlineS,
-		Tenant:              j.Tenant,
-		Priority:            j.Priority,
-		SubmittedAt:         j.SubmittedAt,
-		ArrivedSimS:         j.ArrivedSimS,
-		State:               string(j.State),
-		Epoch:               j.Epoch,
-		StartedSimS:         j.StartedSimS,
-		FinishedSimS:        j.FinishedSimS,
-		PredictedFinishSimS: j.PredictedFinishSimS,
-		ResponseS:           j.ResponseS,
-		Device:              j.Device,
-		Partner:             j.Partner,
-		Error:               j.Error,
+// stateRecords journals published snapshots as state records (none
+// without a journal): each record carries the snapshot itself. clock
+// is the scheduling clock after the transitions' epoch (0 for
+// transitions that do not advance it).
+func (s *Server) stateRecords(snaps []*Job, clock float64) []journal.Record {
+	if s.jl == nil {
+		return nil
 	}
-	if j.DeadlineMet != nil {
-		b := *j.DeadlineMet
-		jr.DeadlineMet = &b
+	recs := make([]journal.Record, len(snaps))
+	for i, j := range snaps {
+		recs[i] = journal.Record{Type: journal.TypeJobState, Job: j, SimClockS: clock}
 	}
-	return jr
-}
-
-func jobFromRecord(jr *journal.JobRecord) *Job {
-	j := &Job{
-		ID:                  jr.ID,
-		Program:             jr.Program,
-		Scale:               jr.Scale,
-		Label:               jr.Label,
-		DeadlineS:           jr.DeadlineS,
-		Tenant:              jr.Tenant,
-		Priority:            jr.Priority,
-		State:               JobState(jr.State),
-		SubmittedAt:         jr.SubmittedAt,
-		Epoch:               jr.Epoch,
-		ArrivedSimS:         jr.ArrivedSimS,
-		StartedSimS:         jr.StartedSimS,
-		FinishedSimS:        jr.FinishedSimS,
-		PredictedFinishSimS: jr.PredictedFinishSimS,
-		ResponseS:           jr.ResponseS,
-		Device:              jr.Device,
-		Partner:             jr.Partner,
-		Error:               jr.Error,
-		// The spec is rebuilt verbatim, NOT normalized: a record from a
-		// journal written before the tenant/priority fields existed must
-		// replay bit-for-bit, with both fields empty.
-		spec: workload.JobSpec{
-			Program:   jr.Program,
-			Scale:     jr.Scale,
-			Label:     jr.Label,
-			DeadlineS: jr.DeadlineS,
-			Tenant:    jr.Tenant,
-			Priority:  jr.Priority,
-		},
-	}
-	if jr.DeadlineMet != nil {
-		b := *jr.DeadlineMet
-		j.DeadlineMet = &b
-	}
-	return j
+	return recs
 }
 
 // parseJobID extracts the numeric suffix of a "job-%06d" or

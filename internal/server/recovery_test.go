@@ -34,6 +34,27 @@ func newJournalServer(t *testing.T, dir string) *Server {
 	return s
 }
 
+// jobBodies is what the daemon serves of its job table: the GET
+// /v1/jobs body and every job's GET /v1/jobs/{id} body, by path.
+func jobBodies(t *testing.T, s *Server) map[string]string {
+	t.Helper()
+	paths := []string{"/v1/jobs"}
+	for _, j := range s.Jobs() {
+		paths = append(paths, "/v1/jobs/"+j.ID)
+	}
+	h := s.Handler()
+	out := map[string]string{}
+	for _, p := range paths {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s -> %d: %s", p, rec.Code, rec.Body)
+		}
+		out[p] = rec.Body.String()
+	}
+	return out
+}
+
 func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newJournalServer(t, dir)
@@ -67,6 +88,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("set policy -> %d: %s", code, body)
 	}
 	want := s1.Jobs()
+	bodies := jobBodies(t, s1)
 
 	// Hard stop: no Drain, no Close — the data dir is all that
 	// survives. Then a torn in-flight write rots the end of the log.
@@ -101,6 +123,9 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if got := s2.Jobs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("jobs not restored bit-for-bit:\n got %+v\nwant %+v", got, want)
+	}
+	if got := jobBodies(t, s2); !reflect.DeepEqual(got, bodies) {
+		t.Errorf("job bodies changed across the restart:\n got %q\nwant %q", got, bodies)
 	}
 	// What the boot log and /metrics say about it: 2 seeding records
 	// (cap, policy) + 3 submissions + 2 control changes replayed, all
@@ -346,12 +371,16 @@ func TestRestartAfterDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s1.Start(ctx)
-	for _, p := range []string{"streamcluster", "lud"} {
-		if _, err := s1.Submit(workload.JobSpec{Program: p}); err != nil {
+	for _, spec := range []workload.JobSpec{
+		{Program: "streamcluster", Label: "<a&b>\u2028", DeadlineS: 1e9},
+		{Program: "lud", DeadlineS: 1e-7},
+		{Program: "cfd", Tenant: "team-a", Priority: "high"},
+	} {
+		if _, err := s1.Submit(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitAllTerminal(t, s1, 2, 60*time.Second)
+	waitAllTerminal(t, s1, 3, 60*time.Second)
 	if err := s1.DrainAndWait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +388,14 @@ func TestRestartAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := s1.Jobs()
+	bodies := jobBodies(t, s1)
 
 	s2 := newJournalServer(t, dir)
 	if got := s2.Jobs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("jobs not restored bit-for-bit:\n got %+v\nwant %+v", got, want)
+	}
+	if got := jobBodies(t, s2); !reflect.DeepEqual(got, bodies) {
+		t.Errorf("job bodies changed across the restart:\n got %q\nwant %q", got, bodies)
 	}
 	if s2.QueueDepth() != 0 || s2.m.jlRecovered.Value() != 0 {
 		t.Errorf("terminal jobs re-enqueued: depth %d, recovered %v",

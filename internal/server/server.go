@@ -554,12 +554,11 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 		State:       JobQueued,
 		SubmittedAt: time.Now().UTC(),
 		ArrivedSimS: float64(s.clock()),
-		spec:        spec,
 	}
 	if s.jl != nil {
 		// Concurrent submitters share fsyncs through the journal's group
 		// commit; the ack waits only for its own record to be durable.
-		err := s.appendDurable(journal.Record{Type: journal.TypeJobSubmitted, Job: recordFromJob(j)})
+		err := s.appendDurable(journal.Record{Type: journal.TypeJobSubmitted, Job: j})
 		if err != nil {
 			s.admMu.Lock()
 			s.adm.Unreserve(spec.Tenant)
@@ -647,8 +646,15 @@ func (s *Server) Job(id string) (Job, bool) {
 // unknown); handlers encode from it without copying.
 func (s *Server) jobRef(id string) *Job { return s.table.get(id) }
 
-// Jobs returns snapshots of every job in submission order.
-func (s *Server) Jobs() []Job { return s.table.snapshotOrdered() }
+// Jobs returns copies of every job in submission order.
+func (s *Server) Jobs() []Job {
+	refs := s.table.ordered()
+	out := make([]Job, len(refs))
+	for i, j := range refs {
+		out[i] = *j
+	}
+	return out
+}
 
 // QueueDepth returns the number of admitted-but-unclaimed jobs.
 func (s *Server) QueueDepth() int {
@@ -909,12 +915,15 @@ func (s *Server) claimBatch() []admission.Entry {
 }
 
 // publishBatch publishes fresh immutable snapshots for every job in
-// the scheduler's private batch.
-func (s *Server) publishBatch(batch []Job) {
+// the scheduler's private batch and returns them.
+func (s *Server) publishBatch(batch []Job) []*Job {
+	snaps := make([]*Job, len(batch))
 	for i := range batch {
 		pj := batch[i]
 		s.table.publish(&pj)
+		snaps[i] = &pj
 	}
+	return snaps
 }
 
 // runEpoch finalizes the claimed batch at the epoch boundary and runs
@@ -955,7 +964,11 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		j := &batch[i]
 		j.State = JobPlanned
 		j.Epoch = epoch
-		inst, err := j.spec.Instance(i, j.ID)
+		spec := workload.JobSpec{
+			Program: j.Program, Scale: j.Scale, Label: j.Label,
+			DeadlineS: j.DeadlineS, Tenant: j.Tenant, Priority: j.Priority,
+		}
+		inst, err := spec.Instance(i, j.ID)
 		if err != nil {
 			specErr = err
 			break
@@ -1039,7 +1052,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	endClock := clock + res.Makespan
 	s.setClock(endClock)
 	s.epochCount = epoch
-	s.publishBatch(batch)
+	snaps := s.publishBatch(batch)
 
 	s.m.epochs.Inc()
 	s.m.done.Add(float64(len(res.Completions)))
@@ -1088,15 +1101,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	done.BindingConstraint = res.Binding.String()
 	done.ClockEndS = float64(endClock)
 	s.lastPlan.Store(&done)
-
-	var doneRecs []journal.Record
-	if s.jl != nil {
-		clockEnd := float64(endClock)
-		for i := range batch {
-			doneRecs = append(doneRecs, stateRecord(&batch[i], clockEnd))
-		}
-	}
-	s.journalAppend(doneRecs)
+	s.journalAppend(s.stateRecords(snaps, float64(endClock)))
 }
 
 // epochSeed derives the per-epoch RNG seed for randomized policies
@@ -1118,15 +1123,11 @@ func epochSeed(seed int64, epoch int) int64 {
 // unschedulable batch (e.g. the cap was dropped below feasibility
 // between admission and planning) must not take the node down.
 func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
-	var recs []journal.Record
 	for i := range batch {
 		batch[i].State = JobFailed
 		batch[i].Error = err.Error()
-		if s.jl != nil {
-			recs = append(recs, stateRecord(&batch[i], 0))
-		}
 	}
-	s.publishBatch(batch)
+	snaps := s.publishBatch(batch)
 	s.m.failed.Add(float64(len(batch)))
 	s.m.epochs.Inc()
 	s.epochCount = epoch
@@ -1136,7 +1137,7 @@ func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
 		failed.Error = err.Error()
 		s.lastPlan.Store(&failed)
 	}
-	s.journalAppend(recs)
+	s.journalAppend(s.stateRecords(snaps, 0))
 }
 
 // bindingConstraints are the label values of corund_binding_constraint,

@@ -105,7 +105,7 @@ func waitAllTerminal(t *testing.T, s *Server, n int, within time.Duration) []Job
 		jobs := s.Jobs()
 		term := 0
 		for _, j := range jobs {
-			if j.State.Terminal() {
+			if terminal(j.State) {
 				term++
 			}
 		}
@@ -368,7 +368,7 @@ func TestContextCancelDrains(t *testing.T) {
 		t.Fatal("cancel did not drain")
 	}
 	for _, j := range s.Jobs() {
-		if !j.State.Terminal() {
+		if !terminal(j.State) {
 			t.Errorf("job %s left in %s", j.ID, j.State)
 		}
 	}

@@ -103,18 +103,18 @@ func (t *jobTable) len() int {
 	return len(t.order)
 }
 
-// snapshotOrdered copies every job in submission order. The order
-// slice is append-only, so the header is captured under orderMu and
-// walked lock-free; each job resolves to whatever snapshot is current
-// when it is visited.
-func (t *jobTable) snapshotOrdered() []Job {
+// ordered returns every job's current snapshot in submission order.
+// The order slice is append-only, so the header is captured under
+// orderMu and walked lock-free; each job resolves to whatever snapshot
+// is current when it is visited.
+func (t *jobTable) ordered() []*Job {
 	t.orderMu.Lock()
 	ids := t.order[:len(t.order):len(t.order)]
 	t.orderMu.Unlock()
-	out := make([]Job, 0, len(ids))
+	out := make([]*Job, 0, len(ids))
 	for _, id := range ids {
 		if j := t.get(id); j != nil {
-			out = append(out, *j)
+			out = append(out, j)
 		}
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"corun/internal/journal"
 	"corun/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // job's observed state may only ever move forward through this rank
 // (queued → planned → running → terminal), and a terminal state never
 // changes again.
-func stateRank(s JobState) int {
+func stateRank(s string) int {
 	switch s {
 	case JobQueued:
 		return 0
@@ -46,7 +47,11 @@ func TestJobTableStress(t *testing.T) {
 		// The cheap policy: the test stresses the table, not the
 		// planner, and hcs+ refinement would dominate the runtime.
 		c.Policy = "random"
+		// The journal encodes the very snapshots the readers below read.
+		c.DataDir = t.TempDir()
+		c.Fsync = journal.FsyncNever
 	})
+	defer s.Close()
 	s.Start(context.Background())
 	defer func() {
 		s.Drain()
@@ -95,7 +100,7 @@ func TestJobTableStress(t *testing.T) {
 		pollWG.Add(1)
 		go func() {
 			defer pollWG.Done()
-			last := map[string]JobState{}
+			last := map[string]string{}
 			var watch []string
 			for {
 				select {
@@ -181,7 +186,7 @@ func TestJobTableStress(t *testing.T) {
 			t.Fatalf("job %s listed twice", j.ID)
 		}
 		seen[j.ID] = true
-		if !j.State.Terminal() {
+		if !terminal(j.State) {
 			t.Errorf("job %s not terminal after drain: %s", j.ID, j.State)
 		}
 	}

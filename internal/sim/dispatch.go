@@ -6,28 +6,21 @@ import (
 	"corun/internal/workload"
 )
 
-// FreqPlanFunc chooses frequency indices when a job is dispatched to a
-// device while `other` (possibly nil) occupies the opposite device.
-// Return values below zero leave the respective frequency untouched.
-type FreqPlanFunc func(dev apu.Device, inst, other *workload.Instance) (cpuFreq, gpuFreq int)
-
 // QueueDispatcher feeds two fixed job sequences to the devices, in
-// order, optionally consulting a frequency plan at each dispatch. It is
-// how planned co-schedules (HCS, HCS+, Default's GPU side) execute.
+// order, leaving frequencies to the governor. It is how planned
+// co-schedules (HCS, HCS+, Default's GPU side) execute.
 type QueueDispatcher struct {
 	CPUQueue []*workload.Instance
 	GPUQueue []*workload.Instance
-	FreqPlan FreqPlanFunc
 
 	cpuNext, gpuNext int
 }
 
 // NewQueueDispatcher builds a dispatcher over copies of the queues.
-func NewQueueDispatcher(cpu, gpu []*workload.Instance, plan FreqPlanFunc) *QueueDispatcher {
+func NewQueueDispatcher(cpu, gpu []*workload.Instance) *QueueDispatcher {
 	return &QueueDispatcher{
 		CPUQueue: append([]*workload.Instance(nil), cpu...),
 		GPUQueue: append([]*workload.Instance(nil), gpu...),
-		FreqPlan: plan,
 	}
 }
 
@@ -50,18 +43,7 @@ func (q *QueueDispatcher) Next(dev apu.Device, view *View) *Dispatch {
 	default:
 		return nil
 	}
-	d := &Dispatch{Inst: inst, CPUFreq: -1, GPUFreq: -1}
-	if q.FreqPlan != nil {
-		other := view.GPUJob
-		if dev == apu.GPU {
-			other = nil
-			if len(view.CPUJobs) > 0 {
-				other = view.CPUJobs[0]
-			}
-		}
-		d.CPUFreq, d.GPUFreq = q.FreqPlan(dev, inst, other)
-	}
-	return d
+	return &Dispatch{Inst: inst, CPUFreq: -1, GPUFreq: -1}
 }
 
 // repeatDispatcher runs a target instance once on its device while
@@ -106,7 +88,7 @@ func StandaloneRun(opts Options, inst *workload.Instance, dev apu.Device) (*Resu
 	} else {
 		gpu = []*workload.Instance{inst}
 	}
-	return Run(opts, NewQueueDispatcher(cpu, gpu, nil))
+	return Run(opts, NewQueueDispatcher(cpu, gpu))
 }
 
 // CoRunResult captures one pairwise degradation measurement.

@@ -89,7 +89,7 @@ func TestDomainCapDiffersFromPackageCap(t *testing.T) {
 		opts.Governor = g
 		opts.DomainCaps = dc
 		opts.PowerCap = pkgCap
-		res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ, nil))
+		res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestInvariantThermalThrottleBoundsTemperature(t *testing.T) {
 	}
 	opts := baseOpts()
 	opts.Cfg = cfg
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ, nil))
+	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestHardCapEnforcesDomainCaps(t *testing.T) {
 	opts := baseOpts()
 	opts.HardCap = true
 	opts.DomainCaps = dc
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ, nil))
+	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,12 +166,3 @@ func (g *BiasedGovernor) raise(power units.Watts, view *View, cf, gf int, cfg *a
 	}
 	return cf, gf
 }
-
-// PinnedGovernor holds frequencies fixed; useful to make intent
-// explicit where a nil governor would do.
-type PinnedGovernor struct{}
-
-// Adjust implements Governor.
-func (PinnedGovernor) Adjust(power units.Watts, view *View, cfg *apu.Config) (int, int) {
-	return view.CPUFreq, view.GPUFreq
-}

@@ -31,7 +31,7 @@ func randomBatchRun(t *testing.T, seed int64, cpuSlots int, governor Governor, c
 	opts.CPUSlots = cpuSlots
 	opts.Governor = governor
 	opts.PowerCap = cap
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ, nil))
+	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestInvariantMultiprogrammingMonotone(t *testing.T) {
 	for slots := 1; slots <= 4; slots++ {
 		opts := baseOpts()
 		opts.CPUSlots = slots
-		res, err := Run(opts, NewQueueDispatcher(batch, nil, nil))
+		res, err := Run(opts, NewQueueDispatcher(batch, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestHardCapClampsPower(t *testing.T) {
 		opts.HardCap = hard
 		a2, b2 := inst("dwt2d"), inst("streamcluster")
 		b2.ID = 1
-		res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a2}, []*workload.Instance{b2}, nil))
+		res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a2}, []*workload.Instance{b2}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestHardCapBias(t *testing.T) {
 	opts.HardCap = true
 	a, b := inst("dwt2d"), inst("streamcluster")
 	b.ID = 1
-	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}, nil))
+	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestQueueDispatcherOrdering(t *testing.T) {
 	opts := baseOpts()
 	a, b := inst("lud"), inst("hotspot")
 	b.ID = 1
-	d := NewQueueDispatcher([]*workload.Instance{a, b}, nil, nil)
+	d := NewQueueDispatcher([]*workload.Instance{a, b}, nil)
 	res, err := Run(opts, d)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestMakespanAndCompletionOrder(t *testing.T) {
 	for i, in := range append(append([]*workload.Instance{}, cpu...), gpu...) {
 		in.ID = i
 	}
-	res, err := Run(opts, NewQueueDispatcher(cpu, gpu, nil))
+	res, err := Run(opts, NewQueueDispatcher(cpu, gpu))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCoRunBeatsSequentialForComplementaryJobs(t *testing.T) {
 	opts := baseOpts()
 	d1, h1 := inst("dwt2d"), inst("hotspot")
 	h1.ID = 1
-	co, err := Run(opts, NewQueueDispatcher([]*workload.Instance{d1}, []*workload.Instance{h1}, nil))
+	co, err := Run(opts, NewQueueDispatcher([]*workload.Instance{d1}, []*workload.Instance{h1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +207,13 @@ func TestMultiprogrammedCPUSlower(t *testing.T) {
 		b.ID, c.ID = 1, 2
 		return []*workload.Instance{a, b, c}
 	}
-	seqRes, err := Run(opts, NewQueueDispatcher(mk(), nil, nil))
+	seqRes, err := Run(opts, NewQueueDispatcher(mk(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mpOpts := opts
 	mpOpts.CPUSlots = 3
-	mpRes, err := Run(mpOpts, NewQueueDispatcher(mk(), nil, nil))
+	mpRes, err := Run(mpOpts, NewQueueDispatcher(mk(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCapViolationAccounting(t *testing.T) {
 	opts.PowerCap = 15
 	a, b := inst("dwt2d"), inst("streamcluster")
 	b.ID = 1
-	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}, nil))
+	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestGPUBiasedGovernorEnforcesCap(t *testing.T) {
 	opts.Governor = &BiasedGovernor{Cap: 15, Bias: GPUBiased}
 	a, b := inst("dwt2d"), inst("streamcluster")
 	b.ID = 1
-	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}, nil))
+	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestBiasDifference(t *testing.T) {
 		opts.Governor = &BiasedGovernor{Cap: 12, Bias: bias}
 		a, b := inst("dwt2d"), inst("streamcluster")
 		b.ID = 1
-		res, err := Run(opts, NewQueueDispatcher(nil, []*workload.Instance{b, a}, nil))
+		res, err := Run(opts, NewQueueDispatcher(nil, []*workload.Instance{b, a}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestStopInstance(t *testing.T) {
 	filler := inst("streamcluster")
 	filler.ID = 1
 	opts.StopInstance = target
-	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{target}, []*workload.Instance{filler}, nil))
+	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{target}, []*workload.Instance{filler}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,27 +328,11 @@ func TestStopInstance(t *testing.T) {
 	}
 }
 
-func TestFreqPlanApplied(t *testing.T) {
-	opts := baseOpts()
-	in := inst("hotspot")
-	plan := func(dev apu.Device, i, other *workload.Instance) (int, int) {
-		return 3, 2
-	}
-	res, err := Run(opts, NewQueueDispatcher(nil, []*workload.Instance{in}, plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := in.Prog.StandaloneTime(apu.GPU, opts.Cfg.Freq(apu.GPU, 2), opts.Mem, 1)
-	if units.RelErr(float64(res.Makespan), float64(want)) > 1e-6 {
-		t.Errorf("freq plan ignored: makespan %v, want %v", res.Makespan, want)
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
-	if _, err := Run(Options{}, NewQueueDispatcher(nil, nil, nil)); err == nil {
+	if _, err := Run(Options{}, NewQueueDispatcher(nil, nil)); err == nil {
 		t.Error("Run accepted empty options")
 	}
-	if _, err := Run(Options{Cfg: apu.DefaultConfig()}, NewQueueDispatcher(nil, nil, nil)); err == nil {
+	if _, err := Run(Options{Cfg: apu.DefaultConfig()}, NewQueueDispatcher(nil, nil)); err == nil {
 		t.Error("Run accepted options without memory model")
 	}
 	if _, err := Run(baseOpts(), nil); err == nil {
@@ -357,7 +341,7 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestEmptyScheduleFinishesImmediately(t *testing.T) {
-	res, err := Run(baseOpts(), NewQueueDispatcher(nil, nil, nil))
+	res, err := Run(baseOpts(), NewQueueDispatcher(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,15 +356,6 @@ func TestMaxTimeGuard(t *testing.T) {
 	_, err := StandaloneRun(opts, inst("hotspot"), apu.GPU)
 	if err == nil {
 		t.Error("MaxTime guard did not fire")
-	}
-}
-
-func TestPinnedGovernorKeepsFreqs(t *testing.T) {
-	cfg := apu.DefaultConfig()
-	v := &View{CPUFreq: 5, GPUFreq: 7}
-	cf, gf := PinnedGovernor{}.Adjust(99, v, cfg)
-	if cf != 5 || gf != 7 {
-		t.Errorf("pinned governor moved frequencies: %d,%d", cf, gf)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -110,11 +111,10 @@ func importName(imp *ast.ImportSpec) string {
 // a policy is. Outside internal/policy (and tests, and bench/): no
 // ==, != or case compares against a string literal that spells a
 // policy name or alias; the dispatcher baselines' executors
-// (core.ExecuteRandom, core.ExecuteDefault) are called only by the
-// table's rows and by the facade's two bias-taking methods, which can
-// ask for a governor bias no row has; and the evaluation harness runs
-// its arms by name — only ablation.go, whose knobs are not policies,
-// calls the HCS steps directly.
+// (core.ExecuteRandom, core.ExecuteDefault) are called by the table's
+// rows alone; and the evaluation harness runs its arms by name — only
+// ablation.go, whose knobs are not policies, calls the HCS steps
+// directly.
 func TestAPolicyIsARow(t *testing.T) {
 	spelling := map[string]bool{}
 	for _, info := range policy.List() {
@@ -132,7 +132,6 @@ func TestAPolicyIsARow(t *testing.T) {
 		return err == nil && spelling[strings.ToLower(strings.TrimSpace(v))]
 	}
 	executors := map[string]bool{"ExecuteRandom": true, "ExecuteDefault": true}
-	facadeCallers := map[string]bool{"RunRandom": true, "RunDefault": true}
 	hcsSteps := map[string]bool{"HCS": true, "Refine": true, "HCSPlus": true}
 
 	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
@@ -145,38 +144,72 @@ func TestAPolicyIsARow(t *testing.T) {
 				coreName = importName(imp)
 			}
 		}
-		for _, decl := range f.Decls {
-			fn, _ := decl.(*ast.FuncDecl)
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.BinaryExpr:
-					if (n.Op == token.EQL || n.Op == token.NEQ) && (names(n.X) || names(n.Y)) {
-						t.Errorf("%s compares against a policy name", fset.Position(n.Pos()))
-					}
-				case *ast.CaseClause:
-					for _, e := range n.List {
-						if names(e) {
-							t.Errorf("%s switches on a policy name", fset.Position(e.Pos()))
-						}
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if x, ok := sel.X.(*ast.Ident); ok && coreName != "" && x.Name == coreName && executors[sel.Sel.Name] {
-						if !(dir == "." && fn != nil && fn.Recv != nil && facadeCallers[fn.Name.Name]) {
-							t.Errorf("%s calls core.%s; baselines run through policy.Run", fset.Position(n.Pos()), sel.Sel.Name)
-						}
-					}
-					if dir == "internal/exp" && path != "internal/exp/ablation.go" && hcsSteps[sel.Sel.Name] {
-						t.Errorf("%s calls %s directly; experiments run arms by policy name (Suite.run)", fset.Position(n.Pos()), sel.Sel.Name)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if (n.Op == token.EQL || n.Op == token.NEQ) && (names(n.X) || names(n.Y)) {
+					t.Errorf("%s compares against a policy name", fset.Position(n.Pos()))
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if names(e) {
+						t.Errorf("%s switches on a policy name", fset.Position(e.Pos()))
 					}
 				}
-				return true
-			})
-		}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && coreName != "" && x.Name == coreName && executors[sel.Sel.Name] {
+					t.Errorf("%s calls core.%s; baselines run through policy.Run", fset.Position(n.Pos()), sel.Sel.Name)
+				}
+				if dir == "internal/exp" && path != "internal/exp/ablation.go" && hcsSteps[sel.Sel.Name] {
+					t.Errorf("%s calls %s directly; experiments run arms by policy name (Suite.run)", fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	})
+}
+
+// TestOneJobRecord keeps the daemon's job declared once: the record the
+// journal writes is the job the table publishes and the HTTP encoder
+// serves, so a second struct with a field tagged json:"arrived_sim_s…"
+// would be a second copy of the job to keep in step field by field.
+// Tests are exempt (the HTTP encoder's fuzz oracle spells its schema
+// as a struct), and so is bench/.
+func TestOneJobRecord(t *testing.T) {
+	var decls []string
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		named := map[*ast.StructType]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					named[st] = dir + "." + n.Name.Name
+				}
+			case *ast.StructType:
+				for _, fl := range n.Fields.List {
+					if fl.Tag == nil {
+						continue
+					}
+					tag, _ := strconv.Unquote(fl.Tag.Value)
+					if strings.HasPrefix(reflect.StructTag(tag).Get("json"), "arrived_sim_s") {
+						name := named[n]
+						if name == "" {
+							name = "a struct at " + fset.Position(n.Pos()).String()
+						}
+						decls = append(decls, name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if want := []string{"internal/journal.JobRecord"}; !slices.Equal(decls, want) {
+		t.Errorf("job records declared by %q, want only %q", decls, want)
+	}
 }
 
 // TestEveryKnobIsListed makes a new setting a visible edit: corund's
