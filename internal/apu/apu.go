@@ -52,6 +52,13 @@ func (d Device) Other() Device {
 // Valid reports whether d names a real device.
 func (d Device) Valid() bool { return d == CPU || d == GPU }
 
+// FreqPair is one DVFS operating point of the whole package: a
+// frequency index per device.
+type FreqPair struct {
+	CPU int
+	GPU int
+}
+
 // Config is the full machine description. A Config is immutable after
 // construction; all simulator layers share a single instance.
 type Config struct {

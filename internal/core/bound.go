@@ -73,9 +73,8 @@ func (cx *Context) boundTermOn(i int, d apu.Device) (units.Seconds, bool) {
 // its least-interfering partner under the cap — the "min. co-run time"
 // rows of Table I. ok is false if no cap-feasible co-run exists.
 func (cx *Context) MinCoRunTime(i int, d apu.Device) (units.Seconds, bool) {
-	o := cx.Oracle
 	best := -1.0
-	for j := 0; j < o.NumJobs(); j++ {
+	for j := 0; j < cx.Oracle.NumJobs(); j++ {
 		if j == i {
 			continue
 		}
@@ -83,17 +82,21 @@ func (cx *Context) MinCoRunTime(i int, d apu.Device) (units.Seconds, bool) {
 		if d == apu.GPU {
 			c, g = j, i
 		}
-		cx.eachFeasible(c, g, func(fc, fg int) bool {
-			f, fOther := fc, fg
+		pts := cx.feasible(c, g)
+		if len(pts) == 0 {
+			continue
+		}
+		in := cx.pairInputs(c, g)
+		for _, p := range pts {
+			times, f := in.tc, p.CPU
 			if d == apu.GPU {
-				f, fOther = fg, fc
+				times, f = in.tg, p.GPU
 			}
-			t := float64(o.StandaloneTime(i, d, f)) * (1 + o.Degradation(i, d, f, j, fOther))
+			t := float64(times[f]) * (1 + in.degOn(d, p))
 			if best < 0 || t < best {
 				best = t
 			}
-			return true
-		})
+		}
 	}
 	if best < 0 {
 		return 0, false

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"corun/internal/apu"
 	"corun/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestContextConcurrentDeterminism(t *testing.T) {
 	par, _ := testContext(t, batch, 15)
 
 	type ans struct {
-		fp     FreqPair
+		fp     apu.FreqPair
 		dc, dg float64
 	}
 	want := map[[2]int]ans{}

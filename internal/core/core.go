@@ -49,12 +49,6 @@ type Oracle interface {
 	CoRunSplit(i, f, j, g int) apu.PowerSplit
 }
 
-// FreqPair is one DVFS operating point of the whole package.
-type FreqPair struct {
-	CPU int
-	GPU int
-}
-
 // Context bundles an oracle with the machine description and the power
 // cap, and memoizes the frequency-selection queries the algorithms
 // issue repeatedly.
@@ -66,21 +60,30 @@ type Context struct {
 
 	// Domains are optional RAPL-style per-plane caps enforced on top of
 	// Cap: a PP0 entry bounds the CPU cores' power, PP1 the iGPU's, and
-	// a Package entry tightens Cap. Like FreqStride, set it before the
-	// first query — the memo tables assume the caps are fixed.
+	// a Package entry tightens Cap. Domains with Cap folded into its
+	// package entry, and FreqStride, are the key under which a
+	// feasibleCache oracle keeps each program pair's feasible points
+	// across contexts, so a context under other caps never reads
+	// another's lists. Set both before the first query all the same:
+	// this context's own memo tables assume they are fixed.
 	Domains apu.DomainCaps
 
 	// FreqStride coarsens the frequency traversal: only every
 	// FreqStride-th level (counted down from the maximum) is examined.
 	// The default 1 is the paper's exhaustive traversal; larger values
-	// are the traversal-granularity ablation. Set it before the first
-	// query: the memo tables assume it is fixed.
+	// are the traversal-granularity ablation. Like Domains it is part
+	// of the feasible lists' key; set it before the first query.
 	FreqStride int
 
-	// levels holds the traversed frequency indices of each device,
-	// fixed at the first query.
-	levelsOnce sync.Once
+	// levels, nf and times are read once, at the first query
+	// (initTables): the traversed frequency indices of each device, its
+	// level count, and every job's standalone time by device and level
+	// (times[d][i*nf[d]+f]), so the traversal's visitors make no oracle
+	// call per point.
+	tablesOnce sync.Once
 	levels     [apu.NumDevices][]int
+	nf         [apu.NumDevices]int
+	times      [apu.NumDevices][]units.Seconds
 
 	// mu guards the memo tables; a Context may be shared by concurrent
 	// planners (e.g. evaluating refinement candidates in parallel) as
@@ -100,7 +103,7 @@ const maxMakespanMemo = 1 << 16
 
 type pairMemoKey struct{ c, g int }
 type pairChoice struct {
-	fp FreqPair
+	fp apu.FreqPair
 	dc float64 // degradation of the CPU job
 	dg float64 // degradation of the GPU job
 	ok bool
@@ -148,39 +151,135 @@ func (cx *Context) stride() int {
 	return cx.FreqStride
 }
 
-// freqLevels enumerates the frequency indices of device d the context
-// traverses: every stride-th level counted down from the maximum, so
-// the top level is always included.
-func (cx *Context) freqLevels(d apu.Device) []int {
-	cx.levelsOnce.Do(func() {
+// initTables fills levels, nf and times.
+func (cx *Context) initTables() {
+	cx.tablesOnce.Do(func() {
+		n := cx.Oracle.NumJobs()
 		for d := apu.CPU; d <= apu.GPU; d++ {
 			for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
 				cx.levels[d] = append(cx.levels[d], f)
 			}
+			cx.nf[d] = cx.Cfg.NumFreqs(d)
+			cx.times[d] = make([]units.Seconds, n*cx.nf[d])
+			for i := 0; i < n; i++ {
+				for f := 0; f < cx.nf[d]; f++ {
+					cx.times[d][i*cx.nf[d]+f] = cx.Oracle.StandaloneTime(i, d, f)
+				}
+			}
 		}
 	})
+}
+
+// freqLevels enumerates the frequency indices of device d the context
+// traverses: every stride-th level counted down from the maximum, so
+// the top level is always included.
+func (cx *Context) freqLevels(d apu.Device) []int {
+	cx.initTables()
 	return cx.levels[d]
 }
 
-// eachFeasible is the frequency traversal of section IV-A.2: it visits
-// every traversed operating point (fc, fg) of CPU job c beside GPU job
-// g that fits every configured constraint — the package cap and the
-// plane caps alike — CPU levels outermost, both from the top down,
-// until visit returns false. Every question the algorithms ask about a
-// co-running pair goes through it, so they cannot disagree on what is
-// feasible.
-func (cx *Context) eachFeasible(c, g int, visit func(fc, fg int) bool) {
+// soloTimes returns job i's standalone times on device d, by level.
+func (cx *Context) soloTimes(i int, d apu.Device) []units.Seconds {
+	cx.initTables()
+	nf := cx.nf[d]
+	return cx.times[d][i*nf : (i+1)*nf : (i+1)*nf]
+}
+
+// feasibleCache is implemented by oracles that keep each program
+// pair's feasible operating points beyond one context
+// (model.CachedPredictor, in its characterization). A list is keyed by
+// the pair's programs, the effective caps and the stride — never by
+// job index or input scale, which the power model does not read.
+type feasibleCache interface {
+	Feasible(c, g int, caps apu.DomainCaps, stride int) ([]apu.FreqPair, bool)
+	KeepFeasible(c, g int, caps apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair
+}
+
+// feasible returns every traversed operating point of CPU job c beside
+// GPU job g that fits every configured constraint, in traversal order
+// (see traverse). Every question the algorithms ask about a co-running
+// pair ranges over it, so they cannot disagree on what is feasible. The
+// list is shared and must not be modified.
+func (cx *Context) feasible(c, g int) []apu.FreqPair {
+	store, cached := cx.Oracle.(feasibleCache)
+	if !cached {
+		return cx.traverse(c, g)
+	}
+	caps, stride := cx.Domains.WithPackage(cx.Cap), cx.stride()
+	if pts, ok := store.Feasible(c, g, caps, stride); ok {
+		return pts
+	}
+	return store.KeepFeasible(c, g, caps, stride, cx.traverse(c, g))
+}
+
+// traverse is the frequency traversal of section IV-A.2, the one
+// builder of feasible lists: every traversed operating point (fc, fg)
+// of CPU job c beside GPU job g that fits every configured constraint —
+// the package cap and the plane caps alike — CPU levels outermost, both
+// from the top down. The result is never nil.
+func (cx *Context) traverse(c, g int) []apu.FreqPair {
 	capped := cx.Capped()
-	gpuLevels := cx.freqLevels(apu.GPU)
-	for _, fc := range cx.freqLevels(apu.CPU) {
+	cpuLevels, gpuLevels := cx.freqLevels(apu.CPU), cx.freqLevels(apu.GPU)
+	pts := make([]apu.FreqPair, 0, len(cpuLevels)*len(gpuLevels))
+	for _, fc := range cpuLevels {
 		for _, fg := range gpuLevels {
-			if capped && !cx.pairFits(c, fc, g, fg) {
-				continue
-			}
-			if !visit(fc, fg) {
-				return
+			if !capped || cx.pairFits(c, fc, g, fg) {
+				pts = append(pts, apu.FreqPair{CPU: fc, GPU: fg})
 			}
 		}
+	}
+	return pts
+}
+
+// pairTables is implemented by oracles that hold each pair's
+// degradations in a flat table (model.CachedPredictor over the
+// staged-interpolation model): Degradation(c, CPU, fc, g, fg) is
+// cpu[fc*ng+fg]·DegradationScale(c, CPU), and the GPU side likewise.
+type pairTables interface {
+	PairDegradations(c, g int) (cpu, gpu []float64, ng int, ok bool)
+	DegradationScale(i int, d apu.Device) float64
+}
+
+// pairInputs are what the traversal's visitors read about CPU job c
+// beside GPU job g at each operating point, fetched once per pair: the
+// two jobs' standalone times by level and, from a pairTables oracle,
+// their degradation rows.
+type pairInputs struct {
+	o      Oracle
+	c, g   int
+	tc, tg []units.Seconds
+	dc, dg []float64 // nil: ask the oracle
+	ng     int
+	sc, sg float64
+}
+
+func (cx *Context) pairInputs(c, g int) pairInputs {
+	in := pairInputs{o: cx.Oracle, c: c, g: g, tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU)}
+	if t, ok := cx.Oracle.(pairTables); ok {
+		if in.dc, in.dg, in.ng, ok = t.PairDegradations(c, g); ok {
+			in.sc, in.sg = t.DegradationScale(c, apu.CPU), t.DegradationScale(g, apu.GPU)
+		}
+	}
+	return in
+}
+
+// deg returns the predicted degradations of the CPU and the GPU job at
+// p — exactly the oracle's Degradation answers.
+func (in *pairInputs) deg(p apu.FreqPair) (dc, dg float64) {
+	return in.degOn(apu.CPU, p), in.degOn(apu.GPU, p)
+}
+
+// degOn is deg's answer for the job on device d alone.
+func (in *pairInputs) degOn(d apu.Device, p apu.FreqPair) float64 {
+	switch {
+	case in.dc == nil && d == apu.CPU:
+		return in.o.Degradation(in.c, apu.CPU, p.CPU, in.g, p.GPU)
+	case in.dc == nil:
+		return in.o.Degradation(in.g, apu.GPU, p.GPU, in.c, p.CPU)
+	case d == apu.CPU:
+		return in.dc[p.CPU*in.ng+p.GPU] * in.sc
+	default:
+		return in.dg[p.CPU*in.ng+p.GPU] * in.sg
 	}
 }
 
@@ -271,7 +370,7 @@ func (cx *Context) BestSoloTime(i int, d apu.Device) (units.Seconds, bool) {
 	if !ok {
 		return 0, false
 	}
-	return cx.Oracle.StandaloneTime(i, d, f), true
+	return cx.soloTimes(i, d)[f], true
 }
 
 // BestSoloAnywhere returns job i's best solo (device, level, time)
@@ -303,7 +402,7 @@ func (cx *Context) BestSoloAnywhere(i int) (apu.Device, int, units.Seconds, bool
 //
 // This is the frequency traversal of section IV-A.2: every (f, g)
 // combination allowed by the cap is examined.
-func (cx *Context) ChoosePairFreqs(c, g int) (FreqPair, float64, float64, bool) {
+func (cx *Context) ChoosePairFreqs(c, g int) (apu.FreqPair, float64, float64, bool) {
 	key := pairMemoKey{c, g}
 	cx.mu.Lock()
 	if v, ok := cx.pairMemo[key]; ok {
@@ -319,18 +418,17 @@ func (cx *Context) ChoosePairFreqs(c, g int) (FreqPair, float64, float64, bool) 
 }
 
 func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
-	o := cx.Oracle
 	// Solo cases reduce to the solo frequency choice.
 	if c < 0 && g < 0 {
-		return pairChoice{fp: FreqPair{0, 0}, ok: true}
+		return pairChoice{fp: apu.FreqPair{}, ok: true}
 	}
 	if c < 0 {
 		f, ok := cx.BestSoloFreq(g, apu.GPU)
-		return pairChoice{fp: FreqPair{0, f}, ok: ok}
+		return pairChoice{fp: apu.FreqPair{GPU: f}, ok: ok}
 	}
 	if g < 0 {
 		f, ok := cx.BestSoloFreq(c, apu.CPU)
-		return pairChoice{fp: FreqPair{f, 0}, ok: ok}
+		return pairChoice{fp: apu.FreqPair{CPU: f}, ok: ok}
 	}
 
 	refC, okC := cx.BestSoloTime(c, apu.CPU)
@@ -340,18 +438,21 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 	}
 	best := pairChoice{}
 	bestScore := -1.0
-	cx.eachFeasible(c, g, func(fc, fg int) bool {
-		dc := o.Degradation(c, apu.CPU, fc, g, fg)
-		dg := o.Degradation(g, apu.GPU, fg, c, fc)
-		tc := float64(o.StandaloneTime(c, apu.CPU, fc)) * (1 + dc)
-		tg := float64(o.StandaloneTime(g, apu.GPU, fg)) * (1 + dg)
+	pts := cx.feasible(c, g)
+	if len(pts) == 0 {
+		return best
+	}
+	in := cx.pairInputs(c, g)
+	for _, p := range pts {
+		dc, dg := in.deg(p)
+		tc := float64(in.tc[p.CPU]) * (1 + dc)
+		tg := float64(in.tg[p.GPU]) * (1 + dg)
 		score := float64(refC)/tc + float64(refG)/tg
 		if score > bestScore {
 			bestScore = score
-			best = pairChoice{fp: FreqPair{fc, fg}, dc: dc, dg: dg, ok: true}
+			best = pairChoice{fp: p, dc: dc, dg: dg, ok: true}
 		}
-		return true
-	})
+	}
 	return best
 }
 
@@ -368,15 +469,16 @@ func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
 		return v.d, v.ok
 	}
 	cx.mu.Unlock()
-	o := cx.Oracle
 	var min minDegradation
-	cx.eachFeasible(c, g, func(fc, fg int) bool {
-		d := o.Degradation(c, apu.CPU, fc, g, fg) + o.Degradation(g, apu.GPU, fg, c, fc)
-		if !min.ok || d < min.d {
-			min = minDegradation{d: d, ok: true}
+	if pts := cx.feasible(c, g); len(pts) > 0 {
+		in := cx.pairInputs(c, g)
+		for _, p := range pts {
+			dc, dg := in.deg(p)
+			if d := dc + dg; !min.ok || d < min.d {
+				min = minDegradation{d: d, ok: true}
+			}
 		}
-		return true
-	})
+	}
 	cx.mu.Lock()
 	cx.minDegMemo[key] = min
 	cx.mu.Unlock()

@@ -196,7 +196,7 @@ func (tl *timeline) advance(cx *Context) error {
 		if tl.job[d] < 0 {
 			continue
 		}
-		rate[d] = 1 / (float64(cx.Oracle.StandaloneTime(tl.job[d], d, freq[d])) * (1 + deg[d]))
+		rate[d] = 1 / (float64(cx.soloTimes(tl.job[d], d)[freq[d]]) * (1 + deg[d]))
 		if left := tl.frac[d] / rate[d]; left < dt {
 			dt = left
 		}
@@ -321,7 +321,7 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 	if !ok {
 		// No feasible setting: fall back to the floor frequencies and
 		// let the cap-violation accounting surface the problem.
-		fp = FreqPair{0, 0}
+		fp = apu.FreqPair{}
 	}
 	*q = (*q)[1:]
 	return &sim.Dispatch{Inst: d.batch[head], CPUFreq: fp.CPU, GPUFreq: fp.GPU}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"corun/internal/apu"
 	"corun/internal/units"
 )
 
@@ -90,22 +89,24 @@ func (cx *Context) coRunEverBeneficial(i int) bool {
 // pairEverBeneficial checks placement (c on CPU, g on GPU) for any
 // feasible frequency pair whose co-run beats sequential execution.
 func (cx *Context) pairEverBeneficial(c, g int) bool {
-	o := cx.Oracle
 	_, _, seqC, okC := cx.BestSoloAnywhere(c)
 	_, _, seqG, okG := cx.BestSoloAnywhere(g)
 	if !okC || !okG {
 		return false
 	}
 	seq := seqC + seqG
-	beneficial := false
-	cx.eachFeasible(c, g, func(fc, fg int) bool {
-		dc := o.Degradation(c, apu.CPU, fc, g, fg)
-		dg := o.Degradation(g, apu.GPU, fg, c, fc)
+	pts := cx.feasible(c, g)
+	if len(pts) == 0 {
+		return false
+	}
+	in := cx.pairInputs(c, g)
+	for _, p := range pts {
+		dc, dg := in.deg(p)
 		// The partition test applies the theorem's conservative
 		// (naive-length) comparison, as step 1 prescribes.
-		ms := NaivePairMakespan(o.StandaloneTime(c, apu.CPU, fc), o.StandaloneTime(g, apu.GPU, fg), dc, dg)
-		beneficial = ms < seq
-		return !beneficial
-	})
-	return beneficial
+		if NaivePairMakespan(in.tc[p.CPU], in.tg[p.GPU], dc, dg) < seq {
+			return true
+		}
+	}
+	return false
 }

@@ -71,7 +71,7 @@ func sameEverywhere(t *testing.T, what string, got, want Oracle, cfg *apu.Config
 // Three epochs of the Fig. 11 batch at different input scales share one
 // characterization: every table value is the float64 the raw predictor
 // computes, and after the first epoch nothing is interpolated again —
-// the tables key on bandwidth ladders, which neither the scale nor the
+// the tables key on scale-free profile rows, which neither the scale nor the
 // program's address (each epoch gets fresh copies) changes.
 func TestPairTablesMatchRawPredictorAcrossEpochs(t *testing.T) {
 	cfg, mem := apu.DefaultConfig(), memsys.Default()
@@ -111,8 +111,8 @@ func TestPairTablesMatchRawPredictorAcrossEpochs(t *testing.T) {
 	}
 }
 
-// customBatch returns n programs no two of which share a bandwidth
-// ladder (serial numbers them across calls).
+// customBatch returns n programs no two of which share a profile row
+// (serial numbers them across calls).
 func customBatch(t *testing.T, n, serial int) []*workload.Instance {
 	t.Helper()
 	batch := make([]*workload.Instance, n)
@@ -132,7 +132,7 @@ func customBatch(t *testing.T, n, serial int) []*workload.Instance {
 }
 
 // A stream of distinct custom programs longer than the bound: the cache
-// never holds more than maxLadders ladders per device or maxLadders²
+// never holds more than maxRows rows per device or maxRows²
 // tables, and every answer — including those of a view made before the
 // cache was dropped — stays exact.
 func TestPairCacheBounded(t *testing.T) {
@@ -144,19 +144,19 @@ func TestPairCacheBounded(t *testing.T) {
 	first.Degradation(0, apu.CPU, 3, 1, 2) // one table held, the rest still to look up
 
 	dropped := false
-	for serial := perBatch; serial < 2*maxLadders; serial += perBatch {
+	for serial := perBatch; serial < 2*maxRows; serial += perBatch {
 		pred := predictorOver(t, c, cfg, mem, customBatch(t, perBatch, serial))
 		before := c.PairCacheStats().Tables
 		sameEverywhere(t, fmt.Sprintf("programs %d..", serial), viewOver(t, pred, cfg), pred, cfg)
 		after := c.PairCacheStats().Tables
 		dropped = dropped || after < before+perBatch*perBatch
 		for d := apu.CPU; d <= apu.GPU; d++ {
-			if got := len(c.pairs.ladders[d]); got > maxLadders {
-				t.Fatalf("%d %v ladders resident, bound %d", got, d, maxLadders)
+			if got := len(c.pairs.rows[d]); got > maxRows {
+				t.Fatalf("%d %v rows resident, bound %d", got, d, maxRows)
 			}
 		}
-		if after > maxLadders*maxLadders {
-			t.Fatalf("%d tables resident, bound %d", after, maxLadders*maxLadders)
+		if after > maxRows*maxRows {
+			t.Fatalf("%d tables resident, bound %d", after, maxRows*maxRows)
 		}
 	}
 	if !dropped {
@@ -166,7 +166,7 @@ func TestPairCacheBounded(t *testing.T) {
 }
 
 // One characterization serving two machines whose DVFS ladders differ
-// (a fleet node loading another node's file): a ladder is its clocks as
+// (a fleet node loading another node's file): a row is its clocks as
 // much as its bandwidths, so equal bandwidths at different clocks do
 // not share tables.
 func TestPairTablesKeyOnFrequencyLadder(t *testing.T) {
@@ -184,8 +184,8 @@ func TestPairTablesKeyOnFrequencyLadder(t *testing.T) {
 	// The same measured bandwidths, attributed to the slower clocks.
 	onSlow := &profile.Standalone{Cfg: slow, Mem: mem, Batch: batch, Entries: prof.Entries}
 	for d := apu.CPU; d <= apu.GPU; d++ {
-		if c.internLadder(prof, 0, d) == c.internLadder(onSlow, 0, d) {
-			t.Errorf("%v ladders of different clocks interned as one", d)
+		if c.internRow(prof, 0, d) == c.internRow(onSlow, 0, d) {
+			t.Errorf("%v rows of different clocks interned as one", d)
 		}
 	}
 	for _, p := range []*profile.Standalone{prof, onSlow} {
@@ -213,7 +213,7 @@ func TestPairCacheZeroValueAndPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := buf.String()
-	for _, word := range []string{"pairs", "ladders", "tables", "interpolations"} {
+	for _, word := range []string{"pairs", "rows", "tables", "feasible", "interpolations"} {
 		if strings.Contains(saved, word) {
 			t.Errorf("saved characterization mentions %q", word)
 		}

@@ -14,10 +14,12 @@ import (
 	"sync"
 	"testing"
 
+	"corun/internal/apu"
 	"corun/internal/core"
 	"corun/internal/model"
 	"corun/internal/policy"
 	"corun/internal/profile"
+	"corun/internal/units"
 	"corun/internal/workload"
 )
 
@@ -163,5 +165,78 @@ func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 	wg.Wait()
 	if s := char.PairCacheStats(); s.Tables == 0 {
 		t.Error("no pair table resident after two planned batches")
+	}
+}
+
+// TestConcurrentEpochsUnderDifferentCaps is the fleet's cap churn on
+// one node: epochs under different caps plan at once over one
+// characterization, each through its own view, so they race to keep
+// feasible lists for the same program pairs under different keys. Each
+// epoch must get the plan the raw predictor gives it alone under its
+// own caps.
+func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
+	cfg, mem, _ := characterize(t)
+	char, err := model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limits := []struct {
+		cap     units.Watts
+		domains apu.DomainCaps
+	}{{12.5, apu.DomainCaps{}}, {15, apu.DomainCaps{}}, {17.25, apu.DomainCaps{}}, {0, apu.DomainCaps{PP1: 9}}, {0, apu.DomainCaps{Package: 15}}}
+	batch := testBatch(t)
+	prof, err := profile.Collect(cfg, mem, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := model.NewPredictor(char, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(o core.Oracle, k int) string {
+		cx, err := core.NewContext(o, cfg, limits[k].cap)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		cx.Domains = limits[k].domains
+		plan, err := policy.Plan("hcs+", cx, policy.Options{Seed: 7})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		ms, err := cx.PredictedMakespan(plan)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return fmt.Sprintf("%v @ %v", plan, ms)
+	}
+	want := make([]string, len(limits))
+	for k := range limits {
+		want[k] = plan(pred, k)
+	}
+
+	const epochs = 3
+	var wg sync.WaitGroup
+	for k := range limits {
+		for e := 0; e < epochs; e++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				view, err := model.NewCachedPredictor(pred, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := plan(view, k); got != want[k] {
+					t.Errorf("limits %+v: planned concurrently %s, alone %s", limits[k], got, want[k])
+				}
+			}(k)
+		}
+	}
+	wg.Wait()
+	if s := char.PairCacheStats(); s.FeasibleLists < len(limits) {
+		t.Errorf("%d feasible lists resident after epochs under %d sets of caps", s.FeasibleLists, len(limits))
 	}
 }

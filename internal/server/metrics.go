@@ -76,11 +76,13 @@ type metrics struct {
 	preemptions    *promtext.Counter
 	oldestWait     *promtext.Gauge
 
-	// Model instrumentation: the characterization's pair-table cache.
-	// In steady state the interpolation counter stands still (every
-	// program pair in service has its table) and the table gauge sits
-	// under the cache's bound.
+	// Model instrumentation: the characterization's pair cache. In
+	// steady state the interpolation counter stands still (every
+	// program pair in service has its table), the table gauge sits
+	// under the cache's bound, and the feasible-list gauge grows only
+	// with a new program pair or a new cap.
 	pairTables     *promtext.Gauge
+	feasibleLists  *promtext.Gauge
 	interpolations *promtext.Counter
 
 	// nodeInfo is the build-info-style identity series: constant 1 with
@@ -204,6 +206,8 @@ func newMetrics() *metrics {
 			"Age of the oldest queued job (0 when the queue is empty); the starvation signal."),
 		pairTables: reg.NewGauge("corund_model_pair_tables",
 			"Per-program-pair degradation tables resident in the characterization's cache (0 without a characterization)."),
+		feasibleLists: reg.NewGauge("corund_model_feasible_lists",
+			"Per-program-pair, per-cap lists of cap-feasible operating points resident in the characterization's cache (0 without a characterization)."),
 		interpolations: reg.NewCounter("corund_model_interpolations_total",
 			"Staged interpolations computed into pair tables; stops growing once every program pair in service has its table."),
 		nodeInfo: reg.NewGaugeVec("corund_node_info",

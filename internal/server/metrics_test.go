@@ -14,8 +14,8 @@ import (
 
 // The model series show the pair-table cache reaching steady state: the
 // first epoch of a program mix interpolates, a later epoch of the same
-// programs (at another input scale) does not, and the table count stays
-// where the first epoch left it.
+// programs (at another input scale) does not, and the table and
+// feasible-list counts stay where the first epoch left them.
 func TestModelMetricsReachSteadyState(t *testing.T) {
 	char, err := model.Characterize(model.CharacterizeOptions{Cfg: apu.DefaultConfig(), Mem: memsys.Default()})
 	if err != nil {
@@ -35,6 +35,9 @@ func TestModelMetricsReachSteadyState(t *testing.T) {
 	if v := metricValue(t, body, "corund_model_interpolations_total"); v != 0 {
 		t.Errorf("interpolations before the first epoch = %v", v)
 	}
+	if v := metricValue(t, body, "corund_model_feasible_lists"); v != 0 {
+		t.Errorf("feasible lists before the first epoch = %v", v)
+	}
 
 	submit := func(scale string) {
 		for _, prog := range []string{"hotspot", "lud"} {
@@ -43,10 +46,11 @@ func TestModelMetricsReachSteadyState(t *testing.T) {
 			}
 		}
 	}
-	settled := func(done int) (tables, interpolations float64) {
+	settled := func(done int) (tables, lists, interpolations float64) {
 		waitAllTerminal(t, s, done, 60*time.Second)
 		_, body := get(t, ts.URL+"/metrics")
-		return metricValue(t, body, "corund_model_pair_tables"), metricValue(t, body, "corund_model_interpolations_total")
+		return metricValue(t, body, "corund_model_pair_tables"), metricValue(t, body, "corund_model_feasible_lists"),
+			metricValue(t, body, "corund_model_interpolations_total")
 	}
 	// The first pair is queued before the scheduler starts, so it is
 	// one batch whatever the host's timing.
@@ -54,16 +58,18 @@ func TestModelMetricsReachSteadyState(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
-	tables, interpolations := settled(2)
-	if tables <= 0 || interpolations <= 0 {
-		t.Fatalf("after the first epoch: %v tables, %v interpolations", tables, interpolations)
+	tables, lists, interpolations := settled(2)
+	if tables <= 0 || lists <= 0 || interpolations <= 0 {
+		t.Fatalf("after the first epoch: %v tables, %v feasible lists, %v interpolations", tables, lists, interpolations)
 	}
-	if got := char.PairCacheStats(); float64(got.Tables) != tables || float64(got.Interpolations) != interpolations {
-		t.Errorf("series (%v, %v) disagree with the cache %+v", tables, interpolations, got)
+	if got := char.PairCacheStats(); float64(got.Tables) != tables || float64(got.FeasibleLists) != lists ||
+		float64(got.Interpolations) != interpolations {
+		t.Errorf("series (%v, %v, %v) disagree with the cache %+v", tables, lists, interpolations, got)
 	}
 	submit("1.2")
-	tables2, interpolations2 := settled(4)
-	if tables2 != tables || interpolations2 != interpolations {
-		t.Errorf("same programs again: tables %v -> %v, interpolations %v -> %v", tables, tables2, interpolations, interpolations2)
+	tables2, lists2, interpolations2 := settled(4)
+	if tables2 != tables || lists2 != lists || interpolations2 != interpolations {
+		t.Errorf("same programs again: tables %v -> %v, feasible lists %v -> %v, interpolations %v -> %v",
+			tables, tables2, lists, lists2, interpolations, interpolations2)
 	}
 }

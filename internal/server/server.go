@@ -612,13 +612,14 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 }
 
 // syncModelMetrics publishes the state of the characterization's
-// pair-table cache after an epoch. Scheduler goroutine only.
+// pair cache (tables and feasible lists) after an epoch. Scheduler goroutine only.
 func (s *Server) syncModelMetrics() {
 	if s.cfg.Char == nil {
 		return
 	}
 	st := s.cfg.Char.PairCacheStats()
 	s.m.pairTables.Set(float64(st.Tables))
+	s.m.feasibleLists.Set(float64(st.FeasibleLists))
 	s.m.interpolations.Add(float64(st.Interpolations - s.interpolationsSeen))
 	s.interpolationsSeen = st.Interpolations
 }

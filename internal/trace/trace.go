@@ -32,6 +32,12 @@ func NewSeries(name, unit string) *Series {
 	return &Series{Name: name, Unit: unit}
 }
 
+// NewSeriesCap creates an empty series with room for capacity samples
+// before Add has to grow it.
+func NewSeriesCap(name, unit string, capacity int) *Series {
+	return &Series{Name: name, Unit: unit, samples: make([]Sample, 0, capacity)}
+}
+
 // Add appends a sample. Samples must be added in non-decreasing time
 // order; Add returns an error otherwise so simulator bugs surface
 // early.

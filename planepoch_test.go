@@ -83,7 +83,7 @@ func TestFig11EpochsGolden(t *testing.T) {
 // degradation tables an untimed first epoch has filled: a daemon's
 // steady state. cold reloads the characterization before every epoch
 // (untimed), so each one fills the tables from nothing: a daemon's first
-// epoch.
+// epoch. warm-capchurn sits between the two (see there).
 func BenchmarkPlanEpochFig11(b *testing.B) {
 	base := Batch16()
 	run := func(b *testing.B, system func() *System) {
@@ -112,6 +112,21 @@ func BenchmarkPlanEpochFig11(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(b, func() *System { return sys })
+	})
+	// warm-capchurn is warm under a new continuous cap every epoch, as
+	// a fleet node sees between rebalances: the pair tables stay
+	// resident, but no feasible list is, so every epoch takes the miss
+	// path of the feasible-list cache.
+	b.Run("warm-capchurn", func(b *testing.B) {
+		if _, _, err := planEpoch(sys, base, 41); err != nil {
+			b.Fatal(err)
+		}
+		caps := rand.New(rand.NewSource(42))
+		run(b, func() *System {
+			churned := *sys
+			churned.cap = Watts(14 + 2*caps.Float64())
+			return &churned
+		})
 	})
 	b.Run("cold", func(b *testing.B) {
 		run(b, func() *System {
