@@ -263,7 +263,7 @@ func (s *System) Prepare(batch []*Instance) (*Workload, error) {
 	return s.workloadOver(pred, batch)
 }
 
-func (s *System) workloadOver(o model.Oracle, batch []*Instance) (*Workload, error) {
+func (s *System) workloadOver(o core.Oracle, batch []*Instance) (*Workload, error) {
 	cx, err := s.options().Context(o)
 	if err != nil {
 		return nil, err
@@ -282,7 +282,7 @@ func (s *System) PrepareCalibrated(batch []*Instance) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := model.NewCalibratedPredictor(pred, model.CalibrateOptions{Batch: batch})
+	cal, err := model.NewCalibratedPredictor(pred, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -30,9 +30,6 @@ type Oracle interface {
 	// device d at frequency level f.
 	StandaloneTime(i int, d apu.Device, f int) units.Seconds
 
-	// StandalonePower is the package power of that solo run.
-	StandalonePower(i int, d apu.Device, f int) units.Watts
-
 	// Degradation is d_{i,p,f}^{j,g}: the fractional slowdown of job i
 	// on device d at level f while job j runs on the other device at
 	// level g.
@@ -40,7 +37,8 @@ type Oracle interface {
 
 	// CoRunPower is the package power with job i on the CPU at level f
 	// and job j on the GPU at level g; a negative job index denotes an
-	// idle device.
+	// idle device, so CoRunPower(i, f, -1, 0) is the power of job i's
+	// solo run on the CPU.
 	CoRunPower(i, f, j, g int) units.Watts
 
 	// CoRunSplit is CoRunPower broken down into RAPL-style planes (PP0
@@ -62,7 +60,7 @@ type Context struct {
 	// Cap: a PP0 entry bounds the CPU cores' power, PP1 the iGPU's, and
 	// a Package entry tightens Cap. Domains with Cap folded into its
 	// package entry, and FreqStride, are the key under which a
-	// feasibleCache oracle keeps each program pair's feasible points
+	// pairTables oracle keeps each program pair's feasible points
 	// across contexts, so a context under other caps never reads
 	// another's lists. Set both before the first query all the same:
 	// this context's own memo tables assume they are fixed.
@@ -185,12 +183,16 @@ func (cx *Context) soloTimes(i int, d apu.Device) []units.Seconds {
 	return cx.times[d][i*nf : (i+1)*nf : (i+1)*nf]
 }
 
-// feasibleCache is implemented by oracles that keep each program
-// pair's feasible operating points beyond one context
-// (model.CachedPredictor, in its characterization). A list is keyed by
-// the pair's programs, the effective caps and the stride — never by
-// job index or input scale, which the power model does not read.
-type feasibleCache interface {
+// pairTables is implemented by oracles that hold each program pair's
+// degradations in a flat table and keep its feasible operating points
+// beyond one context (model.Predictor, in its characterization).
+// Degradation(c, CPU, fc, g, fg) is cpu[fc*ng+fg]·Scale(c, CPU), and the
+// GPU side likewise. A feasible list is keyed by the pair's programs,
+// the effective caps and the stride — never by job index or input
+// scale, which the power model does not read.
+type pairTables interface {
+	PairDegradations(c, g int) (cpu, gpu []float64, ng int)
+	Scale(i int, d apu.Device) float64
 	Feasible(c, g int, caps apu.DomainCaps, stride int) ([]apu.FreqPair, bool)
 	KeepFeasible(c, g int, caps apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair
 }
@@ -201,7 +203,7 @@ type feasibleCache interface {
 // pair ranges over it, so they cannot disagree on what is feasible. The
 // list is shared and must not be modified.
 func (cx *Context) feasible(c, g int) []apu.FreqPair {
-	store, cached := cx.Oracle.(feasibleCache)
+	store, cached := cx.Oracle.(pairTables)
 	if !cached {
 		return cx.traverse(c, g)
 	}
@@ -231,15 +233,6 @@ func (cx *Context) traverse(c, g int) []apu.FreqPair {
 	return pts
 }
 
-// pairTables is implemented by oracles that hold each pair's
-// degradations in a flat table (model.CachedPredictor over the
-// staged-interpolation model): Degradation(c, CPU, fc, g, fg) is
-// cpu[fc*ng+fg]·DegradationScale(c, CPU), and the GPU side likewise.
-type pairTables interface {
-	PairDegradations(c, g int) (cpu, gpu []float64, ng int, ok bool)
-	DegradationScale(i int, d apu.Device) float64
-}
-
 // pairInputs are what the traversal's visitors read about CPU job c
 // beside GPU job g at each operating point, fetched once per pair: the
 // two jobs' standalone times by level and, from a pairTables oracle,
@@ -256,9 +249,8 @@ type pairInputs struct {
 func (cx *Context) pairInputs(c, g int) pairInputs {
 	in := pairInputs{o: cx.Oracle, c: c, g: g, tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU)}
 	if t, ok := cx.Oracle.(pairTables); ok {
-		if in.dc, in.dg, in.ng, ok = t.PairDegradations(c, g); ok {
-			in.sc, in.sg = t.DegradationScale(c, apu.CPU), t.DegradationScale(g, apu.GPU)
-		}
+		in.dc, in.dg, in.ng = t.PairDegradations(c, g)
+		in.sc, in.sg = t.Scale(c, apu.CPU), t.Scale(g, apu.GPU)
 	}
 	return in
 }
@@ -316,16 +308,13 @@ func (cx *Context) pairFits(c, fc, g, fg int) bool {
 	return cx.planesFit(c, fc, g, fg)
 }
 
-// soloFits is pairFits for a solo run of job i on device d at level f.
+// soloFits is pairFits for a solo run of job i on device d at level f,
+// the other device idle.
 func (cx *Context) soloFits(i int, d apu.Device, f int) bool {
-	if pc := cx.packageCap(); pc > 0 && cx.Oracle.StandalonePower(i, d, f) > pc {
-		return false
+	if d == apu.CPU {
+		return cx.pairFits(i, f, -1, 0)
 	}
-	ci, fc, gi, fg := i, f, -1, 0
-	if d == apu.GPU {
-		ci, fc, gi, fg = -1, 0, i, f
-	}
-	return cx.planesFit(ci, fc, gi, fg)
+	return cx.pairFits(-1, 0, i, f)
 }
 
 // Binding reports which constraint binds first at the pair's operating

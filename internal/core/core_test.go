@@ -74,11 +74,11 @@ func TestBestSoloFreq(t *testing.T) {
 	if f >= capped.Cfg.MaxFreqIndex(apu.CPU) {
 		t.Errorf("15 W cap should force CPU below max, got %d", f)
 	}
-	if capped.Oracle.StandalonePower(0, apu.CPU, f) > 15 {
+	if capped.Oracle.CoRunPower(0, f, -1, 0) > 15 {
 		t.Error("chosen level violates the cap")
 	}
 	// And the next level up must violate it (highest feasible).
-	if capped.Oracle.StandalonePower(0, apu.CPU, f+1) <= 15 {
+	if capped.Oracle.CoRunPower(0, f+1, -1, 0) <= 15 {
 		t.Error("a higher feasible level exists")
 	}
 }

@@ -34,11 +34,11 @@ var limitCases = []struct {
 // lists rely on: whether an operating point fits the caps depends on
 // the two programs, never on their input scales. Seeded random batches
 // drawn from the benchmark set at random scales are traversed twice
-// under every limit shape — once through a view that keeps lists in the
-// characterization, once through the raw predictor, which keeps
-// nothing — and must agree point for point and in order for every
-// ordered pair. A second batch of the same programs at other scales
-// must find every list resident.
+// under every limit shape — once through the predictor, which keeps
+// lists in the characterization, once through the same model seen as
+// an oracle without tables, which keeps nothing — and must agree point
+// for point and in order for every ordered pair. A second batch of the
+// same programs at other scales must find every list resident.
 func TestFeasiblePointsAreScaleFree(t *testing.T) {
 	cfg, mem := apu.DefaultConfig(), memsys.Default()
 	char, err := model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: mem})
@@ -56,16 +56,12 @@ func TestFeasiblePointsAreScaleFree(t *testing.T) {
 			pruned, kept := false, false
 			for epoch := 0; epoch < 2; epoch++ {
 				pred := scaledPredictor(t, char, cfg, mem, progs, rng)
-				view, err := model.NewCachedPredictor(pred, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cached, raw := limitedContext(t, view, lc.cap, lc.domains, lc.stride), limitedContext(t, pred, lc.cap, lc.domains, lc.stride)
+				cached, raw := limitedContext(t, pred, lc.cap, lc.domains, lc.stride), limitedContext(t, interpolated{pred, pred}, lc.cap, lc.domains, lc.stride)
 				full := len(raw.freqLevels(apu.CPU)) * len(raw.freqLevels(apu.GPU))
 				what := fmt.Sprintf("trial %d %s epoch %d %v", trial, lc.name, epoch, progs)
 				for c := range progs {
 					for g := range progs {
-						_, resident := view.Feasible(c, g, lc.domains.WithPackage(lc.cap), lc.stride)
+						_, resident := pred.Feasible(c, g, lc.domains.WithPackage(lc.cap), lc.stride)
 						if epoch > 0 && !resident {
 							t.Errorf("%s: pair (%d,%d) missed the lists the first batch kept", what, c, g)
 						}
@@ -106,6 +102,20 @@ func scaledPredictor(t *testing.T, char *model.Characterization, cfg *apu.Config
 		t.Fatal(err)
 	}
 	return pred
+}
+
+// interpolated is the predictor without its tables: it answers
+// Degradation by the per-query interpolation times the calibrated
+// factor, and offers the planner nothing beyond Oracle's five methods,
+// so a context over it takes the per-point path the ground-truth oracle
+// takes.
+type interpolated struct {
+	Oracle
+	p *model.Predictor
+}
+
+func (o interpolated) Degradation(i int, dev apu.Device, f, j, g int) float64 {
+	return o.p.Interpolate(i, dev, f, j, g) * o.p.Scale(i, dev)
 }
 
 func limitedContext(t testing.TB, o Oracle, cap units.Watts, domains apu.DomainCaps, stride int) *Context {

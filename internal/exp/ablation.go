@@ -129,7 +129,7 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 
 	// Online-calibrated model (section V.C's "lightweight methods ...
 	// on the fly" realized): per-job corrections from 2N probe co-runs.
-	calPred, err := model.NewCalibratedPredictor(pred, model.CalibrateOptions{Batch: batch})
+	calPred, err := model.NewCalibratedPredictor(pred, batch)
 	if err != nil {
 		return nil, err
 	}

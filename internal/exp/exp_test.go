@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +136,22 @@ func TestFigure7(t *testing.T) {
 	if err := r.High.WriteWorst(&b, 3); err != nil {
 		t.Fatal(err)
 	}
+	if got, want := predictedDigest(r), "7d7878dbc31e705c"; got != want {
+		t.Errorf("predicted degradations digest %s, want %s", got, want)
+	}
+}
+
+// predictedDigest hashes the float64 bits of a Figure 7 run's 64 × 2
+// predicted degradations (high setting, then medium), so a test pins
+// every one of them bit for bit.
+func predictedDigest(r *Fig7Result) string {
+	h := sha256.New()
+	for _, set := range []Fig7Setting{r.High, r.Medium} {
+		for _, p := range set.Pairs {
+			fmt.Fprintf(h, "%x ", math.Float64bits(p.Predicted))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
 func TestFigure8(t *testing.T) {
@@ -306,6 +325,12 @@ func TestAblations(t *testing.T) {
 	// the predicted metric; allow small execution-noise slack).
 	if row := byName["no-refinement"]; row.DeltaVsFull < -0.05 {
 		t.Errorf("removing refinement improved execution by %s; suspicious", pct(-row.DeltaVsFull))
+	}
+	// The two arms that swap the model out, pinned bit for bit.
+	for name, want := range map[string]uint64{"calibrated-model": 0x407716fdb91cbf6f, "oracle-degradations": 0x4079f5688446caae} {
+		if got := math.Float64bits(float64(byName[name].Makespan)); got != want {
+			t.Errorf("%s makespan bits %#x, want %#x", name, got, want)
+		}
 	}
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {

@@ -330,6 +330,9 @@ func TestFigure7Calibrated(t *testing.T) {
 	}
 	t.Logf("Fig7 high-setting mean error: base %.1f%%, calibrated %.1f%%",
 		100*base.High.Mean, 100*cal.High.Mean)
+	if got, want := predictedDigest(cal), "80a6837d1c6726e2"; got != want {
+		t.Errorf("calibrated predicted degradations digest %s, want %s", got, want)
+	}
 }
 
 func TestOnlineStudy(t *testing.T) {

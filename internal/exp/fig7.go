@@ -72,7 +72,7 @@ func (s *Suite) Figure7Calibrated() (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := model.NewCalibratedPredictor(pred, model.CalibrateOptions{Batch: batch})
+	cal, err := model.NewCalibratedPredictor(pred, batch)
 	if err != nil {
 		return nil, err
 	}

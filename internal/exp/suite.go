@@ -49,7 +49,8 @@ func (s *Suite) options(cap units.Watts) online.Options {
 }
 
 // context assembles the prediction pipeline and scheduling context for
-// a batch under a cap, and also returns the batch's uncached predictor.
+// a batch under a cap, and also returns the batch's predictor, the
+// context's oracle.
 func (s *Suite) context(batch []*workload.Instance, cap units.Watts) (*core.Context, *model.Predictor, error) {
 	o := s.options(cap)
 	pred, err := o.Predictor(batch)

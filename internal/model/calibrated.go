@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"corun/internal/apu"
 	"corun/internal/microbench"
@@ -9,32 +10,6 @@ import (
 	"corun/internal/units"
 	"corun/internal/workload"
 )
-
-// CalibratedPredictor wraps the staged-interpolation Predictor with
-// per-(job, device) correction factors learned from a handful of real
-// probe co-runs.
-//
-// The base model's dominant error is structural: it cannot see a
-// program's memory-latency sensitivity, only its bandwidth (the dwt2d
-// tail in Figure 7). One measured co-run per job and device against a
-// fixed reference stressor reveals how much that job's real degradation
-// deviates from the bandwidth-only prediction; scaling subsequent
-// predictions by that ratio is exactly the kind of lightweight online
-// estimation the paper's section V.C anticipates ("existing lightweight
-// methods can be used to estimate those metrics on the fly").
-type CalibratedPredictor struct {
-	*Predictor
-
-	// scale[i][d] multiplies predicted degradations of job i on device
-	// d; 1.0 means uncorrected.
-	scale [][]float64
-}
-
-// CalibrateOptions configures the probe pass.
-type CalibrateOptions struct {
-	// Batch is the instance set the profile was collected for.
-	Batch []*workload.Instance
-}
 
 // probeTarget is the micro-kernel bandwidth level of the reference
 // co-runner: a demanding but not saturating stressor. maxScale clamps
@@ -44,23 +19,33 @@ const (
 	maxScale               = 4.0 // a float constant: 1/maxScale is 0.25, not 0
 )
 
-// NewCalibratedPredictor measures one probe co-run per (job, device)
-// on the ground-truth simulator and fits the correction factors. The
-// probe cost is 2N short runs — far below the O(N^2 K^2) exhaustive
-// profiling the model exists to avoid.
-func NewCalibratedPredictor(base *Predictor, opts CalibrateOptions) (*CalibratedPredictor, error) {
+// NewCalibratedPredictor returns a predictor over base's rows whose
+// degradations carry per-(job, device) correction factors learned from
+// a handful of real probe co-runs on the ground-truth simulator, one
+// per (job, device) — 2N short runs, far below the O(N^2 K^2)
+// exhaustive profiling the model exists to avoid. batch is the
+// instance set base's profile was collected for.
+//
+// The base model's dominant error is structural: it cannot see a
+// program's memory-latency sensitivity, only its bandwidth (the dwt2d
+// tail in Figure 7). One measured co-run per job and device against a
+// fixed reference stressor reveals how much that job's real degradation
+// deviates from the bandwidth-only prediction; scaling subsequent
+// predictions by that ratio is exactly the kind of lightweight online
+// estimation the paper's section V.C anticipates ("existing lightweight
+// methods can be used to estimate those metrics on the fly").
+func NewCalibratedPredictor(base *Predictor, batch []*workload.Instance) (*Predictor, error) {
 	if base == nil {
 		return nil, fmt.Errorf("model: nil base predictor")
 	}
-	if len(opts.Batch) != base.NumJobs() {
-		return nil, fmt.Errorf("model: batch size %d does not match profile %d", len(opts.Batch), base.NumJobs())
+	if len(batch) != base.NumJobs() {
+		return nil, fmt.Errorf("model: batch size %d does not match profile %d", len(batch), base.NumJobs())
 	}
 	cfg, mem := base.Prof.Cfg, base.Prof.Mem
 
 	cmax := cfg.MaxFreqIndex(apu.CPU)
 	gmax := cfg.MaxFreqIndex(apu.GPU)
-	cp := &CalibratedPredictor{Predictor: base}
-	cp.scale = make([][]float64, base.NumJobs())
+	scale := make([][]float64, base.NumJobs())
 
 	// The reference stressor runs on the opposite device; its
 	// standalone bandwidth indexes the prediction surface.
@@ -73,8 +58,8 @@ func NewCalibratedPredictor(base *Predictor, opts CalibrateOptions) (*Calibrated
 		apu.GPU: float64(probeProg.AvgStandaloneBandwidth(apu.GPU, cfg.Freq(apu.GPU, gmax), mem)),
 	}
 
-	for i, inst := range opts.Batch {
-		cp.scale[i] = []float64{1, 1}
+	for i, inst := range batch {
+		scale[i] = []float64{1, 1}
 		for d := apu.CPU; d <= apu.GPU; d++ {
 			fSelf, fOther := cmax, gmax
 			if d == apu.GPU {
@@ -103,19 +88,13 @@ func NewCalibratedPredictor(base *Predictor, opts CalibrateOptions) (*Calibrated
 			pred := base.Char.Degradation(d, cpuBW, gpuBW,
 				float64(cfg.Freq(apu.CPU, cf)), float64(cfg.Freq(apu.GPU, gf)))
 			if pred > 1e-3 && meas.Degradation > 0 {
-				cp.scale[i][d] = units.Clamp(meas.Degradation/pred, 1/maxScale, maxScale)
+				scale[i][d] = units.Clamp(meas.Degradation/pred, 1/maxScale, maxScale)
 			}
 		}
 	}
-	return cp, nil
+	// A fresh predictor rather than a copy of base: the table addresses
+	// and counters are per predictor.
+	n := base.NumJobs()
+	return &Predictor{profiled: base.profiled, Char: base.Char, rows: base.rows, scale: scale,
+		tabs: make([]atomic.Pointer[pairTable], n*n)}, nil
 }
-
-// Degradation applies the learned correction on top of the base model.
-func (cp *CalibratedPredictor) Degradation(i int, dev apu.Device, f, j, g int) float64 {
-	d := cp.Predictor.Degradation(i, dev, f, j, g)
-	return d * cp.scale[i][dev]
-}
-
-// Scale exposes the learned correction of job i on device d (for
-// reports and tests).
-func (cp *CalibratedPredictor) Scale(i int, d apu.Device) float64 { return cp.scale[i][d] }

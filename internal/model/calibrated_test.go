@@ -33,7 +33,7 @@ func TestCalibratedPredictorImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := NewCalibratedPredictor(base, CalibrateOptions{Batch: batch})
+	cal, err := NewCalibratedPredictor(base, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCalibratedPredictorImproves(t *testing.T) {
 }
 
 func TestCalibratedPredictorValidation(t *testing.T) {
-	if _, err := NewCalibratedPredictor(nil, CalibrateOptions{}); err == nil {
+	if _, err := NewCalibratedPredictor(nil, nil); err == nil {
 		t.Error("nil base accepted")
 	}
 	cfg := apu.DefaultConfig()
@@ -98,7 +98,7 @@ func TestCalibratedPredictorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCalibratedPredictor(base, CalibrateOptions{Batch: batch[:3]}); err == nil {
+	if _, err := NewCalibratedPredictor(base, batch[:3]); err == nil {
 		t.Error("mismatched batch accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"corun/internal/apu"
-	"corun/internal/memsys"
 	"corun/internal/profile"
 	"corun/internal/workload"
 )
@@ -50,27 +49,5 @@ func TestCoRunSplitSumsToCoRunPower(t *testing.T) {
 	}
 	if s := p.CoRunSplit(-1, 0, 3, 4); s.PP0 != cfg.HostPower(0) {
 		t.Errorf("GPU-solo PP0 = %v, want the host thread %v", s.PP0, cfg.HostPower(0))
-	}
-}
-
-// The cached wrapper must forward CoRunSplit to a domain-aware base.
-func TestCachedPredictorForwardsCoRunSplit(t *testing.T) {
-	cfg, mem := apu.DefaultConfig(), memsys.Default()
-	batch := workload.Batch8()
-	prof, err := profile.Collect(cfg, mem, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := NewGroundTruthOracle(prof, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := NewCachedPredictor(base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := base.CoRunSplit(2, 4, 1, 3)
-	if got := cached.CoRunSplit(2, 4, 1, 3); got != want {
-		t.Errorf("cached split %+v != base split %+v", got, want)
 	}
 }

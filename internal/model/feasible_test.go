@@ -21,12 +21,12 @@ func TestFeasibleListsBoundedUnderCapChurn(t *testing.T) {
 	c := defaultChar(t, cfg, mem)
 	batch := workload.Batch8()
 	pred := predictorOver(t, c, cfg, mem, batch)
-	sameEverywhere(t, "warm-up", viewOver(t, pred, cfg), pred, cfg) // every table resident
+	sameEverywhere(t, "warm-up", pred, cfg) // every table resident
 	tables := c.PairCacheStats().Tables
 	rng := rand.New(rand.NewSource(28))
 	dropped := false
 	for k := 0; k < 1000; k++ {
-		cx, err := core.NewContext(viewOver(t, pred, cfg), cfg, units.Watts(12+6*rng.Float64()))
+		cx, err := core.NewContext(pred, cfg, units.Watts(12+6*rng.Float64()))
 		if err != nil {
 			t.Fatal(err)
 		}

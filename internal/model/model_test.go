@@ -230,8 +230,8 @@ func TestPredictorStandaloneDelegation(t *testing.T) {
 	if p.StandaloneTime(2, apu.CPU, 15) != prof.Time(2, apu.CPU, 15) {
 		t.Error("StandaloneTime does not delegate to profile")
 	}
-	if p.StandalonePower(2, apu.CPU, 15) != prof.Power(2, apu.CPU, 15) {
-		t.Error("StandalonePower does not delegate to profile")
+	if p.CoRunPower(2, 15, -1, 0) != prof.Power(2, apu.CPU, 15) {
+		t.Error("a CPU solo run's power is not its profiled power")
 	}
 }
 

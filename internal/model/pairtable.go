@@ -41,7 +41,7 @@ type row struct {
 }
 
 // pairTable holds Characterization.Degradation (clamped at zero, as
-// Predictor.Degradation clamps it) of one CPU-side row beside one
+// Predictor.Interpolate clamps it) of one CPU-side row beside one
 // GPU-side row at every frequency pair. It is immutable once built.
 type pairTable struct {
 	nc, ng int
@@ -144,9 +144,9 @@ func (c *Characterization) internRow(prof *profile.Standalone, i int, d apu.Devi
 	return r
 }
 
-// drop empties the cache. Views built before the drop keep the rows and
-// tables they already hold (both immutable), so nothing they answer
-// changes; whatever they look up next is rebuilt.
+// drop empties the cache. Predictors built before the drop keep the
+// rows and tables they already hold (both immutable), so nothing they
+// answer changes; whatever they look up next is rebuilt.
 func (pc *pairCache) drop() {
 	pc.rows = [apu.NumDevices]map[string]*row{}
 	pc.tables = nil
@@ -176,7 +176,7 @@ func (c *Characterization) pairTable(cr, gr *row) (t *pairTable, built bool) {
 		return t, true
 	}
 	// Rows of a dropped generation can still arrive here through a live
-	// view, so the table count is bounded on its own.
+	// predictor, so the table count is bounded on its own.
 	if len(pc.tables) >= maxRows*maxRows {
 		pc.drop()
 	}
@@ -251,7 +251,7 @@ func (c *Characterization) buildPairTable(cr, gr *row) *pairTable {
 				d := acrossSurfaces(cpu.freq[fc], gpu.freq[fg], func(a, b int) float64 {
 					return bilerp(c.Surfaces[a][b].side(side), cpu.bw[(fc*na+a)*nb+b], gpu.bw[(fg*na+a)*nb+b])
 				})
-				if d < 0 { // as Predictor.Degradation clamps
+				if d < 0 { // as Predictor.Interpolate clamps
 					d = 0
 				}
 				row[fc*ng+fg] = d

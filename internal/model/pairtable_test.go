@@ -38,26 +38,18 @@ func predictorOver(t *testing.T, c *Characterization, cfg *apu.Config, mem *mems
 	return pred
 }
 
-func viewOver(t *testing.T, o Oracle, cfg *apu.Config) *CachedPredictor {
+// sameEverywhere compares p's table-backed Degradation with its
+// per-query Interpolate times Scale, bit for bit, at every query the
+// planners can issue.
+func sameEverywhere(t *testing.T, what string, p *Predictor, cfg *apu.Config) {
 	t.Helper()
-	v, err := NewCachedPredictor(o, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// sameEverywhere compares got against want, bit for bit, at every
-// query the planners can issue.
-func sameEverywhere(t *testing.T, what string, got, want Oracle, cfg *apu.Config) {
-	t.Helper()
-	n := want.NumJobs()
+	n := p.NumJobs()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for dev := apu.CPU; dev <= apu.GPU; dev++ {
 				for f := 0; f < cfg.NumFreqs(dev); f++ {
 					for g := 0; g < cfg.NumFreqs(dev.Other()); g++ {
-						w, v := want.Degradation(i, dev, f, j, g), got.Degradation(i, dev, f, j, g)
+						w, v := p.Interpolate(i, dev, f, j, g)*p.Scale(i, dev), p.Degradation(i, dev, f, j, g)
 						if math.Float64bits(w) != math.Float64bits(v) {
 							t.Fatalf("%s: Degradation(%d,%v,%d,%d,%d) = %v, raw %v", what, i, dev, f, j, g, v, w)
 						}
@@ -69,10 +61,11 @@ func sameEverywhere(t *testing.T, what string, got, want Oracle, cfg *apu.Config
 }
 
 // Three epochs of the Fig. 11 batch at different input scales share one
-// characterization: every table value is the float64 the raw predictor
-// computes, and after the first epoch nothing is interpolated again —
-// the tables key on scale-free profile rows, which neither the scale nor the
-// program's address (each epoch gets fresh copies) changes.
+// characterization: every table value is the float64 the per-query
+// interpolation computes, and after the first epoch nothing is
+// interpolated again — the tables key on scale-free profile rows, which
+// neither the scale nor the program's address (each epoch gets fresh
+// copies) changes.
 func TestPairTablesMatchRawPredictorAcrossEpochs(t *testing.T) {
 	cfg, mem := apu.DefaultConfig(), memsys.Default()
 	c := defaultChar(t, cfg, mem)
@@ -82,10 +75,9 @@ func TestPairTablesMatchRawPredictorAcrossEpochs(t *testing.T) {
 			in.Scale = scale + 0.01*float64(k%3)
 		}
 		pred := predictorOver(t, c, cfg, mem, batch)
-		view := viewOver(t, pred, cfg)
 		before := c.PairCacheStats().Interpolations
-		sameEverywhere(t, fmt.Sprintf("epoch %d", epoch), view, pred, cfg)
-		s := view.Stats()
+		sameEverywhere(t, fmt.Sprintf("epoch %d", epoch), pred, cfg)
+		s := pred.Stats()
 		if s.Hits+s.Misses != uint64(len(batch)*len(batch)) {
 			t.Errorf("epoch %d: %d table lookups for %d pairs", epoch, s.Hits+s.Misses, len(batch)*len(batch))
 		}
@@ -98,12 +90,12 @@ func TestPairTablesMatchRawPredictorAcrossEpochs(t *testing.T) {
 			t.Errorf("epoch %d interpolated again", epoch)
 		}
 
-		// The calibrated oracle's factor goes on top of the same tables.
-		cal, err := NewCalibratedPredictor(pred, CalibrateOptions{Batch: batch})
+		// The calibrated predictor's factor goes on top of the same tables.
+		cal, err := NewCalibratedPredictor(pred, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameEverywhere(t, fmt.Sprintf("epoch %d calibrated", epoch), viewOver(t, cal, cfg), cal, cfg)
+		sameEverywhere(t, fmt.Sprintf("epoch %d calibrated", epoch), cal, cfg)
 	}
 	// Batch16 is two instances of each of 8 programs.
 	if got := c.PairCacheStats().Tables; got != 64 {
@@ -133,21 +125,20 @@ func customBatch(t *testing.T, n, serial int) []*workload.Instance {
 
 // A stream of distinct custom programs longer than the bound: the cache
 // never holds more than maxRows rows per device or maxRows²
-// tables, and every answer — including those of a view made before the
-// cache was dropped — stays exact.
+// tables, and every answer — including those of a predictor made before
+// the cache was dropped — stays exact.
 func TestPairCacheBounded(t *testing.T) {
 	cfg, mem := apu.DefaultConfig(), memsys.Default()
 	c, _, _ := smallChar(t)
 	const perBatch = 6
-	firstPred := predictorOver(t, c, cfg, mem, customBatch(t, perBatch, 0))
-	first := viewOver(t, firstPred, cfg)
+	first := predictorOver(t, c, cfg, mem, customBatch(t, perBatch, 0))
 	first.Degradation(0, apu.CPU, 3, 1, 2) // one table held, the rest still to look up
 
 	dropped := false
 	for serial := perBatch; serial < 2*maxRows; serial += perBatch {
-		pred := predictorOver(t, c, cfg, mem, customBatch(t, perBatch, serial))
 		before := c.PairCacheStats().Tables
-		sameEverywhere(t, fmt.Sprintf("programs %d..", serial), viewOver(t, pred, cfg), pred, cfg)
+		pred := predictorOver(t, c, cfg, mem, customBatch(t, perBatch, serial))
+		sameEverywhere(t, fmt.Sprintf("programs %d..", serial), pred, cfg)
 		after := c.PairCacheStats().Tables
 		dropped = dropped || after < before+perBatch*perBatch
 		for d := apu.CPU; d <= apu.GPU; d++ {
@@ -162,7 +153,7 @@ func TestPairCacheBounded(t *testing.T) {
 	if !dropped {
 		t.Fatal("the stream never reached the bound")
 	}
-	sameEverywhere(t, "view older than the drop", first, firstPred, cfg)
+	sameEverywhere(t, "predictor older than the drop", first, cfg)
 }
 
 // One characterization serving two machines whose DVFS ladders differ
@@ -193,7 +184,7 @@ func TestPairTablesKeyOnFrequencyLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameEverywhere(t, fmt.Sprintf("CPU top clock %v", p.Cfg.Freq(apu.CPU, 15)), viewOver(t, pred, p.Cfg), pred, p.Cfg)
+		sameEverywhere(t, fmt.Sprintf("CPU top clock %v", p.Cfg.Freq(apu.CPU, 15)), pred, p.Cfg)
 	}
 }
 
@@ -203,7 +194,7 @@ func TestPairTablesKeyOnFrequencyLadder(t *testing.T) {
 func TestPairCacheZeroValueAndPersistence(t *testing.T) {
 	made, cfg, mem := smallChar(t)
 	batch := workload.Batch8()
-	sameEverywhere(t, "warm-up", viewOver(t, predictorOver(t, made, cfg, mem, batch), cfg), predictorOver(t, made, cfg, mem, batch), cfg)
+	sameEverywhere(t, "warm-up", predictorOver(t, made, cfg, mem, batch), cfg)
 	if made.PairCacheStats().Tables == 0 {
 		t.Fatal("warm-up built no table")
 	}
@@ -231,7 +222,7 @@ func TestPairCacheZeroValueAndPersistence(t *testing.T) {
 			t.Errorf("%s characterization starts with %+v", name, s)
 		}
 		pred := predictorOver(t, c, cfg, mem, batch)
-		sameEverywhere(t, name, viewOver(t, pred, cfg), pred, cfg)
+		sameEverywhere(t, name, pred, cfg)
 		if c.PairCacheStats().Tables != 64 {
 			t.Errorf("%s characterization holds %d tables for 8 programs", name, c.PairCacheStats().Tables)
 		}

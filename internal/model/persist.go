@@ -69,6 +69,13 @@ func LoadCharacterization(r io.Reader, cfg *apu.Config) (*Characterization, erro
 			if err := validateSurface(s); err != nil {
 				return nil, fmt.Errorf("model: surface (%d,%d): %w", a, b, err)
 			}
+			// Nothing else reads a surface's own levels, so a surface
+			// filed under the wrong cell would be planned with as if
+			// measured at that cell's frequencies.
+			if s.CPUFreq != p.CPULevels[a] || s.GPUFreq != p.GPULevels[b] {
+				return nil, fmt.Errorf("model: surface (%d,%d) was measured at levels (%d,%d), but that cell is levels (%d,%d)",
+					a, b, s.CPUFreq, s.GPUFreq, p.CPULevels[a], p.GPULevels[b])
+			}
 		}
 	}
 	for _, l := range p.CPULevels {

@@ -87,6 +87,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		  "surfaces": [[{"CPUFreq":0,"GPUFreq":0,"CPUBW":[],"GPUBW":[],"DegCPU":[],"DegGPU":[]}]]}`,
 		`{"version": 1, "cpu_levels": [0], "gpu_levels": [0],
 		  "surfaces": [[{"CPUFreq":0,"GPUFreq":0,"CPUBW":[2,1],"GPUBW":[1],"DegCPU":[[0],[0]],"DegGPU":[[0],[0]]}]]}`,
+		// Well formed, but filed under a cell it was not measured at.
+		`{"version": 1, "cpu_levels": [0], "gpu_levels": [0],
+		  "surfaces": [[{"CPUFreq":5,"GPUFreq":0,"CPUBW":[1],"GPUBW":[1],"DegCPU":[[0]],"DegGPU":[[0]]}]]}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadCharacterization(strings.NewReader(c), cfg); err == nil {

@@ -270,8 +270,8 @@ func checkBatch(batch []*workload.Instance) error {
 // degradations through the pair tables, or on the caps the planner sees.
 //
 // Predictor checks the batch, profiles it offline on the options'
-// machine and binds the profiles to the characterization. Callers that
-// wrap the result (the calibrated model) or need its profile (the
+// machine and binds the profiles to the characterization's pair tables.
+// Callers that calibrate the result or need its profile (the
 // ground-truth oracle) do so before handing an oracle to Context.
 func (o Options) Predictor(batch []*workload.Instance) (*model.Predictor, error) {
 	if err := checkBatch(batch); err != nil {
@@ -284,16 +284,10 @@ func (o Options) Predictor(batch []*workload.Instance) (*model.Predictor, error)
 	return model.NewPredictor(o.Char, prof)
 }
 
-// Context builds the scheduling context over a batch's oracle, read
-// through the characterization's pair tables (a program pair is
-// interpolated once for as long as the characterization lives), under
-// the options' package and per-plane caps.
-func (o Options) Context(oracle model.Oracle) (*core.Context, error) {
-	cached, err := model.NewCachedPredictor(oracle, o.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	cx, err := core.NewContext(cached, o.Cfg, o.Cap)
+// Context builds the scheduling context over a batch's oracle under the
+// options' package and per-plane caps.
+func (o Options) Context(oracle core.Oracle) (*core.Context, error) {
+	cx, err := core.NewContext(oracle, o.Cfg, o.Cap)
 	if err != nil {
 		return nil, err
 	}

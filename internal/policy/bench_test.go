@@ -17,19 +17,19 @@ import (
 	"corun/internal/workload"
 )
 
-// planLoop replans the 8-job batch b.N times, one fresh view and
+// planLoop replans the 8-job batch b.N times, one fresh predictor and
 // context per iteration.
 func planLoop(b *testing.B, name string) {
 	b.Helper()
-	pred := predictorFor(b, workload.Batch8())
+	first := predictorFor(b, workload.Batch8())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		view, err := model.NewCachedPredictor(pred, testCfg(b))
+		pred, err := model.NewPredictor(first.Char, first.Prof)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := policy.Plan(name, contextOver(b, view), policy.Options{Seed: 7}); err != nil {
+		if _, err := policy.Plan(name, contextOver(b, pred), policy.Options{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,8 +2,8 @@ package policy_test
 
 // Shared fixtures: the one-time characterization pass plus builders
 // for the prediction pipeline and scheduling contexts, used by the
-// registry tests, the -race engine test, and the cached-vs-uncached
-// benchmarks alike.
+// registry tests, the -race engine test, and the planning benchmarks
+// alike.
 
 import (
 	"sync"
@@ -51,7 +51,7 @@ func testCfg(tb testing.TB) *apu.Config {
 	return cfg
 }
 
-// predictorFor builds the uncached prediction pipeline for a batch.
+// predictorFor builds the prediction pipeline for a batch.
 func predictorFor(tb testing.TB, batch []*workload.Instance) *model.Predictor {
 	tb.Helper()
 	cfg, mem, char := characterize(tb)
@@ -65,6 +65,23 @@ func predictorFor(tb testing.TB, batch []*workload.Instance) *model.Predictor {
 	}
 	return pred
 }
+
+// interpolated is the predictor without its tables: Degradation is the
+// per-query interpolation times the calibrated factor, and nothing
+// beyond core.Oracle's five methods is offered, so a context over it
+// takes core's per-point path — the one the ground-truth oracle takes —
+// and keeps nothing in the characterization.
+type interpolated struct {
+	core.Oracle
+	p *model.Predictor
+}
+
+func (o interpolated) Degradation(i int, dev apu.Device, f, j, g int) float64 {
+	return o.p.Interpolate(i, dev, f, j, g) * o.p.Scale(i, dev)
+}
+
+// perPoint returns p as an oracle without tables.
+func perPoint(p *model.Predictor) core.Oracle { return interpolated{p, p} }
 
 // contextOver wraps an oracle in a fresh scheduling context under the
 // test cap. A fresh context means fresh frequency/makespan memo tables:

@@ -1,12 +1,17 @@
 package policy_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"corun/internal/apu"
+	"corun/internal/core"
 	"corun/internal/model"
 	"corun/internal/policy"
+	"corun/internal/units"
 )
 
 func TestNamesCoverThePaperFamily(t *testing.T) {
@@ -104,47 +109,79 @@ func TestPlanResolvesThroughRegistry(t *testing.T) {
 	}
 }
 
-// TestCachedPredictorMatchesUncachedBitForBit is the acceptance
-// criterion of the memoized prediction layer: for every registered
-// policy, planning over a model.CachedPredictor must produce exactly
-// the schedule and predicted makespan of the uncached predictor.
-func TestCachedPredictorMatchesUncachedBitForBit(t *testing.T) {
+// TestTablePlansEqualPerPointPlans holds the pair tables to the model
+// they are filled from: for every registered policy, under every shape
+// of limit (package cap, each plane alone, the package cap given as a
+// domain, none), over the predictor and over its calibrated form,
+// planning through the tables must produce exactly the schedule and the
+// predicted makespan bits that planning point by point over the
+// per-query interpolation does — core's path for an oracle without
+// tables, the ground-truth oracle's.
+func TestTablePlansEqualPerPointPlans(t *testing.T) {
 	batch := testBatch(t)
 	pred := predictorFor(t, batch)
-	cached, err := model.NewCachedPredictor(pred, testCfg(t))
+	cal, err := model.NewCalibratedPredictor(pred, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range policy.Names() {
-		opts := policy.Options{Seed: 7}
-		raw := contextOver(t, pred)
-		memo := contextOver(t, cached)
-		want, err := policy.Plan(name, raw, opts)
-		if err != nil {
-			t.Fatalf("%s uncached: %v", name, err)
-		}
-		got, err := policy.Plan(name, memo, opts)
-		if err != nil {
-			t.Fatalf("%s cached: %v", name, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: cached plan %v differs from uncached %v", name, got, want)
-		}
-		wantT, err := raw.PredictedMakespan(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotT, err := memo.PredictedMakespan(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantT != gotT {
-			t.Errorf("%s: cached makespan %v differs from uncached %v", name, gotT, wantT)
-		}
+	limits := []struct {
+		name    string
+		cap     units.Watts
+		domains apu.DomainCaps
+	}{
+		{"cap15", 15, apu.DomainCaps{}},
+		{"pp0-only", 0, apu.DomainCaps{PP0: 8}},
+		{"pp1-only", 0, apu.DomainCaps{PP1: 9}},
+		{"package-domain", 0, apu.DomainCaps{Package: 15}},
+		{"uncapped", 0, apu.DomainCaps{}},
 	}
-	// Whether the tables were built here or by an earlier test over the
-	// shared characterization, the view must have looked them up.
-	if stats := cached.Stats(); stats.Hits+stats.Misses == 0 {
-		t.Errorf("pair tables never consulted: %+v", stats)
+	cfg := testCfg(t)
+	limited := func(o core.Oracle, cap units.Watts, domains apu.DomainCaps) *core.Context {
+		cx, err := core.NewContext(o, cfg, cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx.Domains = domains
+		return cx
+	}
+	for _, p := range []struct {
+		name string
+		pred *model.Predictor
+	}{{"predictor", pred}, {"calibrated", cal}} {
+		for _, lc := range limits {
+			for _, name := range policy.Names() {
+				what := fmt.Sprintf("%s/%s/%s", p.name, lc.name, name)
+				opts := policy.Options{Seed: 7}
+				tables, points := limited(p.pred, lc.cap, lc.domains), limited(perPoint(p.pred), lc.cap, lc.domains)
+				want, err := policy.Plan(name, points, opts)
+				if err != nil {
+					t.Fatalf("%s per point: %v", what, err)
+				}
+				got, err := policy.Plan(name, tables, opts)
+				if err != nil {
+					t.Fatalf("%s tables: %v", what, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: plan %v through the tables, %v point by point", what, got, want)
+				}
+				wantT, err := points.PredictedMakespan(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotT, err := tables.PredictedMakespan(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(float64(wantT)) != math.Float64bits(float64(gotT)) {
+					t.Errorf("%s: makespan %v through the tables, %v point by point", what, gotT, wantT)
+				}
+			}
+		}
+		// Whether the tables were built here or by an earlier test over
+		// the shared characterization, the predictor must have looked
+		// them up.
+		if stats := p.pred.Stats(); stats.Hits+stats.Misses == 0 {
+			t.Errorf("%s: pair tables never consulted: %+v", p.name, stats)
+		}
 	}
 }

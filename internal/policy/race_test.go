@@ -4,7 +4,7 @@ package policy_test
 // written to run under `go test -race` (part of `make verify`),
 // mirroring the style of internal/server/race_test.go: many goroutines
 // plan every registered policy over one context that sits on one shared
-// model.CachedPredictor, while others evaluate makespans. Beyond the
+// model.Predictor, while others evaluate makespans. Beyond the
 // absence of data races, each policy must return the same plan to
 // every goroutine — the memo tables may reorder work but never change
 // an answer.
@@ -26,11 +26,7 @@ import (
 func TestConcurrentPlanning(t *testing.T) {
 	batch := testBatch(t)
 	pred := predictorFor(t, batch)
-	cached, err := model.NewCachedPredictor(pred, testCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cx := contextOver(t, cached)
+	cx := contextOver(t, pred)
 
 	// Serial reference answers, planned before any concurrency starts.
 	want := map[string]string{}
@@ -73,28 +69,31 @@ func TestConcurrentPlanning(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var last uint64
 		for i := 0; i < 200; i++ {
-			s := cached.Stats()
-			if s.Entries < 0 {
-				t.Error("negative cache size")
+			s := pred.Stats()
+			n := s.Hits + s.Misses
+			if n < last {
+				t.Errorf("table lookups went from %d down to %d", last, n)
 				return
 			}
+			last = n
 		}
 	}()
 	wg.Wait()
 
-	if s := cached.Stats(); s.Hits+s.Misses == 0 {
-		t.Errorf("shared view looked up no pair table across %d planning calls: %+v",
+	if s := pred.Stats(); s.Hits+s.Misses == 0 {
+		t.Errorf("shared predictor looked up no pair table across %d planning calls: %+v",
 			planners*len(policy.Names()), s)
 	}
 }
 
 // TestConcurrentBatchesShareOneCharacterization is the daemon-plus-
 // /v1/plan pattern: two goroutines plan different batches at once, each
-// through its own view, over one characterization whose pair tables are
-// still empty, so they race to build the tables of the programs the
-// batches share. Each must get the plan it gets alone from the raw
-// predictor.
+// through its own predictor, over one characterization whose pair
+// tables are still empty, so they race to build the tables of the
+// programs the batches share. Each must get the plan it gets alone
+// point by point.
 func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 	cfg, mem, _ := characterize(t)
 	char, err := model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: mem})
@@ -117,7 +116,7 @@ func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 		if predictors[k], err = model.NewPredictor(char, prof); err != nil {
 			t.Fatal(err)
 		}
-		alone := contextOver(t, predictors[k])
+		alone := contextOver(t, perPoint(predictors[k]))
 		plan, err := policy.Plan("hcs+", alone, policy.Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +128,7 @@ func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 		want[k] = fmt.Sprintf("%v @ %v", plan, ms)
 	}
 	if s := char.PairCacheStats(); s.Tables != 0 {
-		t.Fatalf("raw predictors filled the cache: %+v", s)
+		t.Fatalf("planning point by point filled the cache: %+v", s)
 	}
 
 	var wg sync.WaitGroup
@@ -137,12 +136,7 @@ func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			view, err := model.NewCachedPredictor(predictors[k], cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cx, err := core.NewContext(view, cfg, testCap)
+			cx, err := core.NewContext(predictors[k], cfg, testCap)
 			if err != nil {
 				t.Error(err)
 				return
@@ -170,9 +164,9 @@ func TestConcurrentBatchesShareOneCharacterization(t *testing.T) {
 
 // TestConcurrentEpochsUnderDifferentCaps is the fleet's cap churn on
 // one node: epochs under different caps plan at once over one
-// characterization, each through its own view, so they race to keep
-// feasible lists for the same program pairs under different keys. Each
-// epoch must get the plan the raw predictor gives it alone under its
+// characterization, each through its own predictor, so they race to
+// keep feasible lists for the same program pairs under different keys.
+// Each epoch must get the plan it gets alone point by point under its
 // own caps.
 func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
 	cfg, mem, _ := characterize(t)
@@ -186,10 +180,6 @@ func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
 	}{{12.5, apu.DomainCaps{}}, {15, apu.DomainCaps{}}, {17.25, apu.DomainCaps{}}, {0, apu.DomainCaps{PP1: 9}}, {0, apu.DomainCaps{Package: 15}}}
 	batch := testBatch(t)
 	prof, err := profile.Collect(cfg, mem, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := model.NewPredictor(char, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +202,13 @@ func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
 		}
 		return fmt.Sprintf("%v @ %v", plan, ms)
 	}
+	pred, err := model.NewPredictor(char, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]string, len(limits))
 	for k := range limits {
-		want[k] = plan(pred, k)
+		want[k] = plan(perPoint(pred), k)
 	}
 
 	const epochs = 3
@@ -224,12 +218,12 @@ func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				view, err := model.NewCachedPredictor(pred, cfg)
+				epoch, err := model.NewPredictor(char, prof)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got := plan(view, k); got != want[k] {
+				if got := plan(epoch, k); got != want[k] {
 					t.Errorf("limits %+v: planned concurrently %s, alone %s", limits[k], got, want[k])
 				}
 			}(k)

@@ -17,20 +17,24 @@ import (
 	"corun/internal/policy"
 )
 
-// TestOnePipelineOnePlacer guards two structural facts a reviewer
-// would otherwise have to re-check by grep: every scheduling context
-// outside tests is built by internal/online's pipeline (one call site
-// each of core.NewContext and model.NewCachedPredictor; bench/ is its
-// own module, and its probe times the stages separately on purpose),
-// and internal/cluster stays the pure placement library — it imports
-// nothing else of this module (which has no dependencies), so the
-// standard library only.
+// TestOnePipelineOnePlacer guards structural facts a reviewer would
+// otherwise have to re-check by grep. Every scheduling context outside
+// tests is built by internal/online's pipeline: one call site each of
+// core.NewContext and model.NewPredictor, and none of
+// model.NewCachedPredictor, a name kept only for bench/ (its own module,
+// whose probe times the stages separately on purpose). core.Oracle is
+// the only interface that declares Degradation, so the planner's oracle
+// has no mirror to keep in step. And internal/cluster stays the pure
+// placement library — it imports nothing else of this module (which has
+// no dependencies), so the standard library only.
 func TestOnePipelineOnePlacer(t *testing.T) {
-	guarded := map[string]string{ // import path → constructor
-		"corun/internal/core":  "NewContext",
-		"corun/internal/model": "NewCachedPredictor",
+	guarded := map[string]map[string]bool{ // import path → constructors
+		"corun/internal/core":  {"NewContext": true},
+		"corun/internal/model": {"NewPredictor": true, "NewCachedPredictor": true},
 	}
+	want := map[string]int{"NewContext": 1, "NewPredictor": 1, "NewCachedPredictor": 0}
 	sites := map[string][]string{}
+	var oracles []string
 	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
 		local := map[string]string{} // name in this file → guarded import path
 		for _, imp := range f.Imports {
@@ -43,27 +47,40 @@ func TestOnePipelineOnePlacer(t *testing.T) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fn := call.Fun.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := fn.X.(*ast.Ident); ok && guarded[local[x.Name]] == fn.Sel.Name {
-					sites[fn.Sel.Name] = append(sites[fn.Sel.Name], fset.Position(call.Pos()).String())
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if it, ok := n.Type.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							if id.Name == "Degradation" {
+								oracles = append(oracles, dir+"."+n.Name.Name)
+							}
+						}
+					}
 				}
-			case *ast.Ident: // unqualified, inside the defining package
-				if guarded["corun/"+dir] == fn.Name {
-					sites[fn.Name] = append(sites[fn.Name], fset.Position(call.Pos()).String())
+			case *ast.CallExpr:
+				switch fn := n.Fun.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := fn.X.(*ast.Ident); ok && guarded[local[x.Name]][fn.Sel.Name] {
+						sites[fn.Sel.Name] = append(sites[fn.Sel.Name], fset.Position(n.Pos()).String())
+					}
+				case *ast.Ident: // unqualified, inside the defining package
+					if guarded["corun/"+dir][fn.Name] {
+						sites[fn.Name] = append(sites[fn.Name], fset.Position(n.Pos()).String())
+					}
 				}
 			}
 			return true
 		})
 	})
-	for _, ctor := range guarded {
-		if got := sites[ctor]; len(got) != 1 || !strings.HasPrefix(got[0], "internal/online/") {
-			t.Errorf("%s is called at %v; want exactly one non-test call site, in internal/online", ctor, got)
+	for ctor, n := range want {
+		got := sites[ctor]
+		if len(got) != n || (n > 0 && !strings.HasPrefix(got[0], "internal/online/")) {
+			t.Errorf("%s is called at %v; want %d non-test call sites, in internal/online", ctor, got, n)
 		}
+	}
+	if want := []string{"internal/core.Oracle"}; !slices.Equal(oracles, want) {
+		t.Errorf("interfaces declaring Degradation: %q, want only %q", oracles, want)
 	}
 }
 
