@@ -36,13 +36,15 @@ fmtcheck:
 # bench runs the root package's benchmarks (BenchmarkPlanEpochFig11, a
 # whole facade epoch warm and cold, and the paper's tables and figures),
 # the predicted-timeline walk of the planner core
-# (BenchmarkPredictedMakespan), the planning benchmarks of the policy
-# layer, the append/recovery benchmarks of the state journal and the
-# handler and durable-submit benchmarks of the daemon (no tests, with
-# allocation stats). BENCHTIME=1x gives a quick smoke run.
+# (BenchmarkPredictedMakespan), the simulator alone (BenchmarkRun: the
+# executor's share of an epoch, apart from the planner's), the planning
+# benchmarks of the policy layer, the append/recovery benchmarks of the
+# state journal and the handler and durable-submit benchmarks of the
+# daemon (no tests, with allocation stats). BENCHTIME=1x gives a quick
+# smoke run.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
-		. ./internal/core/ ./internal/policy/ ./internal/journal/ ./internal/server/
+		. ./internal/core/ ./internal/sim/ ./internal/policy/ ./internal/journal/ ./internal/server/
 
 # fuzz smoke-runs every fuzz target for FUZZTIME each (go test takes
 # one -fuzz pattern per invocation, hence one line per target).

@@ -56,6 +56,25 @@ func (t ThermalParams) SteadyC(p units.Watts) float64 {
 	return t.AmbientC + float64(p)*t.RThermal
 }
 
+// Decay is the step response's memory term exp(-dt / (R*C)): the share
+// of the distance to the steady state still left after dt seconds. It is
+// 1 when dt <= 0 or the RC pair is not physical, where Step leaves the
+// temperature alone.
+func (t ThermalParams) Decay(dt units.Seconds) float64 {
+	if dt <= 0 || t.RThermal <= 0 || t.CThermal <= 0 {
+		return 1
+	}
+	return math.Exp(-float64(dt) / (t.RThermal * t.CThermal))
+}
+
+// Relax is the step response at constant power p for a precomputed
+// Decay: a caller stepping by one dt many times computes the exponential
+// once.
+func (t ThermalParams) Relax(tempC float64, p units.Watts, decay float64) float64 {
+	steady := t.SteadyC(p)
+	return steady + (tempC-steady)*decay
+}
+
 // Step advances the heatsink node from tempC over dt seconds at
 // constant power p, using the exact exponential solution of the RC
 // equation (stable for any dt).
@@ -63,8 +82,7 @@ func (t ThermalParams) Step(tempC float64, p units.Watts, dt units.Seconds) floa
 	if dt <= 0 || t.RThermal <= 0 || t.CThermal <= 0 {
 		return tempC
 	}
-	steady := t.SteadyC(p)
-	return steady + (tempC-steady)*math.Exp(-float64(dt)/(t.RThermal*t.CThermal))
+	return t.Relax(tempC, p, t.Decay(dt))
 }
 
 // Validate checks the parameters' internal consistency. The zero value

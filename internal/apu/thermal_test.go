@@ -55,6 +55,30 @@ func TestThermalStepComposes(t *testing.T) {
 	}
 }
 
+// Step is SteadyC + (T - SteadyC)·Decay(dt) bit for bit — the form the
+// simulator evaluates with a kept Decay — including the steps it leaves
+// alone (dt <= 0, the model disabled), where Decay is 1. Every start
+// temperature lies within a factor two of every steady state, so T -
+// SteadyC is exact and adding SteadyC back gives T itself.
+func TestThermalStepIsDecayResponse(t *testing.T) {
+	for _, p := range []ThermalParams{
+		{AmbientC: 30, RThermal: 1.6, CThermal: 20, TMaxC: 95},
+		{AmbientC: 30}, // disabled: no RC pair
+	} {
+		for _, dt := range []units.Seconds{-1, 0, 1e-9, 0.25, 7.3} {
+			for _, from := range []float64{45, 60} {
+				for _, w := range []units.Watts{0, 12.5, 32} {
+					steady := p.SteadyC(w)
+					want := steady + (from-steady)*p.Decay(dt)
+					if got := p.Step(from, w, dt); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%+v: Step(%v, %vW, %vs) = %v, decay form %v", p, from, w, dt, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestThermalSteadyAndEnabled(t *testing.T) {
 	p := ThermalParams{AmbientC: 30, RThermal: 1.6, CThermal: 20, TMaxC: 95}
 	if got := p.SteadyC(10); math.Abs(got-46) > 1e-9 {

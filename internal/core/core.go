@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"corun/internal/apu"
 	"corun/internal/units"
@@ -73,24 +74,60 @@ type Context struct {
 	// of the feasible lists' key; set it before the first query.
 	FreqStride int
 
-	// levels, nf and times are read once, at the first query
-	// (initTables): the traversed frequency indices of each device, its
-	// level count, and every job's standalone time by device and level
-	// (times[d][i*nf[d]+f]), so the traversal's visitors make no oracle
-	// call per point.
+	// n, levels, nf and times are read once, at the first query
+	// (initTables): the oracle's job count, the traversed frequency
+	// indices of each device, its level count, and every job's
+	// standalone time by device and level (times[d][i*nf[d]+f]), so the
+	// traversal's visitors make no oracle call per point.
 	tablesOnce sync.Once
+	n          int
 	levels     [apu.NumDevices][]int
 	nf         [apu.NumDevices]int
 	times      [apu.NumDevices][]units.Seconds
 
-	// mu guards the memo tables; a Context may be shared by concurrent
-	// planners (e.g. evaluating refinement candidates in parallel) as
-	// long as the Oracle itself is safe for concurrent reads.
-	mu         sync.Mutex
-	pairMemo   map[pairMemoKey]pairChoice
-	minDegMemo map[pairMemoKey]minDegradation
-	soloMemo   map[soloMemoKey]soloChoice
-	msMemo     map[string]units.Seconds
+	// The frequency-selection memos are slices addressed by job index,
+	// sized by initTables: pairMemo has (n+1)² slots, ChoosePairFreqs(c,
+	// g) at (c+1)*(n+1)+(g+1), so an idle device (-1) has its own row and
+	// column; minDegMemo has n² slots, MinPairDegradation(c, g) at c*n+g;
+	// soloMemo has 2n, BestSoloFreq(i, d) at d*n+i. A slot is read
+	// lock-free through its set flag and written once, under mu, flag
+	// last (see memoSlot).
+	pairMemo   []memoSlot[pairChoice]
+	minDegMemo []memoSlot[minDegradation]
+	soloMemo   []memoSlot[soloChoice]
+
+	// mu serializes the memo writes and guards msMemo; a Context may be
+	// shared by concurrent planners (e.g. evaluating refinement
+	// candidates in parallel) as long as the Oracle itself is safe for
+	// concurrent reads.
+	mu     sync.Mutex
+	msMemo map[string]units.Seconds
+}
+
+// memoSlot is one answer of a memo table. A reader that sees set true
+// sees v (the flag's store publishes it); a writer holds Context.mu and
+// skips a slot another writer filled first — every writer computes the
+// same answer, so which one lands does not matter.
+type memoSlot[T any] struct {
+	set atomic.Bool
+	v   T
+}
+
+// load returns the slot's answer, if one has been stored.
+func (s *memoSlot[T]) load() (T, bool) {
+	if s.set.Load() {
+		return s.v, true
+	}
+	var zero T
+	return zero, false
+}
+
+// store fills the slot once; mu must be held.
+func (s *memoSlot[T]) store(v T) {
+	if !s.set.Load() {
+		s.v = v
+		s.set.Store(true)
+	}
 }
 
 // maxMakespanMemo bounds the predicted-makespan memo: the search
@@ -99,7 +136,6 @@ type Context struct {
 // schedules are evaluated but no longer stored.
 const maxMakespanMemo = 1 << 16
 
-type pairMemoKey struct{ c, g int }
 type pairChoice struct {
 	fp apu.FreqPair
 	dc float64 // degradation of the CPU job
@@ -112,10 +148,6 @@ type minDegradation struct {
 	ok bool
 }
 
-type soloMemoKey struct {
-	i int
-	d apu.Device
-}
 type soloChoice struct {
 	f  int
 	ok bool
@@ -134,9 +166,6 @@ func NewContext(o Oracle, cfg *apu.Config, cap units.Watts) (*Context, error) {
 		Cfg:        cfg,
 		Cap:        cap,
 		FreqStride: 1,
-		pairMemo:   map[pairMemoKey]pairChoice{},
-		minDegMemo: map[pairMemoKey]minDegradation{},
-		soloMemo:   map[soloMemoKey]soloChoice{},
 		msMemo:     map[string]units.Seconds{},
 	}, nil
 }
@@ -149,10 +178,23 @@ func (cx *Context) stride() int {
 	return cx.FreqStride
 }
 
-// initTables fills levels, nf and times.
+// mustBeJob panics unless i names one of the batch's jobs or, with idle,
+// is negative (an idle device): a memo slot of any other index would
+// alias another query's.
+func (cx *Context) mustBeJob(i int, idle bool) {
+	if i >= cx.n || (i < 0 && !idle) {
+		panic(fmt.Sprintf("core: job index %d outside a batch of %d", i, cx.n))
+	}
+}
+
+// initTables fills levels, nf and times and sizes the memos.
 func (cx *Context) initTables() {
 	cx.tablesOnce.Do(func() {
 		n := cx.Oracle.NumJobs()
+		cx.n = n
+		cx.pairMemo = make([]memoSlot[pairChoice], (n+1)*(n+1))
+		cx.minDegMemo = make([]memoSlot[minDegradation], n*n)
+		cx.soloMemo = make([]memoSlot[soloChoice], int(apu.NumDevices)*n)
 		for d := apu.CPU; d <= apu.GPU; d++ {
 			for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
 				cx.levels[d] = append(cx.levels[d], f)
@@ -333,13 +375,12 @@ func (cx *Context) Binding(c, fc, g, fg int) (apu.Constraint, float64) {
 // job i running alone on device d, preferring higher levels (times are
 // monotone in frequency). ok is false when no level fits the cap.
 func (cx *Context) BestSoloFreq(i int, d apu.Device) (int, bool) {
-	key := soloMemoKey{i, d}
-	cx.mu.Lock()
-	if v, ok := cx.soloMemo[key]; ok {
-		cx.mu.Unlock()
+	cx.initTables()
+	cx.mustBeJob(i, false)
+	slot := &cx.soloMemo[int(d)*cx.n+i]
+	if v, ok := slot.load(); ok {
 		return v.f, v.ok
 	}
-	cx.mu.Unlock()
 	choice := soloChoice{f: 0, ok: false}
 	for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f-- {
 		if !cx.Capped() || cx.soloFits(i, d, f) {
@@ -348,7 +389,7 @@ func (cx *Context) BestSoloFreq(i int, d apu.Device) (int, bool) {
 		}
 	}
 	cx.mu.Lock()
-	cx.soloMemo[key] = choice
+	slot.store(choice)
 	cx.mu.Unlock()
 	return choice.f, choice.ok
 }
@@ -392,16 +433,16 @@ func (cx *Context) BestSoloAnywhere(i int) (apu.Device, int, units.Seconds, bool
 // This is the frequency traversal of section IV-A.2: every (f, g)
 // combination allowed by the cap is examined.
 func (cx *Context) ChoosePairFreqs(c, g int) (apu.FreqPair, float64, float64, bool) {
-	key := pairMemoKey{c, g}
-	cx.mu.Lock()
-	if v, ok := cx.pairMemo[key]; ok {
-		cx.mu.Unlock()
+	cx.initTables()
+	cx.mustBeJob(c, true)
+	cx.mustBeJob(g, true)
+	slot := &cx.pairMemo[(max(c, -1)+1)*(cx.n+1)+max(g, -1)+1]
+	if v, ok := slot.load(); ok {
 		return v.fp, v.dc, v.dg, v.ok
 	}
-	cx.mu.Unlock()
 	choice := cx.choosePairFreqsUncached(c, g)
 	cx.mu.Lock()
-	cx.pairMemo[key] = choice
+	slot.store(choice)
 	cx.mu.Unlock()
 	return choice.fp, choice.dc, choice.dg, choice.ok
 }
@@ -451,13 +492,13 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 // feasible pair exists. Step 3 asks it of every candidate against the
 // running job at every pick, so the answer is memoized per pair.
 func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
-	key := pairMemoKey{c, g}
-	cx.mu.Lock()
-	if v, ok := cx.minDegMemo[key]; ok {
-		cx.mu.Unlock()
+	cx.initTables()
+	cx.mustBeJob(c, false)
+	cx.mustBeJob(g, false)
+	slot := &cx.minDegMemo[c*cx.n+g]
+	if v, ok := slot.load(); ok {
 		return v.d, v.ok
 	}
-	cx.mu.Unlock()
 	var min minDegradation
 	if pts := cx.feasible(c, g); len(pts) > 0 {
 		in := cx.pairInputs(c, g)
@@ -469,7 +510,7 @@ func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
 		}
 	}
 	cx.mu.Lock()
-	cx.minDegMemo[key] = min
+	slot.store(min)
 	cx.mu.Unlock()
 	return min.d, min.ok
 }

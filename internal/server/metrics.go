@@ -16,6 +16,7 @@ type metrics struct {
 	rejected     *promtext.Counter
 	done         *promtext.Counter
 	failed       *promtext.Counter
+	deadlineMiss *promtext.Counter
 	scheduled    *promtext.CounterVec
 	epochs       *promtext.Counter
 	energy       *promtext.Counter
@@ -113,6 +114,8 @@ func newMetrics() *metrics {
 			"Jobs that finished executing."),
 		failed: reg.NewCounter("corund_jobs_failed_total",
 			"Jobs whose epoch failed to schedule or execute."),
+		deadlineMiss: reg.NewCounter("corund_deadline_misses_total",
+			"Jobs with a deadline whose response time (arrival to completion, simulated) exceeded it."),
 		scheduled: reg.NewCounterVec("corund_jobs_scheduled_total",
 			"Jobs scheduled, by epoch policy.", "policy"),
 		epochs: reg.NewCounter("corund_epochs_total",

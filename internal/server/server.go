@@ -1039,6 +1039,9 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		if j.DeadlineS > 0 {
 			met := j.ResponseS <= j.DeadlineS
 			j.DeadlineMet = &met
+			if !met {
+				s.m.deadlineMiss.Inc()
+			}
 		}
 	}
 	for i := range batch {

@@ -252,6 +252,11 @@ func TestEndToEnd(t *testing.T) {
 	if v := metricValue(t, body, "corund_queue_depth"); v != 0 {
 		t.Errorf("queue depth %v", v)
 	}
+	// lud's 1 ms deadline is far below its run time; hotspot's is met and
+	// the other three have none.
+	if v := metricValue(t, body, "corund_deadline_misses_total"); v != 1 {
+		t.Errorf("deadline misses %v, want 1 (lud)", v)
+	}
 	if v := metricValue(t, body, "corund_epochs_total"); v < 1 {
 		t.Errorf("epochs %v", v)
 	}

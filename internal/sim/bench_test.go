@@ -1,0 +1,25 @@
+package sim
+
+import "testing"
+
+// BenchmarkRun times one simulation of Batch16 at a 15 W package cap
+// through QueueDispatcher under a GPU-biased governor (a tick every
+// 0.25 s of simulated time), with the thermal model off and throttling
+// at T_max 45 C: the simulator's share of an epoch, apart from the
+// planner's.
+func BenchmarkRun(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		tmax float64
+	}{{"tmax=off", 0}, {"tmax=45", 45}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts, cpuQ, gpuQ := goldenSetup(goldenScenario{pkgCap: 15, tmax: bc.tmax, cpuSlots: 1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -323,6 +323,65 @@ type state struct {
 	// CPUJobs array) keeps the hot loop allocation-free; the View doc
 	// forbids callers from retaining it.
 	scratch View
+
+	// seg is the last segment evaluated in full (see sameSegment).
+	seg segment
+}
+
+// segment is what the rate and power models read of one segment, as the
+// clamps left it — both frequency levels and each running job with its
+// phase, in the order computeRates sums them — and the package power they
+// gave. The running jobs' rates and st.split still hold that evaluation's
+// values, since nothing else writes them.
+type segment struct {
+	valid            bool
+	cpuFreq, gpuFreq int
+	gpuJob           segmentJob
+	cpuJobs          []segmentJob
+	power            units.Watts
+}
+
+// segmentJob is a running job and its phase; the zero value is an idle
+// device.
+type segmentJob struct {
+	r     *running
+	phase int
+}
+
+func jobOf(r *running) segmentJob {
+	if r == nil {
+		return segmentJob{}
+	}
+	return segmentJob{r, r.phase}
+}
+
+// sameSegment reports whether the running set, the phases and the
+// frequency levels are those of st.seg: then computeRates, the power
+// model and the clamps would return what they returned for it, since
+// memsys.Model and the apu.Config power curves are stateless.
+func (st *state) sameSegment() bool {
+	s := &st.seg
+	if !s.valid || s.cpuFreq != st.cpuFreq || s.gpuFreq != st.gpuFreq ||
+		s.gpuJob != jobOf(st.gpuJob) || len(s.cpuJobs) != len(st.cpuJobs) {
+		return false
+	}
+	for i, r := range st.cpuJobs {
+		if s.cpuJobs[i] != jobOf(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// rememberSegment records the segment just evaluated in full at power.
+func (st *state) rememberSegment(power units.Watts) {
+	s := &st.seg
+	s.valid = true
+	s.cpuFreq, s.gpuFreq, s.gpuJob, s.power = st.cpuFreq, st.gpuFreq, jobOf(st.gpuJob), power
+	s.cpuJobs = s.cpuJobs[:0]
+	for _, r := range st.cpuJobs {
+		s.cpuJobs = append(s.cpuJobs, jobOf(r))
+	}
 }
 
 func (st *state) view() *View {
@@ -379,6 +438,7 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		MaxTempC: o.Cfg.Thermal.AmbientC,
 	}
 	thermal := o.Cfg.Thermal
+	decay, decayDt := 1.0, 0.0 // decay is thermal.Decay(decayDt)
 
 	nextSample := sampleInterval
 	nextGov := governorInterval
@@ -404,51 +464,11 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 			continue
 		}
 
-		// Compute per-segment rates and utilizations.
-		cpuUtil, gpuUtil := st.computeRates()
-		power := st.packagePower(cpuUtil, gpuUtil)
-
-		// RAPL-style hardware clamp: throttle within the event until
-		// the package fits the cap (or both devices hit their floors).
-		if o.HardCap && o.PowerCap > 0 {
-			for power > o.PowerCap && (st.cpuFreq > 0 || st.gpuFreq > 0) {
-				if st.cpuFreq > 0 {
-					st.cpuFreq--
-				} else {
-					st.gpuFreq--
-				}
-				cpuUtil, gpuUtil = st.computeRates()
-				power = st.packagePower(cpuUtil, gpuUtil)
-			}
-		}
-		st.split = st.splitPower(cpuUtil, gpuUtil)
-
-		// Per-plane hardware clamp: a plane cap meters one device, so
-		// the clamp steps that device down; a package entry in the
-		// domain caps lowers the CPU first, like the package cap.
-		if o.HardCap && o.DomainCaps.Any() {
-		domainClamp:
-			for !o.DomainCaps.Allows(st.split) {
-				switch {
-				case o.DomainCaps.PP0 > 0 && st.split.PP0 > o.DomainCaps.PP0 && st.cpuFreq > 0:
-					st.cpuFreq--
-				case o.DomainCaps.PP1 > 0 && st.split.PP1 > o.DomainCaps.PP1 && st.gpuFreq > 0:
-					st.gpuFreq--
-				case o.DomainCaps.Package > 0 && st.split.Package() > o.DomainCaps.Package &&
-					(st.cpuFreq > 0 || st.gpuFreq > 0):
-					if st.cpuFreq > 0 {
-						st.cpuFreq--
-					} else {
-						st.gpuFreq--
-					}
-				default:
-					// Every offending plane is at its floor already.
-					break domainClamp
-				}
-				cpuUtil, gpuUtil = st.computeRates()
-				power = st.packagePower(cpuUtil, gpuUtil)
-				st.split = st.splitPower(cpuUtil, gpuUtil)
-			}
+		// The segment's rates, power and plane split: those of the last
+		// segment while nothing they depend on has changed.
+		power := st.seg.power
+		if !st.sameSegment() {
+			power = st.evaluate()
 		}
 
 		// Earliest event.
@@ -501,7 +521,14 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		// under them); once the node cools below TMaxC - HysteresisC
 		// the ceilings step back toward the hardware maxima.
 		if thermal.Enabled() {
-			st.tempC = thermal.Step(st.tempC, power, units.Seconds(dt))
+			// Step, with the decay of the last dt kept: most segments
+			// end on a governor tick, so one exponential serves a run.
+			if dt > 0 {
+				if dt != decayDt {
+					decay, decayDt = thermal.Decay(units.Seconds(dt)), dt
+				}
+				st.tempC = thermal.Relax(st.tempC, power, decay)
+			}
 			if st.tempC > res.MaxTempC {
 				res.MaxTempC = st.tempC
 			}
@@ -619,6 +646,68 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// evaluate computes the segment's rates, package power and plane split,
+// applies the hardware clamps, and remembers the settled segment when a
+// fresh evaluation of it would change nothing: the domain clamp exits on
+// the split it settled, and the package clamp is checked here because a
+// domain step may leave the package over its cap.
+func (st *state) evaluate() units.Watts {
+	o := &st.opts
+	cpuUtil, gpuUtil := st.computeRates()
+	power := st.packagePower(cpuUtil, gpuUtil)
+
+	// RAPL-style hardware clamp: throttle within the event until the
+	// package fits the cap (or both devices hit their floors).
+	pkgClamps := func() bool {
+		return o.HardCap && o.PowerCap > 0 && power > o.PowerCap && (st.cpuFreq > 0 || st.gpuFreq > 0)
+	}
+	for pkgClamps() {
+		if st.cpuFreq > 0 {
+			st.cpuFreq--
+		} else {
+			st.gpuFreq--
+		}
+		cpuUtil, gpuUtil = st.computeRates()
+		power = st.packagePower(cpuUtil, gpuUtil)
+	}
+	st.split = st.splitPower(cpuUtil, gpuUtil)
+
+	// Per-plane hardware clamp: a plane cap meters one device, so the
+	// clamp steps that device down; a package entry in the domain caps
+	// lowers the CPU first, like the package cap.
+	if o.HardCap && o.DomainCaps.Any() {
+	domainClamp:
+		for !o.DomainCaps.Allows(st.split) {
+			switch {
+			case o.DomainCaps.PP0 > 0 && st.split.PP0 > o.DomainCaps.PP0 && st.cpuFreq > 0:
+				st.cpuFreq--
+			case o.DomainCaps.PP1 > 0 && st.split.PP1 > o.DomainCaps.PP1 && st.gpuFreq > 0:
+				st.gpuFreq--
+			case o.DomainCaps.Package > 0 && st.split.Package() > o.DomainCaps.Package &&
+				(st.cpuFreq > 0 || st.gpuFreq > 0):
+				if st.cpuFreq > 0 {
+					st.cpuFreq--
+				} else {
+					st.gpuFreq--
+				}
+			default:
+				// Every offending plane is at its floor already.
+				break domainClamp
+			}
+			cpuUtil, gpuUtil = st.computeRates()
+			power = st.packagePower(cpuUtil, gpuUtil)
+			st.split = st.splitPower(cpuUtil, gpuUtil)
+		}
+	}
+
+	if pkgClamps() {
+		st.seg.valid = false
+	} else {
+		st.rememberSegment(power)
+	}
+	return power
 }
 
 // fill offers free slots to the dispatcher; it reports whether any job
