@@ -39,12 +39,14 @@ fmtcheck:
 # (BenchmarkPredictedMakespan), the simulator alone (BenchmarkRun: the
 # executor's share of an epoch, apart from the planner's), the planning
 # benchmarks of the policy layer, the append/recovery benchmarks of the
-# state journal and the handler and durable-submit benchmarks of the
-# daemon (no tests, with allocation stats). BENCHTIME=1x gives a quick
-# smoke run.
+# state journal, the handler and durable-submit benchmarks of the
+# daemon, and the fleet coordinator's hop — a submit and a status read
+# through it to in-process nodes (no tests, with allocation stats).
+# BENCHTIME=1x gives a quick smoke run.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
-		. ./internal/core/ ./internal/sim/ ./internal/policy/ ./internal/journal/ ./internal/server/
+		. ./internal/core/ ./internal/sim/ ./internal/policy/ ./internal/journal/ ./internal/server/ \
+		./internal/fleet/
 
 # fuzz smoke-runs every fuzz target for FUZZTIME each (go test takes
 # one -fuzz pattern per invocation, hence one line per target).

@@ -74,7 +74,10 @@
 // with 503 + Retry-After until a probe write succeeds after a 2s
 // cooldown. Acknowledged jobs are never lost — the daemon refuses work
 // it cannot make durable rather than acking it.
-// -request-timeout puts a per-request deadline on every API endpoint.
+// -request-timeout puts a per-request deadline on the routes that
+// journal (POST /v1/jobs, /v1/cap, /v1/policy); in -coordinator mode
+// it bounds every request, reading its body and the calls to the nodes
+// included.
 //
 // -fault-spec arms the deterministic failpoint registry
 // (internal/fault) for resilience testing, e.g.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -87,7 +86,7 @@ func (c *Coordinator) rebalance(ctx context.Context) {
 	c.mu.Unlock()
 
 	for _, p := range pushes {
-		if err := c.pushCap(ctx, p.mb.url, p.w); err != nil {
+		if err := c.pushCap(ctx, p.mb, p.w); err != nil {
 			c.m.capPushErrors.Inc(p.mb.id)
 			continue
 		}
@@ -99,22 +98,16 @@ func (c *Coordinator) rebalance(ctx context.Context) {
 }
 
 // pushCap applies one node's share through its live cap endpoint.
-func (c *Coordinator) pushCap(ctx context.Context, baseURL string, w float64) error {
+func (c *Coordinator) pushCap(ctx context.Context, mb *member, w float64) error {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RebalanceInterval)
 	defer cancel()
-	body := fmt.Sprintf(`{"cap_watts": %g}`, w)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/cap", bytes.NewReader([]byte(body)))
+	rep, err := mb.up.do(ctx, http.MethodPost, "/v1/cap", []byte(fmt.Sprintf(`{"cap_watts": %g}`, w)), 1<<16)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: node rejected cap %g W: %s", w, resp.Status)
+	rep.release()
+	if rep.status != http.StatusOK {
+		return fmt.Errorf("fleet: node rejected cap %g W: %d %s", w, rep.status, http.StatusText(rep.status))
 	}
 	return nil
 }

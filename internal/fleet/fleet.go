@@ -118,10 +118,9 @@ type Config struct {
 	RebalanceInterval time.Duration
 
 	// RequestTimeout is the per-request deadline on the coordinator's
-	// own API (default 0 = none); Client overrides the upstream HTTP
-	// client (default: 5s timeout).
+	// own API (default 0 = none). Every call to a node is bounded by it
+	// and by upstreamTimeout, whichever ends first.
 	RequestTimeout time.Duration
-	Client         *http.Client
 }
 
 func (c *Config) withDefaults() Config {
@@ -141,29 +140,15 @@ func (c *Config) withDefaults() Config {
 	if out.RebalanceInterval == 0 {
 		out.RebalanceInterval = 2 * time.Second
 	}
-	if out.Client == nil {
-		// Every data-path request is proxied to a handful of node URLs,
-		// so the stock two-idle-conns-per-host transport would churn TCP
-		// connections under any real concurrency. Pool generously.
-		out.Client = &http.Client{
-			Timeout: 5 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
-	}
 	return out
 }
 
 // Coordinator fronts the fleet: it owns the member table, the placer,
 // the power-budget partition, and the outward /v1/* API.
 type Coordinator struct {
-	cfg    Config
-	mem    *memsys.Model
-	client *http.Client
-	m      *metrics
+	cfg Config
+	mem *memsys.Model
+	m   *metrics
 
 	mu      sync.Mutex
 	members []*member
@@ -194,7 +179,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		mem:     memsys.Default(),
-		client:  cfg.Client,
 		m:       newMetrics(),
 		placer:  placer,
 		budgetW: cfg.BudgetW,
@@ -207,8 +191,9 @@ func New(cfg Config) (*Coordinator, error) {
 		if nc.ID == "" || server.ValidateNodeID(nc.ID) != nil {
 			return nil, fmt.Errorf("fleet: invalid node ID %q", nc.ID)
 		}
-		if !strings.HasPrefix(nc.URL, "http://") && !strings.HasPrefix(nc.URL, "https://") {
-			return nil, fmt.Errorf("fleet: node %s: URL %q must be http(s)", nc.ID, nc.URL)
+		up, err := newUpstream(nc.URL)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: node %s: %w", nc.ID, err)
 		}
 		if seenID[nc.ID] || seenURL[nc.URL] {
 			return nil, fmt.Errorf("fleet: duplicate node %s (%s)", nc.ID, nc.URL)
@@ -217,6 +202,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.members = append(c.members, &member{
 			id:  nc.ID,
 			url: strings.TrimRight(nc.URL, "/"),
+			up:  up,
 		})
 	}
 	c.m.nodes.Set(float64(len(c.members)))
@@ -238,8 +224,16 @@ func (c *Coordinator) Start(ctx context.Context) {
 	})
 }
 
-// Stop ends the background loops; idempotent.
-func (c *Coordinator) Stop() { c.stopOnce.Do(func() { close(c.stop) }) }
+// Stop ends the background loops and closes the idle connections to
+// the nodes; idempotent.
+func (c *Coordinator) Stop() {
+	c.stopOnce.Do(func() {
+		close(c.stop)
+		for _, mb := range c.members {
+			mb.up.closeIdle()
+		}
+	})
+}
 
 // HealthyNodes counts members currently in rotation.
 func (c *Coordinator) HealthyNodes() int {

@@ -115,7 +115,6 @@ func startFleet(t testing.TB, nodes []*testNode, budgetW float64) (*fleet.Coordi
 		BudgetW:           budgetW,
 		HealthInterval:    50 * time.Millisecond,
 		RebalanceInterval: 100 * time.Millisecond,
-		Client:            &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +216,11 @@ func TestConfigValidation(t *testing.T) {
 	bad.Nodes[0].URL = "ftp://a:1"
 	if _, err := fleet.New(bad); err == nil {
 		t.Error("non-http URL accepted")
+	}
+	bad = base()
+	bad.Nodes[0].URL = "https://a:1"
+	if _, err := fleet.New(bad); err == nil || !strings.Contains(err.Error(), "plain HTTP") {
+		t.Errorf("https URL: err = %v, want a refusal saying corund serves plain HTTP", err)
 	}
 	bad = base()
 	bad.Nodes[0].ID = "has spaces"
@@ -472,7 +476,9 @@ func TestNodeFailureIsolation(t *testing.T) {
 
 // TestRestartRecovery restarts a journaled node on its old port and
 // checks the coordinator serves its recovered records — the same
-// answer via the fleet API as from the node directly.
+// answer via the fleet API as from the node directly. The first read
+// and the first submit after the restart succeed without suspending
+// the node, rerouting, or counting a proxy error.
 func TestRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	n0 := startNode(t, "n0", dir, "")
@@ -512,6 +518,8 @@ func TestRestartRecovery(t *testing.T) {
 		return true
 	}, "recovered jobs to finish")
 
+	rerouted := metric(t, coURL, "fleet_jobs_rerouted_total")
+	proxyErrors := metric(t, coURL, "fleet_proxy_errors_total")
 	for _, id := range n0IDs {
 		coStatus, viaCo := getStatus(t, coURL+"/v1/jobs/"+id)
 		dStatus, direct := getStatus(t, restarted.url+"/v1/jobs/"+id)
@@ -520,6 +528,9 @@ func TestRestartRecovery(t *testing.T) {
 		}
 		if viaCo != direct {
 			t.Fatalf("recovered job %s: coordinator and node answers differ:\n%s\nvs\n%s", id, viaCo, direct)
+		}
+		if n := co.HealthyNodes(); n != 3 {
+			t.Fatalf("a proxied read after the restart left %d nodes in rotation, want 3", n)
 		}
 	}
 
@@ -537,6 +548,15 @@ func TestRestartRecovery(t *testing.T) {
 		if known[id] {
 			t.Fatalf("restarted node re-minted recovered ID %s", id)
 		}
+		if n := co.HealthyNodes(); n != 3 {
+			t.Fatalf("a submit after the restart left %d nodes in rotation, want 3", n)
+		}
+	}
+	if d := metric(t, coURL, "fleet_jobs_rerouted_total") - rerouted; d != 0 {
+		t.Errorf("%v submissions rerouted after the restart, want 0", d)
+	}
+	if d := metric(t, coURL, "fleet_proxy_errors_total") - proxyErrors; d != 0 {
+		t.Errorf("%v proxy errors after the restart, want 0", d)
 	}
 }
 
@@ -589,7 +609,6 @@ func TestIdentityMismatch(t *testing.T) {
 	co, err := fleet.New(fleet.Config{
 		Nodes:          []fleet.NodeConfig{{ID: "expected", URL: n.url}},
 		HealthInterval: 50 * time.Millisecond,
-		Client:         &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

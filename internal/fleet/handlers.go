@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
+	"time"
 
 	"corun/internal/cluster"
 	"corun/internal/policy"
@@ -45,14 +48,43 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", c.handleReady)
 	mux.Handle("GET /metrics", c.m.reg.Handler())
 	if c.cfg.RequestTimeout > 0 {
-		th := http.TimeoutHandler(mux, c.cfg.RequestTimeout,
-			`{"error": "fleet: request deadline exceeded"}`)
+		// The deadline rides on the request context, which bounds every
+		// upstream call; a handler that runs out of it writes the 503
+		// itself (see requestOver), on the goroutine it already has. A
+		// context does not bound reading the request body, so the
+		// connection's read deadline is set to the same instant.
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			th.ServeHTTP(w, r)
+			ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+			if r.ContentLength != 0 {
+				d, _ := ctx.Deadline()
+				if rc := http.NewResponseController(w); rc.SetReadDeadline(d) == nil {
+					r.Body = &deadlineBody{ReadCloser: r.Body, rc: rc}
+				}
+			}
+			mux.ServeHTTP(w, r)
 		})
 	}
 	return mux
+}
+
+// deadlineBody lifts the connection's read deadline once the request
+// body has been read to its end. Left in place, it would also bound the
+// server's own read of the connection behind the handler, and that read
+// failing ends the context of every later request on the connection.
+type deadlineBody struct {
+	io.ReadCloser
+	rc *http.ResponseController
+}
+
+func (b *deadlineBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF && b.rc != nil {
+		b.rc.SetReadDeadline(time.Time{})
+		b.rc = nil
+	}
+	return n, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -67,21 +99,39 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// forward proxies one request to a node. A non-nil body is sent as
-// JSON.
-func (c *Coordinator) forward(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+var errDeadline = errors.New("fleet: request deadline exceeded")
+
+// requestOver reports whether r's own context has ended — the client
+// hung up or the request deadline passed. An upstream failure is then
+// the caller's, not the node's: nothing is suspended or counted. A
+// deadline still gets its JSON 503; a client that hung up reads
+// nothing.
+func requestOver(w http.ResponseWriter, r *http.Request) bool {
+	err := r.Context().Err()
+	if errors.Is(err, context.DeadlineExceeded) {
+		writeDeadline(w)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
+	return err != nil
+}
+
+// writeDeadline answers a request that ran out of its deadline, and
+// closes the connection after it: the read deadline may have ended the
+// connection's context along with the request's.
+func writeDeadline(w http.ResponseWriter) {
+	w.Header().Set("Connection", "close")
+	writeErr(w, http.StatusServiceUnavailable, errDeadline)
+}
+
+// relay writes a node's reply through unchanged: status, the named
+// headers, body.
+func relay(w http.ResponseWriter, rep reply, keys ...string) {
+	for _, k := range keys {
+		if v := rep.header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return c.client.Do(req)
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body)
 }
 
 // place runs the placer over the current fleet snapshot, excluding
@@ -150,8 +200,23 @@ func (c *Coordinator) recordPlacement(mb *member, hint cluster.JobHint) {
 // pass through — rerouting a full queue would defeat the node's
 // admission control, and the coordinator's Retry-After passthrough
 // keeps the client's backoff honest.
+//
+// The body is validated here and forwarded as received: the node
+// decodes the same bytes with the same decoder.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := workload.DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	in := getBuf()
+	defer putBuf(in)
+	var err error
+	in.b, _, err = readBody(http.MaxBytesReader(w, r.Body, 1<<20), in.b[:0], 1<<20)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	spec, err := workload.DecodeJobSpecBytes(in.b)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -161,55 +226,39 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
 	tried := make(map[*member]bool)
 	for {
 		mb := c.place(hint, tried)
 		if mb == nil {
 			break
 		}
-		resp, err := c.forward(r.Context(), http.MethodPost, mb.url+"/v1/jobs", payload)
+		rep, err := mb.up.do(r.Context(), http.MethodPost, "/v1/jobs", in.b, 1<<20)
+		if err == nil && rep.status >= 500 {
+			rep.release()
+			err = fmt.Errorf("fleet: node %s: submit failed: %d %s", mb.id, rep.status, http.StatusText(rep.status))
+		}
 		if err != nil {
 			c.unplace(mb, hint)
+			if requestOver(w, r) {
+				return
+			}
 			c.suspend(mb, err)
 			tried[mb] = true
 			c.m.rerouted.Inc()
 			continue
 		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			c.unplace(mb, hint)
-			c.suspend(mb, fmt.Errorf("fleet: node %s: submit failed: %s", mb.id, resp.Status))
-			tried[mb] = true
-			c.m.rerouted.Inc()
-			continue
-		}
-		if resp.StatusCode == http.StatusAccepted {
+		if rep.status == http.StatusAccepted {
 			c.recordPlacement(mb, hint)
 		} else {
 			c.unplace(mb, hint)
 		}
-		copyHeaders(w, resp, "Location", "Retry-After", "Content-Type")
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(body)
+		relay(w, rep, "Location", "Retry-After", "Content-Type")
+		rep.release()
 		return
 	}
 	c.m.routingFailed.Inc()
 	writeErr(w, http.StatusServiceUnavailable,
 		fmt.Errorf("fleet: no healthy node accepted the job"))
-}
-
-func copyHeaders(w http.ResponseWriter, resp *http.Response, keys ...string) {
-	for _, k := range keys {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
 }
 
 // ownerOf routes a job ID to its shard by longest node-ID prefix
@@ -240,69 +289,67 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fleet: unknown job %q (no node owns this ID prefix)", id))
 		return
 	}
-	resp, err := c.forward(r.Context(), http.MethodGet, mb.url+"/v1/jobs/"+id, nil)
+	rep, err := mb.up.do(r.Context(), http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, 1<<20)
 	if err != nil {
+		if requestOver(w, r) {
+			return
+		}
 		c.m.proxyErrors.Inc()
 		c.suspend(mb, err)
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("fleet: shard %s unavailable: %v", mb.id, err))
 		return
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	copyHeaders(w, resp, "Retry-After", "Content-Type")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	relay(w, rep, "Retry-After", "Content-Type")
+	rep.release()
+}
+
+// getAll GETs path from every member at once. reps[i] holds a reply
+// (to be released) where errs[i] is nil.
+func (c *Coordinator) getAll(ctx context.Context, path string, limit int) (reps []reply, errs []error) {
+	reps = make([]reply, len(c.members))
+	errs = make([]error, len(c.members))
+	var wg sync.WaitGroup
+	for i, mb := range c.members {
+		wg.Add(1)
+		go func(i int, mb *member) {
+			defer wg.Done()
+			reps[i], errs[i] = mb.up.do(ctx, http.MethodGet, path, nil, limit)
+		}(i, mb)
+	}
+	wg.Wait()
+	return reps, errs
+}
+
+func releaseAll(reps []reply) {
+	for _, rep := range reps {
+		rep.release()
+	}
 }
 
 // handleJobs merges every node's job table. Unreachable nodes are
 // reported by ID in "unavailable" rather than failing the whole list:
 // a partial fleet view with provenance beats a 503.
 func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	type nodeJobs struct {
-		jobs        []json.RawMessage
-		unavailable bool
+	reps, errs := c.getAll(r.Context(), "/v1/jobs", 64<<20)
+	defer releaseAll(reps)
+	if requestOver(w, r) {
+		return
 	}
-	results := make([]nodeJobs, len(c.members))
-	var wg sync.WaitGroup
-	for i, mb := range c.members {
-		wg.Add(1)
-		go func(i int, mb *member) {
-			defer wg.Done()
-			resp, err := c.forward(r.Context(), http.MethodGet, mb.url+"/v1/jobs", nil)
-			if err != nil {
-				c.m.proxyErrors.Inc()
-				results[i].unavailable = true
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				c.m.proxyErrors.Inc()
-				results[i].unavailable = true
-				return
-			}
-			var out struct {
-				Jobs []json.RawMessage `json:"jobs"`
-			}
-			if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&out); err != nil {
-				c.m.proxyErrors.Inc()
-				results[i].unavailable = true
-				return
-			}
-			results[i].jobs = out.Jobs
-		}(i, mb)
-	}
-	wg.Wait()
 	merged := struct {
 		Jobs        []json.RawMessage `json:"jobs"`
 		Unavailable []string          `json:"unavailable,omitempty"`
 	}{Jobs: []json.RawMessage{}}
-	for i, res := range results {
-		if res.unavailable {
+	for i, rep := range reps {
+		var out struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		if errs[i] != nil || rep.status != http.StatusOK || json.Unmarshal(rep.body, &out) != nil {
+			c.m.proxyErrors.Inc()
 			merged.Unavailable = append(merged.Unavailable, c.members[i].id)
 			continue
 		}
-		merged.Jobs = append(merged.Jobs, res.jobs...)
+		merged.Jobs = append(merged.Jobs, out.Jobs...)
 	}
 	writeJSON(w, http.StatusOK, merged)
 }
@@ -321,35 +368,23 @@ type planNode struct {
 // power roll-up, and each node's latest epoch plan verbatim, fetched
 // from every node on each request.
 func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	plans := make([]json.RawMessage, len(c.members))
-	var wg sync.WaitGroup
-	for i, mb := range c.members {
-		wg.Add(1)
-		go func(i int, mb *member) {
-			defer wg.Done()
-			resp, err := c.forward(ctx, http.MethodGet, mb.url+"/v1/plan", nil)
-			if err != nil {
-				c.m.proxyErrors.Inc()
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				// 404 just means no epoch planned yet; not an error.
-				if resp.StatusCode != http.StatusNotFound {
-					c.m.proxyErrors.Inc()
-				}
-				return
-			}
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-			if err != nil {
-				c.m.proxyErrors.Inc()
-				return
-			}
-			plans[i] = raw
-		}(i, mb)
+	reps, errs := c.getAll(r.Context(), "/v1/plan", 4<<20)
+	defer releaseAll(reps)
+	if requestOver(w, r) {
+		return
 	}
-	wg.Wait()
+	plans := make([]json.RawMessage, len(c.members))
+	for i, rep := range reps {
+		switch {
+		case errs[i] != nil:
+			c.m.proxyErrors.Inc()
+		case rep.status == http.StatusOK:
+			plans[i] = rep.body
+		case rep.status != http.StatusNotFound:
+			// 404 just means no epoch planned yet; not an error.
+			c.m.proxyErrors.Inc()
+		}
+	}
 
 	c.mu.Lock()
 	view := struct {
@@ -398,13 +433,21 @@ func (c *Coordinator) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || req.CapWatts == nil {
+	err := dec.Decode(&req)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
+	if err != nil || req.CapWatts == nil {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"cap_watts": <number>} (the fleet-wide budget; 0 = unmanaged)`))
 		return
 	}
 	if err := c.SetBudgetW(r.Context(), *req.CapWatts); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if requestOver(w, r) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
@@ -427,17 +470,17 @@ func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
 		return
 	}
-	resp, err := c.forward(r.Context(), http.MethodGet, target.url+"/v1/policies", nil)
+	rep, err := target.up.do(r.Context(), http.MethodGet, "/v1/policies", nil, 1<<20)
 	if err != nil {
+		if requestOver(w, r) {
+			return
+		}
 		c.m.proxyErrors.Inc()
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: node %s unavailable: %v", target.id, err))
 		return
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	copyHeaders(w, resp, "Content-Type")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	relay(w, rep, "Content-Type")
+	rep.release()
 }
 
 // handleSetPolicy broadcasts a policy change to every healthy node.
@@ -450,7 +493,12 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
@@ -476,19 +524,21 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	applied := []string{}
 	failed := map[string]string{}
 	for _, mb := range targets {
-		resp, err := c.forward(r.Context(), http.MethodPost, mb.url+"/v1/policy", payload)
+		rep, err := mb.up.do(r.Context(), http.MethodPost, "/v1/policy", payload, 1<<16)
 		if err != nil {
+			if requestOver(w, r) {
+				return
+			}
 			failed[mb.id] = err.Error()
 			c.suspend(mb, err)
 			continue
 		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			failed[mb.id] = fmt.Sprintf("%s: %s", resp.Status, bytes.TrimSpace(body))
+		if rep.status != http.StatusOK {
+			failed[mb.id] = fmt.Sprintf("%d %s: %s", rep.status, http.StatusText(rep.status), bytes.TrimSpace(rep.body))
 		} else {
 			applied = append(applied, mb.id)
 		}
-		resp.Body.Close()
+		rep.release()
 	}
 	status := http.StatusOK
 	if len(failed) > 0 {

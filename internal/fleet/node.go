@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -15,6 +14,7 @@ import (
 type member struct {
 	id  string
 	url string
+	up  *upstream
 
 	healthy bool
 	status  string // last reported /readyz status ("ready", "degraded", ...)
@@ -89,7 +89,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 // is a mis-wiring (two fleets sharing a port, a stale DNS entry) and
 // keeps the node out of rotation.
 func (c *Coordinator) probe(ctx context.Context, mb *member) {
-	st, err := c.fetchReady(ctx, mb.url)
+	st, err := c.fetchReady(ctx, mb)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -129,24 +129,16 @@ func (c *Coordinator) probe(ctx context.Context, mb *member) {
 // fetchReady performs the /readyz request and decodes the body
 // regardless of status code — a 503 "draining" answer still carries
 // the node's identity and stats.
-func (c *Coordinator) fetchReady(ctx context.Context, baseURL string) (nodeReady, error) {
+func (c *Coordinator) fetchReady(ctx context.Context, mb *member) (nodeReady, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.HealthInterval*2+time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/readyz", nil)
+	rep, err := mb.up.do(ctx, http.MethodGet, "/readyz", nil, 1<<16)
 	if err != nil {
 		return nodeReady{}, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nodeReady{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return nodeReady{}, err
-	}
+	defer rep.release()
 	var st nodeReady
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.Unmarshal(rep.body, &st); err != nil {
 		return nodeReady{}, fmt.Errorf("bad /readyz body: %w", err)
 	}
 	if st.Status == "" {

@@ -17,9 +17,12 @@ import (
 
 // benchServer builds an in-memory server (no scheduler loop, no
 // journal) with `queued` jobs already admitted, so the benchmarks
-// isolate the HTTP serving path itself.
-func benchServer(b *testing.B, queued int) http.Handler {
-	s := newTestServer(b, func(c *Config) { c.MaxQueue = 1 << 20 })
+// isolate the HTTP serving path itself. timeout is its RequestTimeout.
+func benchServer(b *testing.B, queued int, timeout time.Duration) http.Handler {
+	s := newTestServer(b, func(c *Config) {
+		c.MaxQueue = 1 << 20
+		c.RequestTimeout = timeout
+	})
 	b.Cleanup(func() { s.Close() })
 	h := s.Handler()
 	for i := 0; i < queued; i++ {
@@ -33,26 +36,34 @@ func benchServer(b *testing.B, queued int) http.Handler {
 	return h
 }
 
+// requestTimeouts are the handler benchmarks' two settings: none, and
+// corund's default -request-timeout, which is what the daemon serves.
+var requestTimeouts = []time.Duration{0, 10 * time.Second}
+
 // BenchmarkSubmitHandler measures the admission hot path: decode,
 // validate, admit, encode the ack.
 func BenchmarkSubmitHandler(b *testing.B) {
-	h := benchServer(b, 0)
-	body := `{"program": "cfd", "scale": 1.1, "label": "bench"}`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
-		if w.Code != http.StatusAccepted {
-			b.Fatalf("submit -> %d: %s", w.Code, w.Body)
-		}
+	for _, timeout := range requestTimeouts {
+		b.Run("timeout="+timeout.String(), func(b *testing.B) {
+			h := benchServer(b, 0, timeout)
+			body := `{"program": "cfd", "scale": 1.1, "label": "bench"}`
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+				if w.Code != http.StatusAccepted {
+					b.Fatalf("submit -> %d: %s", w.Code, w.Body)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkJobsHandler measures GET /v1/jobs with a 256-job table —
 // the endpoint a dashboard polls — where response encoding dominates.
 func BenchmarkJobsHandler(b *testing.B) {
-	h := benchServer(b, 256)
+	h := benchServer(b, 256, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,15 +77,19 @@ func BenchmarkJobsHandler(b *testing.B) {
 
 // BenchmarkJobHandler measures a single job status read.
 func BenchmarkJobHandler(b *testing.B) {
-	h := benchServer(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-000000", nil))
-		if w.Code != http.StatusOK {
-			b.Fatalf("job -> %d: %s", w.Code, w.Body)
-		}
+	for _, timeout := range requestTimeouts {
+		b.Run("timeout="+timeout.String(), func(b *testing.B) {
+			h := benchServer(b, 1, timeout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-000000", nil))
+				if w.Code != http.StatusOK {
+					b.Fatalf("job -> %d: %s", w.Code, w.Body)
+				}
+			}
+		})
 	}
 }
 

@@ -199,9 +199,9 @@ type Config struct {
 	// corund_fault_hits_total / corund_fault_injections_total.
 	Faults *fault.Registry
 
-	// RequestTimeout is the per-request deadline on the HTTP API:
-	// Handler wraps the mux so a request that exceeds it gets 503.
-	// 0 disables the deadline.
+	// RequestTimeout is the per-request deadline on the HTTP API's
+	// journaling routes (submit, cap, policy): a request that exceeds
+	// it gets 503. 0 disables the deadline.
 	RequestTimeout time.Duration
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -11,46 +12,25 @@ import (
 // decoder. DecodeJobSpec sits directly behind POST /v1/jobs, so the
 // contract under fuzz is: never panic, never accept a spec that fails
 // its own validation, and never reject a spec that round-trips from an
-// accepted one.
+// accepted one. The seeds live in testdata/jobspec-seeds.json, grouped
+// by what they probe; the fleet coordinator's forwarding test replays
+// them as well.
 func FuzzJobSpecJSON(f *testing.F) {
-	// Valid specs, one per field shape.
-	f.Add([]byte(`{"program":"cfd"}`))
-	f.Add([]byte(`{"program":"lud","scale":1.5,"label":"nightly","deadline_s":120}`))
-	f.Add([]byte(`{"program":"  hotspot  "}`)) // normalized whitespace
-	// Truncated and malformed JSON.
-	f.Add([]byte(`{"program":"cfd"`))
-	f.Add([]byte(`{"program":`))
-	f.Add([]byte(``))
-	f.Add([]byte(`null`))
-	// Type confusion: wrong JSON types for each field.
-	f.Add([]byte(`{"program":42}`))
-	f.Add([]byte(`{"program":"cfd","scale":"big"}`))
-	f.Add([]byte(`{"program":"cfd","deadline_s":[1]}`))
-	f.Add([]byte(`{"program":{"name":"cfd"}}`))
-	// Semantically invalid values and unknown fields.
-	f.Add([]byte(`{"program":"nosuch"}`))
-	f.Add([]byte(`{"program":"cfd","scale":-1}`))
-	f.Add([]byte(`{"program":"cfd","deadline_s":-5}`))
-	f.Add([]byte(`{"program":"cfd","dead_line_s":9}`))
-	f.Add([]byte(`{"program":"cfd","scale":1e308}`))
-	f.Add([]byte(`{"program":"cfd"} trailing`))
-	// Out-of-range and denormal numerics: 1e309 overflows float64 (a
-	// range error from the decoder), huge negative exponents underflow
-	// to 0 (caught by the non-positive check after Normalize skips
-	// exact zero only), and deadline overflow must be rejected too.
-	f.Add([]byte(`{"program":"cfd","scale":1e309}`))
-	f.Add([]byte(`{"program":"cfd","scale":-1e309}`))
-	f.Add([]byte(`{"program":"cfd","scale":5e-324}`))
-	f.Add([]byte(`{"program":"cfd","deadline_s":1e309}`))
-	f.Add([]byte(`{"program":"cfd","scale":1E4932}`))
-	// Admission fields: tenant and priority, valid and invalid.
-	f.Add([]byte(`{"program":"cfd","tenant":"team-a","priority":"high"}`))
-	f.Add([]byte(`{"program":"cfd","tenant":"default","priority":"normal"}`))
-	f.Add([]byte(`{"program":"cfd","priority":"LOW"}`))
-	f.Add([]byte(`{"program":"cfd","tenant":"bad tenant"}`))
-	f.Add([]byte(`{"program":"cfd","tenant":"` + strings.Repeat("x", 65) + `"}`))
-	f.Add([]byte(`{"program":"cfd","priority":"urgent"}`))
-	f.Add([]byte(`{"program":"cfd","tenant":42}`))
+	var groups []struct {
+		Bodies []string `json:"bodies"`
+	}
+	raw, err := os.ReadFile("testdata/jobspec-seeds.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &groups)
+	}
+	if err != nil {
+		f.Fatalf("reading the seed corpus: %v", err)
+	}
+	for _, g := range groups {
+		for _, body := range g.Bodies {
+			f.Add([]byte(body))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeJobSpec(strings.NewReader(string(data)))

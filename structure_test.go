@@ -251,7 +251,7 @@ func TestEveryKnobIsListed(t *testing.T) {
 			"MaxQueue", "TenantQueue", "TenantWeights", "MaxBatch", "EpochGap", "DataDir", "Fsync",
 			"Faults", "RequestTimeout"},
 		"internal/fleet.Config": {"Nodes", "BudgetW", "Balancer", "Machine", "HealthInterval",
-			"RebalanceInterval", "RequestTimeout", "Client"},
+			"RebalanceInterval", "RequestTimeout"},
 		"internal/journal.Options": {"Dir", "Fsync", "SnapshotBytes", "Observer", "Faults"},
 		"internal/sim.Options": {"Cfg", "Mem", "PowerCap", "HardCap", "DomainCaps", "CPUSlots",
 			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
