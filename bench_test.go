@@ -469,7 +469,7 @@ func BenchmarkMetaheuristicComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, annealT, err := cx.Anneal(hcs, core.AnnealOptions{Iterations: 3000, Seed: 7})
+		_, annealT, err := cx.Anneal(hcs, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

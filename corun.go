@@ -134,8 +134,8 @@ func NewInstance(spec ProgramSpec, id int, scale float64) (*Instance, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("corun: non-positive scale %v", scale)
+	if err := units.CheckPositive("scale", scale); err != nil {
+		return nil, fmt.Errorf("corun: %w", err)
 	}
 	return &Instance{ID: id, Prog: p, Scale: scale, Label: spec.Name}, nil
 }
@@ -481,7 +481,11 @@ func ArrivalOf(name string, at, scale float64) (Arrival, error) {
 	if err != nil {
 		return Arrival{}, err
 	}
-	return Arrival{At: Seconds(at), Prog: prog, Scale: scale, Label: name}, nil
+	a := Arrival{At: Seconds(at), Prog: prog, Scale: scale, Label: name}
+	if err := a.Validate(); err != nil {
+		return Arrival{}, err
+	}
+	return a, nil
 }
 
 // Serve runs an arrival stream through the online epoch scheduler on

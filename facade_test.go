@@ -2,7 +2,14 @@ package corun
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
+
+	"corun/internal/apu"
+	"corun/internal/memsys"
+	"corun/internal/profile"
+	"corun/internal/workload"
 )
 
 // Error paths and accessors of the public facade.
@@ -92,6 +99,115 @@ func TestArrivalOfValidation(t *testing.T) {
 	a, err := ArrivalOf("srad", 12.5, 1.1)
 	if err != nil || a.At != 12.5 || a.Scale != 1.1 || a.Prog == nil {
 		t.Errorf("ArrivalOf broken: %+v %v", a, err)
+	}
+}
+
+// Every entry point that takes a caller's number refuses NaN, ±Inf and
+// the out-of-range values with an error that names the field: a bare
+// sign test lets NaN through, and a non-finite scale or arrival time
+// only failed deep inside the planner. Non-negative fields accept 0,
+// and an arrival time may be any finite number.
+func TestEntryPointsRejectNonFinite(t *testing.T) {
+	sys := capped15(t)
+	spec := ProgramSpec{Name: "x", Work: 10, CPUEff: 1, GPUEff: 1,
+		Phases: []PhaseSpec{{Frac: 1, BytesPerOp: 0.5}}}
+	cfd := workload.MustByName("cfd")
+	entries := []struct {
+		name, field string
+		zeroOK      bool // non-negative rather than positive
+		finiteOK    bool // any finite value is valid
+		call        func(v float64) error
+	}{
+		{"NewInstance scale", "scale", false, false, func(v float64) error {
+			_, err := NewInstance(spec, 0, v)
+			return err
+		}},
+		{"ProgramSpec.Work", "Work", false, false, func(v float64) error {
+			s := spec
+			s.Work = v
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"ProgramSpec.CPUEff", "CPUEff", false, false, func(v float64) error {
+			s := spec
+			s.CPUEff = v
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"ProgramSpec.GPUEff", "GPUEff", false, false, func(v float64) error {
+			s := spec
+			s.GPUEff = v
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"ProgramSpec.CPUSens", "CPUSens", true, false, func(v float64) error {
+			s := spec
+			s.CPUSens = v
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"ProgramSpec.GPUSens", "GPUSens", true, false, func(v float64) error {
+			s := spec
+			s.GPUSens = v
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"PhaseSpec.Frac", "Frac", false, false, func(v float64) error {
+			s := spec
+			s.Phases = []PhaseSpec{{Frac: v, BytesPerOp: 0.5}}
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"PhaseSpec.BytesPerOp", "BytesPerOp", true, false, func(v float64) error {
+			s := spec
+			s.Phases = []PhaseSpec{{Frac: 1, BytesPerOp: v}}
+			_, err := NewInstance(s, 0, 1)
+			return err
+		}},
+		{"ArrivalOf scale", "Scale", false, false, func(v float64) error {
+			_, err := ArrivalOf("cfd", 0, v)
+			return err
+		}},
+		{"ArrivalOf at", "At", false, true, func(v float64) error {
+			_, err := ArrivalOf("cfd", v, 1)
+			return err
+		}},
+		{"Serve Arrival.Scale", "Scale", false, false, func(v float64) error {
+			_, err := sys.Serve([]Arrival{{Prog: cfd, Scale: v, Label: "cfd"}}, ServeHCSPlus, 1)
+			return err
+		}},
+		{"Serve Arrival.At", "At", false, true, func(v float64) error {
+			_, err := sys.Serve([]Arrival{{At: Seconds(v), Prog: cfd, Scale: 1, Label: "cfd"}}, ServeHCSPlus, 1)
+			return err
+		}},
+		{"profile.Collect scale", "scale", false, false, func(v float64) error {
+			batch := []*workload.Instance{{Prog: cfd, Scale: v, Label: "cfd"}}
+			_, err := profile.Collect(apu.DefaultConfig(), memsys.Default(), batch)
+			return err
+		}},
+		{"JobSpec.Scale", "scale", false, false, func(v float64) error {
+			return workload.JobSpec{Program: "cfd", Scale: v, Tenant: "default", Priority: "normal"}.Validate()
+		}},
+		{"JobSpec.DeadlineS", "deadline", true, false, func(v float64) error {
+			return workload.JobSpec{Program: "cfd", Scale: 1, DeadlineS: v, Tenant: "default", Priority: "normal"}.Validate()
+		}},
+	}
+	for _, e := range entries {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+			err := e.call(v)
+			if e.finiteOK && finite || e.zeroOK && v == 0 {
+				if err != nil {
+					t.Errorf("%s = %v refused: %v", e.name, v, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s = %v accepted", e.name, v)
+			} else if !strings.Contains(err.Error(), " "+e.field+" ") {
+				t.Errorf("%s = %v: error %q does not name %s", e.name, v, err, e.field)
+			}
+		}
 	}
 }
 

@@ -70,9 +70,9 @@ func (d *randomDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch {
 }
 
 // ExecuteRandom runs the Random baseline once with the given seed. The
-// power cap is enforced by the biased reactive governor, as in the
-// paper's comparison (GPU-biased by default there).
-func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64, bias sim.Bias) (*sim.Result, error) {
+// power cap is enforced by the GPU-biased reactive governor, the
+// paper's comparison setting.
+func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64) (*sim.Result, error) {
 	simOpts := sim.Options{
 		Cfg:        opts.Cfg,
 		Mem:        opts.Mem,
@@ -80,7 +80,7 @@ func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64, bia
 		DomainCaps: opts.Domains,
 	}
 	if opts.Cap > 0 || opts.Domains.Any() {
-		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
+		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: sim.GPUBiased}
 	}
 	return sim.Run(simOpts, newRandomDispatcher(batch, seed))
 }

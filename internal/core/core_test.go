@@ -170,7 +170,7 @@ func TestMinPairDegradation(t *testing.T) {
 func TestCategorizeMatchesPaper(t *testing.T) {
 	cx, _ := testContext(t, workload.Batch8(), 0)
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	prefs, err := cx.Categorize(all, 0)
+	prefs, err := cx.Categorize(all)
 	if err != nil {
 		t.Fatal(err)
 	}

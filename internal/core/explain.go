@@ -24,7 +24,7 @@ func (cx *Context) ExplainPlan(w io.Writer, s *Schedule, labels []string) error 
 		return fmt.Sprintf("job%d", i)
 	}
 
-	prefs, err := cx.Categorize(s.Jobs(), 0)
+	prefs, err := cx.Categorize(s.Jobs())
 	if err != nil {
 		return err
 	}

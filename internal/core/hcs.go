@@ -7,9 +7,9 @@ import (
 	"corun/internal/apu"
 )
 
-// DefaultPreferenceThreshold is D of step 2: a job whose CPU and GPU
-// times differ by no more than 20% is non-preferred.
-const DefaultPreferenceThreshold = 0.20
+// preferenceThreshold is D of step 2: a job whose CPU and GPU times
+// differ by no more than 20% is non-preferred.
+const preferenceThreshold = 0.20
 
 // Preference labels a job's processor affinity (step 2).
 type Preference int
@@ -61,10 +61,7 @@ func (cx *Context) PartitionJobs() Partition {
 // operating point on one device prefer the other; jobs feasible
 // nowhere are reported in the error. The result is indexed by job;
 // jobs not listed read NonPreferred.
-func (cx *Context) Categorize(jobs []int, threshold float64) ([]Preference, error) {
-	if threshold <= 0 {
-		threshold = DefaultPreferenceThreshold
-	}
+func (cx *Context) Categorize(jobs []int) ([]Preference, error) {
 	out := make([]Preference, cx.Oracle.NumJobs())
 	for i := range out {
 		out[i] = NonPreferred
@@ -79,9 +76,9 @@ func (cx *Context) Categorize(jobs []int, threshold float64) ([]Preference, erro
 			out[i] = GPUPreferred
 		case !okG:
 			out[i] = CPUPreferred
-		case float64(tc) > float64(tg)*(1+threshold):
+		case float64(tc) > float64(tg)*(1+preferenceThreshold):
 			out[i] = GPUPreferred
-		case float64(tg) > float64(tc)*(1+threshold):
+		case float64(tg) > float64(tc)*(1+preferenceThreshold):
 			out[i] = CPUPreferred
 		default:
 			out[i] = NonPreferred
@@ -90,11 +87,8 @@ func (cx *Context) Categorize(jobs []int, threshold float64) ([]Preference, erro
 	return out, nil
 }
 
-// HCSOptions tunes the heuristic.
+// HCSOptions switches steps of the heuristic off (ablation).
 type HCSOptions struct {
-	// PreferenceThreshold is D of step 2; zero uses the default 20%.
-	PreferenceThreshold float64
-
 	// DisablePartition skips step 1 (ablation): every job joins S_co.
 	DisablePartition bool
 
@@ -122,7 +116,7 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 	}
 
 	// Step 2: categorize the co-run set by processor preference.
-	prefs, err := cx.Categorize(part.SCo, opts.PreferenceThreshold)
+	prefs, err := cx.Categorize(part.SCo)
 	if err != nil {
 		return nil, err
 	}

@@ -315,18 +315,18 @@ func TestDefaultPartitionShape(t *testing.T) {
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	batch := workload.Batch8()
 	_, opts := testContext(t, batch, 15)
-	a, err := ExecuteRandom(opts, batch, 42, sim.GPUBiased)
+	a, err := ExecuteRandom(opts, batch, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteRandom(opts, batch, 42, sim.GPUBiased)
+	b, err := ExecuteRandom(opts, batch, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Makespan != b.Makespan {
 		t.Errorf("same seed gave different makespans: %v vs %v", a.Makespan, b.Makespan)
 	}
-	c, err := ExecuteRandom(opts, batch, 43, sim.GPUBiased)
+	c, err := ExecuteRandom(opts, batch, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func randomAverage(t *testing.T, opts ExecOptions, batch []*workload.Instance, n
 	t.Helper()
 	sum := 0.0
 	for s := 0; s < n; s++ {
-		r, err := ExecuteRandom(opts, batch, base+int64(s), sim.GPUBiased)
+		r, err := ExecuteRandom(opts, batch, base+int64(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestAllPoliciesCompleteAllJobs(t *testing.T) {
 			t.Errorf("%s: %d of %d jobs completed", name, len(res.Completions), len(batch))
 		}
 	}
-	r, err := ExecuteRandom(opts, batch, 5, sim.GPUBiased)
+	r, err := ExecuteRandom(opts, batch, 5)
 	check("random", r, err)
 	d, err := ExecuteDefault(opts, batch, cx.Oracle, sim.CPUBiased)
 	check("default", d, err)

@@ -17,48 +17,36 @@ import (
 // one schedule; the genetic search (the direction of Phan et al., cited
 // in the paper's related work) evolves a population.
 
-// AnnealOptions configures simulated annealing.
-type AnnealOptions struct {
-	// Iterations is the number of proposed moves; zero defaults to
-	// 2000.
-	Iterations int
-	// InitialTemp is the starting temperature relative to the initial
-	// predicted makespan; zero defaults to 0.05 (5% uphill moves are
-	// plausible early).
-	InitialTemp float64
-	// Seed drives the proposal chain.
-	Seed int64
-}
+// The annealing schedule: the number of proposed moves, and the
+// starting temperature relative to the initial predicted makespan (5%
+// uphill moves are plausible early).
+const (
+	annealIterations  = 2000
+	annealInitialTemp = 0.05
+)
 
 // Anneal improves a schedule by simulated annealing on the predicted
 // makespan, using the same move set as the paper's refinement (adjacent
 // swaps, in-queue swaps, cross-device swaps) plus job migration between
-// queues. It returns the best schedule found and its predicted makespan.
-func (cx *Context) Anneal(s *Schedule, opts AnnealOptions) (*Schedule, units.Seconds, error) {
-	iters := opts.Iterations
-	if iters <= 0 {
-		iters = 2000
-	}
-	t0 := opts.InitialTemp
-	if t0 <= 0 {
-		t0 = 0.05
-	}
+// queues. seed drives the proposal chain. It returns the best schedule
+// found and its predicted makespan.
+func (cx *Context) Anneal(s *Schedule, seed int64) (*Schedule, units.Seconds, error) {
 	cur := s.Clone()
 	curT, err := cx.PredictedMakespan(cur)
 	if err != nil {
 		return nil, 0, err
 	}
 	best, bestT := cur.Clone(), curT
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
-	for k := 0; k < iters; k++ {
+	for k := 0; k < annealIterations; k++ {
 		cand := cur.Clone()
 		mutateSchedule(cand, rng)
 		candT, err := cx.PredictedMakespan(cand)
 		if err != nil {
 			continue // infeasible proposal; skip
 		}
-		temp := t0 * float64(curT) * (1 - float64(k)/float64(iters))
+		temp := annealInitialTemp * float64(curT) * (1 - float64(k)/annealIterations)
 		delta := float64(candT - curT)
 		if delta <= 0 || (temp > 0 && rng.Float64() < math.Exp(-delta/temp)) {
 			cur, curT = cand, candT
@@ -127,15 +115,16 @@ func mutateSchedule(s *Schedule, rng *rand.Rand) {
 	}
 }
 
+// The evolutionary search's shape: population size, generations, and
+// the per-offspring mutation probability.
+const (
+	geneticPopulation   = 24
+	geneticGenerations  = 60
+	geneticMutationRate = 0.3
+)
+
 // GeneticOptions configures the evolutionary search.
 type GeneticOptions struct {
-	// Population size; zero defaults to 24.
-	Population int
-	// Generations; zero defaults to 60.
-	Generations int
-	// MutationRate is the per-offspring mutation probability; zero
-	// defaults to 0.3.
-	MutationRate float64
 	// Seed drives the evolution.
 	Seed int64
 	// SeedSchedule, if non-nil, joins the initial population (e.g. the
@@ -155,18 +144,6 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 	n := cx.Oracle.NumJobs()
 	if n == 0 {
 		return &Schedule{Exclusive: map[int]bool{}}, 0, nil
-	}
-	pop := opts.Population
-	if pop <= 0 {
-		pop = 24
-	}
-	gens := opts.Generations
-	if gens <= 0 {
-		gens = 60
-	}
-	mut := opts.MutationRate
-	if mut <= 0 {
-		mut = 0.3
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -222,9 +199,9 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 	if opts.SeedSchedule != nil {
 		people = append(people, evalBatch([]*Schedule{opts.SeedSchedule.Clone()})...)
 	}
-	for len(people) < pop {
-		cands := make([]*Schedule, 0, pop-len(people))
-		for len(cands) < pop-len(people) {
+	for len(people) < geneticPopulation {
+		cands := make([]*Schedule, 0, geneticPopulation-len(people))
+		for len(cands) < geneticPopulation-len(people) {
 			cands = append(cands, randomSchedule(n, rng))
 		}
 		people = append(people, evalBatch(cands)...)
@@ -241,7 +218,7 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 		return best
 	}
 
-	for g := 0; g < gens; g++ {
+	for g := 0; g < geneticGenerations; g++ {
 		var next []indiv
 		// Elitism: carry the champion.
 		champ := people[0]
@@ -251,12 +228,12 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 			}
 		}
 		next = append(next, champ)
-		for len(next) < pop {
-			cands := make([]*Schedule, 0, pop-len(next))
-			for len(cands) < pop-len(next) {
+		for len(next) < geneticPopulation {
+			cands := make([]*Schedule, 0, geneticPopulation-len(next))
+			for len(cands) < geneticPopulation-len(next) {
 				a, b := tournament(), tournament()
 				child := crossover(a.s, b.s, n, rng)
-				if rng.Float64() < mut {
+				if rng.Float64() < geneticMutationRate {
 					mutateSchedule(child, rng)
 				}
 				cands = append(cands, child)

@@ -21,7 +21,7 @@ func TestAnnealNeverWorsens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		out, got, err := cx.Anneal(s, AnnealOptions{Iterations: 400, Seed: seed})
+		out, got, err := cx.Anneal(s, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestAnnealVsRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, annealT, err := cx.Anneal(hcs, AnnealOptions{Iterations: 3000, Seed: 7})
+	_, annealT, err := cx.Anneal(hcs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGeneticProducesValidCompetitiveSchedules(t *testing.T) {
 func TestGeneticWithoutSeedSchedule(t *testing.T) {
 	batch := workload.Batch8()
 	cx, _ := testContext(t, batch, 15)
-	s, got, err := cx.Genetic(GeneticOptions{Seed: 1, Population: 12, Generations: 20})
+	s, got, err := cx.Genetic(GeneticOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +113,22 @@ func TestMetaheuristicsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, a1, err := cx.Anneal(hcs, AnnealOptions{Iterations: 300, Seed: 9})
+	_, a1, err := cx.Anneal(hcs, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, a2, err := cx.Anneal(hcs, AnnealOptions{Iterations: 300, Seed: 9})
+	_, a2, err := cx.Anneal(hcs, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1 != a2 {
 		t.Errorf("anneal not deterministic: %v vs %v", a1, a2)
 	}
-	_, g1, err := cx.Genetic(GeneticOptions{Seed: 9, Population: 10, Generations: 10})
+	_, g1, err := cx.Genetic(GeneticOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g2, err := cx.Genetic(GeneticOptions{Seed: 9, Population: 10, Generations: 10})
+	_, g2, err := cx.Genetic(GeneticOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,6 @@ import (
 
 // RefineOptions configures the post local refinement (section IV-A.3).
 type RefineOptions struct {
-	// RandomSwaps is the number of random swap attempts in each of the
-	// random steps; zero defaults to twice the job count.
-	RandomSwaps int
-
 	// Seed drives the random steps deterministically.
 	Seed int64
 
@@ -38,11 +34,9 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 	if err != nil {
 		return nil, 0, err
 	}
-	n := len(best.CPUOrder) + len(best.GPUOrder)
-	swaps := opts.RandomSwaps
-	if swaps <= 0 {
-		swaps = 2 * n
-	}
+	// Each random step makes twice as many swap attempts as there are
+	// jobs.
+	swaps := 2 * (len(best.CPUOrder) + len(best.GPUOrder))
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// try swaps q[i] with r[j] in place and undoes the swap unless the

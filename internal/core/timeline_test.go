@@ -71,7 +71,7 @@ func TestGreedyPlanRewalked(t *testing.T) {
 				cx, _ := testContext(t, bc.Batch(), cc.Cap)
 				cx.Domains = cc.Domains
 				part := cx.PartitionJobs()
-				prefs, err := cx.Categorize(part.SCo, 0)
+				prefs, err := cx.Categorize(part.SCo)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"corun/internal/core"
-	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -380,7 +379,7 @@ func TestRandomAverageValidation(t *testing.T) {
 	// Seeds 1..3, summed in order, are what the figures have always averaged.
 	sum := 0.0
 	for seed := int64(1); seed <= 3; seed++ {
-		r, err := core.ExecuteRandom(s.execOptions(15), batch, seed, sim.GPUBiased)
+		r, err := core.ExecuteRandom(s.execOptions(15), batch, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

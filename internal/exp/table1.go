@@ -41,7 +41,7 @@ func (s *Suite) TableI() (*TableIResult, error) {
 		return nil, err
 	}
 	cmax, gmax := s.maxFreqs()
-	prefs, err := cx.Categorize(jobIndices(len(batch)), 0)
+	prefs, err := cx.Categorize(jobIndices(len(batch)))
 	if err != nil {
 		return nil, err
 	}

@@ -186,7 +186,10 @@ func New(cfg Config) (*Coordinator, error) {
 		cmax:    cfg.Machine.MaxFreqIndex(apu.CPU),
 		gmax:    cfg.Machine.MaxFreqIndex(apu.GPU),
 	}
-	seenID, seenURL := map[string]bool{}, map[string]bool{}
+	// Two URLs that dial the same address under the same base path are
+	// one daemon, however they are spelled (a trailing slash, an
+	// explicit :80).
+	seenID, seenDaemon := map[string]bool{}, map[string]bool{}
 	for _, nc := range cfg.Nodes {
 		if nc.ID == "" || server.ValidateNodeID(nc.ID) != nil {
 			return nil, fmt.Errorf("fleet: invalid node ID %q", nc.ID)
@@ -195,10 +198,11 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", nc.ID, err)
 		}
-		if seenID[nc.ID] || seenURL[nc.URL] {
+		daemon := up.addr + up.base
+		if seenID[nc.ID] || seenDaemon[daemon] {
 			return nil, fmt.Errorf("fleet: duplicate node %s (%s)", nc.ID, nc.URL)
 		}
-		seenID[nc.ID], seenURL[nc.URL] = true, true
+		seenID[nc.ID], seenDaemon[daemon] = true, true
 		c.members = append(c.members, &member{
 			id:  nc.ID,
 			url: strings.TrimRight(nc.URL, "/"),

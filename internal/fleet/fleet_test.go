@@ -212,6 +212,23 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := fleet.New(bad); err == nil {
 		t.Error("duplicate node ID accepted")
 	}
+	// One daemon spelled twice: same dial address, same base path.
+	for _, urls := range [][2]string{
+		{"http://127.0.0.1:9", "http://127.0.0.1:9"},
+		{"http://127.0.0.1:9", "http://127.0.0.1:9/"},
+		{"http://localhost", "http://localhost:80"},
+		{"http://a:1/corund", "http://a:1/corund/"},
+	} {
+		cfg := fleet.Config{Nodes: []fleet.NodeConfig{{ID: "n0", URL: urls[0]}, {ID: "n1", URL: urls[1]}}}
+		if _, err := fleet.New(cfg); err == nil {
+			t.Errorf("%s and %s, one daemon, accepted as two nodes", urls[0], urls[1])
+		}
+	}
+	// Different base paths behind one address are different daemons.
+	two := fleet.Config{Nodes: []fleet.NodeConfig{{ID: "n0", URL: "http://a:1/x"}, {ID: "n1", URL: "http://a:1/y"}}}
+	if _, err := fleet.New(two); err != nil {
+		t.Errorf("two base paths on one address refused: %v", err)
+	}
 	bad = base()
 	bad.Nodes[0].URL = "ftp://a:1"
 	if _, err := fleet.New(bad); err == nil {

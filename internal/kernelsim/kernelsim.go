@@ -70,25 +70,27 @@ func (p *Program) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("kernelsim: program without a name")
 	}
-	if p.Work <= 0 {
-		return fmt.Errorf("kernelsim: %s: non-positive work %v", p.Name, p.Work)
-	}
-	if p.CPUEff <= 0 || p.GPUEff <= 0 {
-		return fmt.Errorf("kernelsim: %s: efficiencies must be positive", p.Name)
-	}
-	if p.CPUSens < 0 || p.GPUSens < 0 {
-		return fmt.Errorf("kernelsim: %s: sensitivities must be non-negative", p.Name)
+	for _, err := range [...]error{
+		units.CheckPositive("Work", float64(p.Work)),
+		units.CheckPositive("CPUEff", p.CPUEff),
+		units.CheckPositive("GPUEff", p.GPUEff),
+		units.CheckNonNegative("CPUSens", p.CPUSens),
+		units.CheckNonNegative("GPUSens", p.GPUSens),
+	} {
+		if err != nil {
+			return fmt.Errorf("kernelsim: %s: %w", p.Name, err)
+		}
 	}
 	if len(p.Phases) == 0 {
 		return fmt.Errorf("kernelsim: %s: no phases", p.Name)
 	}
 	sum := 0.0
 	for i, ph := range p.Phases {
-		if ph.Frac <= 0 {
-			return fmt.Errorf("kernelsim: %s: phase %d has non-positive fraction", p.Name, i)
+		if err := units.CheckPositive("Frac", ph.Frac); err != nil {
+			return fmt.Errorf("kernelsim: %s: phase %d: %w", p.Name, i, err)
 		}
-		if ph.BytesPerOp < 0 {
-			return fmt.Errorf("kernelsim: %s: phase %d has negative intensity", p.Name, i)
+		if err := units.CheckNonNegative("BytesPerOp", ph.BytesPerOp); err != nil {
+			return fmt.Errorf("kernelsim: %s: phase %d: %w", p.Name, i, err)
 		}
 		sum += ph.Frac
 	}

@@ -55,6 +55,21 @@ type Arrival struct {
 	Label string
 }
 
+// Validate checks that the arrival has a program, a finite arrival
+// time and a finite, positive scale.
+func (a Arrival) Validate() error {
+	if a.Prog == nil {
+		return fmt.Errorf("online: arrival %q has no program", a.Label)
+	}
+	if err := units.CheckFinite("At", float64(a.At)); err != nil {
+		return fmt.Errorf("online: arrival %q: %w", a.Label, err)
+	}
+	if err := units.CheckPositive("Scale", a.Scale); err != nil {
+		return fmt.Errorf("online: arrival %q: %w", a.Label, err)
+	}
+	return nil
+}
+
 // Options configures the server.
 type Options struct {
 	Cfg  *apu.Config
@@ -134,12 +149,9 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	if len(arrivals) == 0 {
 		return &Result{}, nil
 	}
-	for i, a := range arrivals {
-		if a.Prog == nil {
-			return nil, fmt.Errorf("online: arrival %d has no program", i)
-		}
-		if a.Scale <= 0 {
-			return nil, fmt.Errorf("online: arrival %d has scale %v", i, a.Scale)
+	for _, a := range arrivals {
+		if err := a.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	sorted := append([]Arrival(nil), arrivals...)

@@ -42,7 +42,7 @@ var table = []row{
 			if err != nil {
 				return nil, err
 			}
-			s, _, err := cx.Anneal(start, core.AnnealOptions{Seed: seed})
+			s, _, err := cx.Anneal(start, seed)
 			return s, err
 		},
 	},
@@ -69,7 +69,7 @@ var table = []row{
 			return core.RandomPlan(cx.Oracle.NumJobs(), seed), nil
 		},
 		exec: func(_ *core.Context, batch []*workload.Instance, opts core.ExecOptions, seed int64) (*sim.Result, error) {
-			return core.ExecuteRandom(opts, batch, seed, sim.GPUBiased)
+			return core.ExecuteRandom(opts, batch, seed)
 		},
 	},
 	defaultRow("default", []string{"default-gpu"}, sim.GPUBiased,

@@ -54,8 +54,8 @@ func Collect(cfg *apu.Config, mem *memsys.Model, batch []*workload.Instance) (*S
 		if err := inst.Prog.Validate(); err != nil {
 			return nil, err
 		}
-		if inst.Scale <= 0 {
-			return nil, fmt.Errorf("profile: %s has non-positive scale %v", inst.Label, inst.Scale)
+		if err := units.CheckPositive("scale", inst.Scale); err != nil {
+			return nil, fmt.Errorf("profile: %s: %w", inst.Label, err)
 		}
 		s.Entries[i] = make([][]Entry, apu.NumDevices)
 		for d := apu.CPU; d <= apu.GPU; d++ {

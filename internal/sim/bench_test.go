@@ -23,3 +23,27 @@ func BenchmarkRun(b *testing.B) {
 		})
 	}
 }
+
+// runAllocs is the allocation count of one Run of BenchmarkRun's
+// scenario, dispatcher included, at both thermal settings. A PR that
+// lowers it lowers it here in the same diff; one that raises it says
+// why.
+const runAllocs = 57
+
+func TestRunAllocs(t *testing.T) {
+	for _, tmax := range []float64{0, 45} {
+		opts, cpuQ, gpuQ := goldenSetup(goldenScenario{pkgCap: 15, tmax: tmax, cpuSlots: 1})
+		var err error
+		a := testing.AllocsPerRun(20, func() {
+			if _, e := Run(opts, NewQueueDispatcher(cpuQ, gpuQ)); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a > runAllocs {
+			t.Errorf("tmax=%v: one Run allocates %v times, ceiling %d", tmax, a, runAllocs)
+		}
+	}
+}

@@ -9,20 +9,20 @@ import (
 	"corun/internal/workload"
 )
 
-// Regression test for the RaiseHeadroom zero-value bug: the doc
-// promises "zero defaults to an estimate of one DVFS step's power",
-// but the code used the raw zero, so a cap sitting between the raise
-// estimate (power + one step of dynamic power) and the true cost of
-// the raise (the step plus activity scaling and the host thread)
-// made the governor raise one tick and lower the next, forever.
+// Regression test for the raise/lower flap: a governor that raised
+// with no headroom — whenever power plus the step's estimate fit —
+// raised one tick and lowered the next, forever, when the cap sat
+// between the raise estimate (power + one step of dynamic power) and
+// the true cost of the raise (the step plus activity scaling and the
+// host thread). The governor's one-step headroom is the fix.
 //
 // The loop below drives Adjust against the analytic package power of
 // whatever operating point the governor picks, with the cap placed
 // inside exactly that flap band: from (cpu 8, gpu max) a CPU raise is
 // estimated at delta = DynPower(9)-DynPower(8) but truly costs
 // 1.06*delta (HostPowerFrac rides the CPU clock), and the cap sits at
-// power + 1.03*delta. Pre-fix the governor oscillates (8,max) <->
-// (9,max) every tick; post-fix it must reach a fixed point.
+// power + 1.03*delta. Without the headroom the governor oscillates
+// (8,max) <-> (9,max) every tick; with it it reaches a fixed point.
 func TestGovernorSteadyStateNoOscillation(t *testing.T) {
 	cfg := apu.DefaultConfig()
 	cf, gf := 8, cfg.MaxFreqIndex(apu.GPU)
@@ -52,18 +52,6 @@ func TestGovernorSteadyStateNoOscillation(t *testing.T) {
 	// And the settled point must actually fit the cap.
 	if p := cfg.PackagePower(settled[0], settled[1], 1, 1, true); p > cap {
 		t.Fatalf("settled point (%d,%d) burns %v over the cap %v", settled[0], settled[1], p, cap)
-	}
-}
-
-// An explicitly configured RaiseHeadroom must still be honored as-is.
-func TestGovernorExplicitHeadroom(t *testing.T) {
-	cfg := apu.DefaultConfig()
-	// A huge headroom forbids every raise, whatever the cap.
-	g := &BiasedGovernor{Cap: 100, Bias: GPUBiased, RaiseHeadroom: 1000}
-	view := &View{CPUFreq: 3, GPUFreq: 4}
-	cf, gf := g.Adjust(10, view, cfg)
-	if cf != 3 || gf != 4 {
-		t.Fatalf("Adjust with prohibitive headroom moved (3,4) -> (%d,%d)", cf, gf)
 	}
 }
 

@@ -38,10 +38,6 @@ type BiasedGovernor struct {
 	Domains apu.DomainCaps
 	// Bias picks the sacrificial device.
 	Bias Bias
-	// RaiseHeadroom is how far below the cap the measured power must
-	// fall before the governor raises a frequency; zero defaults to
-	// an estimate of one DVFS step's power.
-	RaiseHeadroom units.Watts
 }
 
 // packageCap returns the effective package limit: the tighter of Cap
@@ -114,31 +110,27 @@ func (g *BiasedGovernor) lower(power units.Watts, cf, gf int, cfg *apu.Config) (
 }
 
 // raise steps frequencies up when the measured power plus the step's
-// estimated cost still fits every cap with RaiseHeadroom to spare. The
+// estimated cost still fits every cap with that cost again to spare. The
 // policy "always raises the GPU's frequency if it's not the highest
 // yet" (symmetrically for CPU-biased): the non-preferred device is
 // only considered once the preferred one sits at its maximum level.
 func (g *BiasedGovernor) raise(power units.Watts, view *View, cf, gf int, cfg *apu.Config) (int, int) {
 	pkgCap := g.packageCap()
 	fits := func(dev apu.Device, delta units.Watts) bool {
-		h := g.RaiseHeadroom
-		if h <= 0 {
-			// The documented default: one DVFS step's estimated power
-			// of slack beyond the step itself. The raise estimate
-			// undercounts the true cost (activity scaling and the host
-			// thread ride on the raised clock), so raising whenever
-			// power+delta fit would land above the cap and be lowered
-			// right back — a raise/lower flap every governor tick.
-			h = delta
-		}
-		if pkgCap > 0 && power+delta+h > pkgCap {
+		// The headroom is one DVFS step's estimated power of slack
+		// beyond the step itself. The raise estimate undercounts the
+		// true cost (activity scaling and the host thread ride on the
+		// raised clock), so raising whenever power+delta fit would land
+		// above the cap and be lowered right back — a raise/lower flap
+		// every governor tick.
+		if pkgCap > 0 && power+delta+delta > pkgCap {
 			return false
 		}
 		planeCap, planeW := g.Domains.PP0, view.PP0
 		if dev == apu.GPU {
 			planeCap, planeW = g.Domains.PP1, view.PP1
 		}
-		if planeCap > 0 && planeW+delta+h > planeCap {
+		if planeCap > 0 && planeW+delta+delta > planeCap {
 			return false
 		}
 		return true

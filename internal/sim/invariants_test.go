@@ -174,7 +174,7 @@ func TestInvariantGovernorOnlySlows(t *testing.T) {
 
 // Multiprogramming degree monotonically hurts a CPU-only batch.
 func TestInvariantMultiprogrammingMonotone(t *testing.T) {
-	batch, err := workload.Generate(workload.GenOptions{N: 4, Seed: 9, GPUPreferredFrac: 0})
+	batch, err := workload.Generate(workload.GenOptions{N: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,11 @@
 //   - contend for the shared memory system (both sides of the same
 //     die pull from one controller);
 //   - exchange boundary data every iteration, inflating each
-//     fragment's memory intensity (Boundary);
+//     fragment's memory intensity;
 //   - synchronize at every kernel launch, so within each phase the
 //     slower fragment gates progress and a residual sync loss applies
 //     (SyncLoss);
-//   - pay a one-time partition/merge cost (PartitionCost).
+//   - pay a one-time partition/merge cost.
 //
 // The outcome per program answers "to split or not to split": balanced
 // compute-bound kernels can win, memory-bound or strongly device-
@@ -35,39 +35,33 @@ import (
 	"corun/internal/units"
 )
 
-// Default cost parameters, sized to the overheads the cited study
-// attributes to manual CPU+GPU work partitioning on integrated parts.
+// Cost parameters, sized to the overheads the cited study attributes
+// to manual CPU+GPU work partitioning on integrated parts.
 const (
 	// DefaultSyncLoss is the residual per-iteration barrier loss
 	// (launch overhead, imbalance jitter the static partition cannot
 	// absorb).
 	DefaultSyncLoss = 0.12
 
-	// DefaultBoundary is the fractional extra memory traffic each
-	// fragment moves for halo/boundary data it would not touch in a
+	// boundary is the fractional extra memory traffic each fragment
+	// moves for halo/boundary data it would not touch in a
 	// whole-device run.
-	DefaultBoundary = 0.20
+	boundary = 0.20
 
-	// DefaultPartitionCost is the one-time input-partitioning and
+	// partitionCost is the one-time input-partitioning and
 	// output-merge cost, as a fraction of the best single-device time.
-	DefaultPartitionCost = 0.04
+	partitionCost = 0.04
 )
 
-// Options configures a split evaluation.
+// Options configures a split evaluation. Both devices run at their
+// maximum frequency.
 type Options struct {
 	Cfg *apu.Config
 	Mem *memsys.Model
 
-	// SyncLoss, Boundary, PartitionCost override the default cost
-	// parameters; negative values are rejected, zero selects the
-	// default. Use a tiny positive value (e.g. 1e-12) for "free".
-	SyncLoss      float64
-	Boundary      float64
-	PartitionCost float64
-
-	// CPUFreq and GPUFreq pin the frequency indices; nil means maximum.
-	CPUFreq *int
-	GPUFreq *int
+	// SyncLoss overrides DefaultSyncLoss; negative and non-finite values
+	// are rejected, zero selects the default.
+	SyncLoss float64
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -75,35 +69,13 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Cfg == nil || out.Mem == nil {
 		return out, fmt.Errorf("split: nil machine or memory model")
 	}
-	for _, v := range []struct {
-		name string
-		p    *float64
-		def  float64
-	}{
-		{"SyncLoss", &out.SyncLoss, DefaultSyncLoss},
-		{"Boundary", &out.Boundary, DefaultBoundary},
-		{"PartitionCost", &out.PartitionCost, DefaultPartitionCost},
-	} {
-		if *v.p < 0 {
-			return out, fmt.Errorf("split: negative %s %v", v.name, *v.p)
-		}
-		if *v.p == 0 {
-			*v.p = v.def
-		}
+	if err := units.CheckNonNegative("SyncLoss", out.SyncLoss); err != nil {
+		return out, fmt.Errorf("split: %w", err)
+	}
+	if out.SyncLoss == 0 {
+		out.SyncLoss = DefaultSyncLoss
 	}
 	return out, nil
-}
-
-func (o *Options) freqs() (units.GHz, units.GHz) {
-	fc := o.Cfg.MaxFreqIndex(apu.CPU)
-	if o.CPUFreq != nil {
-		fc = *o.CPUFreq
-	}
-	fg := o.Cfg.MaxFreqIndex(apu.GPU)
-	if o.GPUFreq != nil {
-		fg = *o.GPUFreq
-	}
-	return o.Cfg.Freq(apu.CPU, fc), o.Cfg.Freq(apu.GPU, fg)
 }
 
 // Time returns the execution time of the program with fraction alpha
@@ -125,7 +97,8 @@ func Time(opts Options, prog *kernelsim.Program, scale, alpha float64) (units.Se
 	if alpha < 0 || alpha > 1 {
 		return 0, fmt.Errorf("split: alpha %v outside [0,1]", alpha)
 	}
-	fc, fg := o.freqs()
+	fc := o.Cfg.Freq(apu.CPU, o.Cfg.MaxFreqIndex(apu.CPU))
+	fg := o.Cfg.Freq(apu.GPU, o.Cfg.MaxFreqIndex(apu.GPU))
 	if alpha == 0 {
 		return prog.StandaloneTime(apu.GPU, fg, o.Mem, scale), nil
 	}
@@ -138,7 +111,7 @@ func Time(opts Options, prog *kernelsim.Program, scale, alpha float64) (units.Se
 	total := 0.0
 	for _, ph := range prog.Phases {
 		work := float64(prog.Work) * scale * ph.Frac
-		bpo := ph.BytesPerOp * (1 + o.Boundary)
+		bpo := ph.BytesPerOp * (1 + boundary)
 		grant := o.Mem.Arbitrate(memsys.Demand{
 			CPU:     units.GBps(rc * bpo),
 			GPU:     units.GBps(rg * bpo),
@@ -157,7 +130,7 @@ func Time(opts Options, prog *kernelsim.Program, scale, alpha float64) (units.Se
 	single := math.Min(
 		float64(prog.StandaloneTime(apu.CPU, fc, o.Mem, scale)),
 		float64(prog.StandaloneTime(apu.GPU, fg, o.Mem, scale)))
-	total += o.PartitionCost * single
+	total += partitionCost * single
 	return units.Seconds(total), nil
 }
 

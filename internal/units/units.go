@@ -63,3 +63,37 @@ func Clamp(v, lo, hi float64) float64 {
 
 // Lerp linearly interpolates between a and b by t in [0,1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
+
+// CheckFinite returns an error naming field if v is NaN or infinite.
+// A sign test alone lets NaN through — NaN <= 0 is false — so every
+// bound on a caller-supplied number starts here.
+func CheckFinite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("non-finite %s %v", field, v)
+	}
+	return nil
+}
+
+// CheckPositive returns an error naming field unless v is finite and
+// above zero.
+func CheckPositive(field string, v float64) error {
+	if err := CheckFinite(field, v); err != nil {
+		return err
+	}
+	if v <= 0 {
+		return fmt.Errorf("non-positive %s %v", field, v)
+	}
+	return nil
+}
+
+// CheckNonNegative returns an error naming field unless v is finite and
+// not below zero.
+func CheckNonNegative(field string, v float64) error {
+	if err := CheckFinite(field, v); err != nil {
+		return err
+	}
+	if v < 0 {
+		return fmt.Errorf("negative %s %v", field, v)
+	}
+	return nil
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzJobSpecJSON throws arbitrary bytes at the daemon's job-submission
-// decoder. DecodeJobSpec sits directly behind POST /v1/jobs, so the
-// contract under fuzz is: never panic, never accept a spec that fails
+// decoder. DecodeJobSpecBytes decodes the body of every POST /v1/jobs,
+// on a node and on the fleet coordinator alike, so the contract under fuzz is: never panic, never accept a spec that fails
 // its own validation, and never reject a spec that round-trips from an
 // accepted one. The seeds live in testdata/jobspec-seeds.json, grouped
 // by what they probe; the fleet coordinator's forwarding test replays
@@ -33,7 +33,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := DecodeJobSpec(strings.NewReader(string(data)))
+		spec, err := DecodeJobSpecBytes(data)
 		if err != nil {
 			if spec != (JobSpec{}) {
 				t.Fatalf("error %v returned alongside non-zero spec %+v", err, spec)
@@ -63,7 +63,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding accepted spec %+v: %v", spec, err)
 		}
-		again, err := DecodeJobSpec(strings.NewReader(string(b)))
+		again, err := DecodeJobSpecBytes(b)
 		if err != nil {
 			t.Fatalf("round trip of %s rejected: %v", b, err)
 		}

@@ -7,17 +7,17 @@ import (
 	"corun/internal/kernelsim"
 )
 
+// gpuPreferredFrac is the approximate fraction of generated programs
+// that run faster on the GPU (the Rodinia batch has 6/8); the rest are
+// CPU-leaning or balanced.
+const gpuPreferredFrac = 0.7
+
 // GenOptions parameterizes the synthetic workload generator.
 type GenOptions struct {
 	// N is the number of instances to generate.
 	N int
 	// Seed drives the generator deterministically.
 	Seed int64
-
-	// GPUPreferredFrac is the approximate fraction of programs that
-	// run faster on the GPU (the Rodinia batch has 6/8); the rest are
-	// CPU-leaning or balanced. Zero defaults to 0.7.
-	GPUPreferredFrac float64
 }
 
 // Generate produces a batch of synthetic programs with plausible
@@ -31,17 +31,10 @@ func Generate(opts GenOptions) ([]*Instance, error) {
 	if opts.N <= 0 {
 		return nil, fmt.Errorf("workload: Generate needs N > 0, got %d", opts.N)
 	}
-	frac := opts.GPUPreferredFrac
-	if frac == 0 {
-		frac = 0.7
-	}
-	if frac < 0 || frac > 1 {
-		return nil, fmt.Errorf("workload: GPUPreferredFrac %v outside [0,1]", frac)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	out := make([]*Instance, opts.N)
 	for i := range out {
-		p, err := genProgram(rng, i, frac)
+		p, err := genProgram(rng, i)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +43,7 @@ func Generate(opts GenOptions) ([]*Instance, error) {
 	return out, nil
 }
 
-func genProgram(rng *rand.Rand, idx int, gpuFrac float64) (*kernelsim.Program, error) {
+func genProgram(rng *rand.Rand, idx int) (*kernelsim.Program, error) {
 	// Target standalone times in the 20-80 s range on the preferred
 	// device at max frequency, like the paper's inputs ("large enough
 	// ... at least 20 seconds").
@@ -60,7 +53,7 @@ func genProgram(rng *rand.Rand, idx int, gpuFrac float64) (*kernelsim.Program, e
 	// Preference: the preferred device's rate fixes its efficiency;
 	// the other device is 1.3-3x slower (or within 20% for balanced
 	// programs).
-	prefGPU := rng.Float64() < gpuFrac
+	prefGPU := rng.Float64() < gpuPreferredFrac
 	ratio := 1.3 + 1.7*rng.Float64()
 	if rng.Float64() < 0.15 {
 		ratio = 1.0 + 0.2*rng.Float64() // balanced

@@ -11,9 +11,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(GenOptions{N: 0}); err == nil {
 		t.Error("N=0 accepted")
 	}
-	if _, err := Generate(GenOptions{N: 4, GPUPreferredFrac: 1.5}); err == nil {
-		t.Error("fraction above one accepted")
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -76,7 +73,7 @@ func TestGeneratePlausible(t *testing.T) {
 			t.Errorf("%s: preferred time %.1f s outside the plausible range", in.Label, best)
 		}
 	}
-	// Roughly the requested share is GPU-preferred (0.7 of 32 ~ 22).
+	// Roughly gpuPreferredFrac of the batch is GPU-preferred (0.7 of 32 ~ 22).
 	if gpuPref < 16 || gpuPref > 30 {
 		t.Errorf("%d/32 GPU-preferred; expected around 22", gpuPref)
 	}

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"strings"
 
 	"corun/internal/admission"
+	"corun/internal/units"
 )
 
 // JobSpec is the JSON wire form of one submitted job, as accepted by
@@ -57,20 +56,12 @@ func (s JobSpec) Validate() error {
 	if _, err := ByName(s.Program); err != nil {
 		return fmt.Errorf("workload: job spec: %w (known: %s)", err, strings.Join(Names(), ", "))
 	}
-	// NaN must be rejected explicitly: NaN <= 0 is false, so it would
-	// sail through the sign checks and poison every downstream model
-	// computation. JSON cannot carry NaN/Inf, but the Go API can.
-	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) {
-		return fmt.Errorf("workload: job spec has non-finite scale %v", s.Scale)
+	// JSON cannot carry NaN/Inf, but the Go API can.
+	if err := units.CheckPositive("scale", s.Scale); err != nil {
+		return fmt.Errorf("workload: job spec has %w", err)
 	}
-	if s.Scale <= 0 {
-		return fmt.Errorf("workload: job spec has non-positive scale %v", s.Scale)
-	}
-	if math.IsNaN(s.DeadlineS) || math.IsInf(s.DeadlineS, 0) {
-		return fmt.Errorf("workload: job spec has non-finite deadline %v", s.DeadlineS)
-	}
-	if s.DeadlineS < 0 {
-		return fmt.Errorf("workload: job spec has negative deadline %v", s.DeadlineS)
+	if err := units.CheckNonNegative("deadline", s.DeadlineS); err != nil {
+		return fmt.Errorf("workload: job spec has %w", err)
 	}
 	if err := admission.ValidateTenant(s.Tenant); err != nil {
 		return fmt.Errorf("workload: job spec: %w", err)
@@ -98,26 +89,14 @@ func (s JobSpec) Instance(id int, label string) (*Instance, error) {
 	return &Instance{ID: id, Prog: prog, Scale: s.Scale, Label: label}, nil
 }
 
-// DecodeJobSpec reads one JSON job spec, rejecting unknown fields so
-// client typos (e.g. "dead_line_s") surface as 400s instead of
-// silently dropped options. The returned spec is normalized and
-// validated.
-func DecodeJobSpec(r io.Reader) (JobSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return decodeJobSpec(dec)
-}
-
-// DecodeJobSpecBytes decodes one JSON job spec from an in-memory body
-// with exactly DecodeJobSpec's semantics. The spec does not alias b —
-// decoding copies string fields — so callers may reuse the buffer.
+// DecodeJobSpecBytes decodes one JSON job spec from an in-memory body,
+// rejecting unknown fields so client typos (e.g. "dead_line_s") surface
+// as 400s instead of silently dropped options. The returned spec is
+// normalized and validated. It does not alias b — decoding copies
+// string fields — so callers may reuse the buffer.
 func DecodeJobSpecBytes(b []byte) (JobSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	return decodeJobSpec(dec)
-}
-
-func decodeJobSpec(dec *json.Decoder) (JobSpec, error) {
 	var s JobSpec
 	if err := dec.Decode(&s); err != nil {
 		return JobSpec{}, fmt.Errorf("workload: decoding job spec: %w", err)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDecodeJobSpec(t *testing.T) {
-	s, err := DecodeJobSpec(strings.NewReader(`{"program":"cfd","scale":1.2,"deadline_s":90}`))
+	s, err := DecodeJobSpecBytes([]byte(`{"program":"cfd","scale":1.2,"deadline_s":90}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestDecodeJobSpec(t *testing.T) {
 
 	// Defaults, including the admission fields: no tenant means the
 	// shared default tenant, no priority means the normal class.
-	s, err = DecodeJobSpec(strings.NewReader(`{"program":"lud"}`))
+	s, err = DecodeJobSpecBytes([]byte(`{"program":"lud"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDecodeJobSpec(t *testing.T) {
 
 	// Explicit tenant and priority round the decoder intact (priority
 	// canonicalized to lowercase).
-	s, err = DecodeJobSpec(strings.NewReader(`{"program":"cfd","tenant":"team-a","priority":"HIGH"}`))
+	s, err = DecodeJobSpecBytes([]byte(`{"program":"cfd","tenant":"team-a","priority":"HIGH"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDecodeJobSpec(t *testing.T) {
 		`{"program":"cfd","tenant":"` + strings.Repeat("x", 65) + `"}`, // too long
 	}
 	for _, in := range bad {
-		if _, err := DecodeJobSpec(strings.NewReader(in)); err == nil {
+		if _, err := DecodeJobSpecBytes([]byte(in)); err == nil {
 			t.Errorf("accepted %s", in)
 		}
 	}

@@ -139,6 +139,82 @@ func BenchmarkPlanEpochFig11(b *testing.B) {
 	})
 }
 
+// warmEpochAllocs is the allocation count of one warm Fig. 11 epoch
+// through the facade (BenchmarkPlanEpochFig11/warm), the batch built
+// outside the count. A PR that lowers it lowers it here in the same
+// diff; one that raises it says why.
+const warmEpochAllocs = 233
+
+func TestWarmEpochAllocs(t *testing.T) {
+	sys := capped15(t)
+	base := Batch16()
+	if _, _, err := planEpoch(sys, base, 41); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	rng := rand.New(rand.NewSource(41))
+	batches := make([][]*Instance, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range batches {
+		batches[i] = rescaledFig11(base, rng)
+	}
+	var i int
+	var err error
+	a := testing.AllocsPerRun(runs, func() {
+		if _, _, e := planEpoch(sys, batches[i], 41+int64(i)); e != nil {
+			err = e
+		}
+		i++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a > warmEpochAllocs {
+		t.Errorf("a warm Fig. 11 epoch allocates %v times, ceiling %d", a, warmEpochAllocs)
+	}
+}
+
+// Once the epochs have planned every program pair of the Fig. 11 batch
+// under the cap — two epochs for most seeds, three for 42 — a warm epoch
+// interpolates nothing and builds no feasible list: the pair tables and
+// the feasible-list cache answer it all. A PR that adds work to the warm
+// path shows up here first.
+func TestWarmEpochComputesNothingNew(t *testing.T) {
+	var saved bytes.Buffer
+	if err := capped15(t).SaveCharacterization(&saved); err != nil {
+		t.Fatal(err)
+	}
+	base := Batch16()
+	const allPairs = 8 * 8 // Batch16 holds each of the eight programs twice
+	for seed := int64(41); seed <= 45; seed++ {
+		sys, err := NewSystem(WithPowerCap(15), WithCharacterizationFrom(bytes.NewReader(saved.Bytes())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		epoch := int64(0)
+		plan := func() {
+			t.Helper()
+			if _, _, err := planEpoch(sys, rescaledFig11(base, rng), seed+epoch); err != nil {
+				t.Fatal(err)
+			}
+			epoch++
+		}
+		for sys.char.PairCacheStats().Tables < allPairs {
+			if epoch == 3 {
+				t.Fatalf("seed %d: %d epochs left program pairs unplanned: %+v", seed, epoch, sys.char.PairCacheStats())
+			}
+			plan()
+		}
+		before := sys.char.PairCacheStats()
+		for k := 0; k < 5; k++ {
+			plan()
+		}
+		if after := sys.char.PairCacheStats(); after != before {
+			t.Errorf("seed %d: warm epochs moved the pair cache from %+v to %+v", seed, before, after)
+		}
+	}
+}
+
 // A package cap given as a domain is the package cap: the same plan,
 // run and bound through the facade (it used to leave every job in S_seq
 // and the bound at the sequential sum).

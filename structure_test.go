@@ -230,13 +230,16 @@ func TestOneJobRecord(t *testing.T) {
 }
 
 // TestEveryKnobIsListed makes a new setting a visible edit: corund's
-// flags and the fields of the four configuration structs that reach
-// the daemon are pinned to the lists below, and README.md documents
-// every listed flag and none of the ones turned into constants (bench/
-// is exempt: it only passes flags). A setting earns a place here when a
-// second non-test caller needs another value, when it is a deployment
-// setting, or when a test can reach what it guards no other way
-// (ROADMAP.md item 8(f) lists each kept one with its reason).
+// flags, the fields of the four configuration structs that reach the
+// daemon, and the fields of the seven option structs of the planner,
+// the governor, the split study and the generator are pinned to the
+// lists below, and README.md documents every listed flag and none of
+// the ones turned into constants (bench/ is exempt: it only passes
+// flags). A setting earns a place here when a second non-test caller
+// needs another value, when it is a deployment setting, or when a test
+// can reach what it guards no other way (ROADMAP.md item 8(f) lists
+// each kept daemon one with its reason, DESIGN.md §2d each kept library
+// one).
 func TestEveryKnobIsListed(t *testing.T) {
 	flags := []string{
 		"addr", "cap", "cap-pp0", "cap-pp1", "tmax", "node-id",
@@ -255,6 +258,13 @@ func TestEveryKnobIsListed(t *testing.T) {
 		"internal/journal.Options": {"Dir", "Fsync", "SnapshotBytes", "Observer", "Faults"},
 		"internal/sim.Options": {"Cfg", "Mem", "PowerCap", "HardCap", "DomainCaps", "CPUSlots",
 			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
+		"internal/core.HCSOptions":     {"DisablePartition", "DisablePreference"},
+		"internal/core.RefineOptions":  {"Seed", "SkipAdjacent", "SkipRandomInQueue", "SkipCross"},
+		"internal/core.GeneticOptions": {"Seed", "SeedSchedule", "Workers"},
+		"internal/core.OptimalOptions": {"Workers"},
+		"internal/split.Options":       {"Cfg", "Mem", "SyncLoss"},
+		"internal/workload.GenOptions": {"N", "Seed"},
+		"internal/sim.BiasedGovernor":  {"Cap", "Domains", "Bias"},
 	}
 
 	var gotFlags []string
