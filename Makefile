@@ -51,10 +51,13 @@ bench:
 # fuzz smoke-runs every fuzz target for FUZZTIME each (go test takes
 # one -fuzz pattern per invocation, hence one line per target).
 # FuzzAppendJobJSON holds the daemon's one HTTP job encoder to
-# json.Marshal of the HTTP schema spelled as a test-local struct.
+# json.Marshal of the HTTP schema spelled as a test-local struct;
+# FuzzAppendRecord holds the journal's record encoder to json.Marshal
+# of the records themselves.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -run='^$$' -fuzz=FuzzAppendRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/policy/
 	$(GO) test -run='^$$' -fuzz=FuzzPairTimes -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzArbitrate -fuzztime=$(FUZZTIME) ./internal/memsys/

@@ -73,9 +73,12 @@
 // reports "degraded", and submissions and cap/policy changes are shed
 // with 503 + Retry-After until a probe write succeeds after a 2s
 // cooldown. Acknowledged jobs are never lost — the daemon refuses work
-// it cannot make durable rather than acking it.
+// it cannot make durable rather than acking it, and a failed fsync is
+// retried by writing the records afresh, never by syncing again.
 // -request-timeout puts a per-request deadline on the routes that
-// journal (POST /v1/jobs, /v1/cap, /v1/policy); in -coordinator mode
+// journal (POST /v1/jobs, /v1/cap, /v1/policy), reading the body
+// included; a 503 for it means nothing was admitted or changed, and a
+// commit already under way finishes and answers. In -coordinator mode
 // it bounds every request, reading its body and the calls to the nodes
 // included.
 //
@@ -86,9 +89,11 @@
 //
 // Sites: journal/append, journal/fsync, journal/snapshot,
 // journal/prealloc, server/admit, server/epoch, policy/plan. Kinds: error(msg,...),
-// latency(dur,...), panic(...); schedule args every=N, after=N,
-// times=K, p=F, seed=S. Per-site hit and injection counts are
-// exported as corund_fault_hits_total / corund_fault_injections_total.
+// latency(dur,...), panic(...), drop(msg,...) (an error that also cuts
+// the log back to its last durable offset at journal/fsync); schedule
+// args every=N, after=N, times=K, p=F, seed=S. Per-site hit and
+// injection counts are exported as corund_fault_hits_total /
+// corund_fault_injections_total.
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs[/{id}], GET /v1/plan,
 // GET|POST /v1/cap, GET /v1/policies, POST /v1/policy, GET /v1/trace,
@@ -149,7 +154,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for refinement sampling and the random policy")
 	dataDir := flag.String("data-dir", "", "durable state journal directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "always", "journal fsync policy: always | never")
-	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline on the HTTP API (0 = none)")
+	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline on the journaling routes, every route with -coordinator; a deadline 503 changed nothing (0 = none)")
 	faultSpec := flag.String("fault-spec", "", "arm deterministic failpoints, e.g. 'journal/fsync=error(every=3,times=5);policy/plan=latency(50ms,p=0.5,seed=7)'")
 	flag.Parse()
 

@@ -31,10 +31,16 @@ type Kind string
 // KindLatency makes Hit sleep for the rule's delay and return nil;
 // KindPanic makes Hit panic with an *Error (for crash testing —
 // recovery paths must survive a process that dies mid-operation).
+// KindDrop is KindError that also loses the site's unsynced writes
+// (Drops reports it): at journal/fsync the journal cuts its log back
+// to the last durable offset before it sees the error, which is what
+// a kernel that dropped the dirty pages of a failed fsync leaves
+// behind. A site with nothing unsynced treats it as KindError.
 const (
 	KindError   Kind = "error"
 	KindLatency Kind = "latency"
 	KindPanic   Kind = "panic"
+	KindDrop    Kind = "drop"
 )
 
 // Error is an injected failure. Callers distinguish injected errors
@@ -44,6 +50,8 @@ type Error struct {
 	Site string
 	// Msg is the rule's message, if it set one.
 	Msg string
+	// Drop marks a KindDrop injection.
+	Drop bool
 }
 
 // Error implements error.
@@ -58,6 +66,13 @@ func (e *Error) Error() string {
 func IsInjected(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe)
+}
+
+// Drops reports whether err is (or wraps) a KindDrop injection: the
+// failure lost the site's unsynced writes as well.
+func Drops(err error) bool {
+	var fe *Error
+	return errors.As(err, &fe) && fe.Drop
 }
 
 // Rule arms one site with a deterministic schedule. The zero schedule
@@ -95,14 +110,14 @@ func (r Rule) Validate() error {
 		return errors.New("fault: rule has no site")
 	}
 	switch r.Kind {
-	case KindError, KindPanic:
+	case KindError, KindPanic, KindDrop:
 	case KindLatency:
 		if r.Delay <= 0 {
 			return fmt.Errorf("fault: latency rule at %s needs a positive delay", r.Site)
 		}
 	default:
-		return fmt.Errorf("fault: unknown kind %q at %s (valid: %s | %s | %s)",
-			r.Kind, r.Site, KindError, KindLatency, KindPanic)
+		return fmt.Errorf("fault: unknown kind %q at %s (valid: %s | %s | %s | %s)",
+			r.Kind, r.Site, KindError, KindLatency, KindPanic, KindDrop)
 	}
 	if r.P < 0 || r.P > 1 {
 		return fmt.Errorf("fault: probability %v at %s outside [0,1]", r.P, r.Site)
@@ -275,6 +290,6 @@ func (r *Registry) Hit(siteName string) error {
 	case KindPanic:
 		panic(&Error{Site: siteName, Msg: rule.Msg})
 	default:
-		return &Error{Site: siteName, Msg: rule.Msg}
+		return &Error{Site: siteName, Msg: rule.Msg, Drop: rule.Kind == KindDrop}
 	}
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ func TestBackoffRetriesUntilSuccess(t *testing.T) {
 		Sleep:    func(d time.Duration) { slept = append(slept, d) },
 	}
 	calls := 0
-	err := b.Run(func(attempt int) error {
+	err := b.Run(context.Background(), func(attempt int) error {
 		if attempt != calls {
 			t.Fatalf("attempt %d on call %d", attempt, calls)
 		}
@@ -39,7 +40,7 @@ func TestBackoffExhaustsAttempts(t *testing.T) {
 	sentinel := errors.New("still broken")
 	calls := 0
 	b := Backoff{Base: time.Millisecond, Attempts: 3, Sleep: func(time.Duration) {}}
-	if err := b.Run(func(int) error { calls++; return sentinel }); !errors.Is(err, sentinel) {
+	if err := b.Run(context.Background(), func(int) error { calls++; return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("err %v, want %v", err, sentinel)
 	}
 	if calls != 3 {
@@ -51,7 +52,7 @@ func TestBackoffPermanentStopsImmediately(t *testing.T) {
 	sentinel := errors.New("closed")
 	calls := 0
 	b := Backoff{Base: time.Millisecond, Attempts: 5, Sleep: func(time.Duration) {}}
-	err := b.Run(func(int) error { calls++; return Permanent(sentinel) })
+	err := b.Run(context.Background(), func(int) error { calls++; return Permanent(sentinel) })
 	if err != sentinel {
 		t.Fatalf("err %v, want the unwrapped sentinel", err)
 	}
@@ -67,7 +68,7 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 			Base: 10 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: seed,
 			Attempts: 6, Sleep: func(d time.Duration) { slept = append(slept, d) },
 		}
-		_ = b.Run(func(int) error { return errors.New("x") })
+		_ = b.Run(context.Background(), func(int) error { return errors.New("x") })
 		return slept
 	}
 	a, b := schedule(42), schedule(42)
@@ -89,7 +90,7 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 func TestBackoffFirstTrySuccessAllocatesNothing(t *testing.T) {
 	b := Backoff{Base: time.Millisecond, Max: time.Second, Jitter: 0.2, Seed: 1, Attempts: 4}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := b.Run(func(int) error { return nil }); err != nil {
+		if err := b.Run(context.Background(), func(int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -98,9 +99,27 @@ func TestBackoffFirstTrySuccessAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBackoffStopsWhenContextEnds: a context that ends during a retry
+// sleep ends the retries there, and Run returns the last attempt's
+// error, not the context's — the attempt is the outcome.
+func TestBackoffStopsWhenContextEnds(t *testing.T) {
+	sentinel := errors.New("still broken")
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	b := Backoff{Base: time.Hour, Attempts: 4}
+	err := b.Run(ctx, func(int) error {
+		calls++
+		cancel()
+		return sentinel
+	})
+	if err != sentinel || calls != 1 {
+		t.Fatalf("err %v after %d calls, want the attempt's error after 1", err, calls)
+	}
+}
+
 func TestBackoffZeroValueSingleAttempt(t *testing.T) {
 	calls := 0
-	err := Backoff{}.Run(func(int) error { calls++; return errors.New("x") })
+	err := Backoff{}.Run(context.Background(), func(int) error { calls++; return errors.New("x") })
 	if err == nil || calls != 1 {
 		t.Fatalf("err %v after %d calls", err, calls)
 	}

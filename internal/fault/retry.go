@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"time"
@@ -26,8 +27,8 @@ type Backoff struct {
 	// values below 1 mean a single attempt.
 	Attempts int
 
-	// Sleep is the delay function; nil means time.Sleep. Tests inject
-	// a recorder here.
+	// Sleep is the delay function; nil means a timer that the context
+	// cuts short. Tests inject a recorder here.
 	Sleep func(time.Duration)
 }
 
@@ -48,16 +49,14 @@ func Permanent(err error) error {
 
 // Run calls op until it succeeds, returns a Permanent error, or the
 // attempt budget is spent, sleeping the backoff schedule between
-// tries. op receives the zero-based attempt index. The last error is
-// returned.
-func (b Backoff) Run(op func(attempt int) error) error {
+// tries; a context that ends during a sleep ends the retries there.
+// op receives the zero-based attempt index. The last error is
+// returned: an attempt once begun is never abandoned, so the outcome
+// is always op's.
+func (b Backoff) Run(ctx context.Context, op func(attempt int) error) error {
 	attempts := b.Attempts
 	if attempts < 1 {
 		attempts = 1
-	}
-	sleep := b.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
 	}
 	// Only a retry sleep reads the jitter PRNG, so the first retry
 	// builds it: a first-try success — every healthy journal commit —
@@ -69,7 +68,9 @@ func (b Backoff) Run(op func(attempt int) error) error {
 			if rng == nil && b.Jitter > 0 {
 				rng = rand.New(rand.NewSource(b.Seed))
 			}
-			sleep(b.delay(attempt-1, rng))
+			if !b.wait(ctx, b.delay(attempt-1, rng)) {
+				return err
+			}
 		}
 		err = op(attempt)
 		if err == nil {
@@ -81,6 +82,23 @@ func (b Backoff) Run(op func(attempt int) error) error {
 		}
 	}
 	return err
+}
+
+// wait sleeps d, or less if ctx ends first; it reports whether ctx is
+// still live.
+func (b Backoff) wait(ctx context.Context, d time.Duration) bool {
+	if b.Sleep != nil {
+		b.Sleep(d)
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // delay is the nominal backoff for the i-th retry (0-based), jittered.

@@ -13,8 +13,9 @@ import (
 //	entry := site "=" kind [ "(" arg *( "," arg ) ")" ]
 //	arg   := key "=" value | positional
 //
-// kind is error, latency, or panic. The one positional argument is
-// the latency duration ("latency(10ms)") or the error/panic message.
+// kind is error, latency, panic, or drop. The one positional argument
+// is the latency duration ("latency(10ms)") or the error/panic/drop
+// message.
 // Keyed arguments tune the schedule: every=N (fire on every Nth
 // eligible hit), after=N (skip the first N hits), times=K (stop after
 // K injections), p=F and seed=S (seeded probability gate), and

@@ -94,9 +94,13 @@ func BenchmarkCoordinatorJob(b *testing.B) {
 // proxiedReadAllocs is the allocation count of one status read through
 // the coordinator — its handler, the round trip and the in-process
 // node together — measured when the coordinator's calls became
-// synchronous round trips on pooled connections. A change that raises
-// it says why in the same diff; one that lowers it lowers it here.
-const proxiedReadAllocs = 61
+// synchronous round trips on pooled connections (61). A change that
+// raises it says why in the same diff; one that lowers it lowers it
+// here. 62: the request deadline became server.Deadline's context,
+// which builds its timer only when something waits on it; a node's
+// journaling routes never do, but every coordinator request makes an
+// upstream call, so here it is the context as before plus its shell.
+const proxiedReadAllocs = 62
 
 func TestProxiedStatusReadAllocs(t *testing.T) {
 	if raceEnabled {

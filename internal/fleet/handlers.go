@@ -6,15 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"sync"
-	"time"
 
 	"corun/internal/cluster"
 	"corun/internal/policy"
+	"corun/internal/server"
 	"corun/internal/workload"
 )
 
@@ -50,41 +49,11 @@ func (c *Coordinator) Handler() http.Handler {
 	if c.cfg.RequestTimeout > 0 {
 		// The deadline rides on the request context, which bounds every
 		// upstream call; a handler that runs out of it writes the 503
-		// itself (see requestOver), on the goroutine it already has. A
-		// context does not bound reading the request body, so the
-		// connection's read deadline is set to the same instant.
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-			if r.ContentLength != 0 {
-				d, _ := ctx.Deadline()
-				if rc := http.NewResponseController(w); rc.SetReadDeadline(d) == nil {
-					r.Body = &deadlineBody{ReadCloser: r.Body, rc: rc}
-				}
-			}
-			mux.ServeHTTP(w, r)
-		})
+		// itself (see requestOver), on the goroutine it already has. The
+		// wrapper is the node's: it bounds reading the body as well.
+		return server.Deadline(mux, c.cfg.RequestTimeout)
 	}
 	return mux
-}
-
-// deadlineBody lifts the connection's read deadline once the request
-// body has been read to its end. Left in place, it would also bound the
-// server's own read of the connection behind the handler, and that read
-// failing ends the context of every later request on the connection.
-type deadlineBody struct {
-	io.ReadCloser
-	rc *http.ResponseController
-}
-
-func (b *deadlineBody) Read(p []byte) (int, error) {
-	n, err := b.ReadCloser.Read(p)
-	if err == io.EOF && b.rc != nil {
-		b.rc.SetReadDeadline(time.Time{})
-		b.rc = nil
-	}
-	return n, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -20,13 +20,15 @@ import (
 )
 
 // The journal's failpoint sites (internal/fault). SiteAppend is
-// checked at the top of Append before anything is written, so an
-// injected error there is safe to retry with a fresh Append;
-// SiteFsync is checked in place of the fsync syscall, after the
-// frames reached the log, so its failures surface as *SyncError and
-// must be retried with Sync; SiteSnapshot fails a compaction cycle;
-// SitePrealloc is checked in place of the preallocating syscall, whose
-// failure only means the log runs unpreallocated until the next chunk.
+// checked at the top of Append before anything is written; SiteFsync
+// is checked in place of the fsync syscall, after the frames reached
+// the log, so its failures take the failed-commit path (discard) — and
+// a fault.KindDrop rule there also cuts the log back to its durable
+// offset first, as a kernel that dropped the pages would; either way
+// the caller retries with a fresh Append. SiteSnapshot fails a
+// compaction cycle; SitePrealloc is checked in place of the
+// preallocating syscall, whose failure only means the log runs
+// unpreallocated until the next chunk.
 const (
 	SiteAppend   = "journal/append"
 	SiteFsync    = "journal/fsync"
@@ -144,18 +146,10 @@ type RecoverStats struct {
 // ErrClosed is returned by operations on a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
-// SyncError reports a durability failure after an append's frames
-// reached the log: the records are written (and applied to the
-// mirror) but not yet known stable. The caller must re-drive
-// durability with Sync rather than re-append — a second Append would
-// duplicate the records.
-type SyncError struct{ Err error }
-
-// Error implements error.
-func (e *SyncError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying failure.
-func (e *SyncError) Unwrap() error { return e.Err }
+// ErrDiscarded is returned by an Append (or Sync) whose records a
+// failed commit discarded: they are not in the log, and a fresh Append
+// of the same records is the retry.
+var ErrDiscarded = errors.New("journal: records discarded by a failed commit")
 
 const (
 	logName  = "wal.log"
@@ -177,9 +171,17 @@ type Journal struct {
 	state    *State // replay mirror, source of snapshots
 	encBuf   []byte // frame-encoding scratch, reused across Appends
 	closed   bool
+	failed   error // set when a discard could not re-read the log; every later write returns it
 
-	syncMu  sync.Mutex    // serializes fsync and compaction
-	durable atomic.Uint64 // last seq known flushed and fsynced
+	syncMu     sync.Mutex    // serializes fsync, compaction and discard
+	durable    atomic.Uint64 // last seq known flushed and fsynced
+	durableOff int64         // log offset durable covers; syncMu
+	// gen counts discards (written under syncMu and mu). An Append
+	// notes it with its sequence numbers; if it has moved by the time
+	// the Append's commit is decided, the records were discarded, even
+	// if the durable watermark has since passed numbers reissued to
+	// other records.
+	gen atomic.Uint64
 }
 
 // Open recovers the journal in opts.Dir — loading the snapshot if
@@ -209,10 +211,31 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		return nil, nil, stats, fmt.Errorf("journal: %w", err)
 	}
 
+	f, err := os.OpenFile(filepath.Join(opts.Dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, stats, fmt.Errorf("journal: %w", err)
+	}
+	j := &Journal{opts: opts, dir: opts.Dir, f: f, bw: bufio.NewWriter(f)}
+	if stats, err = j.load(); err != nil {
+		f.Close()
+		return nil, nil, stats, err
+	}
+	j.durable.Store(j.seq)
+	return j, j.state.Clone(), stats, nil
+}
+
+// load reads the snapshot and the log into the journal — replay
+// mirror, sequence number, write offset — cutting the log back to its
+// last whole frame. Open runs it on a new journal; a failed commit runs
+// it again after cutting the log back to the durable offset, so the
+// mirror forgets what the log no longer holds. The caller owns j or
+// holds syncMu and mu.
+func (j *Journal) load() (RecoverStats, error) {
+	var stats RecoverStats
 	st := NewState()
 	var lastSeq uint64
 	intern := make(map[string]string)
-	snapPath := filepath.Join(opts.Dir, snapName)
+	snapPath := filepath.Join(j.dir, snapName)
 	if b, err := os.ReadFile(snapPath); err == nil {
 		// A corrupt snapshot is not recoverable by truncation — it is
 		// the compacted history — so unlike a torn log tail it is
@@ -220,12 +243,12 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		var sf snapshotFile
 		if !fastSnapshot(b, intern, &sf) {
 			if err := json.Unmarshal(b, &sf); err != nil {
-				return nil, nil, stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
+				return stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
 			}
 			stats.SlowPathRecords++
 		}
 		if sf.Version != snapshotVersion {
-			return nil, nil, stats, fmt.Errorf("journal: corrupt snapshot %s: version %d, this build reads %d",
+			return stats, fmt.Errorf("journal: corrupt snapshot %s: version %d, this build reads %d",
 				snapPath, sf.Version, snapshotVersion)
 		}
 		if sf.State != nil {
@@ -235,17 +258,13 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		lastSeq = sf.LastSeq
 		stats.SnapshotLoaded = true
 	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, stats, fmt.Errorf("journal: %w", err)
+		return stats, fmt.Errorf("journal: %w", err)
 	}
 
-	f, err := os.OpenFile(filepath.Join(opts.Dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, stats, fmt.Errorf("journal: %w", err)
-	}
+	f := j.f
 	data, err := readSized(f)
 	if err != nil {
-		f.Close()
-		return nil, nil, stats, fmt.Errorf("journal: reading log: %w", err)
+		return stats, fmt.Errorf("journal: reading log: %w", err)
 	}
 	// Zeros at the end of the file are preallocation the writer never
 	// reached (a frame ends in its payload's closing brace, never in a
@@ -265,8 +284,7 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		}
 		if r.Seq > lastSeq {
 			if err := st.Apply(r); err != nil {
-				f.Close()
-				return nil, nil, stats, err
+				return stats, err
 			}
 			lastSeq = r.Seq
 			stats.RecordsReplayed++
@@ -277,31 +295,20 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		stats.TruncatedTailBytes = tornBytes(data[off:content])
 		stats.PreallocatedTailBytes = int64(len(data)-off) - stats.TruncatedTailBytes
 		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, stats, fmt.Errorf("journal: truncating log tail: %w", err)
+			return stats, fmt.Errorf("journal: truncating log tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, stats, fmt.Errorf("journal: %w", err)
+			return stats, fmt.Errorf("journal: %w", err)
 		}
 	}
 	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, stats, fmt.Errorf("journal: %w", err)
+		return stats, fmt.Errorf("journal: %w", err)
 	}
 	stats.Jobs = len(st.Jobs)
-
-	j := &Journal{
-		opts:     opts,
-		dir:      opts.Dir,
-		f:        f,
-		bw:       bufio.NewWriter(f),
-		seq:      lastSeq,
-		logBytes: int64(off),
-		state:    st,
-	}
-	j.durable.Store(lastSeq)
-	return j, st.Clone(), stats, nil
+	j.state, j.seq = st, lastSeq
+	j.logBytes, j.durableOff, j.allocEnd = int64(off), int64(off), 0
+	j.bw.Reset(f)
+	return stats, nil
 }
 
 // tornBytes sizes the damage in a log tail that did not decode, its
@@ -315,15 +322,16 @@ func tornBytes(tail []byte) int64 {
 	return int64(len(tail))
 }
 
-// readSized reads f to its end with one allocation of its stat size:
-// the journal owns the file, so nobody appends to it meanwhile.
+// readSized reads f from its start to its end with one allocation of
+// its stat size: the journal owns the file, so nobody appends to it
+// meanwhile.
 func readSized(f *os.File) ([]byte, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	data := make([]byte, fi.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, fi.Size()), data); err != nil {
 		return nil, err
 	}
 	return data, nil
@@ -344,11 +352,14 @@ type snapshotFile struct {
 // assigned, all frames are written together, and — under FsyncAlways
 // — the call blocks until they are on stable storage. Concurrent
 // Appends waiting on durability share one fsync (group commit).
-// Either every record in the call is written or none is.
+// Either every record in the call is in the log or none is.
 //
-// Errors come in two classes: a *SyncError means the frames reached
-// the log but durability failed (retry with Sync); any other error
-// means nothing was written (retry with Append, if at all).
+// Any error means the records are not in the log, and the retry is a
+// fresh Append. A failed commit (a flush or fsync error) is never
+// retried by syncing again: the kernel may have dropped the pages and
+// cleared the error, so a second fsync would succeed over bytes that
+// are gone. The journal discards everything past its durable offset
+// instead, and every Append with records there returns ErrDiscarded.
 func (j *Journal) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -358,9 +369,9 @@ func (j *Journal) Append(recs ...Record) error {
 	}
 	start := time.Now()
 	j.mu.Lock()
-	if j.closed {
+	if err := j.writable(); err != nil {
 		j.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	// Encode every frame before writing any, so a bad record cannot
 	// leave a partial batch in the log. The scratch buffer lives on the
@@ -368,17 +379,17 @@ func (j *Journal) Append(recs ...Record) error {
 	// no two Appends can hold it at once.
 	startSeq := j.seq
 	buf := j.encBuf[:0]
-	var err error
 	for i := range recs {
 		j.seq++
 		recs[i].Seq = j.seq
-		buf, err = AppendRecord(buf, recs[i])
+		next, err := AppendRecord(buf, recs[i])
 		if err != nil {
 			j.seq = startSeq
 			j.encBuf = buf
 			j.mu.Unlock()
 			return err
 		}
+		buf = next
 	}
 	j.encBuf = buf
 	var perr error
@@ -392,8 +403,11 @@ func (j *Journal) Append(recs ...Record) error {
 		j.allocEnd = j.logBytes + preallocChunk
 	}
 	if _, err := j.bw.Write(buf); err != nil {
+		// Part of the batch may be in the file: the failed-commit path.
 		j.mu.Unlock()
-		return fmt.Errorf("journal: write: %w", err)
+		j.syncMu.Lock()
+		defer j.syncMu.Unlock()
+		return j.discard(fmt.Errorf("journal: write: %w", err))
 	}
 	j.logBytes += int64(len(buf))
 	for i := range recs {
@@ -401,15 +415,16 @@ func (j *Journal) Append(recs ...Record) error {
 		// AppendRecord, so Apply cannot fail here.
 		_ = j.state.Apply(recs[i])
 	}
-	target := j.seq
+	target, gen := j.seq, j.gen.Load()
 	needSnap := j.opts.SnapshotBytes > 0 && j.logBytes >= j.opts.SnapshotBytes
 	j.mu.Unlock()
 
 	if obs := j.opts.Observer.PreallocFallback; perr != nil && obs != nil {
 		obs(perr)
 	}
+	var err error
 	if j.opts.Fsync == FsyncAlways {
-		err = j.syncTo(target)
+		err = j.syncTo(target, gen)
 	}
 	if err == nil && needSnap {
 		// Compaction failure does not fail the append: the records are
@@ -432,9 +447,9 @@ func (j *Journal) Append(recs ...Record) error {
 // the fsync policy.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	target := j.seq
+	target, gen := j.seq, j.gen.Load()
 	j.mu.Unlock()
-	return j.syncTo(target)
+	return j.syncTo(target, gen)
 }
 
 // DurableSeq returns the highest sequence number known flushed and
@@ -450,13 +465,15 @@ func (j *Journal) LastSeq() uint64 {
 	return j.seq
 }
 
-// syncTo makes every record up to target durable. The double-checked
-// durable watermark is the group commit: an appender that arrives
-// while another's fsync is in flight blocks on syncMu, and by the
-// time it gets the lock that fsync usually covered its records too,
-// so it returns without a second syscall.
-func (j *Journal) syncTo(target uint64) error {
-	if j.durable.Load() >= target {
+// syncTo makes every record up to target, appended at discard
+// generation gen, durable. The double-checked durable watermark is the
+// group commit: an appender that arrives while another's fsync is in
+// flight blocks on syncMu, and by the time it gets the lock that fsync
+// usually covered its records too, so it returns without a second
+// syscall. The watermark is read before gen: a discard that reissued
+// sequence numbers the watermark then covers has already moved gen.
+func (j *Journal) syncTo(target, gen uint64) error {
+	if j.durable.Load() >= target && j.gen.Load() == gen {
 		return nil
 	}
 	queued := time.Now()
@@ -465,33 +482,73 @@ func (j *Journal) syncTo(target uint64) error {
 	if obs := j.opts.Observer.SyncWait; obs != nil {
 		obs(time.Since(queued))
 	}
+	if j.gen.Load() != gen {
+		return ErrDiscarded
+	}
 	if j.durable.Load() >= target {
 		return nil
 	}
 	j.mu.Lock()
-	if j.closed {
+	if err := j.writable(); err != nil {
 		j.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	err := j.bw.Flush()
-	flushed := j.seq
-	f := j.f
+	flushed, end, f := j.seq, j.logBytes, j.f
 	j.mu.Unlock()
 	if err != nil {
-		return &SyncError{Err: fmt.Errorf("journal: flush: %w", err)}
+		return j.discard(fmt.Errorf("journal: flush: %w", err))
 	}
 	if err := j.opts.Faults.Hit(SiteFsync); err != nil {
-		return &SyncError{Err: err}
+		if fault.Drops(err) {
+			// What a kernel that dropped the dirty pages leaves: the
+			// file as of the last successful fsync.
+			_ = f.Truncate(j.durableOff)
+		}
+		return j.discard(err)
 	}
 	began := time.Now()
 	if err := datasync(f); err != nil {
-		return &SyncError{Err: fmt.Errorf("journal: fsync: %w", err)}
+		return j.discard(fmt.Errorf("journal: fsync: %w", err))
 	}
 	j.durable.Store(flushed)
+	j.durableOff = end
 	if obs := j.opts.Observer.Fsync; obs != nil {
 		obs(time.Since(began))
 	}
 	return nil
+}
+
+// writable reports why nothing can be written (closed, or failed);
+// callers hold mu.
+func (j *Journal) writable() error {
+	if j.closed {
+		return ErrClosed
+	}
+	return j.failed
+}
+
+// discard is the failed-commit path, with syncMu held: every byte past
+// the durable offset is suspect, so the log is cut back to that offset
+// and the mirror, sequence number and write offset are re-read from
+// disk, as Open reads them. Bumping gen fails every Append whose
+// records were past the offset with ErrDiscarded, including those
+// still queued behind syncMu, and their callers append them afresh. A
+// journal that cannot re-read its own durable prefix refuses every
+// later write.
+func (j *Journal) discard(cause error) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.gen.Add(1)
+	err := j.f.Truncate(j.durableOff)
+	if err == nil {
+		_, err = j.load()
+	}
+	if err != nil {
+		j.failed = fmt.Errorf("journal: unusable after a failed commit (%v): %w", cause, err)
+		return j.failed
+	}
+	return fmt.Errorf("%w: %w", ErrDiscarded, cause)
 }
 
 // Compact writes an atomic snapshot of the materialized state (write
@@ -517,7 +574,10 @@ func (j *Journal) compactLocked() error {
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
-	b, err := json.Marshal(&snapshotFile{Version: snapshotVersion, LastSeq: j.seq, State: j.state})
+	// One allocation, sized for a done job's 300-400 bytes each: growing
+	// from nil would copy the multi-megabyte document a dozen times.
+	b, err := appendSnapshot(make([]byte, 0, 512*len(j.state.Jobs)+512),
+		&snapshotFile{Version: snapshotVersion, LastSeq: j.seq, State: j.state})
 	if err != nil {
 		return fmt.Errorf("journal: encoding snapshot: %w", err)
 	}
@@ -552,7 +612,7 @@ func (j *Journal) compactLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.logBytes, j.allocEnd = 0, 0
+	j.logBytes, j.allocEnd, j.durableOff = 0, 0, 0
 	j.durable.Store(j.seq)
 	if obs := j.opts.Observer.Snapshot; obs != nil {
 		obs()

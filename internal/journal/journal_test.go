@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"corun/internal/fault"
 )
 
 func openT(t *testing.T, opts Options) (*Journal, *State, RecoverStats) {
@@ -336,5 +338,94 @@ func TestAtomicBatch(t *testing.T) {
 	_, st, stats := openT(t, Options{Dir: dir})
 	if stats.RecordsReplayed != 1 || st.CapWatts == nil || *st.CapWatts != 16 {
 		t.Fatalf("stats %+v cap %+v", stats, st.CapWatts)
+	}
+}
+
+// TestFailedCommitDiscards pins the failed-commit contract with the
+// fault that makes it matter: a journal/fsync drop fails the fsync and
+// cuts the log back to its durable offset, as a kernel that dropped the
+// dirty pages would. Every Append with records past that offset — the
+// one whose fsync failed and the one queued behind it — returns
+// ErrDiscarded, nothing is acked over the lost bytes, the sequence
+// numbers are reissued, and a fresh Append of the same records is the
+// retry. Recovery then finds exactly what was acked.
+func TestFailedCommitDiscards(t *testing.T) {
+	dir := t.TempDir()
+	faults := fault.NewRegistry()
+	j, _, _ := openT(t, Options{Dir: dir, SnapshotBytes: -1, Faults: faults})
+	for i := 0; i < 3; i++ {
+		if err := j.Append(jobRecord(fmt.Sprintf("job-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faults.ArmSpec("journal/fsync=drop(times=1)"); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the commit lock so both appends write their frames and queue
+	// behind it; the first to commit fails for both.
+	j.syncMu.Lock()
+	errs := make(chan error, 2)
+	for _, id := range []string{"job-000003", "job-000004"} {
+		go func() { errs <- j.Append(jobRecord(id)) }()
+	}
+	for j.LastSeq() != 5 {
+		time.Sleep(time.Millisecond)
+	}
+	j.syncMu.Unlock()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrDiscarded) {
+			t.Fatalf("append over a dropped fsync = %v, want ErrDiscarded", err)
+		}
+	}
+	if d, l := j.DurableSeq(), j.LastSeq(); d != 3 || l != 3 {
+		t.Fatalf("after the discard durable %d, last %d; want both 3", d, l)
+	}
+	if err := j.Append(jobRecord("job-000004")); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, stats := openT(t, Options{Dir: dir})
+	if stats.RecordsReplayed != 4 || stats.TruncatedTailBytes != 0 || len(st.Jobs) != 4 {
+		t.Fatalf("recovered %d jobs, stats %+v; want the 4 acked", len(st.Jobs), stats)
+	}
+	if _, ok := st.Job("job-000003"); ok {
+		t.Error("a discarded record was recovered")
+	}
+}
+
+// TestFailedSyncDiscardsUnsynced: under FsyncNever the appends return
+// at once, and a Sync that fails discards everything since the last
+// one — the mirror too, so a later compaction cannot resurrect it.
+func TestFailedSyncDiscardsUnsynced(t *testing.T) {
+	dir := t.TempDir()
+	faults := fault.NewRegistry()
+	j, _, _ := openT(t, Options{Dir: dir, Fsync: FsyncNever, SnapshotBytes: -1, Faults: faults})
+	for i := 0; i < 5; i++ {
+		if i == 2 {
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := faults.ArmSpec("journal/fsync=error(times=1)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Append(jobRecord(fmt.Sprintf("job-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); !errors.Is(err, ErrDiscarded) || !fault.IsInjected(err) {
+		t.Fatalf("failed sync = %v, want ErrDiscarded wrapping the injected fault", err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, _ := openT(t, Options{Dir: dir})
+	if len(st.Jobs) != 2 {
+		t.Fatalf("recovered %d jobs, want the 2 synced before the failure", len(st.Jobs))
 	}
 }

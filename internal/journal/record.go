@@ -8,7 +8,9 @@
 //
 // Durability is FsyncAlways (the default) or FsyncNever, with group
 // commit: concurrent appenders waiting on the same fsync
-// share one syscall. Once the log outgrows a size threshold the
+// share one syscall. A failed commit is never re-synced: the journal
+// discards everything past its durable offset and the appenders
+// append again. Once the log outgrows a size threshold the
 // journal writes an atomic snapshot of the materialized State and
 // truncates the log. Recovery is tolerant of a torn or corrupt tail
 // record — the bad suffix is truncated, never fatal — because a torn
@@ -127,9 +129,10 @@ func (r Record) Validate() error {
 
 // Frame layout: a 4-byte little-endian payload length, a 4-byte
 // little-endian IEEE CRC32 of the payload, then the payload (the
-// record's JSON encoding). The CRC covers only the payload; a bad
-// length is caught by the MaxRecordBytes bound or by the CRC of
-// whatever bytes the bogus length selects. A payload is never empty
+// record's JSON encoding, written by encode.go). The CRC covers only
+// the payload; a bad length is caught by the MaxRecordBytes bound or
+// by the CRC of whatever bytes the bogus length selects. A payload is
+// never empty
 // (a record's JSON is at least "{}"), so a zero length field is not a
 // frame: followed by nothing but zeros it is the end of the log — the
 // preallocated, never-written rest of the file — and anything else
@@ -174,23 +177,24 @@ func zeroSuffix(b []byte) int {
 var zeroPage [4096]byte
 
 // AppendRecord appends the framed encoding of r to dst and returns
-// the extended slice.
+// the extended slice. The payload is encoded in place behind a header
+// filled in afterwards, so a dst with room costs no allocation.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(r)
+	n0 := len(dst)
+	b, err := appendRecordJSON(append(dst, make([]byte, frameHeader)...), &r)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encoding record: %w", err)
 	}
+	payload := b[n0+frameHeader:]
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds %d", len(payload), MaxRecordBytes)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(b[n0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[n0+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
 }
 
 // DecodeRecord decodes the first framed record in b, returning the

@@ -18,19 +18,19 @@ import (
 // benchServer builds an in-memory server (no scheduler loop, no
 // journal) with `queued` jobs already admitted, so the benchmarks
 // isolate the HTTP serving path itself. timeout is its RequestTimeout.
-func benchServer(b *testing.B, queued int, timeout time.Duration) http.Handler {
-	s := newTestServer(b, func(c *Config) {
+func benchServer(tb testing.TB, queued int, timeout time.Duration) http.Handler {
+	s := newTestServer(tb, func(c *Config) {
 		c.MaxQueue = 1 << 20
 		c.RequestTimeout = timeout
 	})
-	b.Cleanup(func() { s.Close() })
+	tb.Cleanup(func() { s.Close() })
 	h := s.Handler()
 	for i := 0; i < queued; i++ {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs",
 			strings.NewReader(`{"program": "cfd", "scale": 1.1}`)))
 		if w.Code != http.StatusAccepted {
-			b.Fatalf("prefill submit -> %d: %s", w.Code, w.Body)
+			tb.Fatalf("prefill submit -> %d: %s", w.Code, w.Body)
 		}
 	}
 	return h
@@ -46,17 +46,39 @@ func BenchmarkSubmitHandler(b *testing.B) {
 	for _, timeout := range requestTimeouts {
 		b.Run("timeout="+timeout.String(), func(b *testing.B) {
 			h := benchServer(b, 0, timeout)
-			body := `{"program": "cfd", "scale": 1.1, "label": "bench"}`
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
-				if w.Code != http.StatusAccepted {
-					b.Fatalf("submit -> %d: %s", w.Code, w.Body)
-				}
+				submitVia(b, h)
 			}
 		})
+	}
+}
+
+// submitVia is one POST /v1/jobs through h, as a client sends it.
+func submitVia(tb testing.TB, h http.Handler) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"program": "cfd", "scale": 1.1, "label": "bench"}`)))
+	if w.Code != http.StatusAccepted {
+		tb.Fatalf("submit -> %d: %s", w.Code, w.Body)
+	}
+}
+
+// submitAllocs is the allocation count of one POST /v1/jobs through
+// Handler() under corund's default -request-timeout, the recorder and
+// request included — BenchmarkSubmitHandler/timeout=10s's figure. It
+// is a ceiling: a change that raises it says why in the same diff; one
+// that lowers it lowers it here.
+const submitAllocs = 45
+
+func TestSubmitHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	h := benchServer(t, 0, requestTimeouts[1])
+	if a := testing.AllocsPerRun(200, func() { submitVia(t, h) }); a > submitAllocs {
+		t.Errorf("a submit allocates %v times, ceiling %d", a, submitAllocs)
 	}
 }
 

@@ -24,14 +24,18 @@ import (
 // acked or failed exactly once (acked + failed == submitted), and for
 // every acked job the journal's durable watermark, read right after
 // the ack, covers the sequence number Append assigned its submission
-// record. Retries and the breaker are the daemon's own: an isolated
-// fault is absorbed by a Sync retry, whose durability the watermark
-// check then verifies, and the storm — journalAttempts fsyncs for each
-// of breakerThreshold commits — can fail commits outright and trip the
-// breaker, whose cooldown the test's clock skips. The log stays far
-// below the journal's compaction threshold, so every record is still in
-// it for the check. Run under -race, the test also proves the direct
-// commit path is data-race free.
+// record, and that record is in the log. Retries and the breaker are
+// the daemon's own: a failed commit discards its records and an
+// isolated fault is absorbed by appending them afresh, and the storm —
+// journalAttempts fsyncs for each of breakerThreshold commits — can
+// fail commits outright and trip the breaker, whose cooldown the
+// test's clock skips. The drop-on-fail schedule is what makes
+// re-syncing unsafe: its failed fsyncs also cut the log back to the
+// last durable offset, as a kernel that dropped the dirty pages would,
+// so a retry that synced again would ack records that are gone. The
+// log stays far below the journal's compaction threshold, so every
+// record is still in it for the check. Run under -race, the test also
+// proves the direct commit path is data-race free.
 func TestSubmitDurableAck(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -41,6 +45,7 @@ func TestSubmitDurableAck(t *testing.T) {
 		{"every-3rd-fsync", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Every: 3, Msg: "injected fsync"}},
 		{"first-5-fsyncs", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: 5, Msg: "injected fsync"}},
 		{"storm", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: journalAttempts * breakerThreshold, Msg: "injected fsync"}},
+		{"drop-on-fail", &fault.Rule{Site: journal.SiteFsync, Kind: fault.KindDrop, Every: 3, Msg: "injected fsync, pages dropped"}},
 	}
 	for _, sched := range schedules {
 		t.Run(sched.name, func(t *testing.T) {
@@ -271,5 +276,38 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 	}
 	if st := s.brk.State(); st != fault.BreakerClosed {
 		t.Errorf("breaker %v after closed-journal refusals, want closed", st)
+	}
+}
+
+// TestJournalAppendsPerJob is a count gate, a ceiling at today's
+// value: over a scripted session against a data dir — jobs submitted
+// one after another beside the running scheduler, then a drain — the
+// journal takes two records per job, the submission and the terminal
+// state, and nothing else (corunmark's journal.appends_per_job, which
+// repeats to the digit). A change that raises it says why in the same
+// diff; one that lowers it lowers it here.
+func TestJournalAppendsPerJob(t *testing.T) {
+	const jobs, appendsPerJob = 40, 2.0
+	s := newTestServer(t, func(c *Config) {
+		c.Policy = "random"
+		c.DataDir = t.TempDir()
+		c.EpochGap = time.Millisecond
+	})
+	t.Cleanup(func() { s.Close() })
+	appends0 := s.m.jlAppends.Value()
+	s.Start(context.Background())
+	for i := 0; i < jobs; i++ {
+		if _, err := s.Submit(mustSpec(t, "lud")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitAllTerminal(t, s, jobs, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.DrainAndWait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := (s.m.jlAppends.Value() - appends0) / jobs; got > appendsPerJob {
+		t.Errorf("%.2f journal appends per job, ceiling %.2f", got, appendsPerJob)
 	}
 }

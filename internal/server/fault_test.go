@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,9 +41,10 @@ func postRaw(t *testing.T, url, body string) (int, http.Header, string) {
 
 // TestFaultedFsyncLifecycle fails every 3rd fsync under a seeded
 // schedule and drives a full job lifecycle through it: the bounded
-// retries absorb each injection (the retry's Sync lands on a
-// non-faulted hit), every submission is acknowledged, the breaker
-// never trips, and a restart restores every acknowledged job.
+// retries absorb each injection (the failed commit's records are
+// discarded, and the retry's fresh append lands on a non-faulted hit),
+// every submission is acknowledged, the breaker never trips, and a
+// restart restores every acknowledged job.
 func TestFaultedFsyncLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry()
@@ -170,9 +172,9 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A failed commit spends journalAttempts fsyncs: the append's, then
-	// one per Sync retry. The storm fails breakerThreshold commits, then
-	// two half-open probes.
+	// A failed commit spends journalAttempts fsyncs, one per append of
+	// its records. The storm fails breakerThreshold commits, then two
+	// half-open probes.
 	const failedProbes = 2
 	const storm = journalAttempts * (breakerThreshold + failedProbes)
 	if err := reg.Arm(fault.Rule{Site: journal.SiteFsync, Kind: fault.KindError, Times: storm, Msg: "fsync storm"}); err != nil {
@@ -262,19 +264,20 @@ func TestFsyncStormDegradesAndRecovers(t *testing.T) {
 		t.Errorf("fsync injections %v, want exactly %d (deterministic schedule)", v, storm)
 	}
 
-	// No acknowledged job lost: restart on the same dir and check the
-	// restored set covers every 202'd ID. (It may be a superset — a
-	// failed fsync can leave frames in the log, the at-least-once side
-	// of the guarantee.)
+	// No acknowledged job lost, and none refused comes back: a failed
+	// commit discards its records, so the restored set is exactly the
+	// 202'd IDs.
 	reg.Disarm()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := newJournalServer(t, dir)
-	for _, id := range []string{preStorm.ID, post.ID} {
-		if _, ok := s2.Job(id); !ok {
-			t.Errorf("acked job %s lost across restart", id)
-		}
+	var restored []string
+	for _, j := range s2.Jobs() {
+		restored = append(restored, j.ID)
+	}
+	if want := []string{preStorm.ID, post.ID}; !slices.Equal(restored, want) {
+		t.Errorf("restart restored jobs %v, want exactly the acked %v", restored, want)
 	}
 }
 

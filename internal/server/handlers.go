@@ -40,28 +40,17 @@ import (
 //
 // When Config.RequestTimeout is set, the three routes that journal —
 // POST /v1/jobs, /v1/cap and /v1/policy — run under a per-request
-// deadline: a handler that overruns it gets its request context
-// canceled and the client a 503, so a stuck commit cannot pin a
-// connection forever. The GETs are lock-free snapshot reads with
-// nothing to wait on, so they skip the wrapper and the goroutine and
-// buffered copy it costs per request.
+// deadline (Deadline). Each checks it before it reserves or commits
+// anything, so a 503 for the deadline means nothing was admitted or
+// changed; a commit already begun is not abandoned, and its outcome is
+// the answer. The GETs are lock-free snapshot reads with nothing to
+// wait on, so they run without one.
 func (s *Server) Handler() http.Handler {
 	bounded := func(h http.HandlerFunc) http.Handler {
 		if s.cfg.RequestTimeout <= 0 {
 			return h
 		}
-		th := http.TimeoutHandler(h, s.cfg.RequestTimeout,
-			`{"error": "server: request deadline exceeded"}`)
-		// TimeoutHandler writes its JSON timeout body straight to the
-		// outer ResponseWriter without a Content-Type, so that one 503
-		// used to go out as text/plain while every other error on the
-		// API is application/json. Pre-setting the header here fixes
-		// the timeout path; on the success path the buffered handler
-		// headers are copied over key-by-key.
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			th.ServeHTTP(w, r)
-		})
+		return Deadline(h, s.cfg.RequestTimeout)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/jobs", bounded(s.handleSubmit))
@@ -116,6 +105,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer func() { reqBufPool.Put(buf) }()
 	var err error
 	buf.b, err = readBody(http.MaxBytesReader(w, r.Body, 1<<20), buf.b)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -125,17 +118,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.submit(spec)
+	job, err := s.submit(r.Context(), spec)
 	switch {
+	case requestEnded(r, err):
+		writeDeadline(w)
+		return
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
 		// The job was NOT acknowledged: its durability could not be
-		// established, so the client must retry. (A failed fsync may
-		// still have left frames in the log — restart recovery can
-		// surface such a job, which is the at-least-once side of the
-		// "an ack is never lost" guarantee.)
+		// established, so the client must retry. A failed commit leaves
+		// nothing in the log (the journal discards it), so a restart
+		// cannot surface the job either.
 		s.shedErr(w, err)
 		return
 	case errors.Is(err, ErrQueueFull):
@@ -235,7 +230,12 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || (req.CapWatts == nil && req.PP0Watts == nil && req.PP1Watts == nil) {
+	err := dec.Decode(&req)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
+	if err != nil || (req.CapWatts == nil && req.PP0Watts == nil && req.PP1Watts == nil) {
 		writeErr(w, http.StatusBadRequest, errors.New(`server: body must set at least one of {"cap_watts", "pp0_watts", "pp1_watts"} (0 = uncapped)`))
 		return
 	}
@@ -253,7 +253,11 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	if req.PP1Watts != nil {
 		dc.PP1 = units.Watts(*req.PP1Watts)
 	}
-	if err := s.SetCaps(cap, dc); err != nil {
+	if err := s.setCaps(r.Context(), cap, dc); err != nil {
+		if requestEnded(r, err) {
+			writeDeadline(w)
+			return
+		}
 		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrJournal) {
 			s.shedErr(w, err)
 			return
@@ -279,7 +283,12 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if isTimeout(err) {
+		writeDeadline(w)
+		return
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
@@ -288,7 +297,11 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.SetPolicy(p); err != nil {
+	if err := s.setPolicy(r.Context(), p); err != nil {
+		if requestEnded(r, err) {
+			writeDeadline(w)
+			return
+		}
 		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrJournal) {
 			s.shedErr(w, err)
 			return

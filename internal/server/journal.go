@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -159,38 +160,29 @@ func (s *Server) openJournal() error {
 	return nil
 }
 
-// appendDurable writes records through the journal with the daemon's
-// failure policy wrapped around it: the circuit breaker gates the
-// attempt (ErrDegraded when open), transient errors are retried on
-// the jittered exponential backoff, and the final outcome feeds the
-// breaker. A *journal.SyncError flips the retry from re-appending to
-// re-driving durability with Sync — the frames are already in the
-// log, and a second Append would duplicate them.
-func (s *Server) appendDurable(recs ...journal.Record) error {
+// appendDurable commits records through the journal with the daemon's
+// failure policy wrapped around it: ctx ending first commits nothing
+// (its error is returned as is), the circuit breaker gates the commit
+// (ErrDegraded when open), a failed Append — which left nothing in
+// the log — is appended afresh on the jittered exponential backoff
+// until the attempts or ctx run out, and the outcome feeds the
+// breaker. An Append once begun is never abandoned: its result is the
+// answer.
+func (s *Server) appendDurable(ctx context.Context, recs ...journal.Record) error {
 	if s.jl == nil || len(recs) == 0 {
 		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if !s.brk.Allow() {
 		return ErrDegraded
 	}
-	appended := false
-	err := s.bo.Run(func(attempt int) error {
+	err := s.bo.Run(ctx, func(attempt int) error {
 		if attempt > 0 {
 			s.m.jlRetries.Inc()
 		}
-		var err error
-		if appended {
-			err = s.jl.Sync()
-		} else {
-			err = s.jl.Append(recs...)
-		}
-		if err == nil {
-			return nil
-		}
-		var se *journal.SyncError
-		if errors.As(err, &se) {
-			appended = true
-		}
+		err := s.jl.Append(recs...)
 		if errors.Is(err, journal.ErrClosed) {
 			return fault.Permanent(err)
 		}
@@ -216,7 +208,7 @@ func (s *Server) appendDurable(recs ...journal.Record) error {
 // restart the affected jobs replay as non-terminal and re-run, so an
 // acknowledged job is still never lost.
 func (s *Server) journalAppend(recs []journal.Record) {
-	if err := s.appendDurable(recs...); err != nil {
+	if err := s.appendDurable(context.Background(), recs...); err != nil {
 		if !errors.Is(err, ErrDegraded) && !errors.Is(err, journal.ErrClosed) {
 			s.m.jlErrors.Inc()
 		}

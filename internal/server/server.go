@@ -506,7 +506,7 @@ func (s *Server) clock() units.Seconds {
 // the log can never hold a job's state transition ahead of its
 // submission.
 func (s *Server) Submit(spec workload.JobSpec) (Job, error) {
-	j, err := s.submit(spec)
+	j, err := s.submit(context.Background(), spec)
 	if err != nil {
 		return Job{}, err
 	}
@@ -514,14 +514,21 @@ func (s *Server) Submit(spec workload.JobSpec) (Job, error) {
 }
 
 // submit is the hot admission path; the returned *Job is the
-// published immutable snapshot (handlers encode straight from it).
-func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
+// published immutable snapshot (handlers encode straight from it). A
+// ctx that ends before the submission record's commit begins refuses
+// the job with ctx's error, having reserved nothing; once the commit
+// has begun its outcome is the answer.
+func (s *Server) submit(ctx context.Context, spec workload.JobSpec) (*Job, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	class, _ := admission.ParseClass(spec.Priority) // validated above
-	if err := s.faults.Hit(SiteAdmit); err != nil {
+	err := s.faults.Hit(SiteAdmit)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		s.m.rejected.Inc()
 		return nil, err
 	}
@@ -558,7 +565,7 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 	if s.jl != nil {
 		// Concurrent submitters share fsyncs through the journal's group
 		// commit; the ack waits only for its own record to be durable.
-		err := s.appendDurable(journal.Record{Type: journal.TypeJobSubmitted, Job: j})
+		err := s.appendDurable(ctx, journal.Record{Type: journal.TypeJobSubmitted, Job: j})
 		if err != nil {
 			s.admMu.Lock()
 			s.adm.Unreserve(spec.Tenant)
@@ -570,6 +577,8 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 			case errors.Is(err, ErrDegraded):
 				s.m.shed.Inc()
 				return nil, ErrDegraded
+			case err == ctx.Err():
+				return nil, err
 			}
 			return nil, fmt.Errorf("%w: journaling submission: %v", ErrJournal, err)
 		}
@@ -580,7 +589,8 @@ func (s *Server) submit(spec workload.JobSpec) (*Job, error) {
 	// exited. Enqueuing now would ack a job nothing will ever run, so
 	// refuse it. (The submission record is already on disk — restart
 	// recovery re-enqueues the job, the documented at-least-once side
-	// of the durability guarantee.)
+	// of the durability guarantee, and the one way a refused job can
+	// come back.)
 	if s.draining.Load() {
 		s.adm.Unreserve(spec.Tenant)
 		s.admMu.Unlock()
@@ -681,22 +691,31 @@ func (s *Server) SetCap(cap units.Watts) error {
 // before it is acknowledged (or applied), so a restart restores the
 // full cap state atomically.
 func (s *Server) SetCaps(cap units.Watts, dc apu.DomainCaps) error {
+	return s.setCaps(context.Background(), cap, dc)
+}
+
+// setCaps is SetCaps under a request context (see changeControl).
+func (s *Server) setCaps(ctx context.Context, cap units.Watts, dc apu.DomainCaps) error {
 	if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
 		return err
 	}
 	cap, dc.Package = dc.WithPackage(cap).Package, 0 // as in New: one package cap
-	return s.changeControl(capRecord(cap, dc), "cap", func(c *control) { c.cap, c.domains = cap, dc })
+	return s.changeControl(ctx, capRecord(cap, dc), "cap", func(c *control) { c.cap, c.domains = cap, dc })
 }
 
 // changeControl journals rec, then publishes the current control state
 // with apply made to it; ctlMu keeps journal order and publish order
-// the same.
-func (s *Server) changeControl(rec journal.Record, what string, apply func(*control)) error {
+// the same. A ctx that has ended by the time ctlMu is held changes
+// nothing and returns ctx's error; a commit once begun decides.
+func (s *Server) changeControl(ctx context.Context, rec journal.Record, what string, apply func(*control)) error {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if s.jl != nil {
-		if err := s.appendDurable(rec); err != nil {
-			if errors.Is(err, ErrDegraded) {
+		if err := s.appendDurable(ctx, rec); err != nil {
+			if errors.Is(err, ErrDegraded) || err == ctx.Err() {
 				return err
 			}
 			return fmt.Errorf("%w: journaling %s change: %v", ErrJournal, what, err)
@@ -733,11 +752,16 @@ func (s *Server) Policy() string { return s.ctl.Load().policy }
 // server to hold a characterization. The change is journaled before
 // it is acknowledged (or applied), so a restart restores it.
 func (s *Server) SetPolicy(name string) error {
+	return s.setPolicy(context.Background(), name)
+}
+
+// setPolicy is SetPolicy under a request context (see changeControl).
+func (s *Server) setPolicy(ctx context.Context, name string) error {
 	p, err := online.CheckPolicy(name, s.cfg.Char != nil)
 	if err != nil {
 		return err
 	}
-	return s.changeControl(journal.Record{Type: journal.TypePolicyChanged, Policy: p}, "policy", func(c *control) { c.policy = p })
+	return s.changeControl(ctx, journal.Record{Type: journal.TypePolicyChanged, Policy: p}, "policy", func(c *control) { c.policy = p })
 }
 
 // Plan returns the most recent epoch's schedule, if any epoch has been
