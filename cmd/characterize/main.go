@@ -16,7 +16,6 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/memsys"
-	"corun/internal/microbench"
 	"corun/internal/model"
 )
 
@@ -29,7 +28,7 @@ func main() {
 	mem := memsys.Default()
 	opts := model.CharacterizeOptions{
 		Cfg: cfg, Mem: mem,
-		Levels: microbench.Levels(*nLevels, 11),
+		Levels: model.Levels(*nLevels, 11),
 	}
 	if *freqs == "max" {
 		opts.CPUFreqLevels = []int{cfg.MaxFreqIndex(apu.CPU)}

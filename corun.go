@@ -30,7 +30,6 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/core"
-	"corun/internal/gantt"
 	"corun/internal/kernelsim"
 	"corun/internal/memsys"
 	"corun/internal/model"
@@ -68,8 +67,6 @@ type (
 	PowerTrace = trace.Series
 	// Completion records one finished job.
 	Completion = sim.Completion
-	// Program is the analytic model of one benchmark.
-	Program = workload.Instance
 )
 
 // Device constants.
@@ -387,7 +384,7 @@ type Report struct {
 // concurrently running job on each device, the time axis scaled to
 // width columns.
 func (r *Report) WriteGantt(w io.Writer, width int) error {
-	return gantt.RenderParts(w, r.Completions, r.Makespan, width)
+	return renderGantt(w, r.Completions, r.Makespan, width)
 }
 
 func reportOf(r *sim.Result) *Report {
@@ -453,9 +450,6 @@ type (
 	Arrival = online.Arrival
 	// ServeResult summarizes a served arrival stream.
 	ServeResult = online.Result
-	// ServePolicy selects the per-epoch scheduling policy by its
-	// policy-registry name (any name Policies lists).
-	ServePolicy = string
 	// JobOutcome records one served job's latency.
 	JobOutcome = online.JobOutcome
 )
@@ -463,9 +457,7 @@ type (
 // Online serving policies.
 const (
 	ServeHCSPlus = "hcs+"
-	ServeHCS     = "hcs"
 	ServeRandom  = "random"
-	ServeDefault = "default"
 )
 
 // GenerateArrivals produces a seeded random arrival stream over the
@@ -489,8 +481,9 @@ func ArrivalOf(name string, at, scale float64) (Arrival, error) {
 }
 
 // Serve runs an arrival stream through the online epoch scheduler on
-// this system, planning each epoch's queue with the given policy.
-func (s *System) Serve(arrivals []Arrival, policy ServePolicy, seed int64) (*ServeResult, error) {
+// this system, planning each epoch's queue with the given policy, by
+// any name Policies lists.
+func (s *System) Serve(arrivals []Arrival, policy string, seed int64) (*ServeResult, error) {
 	opts := s.options()
 	opts.Policy, opts.Seed = policy, seed
 	return online.Serve(opts, arrivals)

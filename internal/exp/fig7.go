@@ -7,7 +7,6 @@ import (
 	"corun/internal/apu"
 	"corun/internal/model"
 	"corun/internal/sim"
-	"corun/internal/stats"
 	"corun/internal/workload"
 )
 
@@ -27,7 +26,7 @@ type PairError struct {
 type Fig7Setting struct {
 	Label     string
 	Pairs     []PairError
-	Histogram *stats.Histogram
+	Histogram *Histogram
 	Mean      float64
 	Below10   float64
 	Below20   float64
@@ -86,7 +85,7 @@ func (s *Suite) figure7With(batch []*workload.Instance, predict degradationFunc)
 	cmed, gmed := s.mediumFreqs()
 
 	measure := func(label string, fc, fg int) (Fig7Setting, error) {
-		set := Fig7Setting{Label: label, Histogram: stats.NewHistogram(0.10, 5)}
+		set := Fig7Setting{Label: label, Histogram: NewHistogram(0.10, 5)}
 		var errs []float64
 		for i := range batch {
 			for j := range batch {
@@ -106,7 +105,7 @@ func (s *Suite) figure7With(batch []*workload.Instance, predict degradationFunc)
 			}
 		}
 		set.Histogram.AddAll(errs)
-		set.Mean = stats.Summarize(errs).Mean
+		set.Mean = Summarize(errs).Mean
 		set.Below10 = set.Histogram.FractionBelow(0.10)
 		set.Below20 = set.Histogram.FractionBelow(0.20)
 		return set, nil

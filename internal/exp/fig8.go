@@ -6,7 +6,6 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/sim"
-	"corun/internal/stats"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -25,7 +24,7 @@ type PowerError struct {
 // a 16 W cap.
 type Fig8Result struct {
 	Pairs     []PowerError
-	Histogram *stats.Histogram
+	Histogram *Histogram
 	Mean      float64
 	Below2    float64
 	MaxErr    float64
@@ -42,7 +41,7 @@ func (s *Suite) Figure8() (*Fig8Result, error) {
 		return nil, err
 	}
 
-	res := &Fig8Result{Histogram: stats.NewHistogram(0.02, 5)}
+	res := &Fig8Result{Histogram: NewHistogram(0.02, 5)}
 	var errs []float64
 	for i := range batch {
 		for j := range batch {
@@ -70,7 +69,7 @@ func (s *Suite) Figure8() (*Fig8Result, error) {
 		}
 	}
 	res.Histogram.AddAll(errs)
-	res.Mean = stats.Summarize(errs).Mean
+	res.Mean = Summarize(errs).Mean
 	res.Below2 = res.Histogram.FractionBelow(0.02)
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"corun/internal/stats"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -24,7 +23,7 @@ type RobustnessRow struct {
 // if the gains survive workloads the models were not calibrated on.
 type RobustnessResult struct {
 	Rows    []RobustnessRow
-	Summary stats.Summary
+	Summary Summary
 	// Wins counts workloads where HCS+ beat the Random average.
 	Wins int
 }
@@ -70,7 +69,7 @@ func (s *Suite) Robustness(workloads int, randomSeeds int) (*RobustnessResult, e
 		res.Rows = append(res.Rows, row)
 		speedups = append(speedups, row.Speedup)
 	}
-	res.Summary = stats.Summarize(speedups)
+	res.Summary = Summarize(speedups)
 	return res, nil
 }
 

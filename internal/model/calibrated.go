@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"corun/internal/apu"
-	"corun/internal/microbench"
 	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -49,7 +48,7 @@ func NewCalibratedPredictor(base *Predictor, batch []*workload.Instance) (*Predi
 
 	// The reference stressor runs on the opposite device; its
 	// standalone bandwidth indexes the prediction surface.
-	probeProg, err := microbench.Kernel(probeTarget, cfg)
+	probeProg, err := microKernel(probeTarget, cfg)
 	if err != nil {
 		return nil, err
 	}

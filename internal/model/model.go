@@ -34,7 +34,6 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/memsys"
-	"corun/internal/microbench"
 	"corun/internal/sim"
 	"corun/internal/units"
 )
@@ -165,7 +164,7 @@ func characterize(opts CharacterizeOptions, workers int) (*Characterization, err
 	}
 	levels := opts.Levels
 	if levels == nil {
-		levels = microbench.DefaultLevels()
+		levels = Levels(11, 11)
 	}
 	cpuLvls := opts.CPUFreqLevels
 	if cpuLvls == nil {
@@ -255,7 +254,7 @@ func characterizeSurface(opts CharacterizeOptions, levels []units.GBps, cf, gf i
 	// Grid coordinates: achieved standalone bandwidths at this
 	// frequency pair.
 	for i, lvl := range levels {
-		k, err := microbench.Kernel(lvl, cfg)
+		k, err := microKernel(lvl, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -268,11 +267,11 @@ func characterizeSurface(opts CharacterizeOptions, levels []units.GBps, cf, gf i
 		s.DegCPU[i] = make([]float64, n)
 		s.DegGPU[i] = make([]float64, n)
 		for j := range levels {
-			cpuInst, err := microbench.Instance(levels[i], cfg, 0)
+			cpuInst, err := microInstance(levels[i], cfg, 0)
 			if err != nil {
 				return nil, err
 			}
-			gpuInst, err := microbench.Instance(levels[j], cfg, 1)
+			gpuInst, err := microInstance(levels[j], cfg, 1)
 			if err != nil {
 				return nil, err
 			}

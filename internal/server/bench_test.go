@@ -89,11 +89,33 @@ func BenchmarkJobsHandler(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
-		if w.Code != http.StatusOK {
-			b.Fatalf("jobs -> %d", w.Code)
-		}
+		getVia(b, h, "/v1/jobs")
+	}
+}
+
+// getVia is one GET of path through h, which must answer 200.
+func getVia(tb testing.TB, h http.Handler, path string) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	if w.Code != http.StatusOK {
+		tb.Fatalf("GET %s -> %d: %s", path, w.Code, w.Body)
+	}
+}
+
+// jobsAllocs is the allocation count of one GET /v1/jobs over
+// benchServer's 256-job table, the recorder and request included —
+// BenchmarkJobsHandler's figure (testing.AllocsPerRun, which runs on one
+// P, reads one fewer). It is a ceiling: a change that raises it says
+// why in the same diff; one that lowers it lowers it here.
+const jobsAllocs = 70
+
+func TestJobsHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	h := benchServer(t, 256, 0)
+	if a := testing.AllocsPerRun(20, func() { getVia(t, h, "/v1/jobs") }); a > jobsAllocs {
+		t.Errorf("a job table read allocates %v times, ceiling %d", a, jobsAllocs)
 	}
 }
 
@@ -105,13 +127,28 @@ func BenchmarkJobHandler(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-000000", nil))
-				if w.Code != http.StatusOK {
-					b.Fatalf("job -> %d: %s", w.Code, w.Body)
-				}
+				getVia(b, h, "/v1/jobs/job-000000")
 			}
 		})
+	}
+}
+
+// jobAllocs is the allocation count of one GET /v1/jobs/{id} through
+// Handler(), the recorder and request included —
+// BenchmarkJobHandler's figure under both request timeouts (a status
+// read runs under no deadline). It is a ceiling: a change that raises
+// it says why in the same diff; one that lowers it lowers it here.
+const jobAllocs = 19
+
+func TestJobHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	for _, timeout := range requestTimeouts {
+		h := benchServer(t, 1, timeout)
+		if a := testing.AllocsPerRun(200, func() { getVia(t, h, "/v1/jobs/job-000000") }); a > jobAllocs {
+			t.Errorf("timeout=%v: a status read allocates %v times, ceiling %d", timeout, a, jobAllocs)
+		}
 	}
 }
 

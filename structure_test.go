@@ -115,6 +115,49 @@ func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, path, dir str
 	}
 }
 
+// TestNoSingleCallerPackage keeps the package graph one package per
+// concept: every directory under internal/ is imported by non-test files
+// in at least two other directories of this module (bench/ does not
+// count). A package with one caller is a part of that caller and lives
+// beside it. The exceptions are roots of their own: internal/exp is the
+// evaluation harness cmd/experiments runs, and internal/fleet is the
+// coordinator corund's -coordinator mode serves.
+func TestNoSingleCallerPackage(t *testing.T) {
+	roots := map[string]bool{"internal/exp": true, "internal/fleet": true}
+	importers := map[string]map[string]bool{} // package dir → importing dirs
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			pkg, ok := strings.CutPrefix(p, "corun/")
+			if !ok || pkg == dir {
+				continue
+			}
+			if importers[pkg] == nil {
+				importers[pkg] = map[string]bool{}
+			}
+			importers[pkg][dir] = true
+		}
+	})
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		pkg := "internal/" + e.Name()
+		if !e.IsDir() || roots[pkg] {
+			continue
+		}
+		if len(importers[pkg]) < 2 {
+			var from []string
+			for dir := range importers[pkg] {
+				from = append(from, dir)
+			}
+			slices.Sort(from)
+			t.Errorf("%s is imported only from %q; fold it into its caller", pkg, from)
+		}
+	}
+}
+
 // importName is the name an import is referred to by in its file.
 func importName(imp *ast.ImportSpec) string {
 	if imp.Name != nil {
@@ -231,8 +274,8 @@ func TestOneJobRecord(t *testing.T) {
 
 // TestEveryKnobIsListed makes a new setting a visible edit: corund's
 // flags, the fields of the four configuration structs that reach the
-// daemon, and the fields of the seven option structs of the planner,
-// the governor, the split study and the generator are pinned to the
+// daemon, and the fields of the six option structs of the planner, the
+// governor and the generator are pinned to the
 // lists below, and README.md documents every listed flag and none of
 // the ones turned into constants (bench/ is exempt: it only passes
 // flags). A setting earns a place here when a second non-test caller
@@ -262,7 +305,6 @@ func TestEveryKnobIsListed(t *testing.T) {
 		"internal/core.RefineOptions":  {"Seed", "SkipAdjacent", "SkipRandomInQueue", "SkipCross"},
 		"internal/core.GeneticOptions": {"Seed", "SeedSchedule", "Workers"},
 		"internal/core.OptimalOptions": {"Workers"},
-		"internal/split.Options":       {"Cfg", "Mem", "SyncLoss"},
 		"internal/workload.GenOptions": {"N", "Seed"},
 		"internal/sim.BiasedGovernor":  {"Cap", "Domains", "Bias"},
 	}
