@@ -112,3 +112,23 @@ func TestProxiedStatusReadAllocs(t *testing.T) {
 		t.Errorf("a proxied status read allocates %v times, ceiling %d", a, proxiedReadAllocs)
 	}
 }
+
+// proxiedSubmitAllocs is the allocation count of one submission through
+// the coordinator — validate, place, forward, relay the ack — with the
+// in-process node's admission and ack, measured when the coordinator
+// came to read bodies and pool buffers with the node's own helpers
+// (114 before). A change that raises it says why in the same diff; one
+// that lowers it lowers it here. 113: the shared IsTimeout returns on a
+// nil error before it allocates errors.As's target.
+const proxiedSubmitAllocs = 113
+
+func TestProxiedSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	h := benchFleet(t, 1)
+	submitVia(t, h)
+	if a := testing.AllocsPerRun(200, func() { submitVia(t, h) }); a > proxiedSubmitAllocs {
+		t.Errorf("a proxied submission allocates %v times, ceiling %d", a, proxiedSubmitAllocs)
+	}
+}

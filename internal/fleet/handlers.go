@@ -56,18 +56,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 var errDeadline = errors.New("fleet: request deadline exceeded")
 
 // requestOver reports whether r's own context has ended — the client
@@ -88,7 +76,7 @@ func requestOver(w http.ResponseWriter, r *http.Request) bool {
 // connection's context along with the request's.
 func writeDeadline(w http.ResponseWriter) {
 	w.Header().Set("Connection", "close")
-	writeErr(w, http.StatusServiceUnavailable, errDeadline)
+	server.WriteErr(w, http.StatusServiceUnavailable, errDeadline)
 }
 
 // relay writes a node's reply through unchanged: status, the named
@@ -173,26 +161,26 @@ func (c *Coordinator) recordPlacement(mb *member, hint cluster.JobHint) {
 // The body is validated here and forwarded as received: the node
 // decodes the same bytes with the same decoder.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	in := getBuf()
-	defer putBuf(in)
+	in := server.GetBuffer()
+	defer server.PutBuffer(in)
 	var err error
-	in.b, _, err = readBody(http.MaxBytesReader(w, r.Body, 1<<20), in.b[:0], 1<<20)
-	if isTimeout(err) {
+	in.B, _, err = server.ReadBody(http.MaxBytesReader(w, r.Body, 1<<20), in.B, 1<<20)
+	if server.IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := workload.DecodeJobSpecBytes(in.b)
+	spec, err := workload.DecodeJobSpecBytes(in.B)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	hint, err := c.hintFor(spec)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	tried := make(map[*member]bool)
@@ -201,7 +189,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if mb == nil {
 			break
 		}
-		rep, err := mb.up.do(r.Context(), http.MethodPost, "/v1/jobs", in.b, 1<<20)
+		rep, err := mb.up.do(r.Context(), http.MethodPost, "/v1/jobs", in.B, 1<<20)
 		if err == nil && rep.status >= 500 {
 			rep.release()
 			err = fmt.Errorf("fleet: node %s: submit failed: %d %s", mb.id, rep.status, http.StatusText(rep.status))
@@ -226,7 +214,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.m.routingFailed.Inc()
-	writeErr(w, http.StatusServiceUnavailable,
+	server.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Errorf("fleet: no healthy node accepted the job"))
 }
 
@@ -254,7 +242,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	mb := c.ownerOf(id)
 	if mb == nil {
-		writeErr(w, http.StatusNotFound,
+		server.WriteErr(w, http.StatusNotFound,
 			fmt.Errorf("fleet: unknown job %q (no node owns this ID prefix)", id))
 		return
 	}
@@ -265,7 +253,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		c.m.proxyErrors.Inc()
 		c.suspend(mb, err)
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("fleet: shard %s unavailable: %v", mb.id, err))
 		return
 	}
@@ -320,7 +308,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		merged.Jobs = append(merged.Jobs, out.Jobs...)
 	}
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // planNode is one node's slice of the aggregated plan view.
@@ -374,26 +362,22 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 		pn := planNode{Healthy: mb.healthy, CapShareWatts: mb.shareW}
 		if plans[i] != nil {
 			pn.Plan = plans[i]
-			var summary struct {
-				AvgPowerWatts  float64 `json:"avg_power_watts"`
-				CapWatts       float64 `json:"cap_watts"`
-				CapUtilization float64 `json:"cap_utilization"`
-			}
-			if json.Unmarshal(plans[i], &summary) == nil {
-				pn.AvgPowerWatts = summary.AvgPowerWatts
-				pn.CapWatts = summary.CapWatts
-				pn.CapUtilization = summary.CapUtilization
-				view.AvgPowerWatts += summary.AvgPowerWatts
+			var pv server.PlanView
+			if json.Unmarshal(plans[i], &pv) == nil {
+				pn.AvgPowerWatts = pv.AvgPowerWatts
+				pn.CapWatts = pv.CapWatts
+				pn.CapUtilization = pv.CapUtilization
+				view.AvgPowerWatts += pv.AvgPowerWatts
 			}
 		}
 		view.Nodes[mb.id] = pn
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
+	server.WriteJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleGetCap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
+	server.WriteJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
 }
 
 func (c *Coordinator) handleSetCap(w http.ResponseWriter, r *http.Request) {
@@ -403,23 +387,23 @@ func (c *Coordinator) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
-	if isTimeout(err) {
+	if server.IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil || req.CapWatts == nil {
-		writeErr(w, http.StatusBadRequest,
+		server.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"cap_watts": <number>} (the fleet-wide budget; 0 = unmanaged)`))
 		return
 	}
 	if err := c.SetBudgetW(r.Context(), *req.CapWatts); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if requestOver(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
+	server.WriteJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
 }
 
 // handlePolicies proxies the registry listing from any healthy node —
@@ -436,7 +420,7 @@ func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if target == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
 		return
 	}
 	rep, err := target.up.do(r.Context(), http.MethodGet, "/v1/policies", nil, 1<<20)
@@ -445,7 +429,7 @@ func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		c.m.proxyErrors.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: node %s unavailable: %v", target.id, err))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: node %s unavailable: %v", target.id, err))
 		return
 	}
 	relay(w, rep, "Content-Type")
@@ -463,18 +447,18 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
-	if isTimeout(err) {
+	if server.IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest,
+		server.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
 	canonical, err := policy.Canonical(req.Policy)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	c.mu.Lock()
@@ -486,7 +470,7 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if len(targets) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
 		return
 	}
 	payload := []byte(fmt.Sprintf(`{"policy": %q}`, canonical))
@@ -513,7 +497,7 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"policy":  canonical,
 		"applied": applied,
 		"failed":  failed,
@@ -557,14 +541,14 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"balancer": c.placer.Strategy().String(),
 		"nodes":    views,
 	})
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady is the fleet readiness gate: 200 while at least one
@@ -591,8 +575,8 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 	if healthy == 0 {
 		body["status"] = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"corun/internal/server"
 )
 
 // member is the coordinator's live view of one corund node. All
@@ -41,14 +43,6 @@ type member struct {
 	routed    uint64
 	placedCPU uint64
 	placedGPU uint64
-}
-
-// nodeReady mirrors the corund /readyz body (server.readyStatus).
-type nodeReady struct {
-	Status     string  `json:"status"`
-	Node       string  `json:"node"`
-	QueueDepth int     `json:"queue_depth"`
-	CapWatts   float64 `json:"cap_watts"`
 }
 
 // probeAll refreshes every member's health and load snapshot in
@@ -129,20 +123,20 @@ func (c *Coordinator) probe(ctx context.Context, mb *member) {
 // fetchReady performs the /readyz request and decodes the body
 // regardless of status code — a 503 "draining" answer still carries
 // the node's identity and stats.
-func (c *Coordinator) fetchReady(ctx context.Context, mb *member) (nodeReady, error) {
+func (c *Coordinator) fetchReady(ctx context.Context, mb *member) (server.ReadyStatus, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.HealthInterval*2+time.Second)
 	defer cancel()
 	rep, err := mb.up.do(ctx, http.MethodGet, "/readyz", nil, 1<<16)
 	if err != nil {
-		return nodeReady{}, err
+		return server.ReadyStatus{}, err
 	}
 	defer rep.release()
-	var st nodeReady
+	var st server.ReadyStatus
 	if err := json.Unmarshal(rep.body, &st); err != nil {
-		return nodeReady{}, fmt.Errorf("bad /readyz body: %w", err)
+		return server.ReadyStatus{}, fmt.Errorf("bad /readyz body: %w", err)
 	}
 	if st.Status == "" {
-		return nodeReady{}, fmt.Errorf("bad /readyz body: no status")
+		return server.ReadyStatus{}, fmt.Errorf("bad /readyz body: no status")
 	}
 	return st, nil
 }

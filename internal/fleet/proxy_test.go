@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"corun/internal/fleet"
+	"corun/internal/server"
 	"corun/internal/workload"
 )
 
@@ -272,6 +273,10 @@ func exchange(t testing.TB, method, url, body string) string {
 // Location, Retry-After, Content-Type and body must agree byte for
 // byte, and the node must have received the client's own bytes. A spec
 // the coordinator rejects itself gets the 400 a real node would give.
+// Through a coordinator in front of a real node, every job body — the
+// ack, the status read, the list — is json.Marshal of the node's
+// record, for labels that need escaping and one (submitted through the
+// Go API) that is not valid UTF-8.
 func TestRepliesPassThroughByteIdentical(t *testing.T) {
 	var mu sync.Mutex
 	var received []string
@@ -329,6 +334,50 @@ func TestRepliesPassThroughByteIdentical(t *testing.T) {
 		if !strings.HasPrefix(via, "400\n") || via != direct {
 			t.Errorf("bad spec %q: coordinator and node 400s differ:\n%s\nvs\n%s", body, via, direct)
 		}
+	}
+
+	_, coURL := startFleet(t, []*testNode{real}, 0)
+	for _, body := range []string{
+		`{"program":"cfd","label":"<a&b>\u2028\u2029","deadline_s":1e-7}`,
+		`{"program":"lud","label":"tab\t\"quote\" back\\","deadline_s":1e9,"tenant":"team-a","priority":"high"}`,
+		`{"program":"dwt2d","scale":1.5}`,
+		"{\"program\":\"srad\",\"label\":\"raw \xff byte\"}",
+	} {
+		resp, err := http.Post(coURL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var j server.Job
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(ack, &j) != nil {
+			t.Fatalf("submit %s -> %d: %s", body, resp.StatusCode, ack)
+		}
+		if want, _ := json.Marshal(&j); string(ack) != string(want)+"\n" {
+			t.Errorf("ack relayed\n got %s\nwant %s", ack, want)
+		}
+	}
+	if _, err := real.s.Submit(workload.JobSpec{Program: "hotspot", Label: "bad\xffutf8 <\xe2\x80\xa8>"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		for _, j := range real.s.Jobs() {
+			if j.State != server.JobDone && j.State != server.JobFailed {
+				return false
+			}
+		}
+		return true
+	}, "every job terminal")
+	jobs := real.s.Jobs()
+	for i := range jobs {
+		want, _ := json.Marshal(&jobs[i])
+		if _, got := getStatus(t, coURL+"/v1/jobs/"+jobs[i].ID); got != string(want)+"\n" {
+			t.Errorf("GET /v1/jobs/%s relayed\n got %s\nwant %s", jobs[i].ID, got, want)
+		}
+	}
+	want, _ := json.MarshalIndent(map[string]any{"jobs": jobs}, "", "  ")
+	if _, got := getStatus(t, coURL+"/v1/jobs"); got != string(want)+"\n" {
+		t.Errorf("GET /v1/jobs merged\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -3,9 +3,7 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -13,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"corun/internal/server"
 )
 
 // upstreamTimeout bounds every coordinator→node round trip, whatever
@@ -27,10 +27,6 @@ const (
 	maxIdleConns    = 64
 	idleConnTimeout = 90 * time.Second
 )
-
-// maxPooledBuf is the largest buffer returned to bufPool: a fan-out
-// reply can be megabytes, and the pool must not pin that.
-const maxPooledBuf = 64 << 10
 
 // upstream is the coordinator's one client for one node. Each round
 // trip runs on the caller's goroutine over a pooled keep-alive
@@ -75,31 +71,16 @@ func newUpstream(raw string) (*upstream, error) {
 	return &upstream{addr: addr, host: u.Host, base: strings.TrimRight(u.EscapedPath(), "/")}, nil
 }
 
-// reply is one node answer. body lives in a pooled buffer until
-// release.
+// reply is one node answer. body lives in a pooled buffer (the node's
+// own pool, server.GetBuffer) until release.
 type reply struct {
 	status int
 	header http.Header
 	body   []byte
-	buf    *buffer
+	buf    *server.Buffer
 }
 
-func (r reply) release() { putBuf(r.buf) }
-
-// buffer is a pooled scratch byte slice: a submission's body on the
-// way in, a node's reply on the way out.
-type buffer struct{ b []byte }
-
-var bufPool = sync.Pool{New: func() any { return &buffer{b: make([]byte, 0, 2048)} }}
-
-func getBuf() *buffer { return bufPool.Get().(*buffer) }
-
-func putBuf(buf *buffer) {
-	if buf != nil && cap(buf.b) <= maxPooledBuf {
-		buf.b = buf.b[:0]
-		bufPool.Put(buf)
-	}
-}
+func (r reply) release() { server.PutBuffer(r.buf) }
 
 // do sends one request (body, if non-nil, as JSON) and reads the reply,
 // its body capped at limit bytes. It gives up at the earlier of ctx's
@@ -124,7 +105,7 @@ func (u *upstream) do(ctx context.Context, method, path string, body []byte, lim
 		deadline, byCtx = d, true
 	}
 	fail := func(err error) (reply, error) {
-		if byCtx && isTimeout(err) {
+		if byCtx && server.IsTimeout(err) {
 			// The connection's deadline is ctx's: wait out the moment
 			// until ctx's own timer fires, so callers see it ended.
 			<-ctx.Done()
@@ -144,7 +125,7 @@ func (u *upstream) do(ctx context.Context, method, path string, body []byte, lim
 		if err == nil {
 			return rep, nil
 		}
-		if reused && early && ctx.Err() == nil && !isTimeout(err) {
+		if reused && early && ctx.Err() == nil && !server.IsTimeout(err) {
 			u.closeIdle()
 			fresh = true
 			continue
@@ -195,11 +176,11 @@ func (u *upstream) exchange(ctx context.Context, pc *upConn, deadline time.Time,
 	if err != nil {
 		return reply{}, false, err
 	}
-	buf := getBuf()
-	b, complete, err := readBody(resp.Body, buf.b[:0], limit)
-	buf.b = b
+	buf := server.GetBuffer()
+	b, complete, err := server.ReadBody(resp.Body, buf.B, limit)
+	buf.B = b
 	if err != nil {
-		putBuf(buf)
+		server.PutBuffer(buf)
 		return reply{}, false, err
 	}
 	keep = complete && !resp.Close
@@ -260,30 +241,6 @@ func (u *upstream) closeIdle() {
 	}
 }
 
-// readBody appends r to b until EOF or limit bytes. complete reports
-// that EOF came within the limit; a longer body is cut at limit.
-func readBody(r io.Reader, b []byte, limit int) ([]byte, bool, error) {
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		room := b[len(b):cap(b)]
-		if max := limit + 1 - len(b); len(room) > max {
-			room = room[:max]
-		}
-		n, err := r.Read(room)
-		b = b[:len(b)+n]
-		switch {
-		case len(b) > limit:
-			return b[:limit], false, nil
-		case err == io.EOF:
-			return b, true, nil
-		case err != nil:
-			return b, false, err
-		}
-	}
-}
-
 // plainToken reports whether s can go onto a request line as it is: a
 // space, control byte or DEL would end the method or target early and
 // let the rest be read as headers, or as a second request.
@@ -297,9 +254,4 @@ func plainToken(s string) bool {
 		}
 	}
 	return true
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

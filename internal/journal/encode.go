@@ -4,21 +4,27 @@ package journal
 // (Record, JobRecord, State and the snapshot document), the mirror of
 // decode.go. Its rule is byte-identical: for every value it writes
 // exactly what json.Marshal writes — the tags' field order and
-// omitempty, internal/jsonenc's escaping, float and time formats — and
+// omitempty, encoding/json's escaping, float and time formats — and
 // it fails exactly where json.Marshal fails (NaN, ±Inf, a time
 // MarshalJSON refuses). So the log and the snapshot are the bytes the
 // reflection encoder wrote, old journals replay, and encoding/json
-// stays the oracle (FuzzAppendRecord, TestSnapshotMatchesMarshal).
+// stays the oracle (FuzzAppendRecord, TestSnapshotMatchesMarshal). The
+// rules for one value are at the end of the file: jsonString, jsonFloat
+// and jsonTime append what json.Marshal writes for it, without the
+// reflection walk.
 //
 // A new journaled field needs one line in its struct's function below
 // and one case in decode.go; TestSchemaGuard fails until it has both.
+// A job's HTTP bodies are this encoding too (AppendJob), so that is
+// also all a new job field needs to be served.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
-
-	"corun/internal/jsonenc"
+	"time"
+	"unicode/utf8"
 )
 
 // encoder appends one document; the first value json.Marshal would
@@ -30,7 +36,7 @@ type encoder struct {
 
 func (e *encoder) str(key, s string) {
 	e.b = append(e.b, key...)
-	e.b = jsonenc.String(e.b, s)
+	e.b = jsonString(e.b, s)
 }
 
 func (e *encoder) float(key string, v float64) {
@@ -41,7 +47,7 @@ func (e *encoder) float(key string, v float64) {
 		return
 	}
 	e.b = append(e.b, key...)
-	e.b = jsonenc.Float(e.b, v)
+	e.b = jsonFloat(e.b, v)
 }
 
 func (e *encoder) floatPtr(key string, p *float64) {
@@ -104,7 +110,7 @@ func (e *encoder) job(jr *JobRecord) {
 	}
 	e.b = append(e.b, `,"submitted_at":`...)
 	var err error
-	if e.b, err = jsonenc.Time(e.b, jr.SubmittedAt); err != nil && e.err == nil {
+	if e.b, err = jsonTime(e.b, jr.SubmittedAt); err != nil && e.err == nil {
 		e.err = err
 	}
 	if jr.ArrivedSimS != 0 {
@@ -190,6 +196,17 @@ func (e *encoder) snapshot(sf *snapshotFile) {
 	e.b = append(e.b, "}}"...)
 }
 
+// AppendJob appends jr's JSON to b: the journal's encoding of a job,
+// byte-equal to json.Marshal(jr), and the daemon's one wire form of it
+// (the submit ack, GET /v1/jobs/{id}, each element of GET /v1/jobs). A
+// value json.Marshal would refuse — NaN or ±Inf, which no admitted job
+// carries — is left out.
+func AppendJob(b []byte, jr *JobRecord) []byte {
+	e := encoder{b: b}
+	e.job(jr)
+	return e.b
+}
+
 // appendRecordJSON appends r's JSON payload to b.
 func appendRecordJSON(b []byte, r *Record) ([]byte, error) {
 	e := encoder{b: b}
@@ -202,4 +219,112 @@ func appendSnapshot(b []byte, sf *snapshotFile) ([]byte, error) {
 	e := encoder{b: b}
 	e.snapshot(sf)
 	return e.b, e.err
+}
+
+// jsonFloat appends v the way encoding/json encodes a float64: shortest
+// representation, fixed notation except for very small or very large
+// magnitudes, and a two-digit negative exponent cut to one ("1e-07" →
+// "1e-7"). NaN and ±Inf have no JSON form (json.Marshal refuses them);
+// an encoder that must refuse them too checks first.
+func jsonFloat(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(b, v, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, v, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// jsonTime appends t quoted in RFC 3339 with nanoseconds, as
+// time.Time.MarshalJSON writes it. Where MarshalJSON refuses the value
+// — a year outside 0–9999, a zone offset of 24 hours or more — jsonTime
+// reports the same error and still appends the formatted bytes, so a
+// caller that cannot fail writes what it always wrote.
+func jsonTime(b []byte, t time.Time) ([]byte, error) {
+	b = append(b, '"')
+	n0 := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	var err error
+	switch {
+	case b[n0+len("9999")] != '-': // the year is exactly four digits wide
+		err = errYear
+	case b[len(b)-1] != 'Z':
+		c := b[len(b)-len("Z07:00")]
+		if h := b[len(b)-len("07:00"):]; ('0' <= c && c <= '9') || 10*(h[0]-'0')+(h[1]-'0') >= 24 {
+			err = errZone
+		}
+	}
+	return append(b, '"'), err
+}
+
+var (
+	errYear = errors.New("Time.MarshalJSON: year outside of range [0,9999]")
+	errZone = errors.New("Time.MarshalJSON: timezone hour outside of range [0,23]")
+)
+
+// jsonString appends s as a JSON string. The fast path covers printable
+// ASCII that encoding/json leaves alone — no quotes, backslashes, or
+// the HTML-significant <, >, & — which is every ID, state, and program
+// name; anything else — user-controlled labels and error text — takes
+// the escaping path.
+func jsonString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return jsonStringSlow(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonStringSlow escapes as encoding/json does by default: short escapes
+// for backspace, form feed, newline, return and tab; a six-character
+// u-escape for the other control bytes, for <, >, &, and for the
+// JavaScript line separators U+2028 and U+2029; and the escaped U+FFFD
+// for each byte of invalid UTF-8.
+func jsonStringSlow(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c == '\b':
+				b = append(b, '\\', 'b')
+			case c == '\f':
+				b = append(b, '\\', 'f')
+			case c == '\n':
+				b = append(b, '\\', 'n')
+			case c == '\r':
+				b = append(b, '\\', 'r')
+			case c == '\t':
+				b = append(b, '\\', 't')
+			case c < 0x20 || c == '<' || c == '>' || c == '&':
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			default:
+				b = append(b, c)
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(b, '"')
 }

@@ -9,8 +9,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,7 +133,7 @@ var errDeadline = errors.New("server: request deadline exceeded")
 // with the request's. A client that hung up reads nothing.
 func writeDeadline(w http.ResponseWriter) {
 	w.Header().Set("Connection", "close")
-	writeErr(w, http.StatusServiceUnavailable, errDeadline)
+	WriteErr(w, http.StatusServiceUnavailable, errDeadline)
 }
 
 // requestEnded reports whether err is r's own context ending, not a
@@ -142,5 +142,14 @@ func requestEnded(r *http.Request, err error) bool {
 	return err != nil && err == r.Context().Err()
 }
 
-// isTimeout reports a body read cut off by the read deadline.
-func isTimeout(err error) bool { return errors.Is(err, os.ErrDeadlineExceeded) }
+// IsTimeout reports an I/O deadline running out: a body read cut off by
+// the read deadline (os.ErrDeadlineExceeded is a net.Error), or a
+// connection to a node that hit its own. A nil error returns before
+// errors.As's target is allocated.
+func IsTimeout(err error) bool {
+	if err == nil {
+		return false
+	}
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}

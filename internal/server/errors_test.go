@@ -5,7 +5,7 @@ package server
 // {"error": ...} (readiness uses {"status": ...}), including the shed
 // paths (429, 503) and — the case that used to regress — the
 // TimeoutHandler's 503, which is written outside the handlers' own
-// writeJSON path.
+// WriteJSON path.
 
 import (
 	"context"
@@ -120,7 +120,7 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 // TestTimeoutErrorIsJSON pins the TimeoutHandler path: a request that
 // overruns Config.RequestTimeout gets a 503 whose body is JSON *and*
 // says so in its Content-Type. TimeoutHandler writes that body itself,
-// bypassing writeJSON, so the type is asserted separately here.
+// bypassing WriteJSON, so the type is asserted separately here.
 func TestTimeoutErrorIsJSON(t *testing.T) {
 	reg := fault.NewRegistry()
 	s := newTestServer(t, func(c *Config) {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"corun/internal/admission"
+	"corun/internal/journal"
 	"corun/internal/policy"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -82,10 +83,12 @@ func (s *Server) retryHeader(w http.ResponseWriter) {
 // degraded or a write failed past its retries).
 func (s *Server) shedErr(w http.ResponseWriter, err error) {
 	s.retryHeader(w)
-	writeErr(w, http.StatusServiceUnavailable, err)
+	WriteErr(w, http.StatusServiceUnavailable, err)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the response body, indented, with status. The
+// coordinator (internal/fleet) answers through it as well.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -93,29 +96,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteErr writes the JSON error body {"error": err} with status.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The pooled buffer serves twice: first it holds the request body,
 	// then (once the decoded spec has copied what it needs) the
 	// response encoding — zero steady-state allocation either way.
-	buf := reqBufPool.Get().(*reqBuf)
-	defer func() { reqBufPool.Put(buf) }()
+	buf := GetBuffer()
+	defer PutBuffer(buf)
 	var err error
-	buf.b, err = readBody(http.MaxBytesReader(w, r.Body, 1<<20), buf.b)
-	if isTimeout(err) {
+	buf.B, _, err = ReadBody(http.MaxBytesReader(w, r.Body, 1<<20), buf.B, 1<<20)
+	if IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := workload.DecodeJobSpecBytes(buf.b)
+	spec, err := workload.DecodeJobSpecBytes(buf.B)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	job, err := s.submit(r.Context(), spec)
@@ -124,7 +128,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeDeadline(w)
 		return
 	case errors.Is(err, ErrDraining):
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
 		// The job was NOT acknowledged: its durability could not be
@@ -141,7 +145,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var full *admission.FullError
 		if errors.As(err, &full) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.tenantRetryAfterSeconds(full.Tenant)))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":  err.Error(),
 				"bound":  full.Scope,
 				"tenant": full.Tenant,
@@ -150,15 +154,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.retryHeader(w)
-		writeErr(w, http.StatusTooManyRequests, err)
+		WriteErr(w, http.StatusTooManyRequests, err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	out := appendJobJSON(buf.b[:0], job)
-	out = append(out, '\n')
-	buf.b = out
+	out := append(journal.AppendJob(buf.B[:0], job), '\n')
+	buf.B = out
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -168,45 +171,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobs walks the table on every request: each job resolves to
 // the snapshot current when it is visited, so a list issued after an
 // acked submit always contains it. Every job is written by
-// appendJobJSON, the encoder of the single-job bodies.
+// journal.AppendJob, the encoder of the single-job bodies.
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	refs := s.table.ordered()
 	jobs := make([]json.RawMessage, len(refs))
 	var buf []byte // one growing buffer; each element keeps the array it was written into
 	for i, j := range refs {
 		start := len(buf)
-		buf = appendJobJSON(buf, j)
+		buf = journal.AppendJob(buf, j)
 		jobs[i] = buf[start:len(buf):len(buf)]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.jobRef(id)
 	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: unknown job %q", id))
+		WriteErr(w, http.StatusNotFound, fmt.Errorf("server: unknown job %q", id))
 		return
 	}
 	// Encode straight off the immutable snapshot — no copy, no
 	// reflection, one pooled buffer.
-	buf := reqBufPool.Get().(*reqBuf)
-	out := appendJobJSON(buf.b[:0], j)
-	out = append(out, '\n')
-	buf.b = out
+	buf := GetBuffer()
+	out := append(journal.AppendJob(buf.B, j), '\n')
+	buf.B = out
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out)
-	reqBufPool.Put(buf)
+	PutBuffer(buf)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 	pv := s.lastPlan.Load()
 	if pv == nil {
-		writeErr(w, http.StatusNotFound, errors.New("server: no epoch has been planned yet"))
+		WriteErr(w, http.StatusNotFound, errors.New("server: no epoch has been planned yet"))
 		return
 	}
-	writeJSON(w, http.StatusOK, pv)
+	WriteJSON(w, http.StatusOK, pv)
 }
 
 func (s *Server) capBody() map[string]float64 {
@@ -219,7 +221,7 @@ func (s *Server) capBody() map[string]float64 {
 }
 
 func (s *Server) handleGetCap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.capBody())
+	WriteJSON(w, http.StatusOK, s.capBody())
 }
 
 func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
@@ -231,12 +233,12 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
-	if isTimeout(err) {
+	if IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil || (req.CapWatts == nil && req.PP0Watts == nil && req.PP1Watts == nil) {
-		writeErr(w, http.StatusBadRequest, errors.New(`server: body must set at least one of {"cap_watts", "pp0_watts", "pp1_watts"} (0 = uncapped)`))
+		WriteErr(w, http.StatusBadRequest, errors.New(`server: body must set at least one of {"cap_watts", "pp0_watts", "pp1_watts"} (0 = uncapped)`))
 		return
 	}
 	// Absent fields keep their current value, so a package-only client
@@ -262,16 +264,16 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 			s.shedErr(w, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.capBody())
+	WriteJSON(w, http.StatusOK, s.capBody())
 }
 
 // handlePolicies lists the policy registry — the set a POST /v1/policy
 // hot-swap accepts — plus the currently active policy.
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"policies": policy.List(),
 		"active":   s.Policy(),
 	})
@@ -284,17 +286,17 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
-	if isTimeout(err) {
+	if IsTimeout(err) {
 		writeDeadline(w)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
+		WriteErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
 	p, err := policy.Canonical(req.Policy)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.setPolicy(r.Context(), p); err != nil {
@@ -306,10 +308,10 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 			s.shedErr(w, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"policy": p})
+	WriteJSON(w, http.StatusOK, map[string]string{"policy": p})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -326,23 +328,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyStatus is the /readyz JSON body. Beyond the gate status it
+// ReadyStatus is the /readyz JSON body. Beyond the gate status it
 // carries the node's fleet identity and its cheap load/budget
 // snapshot, so a coordinator's health poll doubles as its stats poll —
 // one request per node per interval covers liveness, routing load, and
-// power-share bookkeeping.
-type readyStatus struct {
+// power-share bookkeeping. The coordinator decodes it into this type.
+type ReadyStatus struct {
 	Status     string  `json:"status"`
 	Node       string  `json:"node,omitempty"`
 	QueueDepth int     `json:"queue_depth"`
 	CapWatts   float64 `json:"cap_watts"`
 }
 
-func (s *Server) readyStatus(status string) readyStatus {
-	return readyStatus{
+func (s *Server) readyStatus(status string) ReadyStatus {
+	return ReadyStatus{
 		Status:     status,
 		Node:       s.cfg.NodeID,
 		QueueDepth: s.QueueDepth(),
@@ -353,7 +355,7 @@ func (s *Server) readyStatus(status string) readyStatus {
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.Draining():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("draining"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("draining"))
 	case s.Degraded():
 		// Alive but shedding: the journal breaker is open (or probing),
 		// so new work cannot be durably acknowledged. Reported on
@@ -361,10 +363,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		// restarting the pod — recovery is automatic once a probe
 		// write succeeds.
 		s.retryHeader(w)
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("degraded"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("degraded"))
 	case !s.Ready():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("starting"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("starting"))
 	default:
-		writeJSON(w, http.StatusOK, s.readyStatus("ready"))
+		WriteJSON(w, http.StatusOK, s.readyStatus("ready"))
 	}
 }

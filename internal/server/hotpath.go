@@ -4,40 +4,56 @@ import (
 	"io"
 	"strconv"
 	"sync"
-
-	"corun/internal/jsonenc"
 )
 
 // This file is the POST /v1/jobs near-zero-alloc toolkit: pooled
-// request/response buffers, slab-allocated job records, and the one
-// JSON encoder of a job's HTTP form (the submit ack, GET
-// /v1/jobs/{id} and each element of GET /v1/jobs). The encoder writes
-// what encoding/json writes — internal/jsonenc holds the escaping,
-// float and time rules, shared with the journal's encoder — without
-// the reflection walk and the per-request encoder state.
+// request/response buffers and slab-allocated job records. The buffer
+// pool and the body reader are the coordinator's as well
+// (internal/fleet), for a submission's body and a node's reply. A job's
+// body is journal.AppendJob's encoding of its record.
 
-// reqBuf is a pooled scratch buffer, reused first for the request
-// body and then for the response encoding (the decoded spec does not
-// alias the body — encoding/json copies string fields).
-type reqBuf struct{ b []byte }
+// maxPooledBuf is the largest buffer PutBuffer keeps: a coordinator's
+// fan-out reply can be megabytes, and the pool must not pin that.
+const maxPooledBuf = 64 << 10
 
-var reqBufPool = sync.Pool{New: func() any { return &reqBuf{b: make([]byte, 0, 2048)} }}
+// Buffer is a pooled scratch byte slice, reused first for a request
+// body and then for the response encoding (a decoded spec does not
+// alias the body — the decoder copies string fields).
+type Buffer struct{ B []byte }
 
-// readBody reads r to EOF into buf's capacity, growing it only when a
-// body outgrows what previous requests already paid for.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
-	buf = buf[:0]
+var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 2048)} }}
+
+// GetBuffer takes an empty Buffer from the pool.
+func GetBuffer() *Buffer { return bufPool.Get().(*Buffer) }
+
+// PutBuffer returns buf to the pool, unless it is nil or has grown past
+// maxPooledBuf.
+func PutBuffer(buf *Buffer) {
+	if buf != nil && cap(buf.B) <= maxPooledBuf {
+		buf.B = buf.B[:0]
+		bufPool.Put(buf)
+	}
+}
+
+// ReadBody appends r to b until EOF or limit bytes, growing b only when
+// a body outgrows what earlier ones already paid for. complete reports
+// that EOF came within the limit; a longer body is cut at limit.
+func ReadBody(r io.Reader, b []byte, limit int) ([]byte, bool, error) {
 	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
+		room := b[len(b):cap(b)]
+		room = room[:min(len(room), limit+1-len(b))]
+		n, err := r.Read(room)
+		b = b[:len(b)+n]
+		switch {
+		case len(b) > limit:
+			return b[:limit], false, nil
+		case err == io.EOF:
+			return b, true, nil
+		case err != nil:
+			return b, false, err
 		}
 	}
 }
@@ -75,78 +91,4 @@ func appendPaddedInt(b []byte, n int64, width int) []byte {
 		b = append(b, '0')
 	}
 	return append(b, s...)
-}
-
-// appendJobJSON encodes one job's HTTP form: always id, program, scale,
-// label, state, submitted_at and arrived_sim_s, the other fields only
-// when set, in the order below, escaped and formatted as encoding/json
-// would. FuzzAppendJobJSON holds it to json.Marshal of the schema
-// spelled as a tagged struct.
-func appendJobJSON(b []byte, j *Job) []byte {
-	b = append(b, `{"id":`...)
-	b = jsonenc.String(b, j.ID)
-	b = append(b, `,"program":`...)
-	b = jsonenc.String(b, j.Program)
-	b = append(b, `,"scale":`...)
-	b = jsonenc.Float(b, j.Scale)
-	b = append(b, `,"label":`...)
-	b = jsonenc.String(b, j.Label)
-	if j.DeadlineS != 0 {
-		b = append(b, `,"deadline_s":`...)
-		b = jsonenc.Float(b, j.DeadlineS)
-	}
-	b = append(b, `,"state":`...)
-	b = jsonenc.String(b, j.State)
-	b = append(b, `,"submitted_at":`...)
-	b, _ = jsonenc.Time(b, j.SubmittedAt) // a UTC stamp of now, or one replayed from RFC 3339: never refused
-	if j.Tenant != "" {
-		b = append(b, `,"tenant":`...)
-		b = jsonenc.String(b, j.Tenant)
-	}
-	if j.Priority != "" {
-		b = append(b, `,"priority":`...)
-		b = jsonenc.String(b, j.Priority)
-	}
-	if j.Epoch != 0 {
-		b = append(b, `,"epoch":`...)
-		b = strconv.AppendInt(b, int64(j.Epoch), 10)
-	}
-	b = append(b, `,"arrived_sim_s":`...)
-	b = jsonenc.Float(b, j.ArrivedSimS)
-	if j.StartedSimS != 0 {
-		b = append(b, `,"started_sim_s":`...)
-		b = jsonenc.Float(b, j.StartedSimS)
-	}
-	if j.FinishedSimS != 0 {
-		b = append(b, `,"finished_sim_s":`...)
-		b = jsonenc.Float(b, j.FinishedSimS)
-	}
-	if j.PredictedFinishSimS != 0 {
-		b = append(b, `,"predicted_finish_sim_s":`...)
-		b = jsonenc.Float(b, j.PredictedFinishSimS)
-	}
-	if j.ResponseS != 0 {
-		b = append(b, `,"response_s":`...)
-		b = jsonenc.Float(b, j.ResponseS)
-	}
-	if j.Device != "" {
-		b = append(b, `,"device":`...)
-		b = jsonenc.String(b, j.Device)
-	}
-	if j.Partner != "" {
-		b = append(b, `,"partner":`...)
-		b = jsonenc.String(b, j.Partner)
-	}
-	if j.DeadlineMet != nil {
-		if *j.DeadlineMet {
-			b = append(b, `,"deadline_met":true`...)
-		} else {
-			b = append(b, `,"deadline_met":false`...)
-		}
-	}
-	if j.Error != "" {
-		b = append(b, `,"error":`...)
-		b = jsonenc.String(b, j.Error)
-	}
-	return append(b, '}')
 }

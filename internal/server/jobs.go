@@ -20,7 +20,8 @@ func terminal(state string) bool { return state == JobDone || state == JobFailed
 
 // Job is one submitted job and its scheduling outcome: the journal's
 // record of it, which is also what the job table publishes and what
-// GET /v1/jobs/{id} serves (appendJobJSON writes the HTTP form). Fields
+// every HTTP job body carries, in the journal's encoding
+// (journal.AppendJob: byte-equal to json.Marshal of the record). Fields
 // with the Sim suffix are simulated seconds on the node's scheduling
 // clock (which advances by each epoch's makespan); SubmittedAt is
 // wall-clock time.

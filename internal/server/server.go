@@ -794,17 +794,14 @@ func (s *Server) retryAfterSeconds() int {
 		}
 	}
 	if ns := s.lastEpochWall.Load(); ns > 0 {
-		secs := int((2*time.Duration(ns) + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		if secs > 30 {
-			secs = 30
-		}
-		return secs
+		return retryClamp(int((2*time.Duration(ns) + time.Second - 1) / time.Second))
 	}
 	return 1
 }
+
+// retryClamp bounds a Retry-After hint estimated from latency or drain
+// rate to [1, 30] s.
+func retryClamp(secs int) int { return min(max(secs, 1), 30) }
 
 // tenantRetryAfterSeconds is the Retry-After hint on a tenant's 429:
 // how long until the tenant's own backlog drains one slot, from the
@@ -816,14 +813,7 @@ func (s *Server) tenantRetryAfterSeconds(tenant string) int {
 	depth := s.adm.TenantDepth(tenant)
 	s.admMu.Unlock()
 	if rate > 0 {
-		secs := int(math.Ceil(float64(depth+1) / rate))
-		if secs < 1 {
-			secs = 1
-		}
-		if secs > 30 {
-			secs = 30
-		}
-		return secs
+		return retryClamp(int(math.Ceil(float64(depth+1) / rate)))
 	}
 	return s.retryAfterSeconds()
 }
@@ -1215,7 +1205,7 @@ func partnerMap(cs []sim.Completion) map[int]int {
 			if i == j || a.Dev == b.Dev {
 				continue
 			}
-			ov := minS(a.End, b.End) - maxS(a.Start, b.Start)
+			ov := min(a.End, b.End) - max(a.Start, b.Start)
 			if ov > bestOv {
 				bestOv = ov
 				best = b.Inst.ID
@@ -1226,18 +1216,4 @@ func partnerMap(cs []sim.Completion) map[int]int {
 		}
 	}
 	return out
-}
-
-func minS(a, b units.Seconds) units.Seconds {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxS(a, b units.Seconds) units.Seconds {
-	if a > b {
-		return a
-	}
-	return b
 }
