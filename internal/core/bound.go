@@ -86,13 +86,17 @@ func (cx *Context) MinCoRunTime(i int, d apu.Device) (units.Seconds, bool) {
 		if len(pts) == 0 {
 			continue
 		}
-		in := cx.pairInputs(c, g)
+		in := cx.pairInputs(c, g, pts)
+		times, row, s := in.tc, in.dc, in.sc
+		if d == apu.GPU {
+			times, row, s = in.tg, in.dg, in.sg
+		}
 		for _, p := range pts {
-			times, f := in.tc, p.CPU
+			f := p.CPU
 			if d == apu.GPU {
-				times, f = in.tg, p.GPU
+				f = p.GPU
 			}
-			t := float64(times[f]) * (1 + in.degOn(d, p))
+			t := float64(times[f]) * (1 + float64(row[p.CPU*in.ng+p.GPU]*s))
 			if best < 0 || t < best {
 				best = t
 			}

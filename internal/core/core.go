@@ -276,45 +276,42 @@ func (cx *Context) traverse(c, g int) []apu.FreqPair {
 }
 
 // pairInputs are what the traversal's visitors read about CPU job c
-// beside GPU job g at each operating point, fetched once per pair: the
-// two jobs' standalone times by level and, from a pairTables oracle,
-// their degradation rows.
+// beside GPU job g at each operating point p, fetched once per pair: the
+// two jobs' standalone times by level and their degradation rows. At
+// k = p.CPU*ng+p.GPU the CPU job's degradation is dc[k]*sc and the GPU
+// job's dg[k]*sg — exactly the oracle's Degradation answers — so every
+// per-pair loop reads a point with two loads and two multiplies. The
+// loops round each product with an explicit float64 conversion, which
+// the compiler never fuses into a multiply-add on any architecture.
 type pairInputs struct {
-	o      Oracle
-	c, g   int
 	tc, tg []units.Seconds
-	dc, dg []float64 // nil: ask the oracle
+	dc, dg []float64
 	ng     int
 	sc, sg float64
 }
 
-func (cx *Context) pairInputs(c, g int) pairInputs {
-	in := pairInputs{o: cx.Oracle, c: c, g: g, tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU)}
+// pairInputs returns the inputs of CPU job c beside GPU job g over pts,
+// the pair's feasible points. A pairTables oracle lends its rows and
+// scales; any other oracle has its Degradation answers at pts copied
+// into fresh rows under unit scales (x·1 is x, bit for bit), so the
+// visitors read no other entry.
+func (cx *Context) pairInputs(c, g int, pts []apu.FreqPair) pairInputs {
+	in := pairInputs{tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU)}
 	if t, ok := cx.Oracle.(pairTables); ok {
 		in.dc, in.dg, in.ng = t.PairDegradations(c, g)
 		in.sc, in.sg = t.Scale(c, apu.CPU), t.Scale(g, apu.GPU)
+		return in
+	}
+	in.ng, in.sc, in.sg = cx.nf[apu.GPU], 1, 1
+	k := cx.nf[apu.CPU] * in.ng
+	rows := make([]float64, 2*k)
+	in.dc, in.dg = rows[:k:k], rows[k:]
+	for _, p := range pts {
+		at := p.CPU*in.ng + p.GPU
+		in.dc[at] = cx.Oracle.Degradation(c, apu.CPU, p.CPU, g, p.GPU)
+		in.dg[at] = cx.Oracle.Degradation(g, apu.GPU, p.GPU, c, p.CPU)
 	}
 	return in
-}
-
-// deg returns the predicted degradations of the CPU and the GPU job at
-// p — exactly the oracle's Degradation answers.
-func (in *pairInputs) deg(p apu.FreqPair) (dc, dg float64) {
-	return in.degOn(apu.CPU, p), in.degOn(apu.GPU, p)
-}
-
-// degOn is deg's answer for the job on device d alone.
-func (in *pairInputs) degOn(d apu.Device, p apu.FreqPair) float64 {
-	switch {
-	case in.dc == nil && d == apu.CPU:
-		return in.o.Degradation(in.c, apu.CPU, p.CPU, in.g, p.GPU)
-	case in.dc == nil:
-		return in.o.Degradation(in.g, apu.GPU, p.GPU, in.c, p.CPU)
-	case d == apu.CPU:
-		return in.dc[p.CPU*in.ng+p.GPU] * in.sc
-	default:
-		return in.dg[p.CPU*in.ng+p.GPU] * in.sg
-	}
 }
 
 // Capped reports whether any power constraint is in force — the
@@ -472,9 +469,10 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 	if len(pts) == 0 {
 		return best
 	}
-	in := cx.pairInputs(c, g)
+	in := cx.pairInputs(c, g, pts)
 	for _, p := range pts {
-		dc, dg := in.deg(p)
+		k := p.CPU*in.ng + p.GPU
+		dc, dg := float64(in.dc[k]*in.sc), float64(in.dg[k]*in.sg)
 		tc := float64(in.tc[p.CPU]) * (1 + dc)
 		tg := float64(in.tg[p.GPU]) * (1 + dg)
 		score := float64(refC)/tc + float64(refG)/tg
@@ -501,10 +499,10 @@ func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
 	}
 	var min minDegradation
 	if pts := cx.feasible(c, g); len(pts) > 0 {
-		in := cx.pairInputs(c, g)
+		in := cx.pairInputs(c, g, pts)
 		for _, p := range pts {
-			dc, dg := in.deg(p)
-			if d := dc + dg; !min.ok || d < min.d {
+			k := p.CPU*in.ng + p.GPU
+			if d := float64(in.dc[k]*in.sc) + float64(in.dg[k]*in.sg); !min.ok || d < min.d {
 				min = minDegradation{d: d, ok: true}
 			}
 		}

@@ -99,9 +99,10 @@ func (cx *Context) pairEverBeneficial(c, g int) bool {
 	if len(pts) == 0 {
 		return false
 	}
-	in := cx.pairInputs(c, g)
+	in := cx.pairInputs(c, g, pts)
 	for _, p := range pts {
-		dc, dg := in.deg(p)
+		k := p.CPU*in.ng + p.GPU
+		dc, dg := float64(in.dc[k]*in.sc), float64(in.dg[k]*in.sg)
 		// The partition test applies the theorem's conservative
 		// (naive-length) comparison, as step 1 prescribes.
 		if NaivePairMakespan(in.tc[p.CPU], in.tg[p.GPU], dc, dg) < seq {

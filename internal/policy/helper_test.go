@@ -73,15 +73,33 @@ func predictorFor(tb testing.TB, batch []*workload.Instance) *model.Predictor {
 // and keeps nothing in the characterization.
 type interpolated struct {
 	core.Oracle
-	p *model.Predictor
+	p     *model.Predictor
+	scale func(i int, d apu.Device) float64
 }
 
 func (o interpolated) Degradation(i int, dev apu.Device, f, j, g int) float64 {
-	return o.p.Interpolate(i, dev, f, j, g) * o.p.Scale(i, dev)
+	return o.p.Interpolate(i, dev, f, j, g) * o.scale(i, dev)
 }
 
 // perPoint returns p as an oracle without tables.
-func perPoint(p *model.Predictor) core.Oracle { return interpolated{p, p} }
+func perPoint(p *model.Predictor) core.Oracle { return interpolated{p, p, p.Scale} }
+
+// amplified is a predictor with every calibrated factor k times its own:
+// still an oracle with tables (the embedded predictor's rows and feasible
+// lists), whose Degradation is the rows times the amplified factor. Far
+// from 1, the factors decide which pairs the step-1 partition finds
+// beneficial, so a planner loop that skips or swaps a factor changes the
+// partition, not only the frequency choices.
+type amplified struct {
+	*model.Predictor
+	k float64
+}
+
+func (a amplified) Scale(i int, d apu.Device) float64 { return a.Predictor.Scale(i, d) * a.k }
+
+func (a amplified) Degradation(i int, dev apu.Device, f, j, g int) float64 {
+	return a.Interpolate(i, dev, f, j, g) * a.Scale(i, dev)
+}
 
 // contextOver wraps an oracle in a fresh scheduling context under the
 // test cap. A fresh context means fresh frequency/makespan memo tables:

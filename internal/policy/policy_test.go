@@ -109,14 +109,53 @@ func TestPlanResolvesThroughRegistry(t *testing.T) {
 	}
 }
 
+// samePairAnswers holds two fresh contexts over n jobs, one planning
+// through the pair tables and one point by point, to the same bits on
+// every question the planners ask of a pair: ChoosePairFreqs of every
+// (c, g), either side idle (-1) included; MinPairDegradation of every
+// (c, g); the step-1 partition; and the lower bound.
+func samePairAnswers(t *testing.T, what string, tables, points *core.Context, n int) {
+	t.Helper()
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for c := -1; c < n; c++ {
+		for g := -1; g < n; g++ {
+			wfp, wdc, wdg, wok := points.ChoosePairFreqs(c, g)
+			gfp, gdc, gdg, gok := tables.ChoosePairFreqs(c, g)
+			if wfp != gfp || bits(wdc) != bits(gdc) || bits(wdg) != bits(gdg) || wok != gok {
+				t.Errorf("%s: ChoosePairFreqs(%d, %d) = %v %v %v %v through the tables, %v %v %v %v point by point",
+					what, c, g, gfp, gdc, gdg, gok, wfp, wdc, wdg, wok)
+			}
+			if c < 0 || g < 0 {
+				continue
+			}
+			wd, wok := points.MinPairDegradation(c, g)
+			gd, gok := tables.MinPairDegradation(c, g)
+			if bits(wd) != bits(gd) || wok != gok {
+				t.Errorf("%s: MinPairDegradation(%d, %d) = %v %v through the tables, %v %v point by point",
+					what, c, g, gd, gok, wd, wok)
+			}
+		}
+	}
+	if want, got := points.PartitionJobs(), tables.PartitionJobs(); !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: partition %+v through the tables, %+v point by point", what, got, want)
+	}
+	want, werr := points.LowerBound()
+	got, gerr := tables.LowerBound()
+	if bits(float64(want)) != bits(float64(got)) || (werr == nil) != (gerr == nil) {
+		t.Errorf("%s: lower bound %v (%v) through the tables, %v (%v) point by point", what, got, gerr, want, werr)
+	}
+}
+
 // TestTablePlansEqualPerPointPlans holds the pair tables to the model
 // they are filled from: for every registered policy, under every shape
 // of limit (package cap, each plane alone, the package cap given as a
-// domain, none), over the predictor and over its calibrated form,
+// domain, none), over the predictor, over its calibrated form and over
+// that form with its interference amplified (see amplified),
 // planning through the tables must produce exactly the schedule and the
 // predicted makespan bits that planning point by point over the
 // per-query interpolation does — core's path for an oracle without
-// tables, the ground-truth oracle's.
+// tables, the ground-truth oracle's — and so must every per-pair answer
+// under the plans (samePairAnswers).
 func TestTablePlansEqualPerPointPlans(t *testing.T) {
 	batch := testBatch(t)
 	pred := predictorFor(t, batch)
@@ -144,15 +183,23 @@ func TestTablePlansEqualPerPointPlans(t *testing.T) {
 		cx.Domains = domains
 		return cx
 	}
+	amp := amplified{cal, 6}
 	for _, p := range []struct {
-		name string
-		pred *model.Predictor
-	}{{"predictor", pred}, {"calibrated", cal}} {
+		name           string
+		tables, points core.Oracle
+		pred           *model.Predictor // counts the lookups of tables
+	}{
+		{"predictor", pred, perPoint(pred), pred},
+		{"calibrated", cal, perPoint(cal), cal},
+		{"amplified", amp, interpolated{amp, cal, amp.Scale}, cal},
+	} {
 		for _, lc := range limits {
+			samePairAnswers(t, p.name+"/"+lc.name, limited(p.tables, lc.cap, lc.domains),
+				limited(p.points, lc.cap, lc.domains), len(batch))
 			for _, name := range policy.Names() {
 				what := fmt.Sprintf("%s/%s/%s", p.name, lc.name, name)
 				opts := policy.Options{Seed: 7}
-				tables, points := limited(p.pred, lc.cap, lc.domains), limited(perPoint(p.pred), lc.cap, lc.domains)
+				tables, points := limited(p.tables, lc.cap, lc.domains), limited(p.points, lc.cap, lc.domains)
 				want, err := policy.Plan(name, points, opts)
 				if err != nil {
 					t.Fatalf("%s per point: %v", what, err)

@@ -28,7 +28,7 @@ func BenchmarkRun(b *testing.B) {
 // scenario, dispatcher included, at both thermal settings. A PR that
 // lowers it lowers it here in the same diff; one that raises it says
 // why.
-const runAllocs = 57
+const runAllocs = 47
 
 func TestRunAllocs(t *testing.T) {
 	for _, tmax := range []float64{0, 45} {
@@ -44,6 +44,29 @@ func TestRunAllocs(t *testing.T) {
 		}
 		if a > runAllocs {
 			t.Errorf("tmax=%v: one Run allocates %v times, ceiling %d", tmax, a, runAllocs)
+		}
+	}
+}
+
+// runEvaluations is the number of segments one Run of BenchmarkRun's
+// scenario evaluates in full (state.evaluate calls), by T_max: every
+// other segment reuses the last one's rates and power. A change that
+// lowers a count lowers it here in the same diff; one that raises it
+// says why.
+var runEvaluations = []struct {
+	tmax  float64
+	evals int
+}{{0, 45}, {45, 458}}
+
+func TestRunEvaluations(t *testing.T) {
+	for _, c := range runEvaluations {
+		opts, cpuQ, gpuQ := goldenSetup(goldenScenario{pkgCap: 15, tmax: c.tmax, cpuSlots: 1})
+		p := &probe{}
+		if _, err := run(opts, NewQueueDispatcher(cpuQ, gpuQ), p); err != nil {
+			t.Fatal(err)
+		}
+		if p.evaluations > c.evals {
+			t.Errorf("tmax=%v: one Run evaluates %d segments in full, ceiling %d", c.tmax, p.evaluations, c.evals)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestGovernorSteadyStateNoOscillation(t *testing.T) {
 // frequency decisions on the same trace: the plane cap slows only the
 // GPU, the package cap trades both devices (acceptance criterion).
 func TestDomainCapDiffersFromPackageCap(t *testing.T) {
-	run := func(g Governor, dc apu.DomainCaps, pkgCap units.Watts) *Result {
+	run := func(g Governor, dc apu.DomainCaps, pkgCap units.Watts) *traced {
 		t.Helper()
 		batch, err := workload.Generate(workload.GenOptions{N: 6, Seed: 11})
 		if err != nil {
@@ -77,7 +77,7 @@ func TestDomainCapDiffersFromPackageCap(t *testing.T) {
 		opts.Governor = g
 		opts.DomainCaps = dc
 		opts.PowerCap = pkgCap
-		res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
+		res, err := runTraced(opts, NewQueueDispatcher(cpuQ, gpuQ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestInvariantThermalThrottleBoundsTemperature(t *testing.T) {
 	}
 	opts := baseOpts()
 	opts.Cfg = cfg
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
+	res, err := runTraced(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestHardCapEnforcesDomainCaps(t *testing.T) {
 	opts := baseOpts()
 	opts.HardCap = true
 	opts.DomainCaps = dc
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
+	res, err := runTraced(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}

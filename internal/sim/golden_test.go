@@ -142,9 +142,46 @@ func goldenSetup(sc goldenScenario) (opts Options, cpuQ, gpuQ []*workload.Instan
 	return opts, cpuQ, gpuQ
 }
 
-// digestResult hashes every field of a Result, floats by their bits, and
-// returns the first 16 hex digits.
-func digestResult(res *Result) string {
+// traced is a run's Result beside the five per-sample series Result does
+// not keep — both clocks, both plane powers and the heatsink temperature
+// — rebuilt through run's probe at the Power samples' ticks from the
+// values the event loop holds there.
+type traced struct {
+	*Result
+	CPUFreq *trace.Series
+	GPUFreq *trace.Series
+	PP0     *trace.Series
+	PP1     *trace.Series
+	TempC   *trace.Series
+}
+
+// runTraced is Run with the five series recorded.
+func runTraced(opts Options, disp Dispatcher) (*traced, error) {
+	tr := &traced{
+		CPUFreq: trace.NewSeries("cpu_freq", "ghz"),
+		GPUFreq: trace.NewSeries("gpu_freq", "ghz"),
+		PP0:     trace.NewSeries("pp0_power", "w"),
+		PP1:     trace.NewSeries("pp1_power", "w"),
+		TempC:   trace.NewSeries("temp", "c"),
+	}
+	res, err := run(opts, disp, &probe{sample: func(st *state, avgPP0, avgPP1 float64) {
+		cfg := st.opts.Cfg
+		tr.CPUFreq.MustAdd(st.now, float64(cfg.Freq(apu.CPU, st.cpuFreq)))
+		tr.GPUFreq.MustAdd(st.now, float64(cfg.Freq(apu.GPU, st.gpuFreq)))
+		tr.PP0.MustAdd(st.now, avgPP0)
+		tr.PP1.MustAdd(st.now, avgPP1)
+		tr.TempC.MustAdd(st.now, st.tempC)
+	}})
+	if err != nil {
+		return nil, err
+	}
+	tr.Result = res
+	return tr, nil
+}
+
+// digestResult hashes every field of a Result and the series traced
+// rebuilds, floats by their bits, and returns the first 16 hex digits.
+func digestResult(res *traced) string {
 	h := sha256.New()
 	var buf [8]byte
 	u := func(v uint64) {
@@ -190,7 +227,7 @@ func TestRunGolden(t *testing.T) {
 	throttled := false
 	for _, sc := range goldenScenarios() {
 		opts, cpuQ, gpuQ := goldenSetup(sc)
-		res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
+		res, err := runTraced(opts, NewQueueDispatcher(cpuQ, gpuQ))
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}

@@ -12,7 +12,7 @@ import (
 
 // randomBatchRun executes a seeded random schedule of a seeded random
 // batch and returns the result for invariant checks.
-func randomBatchRun(t *testing.T, seed int64, cpuSlots int, governor Governor, cap units.Watts) (*Result, []*workload.Instance) {
+func randomBatchRun(t *testing.T, seed int64, cpuSlots int, governor Governor, cap units.Watts) (*traced, []*workload.Instance) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	batch, err := workload.Generate(workload.GenOptions{N: 4 + rng.Intn(5), Seed: seed})
@@ -31,7 +31,7 @@ func randomBatchRun(t *testing.T, seed int64, cpuSlots int, governor Governor, c
 	opts.CPUSlots = cpuSlots
 	opts.Governor = governor
 	opts.PowerCap = cap
-	res, err := Run(opts, NewQueueDispatcher(cpuQ, gpuQ))
+	res, err := runTraced(opts, NewQueueDispatcher(cpuQ, gpuQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestHardCapBias(t *testing.T) {
 	opts.HardCap = true
 	a, b := inst("dwt2d"), inst("streamcluster")
 	b.ID = 1
-	res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}))
+	res, err := runTraced(opts, NewQueueDispatcher([]*workload.Instance{a}, []*workload.Instance{b}))
 	if err != nil {
 		t.Fatal(err)
 	}

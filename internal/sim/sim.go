@@ -198,7 +198,10 @@ type Completion struct {
 // Duration is the job's wall time.
 func (c Completion) Duration() units.Seconds { return c.End - c.Start }
 
-// Result summarizes one simulation.
+// Result summarizes one simulation: the completions, the package power
+// trace and run-wide summaries of energy, plane power, temperature and
+// cap use. The per-sample operating points, plane powers and temperature
+// are not kept; run's probe sees each of them at its sample tick.
 type Result struct {
 	// Makespan is the time from start to the last completion (or to
 	// StopInstance's completion).
@@ -207,14 +210,10 @@ type Result struct {
 	// Completions lists finished jobs in completion order.
 	Completions []Completion
 
-	// Power is the interval-averaged package power trace.
+	// Power is the interval-averaged package power trace, one sample per
+	// sampleInterval of simulated time. Figure 9 plots it, the facade's
+	// Report carries it, and MaxSample is its largest sample.
 	Power *trace.Series
-
-	// CPUFreq and GPUFreq sample the operating points at the same
-	// cadence as Power (values in GHz), making governor and clamp
-	// behaviour observable.
-	CPUFreq *trace.Series
-	GPUFreq *trace.Series
 
 	// EnergyJ is total energy in joules.
 	EnergyJ float64
@@ -228,17 +227,9 @@ type Result struct {
 	CapViolations int
 	MaxExcess     units.Watts
 
-	// PP0 and PP1 are the interval-averaged per-plane power traces
-	// (CPU cores + host thread, and iGPU); package power minus their
-	// sum is the constant uncore/idle power.
-	PP0 *trace.Series
-	PP1 *trace.Series
-
-	// TempC samples the shared-heatsink temperature at the same
-	// cadence (instantaneous, like a thermal sensor read).
-	TempC *trace.Series
-
-	// AvgPP0 and AvgPP1 are the run-wide per-plane averages.
+	// AvgPP0 and AvgPP1 are the run-wide per-plane averages (CPU cores
+	// + host thread, and iGPU); AvgPower minus their sum is the constant
+	// uncore/idle power.
 	AvgPP0 units.Watts
 	AvgPP1 units.Watts
 
@@ -400,7 +391,7 @@ func (st *state) view() *View {
 }
 
 // sampleHint is the sample count of the last completed run: the
-// capacity the next run's six series start with. The daemon and the
+// capacity the next run's Power series starts with. The daemon and the
 // evaluation harness simulate one similar epoch after another, so after
 // the first the series rarely grow while the run samples. It sizes
 // memory only — no sample depends on it. maxSampleHint caps what one
@@ -411,6 +402,21 @@ const maxSampleHint = 1 << 12
 
 // Run executes the simulation to completion and returns its Result.
 func Run(opts Options, disp Dispatcher) (*Result, error) {
+	return run(opts, disp, nil)
+}
+
+// probe watches one run from inside the event loop; run takes nil in
+// production. sample, if set, is called at every sample tick after the
+// tick's Power sample is taken, with the state as the tick left it and
+// the interval's average PP0 and PP1 power. evaluations counts the
+// segments the run evaluated in full (state.evaluate calls).
+type probe struct {
+	sample      func(st *state, avgPP0, avgPP1 float64)
+	evaluations int
+}
+
+// run is Run with an optional probe.
+func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -430,11 +436,6 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
-		CPUFreq:  trace.NewSeriesCap("cpu_freq", "ghz", n),
-		GPUFreq:  trace.NewSeriesCap("gpu_freq", "ghz", n),
-		PP0:      trace.NewSeriesCap("pp0_power", "w", n),
-		PP1:      trace.NewSeriesCap("pp1_power", "w", n),
-		TempC:    trace.NewSeriesCap("temp", "c", n),
 		MaxTempC: o.Cfg.Thermal.AmbientC,
 	}
 	thermal := o.Cfg.Thermal
@@ -469,6 +470,9 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 		power := st.seg.power
 		if !st.sameSegment() {
 			power = st.evaluate()
+			if p != nil {
+				p.evaluations++
+			}
 		}
 
 		// Earliest event.
@@ -596,11 +600,9 @@ func Run(opts Options, disp Dispatcher) (*Result, error) {
 				avgPP1 = intervalPP1E / span
 			}
 			res.Power.MustAdd(st.now, avg)
-			res.CPUFreq.MustAdd(st.now, float64(o.Cfg.Freq(apu.CPU, st.cpuFreq)))
-			res.GPUFreq.MustAdd(st.now, float64(o.Cfg.Freq(apu.GPU, st.gpuFreq)))
-			res.PP0.MustAdd(st.now, avgPP0)
-			res.PP1.MustAdd(st.now, avgPP1)
-			res.TempC.MustAdd(st.now, st.tempC)
+			if p != nil && p.sample != nil {
+				p.sample(st, avgPP0, avgPP1)
+			}
 			if o.PowerCap > 0 && units.Watts(avg) > o.PowerCap {
 				res.CapViolations++
 				if ex := units.Watts(avg) - o.PowerCap; ex > res.MaxExcess {
