@@ -77,10 +77,16 @@ verify: fmtcheck cross
 	cd bench/corunmark && $(GO) vet ./... && $(GO) test ./...
 
 # size prints the module's Go line counts outside bench/ (a module of
-# its own), non-test and test — the figure a simplification PR quotes.
+# its own), non-test and test — the figure a simplification PR quotes —
+# then the non-test lines per top-level directory ("." is the facade's
+# own files), so a diff shows where lines went: moved code is not a
+# reduction.
 size:
-	@count() { find . -name '*.go' -not -path './bench/*' -not -path './.*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
-	echo "non-test Go: $$(count -not -name '*_test.go') lines; test Go: $$(count -name '*_test.go') lines (outside bench/)"
+	@count() { find . -name '*.go' -not -path './bench/*' -not -path './.*' "$$@" -print0 | xargs -0 -r cat | wc -l; }; \
+	echo "non-test Go: $$(count -not -name '*_test.go') lines; test Go: $$(count -name '*_test.go') lines (outside bench/)"; \
+	printf '  %-10s %6d\n' . "$$(count -not -path './*/*' -not -name '*_test.go')"; \
+	for d in */; do d=$${d%/}; n=$$(count -path "./$$d/*" -not -name '*_test.go'); \
+		[ "$$n" -gt 0 ] && printf '  %-10s %6d\n' "$$d" "$$n"; done; true
 
 corund:
 	$(GO) build -o bin/corund ./cmd/corund

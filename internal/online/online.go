@@ -8,13 +8,16 @@
 // makespan) to re-run at every scheduling epoch. The server uses an
 // epoch model — while one planned batch executes, newly arrived jobs
 // queue; when the batch drains, the queue is re-planned — which is how
-// non-preemptive accelerator queues behave in practice.
+// non-preemptive accelerator queues behave in practice. Node.Run is
+// that epoch step for Serve and the corund daemon alike.
 package online
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"corun/internal/apu"
 	"corun/internal/core"
@@ -34,7 +37,7 @@ import (
 // It returns the canonical name. Every entry point that accepts a
 // policy from outside (server config, POST /v1/policy, journal
 // recovery) funnels through this check, so an unknown or unservable
-// name is rejected up front with the same error PlanEpoch would
+// name is rejected up front with the same error Node.Run would
 // return mid-epoch.
 func CheckPolicy(name string, haveChar bool) (string, error) {
 	pol, err := policy.Canonical(name)
@@ -158,18 +161,16 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 
 	res := &Result{}
-	clock := units.Seconds(0)
+	var node Node
 	next := 0
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	for next < len(sorted) {
-		// Wait for work.
-		if sorted[next].At > clock {
-			clock = sorted[next].At
-		}
-		// Take everything that has arrived by now.
+		// Wait for work, then take everything that has arrived by now.
+		node.Idle(sorted[next].At)
+		start := node.Clock()
 		var epoch []Arrival
-		for next < len(sorted) && sorted[next].At <= clock {
+		for next < len(sorted) && sorted[next].At <= start {
 			epoch = append(epoch, sorted[next])
 			next++
 		}
@@ -178,11 +179,10 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 			batch[i] = &workload.Instance{ID: i, Prog: a.Prog, Scale: a.Scale, Label: a.Label}
 		}
 
-		ep, err := PlanEpoch(opts, batch, rng.Int63())
+		_, _, simRes, err := node.Run(opts, batch, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
-		simRes := ep.Result
 		res.Epochs++
 		res.EnergyJ += simRes.EnergyJ
 		for _, c := range simRes.Completions {
@@ -191,12 +191,11 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 			res.Outcomes = append(res.Outcomes, JobOutcome{
 				Label:    a.Label,
 				Arrived:  a.At,
-				Started:  clock,
-				Finished: clock + c.End,
+				Started:  start,
+				Finished: start + c.End,
 			})
 		}
-		res.Done = clock + simRes.Makespan
-		clock = res.Done
+		res.Done = node.Clock()
 	}
 
 	sum, max := 0.0, units.Seconds(0)
@@ -214,28 +213,42 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	return res, nil
 }
 
-// Epoch is the outcome of one scheduling round: the plan (nil for the
-// dispatcher-driven baselines), the model's predicted makespan for
-// that plan (0 without one), and the ground-truth simulation result.
-type Epoch struct {
-	Plan      *core.Schedule
-	Predicted units.Seconds
-	Result    *sim.Result
+// Node is the state one simulated machine carries from epoch to epoch,
+// today its scheduling clock; the zero value is idle at time 0. Each
+// loop driving a node keeps only its own rule for closing a batch.
+// Clock may be read from any goroutine, Idle and Run from the loop.
+type Node struct {
+	clock atomic.Uint64 // units.Seconds bits
 }
 
-// PlanEpoch schedules and executes one queued batch under the options'
-// policy, through the policy table's one run entry point. Instance IDs
-// in the batch must equal their indices. This is the building block a
-// long-running daemon drives directly: it owns the queue and the
-// clock, and calls PlanEpoch once per round.
+// Clock returns the node's scheduling clock, in simulated seconds.
+func (n *Node) Clock() units.Seconds {
+	return units.Seconds(math.Float64frombits(n.clock.Load()))
+}
+
+// Idle moves the clock forward to t if t is later: the node waited
+// for work, or was down until a restart.
+func (n *Node) Idle(t units.Seconds) {
+	if t > n.Clock() {
+		n.clock.Store(math.Float64bits(float64(t)))
+	}
+}
+
+// Run schedules and executes one batch (instance IDs equal to their
+// indices) under the options' policy, through the policy table's one
+// run entry point, and advances the clock by its makespan. It returns
+// what policy.Run does: the plan (nil for the dispatcher-driven
+// baselines), its predicted makespan (0 without one) and the simulation,
+// whose times are relative to the clock before the call. An error, a
+// job left uncompleted included, leaves the clock where it was.
 //
 // A policy that needs the model gets the batch's predictor and
 // scheduling context; one that does not (the Random baseline) profiles
 // nothing.
-func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, error) {
+func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.Schedule, units.Seconds, *sim.Result, error) {
 	pol, err := opts.check()
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	var cx *core.Context
 	if policy.NeedsModel(pol) {
@@ -247,14 +260,18 @@ func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, er
 		err = checkBatch(batch)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
 	plan, predicted, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, opts.Planned)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	return &Epoch{Plan: plan, Predicted: predicted, Result: res}, nil
+	if len(res.Completions) != len(batch) {
+		return nil, 0, nil, fmt.Errorf("online: %d of %d jobs completed", len(res.Completions), len(batch))
+	}
+	n.clock.Store(math.Float64bits(float64(n.Clock() + res.Makespan)))
+	return plan, predicted, res, nil
 }
 
 // checkBatch rejects a batch that cannot be indexed by position: empty,
@@ -276,7 +293,7 @@ func checkBatch(batch []*workload.Instance) error {
 
 // Predictor and Context are the two steps of the one pipeline from a
 // batch to a scheduling context (only Cfg, Mem, Char, Cap and Domains
-// are read). PlanEpoch — hence Serve and the corund daemon — the corun
+// are read). Node.Run — hence Serve and the corund daemon — the corun
 // facade's Prepare and the evaluation harness all build their contexts
 // here, so they cannot disagree on batch validation, on reading
 // degradations through the pair tables, or on the caps the planner sees.

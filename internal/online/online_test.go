@@ -228,25 +228,34 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestPlanEpoch(t *testing.T) {
+func TestNodeRun(t *testing.T) {
 	opts := testOptions(t, "hcs+")
 	batch := workload.Batch8()
 	var sawPlan bool
 	opts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
 		sawPlan = plan != nil && predicted > 0
 	}
-	ep, err := PlanEpoch(opts, batch, 1)
+	var node Node
+	node.Idle(100)
+	plan, predicted, res, err := node.Run(opts, batch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.Plan == nil || ep.Predicted <= 0 || ep.Result == nil {
-		t.Fatalf("incomplete epoch: %+v", ep)
+	if plan == nil || predicted <= 0 || res == nil {
+		t.Fatalf("incomplete epoch: plan %v, predicted %v, result %v", plan, predicted, res)
 	}
 	if !sawPlan {
 		t.Error("Planned hook not called with a plan")
 	}
-	if len(ep.Result.Completions) != len(batch) {
-		t.Errorf("%d completions, want %d", len(ep.Result.Completions), len(batch))
+	if len(res.Completions) != len(batch) {
+		t.Errorf("%d completions, want %d", len(res.Completions), len(batch))
+	}
+	if got, want := node.Clock(), 100+res.Makespan; got != want {
+		t.Errorf("clock %v after the epoch, want %v", got, want)
+	}
+	node.Idle(50)
+	if got := node.Clock(); got != 100+res.Makespan {
+		t.Errorf("Idle moved the clock back to %v", got)
 	}
 
 	// Baselines have no plan but still call the hook.
@@ -255,24 +264,28 @@ func TestPlanEpoch(t *testing.T) {
 	ropts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
 		hookRan = plan == nil && predicted == 0
 	}
-	rep, err := PlanEpoch(ropts, workload.Batch8(), 1)
+	rplan, _, _, err := new(Node).Run(ropts, workload.Batch8(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Plan != nil || !hookRan {
-		t.Errorf("random baseline: plan %v, hook ok %v", rep.Plan, hookRan)
+	if rplan != nil || !hookRan {
+		t.Errorf("random baseline: plan %v, hook ok %v", rplan, hookRan)
 	}
 
-	if _, err := PlanEpoch(Options{}, batch, 1); err == nil {
+	before := node.Clock()
+	if _, _, _, err := node.Run(Options{}, batch, 1); err == nil {
 		t.Error("empty options accepted")
+	}
+	if node.Clock() != before {
+		t.Errorf("a failed epoch moved the clock %v -> %v", before, node.Clock())
 	}
 }
 
 // The batch checks the facade's Prepare has always made are the
-// pipeline's own, so PlanEpoch rejects the same batches — under a
+// pipeline's own, so Node.Run rejects the same batches — under a
 // planned policy (through Predictor) and under the Random dispatcher,
 // which never builds a predictor.
-func TestPlanEpochRejectsMalformedBatch(t *testing.T) {
+func TestNodeRunRejectsMalformedBatch(t *testing.T) {
 	misnumbered := workload.Batch8()
 	misnumbered[2].ID = 7
 	for name, batch := range map[string][]*workload.Instance{
@@ -281,7 +294,7 @@ func TestPlanEpochRejectsMalformedBatch(t *testing.T) {
 		"ID ≠ position": misnumbered,
 	} {
 		for _, pol := range []string{"hcs+", "random"} {
-			if _, err := PlanEpoch(testOptions(t, pol), batch, 1); err == nil {
+			if _, _, _, err := new(Node).Run(testOptions(t, pol), batch, 1); err == nil {
 				t.Errorf("%s accepted under %s", name, pol)
 			}
 		}

@@ -63,18 +63,18 @@ func TestTable(t *testing.T) {
 			// Without a characterization: served, or refused up front.
 			bare := online.Options{Cfg: cfg, Mem: mem, Cap: testCap, Policy: info.Name}
 			_, checkErr := online.CheckPolicy(info.Name, false)
-			ep, epochErr := online.PlanEpoch(bare, batch, 3)
+			_, _, served, epochErr := new(online.Node).Run(bare, batch, 3)
 			if policy.NeedsModel(info.Name) {
 				if checkErr == nil || epochErr == nil {
-					t.Errorf("model-based row accepted without a characterization (CheckPolicy %v, PlanEpoch %v)", checkErr, epochErr)
+					t.Errorf("model-based row accepted without a characterization (CheckPolicy %v, Node.Run %v)", checkErr, epochErr)
 				}
 				if _, _, _, err := policy.Run(info.Name, nil, batch, exec, policy.Options{Seed: 3}, nil); err == nil {
 					t.Error("Run accepted a nil context")
 				}
 			} else if checkErr != nil || epochErr != nil {
-				t.Errorf("model-free row refused without a characterization (CheckPolicy %v, PlanEpoch %v)", checkErr, epochErr)
-			} else if len(ep.Result.Completions) != len(batch) {
-				t.Errorf("served %d of %d jobs", len(ep.Result.Completions), len(batch))
+				t.Errorf("model-free row refused without a characterization (CheckPolicy %v, Node.Run %v)", checkErr, epochErr)
+			} else if len(served.Completions) != len(batch) {
+				t.Errorf("served %d of %d jobs", len(served.Completions), len(batch))
 			}
 
 			plan, err := policy.Plan(info.Name, contextOver(t, predictorFor(t, batch)), policy.Options{Seed: 3})

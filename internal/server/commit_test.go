@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"corun/internal/fault"
 	"corun/internal/journal"
+	"corun/internal/workload"
 )
 
 // TestSubmitDurableAck is the submit→ack path's property test: eight
@@ -309,5 +312,86 @@ func TestJournalAppendsPerJob(t *testing.T) {
 	}
 	if got := (s.m.jlAppends.Value() - appends0) / jobs; got > appendsPerJob {
 		t.Errorf("%.2f journal appends per job, ceiling %.2f", got, appendsPerJob)
+	}
+}
+
+// TestScriptedSessionJournal pins the daemon's epoch loop by what it
+// journals. Ten jobs from three tenants — one high-priority, one with
+// a deadline — and a cap change are all made before Start, so with
+// MaxBatch 4 the session is three epochs whatever the host's speed.
+// The log is decoded, each submission's wall-clock SubmittedAt is
+// zeroed, and each record is re-encoded; the payloads, one a line,
+// must equal testdata/session_<policy>.golden under a planned policy
+// and under the Random dispatcher.
+func TestScriptedSessionJournal(t *testing.T) {
+	for _, pol := range []string{"hcs+", "random"} {
+		t.Run(pol, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, func(c *Config) {
+				c.Policy, c.DataDir, c.MaxBatch = pol, dir, 4
+			})
+			t.Cleanup(func() { s.Close() })
+			for i, program := range []string{
+				"streamcluster", "cfd", "dwt2d", "hotspot", "srad",
+				"lud", "leukocyte", "heartwall", "cfd", "dwt2d",
+			} {
+				spec := workload.JobSpec{Program: program, Tenant: []string{"team-a", "team-b", "batch"}[i%3]}
+				switch i {
+				case 4:
+					spec.Priority = "high"
+				case 6:
+					spec.DeadlineS = 150
+				case 7:
+					spec.Scale = 0.9
+				}
+				spec.Normalize()
+				if _, err := s.Submit(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.SetCap(16); err != nil {
+				t.Fatal(err)
+			}
+			s.Start(context.Background())
+			waitAllTerminal(t, s, 10, 60*time.Second)
+			if err := s.DrainAndWait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			log, err := os.ReadFile(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			for off := 0; off < len(log); {
+				r, n, err := journal.DecodeRecord(log[off:])
+				if errors.Is(err, journal.ErrEndOfLog) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("record at offset %d: %v", off, err)
+				}
+				off += n
+				if r.Job != nil {
+					r.Job.SubmittedAt = time.Time{}
+				}
+				frame, err := journal.AppendRecord(nil, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(append(got, frame[8:]...), '\n') // past the length and CRC32
+			}
+			name := filepath.Join("testdata", "session_"+strings.ReplaceAll(pol, "+", "plus")+".golden")
+			want, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("journal differs from %s:\ngot:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
 	}
 }

@@ -34,10 +34,10 @@ func (s *Server) Recovery() Recovery { return s.recovery }
 
 // openJournal opens (and recovers) the durable state journal in
 // cfg.DataDir, restoring the power cap, active policy, scheduling
-// clock, and job table. Non-terminal jobs are re-enqueued: their
-// epoch died with the previous process, so they go back to queued
-// and get replanned by the first epoch after Start. Called from New
-// before the scheduler loop exists, so no locking is needed.
+// clock, epoch count, and job table. Non-terminal jobs are re-enqueued:
+// their epoch died with the previous process, so they go back to
+// queued and get replanned by the first epoch after Start. Called from
+// New before the scheduler loop exists, so no locking is needed.
 func (s *Server) openJournal() error {
 	start := time.Now()
 	jl, st, stats, err := journal.Open(journal.Options{
@@ -140,17 +140,19 @@ func (s *Server) openJournal() error {
 			})
 			requeued++
 		}
+		// Epochs number on from the last one a terminal job ran in.
+		s.epochCount = max(s.epochCount, j.Epoch)
 		s.table.insert(j)
 		if n, ok := parseJobID(j.ID); ok && int64(n) >= s.nextID.Load() {
 			s.nextID.Store(int64(n) + 1)
 		}
 	}
-	s.setClock(units.Seconds(st.SimClockS))
+	s.node.Idle(units.Seconds(st.SimClockS))
 
 	s.admMu.Lock()
 	s.syncQueueGauges()
 	s.admMu.Unlock()
-	s.m.simClock.Set(float64(s.clock()))
+	s.m.simClock.Set(float64(s.node.Clock()))
 	s.m.jlRecovered.Set(float64(requeued))
 	s.m.jlTruncated.Set(float64(stats.TruncatedTailBytes))
 	s.m.jlPreallocTail.Set(float64(stats.PreallocatedTailBytes))

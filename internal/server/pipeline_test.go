@@ -16,6 +16,7 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/online"
+	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -23,12 +24,12 @@ import (
 // TestOneEpochEveryEntryPoint is the daemon's leg of the root package's
 // test of the same name: the rescaled Fig. 11 batch, queued whole and
 // served as the daemon's first epoch, is planned and simulated exactly
-// as one direct online.PlanEpoch call at that epoch's seed plans and
+// as one direct online.Node.Run call at that epoch's seed plans and
 // simulates it — same dispatch orders, exclusive set and makespan bits —
 // under a package cap, a PP1 plane cap and a package cap given as a
 // domain. The dispatcher-driven baselines publish no plan; for them
 // (and for the planned policies too) every job finishes on the device
-// and at the instant PlanEpoch's completion for it says.
+// and at the instant Node.Run's completion for it says.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
 	const seed = 41
 	rng := rand.New(rand.NewSource(seed))
@@ -67,7 +68,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 					t.Fatalf("the batch was not served as epoch 1 in submission order: %+v", pv)
 				}
 
-				ep, err := online.PlanEpoch(online.Options{
+				epPlan, epPredicted, epRes, err := new(online.Node).Run(online.Options{
 					Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 					Cap: cc.cap, Domains: cc.domains, Policy: pol,
 				}, batch, epochSeed(seed, 1))
@@ -75,23 +76,23 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				var want PlanView
-				fillPlan(&want, ep.Plan, ep.Predicted, s.Jobs())
+				fillPlan(&want, epPlan, epPredicted, s.Jobs())
 				if !reflect.DeepEqual(pv.CPUOrder, want.CPUOrder) || !reflect.DeepEqual(pv.GPUOrder, want.GPUOrder) ||
 					!reflect.DeepEqual(pv.Exclusive, want.Exclusive) {
-					t.Errorf("daemon planned CPU %v GPU %v exclusive %v, PlanEpoch CPU %v GPU %v exclusive %v",
+					t.Errorf("daemon planned CPU %v GPU %v exclusive %v, Node.Run CPU %v GPU %v exclusive %v",
 						pv.CPUOrder, pv.GPUOrder, pv.Exclusive, want.CPUOrder, want.GPUOrder, want.Exclusive)
 				}
-				if got, want := math.Float64bits(pv.SimulatedMakespanS), math.Float64bits(float64(ep.Result.Makespan)); got != want {
-					t.Errorf("daemon makespan %v, PlanEpoch %v", pv.SimulatedMakespanS, ep.Result.Makespan)
+				if got, want := math.Float64bits(pv.SimulatedMakespanS), math.Float64bits(float64(epRes.Makespan)); got != want {
+					t.Errorf("daemon makespan %v, Node.Run %v", pv.SimulatedMakespanS, epRes.Makespan)
 				}
 				// Epoch 1 starts at sim clock 0, so finish times are the
 				// simulator's own, and equal finish times are an equal
 				// completion order.
 				jobs := s.Jobs()
-				for _, c := range ep.Result.Completions {
+				for _, c := range epRes.Completions {
 					j := jobs[c.Inst.ID]
 					if j.Device != c.Dev.String() || math.Float64bits(j.FinishedSimS) != math.Float64bits(float64(c.End)) {
-						t.Errorf("daemon finished %s on %s at %v, PlanEpoch on %v at %v", j.ID, j.Device, j.FinishedSimS, c.Dev, c.End)
+						t.Errorf("daemon finished %s on %s at %v, Node.Run on %v at %v", j.ID, j.Device, j.FinishedSimS, c.Dev, c.End)
 					}
 				}
 			})
@@ -160,6 +161,42 @@ func TestTraceEncodingsAgree(t *testing.T) {
 			if got, want := row[k+1], fmt.Sprintf("%.4f", sm.V); got != want {
 				t.Errorf("epoch %d %s: csv %s, json %s", e, series.Name, got, want)
 			}
+		}
+	}
+}
+
+// TestPartnerMap pins who a job's journaled and served partner is: the
+// opposite-device job it overlapped longest with, by instance ID.
+func TestPartnerMap(t *testing.T) {
+	type run struct {
+		id         int
+		dev        apu.Device
+		start, end units.Seconds
+	}
+	for _, tc := range []struct {
+		name string
+		runs []run // in completion order
+		want map[int]int
+	}{
+		{"an overlapping CPU/GPU pair partners each other",
+			[]run{{1, apu.GPU, 2, 8}, {0, apu.CPU, 0, 10}},
+			map[int]int{0: 1, 1: 0}},
+		{"the longest overlap wins",
+			[]run{{1, apu.GPU, 0, 3}, {0, apu.CPU, 0, 10}, {2, apu.GPU, 3, 10}},
+			map[int]int{0: 2, 1: 0, 2: 0}},
+		{"same-device jobs never partner",
+			[]run{{0, apu.CPU, 0, 10}, {1, apu.CPU, 0, 10}},
+			map[int]int{}},
+		{"no opposite-device overlap, no partner",
+			[]run{{0, apu.CPU, 0, 5}, {2, apu.CPU, 7, 9}, {1, apu.GPU, 5, 10}},
+			map[int]int{1: 2, 2: 1}},
+	} {
+		cs := make([]sim.Completion, len(tc.runs))
+		for i, r := range tc.runs {
+			cs[i] = sim.Completion{Inst: &workload.Instance{ID: r.id}, Dev: r.dev, Start: r.start, End: r.end}
+		}
+		if got := partnerMap(cs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: partners %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestJobTableConcurrency(t *testing.T) {
 				}
 				s.QueueDepth()
 				s.Plan()
-				s.Clock()
+				s.node.Clock()
 				time.Sleep(time.Millisecond)
 			}
 		}()

@@ -404,7 +404,45 @@ func TestRestartAfterDrain(t *testing.T) {
 	if s2.m.jlTruncated.Value() != 0 {
 		t.Errorf("clean shutdown left %v truncated bytes", s2.m.jlTruncated.Value())
 	}
-	if s1.Clock() != s2.Clock() {
-		t.Errorf("clock %v restored as %v", s1.Clock(), s2.Clock())
+	if s1.node.Clock() != s2.node.Clock() {
+		t.Errorf("clock %v restored as %v", s1.node.Clock(), s2.node.Clock())
+	}
+}
+
+// TestRestartNumbersEpochsOn: a restarted daemon numbers its epochs on
+// from the last one its journal recorded, so no epoch number — and no
+// epoch seed, which is derived from it — is handed out twice.
+func TestRestartNumbersEpochsOn(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newJournalServer(t, dir)
+	s1.Start(context.Background())
+	for n := 1; n <= 3; n++ {
+		if _, err := s1.Submit(mustSpec(t, "lud")); err != nil {
+			t.Fatal(err)
+		}
+		waitAllTerminal(t, s1, n, 60*time.Second)
+	}
+	if err := s1.DrainAndWait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newJournalServer(t, dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s2.Start(ctx)
+	if _, err := s2.Submit(mustSpec(t, "lud")); err != nil {
+		t.Fatal(err)
+	}
+	jobs := waitAllTerminal(t, s2, 4, 60*time.Second)
+	for i, j := range jobs {
+		if j.State != JobDone || j.Epoch != i+1 {
+			t.Errorf("%s: %s in epoch %d, want done in epoch %d", j.ID, j.State, j.Epoch, i+1)
+		}
+	}
+	if pv, ok := s2.Plan(); !ok || pv.Epoch != 4 {
+		t.Errorf("the first epoch after the restart is %d, want 4", pv.Epoch)
 	}
 }

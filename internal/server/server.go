@@ -3,11 +3,11 @@
 // epoch scheduler behind a JSON HTTP API with Prometheus metrics.
 //
 // Jobs arrive over HTTP (POST /v1/jobs) and queue at the simulated
-// power-capped APU node. A single scheduler goroutine owns the epoch
-// loop — exactly the paper's online operating mode: while one planned
-// batch executes, new arrivals queue; when the batch drains, the queue
-// is re-planned with the configured policy under the current power
-// cap. Policies resolve through the internal/policy registry
+// power-capped APU node, an online.Node whose Run is the epoch step. A
+// single scheduler goroutine owns the loop — the paper's online mode:
+// while one planned batch executes, new arrivals queue; when the batch
+// drains, the queue is re-planned with the configured policy under the
+// current power cap. Policies resolve through the internal/policy registry
 // (GET /v1/policies lists the registered set), and the cap and policy
 // can be changed live (POST /v1/cap, POST /v1/policy), taking effect
 // at the next epoch, the way a rack-level power manager retunes nodes.
@@ -27,8 +27,8 @@
 // With Config.DataDir set, the daemon is durable: every acknowledged
 // state change is written ahead to the internal/journal WAL, and a
 // restart against the same directory restores the power cap, active
-// policy, scheduling clock, and job table, re-enqueuing every
-// non-terminal job. The drain path flushes and fsyncs the journal
+// policy, scheduling clock, epoch count and job table, re-enqueuing
+// every non-terminal job. The drain path flushes and fsyncs the journal
 // before the loop exits.
 //
 // Serving-path concurrency model (see DESIGN.md §2h): there is no
@@ -329,9 +329,9 @@ type Server struct {
 	nextID   atomic.Int64
 	idPrefix string // "job-" or "<node-id>-job-"
 
-	// Read on the request path, written by the scheduler: a float64 bit
-	// pattern and a pointer.
-	simClock atomic.Uint64            // units.Seconds
+	// Read on the request path, advanced by the scheduler: the node's
+	// scheduling clock and the latest plan.
+	node     online.Node
 	lastPlan atomic.Pointer[PlanView] // immutable once stored
 
 	// epochCount is owned by the scheduler goroutine (recovery writes
@@ -371,8 +371,8 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	// The epoch scheduler's own checks, so the daemon rejects exactly
-	// what PlanEpoch would.
+	// The epoch step's own checks, so the daemon rejects exactly what
+	// online.Node.Run would.
 	pol, err := online.CheckPolicy(cfg.Policy, cfg.Char != nil)
 	if err != nil {
 		return nil, err
@@ -491,12 +491,6 @@ func (s *Server) setControl(c control) {
 	s.m.domainCapWatts.Set("pp1", float64(c.domains.PP1))
 }
 
-func (s *Server) setClock(c units.Seconds) { s.simClock.Store(math.Float64bits(float64(c))) }
-
-func (s *Server) clock() units.Seconds {
-	return units.Seconds(math.Float64frombits(s.simClock.Load()))
-}
-
 // Submit admits one job, returning its initial record. ErrDraining and
 // ErrQueueFull report admission refusals (a queue-full error also
 // carries the *admission.FullError naming the exhausted bound); other
@@ -560,7 +554,7 @@ func (s *Server) submit(ctx context.Context, spec workload.JobSpec) (*Job, error
 		Priority:    spec.Priority,
 		State:       JobQueued,
 		SubmittedAt: time.Now().UTC(),
-		ArrivedSimS: float64(s.clock()),
+		ArrivedSimS: float64(s.node.Clock()),
 	}
 	if s.jl != nil {
 		// Concurrent submitters share fsyncs through the journal's group
@@ -830,9 +824,6 @@ func (s *Server) Ready() bool {
 	}
 }
 
-// Clock returns the node's scheduling clock (simulated seconds).
-func (s *Server) Clock() units.Seconds { return s.clock() }
-
 // WriteTrace renders the epoch trace — makespan, average power, and
 // batch size per epoch, indexed by the scheduling clock — as CSV or
 // JSON.
@@ -971,7 +962,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	epoch := s.epochCount + 1
 	ctl := s.ctl.Load()
 	capW, domains, policy := ctl.cap, ctl.domains, ctl.policy
-	clock := s.clock()
+	clock := s.node.Clock()
 	seed := epochSeed(s.cfg.Seed, epoch)
 	insts := make([]*workload.Instance, len(batch))
 	var specErr error
@@ -1029,7 +1020,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	}
 
 	start := time.Now()
-	ep, err := online.PlanEpoch(opts, insts, seed)
+	plan, predicted, res, err := s.node.Run(opts, insts, seed)
 	s.m.epochLatency.Observe(time.Since(start).Seconds())
 	s.lastEpochWall.Store(int64(time.Since(start)))
 	s.syncModelMetrics()
@@ -1038,7 +1029,6 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		return
 	}
 
-	res := ep.Result
 	partners := partnerMap(res.Completions)
 	for _, c := range res.Completions {
 		j := &batch[c.Inst.ID]
@@ -1058,17 +1048,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 			}
 		}
 	}
-	for i := range batch {
-		// The simulator runs every dispatched job to completion, so a
-		// missing completion is a scheduler invariant violation.
-		if batch[i].State != JobDone {
-			batch[i].State = JobFailed
-			batch[i].Error = "no completion recorded"
-			s.m.failed.Inc()
-		}
-	}
-	endClock := clock + res.Makespan
-	s.setClock(endClock)
+	endClock := s.node.Clock()
 	s.epochCount = epoch
 	snaps := s.publishBatch(batch)
 
@@ -1104,7 +1084,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 
 	done := newPlanView(epoch, policy, capW, domains, clock, batch)
 	done.State = "done"
-	fillPlan(&done, ep.Plan, ep.Predicted, batch)
+	fillPlan(&done, plan, predicted, batch)
 	done.SimulatedMakespanS = float64(res.Makespan)
 	done.AvgPowerWatts = float64(res.AvgPower)
 	done.MaxPowerWatts = float64(res.MaxSample)

@@ -27,14 +27,14 @@ func exclusiveSet(s *Schedule) []int {
 
 // TestOneEpochEveryEntryPoint plans and runs one rescaled Fig. 11 epoch
 // through the facade (Prepare → ScheduleSeeded → Run) and through
-// online.PlanEpoch, the call the daemon makes, and wants one answer:
+// online.Node.Run, the call the daemon makes, and wants one answer:
 // the same dispatch orders, exclusive set and simulated makespan bits,
 // whether the cap arrives as the package cap, as a PP1 plane cap or as
 // the package entry of the domain caps. The dispatcher-driven baselines
-// have no plan to compare: RunPolicy and PlanEpoch must complete every
+// have no plan to compare: RunPolicy and Node.Run must complete every
 // job, the same jobs on the same devices in the same order at the same
 // instants. The daemon's own leg —
-// server.Server against online.PlanEpoch at the same epoch seed — is
+// server.Server against online.Node.Run at the same epoch seed — is
 // TestOneEpochEveryEntryPoint in internal/server.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
 	var saved bytes.Buffer
@@ -69,19 +69,19 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ep, err := online.PlanEpoch(online.Options{
+				epPlan, _, epRes, err := new(online.Node).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(plan.CPUOrder, ep.Plan.CPUOrder) || !reflect.DeepEqual(plan.GPUOrder, ep.Plan.GPUOrder) ||
-					!reflect.DeepEqual(exclusiveSet(plan), exclusiveSet(ep.Plan)) {
-					t.Errorf("facade planned %v, PlanEpoch %v", plan, ep.Plan)
+				if !reflect.DeepEqual(plan.CPUOrder, epPlan.CPUOrder) || !reflect.DeepEqual(plan.GPUOrder, epPlan.GPUOrder) ||
+					!reflect.DeepEqual(exclusiveSet(plan), exclusiveSet(epPlan)) {
+					t.Errorf("facade planned %v, Node.Run %v", plan, epPlan)
 				}
-				if got, want := math.Float64bits(float64(ep.Result.Makespan)), math.Float64bits(float64(report.Makespan)); got != want {
-					t.Errorf("PlanEpoch makespan %v, facade %v", ep.Result.Makespan, report.Makespan)
+				if got, want := math.Float64bits(float64(epRes.Makespan)), math.Float64bits(float64(report.Makespan)); got != want {
+					t.Errorf("Node.Run makespan %v, facade %v", epRes.Makespan, report.Makespan)
 				}
 				byName, ran, err := w.RunPolicy(pol, seed)
 				if err != nil {
@@ -102,22 +102,22 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ep, err := online.PlanEpoch(online.Options{
+				epPlan, epPredicted, epRes, err := new(online.Node).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if plan != nil || ep.Plan != nil || ep.Predicted != 0 {
-					t.Errorf("a dispatcher-driven baseline reported a plan: RunPolicy %v, PlanEpoch %v (predicted %v)", plan, ep.Plan, ep.Predicted)
+				if plan != nil || epPlan != nil || epPredicted != 0 {
+					t.Errorf("a dispatcher-driven baseline reported a plan: RunPolicy %v, Node.Run %v (predicted %v)", plan, epPlan, epPredicted)
 				}
 				if len(byName.Completions) != len(batch) {
 					t.Errorf("RunPolicy(%q) completed %d of %d jobs", pol, len(byName.Completions), len(batch))
 				}
 				want := completionBits(byName.Completions, byName.Makespan)
-				if got := completionBits(ep.Result.Completions, ep.Result.Makespan); got != want {
-					t.Errorf("PlanEpoch ran\n%s\nRunPolicy(%q)\n%s", got, pol, want)
+				if got := completionBits(epRes.Completions, epRes.Makespan); got != want {
+					t.Errorf("Node.Run ran\n%s\nRunPolicy(%q)\n%s", got, pol, want)
 				}
 			})
 		}
