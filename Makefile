@@ -52,10 +52,12 @@ bench:
 # one -fuzz pattern per invocation, hence one line per target).
 # FuzzAppendRecord holds the journal's record encoder to json.Marshal
 # of the records themselves; its job encoding is also every HTTP job
-# body the daemon serves.
+# body the daemon serves. FuzzSnapshotSplit holds the snapshot decoded
+# in pieces, as recovery splits it across cores, to the single pass.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotSplit -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/policy/
 	$(GO) test -run='^$$' -fuzz=FuzzPairTimes -fuzztime=$(FUZZTIME) ./internal/core/

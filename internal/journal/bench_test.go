@@ -145,6 +145,34 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
+// TestRecoverAllocs is a count gate, a ceiling at today's value plus
+// a small margin: allocations per recovered job when Open reads
+// BenchmarkRecover's 15,000-job directory on two decoding goroutines
+// (pinned, since each goroutine has its own slab and intern table).
+// Most of the three per job are the job record and the strings that
+// are not interned: its ID and its partner's.
+func TestRecoverAllocs(t *testing.T) {
+	const jobs, ceiling = 15000, 3.0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dir := t.TempDir()
+	writeServeShaped(t, dir, jobs, 0)
+	allocs := testing.AllocsPerRun(3, func() {
+		j, st, _, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Jobs) != jobs {
+			t.Fatalf("recovered %d jobs", len(st.Jobs))
+		}
+		j.Close()
+	})
+	if perJob := allocs / jobs; perJob > ceiling {
+		t.Errorf("Open allocated %.3f times per recovered job, ceiling %.3f", perJob, ceiling)
+	} else {
+		t.Logf("%.3f allocations per recovered job", perJob)
+	}
+}
+
 // writeServeShaped journals jobs the way a serving daemon does: every
 // job's submitted record in an Append of its own, and after every 4
 // submissions (serve-ack's epochs run 3-4 jobs) one Append with their

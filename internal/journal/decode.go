@@ -24,15 +24,22 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// maxInterned bounds the intern table of one Open. The interned
-// fields (program, tenant, state, ...) take a handful of values; the
-// bound only matters for free-form labels, which stop being interned
-// once the table is full.
+// maxInterned bounds one intern table (one per decoding goroutine of
+// an Open). The interned fields (program, tenant, state, ...) take a
+// handful of values; the bound only matters for free-form labels,
+// which stop being interned once the table is full.
 const maxInterned = 1024
+
+// jobSlab is how many snapshot jobs one allocation holds.
+const jobSlab = 128
 
 // decoder walks one payload. A false return from any method means
 // "declined": the position and any partly filled output are garbage
@@ -42,8 +49,17 @@ type decoder struct {
 	i int
 
 	// intern maps a low-cardinality string to the one copy shared by
-	// every record of this Open; nil (DecodeRecord on its own) copies.
+	// every record this goroutine decodes; nil (DecodeRecord on its
+	// own) copies.
 	intern map[string]string
+
+	// slab is where the snapshot's jobs are carved from.
+	slab []JobRecord
+
+	// pieces are the stretches of the snapshot's jobs array that other
+	// goroutines decode (see reader below); jobs takes each one's
+	// result when it reaches its cut.
+	pieces []*jobsPiece
 }
 
 // fastRecord decodes a record payload into *r, or declines and leaves
@@ -59,9 +75,12 @@ func fastRecord(payload []byte, intern map[string]string, r *Record) bool {
 }
 
 // fastSnapshot decodes a snapshot document into *sf, or declines and
-// leaves *sf alone.
-func fastSnapshot(doc []byte, intern map[string]string, sf *snapshotFile) bool {
-	d := decoder{b: doc, intern: intern}
+// leaves *sf alone. pieces (nil: none) are stretches of the jobs
+// array decoded elsewhere, taken as they are reached; a piece that
+// failed, or a cut the walk does not land on exactly, declines the
+// document.
+func fastSnapshot(doc []byte, intern map[string]string, pieces []*jobsPiece, sf *snapshotFile) bool {
+	d := decoder{b: doc, intern: intern, pieces: pieces}
 	var out snapshotFile
 	if !d.snapshot(&out) || d.i != len(doc) {
 		return false
@@ -188,17 +207,42 @@ func (d *decoder) jobs(out *[]*JobRecord) bool {
 	// bytes, so this overshoots a little and append covers the rest.
 	jobs := make([]*JobRecord, 0, (len(d.b)-d.i)/256)
 	for !d.eat(']') {
+		if len(d.pieces) > 0 && d.i >= d.pieces[0].from {
+			// The next cut: it counts only if the walk ended an element
+			// exactly there, and the piece from it decoded.
+			p := d.pieces[0]
+			<-p.done
+			if d.i != p.from || !p.ok {
+				return false
+			}
+			jobs = append(jobs, p.jobs...)
+			d.i, d.pieces = p.end, d.pieces[1:]
+			continue
+		}
 		if len(jobs) > 0 && !d.eat(',') {
 			return false
 		}
-		jr := new(JobRecord)
+		jr := d.newJob()
 		if !d.job(jr) {
 			return false
 		}
 		jobs = append(jobs, jr)
 	}
+	if len(d.pieces) > 0 {
+		// A cut past this array: not one of its element boundaries.
+		return false
+	}
 	*out = jobs
 	return true
+}
+
+func (d *decoder) newJob() *JobRecord {
+	if len(d.slab) == 0 {
+		d.slab = make([]JobRecord, jobSlab)
+	}
+	jr := &d.slab[0]
+	d.slab = d.slab[1:]
+	return jr
 }
 
 // first marks field n as seen and reports whether this was its first
@@ -413,4 +457,198 @@ func (d *decoder) boolPtr(p **bool) bool {
 	}
 	*p = v
 	return true
+}
+
+// Recovery on every core. A reader cuts the snapshot's jobs array and
+// the log into pieces, decodes them on runtime.GOMAXPROCS(0)
+// goroutines at once — each with its own intern table and slab — and
+// hands them back in order, so the caller applies them on its own
+// goroutine exactly as a single pass would have. Neither kind of cut
+// changes what is decoded:
+//
+//   - A log cut is a frame boundary found by walking the length
+//     headers alone, the chain decodeFrame follows. A piece decodes
+//     its frames up to the next cut and stops at the first that fails;
+//     the caller applies pieces until the first that stopped short,
+//     so the log is cut where the single pass would cut it.
+//   - A snapshot cut is the comma of a jobsSep. It is a guess until
+//     the goroutine decoding the document from its start — the one
+//     that owns every key and bracket — ends an element exactly on it
+//     and the piece from it decoded; anything else declines the split
+//     decode and the whole document takes the single-pass path
+//     (fastSnapshot, then encoding/json).
+
+// jobsSep sits between two elements of a snapshot's jobs array: the
+// encoder writes every job with its ID first.
+var jobsSep = []byte(`},{"id":"`)
+
+// jobsPiece is one stretch of a snapshot's jobs array: ",{job}"
+// repeated from a cut up to the next cut, or (to < 0) up to the
+// array's closing bracket.
+type jobsPiece struct {
+	from, to int
+	jobs     []*JobRecord
+	end      int  // where decoding stopped
+	ok       bool // the stretch decoded and ended where it should
+	done     chan struct{}
+}
+
+func (p *jobsPiece) decode(doc []byte, intern map[string]string) {
+	defer close(p.done)
+	d := decoder{b: doc, i: p.from, intern: intern}
+	for !p.ok {
+		if p.to >= 0 && d.i > p.to || !d.eat(',') {
+			return
+		}
+		jr := d.newJob()
+		if !d.job(jr) {
+			return
+		}
+		p.jobs = append(p.jobs, jr)
+		p.ok = d.i == p.to || p.to < 0 && d.i < len(doc) && doc[d.i] == ']'
+	}
+	p.end = d.i
+}
+
+// snapshotPieces cuts doc into up to n stretches of about equal size
+// at the first jobsSep past each n-th of it, and returns all but the
+// first (the document's head, which the caller decodes itself).
+func snapshotPieces(doc []byte, n int) []*jobsPiece {
+	var cuts []int
+	at := 0
+	for k := 1; k < n; k++ {
+		at = max(at, len(doc)*k/n)
+		i := bytes.Index(doc[at:], jobsSep)
+		if i < 0 {
+			break
+		}
+		at += i + 1 // the comma
+		cuts = append(cuts, at)
+		at++
+	}
+	return jobsPieces(cuts)
+}
+
+// jobsPieces returns the pieces that start at cuts, which increase.
+func jobsPieces(cuts []int) []*jobsPiece {
+	pieces := make([]*jobsPiece, len(cuts))
+	for k, cut := range cuts {
+		pieces[k] = &jobsPiece{from: cut, to: -1, done: make(chan struct{})}
+		if k > 0 {
+			pieces[k-1].to = cut
+		}
+	}
+	return pieces
+}
+
+// logPiece is a run of whole frames of the log.
+type logPiece struct {
+	from, to int
+	recs     []Record
+	slow     int // records the schema decoder declined
+	end      int // past the last frame decoded: short of to where one failed
+}
+
+func (p *logPiece) decode(log []byte, intern map[string]string) {
+	off := p.from
+	for off < p.to {
+		r, n, slow, err := decodeFrame(log[off:], intern)
+		if err != nil {
+			break
+		}
+		if slow {
+			p.slow++
+		}
+		p.recs = append(p.recs, r)
+		off += n
+	}
+	p.end = off
+}
+
+// logPieces cuts log into up to n runs of about equal size at frame
+// boundaries, walking the length headers. The walk stops at the first
+// header that cannot start a whole frame; the rest of the log is the
+// last run's, whose decoder then stops where a single pass would.
+func logPieces(log []byte, n int) []*logPiece {
+	pieces := []*logPiece{{}}
+	off, frames := 0, 0
+	for len(log)-off >= frameHeader {
+		size := int(binary.LittleEndian.Uint32(log[off:]))
+		if size == 0 || size > MaxRecordBytes || size > len(log)-off-frameHeader {
+			break
+		}
+		off += frameHeader + size
+		frames++
+		if len(pieces) < n && off < len(log) && off >= len(log)*len(pieces)/n {
+			p := pieces[len(pieces)-1]
+			p.to, p.recs, frames = off, make([]Record, 0, frames), 0
+			pieces = append(pieces, &logPiece{from: off})
+		}
+	}
+	p := pieces[len(pieces)-1]
+	p.to, p.recs = len(log), make([]Record, 0, frames)
+	return pieces
+}
+
+// reader decodes a snapshot document and a log's content at once.
+// Its tasks — the snapshot's pieces, then the log's — are pulled in
+// order by workers-1 goroutines it starts and, once the snapshot is
+// done, by the caller's.
+type reader struct {
+	doc      []byte
+	snapshot []*jobsPiece
+	log      []*logPiece
+	tasks    []func(intern map[string]string)
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	intern   map[string]string // the caller's
+}
+
+func newReader(doc, log []byte, workers int) *reader {
+	r := &reader{doc: doc, intern: make(map[string]string)}
+	r.snapshot = snapshotPieces(doc, workers)
+	r.log = logPieces(log, workers)
+	for _, p := range r.snapshot {
+		r.tasks = append(r.tasks, func(intern map[string]string) { p.decode(doc, intern) })
+	}
+	for _, p := range r.log {
+		r.tasks = append(r.tasks, func(intern map[string]string) { p.decode(log, intern) })
+	}
+	for range min(workers, len(r.tasks)+1) - 1 {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.work(make(map[string]string))
+		}()
+	}
+	return r
+}
+
+func (r *reader) work(intern map[string]string) {
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.tasks) {
+			return
+		}
+		r.tasks[i](intern)
+	}
+}
+
+// decodeSnapshot decodes the document on the caller's goroutine,
+// taking the pieces' jobs as it reaches their cuts; slow reports that
+// encoding/json decoded it.
+func (r *reader) decodeSnapshot(sf *snapshotFile) (slow bool, err error) {
+	if fastSnapshot(r.doc, r.intern, r.snapshot, sf) ||
+		len(r.snapshot) > 0 && fastSnapshot(r.doc, r.intern, nil, sf) {
+		return false, nil
+	}
+	return true, json.Unmarshal(r.doc, sf)
+}
+
+// decodeLog decodes what no goroutine has started yet on the caller's,
+// waits for the rest, and returns the log's pieces in order.
+func (r *reader) decodeLog() []*logPiece {
+	r.work(r.intern)
+	r.wg.Wait()
+	return r.log
 }

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,7 +145,7 @@ func checkSnapshotDoc(t *testing.T, b []byte) {
 	t.Helper()
 	untouched := snapshotFile{Version: 99, LastSeq: 99, State: &State{Policy: "untouched"}}
 	got := untouched
-	if !fastSnapshot(b, map[string]string{}, &got) {
+	if !fastSnapshot(b, map[string]string{}, nil, &got) {
 		if !reflect.DeepEqual(got, untouched) {
 			t.Fatalf("declined %q but wrote %+v", b, got)
 		}
@@ -175,7 +176,7 @@ func TestFastPathAccepts(t *testing.T) {
 	accepts := func(s string) bool {
 		var r Record
 		var sf snapshotFile
-		return fastRecord([]byte(s), nil, &r) || fastSnapshot([]byte(s), nil, &sf)
+		return fastRecord([]byte(s), nil, &r) || fastSnapshot([]byte(s), nil, nil, &sf)
 	}
 	for _, s := range acceptedSeeds {
 		if !accepts(s) {
@@ -378,7 +379,17 @@ func copyDir(t *testing.T, from string) string {
 // snapshot already covers, a tail — ending in each thing a log can end
 // in: a torn final frame, the zeros of a preallocation nobody trimmed,
 // both, zeros with garbage past them, and (the log alone) only zeros.
+// It runs on one, two and seven decoding goroutines.
 func TestOpenMatchesReferenceReplay(t *testing.T) {
+	for _, procs := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			openMatchesReferenceReplay(t)
+		})
+	}
+}
+
+func openMatchesReferenceReplay(t *testing.T) {
 	dir := t.TempDir()
 	writeServeShaped(t, dir, 600, 128<<10)
 	log, err := os.ReadFile(filepath.Join(dir, logName))
@@ -483,5 +494,224 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "corrupt snapshot") {
 			t.Errorf("%s: error %q is not the corrupt-snapshot class", name, err)
 		}
+	}
+}
+
+// splitSnapshot decodes doc with the jobs array cut at cuts, each
+// piece on a goroutine of its own, as Open's reader does.
+func splitSnapshot(doc []byte, cuts []int, sf *snapshotFile) bool {
+	pieces := jobsPieces(cuts)
+	for _, p := range pieces {
+		go p.decode(doc, map[string]string{})
+	}
+	return fastSnapshot(doc, map[string]string{}, pieces, sf)
+}
+
+// FuzzSnapshotSplit: for any document and any cuts, the split decode
+// either declines (and writes nothing) or returns exactly what the
+// single pass returns — fastSnapshot, else encoding/json.
+func FuzzSnapshotSplit(f *testing.F) {
+	var sf snapshotFile
+	if err := json.Unmarshal([]byte(acceptedSeeds[4]), &sf); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		jr := *sf.State.Jobs[i%2]
+		jr.ID = fmt.Sprintf("job-%06d", i+2)
+		sf.State.Jobs = append(sf.State.Jobs, &jr)
+	}
+	doc, err := appendSnapshot(nil, &sf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := bytes.Index(doc, jobsSep); i >= 0; i = bytes.Index(doc[i+1:], jobsSep) + i + 1 {
+		f.Add(doc, uint16(i+1), uint16(i+1))
+		f.Add(doc, uint16(i+1), uint16(len(doc)-20))
+		if bytes.Index(doc[i+1:], jobsSep) < 0 {
+			break
+		}
+	}
+	f.Add(doc, uint16(40), uint16(41))
+	for _, s := range append(acceptedSeeds, declinedSeeds...) {
+		f.Add([]byte(s), uint16(len(s)/3), uint16(len(s)/2))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte, a, b uint16) {
+		var cuts []int
+		for _, c := range []int{int(a), int(b)} {
+			if c > 0 && c < len(doc) && (len(cuts) == 0 || c > cuts[0]) {
+				cuts = append(cuts, c)
+			}
+		}
+		untouched := snapshotFile{Version: 99, LastSeq: 99, State: &State{Policy: "untouched"}}
+		got := untouched
+		if !splitSnapshot(doc, cuts, &got) {
+			if !reflect.DeepEqual(got, untouched) {
+				t.Fatalf("declined %q at %v but wrote %+v", doc, cuts, got)
+			}
+			return
+		}
+		var want snapshotFile
+		if !fastSnapshot(doc, nil, nil, &want) {
+			if err := json.Unmarshal(doc, &want); err != nil {
+				t.Fatalf("split at %v accepted %q, encoding/json rejects it: %v", cuts, doc, err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %q split at %v:\nsplit %s\nwhole %s", doc, cuts, dump(got), dump(want))
+		}
+	})
+}
+
+// TestSnapshotSplitTakesEveryCut pins that the encoder's own snapshot
+// splits where snapshotPieces cuts it, so Open's reader does not
+// quietly fall back to the single pass (which FuzzSnapshotSplit would
+// pass).
+func TestSnapshotSplitTakesEveryCut(t *testing.T) {
+	dir := t.TempDir()
+	writeServeShaped(t, dir, 600, 128<<10)
+	doc, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want snapshotFile
+	if !fastSnapshot(doc, nil, nil, &want) {
+		t.Fatal("the single pass declined the encoder's snapshot")
+	}
+	for _, n := range []int{2, 3, 7, 64} {
+		pieces := snapshotPieces(doc, n)
+		if len(pieces) != n-1 {
+			t.Fatalf("%d pieces: %d cuts, want %d", n, len(pieces), n-1)
+		}
+		cuts := make([]int, len(pieces))
+		for i, p := range pieces {
+			cuts[i] = p.from
+		}
+		var got snapshotFile
+		if !splitSnapshot(doc, cuts, &got) {
+			t.Fatalf("%d pieces: the split decode declined", n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d pieces: the split decode differs from the single pass", n)
+		}
+	}
+}
+
+// TestOpenSplitMatchesReferenceReplay moves the damage TestOpenMatches
+// ReferenceReplay puts at the end of the log — a torn frame, a frame
+// whose CRC fails, a zero header — and a record the snapshot already
+// covers to the start, the middle and the end of the log, each
+// followed by the rest of it, and recovers on one, two and seven
+// decoding goroutines. On seven, the corrupt frame and the stale
+// record fall in the first, a middle and the last piece of the log;
+// a zero header ends the header walk, and in this log so does the
+// misaligned header behind a torn frame, so those fall in the last. One more directory has a snapshot
+// whose middle job has a label the encoder escapes, which the schema
+// decoder declines: the whole document takes the single pass and
+// encoding/json.
+func TestOpenSplitMatchesReferenceReplay(t *testing.T) {
+	base := t.TempDir()
+	writeServeShaped(t, base, 600, 128<<10)
+	log, err := os.ReadFile(filepath.Join(base, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, log)
+	frame := func(r Record) []byte {
+		b, err := AppendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	stale := frame(Record{Seq: 1, Type: TypePolicyChanged, Policy: "stale"})
+	torn := frame(jobRecord("job-torn"))
+	torn = torn[:len(torn)-5]
+	corrupt := frame(jobRecord("job-corrupt"))
+	corrupt[len(corrupt)-3] ^= 0x01
+	zeros := make([]byte, 4096)
+
+	type variant struct {
+		name  string
+		log   []byte
+		at    int // where the inserted bytes start
+		piece string
+	}
+	var variants []variant
+	for _, pos := range []struct {
+		name string
+		frac float64
+	}{{"first", 1.0 / 14}, {"middle", 0.5}, {"last", 13.0 / 14}} {
+		at := ends[int(pos.frac*float64(len(ends)))]
+		for _, ins := range []struct {
+			name  string
+			b     []byte
+			walks bool // the header walk goes on past it
+		}{{"stale", stale, true}, {"corrupt", corrupt, true}, {"torn", torn, false}, {"zeros", zeros, false}} {
+			piece := pos.name
+			if !ins.walks {
+				piece = "last"
+			}
+			variants = append(variants, variant{ins.name + " " + pos.name,
+				bytes.Join([][]byte{log[:at], ins.b, log[at:]}, nil), at, piece})
+		}
+	}
+
+	escaped := copyDir(t, base)
+	doc, err := os.ReadFile(filepath.Join(escaped, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf snapshotFile
+	if err := json.Unmarshal(doc, &sf); err != nil {
+		t.Fatal(err)
+	}
+	mid := *sf.State.Jobs[len(sf.State.Jobs)/2]
+	mid.Label = "<a&b>"
+	sf.State.Jobs[len(sf.State.Jobs)/2] = &mid
+	if doc, err = appendSnapshot(nil, &sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(escaped, snapName), doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, procs := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, v := range variants {
+				dir := copyDir(t, base)
+				if err := os.WriteFile(filepath.Join(dir, logName), v.log, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if procs == 7 {
+					pieces := logPieces(v.log, procs)
+					i := 0
+					for i < len(pieces)-1 && pieces[i].to <= v.at {
+						i++
+					}
+					last := len(pieces) - 1
+					if ok := map[string]bool{"first": i == 0 && last > 0, "middle": i > 0 && i < last, "last": i == last}[v.piece]; !ok {
+						t.Fatalf("%s: offset %d falls in piece %d of %d, want the %s", v.name, v.at, i, len(pieces), v.piece)
+					}
+				}
+				want, wantStats := referenceOpen(t, dir)
+				if wantStats.RecordsReplayed == 0 || !wantStats.SnapshotLoaded {
+					t.Fatalf("%s: the directory is not the shape this test is about: %+v", v.name, wantStats)
+				}
+				_, got, gotStats := openT(t, Options{Dir: dir})
+				if gotStats != wantStats || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Open and the reference replay disagree: stats %+v, reference %+v", v.name, gotStats, wantStats)
+				}
+			}
+
+			want, wantStats := referenceOpen(t, escaped)
+			_, got, gotStats := openT(t, Options{Dir: copyDir(t, escaped)})
+			if wantStats.SlowPathRecords = 1; gotStats != wantStats {
+				t.Fatalf("escaped label: stats %+v, want %+v", gotStats, wantStats)
+			}
+			if j, ok := got.Job(mid.ID); !ok || j.Label != mid.Label || !reflect.DeepEqual(got, want) {
+				t.Fatalf("escaped label: Open and the reference replay disagree")
+			}
+		})
 	}
 }

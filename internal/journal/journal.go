@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,8 +188,13 @@ type Journal struct {
 // present, replaying the log tail, and cutting the file back to its
 // last whole frame (dropping a torn or corrupt final record, or the
 // zero tail a killed process's preallocation left) — and returns the
-// open journal, the recovered state (an independent copy), and
-// recovery statistics. It reserves nothing: the first Append does.
+// open journal, the recovered state, and recovery statistics. It
+// reserves nothing: the first Append does.
+//
+// The state is the caller's — its Jobs slice and index are not the
+// journal's — but its JobRecords are the ones the journal keeps for
+// its snapshots: a journaled JobRecord is never modified, so a caller
+// that changes a job copies it first.
 func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	var stats RecoverStats
 	if opts.Dir == "" {
@@ -221,7 +226,7 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 		return nil, nil, stats, err
 	}
 	j.durable.Store(j.seq)
-	return j, j.state.Clone(), stats, nil
+	return j, j.state.share(), stats, nil
 }
 
 // load reads the snapshot and the log into the journal — replay
@@ -232,19 +237,43 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 // holds syncMu and mu.
 func (j *Journal) load() (RecoverStats, error) {
 	var stats RecoverStats
+	snapPath := filepath.Join(j.dir, snapName)
+	doc, err := os.ReadFile(snapPath)
+	hasSnap := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return stats, fmt.Errorf("journal: %w", err)
+	}
+	f := j.f
+	data, err := readSized(f)
+	if err != nil {
+		return stats, fmt.Errorf("journal: reading log: %w", err)
+	}
+	// Zeros at the end of the file are preallocation the writer never
+	// reached (a frame ends in its payload's closing brace, never in a
+	// zero), so the scan stops where they start.
+	content := len(data) - zeroSuffix(data)
+
+	// Both files decode at once on every core (decode.go's reader);
+	// what is applied below, in order, is what a single pass decodes.
+	rd := newReader(doc, data[:content], runtime.GOMAXPROCS(0))
+	var sf snapshotFile
+	var slow bool
+	var snapErr error
+	if hasSnap {
+		slow, snapErr = rd.decodeSnapshot(&sf)
+	}
+	pieces := rd.decodeLog()
+
 	st := NewState()
 	var lastSeq uint64
-	intern := make(map[string]string)
-	snapPath := filepath.Join(j.dir, snapName)
-	if b, err := os.ReadFile(snapPath); err == nil {
+	if hasSnap {
 		// A corrupt snapshot is not recoverable by truncation — it is
 		// the compacted history — so unlike a torn log tail it is
 		// fatal.
-		var sf snapshotFile
-		if !fastSnapshot(b, intern, &sf) {
-			if err := json.Unmarshal(b, &sf); err != nil {
-				return stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
-			}
+		if snapErr != nil {
+			return stats, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, snapErr)
+		}
+		if slow {
 			stats.SlowPathRecords++
 		}
 		if sf.Version != snapshotVersion {
@@ -257,39 +286,27 @@ func (j *Journal) load() (RecoverStats, error) {
 		}
 		lastSeq = sf.LastSeq
 		stats.SnapshotLoaded = true
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return stats, fmt.Errorf("journal: %w", err)
 	}
 
-	f := j.f
-	data, err := readSized(f)
-	if err != nil {
-		return stats, fmt.Errorf("journal: reading log: %w", err)
-	}
-	// Zeros at the end of the file are preallocation the writer never
-	// reached (a frame ends in its payload's closing brace, never in a
-	// zero), so the scan stops where they start.
-	content := len(data) - zeroSuffix(data)
 	off := 0
-	for off < content {
-		r, n, slow, err := decodeFrame(data[off:content], intern)
-		if err != nil {
-			// Torn or corrupt tail: every frame past this point is
+	for _, p := range pieces {
+		stats.SlowPathRecords += p.slow
+		for _, r := range p.recs {
+			if r.Seq > lastSeq {
+				if err := st.Apply(r); err != nil {
+					return stats, err
+				}
+				lastSeq = r.Seq
+				stats.RecordsReplayed++
+			}
+		}
+		off = p.end
+		if p.end < p.to {
+			// Torn or corrupt: every frame past this point is
 			// unframed noise, so the log is cut here and carries on
 			// from the last good record.
 			break
 		}
-		if slow {
-			stats.SlowPathRecords++
-		}
-		if r.Seq > lastSeq {
-			if err := st.Apply(r); err != nil {
-				return stats, err
-			}
-			lastSeq = r.Seq
-			stats.RecordsReplayed++
-		}
-		off += n
 	}
 	if off < len(data) {
 		stats.TruncatedTailBytes = tornBytes(data[off:content])
@@ -353,6 +370,11 @@ type snapshotFile struct {
 // — the call blocks until they are on stable storage. Concurrent
 // Appends waiting on durability share one fsync (group commit).
 // Either every record in the call is in the log or none is.
+//
+// The journal keeps each record's Job, not a copy, for its snapshots:
+// a journaled JobRecord is never modified, by the caller or anyone it
+// hands the record to. A changed job is a new JobRecord in a new
+// record.
 //
 // Any error means the records are not in the log, and the retry is a
 // fresh Append. A failed commit (a flush or fsync error) is never

@@ -245,15 +245,22 @@ func TestStateApply(t *testing.T) {
 		t.Errorf("cap/policy %+v", st)
 	}
 
-	// Clone detaches deeply.
-	c := st.Clone()
+	// Apply keeps the record's job itself; a shared view keeps the
+	// records and has its own slice, index and cap.
+	done := &JobRecord{ID: "job-000001", State: "done"}
+	st.Apply(Record{Type: TypeJobState, Job: done})
+	c := st.share()
 	st.Apply(capRecord(25))
-	st.Jobs[0].State = "mutated"
-	if *c.CapWatts != 18 || c.Jobs[0].State != "done" {
-		t.Error("clone shares memory with the original")
+	st.Apply(Record{Type: TypeJobState, Job: &JobRecord{ID: "job-000001", State: "failed"}})
+	st.Apply(Record{Type: TypeJobSubmitted, Job: &JobRecord{ID: "job-000010"}})
+	if *c.CapWatts != 18 || len(c.Jobs) != 3 || c.Jobs[1] != done {
+		t.Errorf("the shared view moved with the original: cap %v, jobs %d", *c.CapWatts, len(c.Jobs))
 	}
 	if j, ok := c.Job("job-000009"); !ok || j.State != "running" {
-		t.Error("clone index broken")
+		t.Error("shared view's index broken")
+	}
+	if _, ok := c.Job("job-000010"); ok {
+		t.Error("shared view's index moved with the original")
 	}
 }
 

@@ -1,12 +1,16 @@
 package journal
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is the materialized view a journal replays into: the last
 // journaled power cap and policy, the scheduling clock, and every
 // job's most recent record in journal order. The journal maintains
-// its own State mirror (for snapshots); Open hands callers an
-// independent clone to restore from.
+// its own State mirror (for snapshots); Open hands callers a State of
+// their own over the same records, which nobody modifies (see
+// Journal.Append).
 type State struct {
 	// CapWatts is nil until a cap record has been journaled; a
 	// pointer, not a zero value, because 0 is a meaningful cap
@@ -39,19 +43,19 @@ func (st *State) reindex() {
 // Apply folds one record into the state. Both submitted and state
 // records carry the job's full view, so applying is a plain replace:
 // replay is idempotent and tolerates a transition arriving for a job
-// whose submission record was lost to a truncated tail.
+// whose submission record was lost to a truncated tail. The state
+// keeps r.Job itself, not a copy.
 func (st *State) Apply(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	switch r.Type {
 	case TypeJobSubmitted, TypeJobState:
-		jr := *r.Job
-		if i, ok := st.byID[jr.ID]; ok {
-			st.Jobs[i] = &jr
+		if i, ok := st.byID[r.Job.ID]; ok {
+			st.Jobs[i] = r.Job
 		} else {
-			st.byID[jr.ID] = len(st.Jobs)
-			st.Jobs = append(st.Jobs, &jr)
+			st.byID[r.Job.ID] = len(st.Jobs)
+			st.Jobs = append(st.Jobs, r.Job)
 		}
 		if r.SimClockS > st.SimClockS {
 			st.SimClockS = r.SimClockS
@@ -88,27 +92,13 @@ func (st *State) Job(id string) (JobRecord, bool) {
 	return *st.Jobs[i], true
 }
 
-// Clone returns an independent deep copy, detaching the caller from
-// the journal's internal replay mirror (which keeps mutating as
-// records are appended).
-func (st *State) Clone() *State {
-	out := &State{
-		Policy:    st.Policy,
-		SimClockS: st.SimClockS,
-		byID:      make(map[string]int, len(st.Jobs)),
-		Jobs:      make([]*JobRecord, len(st.Jobs)),
-	}
-	out.CapWatts = copyFloat(st.CapWatts)
-	out.PP0Watts = copyFloat(st.PP0Watts)
-	out.PP1Watts = copyFloat(st.PP1Watts)
-	for i, jr := range st.Jobs {
-		c := *jr
-		if jr.DeadlineMet != nil {
-			b := *jr.DeadlineMet
-			c.DeadlineMet = &b
-		}
-		out.Jobs[i] = &c
-		out.byID[c.ID] = i
-	}
-	return out
+// share returns a State of its own — fields, Jobs slice, index —
+// over the same job records: the journal's mirror goes on applying
+// records, and the caller's view of what was recovered stays as it
+// was.
+func (st *State) share() *State {
+	out := *st
+	out.Jobs = slices.Clone(st.Jobs)
+	out.reindex() // cheaper than maps.Clone
+	return &out
 }

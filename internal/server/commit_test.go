@@ -99,15 +99,19 @@ func TestSubmitDurableAck(t *testing.T) {
 			}
 			wg.Wait()
 			reg.Disarm()
-			// The property is about the log as the daemon really writes
-			// it: a chunk reserved ahead of the records, trimmed by Close.
-			open, err := os.Stat(filepath.Join(dir, walName))
-			if err != nil {
-				t.Fatal(err)
-			}
 			drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			if err := s.DrainAndWait(drainCtx); err != nil {
+				t.Fatal(err)
+			}
+			// The property is about the log as the daemon really writes
+			// it: a chunk reserved ahead of the records, trimmed by Close.
+			// The size is read once the scheduler has stopped and every
+			// submitter has returned: a failed commit cuts the log back to
+			// its durable offset and gives up the chunk until the next
+			// append reserves it again, and none can be doing so now.
+			open, err := os.Stat(filepath.Join(dir, walName))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {

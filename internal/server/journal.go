@@ -111,8 +111,9 @@ func (s *Server) openJournal() error {
 	}
 	s.setControl(ctl)
 
-	// The recovered state is Open's own copy, so its records become the
-	// table's snapshots as they are.
+	// The recovered records are the journal's own and never modified
+	// (journal.Open), so a terminal job's record becomes its table
+	// snapshot as it is; a requeued job gets a copy.
 	requeued := 0
 	s.table.reserve(len(st.Jobs))
 	for _, j := range st.Jobs {
@@ -126,6 +127,8 @@ func (s *Server) openJournal() error {
 			// by priority and fairness, not by raw record order.
 			// Restore bypasses the queue bounds: every journaled ack
 			// must be honoured even if bounds shrank between runs.
+			q := *j
+			j = &q
 			j.State = JobQueued
 			j.Epoch = 0
 			j.StartedSimS = 0

@@ -446,3 +446,47 @@ func TestRestartNumbersEpochsOn(t *testing.T) {
 		t.Errorf("the first epoch after the restart is %d, want 4", pv.Epoch)
 	}
 }
+
+// TestRequeueLeavesJournalRecord: a job recovered non-terminal goes
+// back on the queue as a copy of its record, which the journal keeps
+// (journal.Open hands out its own records), so the next compaction
+// snapshots the record as journaled, not the requeued job.
+func TestRequeueLeavesJournalRecord(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, _, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := journal.JobRecord{
+		ID: "job-000000", Program: "lud", Tenant: "default", Priority: "normal",
+		SubmittedAt: time.Date(2026, 10, 2, 9, 0, 0, 0, time.UTC), ArrivedSimS: 1.5,
+		State: JobRunning, Epoch: 3, StartedSimS: 5, PredictedFinishSimS: 9,
+	}
+	rec := journaled
+	if err := jl.Append(journal.Record{Type: journal.TypeJobState, Job: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newJournalServer(t, dir)
+	if j, ok := s.Job(journaled.ID); !ok || j.State != JobQueued || j.Epoch != 0 || j.StartedSimS != 0 || j.PredictedFinishSimS != 0 {
+		t.Fatalf("recovered %+v, want it requeued", j)
+	}
+	if err := s.jl.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jl, st, stats, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	got, ok := st.Job(journaled.ID)
+	if !stats.SnapshotLoaded || !ok || !reflect.DeepEqual(got, journaled) {
+		t.Errorf("snapshot after the restart holds %+v (%+v), want the journaled record %+v", got, stats, journaled)
+	}
+}
