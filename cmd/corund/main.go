@@ -345,15 +345,37 @@ func loadOrMeasureChar(charFile, saveChar string, mcfg *apu.Config, mem *memsys.
 	}
 	log.Printf("corund: characterized the degradation space in %v", time.Since(start).Round(time.Millisecond))
 	if saveChar != "" {
-		f, err := os.Create(saveChar)
-		if err != nil {
+		if err := saveCharacterization(char, saveChar); err != nil {
 			return nil, err
-		}
-		defer f.Close()
-		if err := char.Save(f); err != nil {
-			return nil, fmt.Errorf("saving characterization: %w", err)
 		}
 		log.Printf("corund: saved characterization to %s", saveChar)
 	}
 	return char, nil
+}
+
+// saveCharacterization writes char to path through a temporary file
+// beside it, synced and closed before it is renamed over path: a crash
+// or a failed write leaves the previous file (or none), never a
+// truncated one that a later -char refuses at boot.
+func saveCharacterization(char *model.Characterization, path string) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666) // os.Create's mode
+	if err != nil {
+		return fmt.Errorf("saving characterization: %w", err)
+	}
+	err = char.Save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("saving characterization: %w", err)
+	}
+	return nil
 }

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"corun/internal/apu"
 	"corun/internal/journal"
+	"corun/internal/memsys"
+	"corun/internal/model"
 )
 
 func TestBuildConfig(t *testing.T) {
@@ -68,5 +73,61 @@ func TestBuildConfig(t *testing.T) {
 	}
 	if cfg.Machine.Thermal.TMaxC == 62 {
 		t.Fatal("tmax override mutated the shared preset")
+	}
+}
+
+// TestSaveCharacterizationReplacesWhole: -save-char writes through a
+// temporary file renamed over the target, so the target is always a
+// whole characterization — the new one after a save, the previous one
+// after a failed save — and no temporary file is left behind.
+func TestSaveCharacterizationReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "char.json")
+	if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed save keeps the previous file.
+	if err := saveCharacterization(&model.Characterization{}, path); err == nil {
+		t.Fatal("empty characterization saved")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "previous" {
+		t.Fatalf("after a failed save the file reads %q, %v", b, err)
+	}
+
+	cfg := apu.DefaultConfig()
+	char, err := loadOrMeasureChar("", path, cfg, memsys.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := char.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("saved file is not the characterization's Save")
+	}
+	if _, err := model.LoadCharacterization(bytes.NewReader(got), cfg); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries after the saves, want only char.json", len(entries))
+	}
+
+	// A target that cannot be replaced fails the save and leaves no
+	// temporary file.
+	if err := saveCharacterization(char, dir); err == nil {
+		t.Error("saved over a directory")
+	}
+	if _, err := os.Stat(dir + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind: %v", err)
 	}
 }

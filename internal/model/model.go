@@ -36,6 +36,7 @@ import (
 	"corun/internal/memsys"
 	"corun/internal/sim"
 	"corun/internal/units"
+	"corun/internal/workload"
 )
 
 // Surface is one characterized degradation surface pair at a fixed
@@ -151,9 +152,10 @@ func defaultFreqLevels(cfg *apu.Config, d apu.Device) []int {
 }
 
 // Characterize runs the micro-kernel co-run grid on the ground-truth
-// simulator and assembles the staged characterization. The surfaces
-// are independent simulations, so they are measured on up to
-// GOMAXPROCS goroutines; the result does not depend on how many.
+// simulator and assembles the staged characterization. Every distinct
+// simulation runs once — one standalone run per surface, level and
+// device, one co-run per cell and side — on up to GOMAXPROCS
+// goroutines; the result does not depend on how many.
 func Characterize(opts CharacterizeOptions) (*Characterization, error) {
 	return characterize(opts, runtime.GOMAXPROCS(0))
 }
@@ -165,6 +167,9 @@ func characterize(opts CharacterizeOptions, workers int) (*Characterization, err
 	levels := opts.Levels
 	if levels == nil {
 		levels = Levels(11, 11)
+	}
+	if err := checkBandwidthLevels(levels); err != nil {
+		return nil, err
 	}
 	cpuLvls := opts.CPUFreqLevels
 	if cpuLvls == nil {
@@ -188,11 +193,51 @@ func characterize(opts CharacterizeOptions, workers int) (*Characterization, err
 	for _, l := range gpuLvls {
 		c.gpuFreqGHz = append(c.gpuFreqGHz, float64(opts.Cfg.Freq(apu.GPU, l)))
 	}
-	// Workers claim surfaces by flat index and write only their own
-	// slots; errors are kept per slot so the one reported is the first
-	// in grid order, whichever worker hit it.
-	n := len(cpuLvls) * len(gpuLvls)
-	flat := make([]*Surface, n)
+
+	// The micro-kernels do not depend on the frequency pair, so every
+	// surface shares one CPU-side and one GPU-side instance per level;
+	// the simulator only reads them.
+	cpuInst := make([]*workload.Instance, len(levels))
+	gpuInst := make([]*workload.Instance, len(levels))
+	for i, lvl := range levels {
+		var err error
+		if cpuInst[i], err = microInstance(lvl, opts.Cfg, 0); err != nil {
+			return nil, err
+		}
+		if gpuInst[i], err = microInstance(lvl, opts.Cfg, 1); err != nil {
+			return nil, err
+		}
+	}
+
+	// First each surface's grid coordinates and standalone runs, one
+	// item per (surface, level); then its co-runs, one item per
+	// (surface, row), since every cell of a row needs every level's
+	// standalone run on the GPU side.
+	n, nl := len(cpuLvls)*len(gpuLvls), len(levels)
+	flat := make([]surfaceRun, n)
+	for k := range flat {
+		flat[k] = newSurfaceRun(opts, cpuInst, gpuInst, cpuLvls[k/len(gpuLvls)], gpuLvls[k%len(gpuLvls)])
+	}
+	if err := forEach(n*nl, workers, func(k int) error { return flat[k/nl].standalone(k % nl) }); err != nil {
+		return nil, err
+	}
+	if err := forEach(n*nl, workers, func(k int) error { return flat[k/nl].row(k % nl) }); err != nil {
+		return nil, err
+	}
+	c.Surfaces = make([][]*Surface, len(cpuLvls))
+	for a := range c.Surfaces {
+		c.Surfaces[a] = make([]*Surface, len(gpuLvls))
+		for b := range gpuLvls {
+			c.Surfaces[a][b] = flat[a*len(gpuLvls)+b].s
+		}
+	}
+	return c, nil
+}
+
+// forEach calls fn(0..n-1) on up to workers goroutines, each claiming
+// the next index. Errors are kept per index, so the one returned is the
+// lowest-indexed, whichever goroutine hit it.
+func forEach(n, workers int, fn func(k int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -205,22 +250,32 @@ func characterize(opts CharacterizeOptions, workers int) (*Characterization, err
 				if k >= n {
 					return
 				}
-				flat[k], errs[k] = characterizeSurface(opts, levels, cpuLvls[k/len(gpuLvls)], gpuLvls[k%len(gpuLvls)])
+				errs[k] = fn(k)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	c.Surfaces = make([][]*Surface, len(cpuLvls))
-	for a := range cpuLvls {
-		lo, hi := a*len(gpuLvls), (a+1)*len(gpuLvls)
-		c.Surfaces[a] = flat[lo:hi:hi]
+	return nil
+}
+
+// checkBandwidthLevels applies LoadCharacterization's rule for a
+// surface's bandwidth grid to the micro-kernel levels it is measured
+// at: at least one, and ascending.
+func checkBandwidthLevels(levels []units.GBps) error {
+	if len(levels) == 0 {
+		return fmt.Errorf("model: empty bandwidth level list")
 	}
-	return c, nil
+	for i := 1; i < len(levels); i++ {
+		if levels[i] < levels[i-1] {
+			return fmt.Errorf("model: bandwidth levels not ascending")
+		}
+	}
+	return nil
 }
 
 func checkAscending(levels []int, n int) error {
@@ -238,56 +293,72 @@ func checkAscending(levels []int, n int) error {
 	return nil
 }
 
-// characterizeSurface measures one frequency pair's 2D degradation
-// grid.
-func characterizeSurface(opts CharacterizeOptions, levels []units.GBps, cf, gf int) (*Surface, error) {
-	n := len(levels)
-	s := &Surface{
-		CPUFreq: cf, GPUFreq: gf,
-		CPUBW:  make([]float64, n),
-		GPUBW:  make([]float64, n),
-		DegCPU: make([][]float64, n),
-		DegGPU: make([][]float64, n),
-	}
-	cfg, mem := opts.Cfg, opts.Mem
+// surfaceRun measures one frequency pair's 2D degradation grid. Each
+// standalone(i) and row(i) writes only its own level's slots, so
+// distinct levels may run concurrently; every row reads every level's
+// standalone run, so all of those must be done first.
+type surfaceRun struct {
+	opts             sim.Options
+	cf, gf           int
+	cpuInst, gpuInst []*workload.Instance
+	// soloCPU[i] and soloGPU[i] are level i's standalone wall times on
+	// each device at (cf, gf).
+	soloCPU, soloGPU []units.Seconds
+	s                *Surface
+}
 
-	// Grid coordinates: achieved standalone bandwidths at this
-	// frequency pair.
-	for i, lvl := range levels {
-		k, err := microKernel(lvl, cfg)
+func newSurfaceRun(opts CharacterizeOptions, cpuInst, gpuInst []*workload.Instance, cf, gf int) surfaceRun {
+	n := len(cpuInst)
+	return surfaceRun{
+		opts: sim.Options{Cfg: opts.Cfg, Mem: opts.Mem},
+		cf:   cf, gf: gf,
+		cpuInst: cpuInst, gpuInst: gpuInst,
+		soloCPU: make([]units.Seconds, n),
+		soloGPU: make([]units.Seconds, n),
+		s: &Surface{
+			CPUFreq: cf, GPUFreq: gf,
+			CPUBW:  make([]float64, n),
+			GPUBW:  make([]float64, n),
+			DegCPU: make([][]float64, n),
+			DegGPU: make([][]float64, n),
+		},
+	}
+}
+
+// standalone measures level i's grid coordinates — the achieved
+// standalone bandwidths at this frequency pair — and its standalone
+// run on each device.
+func (r *surfaceRun) standalone(i int) error {
+	cfg, mem := r.opts.Cfg, r.opts.Mem
+	r.s.CPUBW[i] = float64(r.cpuInst[i].Prog.AvgStandaloneBandwidth(apu.CPU, cfg.Freq(apu.CPU, r.cf), mem))
+	r.s.GPUBW[i] = float64(r.gpuInst[i].Prog.AvgStandaloneBandwidth(apu.GPU, cfg.Freq(apu.GPU, r.gf), mem))
+	var err error
+	if r.soloCPU[i], err = sim.SoloTime(r.opts, r.cpuInst[i], apu.CPU, r.cf, r.gf); err != nil {
+		return err
+	}
+	r.soloGPU[i], err = sim.SoloTime(r.opts, r.gpuInst[i], apu.GPU, r.cf, r.gf)
+	return err
+}
+
+// row measures row i of both degradation tables: the CPU side at level
+// i against every GPU-side level, and every GPU-side level against it.
+func (r *surfaceRun) row(i int) error {
+	n := len(r.cpuInst)
+	degCPU, degGPU := make([]float64, n), make([]float64, n)
+	for j := range degCPU {
+		cres, err := sim.CoRunWithSolo(r.opts, r.cpuInst[i], apu.CPU, r.gpuInst[j], r.cf, r.gf, r.soloCPU[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.CPUBW[i] = float64(k.AvgStandaloneBandwidth(apu.CPU, cfg.Freq(apu.CPU, cf), mem))
-		s.GPUBW[i] = float64(k.AvgStandaloneBandwidth(apu.GPU, cfg.Freq(apu.GPU, gf), mem))
-	}
-
-	simOpts := sim.Options{Cfg: cfg, Mem: mem}
-	for i := range levels {
-		s.DegCPU[i] = make([]float64, n)
-		s.DegGPU[i] = make([]float64, n)
-		for j := range levels {
-			cpuInst, err := microInstance(levels[i], cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			gpuInst, err := microInstance(levels[j], cfg, 1)
-			if err != nil {
-				return nil, err
-			}
-			cres, err := sim.CoRun(simOpts, cpuInst, apu.CPU, gpuInst, cf, gf)
-			if err != nil {
-				return nil, err
-			}
-			s.DegCPU[i][j] = clampTiny(cres.Degradation)
-			gres, err := sim.CoRun(simOpts, gpuInst, apu.GPU, cpuInst, cf, gf)
-			if err != nil {
-				return nil, err
-			}
-			s.DegGPU[i][j] = clampTiny(gres.Degradation)
+		degCPU[j] = clampTiny(cres.Degradation)
+		gres, err := sim.CoRunWithSolo(r.opts, r.gpuInst[j], apu.GPU, r.cpuInst[i], r.cf, r.gf, r.soloGPU[j])
+		if err != nil {
+			return err
 		}
+		degGPU[j] = clampTiny(gres.Degradation)
 	}
-	return s, nil
+	r.s.DegCPU[i], r.s.DegGPU[i] = degCPU, degGPU
+	return nil
 }
 
 // clampTiny zeroes the sub-microscopic negative degradations that the

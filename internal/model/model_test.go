@@ -132,6 +132,21 @@ func TestCharacterizeValidation(t *testing.T) {
 		GPUFreqLevels: []int{}}); err == nil {
 		t.Error("explicit empty GPU level list accepted")
 	}
+	// Bandwidth levels follow LoadCharacterization's rule for the grid
+	// they become: a descending list would save a file the loader
+	// refuses, an empty one a surface Degradation cannot index.
+	if _, err := Characterize(CharacterizeOptions{Cfg: cfg, Mem: mem,
+		Levels: []units.GBps{11, 0, 5.5}}); err == nil {
+		t.Error("descending bandwidth levels accepted")
+	}
+	if _, err := Characterize(CharacterizeOptions{Cfg: cfg, Mem: mem,
+		Levels: []units.GBps{}}); err == nil {
+		t.Error("explicit empty bandwidth level list accepted")
+	}
+	if _, err := Characterize(CharacterizeOptions{Cfg: cfg, Mem: mem,
+		Levels: []units.GBps{-1, 5}}); err == nil {
+		t.Error("negative bandwidth level accepted")
+	}
 }
 
 func TestStagedFrequencyInterpolation(t *testing.T) {
@@ -300,5 +315,47 @@ func TestGroundTruthOracle(t *testing.T) {
 	}
 	if _, err := NewGroundTruthOracle(prof, batch[:3]); err == nil {
 		t.Error("mismatched batch accepted")
+	}
+}
+
+// TestGroundTruthOracleSharesStandaloneRuns: the oracle runs each job's
+// standalone once per device and frequency pair, whatever the partner,
+// and every value it memoizes is still bit for bit sim.CoRun's.
+func TestGroundTruthOracleSharesStandaloneRuns(t *testing.T) {
+	cfg, mem := apu.DefaultConfig(), memsys.Default()
+	batch := workload.Batch8()
+	prof, err := profile.Collect(cfg, mem, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewGroundTruthOracle(prof, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmax, gmax := cfg.MaxFreqIndex(apu.CPU), cfg.MaxFreqIndex(apu.GPU)
+	pairs := [][2]int{{cmax, gmax}, {0, gmax / 2}}
+	targets := []int{0, 2, 5}
+	for _, i := range targets {
+		for _, dev := range []apu.Device{apu.CPU, apu.GPU} {
+			for _, fp := range pairs {
+				f, g := fp[0], fp[1]
+				if dev == apu.GPU {
+					f, g = g, f
+				}
+				for j := range batch {
+					got := o.Degradation(i, dev, f, j, g)
+					truth, err := sim.CoRun(sim.Options{Cfg: cfg, Mem: mem}, batch[i], dev, batch[j], fp[0], fp[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != truth.Degradation {
+						t.Errorf("job %d on %v at %v against %d: oracle %v, sim.CoRun %v", i, dev, fp, j, got, truth.Degradation)
+					}
+				}
+			}
+		}
+	}
+	if want := len(targets) * 2 * len(pairs); len(o.solo) != want {
+		t.Errorf("%d standalone runs memoized, want %d", len(o.solo), want)
 	}
 }

@@ -243,6 +243,10 @@ type GroundTruthOracle struct {
 
 	mu   sync.Mutex
 	memo map[gtKey]float64
+	// solo memoizes the standalone runs the measurements divide by,
+	// one per job, device and frequency pair rather than one per
+	// partner: the key is gtKey{i, dev, cpuFreq, -1, gpuFreq}.
+	solo map[gtKey]units.Seconds
 }
 
 type gtKey struct {
@@ -261,7 +265,7 @@ func NewGroundTruthOracle(prof *profile.Standalone, batch []*workload.Instance) 
 	if len(batch) != prof.NumJobs() {
 		return nil, fmt.Errorf("model: batch size %d does not match profile %d", len(batch), prof.NumJobs())
 	}
-	return &GroundTruthOracle{profiled: profiled{prof}, Batch: batch, memo: map[gtKey]float64{}}, nil
+	return &GroundTruthOracle{profiled: profiled{prof}, Batch: batch, memo: map[gtKey]float64{}, solo: map[gtKey]units.Seconds{}}, nil
 }
 
 // Degradation measures the true degradation by simulation.
@@ -278,13 +282,34 @@ func (o *GroundTruthOracle) Degradation(i int, dev apu.Device, f, j, g int) floa
 		cf, gf = g, f
 	}
 	val := 10.0 // maximal pessimism when measurement fails
-	res, err := sim.CoRun(sim.Options{Cfg: o.Prof.Cfg, Mem: o.Prof.Mem},
-		o.Batch[i], dev, o.Batch[j], cf, gf)
-	if err == nil {
-		val = res.Degradation
+	opts := sim.Options{Cfg: o.Prof.Cfg, Mem: o.Prof.Mem}
+	if solo, err := o.soloTime(opts, i, dev, cf, gf); err == nil {
+		if res, err := sim.CoRunWithSolo(opts, o.Batch[i], dev, o.Batch[j], cf, gf, solo); err == nil {
+			val = res.Degradation
+		}
 	}
 	o.mu.Lock()
 	o.memo[key] = val
 	o.mu.Unlock()
 	return val
+}
+
+// soloTime is job i's standalone wall time on dev at the frequency
+// pair (cf, gf), measured once.
+func (o *GroundTruthOracle) soloTime(opts sim.Options, i int, dev apu.Device, cf, gf int) (units.Seconds, error) {
+	key := gtKey{i, dev, cf, -1, gf}
+	o.mu.Lock()
+	t, ok := o.solo[key]
+	o.mu.Unlock()
+	if ok {
+		return t, nil
+	}
+	t, err := sim.SoloTime(opts, o.Batch[i], dev, cf, gf)
+	if err != nil {
+		return 0, err
+	}
+	o.mu.Lock()
+	o.solo[key] = t
+	o.mu.Unlock()
+	return t, nil
 }

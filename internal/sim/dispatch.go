@@ -47,16 +47,34 @@ func (q *QueueDispatcher) Next(dev apu.Device, view *View) *Dispatch {
 }
 
 // repeatDispatcher runs a target instance once on its device while
-// continuously re-launching copies of a co-runner on the other device.
-// Combined with Options.StopInstance it measures pairwise co-run
-// degradation the way the paper does: the target runs start-to-finish
-// under constant interference.
+// continuously re-launching a co-runner on the other device. Combined
+// with Options.StopInstance it measures pairwise co-run degradation
+// the way the paper does: the target runs start-to-finish under
+// constant interference.
 type repeatDispatcher struct {
 	target    *workload.Instance
 	targetDev apu.Device
-	co        *workload.Instance
 	started   bool
-	coCount   int
+
+	// co points at coCopy, or is nil for no co-runner. Every launch
+	// runs the one copy: it is never the target, so its completions
+	// cannot end the run even when the caller's co-runner is the
+	// target itself.
+	co     *workload.Instance
+	coCopy workload.Instance
+
+	// d is the Dispatch every Next returns; the simulator reads it
+	// before asking again.
+	d Dispatch
+}
+
+func newRepeatDispatcher(target *workload.Instance, targetDev apu.Device, co *workload.Instance) *repeatDispatcher {
+	r := &repeatDispatcher{target: target, targetDev: targetDev, d: Dispatch{CPUFreq: -1, GPUFreq: -1}}
+	if co != nil {
+		r.coCopy = *co
+		r.co = &r.coCopy
+	}
+	return r
 }
 
 // Next implements Dispatcher.
@@ -66,15 +84,14 @@ func (r *repeatDispatcher) Next(dev apu.Device, view *View) *Dispatch {
 			return nil
 		}
 		r.started = true
-		return &Dispatch{Inst: r.target, CPUFreq: -1, GPUFreq: -1}
+		r.d.Inst = r.target
+		return &r.d
 	}
 	if r.co == nil {
 		return nil
 	}
-	// Fresh copy so completions are distinguishable.
-	r.coCount++
-	clone := *r.co
-	return &Dispatch{Inst: &clone, CPUFreq: -1, GPUFreq: -1}
+	r.d.Inst = r.co
+	return &r.d
 }
 
 // StandaloneRun simulates a single instance alone on the given device
@@ -104,34 +121,59 @@ type CoRunResult struct {
 	AvgPower units.Watts
 }
 
-// CoRun measures the degradation of target on targetDev while copies
-// of co run back-to-back on the opposite device, with both devices
+// CoRun measures the degradation of target on targetDev while a copy
+// of co runs back-to-back on the opposite device, with both devices
 // pinned at the given frequency indices. A nil co measures a pure
-// standalone run (degradation 0).
+// standalone run (degradation 0). It is SoloTime followed by
+// CoRunWithSolo.
 func CoRun(opts Options, target *workload.Instance, targetDev apu.Device, co *workload.Instance, cpuFreq, gpuFreq int) (*CoRunResult, error) {
+	solo, err := SoloTime(opts, target, targetDev, cpuFreq, gpuFreq)
+	if err != nil {
+		return nil, err
+	}
+	out, err := CoRunWithSolo(opts, target, targetDev, co, cpuFreq, gpuFreq, solo)
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// pinned returns opts with both devices pinned at the given frequency
+// indices and no governor, as every pairwise measurement runs.
+func pinned(opts Options, cpuFreq, gpuFreq int) Options {
 	opts.InitCPUFreq = Pin(cpuFreq)
 	opts.InitGPUFreq = Pin(gpuFreq)
 	opts.Governor = nil
+	return opts
+}
 
-	soloOpts := opts
-	solo, err := StandaloneRun(soloOpts, target, targetDev)
+// SoloTime is CoRun's standalone half: target's wall time alone on
+// targetDev with both devices pinned at the given frequency indices.
+func SoloTime(opts Options, target *workload.Instance, targetDev apu.Device, cpuFreq, gpuFreq int) (units.Seconds, error) {
+	solo, err := StandaloneRun(pinned(opts, cpuFreq, gpuFreq), target, targetDev)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	return solo.Makespan, nil
+}
 
+// CoRunWithSolo is CoRun's co-run half, for callers that measure one
+// target against many co-runners: solo must be SoloTime of the same
+// target, device and frequencies, and the result is then CoRun's.
+func CoRunWithSolo(opts Options, target *workload.Instance, targetDev apu.Device, co *workload.Instance, cpuFreq, gpuFreq int, solo units.Seconds) (CoRunResult, error) {
+	opts = pinned(opts, cpuFreq, gpuFreq)
 	opts.StopInstance = target
-	disp := &repeatDispatcher{target: target, targetDev: targetDev, co: co}
-	res, err := Run(opts, disp)
+	res, err := Run(opts, newRepeatDispatcher(target, targetDev, co))
 	if err != nil {
-		return nil, err
+		return CoRunResult{}, err
 	}
-	out := &CoRunResult{
+	out := CoRunResult{
 		TargetTime: res.Makespan,
-		SoloTime:   solo.Makespan,
+		SoloTime:   solo,
 		AvgPower:   res.AvgPower,
 	}
-	if solo.Makespan > 0 {
-		out.Degradation = float64(res.Makespan)/float64(solo.Makespan) - 1
+	if solo > 0 {
+		out.Degradation = float64(res.Makespan)/float64(solo) - 1
 	}
 	return out, nil
 }

@@ -272,8 +272,16 @@ type running struct {
 	potential float64
 }
 
-func newRunning(inst *workload.Instance, dev apu.Device, now units.Seconds) *running {
-	r := &running{inst: inst, dev: dev, start: now}
+// newRunning starts inst on dev now. The job is carved from the
+// state's current chunk, so a run allocates per chunk rather than per
+// dispatch; no slot is reused within a run, since the segment cache
+// tells running jobs apart by pointer.
+func (st *state) newRunning(inst *workload.Instance, dev apu.Device) *running {
+	if len(st.runs) == cap(st.runs) {
+		st.runs = make([]running, 0, len(st.runs0))
+	}
+	st.runs = append(st.runs, running{inst: inst, dev: dev, start: st.now})
+	r := &st.runs[len(st.runs)-1]
 	r.remaining = float64(inst.Prog.Work) * inst.Scale * inst.Prog.Phases[0].Frac
 	return r
 }
@@ -317,6 +325,16 @@ type state struct {
 
 	// seg is the last segment evaluated in full (see sameSegment).
 	seg segment
+
+	// runs is the chunk newRunning carves jobs from, len(runs0) at a
+	// time. It and cpuJobs, seg.cpuJobs and scratch.CPUJobs start on the
+	// arrays below, inside the state: a pairwise measurement dispatches
+	// a few jobs, one CPU job at a time, so it seldom allocates these.
+	runs      []running
+	runs0     [4]running
+	cpuJobs0  [1]*running
+	segJobs0  [1]segmentJob
+	viewJobs0 [1]*workload.Instance
 }
 
 // segment is what the rate and power models read of one segment, as the
@@ -433,6 +451,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		cpuCeil: o.Cfg.MaxFreqIndex(apu.CPU),
 		gpuCeil: o.Cfg.MaxFreqIndex(apu.GPU),
 	}
+	st.runs, st.cpuJobs = st.runs0[:0], st.cpuJobs0[:0]
+	st.seg.cpuJobs, st.scratch.CPUJobs = st.segJobs0[:0], st.viewJobs0[:0]
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
@@ -735,7 +755,7 @@ func (st *state) fill(disp Dispatcher) bool {
 
 func (st *state) applyDispatch(d *Dispatch, dev apu.Device) {
 	st.setFreqs(d.CPUFreq, d.GPUFreq)
-	r := newRunning(d.Inst, dev, st.now)
+	r := st.newRunning(d.Inst, dev)
 	if dev == apu.CPU {
 		st.cpuJobs = append(st.cpuJobs, r)
 	} else {
