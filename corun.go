@@ -58,8 +58,9 @@ type (
 	Instance = workload.Instance
 	// Schedule is a planned co-schedule.
 	Schedule = core.Schedule
-	// DomainCaps are RAPL-style per-plane power caps (PP0 = CPU cores,
-	// PP1 = iGPU, Package tightens the package cap).
+	// DomainCaps are RAPL-style per-plane power caps under the package
+	// cap (PP0 = CPU cores, PP1 = iGPU); the package cap is
+	// WithPowerCap's alone.
 	DomainCaps = apu.DomainCaps
 	// Constraint names the power or thermal limit that bound a run.
 	Constraint = apu.Constraint

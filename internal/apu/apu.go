@@ -104,9 +104,9 @@ type Config struct {
 	TDP units.Watts
 
 	// DomainCaps are the machine's RAPL-style per-plane power limits
-	// (PP0 cores / PP1 iGPU / package). Zero planes are uncapped; the
-	// dynamic package cap most layers take as a separate argument is
-	// merged in via DomainCaps.WithPackage where both appear.
+	// (PP0 cores / PP1 iGPU); zero planes are uncapped. The package cap
+	// is not a machine property: every layer takes it as a separate
+	// argument.
 	DomainCaps DomainCaps
 
 	// Thermal is the shared-heatsink RC model; the zero value disables

@@ -6,78 +6,20 @@ import (
 	"corun/internal/units"
 )
 
-// Domain identifies one RAPL-style power plane of the package. The
-// split mirrors what integrated processors actually expose: PP0 meters
-// the CPU cores, PP1 the integrated GPU, and Package the whole die
-// including the uncore (which neither plane meters).
-type Domain int
-
-// The power planes of the integrated package.
-const (
-	PP0     Domain = iota // CPU core plane
-	PP1                   // integrated-GPU plane
-	Package               // whole package (PP0 + PP1 + uncore)
-)
-
-// NumDomains is the number of power planes, Package included.
-const NumDomains = 3
-
-// String implements fmt.Stringer with the lowercase names used in
-// metric labels and API fields.
-func (d Domain) String() string {
-	switch d {
-	case PP0:
-		return "pp0"
-	case PP1:
-		return "pp1"
-	case Package:
-		return "package"
-	default:
-		return fmt.Sprintf("Domain(%d)", int(d))
-	}
-}
-
-// Valid reports whether d names a real power plane.
-func (d Domain) Valid() bool { return d >= PP0 && d <= Package }
-
-// DomainCaps is a set of per-plane power limits. Zero (or negative)
-// means the plane is uncapped; the package-level cap usually lives
-// elsewhere (corun.WithPowerCap, server -cap) but may be carried here
-// too when a caller wants all three in one value.
+// DomainCaps are the RAPL-style per-plane power limits that sit under
+// the package cap: PP0 meters the CPU cores, PP1 the integrated GPU, and
+// neither meters the uncore. Zero (or negative) means the plane is
+// uncapped. The package limit is not one of them: every layer takes it
+// as its own argument (corun.WithPowerCap, corund -cap, Context.Cap).
 type DomainCaps struct {
-	PP0     units.Watts `json:"pp0_watts,omitempty"`
-	PP1     units.Watts `json:"pp1_watts,omitempty"`
-	Package units.Watts `json:"package_watts,omitempty"`
+	PP0 units.Watts `json:"pp0_watts,omitempty"`
+	PP1 units.Watts `json:"pp1_watts,omitempty"`
 }
 
 // Any reports whether at least one plane is capped.
-func (dc DomainCaps) Any() bool { return dc.PP0 > 0 || dc.PP1 > 0 || dc.Package > 0 }
+func (dc DomainCaps) Any() bool { return dc.PP0 > 0 || dc.PP1 > 0 }
 
-// Cap returns the configured limit for one plane (0 = uncapped).
-func (dc DomainCaps) Cap(d Domain) units.Watts {
-	switch d {
-	case PP0:
-		return dc.PP0
-	case PP1:
-		return dc.PP1
-	case Package:
-		return dc.Package
-	default:
-		return 0
-	}
-}
-
-// WithPackage returns the caps with the package plane set to the
-// tighter of the existing package cap and pkg — the merge used when a
-// legacy single-cap option meets DomainCaps.
-func (dc DomainCaps) WithPackage(pkg units.Watts) DomainCaps {
-	if pkg > 0 && (dc.Package <= 0 || pkg < dc.Package) {
-		dc.Package = pkg
-	}
-	return dc
-}
-
-// Allows reports whether the split satisfies every configured cap.
+// Allows reports whether the split respects both plane caps.
 func (dc DomainCaps) Allows(s PowerSplit) bool {
 	if dc.PP0 > 0 && s.PP0 > dc.PP0 {
 		return false
@@ -85,16 +27,14 @@ func (dc DomainCaps) Allows(s PowerSplit) bool {
 	if dc.PP1 > 0 && s.PP1 > dc.PP1 {
 		return false
 	}
-	if dc.Package > 0 && s.Package() > dc.Package {
-		return false
-	}
 	return true
 }
 
-// Binding returns the plane whose cap the split loads most heavily
-// (the largest watts/cap ratio among configured caps), with that
-// ratio. ConstraintNone when no plane is capped.
-func (dc DomainCaps) Binding(s PowerSplit) (Constraint, float64) {
+// Binding returns the limit the split loads most heavily — a plane cap
+// or the package cap pkg — as the largest watts/cap ratio among the
+// configured ones, with that ratio. ConstraintNone when nothing is
+// capped.
+func (dc DomainCaps) Binding(pkg units.Watts, s PowerSplit) (Constraint, float64) {
 	best, ratio := ConstraintNone, 0.0
 	check := func(c Constraint, w, cap units.Watts) {
 		if cap <= 0 {
@@ -106,7 +46,7 @@ func (dc DomainCaps) Binding(s PowerSplit) (Constraint, float64) {
 	}
 	check(ConstraintPP0, s.PP0, dc.PP0)
 	check(ConstraintPP1, s.PP1, dc.PP1)
-	check(ConstraintPackage, s.Package(), dc.Package)
+	check(ConstraintPackage, s.Package(), pkg)
 	return best, ratio
 }
 
@@ -120,20 +60,6 @@ type PowerSplit struct {
 
 // Package returns the total package power of the split.
 func (s PowerSplit) Package() units.Watts { return s.PP0 + s.PP1 + s.Uncore }
-
-// Domain returns the split's power on one plane.
-func (s PowerSplit) Domain(d Domain) units.Watts {
-	switch d {
-	case PP0:
-		return s.PP0
-	case PP1:
-		return s.PP1
-	case Package:
-		return s.Package()
-	default:
-		return 0
-	}
-}
 
 // Constraint names whichever limit binds a scheduling decision: one of
 // the power planes, the thermal throttle, or nothing.
@@ -209,20 +135,18 @@ func (c *Config) CheckCaps(pkg units.Watts, dc DomainCaps) error {
 	}
 	min := c.MinCoRunSplit()
 	for _, pl := range []struct {
-		d     Domain
-		cap   units.Watts
-		floor units.Watts
+		plane      string
+		cap, floor units.Watts
 	}{
-		{PP0, dc.PP0, min.PP0},
-		{PP1, dc.PP1, min.PP1},
-		{Package, dc.Package, min.Package()},
+		{"pp0", dc.PP0, min.PP0},
+		{"pp1", dc.PP1, min.PP1},
 	} {
 		if pl.cap < 0 {
-			return fmt.Errorf("apu: negative %v power cap %v", pl.d, pl.cap)
+			return fmt.Errorf("apu: negative %s power cap %v", pl.plane, pl.cap)
 		}
 		if pl.cap > 0 && pl.cap < pl.floor {
-			return fmt.Errorf("apu: %v cap %v below the machine's minimum %v co-run power %v",
-				pl.d, pl.cap, pl.d, pl.floor)
+			return fmt.Errorf("apu: %s cap %v below the machine's minimum %s co-run power %v",
+				pl.plane, pl.cap, pl.plane, pl.floor)
 		}
 	}
 	return nil

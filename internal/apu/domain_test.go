@@ -47,18 +47,11 @@ func TestSplitPowerPlanes(t *testing.T) {
 	if idle.PP1 != 0 {
 		t.Errorf("idle GPU pp1 = %v, want 0", idle.PP1)
 	}
-	// Domain accessors agree with the fields.
-	if s.Domain(PP0) != s.PP0 || s.Domain(PP1) != s.PP1 || s.Domain(Package) != s.Package() {
-		t.Error("Domain accessor disagrees with the split fields")
-	}
 }
 
+// The limit names in metric labels and bench reports: the two planes,
+// the package and the thermal throttle.
 func TestDomainString(t *testing.T) {
-	for d, want := range map[Domain]string{PP0: "pp0", PP1: "pp1", Package: "package"} {
-		if d.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(d), d.String(), want)
-		}
-	}
 	for c, want := range map[Constraint]string{
 		ConstraintNone: "none", ConstraintPP0: "pp0", ConstraintPP1: "pp1",
 		ConstraintPackage: "package", ConstraintThermal: "thermal",
@@ -86,34 +79,23 @@ func TestDomainCapsAnyAndAllows(t *testing.T) {
 	if dc.Allows(PowerSplit{PP0: 1, PP1: 5.1}) {
 		t.Error("pp1 excess allowed")
 	}
-	full := dc.WithPackage(12)
-	if full.Package != 12 {
-		t.Errorf("WithPackage = %v, want 12", full.Package)
-	}
-	if full.Allows(PowerSplit{PP0: 8, PP1: 3, Uncore: 2}) {
-		t.Error("package excess allowed after WithPackage")
-	}
-	// WithPackage keeps the tighter of the two package caps.
-	if got := (DomainCaps{Package: 9}).WithPackage(12).Package; got != 9 {
-		t.Errorf("WithPackage(12) over a 9 W cap = %v, want 9", got)
-	}
 }
 
 func TestDomainCapsBinding(t *testing.T) {
-	dc := DomainCaps{PP0: 10, PP1: 10, Package: 100}
-	c, r := dc.Binding(PowerSplit{PP0: 9, PP1: 4, Uncore: 2})
+	dc := DomainCaps{PP0: 10, PP1: 10}
+	c, r := dc.Binding(100, PowerSplit{PP0: 9, PP1: 4, Uncore: 2})
 	if c != ConstraintPP0 || math.Abs(r-0.9) > 1e-12 {
 		t.Errorf("binding = %v@%v, want pp0@0.9", c, r)
 	}
-	c, _ = dc.Binding(PowerSplit{PP0: 1, PP1: 9.5, Uncore: 2})
+	c, _ = dc.Binding(100, PowerSplit{PP0: 1, PP1: 9.5, Uncore: 2})
 	if c != ConstraintPP1 {
 		t.Errorf("binding = %v, want pp1", c)
 	}
-	c, _ = (DomainCaps{Package: 10}).Binding(PowerSplit{PP0: 4, PP1: 4, Uncore: 3})
+	c, _ = (DomainCaps{}).Binding(10, PowerSplit{PP0: 4, PP1: 4, Uncore: 3})
 	if c != ConstraintPackage {
 		t.Errorf("binding = %v, want package", c)
 	}
-	if c, r := (DomainCaps{}).Binding(PowerSplit{PP0: 4}); c != ConstraintNone || r != 0 {
+	if c, r := (DomainCaps{}).Binding(0, PowerSplit{PP0: 4}); c != ConstraintNone || r != 0 {
 		t.Errorf("uncapped binding = %v@%v, want none@0", c, r)
 	}
 }
@@ -138,7 +120,6 @@ func TestCheckCaps(t *testing.T) {
 		{"negative pp0", 0, DomainCaps{PP0: -2}, "apu: negative pp0 power cap"},
 		{"pp0 below floor", 0, DomainCaps{PP0: min.PP0 / 2}, "minimum pp0 co-run power"},
 		{"pp1 below floor", 0, DomainCaps{PP1: min.PP1 / 2}, "minimum pp1 co-run power"},
-		{"package plane below floor", 0, DomainCaps{Package: cfg.MinFreqCap() / 2}, "minimum package co-run power"},
 	}
 	for _, tc := range cases {
 		err := cfg.CheckCaps(tc.pkg, tc.dc)

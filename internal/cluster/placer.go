@@ -25,10 +25,18 @@ import (
 // Balancer selects the node for each arriving job.
 type Balancer int
 
-// Balancing policies.
+// Balancing policies. The zero value is HeadroomAware, the
+// fragmentation-aware default.
 const (
+	// HeadroomAware generalizes AffinityAware to live power headroom:
+	// pending work is weighed against each node's share of the global
+	// power budget (a node with twice the headroom drains twice as
+	// fast), and the affinity tiebreak keeps each node's CPU/GPU mix
+	// pairable so cap headroom is spent on co-runs instead of
+	// fragmenting across one-sided backlogs.
+	HeadroomAware Balancer = iota
 	// RoundRobin assigns arrivals to nodes cyclically.
-	RoundRobin Balancer = iota
+	RoundRobin
 	// LeastLoaded assigns each arrival to the node with the least
 	// pending work (sum of queued jobs' best solo times, estimated at
 	// max frequency).
@@ -37,13 +45,6 @@ const (
 	// node's mix of CPU- and GPU-preferred jobs, preserving co-run
 	// pairing opportunities.
 	AffinityAware
-	// HeadroomAware generalizes AffinityAware to live power headroom:
-	// pending work is weighed against each node's share of the global
-	// power budget (a node with twice the headroom drains twice as
-	// fast), and the affinity tiebreak keeps each node's CPU/GPU mix
-	// pairable so cap headroom is spent on co-runs instead of
-	// fragmenting across one-sided backlogs.
-	HeadroomAware
 )
 
 // String implements fmt.Stringer.

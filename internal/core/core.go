@@ -58,13 +58,12 @@ type Context struct {
 	Cap units.Watts
 
 	// Domains are optional RAPL-style per-plane caps enforced on top of
-	// Cap: a PP0 entry bounds the CPU cores' power, PP1 the iGPU's, and
-	// a Package entry tightens Cap. Domains with Cap folded into its
-	// package entry, and FreqStride, are the key under which a
-	// pairTables oracle keeps each program pair's feasible points
-	// across contexts, so a context under other caps never reads
-	// another's lists. Set both before the first query all the same:
-	// this context's own memo tables assume they are fixed.
+	// Cap: a PP0 entry bounds the CPU cores' power, PP1 the iGPU's.
+	// Cap, Domains and FreqStride are the key under which a pairTables
+	// oracle keeps each program pair's feasible points across contexts,
+	// so a context under other caps never reads another's lists. Set
+	// them before the first query all the same: this context's own memo
+	// tables assume they are fixed.
 	Domains apu.DomainCaps
 
 	// FreqStride coarsens the frequency traversal: only every
@@ -230,13 +229,13 @@ func (cx *Context) soloTimes(i int, d apu.Device) []units.Seconds {
 // beyond one context (model.Predictor, in its characterization).
 // Degradation(c, CPU, fc, g, fg) is cpu[fc*ng+fg]·Scale(c, CPU), and the
 // GPU side likewise. A feasible list is keyed by the pair's programs,
-// the effective caps and the stride — never by job index or input
-// scale, which the power model does not read.
+// the package cap, the plane caps and the stride — never by job index
+// or input scale, which the power model does not read.
 type pairTables interface {
 	PairDegradations(c, g int) (cpu, gpu []float64, ng int)
 	Scale(i int, d apu.Device) float64
-	Feasible(c, g int, caps apu.DomainCaps, stride int) ([]apu.FreqPair, bool)
-	KeepFeasible(c, g int, caps apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair
+	Feasible(c, g int, cap units.Watts, planes apu.DomainCaps, stride int) ([]apu.FreqPair, bool)
+	KeepFeasible(c, g int, cap units.Watts, planes apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair
 }
 
 // feasible returns every traversed operating point of CPU job c beside
@@ -249,11 +248,11 @@ func (cx *Context) feasible(c, g int) []apu.FreqPair {
 	if !cached {
 		return cx.traverse(c, g)
 	}
-	caps, stride := cx.Domains.WithPackage(cx.Cap), cx.stride()
-	if pts, ok := store.Feasible(c, g, caps, stride); ok {
+	stride := cx.stride()
+	if pts, ok := store.Feasible(c, g, cx.Cap, cx.Domains, stride); ok {
 		return pts
 	}
-	return store.KeepFeasible(c, g, caps, stride, cx.traverse(c, g))
+	return store.KeepFeasible(c, g, cx.Cap, cx.Domains, stride, cx.traverse(c, g))
 }
 
 // traverse is the frequency traversal of section IV-A.2, the one
@@ -318,33 +317,13 @@ func (cx *Context) pairInputs(c, g int, pts []apu.FreqPair) pairInputs {
 // package cap or any configured domain cap.
 func (cx *Context) Capped() bool { return cx.Cap > 0 || cx.Domains.Any() }
 
-// packageCap returns the effective package limit: the tighter of Cap
-// and the Domains' package entry (zero or negative = uncapped).
-func (cx *Context) packageCap() units.Watts { return cx.Domains.WithPackage(cx.Cap).Package }
-
-// planesFit reports whether the pair's plane split respects the
-// configured PP0/PP1 caps.
-func (cx *Context) planesFit(i, f, j, g int) bool {
-	if cx.Domains.PP0 <= 0 && cx.Domains.PP1 <= 0 {
-		return true
-	}
-	s := cx.Oracle.CoRunSplit(i, f, j, g)
-	if cx.Domains.PP0 > 0 && s.PP0 > cx.Domains.PP0 {
-		return false
-	}
-	if cx.Domains.PP1 > 0 && s.PP1 > cx.Domains.PP1 {
-		return false
-	}
-	return true
-}
-
 // pairFits reports whether the co-run operating point fits every
-// configured constraint: the effective package cap and the plane caps.
+// configured constraint: the package cap and the plane caps.
 func (cx *Context) pairFits(c, fc, g, fg int) bool {
-	if pc := cx.packageCap(); pc > 0 && cx.Oracle.CoRunPower(c, fc, g, fg) > pc {
+	if cx.Cap > 0 && cx.Oracle.CoRunPower(c, fc, g, fg) > cx.Cap {
 		return false
 	}
-	return cx.planesFit(c, fc, g, fg)
+	return !cx.Domains.Any() || cx.Domains.Allows(cx.Oracle.CoRunSplit(c, fc, g, fg))
 }
 
 // soloFits is pairFits for a solo run of job i on device d at level f,
@@ -361,11 +340,10 @@ func (cx *Context) soloFits(i int, d apu.Device, f int) bool {
 // that utilization (predicted watts over the cap). ConstraintNone when
 // nothing is configured.
 func (cx *Context) Binding(c, fc, g, fg int) (apu.Constraint, float64) {
-	dc := cx.Domains.WithPackage(cx.Cap)
-	if !dc.Any() {
+	if !cx.Capped() {
 		return apu.ConstraintNone, 0
 	}
-	return dc.Binding(cx.Oracle.CoRunSplit(c, fc, g, fg))
+	return cx.Domains.Binding(cx.Cap, cx.Oracle.CoRunSplit(c, fc, g, fg))
 }
 
 // BestSoloFreq returns the fastest cap-feasible frequency level for

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"corun/internal/apu"
@@ -107,60 +106,13 @@ func TestBestSoloFreqPlaneCap(t *testing.T) {
 	}
 }
 
-// Feasibility has one definition (Context.pairFits, through the one
-// traversal): a package cap configured as a domain is the package cap,
-// to the partition, the plan, its predicted makespan and the bound.
-func TestDomainPackageCapEqualsPowerCap(t *testing.T) {
-	batch := workload.Batch8()
-	for _, w := range []units.Watts{12, 15, 20} {
-		plain, _ := testContext(t, batch, w)
-		domain, _ := testContext(t, batch, 0)
-		domain.Domains = apu.DomainCaps{Package: w}
-
-		if a, b := plain.PartitionJobs(), domain.PartitionJobs(); !reflect.DeepEqual(a, b) {
-			t.Errorf("%v: partition %+v under the cap, %+v under the package domain", w, a, b)
-		}
-		want, wantT, err := plain.HCSPlus(HCSOptions{}, RefineOptions{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotT, err := domain.HCSPlus(HCSOptions{}, RefineOptions{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) || wantT != gotT {
-			t.Errorf("%v: plan %v @ %v under the cap, %v @ %v under the package domain", w, want, wantT, got, gotT)
-		}
-		wantLB, err := plain.LowerBound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLB, err := domain.LowerBound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantLB != gotLB {
-			t.Errorf("%v: bound %v under the cap, %v under the package domain", w, wantLB, gotLB)
-		}
-		for i := range batch {
-			for d := apu.CPU; d <= apu.GPU; d++ {
-				a, okA := plain.MinCoRunTime(i, d)
-				b, okB := domain.MinCoRunTime(i, d)
-				if a != b || okA != okB {
-					t.Errorf("%v: min co-run time of job %d on %v: %v,%v vs %v,%v", w, i, d, a, okA, b, okB)
-				}
-			}
-		}
-	}
-}
-
 // With only domain caps set, the partition must still find co-runs, and
 // the bound must stay a bound: below the simulated makespan and below
 // the sequential sum it degenerates to when every pair reads
 // infeasible.
 func TestDomainOnlyCapsKeepCoRunsAndBound(t *testing.T) {
 	batch := workload.Batch8()
-	for _, dc := range []apu.DomainCaps{{PP1: 9}, {PP0: 6}, {Package: 15}, {Package: 16, PP1: 9}} {
+	for _, dc := range []apu.DomainCaps{{PP1: 9}, {PP0: 6}} {
 		cx, execOpts := testContext(t, batch, 0)
 		cx.Domains = dc
 		execOpts.Domains = dc

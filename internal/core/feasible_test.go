@@ -14,8 +14,8 @@ import (
 )
 
 // limitCases are the constraint shapes a feasible list is keyed on:
-// package cap, each plane alone, the package cap given as a domain, no
-// cap at all, and a coarser traversal.
+// package cap, each plane alone, no cap at all, and a coarser
+// traversal.
 var limitCases = []struct {
 	name    string
 	cap     units.Watts
@@ -25,7 +25,6 @@ var limitCases = []struct {
 	{"cap15", 15, apu.DomainCaps{}, 1},
 	{"pp0-only", 0, apu.DomainCaps{PP0: 8}, 1},
 	{"pp1-only", 0, apu.DomainCaps{PP1: 9}, 1},
-	{"package-domain", 0, apu.DomainCaps{Package: 15}, 1},
 	{"uncapped", 0, apu.DomainCaps{}, 1},
 	{"stride2", 15, apu.DomainCaps{}, 2},
 }
@@ -61,7 +60,7 @@ func TestFeasiblePointsAreScaleFree(t *testing.T) {
 				what := fmt.Sprintf("trial %d %s epoch %d %v", trial, lc.name, epoch, progs)
 				for c := range progs {
 					for g := range progs {
-						_, resident := pred.Feasible(c, g, lc.domains.WithPackage(lc.cap), lc.stride)
+						_, resident := pred.Feasible(c, g, lc.cap, lc.domains, lc.stride)
 						if epoch > 0 && !resident {
 							t.Errorf("%s: pair (%d,%d) missed the lists the first batch kept", what, c, g)
 						}

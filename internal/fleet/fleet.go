@@ -100,7 +100,7 @@ type Config struct {
 	// each node reports on /readyz.
 	BudgetW float64
 
-	// Balancer picks the placement policy; defaults to
+	// Balancer picks the placement policy; the zero value is
 	// cluster.HeadroomAware, the fragmentation-aware scorer.
 	Balancer cluster.Balancer
 
@@ -125,12 +125,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Balancer == 0 && out.BudgetW != 0 {
-		// The zero Balancer value is RoundRobin; a power-managed fleet
-		// wants the fragmentation-aware default unless explicitly asked
-		// otherwise (use NewWithBalancer semantics via Config.Balancer).
-		out.Balancer = cluster.HeadroomAware
-	}
 	if out.Machine == nil {
 		out.Machine = apu.DefaultConfig()
 	}

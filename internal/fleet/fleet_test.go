@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"corun/internal/cluster"
 	"corun/internal/fleet"
 	"corun/internal/server"
 )
@@ -248,6 +249,43 @@ func TestConfigValidation(t *testing.T) {
 	bad.BudgetW = -1
 	if _, err := fleet.New(bad); err == nil {
 		t.Error("negative budget accepted")
+	}
+}
+
+// TestBalancerIsWhatWasAsked: the coordinator places with the balancer
+// its Config names, with or without a fleet budget, and the zero
+// Balancer is headroom-aware. GET /v1/nodes reports the one in force.
+func TestBalancerIsWhatWasAsked(t *testing.T) {
+	for _, tc := range []struct {
+		budgetW float64
+		bal     cluster.Balancer
+		want    string
+	}{
+		{45, cluster.RoundRobin, "round-robin"},
+		{45, cluster.LeastLoaded, "least-loaded"},
+		{0, cluster.RoundRobin, "round-robin"},
+		{45, 0, "headroom-aware"},
+		{0, 0, "headroom-aware"},
+	} {
+		co, err := fleet.New(fleet.Config{
+			Nodes:   []fleet.NodeConfig{{ID: "n0", URL: "http://a:1"}},
+			BudgetW: tc.budgetW, Balancer: tc.bal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(co.Handler())
+		status, body := getStatus(t, ts.URL+"/v1/nodes")
+		ts.Close()
+		var nodes struct {
+			Balancer string `json:"balancer"`
+		}
+		if err := json.Unmarshal([]byte(body), &nodes); err != nil || status != http.StatusOK {
+			t.Fatalf("GET /v1/nodes -> %d %s (%v)", status, body, err)
+		}
+		if nodes.Balancer != tc.want {
+			t.Errorf("budget %v W, Balancer %v: coordinator places with %q, want %q", tc.budgetW, tc.bal, nodes.Balancer, tc.want)
+		}
 	}
 }
 

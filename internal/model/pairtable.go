@@ -7,6 +7,7 @@ import (
 
 	"corun/internal/apu"
 	"corun/internal/profile"
+	"corun/internal/units"
 )
 
 // maxRows bounds the pair-table cache: at most this many distinct
@@ -58,11 +59,12 @@ func (t *pairTable) at(side apu.Device, fc, fg int) float64 {
 }
 
 // feasibleKey addresses one feasible list: a CPU-side row beside a
-// GPU-side row under the effective caps (the package entry already
-// merged with the package cap) at one traversal stride.
+// GPU-side row under one package cap and one set of plane caps at one
+// traversal stride.
 type feasibleKey struct {
 	rows   [apu.NumDevices]*row
-	caps   apu.DomainCaps
+	cap    units.Watts
+	planes apu.DomainCaps
 	stride int
 }
 

@@ -184,25 +184,24 @@ func (p *Predictor) PairDegradations(cj, gj int) (cpu, gpu []float64, ng int) {
 }
 
 // Feasible returns the cap-feasible operating points of CPU job cj
-// beside GPU job gj under the effective caps (package entry merged with
-// the package cap) at traversal stride, as the planner that first
-// traversed that program pair under them kept them (KeepFeasible). ok
-// is false when no list is resident. The list is shared: callers must
-// not modify it.
-func (p *Predictor) Feasible(cj, gj int, caps apu.DomainCaps, stride int) ([]apu.FreqPair, bool) {
-	return p.Char.feasibleList(p.feasibleKey(cj, gj, caps, stride))
+// beside GPU job gj under the package cap and the plane caps at
+// traversal stride, as the planner that first traversed that program
+// pair under them kept them (KeepFeasible). ok is false when no list is
+// resident. The list is shared: callers must not modify it.
+func (p *Predictor) Feasible(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int) ([]apu.FreqPair, bool) {
+	return p.Char.feasibleList(p.feasibleKey(cj, gj, cap, planes, stride))
 }
 
 // KeepFeasible makes pts the pair's feasible list under the caps and
 // stride for every later predictor over the same characterization, and
 // returns the resident list — pts, or an equal list a concurrent
 // planner kept first.
-func (p *Predictor) KeepFeasible(cj, gj int, caps apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair {
-	return p.Char.keepFeasibleList(p.feasibleKey(cj, gj, caps, stride), pts)
+func (p *Predictor) KeepFeasible(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair {
+	return p.Char.keepFeasibleList(p.feasibleKey(cj, gj, cap, planes, stride), pts)
 }
 
-func (p *Predictor) feasibleKey(cj, gj int, caps apu.DomainCaps, stride int) feasibleKey {
-	return feasibleKey{rows: [apu.NumDevices]*row{p.rows[apu.CPU][cj], p.rows[apu.GPU][gj]}, caps: caps, stride: stride}
+func (p *Predictor) feasibleKey(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int) feasibleKey {
+	return feasibleKey{rows: [apu.NumDevices]*row{p.rows[apu.CPU][cj], p.rows[apu.GPU][gj]}, cap: cap, planes: planes, stride: stride}
 }
 
 // CacheStats reports where a predictor's pair tables came from.

@@ -148,9 +148,9 @@ func samePairAnswers(t *testing.T, what string, tables, points *core.Context, n 
 
 // TestTablePlansEqualPerPointPlans holds the pair tables to the model
 // they are filled from: for every registered policy, under every shape
-// of limit (package cap, each plane alone, the package cap given as a
-// domain, none), over the predictor, over its calibrated form and over
-// that form with its interference amplified (see amplified),
+// of limit (package cap, each plane alone, none), over the predictor,
+// over its calibrated form and over that form with its interference
+// amplified (see amplified),
 // planning through the tables must produce exactly the schedule and the
 // predicted makespan bits that planning point by point over the
 // per-query interpolation does — core's path for an oracle without
@@ -171,7 +171,6 @@ func TestTablePlansEqualPerPointPlans(t *testing.T) {
 		{"cap15", 15, apu.DomainCaps{}},
 		{"pp0-only", 0, apu.DomainCaps{PP0: 8}},
 		{"pp1-only", 0, apu.DomainCaps{PP1: 9}},
-		{"package-domain", 0, apu.DomainCaps{Package: 15}},
 		{"uncapped", 0, apu.DomainCaps{}},
 	}
 	cfg := testCfg(t)

@@ -177,7 +177,7 @@ func TestConcurrentEpochsUnderDifferentCaps(t *testing.T) {
 	limits := []struct {
 		cap     units.Watts
 		domains apu.DomainCaps
-	}{{12.5, apu.DomainCaps{}}, {15, apu.DomainCaps{}}, {17.25, apu.DomainCaps{}}, {0, apu.DomainCaps{PP1: 9}}, {0, apu.DomainCaps{Package: 15}}}
+	}{{12.5, apu.DomainCaps{}}, {15, apu.DomainCaps{}}, {17.25, apu.DomainCaps{}}, {0, apu.DomainCaps{PP1: 9}}}
 	batch := testBatch(t)
 	prof, err := profile.Collect(cfg, mem, batch)
 	if err != nil {

@@ -115,20 +115,3 @@ func (s *Standalone) Power(i int, d apu.Device, f int) units.Watts {
 func (s *Standalone) Bandwidth(i int, d apu.Device, f int) units.GBps {
 	return s.Entries[i][d][f].Bandwidth
 }
-
-// BestFreqUnderCap returns the highest frequency level of device d at
-// which instance i's standalone package power stays within the cap,
-// and whether any level qualifies. A zero cap means uncapped: the
-// maximum level always qualifies.
-func (s *Standalone) BestFreqUnderCap(i int, d apu.Device, cap units.Watts) (int, bool) {
-	n := s.Cfg.NumFreqs(d)
-	if cap <= 0 {
-		return n - 1, true
-	}
-	for f := n - 1; f >= 0; f-- {
-		if s.Entries[i][d][f].Power <= cap {
-			return f, true
-		}
-	}
-	return 0, false
-}

@@ -116,37 +116,9 @@ func TestPowersIncreaseWithFrequency(t *testing.T) {
 	}
 }
 
-func TestBestFreqUnderCap(t *testing.T) {
-	s := collect(t, workload.Batch8())
-	// Uncapped: max level.
-	f, ok := s.BestFreqUnderCap(0, apu.CPU, 0)
-	if !ok || f != s.Cfg.MaxFreqIndex(apu.CPU) {
-		t.Errorf("uncapped best = %d,%v", f, ok)
-	}
-	// A generous cap also allows the max level.
-	f, ok = s.BestFreqUnderCap(0, apu.CPU, 100)
-	if !ok || f != s.Cfg.MaxFreqIndex(apu.CPU) {
-		t.Errorf("generous cap best = %d,%v", f, ok)
-	}
-	// A 15 W cap forces the CPU below max (max-power CPU runs exceed it).
-	f15, ok := s.BestFreqUnderCap(0, apu.CPU, 15)
-	if !ok {
-		t.Fatal("15 W cap infeasible for a solo CPU run")
-	}
-	if f15 >= s.Cfg.MaxFreqIndex(apu.CPU) {
-		t.Errorf("15 W cap should force CPU below max, got level %d", f15)
-	}
-	if got := s.Power(0, apu.CPU, f15); got > 15 {
-		t.Errorf("chosen level power %v exceeds cap", got)
-	}
-	// An absurd cap below idle is infeasible.
-	if _, ok := s.BestFreqUnderCap(0, apu.CPU, 1); ok {
-		t.Error("1 W cap reported feasible")
-	}
-}
-
 // GPU-preferred programs must remain GPU-preferred under a 15 W cap —
-// the preference categorization the scheduler relies on.
+// the preference categorization the scheduler relies on. Each device
+// runs at its highest level whose standalone power fits the cap.
 func TestPreferencesStableUnderCap(t *testing.T) {
 	s := collect(t, workload.Batch8())
 	for _, c := range []struct {
@@ -156,8 +128,11 @@ func TestPreferencesStableUnderCap(t *testing.T) {
 	}{{0, "streamcluster", apu.GPU}, {2, "dwt2d", apu.CPU}} {
 		var best [apu.NumDevices]units.Seconds
 		for d := apu.CPU; d <= apu.GPU; d++ {
-			f, ok := s.BestFreqUnderCap(c.job, d, 15)
-			if !ok {
+			f := s.Cfg.MaxFreqIndex(d)
+			for f >= 0 && s.Power(c.job, d, f) > 15 {
+				f--
+			}
+			if f < 0 {
 				t.Fatalf("%s has no 15 W operating point on %v", c.name, d)
 			}
 			best[d] = s.Entries[c.job][d][f].Time

@@ -26,8 +26,7 @@ import (
 // served as the daemon's first epoch, is planned and simulated exactly
 // as one direct online.Node.Run call at that epoch's seed plans and
 // simulates it — same dispatch orders, exclusive set and makespan bits —
-// under a package cap, a PP1 plane cap and a package cap given as a
-// domain. The dispatcher-driven baselines publish no plan; for them
+// under a package cap and under a PP1 plane cap. The dispatcher-driven baselines publish no plan; for them
 // (and for the planned policies too) every job finishes on the device
 // and at the instant Node.Run's completion for it says.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
@@ -44,7 +43,6 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 	}{
 		{"cap15", 15, apu.DomainCaps{}},
 		{"pp1-9", 0, apu.DomainCaps{PP1: 9}},
-		{"package15", 0, apu.DomainCaps{Package: 15}},
 	} {
 		for _, pol := range []string{"hcs", "hcs+", "random", "default", "default-cpu"} {
 			t.Run(cc.name+"/"+pol, func(t *testing.T) {

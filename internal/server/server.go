@@ -381,10 +381,6 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Machine.CheckCaps(cfg.Cap, cfg.Domains); err != nil {
 		return nil, err
 	}
-	// The daemon holds one package cap: a package entry among the
-	// domains tightens Cap, as in the planner and the simulator, and
-	// the domains keep the two planes.
-	cfg.Cap, cfg.Domains.Package = cfg.Domains.WithPackage(cfg.Cap).Package, 0
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("server: negative max queue %d", cfg.MaxQueue)
 	}
@@ -693,7 +689,6 @@ func (s *Server) setCaps(ctx context.Context, cap units.Watts, dc apu.DomainCaps
 	if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
 		return err
 	}
-	cap, dc.Package = dc.WithPackage(cap).Package, 0 // as in New: one package cap
 	return s.changeControl(ctx, capRecord(cap, dc), "cap", func(c *control) { c.cap, c.domains = cap, dc })
 }
 

@@ -43,14 +43,6 @@ var runGolden = map[string]string{
 	"pp1/hard=true/tmax=0/slots=3":         "615be6a83e4d16ac",
 	"pp1/hard=true/tmax=45/slots=1":        "7ac1c576974d68e1",
 	"pp1/hard=true/tmax=45/slots=3":        "7bf539a03d3d98d0",
-	"dom-pkg15/hard=false/tmax=0/slots=1":  "015365ab457bd7b3",
-	"dom-pkg15/hard=false/tmax=0/slots=3":  "b4fbf3e34622b38a",
-	"dom-pkg15/hard=false/tmax=45/slots=1": "2d628acdb0a7720b",
-	"dom-pkg15/hard=false/tmax=45/slots=3": "af1583b95c0f268f",
-	"dom-pkg15/hard=true/tmax=0/slots=1":   "7b1ea2232ec258c8",
-	"dom-pkg15/hard=true/tmax=0/slots=3":   "3d85aae1b21fc7fa",
-	"dom-pkg15/hard=true/tmax=45/slots=1":  "c00831d62084b725",
-	"dom-pkg15/hard=true/tmax=45/slots=3":  "4f81090b9a26cbe6",
 	"uncapped/hard=false/tmax=0/slots=1":   "affa83ee2dda4843",
 	"uncapped/hard=false/tmax=0/slots=3":   "63ab52cba0c0108d",
 	"uncapped/hard=false/tmax=45/slots=1":  "45aa9be5b15ce9b2",
@@ -82,10 +74,10 @@ type goldenScenario struct {
 }
 
 // goldenScenarios crosses every cap shape — a package cap, each plane
-// alone, the package as a domain, none, and a package cap with a plane
-// cap under it — with hardware enforcement off and on, the thermal model
-// off and throttling at 45 C, and one or three CPU slots; the last entry
-// stops at one instance's completion.
+// alone, none, and a package cap with a plane cap under it — with
+// hardware enforcement off and on, the thermal model off and throttling
+// at 45 C, and one or three CPU slots; the last entry stops at one
+// instance's completion.
 func goldenScenarios() []goldenScenario {
 	caps := []struct {
 		name    string
@@ -95,7 +87,6 @@ func goldenScenarios() []goldenScenario {
 		{"pkg15", 15, apu.DomainCaps{}},
 		{"pp0", 0, apu.DomainCaps{PP0: 8}},
 		{"pp1", 0, apu.DomainCaps{PP1: 9}},
-		{"dom-pkg15", 0, apu.DomainCaps{Package: 15}},
 		{"uncapped", 0, apu.DomainCaps{}},
 		{"pkg15+pp1", 15, apu.DomainCaps{PP1: 7}},
 	}

@@ -33,22 +33,17 @@ type BiasedGovernor struct {
 	// Cap is the package power cap to enforce.
 	Cap units.Watts
 	// Domains are optional RAPL-style per-plane caps enforced on top
-	// of Cap: PP0 meters the CPU cores, PP1 the iGPU, and a Package
-	// entry tightens Cap. Zero planes are unenforced.
+	// of Cap: PP0 meters the CPU cores, PP1 the iGPU. Zero planes are
+	// unenforced.
 	Domains apu.DomainCaps
 	// Bias picks the sacrificial device.
 	Bias Bias
 }
 
-// packageCap returns the effective package limit: the tighter of Cap
-// and the Domains' package plane (zero or negative = uncapped).
-func (g *BiasedGovernor) packageCap() units.Watts { return g.Domains.WithPackage(g.Cap).Package }
-
 // Adjust implements Governor.
 func (g *BiasedGovernor) Adjust(power units.Watts, view *View, cfg *apu.Config) (int, int) {
 	cf, gf := view.CPUFreq, view.GPUFreq
-	pkgCap := g.packageCap()
-	if pkgCap <= 0 && g.Domains.PP0 <= 0 && g.Domains.PP1 <= 0 {
+	if g.Cap <= 0 && !g.Domains.Any() {
 		return cf, gf
 	}
 	// Plane overdraws first: a plane cap meters exactly one device, so
@@ -66,7 +61,7 @@ func (g *BiasedGovernor) Adjust(power units.Watts, view *View, cfg *apu.Config) 
 	if lowered {
 		return cf, gf
 	}
-	if pkgCap > 0 && power > pkgCap {
+	if g.Cap > 0 && power > g.Cap {
 		return g.lower(power, cf, gf, cfg)
 	}
 	return g.raise(power, view, cf, gf, cfg)
@@ -78,7 +73,6 @@ func (g *BiasedGovernor) Adjust(power units.Watts, view *View, cfg *apu.Config) 
 // full-activity power curve, which overestimates savings slightly — the
 // residual is the small cap excursion the paper observes in Figure 9.
 func (g *BiasedGovernor) lower(power units.Watts, cf, gf int, cfg *apu.Config) (int, int) {
-	pkgCap := g.packageCap()
 	est := power
 	stepDown := func(dev apu.Device, idx int) (int, bool) {
 		if idx <= 0 {
@@ -87,7 +81,7 @@ func (g *BiasedGovernor) lower(power units.Watts, cf, gf int, cfg *apu.Config) (
 		est -= cfg.DynPower(dev, idx) - cfg.DynPower(dev, idx-1)
 		return idx - 1, true
 	}
-	for est > pkgCap {
+	for est > g.Cap {
 		var ok bool
 		if g.Bias == GPUBiased {
 			if cf, ok = stepDown(apu.CPU, cf); ok {
@@ -115,7 +109,6 @@ func (g *BiasedGovernor) lower(power units.Watts, cf, gf int, cfg *apu.Config) (
 // yet" (symmetrically for CPU-biased): the non-preferred device is
 // only considered once the preferred one sits at its maximum level.
 func (g *BiasedGovernor) raise(power units.Watts, view *View, cf, gf int, cfg *apu.Config) (int, int) {
-	pkgCap := g.packageCap()
 	fits := func(dev apu.Device, delta units.Watts) bool {
 		// The headroom is one DVFS step's estimated power of slack
 		// beyond the step itself. The raise estimate undercounts the
@@ -123,7 +116,7 @@ func (g *BiasedGovernor) raise(power units.Watts, view *View, cf, gf int, cfg *a
 		// raised clock), so raising whenever power+delta fit would land
 		// above the cap and be lowered right back — a raise/lower flap
 		// every governor tick.
-		if pkgCap > 0 && power+delta+delta > pkgCap {
+		if g.Cap > 0 && power+delta+delta > g.Cap {
 			return false
 		}
 		planeCap, planeW := g.Domains.PP0, view.PP0

@@ -64,8 +64,8 @@ type Options struct {
 	// frequencies; the clamp is a backstop.
 	HardCap bool
 
-	// DomainCaps are optional RAPL-style per-plane limits (PP0 cores /
-	// PP1 iGPU / package) accounted alongside PowerCap. With HardCap
+	// DomainCaps are optional RAPL-style per-plane limits under
+	// PowerCap, PP0 on the CPU cores and PP1 on the iGPU. With HardCap
 	// they are enforced within the event like the package clamp; either
 	// way per-plane violations are counted in the Result and the
 	// binding constraint reported.
@@ -660,8 +660,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	// fired, else the most heavily loaded configured power cap.
 	if res.Throttles > 0 {
 		res.Binding = apu.ConstraintThermal
-	} else if caps := o.DomainCaps.WithPackage(o.PowerCap); caps.Any() {
-		res.Binding, _ = caps.Binding(apu.PowerSplit{
+	} else {
+		res.Binding, _ = o.DomainCaps.Binding(o.PowerCap, apu.PowerSplit{
 			PP0:    res.AvgPP0,
 			PP1:    res.AvgPP1,
 			Uncore: units.Watts(float64(res.AvgPower) - float64(res.AvgPP0) - float64(res.AvgPP1)),
@@ -697,8 +697,7 @@ func (st *state) evaluate() units.Watts {
 	st.split = st.splitPower(cpuUtil, gpuUtil)
 
 	// Per-plane hardware clamp: a plane cap meters one device, so the
-	// clamp steps that device down; a package entry in the domain caps
-	// lowers the CPU first, like the package cap.
+	// clamp steps that device down.
 	if o.HardCap && o.DomainCaps.Any() {
 	domainClamp:
 		for !o.DomainCaps.Allows(st.split) {
@@ -707,13 +706,6 @@ func (st *state) evaluate() units.Watts {
 				st.cpuFreq--
 			case o.DomainCaps.PP1 > 0 && st.split.PP1 > o.DomainCaps.PP1 && st.gpuFreq > 0:
 				st.gpuFreq--
-			case o.DomainCaps.Package > 0 && st.split.Package() > o.DomainCaps.Package &&
-				(st.cpuFreq > 0 || st.gpuFreq > 0):
-				if st.cpuFreq > 0 {
-					st.cpuFreq--
-				} else {
-					st.gpuFreq--
-				}
 			default:
 				// Every offending plane is at its floor already.
 				break domainClamp

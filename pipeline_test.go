@@ -29,8 +29,7 @@ func exclusiveSet(s *Schedule) []int {
 // through the facade (Prepare → ScheduleSeeded → Run) and through
 // online.Node.Run, the call the daemon makes, and wants one answer:
 // the same dispatch orders, exclusive set and simulated makespan bits,
-// whether the cap arrives as the package cap, as a PP1 plane cap or as
-// the package entry of the domain caps. The dispatcher-driven baselines
+// whether the cap arrives as the package cap or as a PP1 plane cap. The dispatcher-driven baselines
 // have no plan to compare: RunPolicy and Node.Run must complete every
 // job, the same jobs on the same devices in the same order at the same
 // instants. The daemon's own leg —
@@ -49,7 +48,6 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 	}{
 		{"cap15", []Option{WithPowerCap(15)}},
 		{"pp1-9", []Option{WithDomainCaps(DomainCaps{PP1: 9})}},
-		{"package15", []Option{WithDomainCaps(DomainCaps{Package: 15})}},
 	} {
 		sys, err := NewSystem(append(cc.opts, WithCharacterizationFrom(bytes.NewReader(saved.Bytes())))...)
 		if err != nil {

@@ -248,47 +248,6 @@ func TestWarmEpochComputesNothingNew(t *testing.T) {
 	}
 }
 
-// A package cap given as a domain is the package cap: the same plan,
-// run and bound through the facade (it used to leave every job in S_seq
-// and the bound at the sequential sum).
-func TestDomainPackageCapThroughFacade(t *testing.T) {
-	var saved bytes.Buffer
-	if err := capped15(t).SaveCharacterization(&saved); err != nil {
-		t.Fatal(err)
-	}
-	domain, err := NewSystem(WithDomainCaps(DomainCaps{Package: 15}), WithCharacterizationFrom(&saved))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		plan     string
-		makespan Seconds
-		bound    Seconds
-	}
-	run := func(sys *System) outcome {
-		w, err := sys.Prepare(Batch8())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := w.ScheduleHCS()
-		if err != nil {
-			t.Fatal(err)
-		}
-		report, err := w.Run(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound, err := w.LowerBound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{plan.String(), report.Makespan, bound}
-	}
-	if want, got := run(capped15(t)), run(domain); got != want {
-		t.Errorf("WithDomainCaps{Package: 15} gave %+v, WithPowerCap(15) %+v", got, want)
-	}
-}
-
 // A System that has planned more distinct custom programs than its pair
 // tables hold keeps planning, and plans each batch as a System that has
 // seen nothing else does.

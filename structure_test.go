@@ -274,9 +274,9 @@ func TestOneJobRecord(t *testing.T) {
 
 // TestEveryKnobIsListed makes a new setting a visible edit: corund's
 // flags, the fields of the four configuration structs that reach the
-// daemon, and the fields of the six option structs of the planner, the
-// governor and the generator are pinned to the
-// lists below, and README.md documents every listed flag and none of
+// daemon, the fields of the six option structs of the planner, the
+// governor and the generator, and the two planes of the cap under the
+// package cap are pinned to the lists below, and README.md documents every listed flag and none of
 // the ones turned into constants (bench/ is exempt: it only passes
 // flags). A setting earns a place here when a second non-test caller
 // needs another value, when it is a deployment setting, or when a test
@@ -307,6 +307,7 @@ func TestEveryKnobIsListed(t *testing.T) {
 		"internal/core.OptimalOptions": {"Workers"},
 		"internal/workload.GenOptions": {"N", "Seed"},
 		"internal/sim.BiasedGovernor":  {"Cap", "Domains", "Bias"},
+		"internal/apu.DomainCaps":      {"PP0", "PP1"},
 	}
 
 	var gotFlags []string
