@@ -154,17 +154,10 @@ func ExecuteDefault(opts ExecOptions, batch []*workload.Instance, o Oracle, bias
 		Mem:        opts.Mem,
 		PowerCap:   opts.Cap,
 		DomainCaps: opts.Domains,
-		CPUSlots:   maxInt(1, len(cpuQ)),
+		CPUSlots:   max(1, len(cpuQ)),
 	}
 	if opts.Cap > 0 || opts.Domains.Any() {
 		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
 	}
 	return sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

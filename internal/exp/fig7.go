@@ -96,7 +96,7 @@ func (s *Suite) figure7With(batch []*workload.Instance, predict degradationFunc)
 					return set, err
 				}
 				p := predict(i, fc, j, fg)
-				e := abs(p-truth.Degradation) / maxf(truth.Degradation, errFloor)
+				e := abs(p-truth.Degradation) / max(truth.Degradation, errFloor)
 				set.Pairs = append(set.Pairs, PairError{
 					CPUJob: batch[i].Label, GPUJob: batch[j].Label,
 					Predicted: p, Actual: truth.Degradation, Err: e,
@@ -142,13 +142,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // worstPairs returns the k pairs with the largest error, for reports.

@@ -80,8 +80,8 @@ type Options struct {
 	Char *model.Characterization
 	Cap  units.Watts
 	// Domains are optional RAPL-style per-plane caps (PP0 = CPU cores,
-	// PP1 = iGPU, Package tightens Cap) enforced during planning and
-	// execution alongside Cap.
+	// PP1 = iGPU), enforced during planning and execution under the
+	// package cap, Cap.
 	Domains apu.DomainCaps
 
 	// Policy is a policy table name (canonical or alias).

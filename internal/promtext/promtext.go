@@ -14,6 +14,7 @@ package promtext
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"regexp"
@@ -88,16 +89,54 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Counter is a monotonically increasing value.
-type Counter struct {
-	nm, hp string
-	mu     sync.Mutex
-	v      float64
+// family is the record every metric type embeds: the name, help and
+// type the registry frames its samples with.
+type family struct{ nm, hp, tp string }
+
+func (f *family) name() string { return f.nm }
+func (f *family) help() string { return f.hp }
+func (f *family) typ() string  { return f.tp }
+
+// mustIncrease panics on a negative counter delta (counters only go up
+// — a decreasing "counter" corrupts every rate() over it).
+func mustIncrease(name string, delta float64) {
+	if delta < 0 {
+		panic(fmt.Sprintf("promtext: counter %s decreased by %v", name, delta))
+	}
 }
+
+// sample is one locked value: the state of a Counter or a Gauge.
+type sample struct {
+	family
+	mu sync.Mutex
+	v  float64
+}
+
+// Add shifts the value.
+func (s *sample) Add(delta float64) {
+	s.mu.Lock()
+	s.v += delta
+	s.mu.Unlock()
+}
+
+// Value returns the current value.
+func (s *sample) Value() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.v
+}
+
+func (s *sample) write(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%s %s\n", s.nm, formatFloat(s.Value()))
+	return err
+}
+
+// Counter is a monotonically increasing value.
+type Counter struct{ sample }
 
 // NewCounter registers a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{nm: name, hp: help}
+	c := &Counter{sample{family: family{name, help, "counter"}}}
 	r.register(c)
 	return c
 }
@@ -105,164 +144,18 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add increases the counter; negative deltas panic (counters only go
-// up — a decreasing "counter" corrupts every rate() over it).
+// Add increases the counter; negative deltas panic.
 func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("promtext: counter %s decreased by %v", c.nm, delta))
-	}
-	c.mu.Lock()
-	c.v += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-func (c *Counter) name() string { return c.nm }
-func (c *Counter) help() string { return c.hp }
-func (c *Counter) typ() string  { return "counter" }
-func (c *Counter) write(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s %s\n", c.nm, formatFloat(c.Value()))
-	return err
-}
-
-// CounterVec is a counter family partitioned by one label.
-type CounterVec struct {
-	nm, hp, label string
-	mu            sync.Mutex
-	vals          map[string]float64
-}
-
-// NewCounterVec registers a one-label counter family.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	if !labelRe.MatchString(label) {
-		panic(fmt.Sprintf("promtext: invalid label name %q", label))
-	}
-	v := &CounterVec{nm: name, hp: help, label: label, vals: map[string]float64{}}
-	r.register(v)
-	return v
-}
-
-// Add increases the counter for one label value, creating it at zero
-// first if needed.
-func (v *CounterVec) Add(labelValue string, delta float64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("promtext: counter %s decreased by %v", v.nm, delta))
-	}
-	v.mu.Lock()
-	v.vals[labelValue] += delta
-	v.mu.Unlock()
-}
-
-// Inc adds one for the label value.
-func (v *CounterVec) Inc(labelValue string) { v.Add(labelValue, 1) }
-
-// Value returns the count for one label value.
-func (v *CounterVec) Value(labelValue string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[labelValue]
-}
-
-func (v *CounterVec) name() string { return v.nm }
-func (v *CounterVec) help() string { return v.hp }
-func (v *CounterVec) typ() string  { return "counter" }
-func (v *CounterVec) write(w io.Writer) error {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, val := range v.vals {
-		vals[k] = val
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", v.nm, v.label, escapeLabel(k), formatFloat(vals[k])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GaugeVec is a gauge family partitioned by one label.
-type GaugeVec struct {
-	nm, hp, label string
-	mu            sync.Mutex
-	vals          map[string]float64
-}
-
-// NewGaugeVec registers a one-label gauge family.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	if !labelRe.MatchString(label) {
-		panic(fmt.Sprintf("promtext: invalid label name %q", label))
-	}
-	v := &GaugeVec{nm: name, hp: help, label: label, vals: map[string]float64{}}
-	r.register(v)
-	return v
-}
-
-// Set replaces the value for one label value, creating it if needed.
-func (v *GaugeVec) Set(labelValue string, val float64) {
-	v.mu.Lock()
-	v.vals[labelValue] = val
-	v.mu.Unlock()
-}
-
-// Add shifts the value for one label value.
-func (v *GaugeVec) Add(labelValue string, delta float64) {
-	v.mu.Lock()
-	v.vals[labelValue] += delta
-	v.mu.Unlock()
-}
-
-// Value returns the value for one label value.
-func (v *GaugeVec) Value(labelValue string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[labelValue]
-}
-
-func (v *GaugeVec) name() string { return v.nm }
-func (v *GaugeVec) help() string { return v.hp }
-func (v *GaugeVec) typ() string  { return "gauge" }
-func (v *GaugeVec) write(w io.Writer) error {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, val := range v.vals {
-		vals[k] = val
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", v.nm, v.label, escapeLabel(k), formatFloat(vals[k])); err != nil {
-			return err
-		}
-	}
-	return nil
+	mustIncrease(c.nm, delta)
+	c.sample.Add(delta)
 }
 
 // Gauge is a value that can go up and down.
-type Gauge struct {
-	nm, hp string
-	mu     sync.Mutex
-	v      float64
-}
+type Gauge struct{ sample }
 
 // NewGauge registers a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{nm: name, hp: help}
+	g := &Gauge{sample{family: family{name, help, "gauge"}}}
 	r.register(g)
 	return g
 }
@@ -274,31 +167,97 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the value.
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
+// labelled is a family partitioned by one label: the state of a
+// CounterVec or a GaugeVec.
+type labelled struct {
+	family
+	label string
+	mu    sync.Mutex
+	vals  map[string]float64
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
+// checkLabel returns label, panicking if it is not a valid label name.
+func checkLabel(label string) string {
+	if !labelRe.MatchString(label) {
+		panic(fmt.Sprintf("promtext: invalid label name %q", label))
+	}
+	return label
 }
 
-func (g *Gauge) name() string { return g.nm }
-func (g *Gauge) help() string { return g.hp }
-func (g *Gauge) typ() string  { return "gauge" }
-func (g *Gauge) write(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s %s\n", g.nm, formatFloat(g.Value()))
-	return err
+// Add shifts the value for one label value, creating it at zero first
+// if needed.
+func (v *labelled) Add(labelValue string, delta float64) {
+	v.mu.Lock()
+	v.vals[labelValue] += delta
+	v.mu.Unlock()
+}
+
+// Value returns the value for one label value.
+func (v *labelled) Value(labelValue string) float64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.vals[labelValue]
+}
+
+// write renders one line per label value, in label-value order; %q
+// quotes and escapes the value as the exposition format wants.
+func (v *labelled) write(w io.Writer) error {
+	v.mu.Lock()
+	vals := maps.Clone(v.vals)
+	v.mu.Unlock()
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", v.nm, v.label, k, formatFloat(vals[k])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CounterVec is a counter family partitioned by one label.
+type CounterVec struct{ labelled }
+
+// NewCounterVec registers a one-label counter family.
+func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
+	v := &CounterVec{labelled{family: family{name, help, "counter"}, label: checkLabel(label), vals: map[string]float64{}}}
+	r.register(v)
+	return v
+}
+
+// Add increases the counter for one label value, creating it at zero
+// first if needed; negative deltas panic.
+func (v *CounterVec) Add(labelValue string, delta float64) {
+	mustIncrease(v.nm, delta)
+	v.labelled.Add(labelValue, delta)
+}
+
+// Inc adds one for the label value.
+func (v *CounterVec) Inc(labelValue string) { v.Add(labelValue, 1) }
+
+// GaugeVec is a gauge family partitioned by one label.
+type GaugeVec struct{ labelled }
+
+// NewGaugeVec registers a one-label gauge family.
+func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
+	v := &GaugeVec{labelled{family: family{name, help, "gauge"}, label: checkLabel(label), vals: map[string]float64{}}}
+	r.register(v)
+	return v
+}
+
+// Set replaces the value for one label value, creating it if needed.
+func (v *GaugeVec) Set(labelValue string, val float64) {
+	v.mu.Lock()
+	v.vals[labelValue] = val
+	v.mu.Unlock()
 }
 
 // Histogram accumulates observations into cumulative buckets.
 type Histogram struct {
-	nm, hp  string
+	family
 	bounds  []float64 // ascending upper bounds, +Inf implicit
 	mu      sync.Mutex
 	buckets []uint64 // per-bound (non-cumulative) counts
@@ -316,7 +275,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 		}
 	}
 	h := &Histogram{
-		nm: name, hp: help,
+		family:  family{name, help, "histogram"},
 		bounds:  append([]float64(nil), bounds...),
 		buckets: make([]uint64, len(bounds)),
 	}
@@ -346,9 +305,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-func (h *Histogram) name() string { return h.nm }
-func (h *Histogram) help() string { return h.hp }
-func (h *Histogram) typ() string  { return "histogram" }
 func (h *Histogram) write(w io.Writer) error {
 	h.mu.Lock()
 	bounds := h.bounds
@@ -384,12 +340,4 @@ func formatFloat(v float64) string {
 
 func escapeHelp(s string) string {
 	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
-}
-
-func escapeLabel(s string) string {
-	// %q in the callers already quotes and escapes " and \; it renders
-	// newlines as \n too, matching the exposition format, so there is
-	// nothing left to do here. Kept as a seam (and documentation) for
-	// the escaping rules.
-	return s
 }

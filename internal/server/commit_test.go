@@ -188,7 +188,7 @@ func TestCommitMetricsCountAppends(t *testing.T) {
 	if _, err := s.Submit(mustSpec(t, "lud")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetCap(14); err != nil {
+	if err := s.SetCaps(14, s.DomainCaps()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetPolicy("hcs"); err != nil {
@@ -326,7 +326,8 @@ func TestJournalAppendsPerJob(t *testing.T) {
 // The log is decoded, each submission's wall-clock SubmittedAt is
 // zeroed, and each record is re-encoded; the payloads, one a line,
 // must equal testdata/session_<policy>.golden under a planned policy
-// and under the Random dispatcher.
+// and under the Random dispatcher. The last epoch's GET /v1/plan body
+// must equal testdata/plan_<policy>.golden byte for byte.
 func TestScriptedSessionJournal(t *testing.T) {
 	for _, pol := range []string{"hcs+", "random"} {
 		t.Run(pol, func(t *testing.T) {
@@ -353,7 +354,7 @@ func TestScriptedSessionJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := s.SetCap(16); err != nil {
+			if err := s.SetCaps(16, s.DomainCaps()); err != nil {
 				t.Fatal(err)
 			}
 			s.Start(context.Background())
@@ -388,13 +389,20 @@ func TestScriptedSessionJournal(t *testing.T) {
 				}
 				got = append(append(got, frame[8:]...), '\n') // past the length and CRC32
 			}
-			name := filepath.Join("testdata", "session_"+strings.ReplaceAll(pol, "+", "plus")+".golden")
-			want, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("journal differs from %s:\ngot:\n%s\nwant:\n%s", name, got, want)
+			base := strings.ReplaceAll(pol, "+", "plus") + ".golden"
+			plan := httptest.NewRecorder()
+			s.Handler().ServeHTTP(plan, httptest.NewRequest(http.MethodGet, "/v1/plan", nil))
+			for name, got := range map[string][]byte{
+				filepath.Join("testdata", "session_"+base): got,
+				filepath.Join("testdata", "plan_"+base):    plan.Body.Bytes(),
+			} {
+				want, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs:\ngot:\n%s\nwant:\n%s", name, got, want)
+				}
 			}
 		})
 	}

@@ -305,8 +305,22 @@ func TestEpochFaultFailsBatchNotDaemon(t *testing.T) {
 	if jobs[0].State != JobFailed || !strings.Contains(jobs[0].Error, "injected planner crash") {
 		t.Fatalf("faulted epoch job %+v, want failed with the injected error", jobs[0])
 	}
-	if plan, ok := s.Plan(); !ok || plan.State != "failed" {
-		t.Errorf("plan after faulted epoch: %+v", plan)
+	// The failed epoch's whole plan body: the planning view with the
+	// state and the injected error, and nothing of an outcome.
+	const wantPlan = `{
+  "epoch": 1,
+  "policy": "hcs+",
+  "state": "failed",
+  "jobs": [
+    "job-000000"
+  ],
+  "cap_watts": 15,
+  "clock_start_s": 0,
+  "error": "fault: injected at server/epoch: injected planner crash"
+}
+`
+	if _, body := get(t, ts.URL+"/v1/plan"); body != wantPlan {
+		t.Errorf("plan after faulted epoch:\n%s\nwant:\n%s", body, wantPlan)
 	}
 
 	// The daemon is intact: the next batch runs to completion.

@@ -86,6 +86,20 @@ func (s *Server) shedErr(w http.ResponseWriter, err error) {
 	WriteErr(w, http.StatusServiceUnavailable, err)
 }
 
+// changeErr answers a control change (POST /v1/cap, /v1/policy) that
+// failed: 503 when the request's deadline ended it, 503 with
+// Retry-After when the journal could not take it, 400 otherwise.
+func (s *Server) changeErr(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case requestEnded(r, err):
+		writeDeadline(w)
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
+		s.shedErr(w, err)
+	default:
+		WriteErr(w, http.StatusBadRequest, err)
+	}
+}
+
 // WriteJSON writes v as the response body, indented, with status. The
 // coordinator (internal/fleet) answers through it as well.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
@@ -186,7 +200,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j := s.jobRef(id)
+	j := s.table.get(id)
 	if j == nil {
 		WriteErr(w, http.StatusNotFound, fmt.Errorf("server: unknown job %q", id))
 		return
@@ -256,15 +270,7 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 		dc.PP1 = units.Watts(*req.PP1Watts)
 	}
 	if err := s.setCaps(r.Context(), cap, dc); err != nil {
-		if requestEnded(r, err) {
-			writeDeadline(w)
-			return
-		}
-		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrJournal) {
-			s.shedErr(w, err)
-			return
-		}
-		WriteErr(w, http.StatusBadRequest, err)
+		s.changeErr(w, r, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, s.capBody())
@@ -300,15 +306,7 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.setPolicy(r.Context(), p); err != nil {
-		if requestEnded(r, err) {
-			writeDeadline(w)
-			return
-		}
-		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrJournal) {
-			s.shedErr(w, err)
-			return
-		}
-		WriteErr(w, http.StatusBadRequest, err)
+		s.changeErr(w, r, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"policy": p})

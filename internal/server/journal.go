@@ -204,38 +204,6 @@ func (s *Server) appendDurable(ctx context.Context, recs ...journal.Record) erro
 	return nil
 }
 
-// journalAppend best-effort journals job lifecycle records from the
-// scheduler goroutine. A failure must not take the node down
-// mid-epoch, so the records are dropped and counted — as an error
-// (corund_journal_errors_total) when the write failed past its
-// retries, or silently suspended while the breaker holds the daemon
-// degraded. Dropped lifecycle records cost nothing but work: on a
-// restart the affected jobs replay as non-terminal and re-run, so an
-// acknowledged job is still never lost.
-func (s *Server) journalAppend(recs []journal.Record) {
-	if err := s.appendDurable(context.Background(), recs...); err != nil {
-		if !errors.Is(err, ErrDegraded) && !errors.Is(err, journal.ErrClosed) {
-			s.m.jlErrors.Inc()
-		}
-		s.m.jlDropped.Add(float64(len(recs)))
-	}
-}
-
-// stateRecords journals published snapshots as state records (none
-// without a journal): each record carries the snapshot itself. clock
-// is the scheduling clock after the transitions' epoch (0 for
-// transitions that do not advance it).
-func (s *Server) stateRecords(snaps []*Job, clock float64) []journal.Record {
-	if s.jl == nil {
-		return nil
-	}
-	recs := make([]journal.Record, len(snaps))
-	for i, j := range snaps {
-		recs[i] = journal.Record{Type: journal.TypeJobState, Job: j, SimClockS: clock}
-	}
-	return recs
-}
-
 // parseJobID extracts the numeric suffix of a "job-%06d" or
 // "<node-id>-job-%06d" ID so recovery can resume the ID sequence past
 // every restored job, including journals written under a different

@@ -24,6 +24,15 @@ func (s *Server) Drain() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
+// markDraining stops admission; idempotent. Taken under admMu so it
+// serializes against Submit's post-journal re-check and the loop's
+// exit decision.
+func (s *Server) markDraining() {
+	s.admMu.Lock()
+	s.draining.Store(true)
+	s.admMu.Unlock()
+}
+
 // Drained is closed when the scheduler loop has exited.
 func (s *Server) Drained() <-chan struct{} { return s.drained }
 

@@ -78,7 +78,7 @@ func TestJobTableConcurrency(t *testing.T) {
 		defer wg.Done()
 		caps := []float64{15, 16, 18, 0}
 		for i := 0; i < 40; i++ {
-			if err := s.SetCap(units.Watts(caps[i%len(caps)])); err != nil {
+			if err := s.SetCaps(units.Watts(caps[i%len(caps)]), s.DomainCaps()); err != nil {
 				t.Errorf("set cap: %v", err)
 				return
 			}

@@ -32,7 +32,7 @@
 // before the loop exits.
 //
 // Serving-path concurrency model (see DESIGN.md §2h): there is no
-// global server mutex. The job table is striped with immutable
+// global server mutex. The job table is one lock over immutable
 // atomic-pointer snapshots (jobTable), every journal commit is a
 // direct appendDurable call whose fsync concurrent committers share
 // through the journal's own group commit, the admission selector and
@@ -40,15 +40,14 @@
 // immutable cap+planes+policy value), clock and plan are atomics, and
 // everything else — epoch planning, queue-shape
 // gauges, trace bookkeeping — belongs to the scheduler goroutine, off
-// the request path.
+// the request path. The files follow the domains: this one builds the
+// server, request.go is the request path, epoch.go is everything the
+// scheduler goroutine runs, and table.go is the job table.
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"regexp"
 	"sync"
 	"sync/atomic"
@@ -56,16 +55,13 @@ import (
 
 	"corun/internal/admission"
 	"corun/internal/apu"
-	"corun/internal/core"
 	"corun/internal/fault"
 	"corun/internal/journal"
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/online"
-	"corun/internal/sim"
 	"corun/internal/trace"
 	"corun/internal/units"
-	"corun/internal/workload"
 )
 
 // Admission errors. Handlers map ErrDraining, ErrDegraded, and
@@ -95,11 +91,6 @@ const (
 	SiteAdmit = "server/admit"
 	SiteEpoch = "server/epoch"
 )
-
-// maxTraceEpochs bounds the epoch trace GET /v1/trace serves: a daemon
-// appends to it every epoch for the life of the process, so it keeps
-// the most recent epochs only.
-const maxTraceEpochs = 4096
 
 // The journal failure policy (DESIGN.md §2d). A commit is tried
 // journalAttempts times — the first write and three retries — with the
@@ -222,66 +213,6 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// control is what an epoch plans under: the package cap, the plane
-// caps and the policy. A published control is immutable — SetCaps and
-// SetPolicy store a modified copy under ctlMu — so an epoch's one load
-// sees a combination that was requested and journaled, never a mix of
-// two.
-type control struct {
-	cap     units.Watts
-	domains apu.DomainCaps
-	policy  string
-}
-
-// PlanView is the JSON form of one epoch's schedule, served by
-// GET /v1/plan. Orders reference job IDs. A stored PlanView is
-// immutable — updates build and publish a fresh one.
-type PlanView struct {
-	Epoch  int      `json:"epoch"`
-	Policy string   `json:"policy"`
-	State  string   `json:"state"` // planning | running | done | failed
-	Jobs   []string `json:"jobs"`
-
-	CPUOrder  []string `json:"cpu_order,omitempty"`
-	GPUOrder  []string `json:"gpu_order,omitempty"`
-	Exclusive []string `json:"exclusive,omitempty"`
-
-	PredictedMakespanS float64 `json:"predicted_makespan_s,omitempty"`
-	SimulatedMakespanS float64 `json:"simulated_makespan_s,omitempty"`
-
-	// The power budget of the epoch: the cap it planned under and how
-	// much of it execution actually used.
-	CapWatts       float64 `json:"cap_watts"`
-	AvgPowerWatts  float64 `json:"avg_power_watts,omitempty"`
-	MaxPowerWatts  float64 `json:"max_power_watts,omitempty"`
-	CapUtilization float64 `json:"cap_utilization,omitempty"`
-	EnergyJoules   float64 `json:"energy_joules,omitempty"`
-
-	// Per-plane caps the epoch planned under, the measured plane
-	// powers, and the thermal outcome.
-	PP0CapWatts       float64 `json:"pp0_cap_watts,omitempty"`
-	PP1CapWatts       float64 `json:"pp1_cap_watts,omitempty"`
-	AvgPP0Watts       float64 `json:"avg_pp0_watts,omitempty"`
-	AvgPP1Watts       float64 `json:"avg_pp1_watts,omitempty"`
-	MaxTempC          float64 `json:"max_temp_c,omitempty"`
-	Throttles         int     `json:"throttles,omitempty"`
-	BindingConstraint string  `json:"binding_constraint,omitempty"`
-
-	ClockStartS float64 `json:"clock_start_s"`
-	ClockEndS   float64 `json:"clock_end_s,omitempty"`
-
-	Error string `json:"error,omitempty"`
-}
-
-func (p *PlanView) clone() PlanView {
-	out := *p
-	out.Jobs = append([]string(nil), p.Jobs...)
-	out.CPUOrder = append([]string(nil), p.CPUOrder...)
-	out.GPUOrder = append([]string(nil), p.GPUOrder...)
-	out.Exclusive = append([]string(nil), p.Exclusive...)
-	return out
-}
-
 // Server is the daemon: job table, scheduler goroutine, metrics, and
 // (when configured with a data dir) the durable state journal.
 //
@@ -322,7 +253,7 @@ type Server struct {
 	adm      *admission.Queue
 	draining atomic.Bool
 
-	// table is the sharded job table; arena slab-allocates the records
+	// table is the job table; arena slab-allocates the records
 	// it publishes; nextID mints IDs lock-free.
 	table    jobTable
 	arena    jobArena
@@ -354,11 +285,10 @@ type Server struct {
 	startOnce sync.Once
 	drained   chan struct{}
 
-	// ready is closed when the scheduler loop starts, i.e. once
-	// startup recovery has handed the restored queue to it; GET
-	// /readyz reports 503 until then.
-	ready     chan struct{}
-	readyOnce sync.Once
+	// ready is set when the scheduler loop starts, i.e. once startup
+	// recovery has handed the restored queue to it; GET /readyz
+	// reports 503 until then.
+	ready atomic.Bool
 
 	// recovery is what openJournal found; written once, in New.
 	recovery Recovery
@@ -410,9 +340,8 @@ func New(cfg Config) (*Server, error) {
 		wake:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 		drained:       make(chan struct{}),
-		ready:         make(chan struct{}),
 	}
-	s.table.init()
+	s.table.reserve(0)
 	if cfg.NodeID != "" {
 		s.idPrefix = cfg.NodeID + "-job-"
 		s.m.nodeInfo.Set(cfg.NodeID, 1)
@@ -467,728 +396,3 @@ func ValidateNodeID(id string) error {
 // NodeID returns the daemon's configured fleet identity ("" for a
 // standalone node).
 func (s *Server) NodeID() string { return s.cfg.NodeID }
-
-// mintJobID issues the next job ID, prefixed with the node identity
-// when one is configured. Lock-free.
-func (s *Server) mintJobID() string {
-	n := s.nextID.Add(1) - 1
-	buf := make([]byte, 0, len(s.idPrefix)+12)
-	buf = append(buf, s.idPrefix...)
-	buf = appendPaddedInt(buf, n, 6)
-	return string(buf)
-}
-
-// setControl publishes c and the cap gauges. Callers hold ctlMu, or
-// run before the server is shared (New, recovery).
-func (s *Server) setControl(c control) {
-	s.ctl.Store(&c)
-	s.m.capWatts.Set(float64(c.cap))
-	s.m.domainCapWatts.Set("pp0", float64(c.domains.PP0))
-	s.m.domainCapWatts.Set("pp1", float64(c.domains.PP1))
-}
-
-// Submit admits one job, returning its initial record. ErrDraining and
-// ErrQueueFull report admission refusals (a queue-full error also
-// carries the *admission.FullError naming the exhausted bound); other
-// errors are invalid specs. With a journal configured, the submission
-// record is durable before the job is acknowledged or becomes visible
-// to the scheduler — an acked job can never be lost to a crash, and
-// the log can never hold a job's state transition ahead of its
-// submission.
-func (s *Server) Submit(spec workload.JobSpec) (Job, error) {
-	j, err := s.submit(context.Background(), spec)
-	if err != nil {
-		return Job{}, err
-	}
-	return *j, nil
-}
-
-// submit is the hot admission path; the returned *Job is the
-// published immutable snapshot (handlers encode straight from it). A
-// ctx that ends before the submission record's commit begins refuses
-// the job with ctx's error, having reserved nothing; once the commit
-// has begun its outcome is the answer.
-func (s *Server) submit(ctx context.Context, spec workload.JobSpec) (*Job, error) {
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	class, _ := admission.ParseClass(spec.Priority) // validated above
-	err := s.faults.Hit(SiteAdmit)
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		s.m.rejected.Inc()
-		return nil, err
-	}
-	// The reservation holds admission capacity while the journal write
-	// is in flight, so concurrent submitters cannot overshoot the
-	// global or tenant bound during the unlocked window below.
-	s.admMu.Lock()
-	if s.draining.Load() {
-		s.admMu.Unlock()
-		s.m.rejected.Inc()
-		return nil, ErrDraining
-	}
-	if err := s.adm.Reserve(spec.Tenant); err != nil {
-		s.admMu.Unlock()
-		s.m.rejected.Inc()
-		s.m.tenantRejected.Inc(admission.CanonicalTenant(spec.Tenant))
-		return nil, fmt.Errorf("%w: %w", ErrQueueFull, err)
-	}
-	s.admMu.Unlock()
-
-	j := s.arena.get()
-	*j = Job{
-		ID:          s.mintJobID(),
-		Program:     spec.Program,
-		Scale:       spec.Scale,
-		Label:       spec.Label,
-		DeadlineS:   spec.DeadlineS,
-		Tenant:      spec.Tenant,
-		Priority:    spec.Priority,
-		State:       JobQueued,
-		SubmittedAt: time.Now().UTC(),
-		ArrivedSimS: float64(s.node.Clock()),
-	}
-	if s.jl != nil {
-		// Concurrent submitters share fsyncs through the journal's group
-		// commit; the ack waits only for its own record to be durable.
-		err := s.appendDurable(ctx, journal.Record{Type: journal.TypeJobSubmitted, Job: j})
-		if err != nil {
-			s.admMu.Lock()
-			s.adm.Unreserve(spec.Tenant)
-			s.admMu.Unlock()
-			s.m.rejected.Inc()
-			switch {
-			case errors.Is(err, journal.ErrClosed):
-				return nil, ErrDraining
-			case errors.Is(err, ErrDegraded):
-				s.m.shed.Inc()
-				return nil, ErrDegraded
-			case err == ctx.Err():
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: journaling submission: %v", ErrJournal, err)
-		}
-	}
-	s.admMu.Lock()
-	// A drain can begin while the journal commit was in flight; the
-	// scheduler loop may already have flushed its final round and
-	// exited. Enqueuing now would ack a job nothing will ever run, so
-	// refuse it. (The submission record is already on disk — restart
-	// recovery re-enqueues the job, the documented at-least-once side
-	// of the durability guarantee, and the one way a refused job can
-	// come back.)
-	if s.draining.Load() {
-		s.adm.Unreserve(spec.Tenant)
-		s.admMu.Unlock()
-		s.m.rejected.Inc()
-		return nil, ErrDraining
-	}
-	// Publish before AddReserved: once the entry is selectable the
-	// scheduler will publish transitions for it, which requires the
-	// table to know the job. From here on j is immutable.
-	s.table.insert(j)
-	s.adm.AddReserved(admission.Entry{
-		ID: j.ID, Tenant: j.Tenant, Class: class,
-		EnqueuedAt: j.SubmittedAt, Payload: j,
-	})
-	depth, tenantDepth := s.adm.Len(), s.adm.TenantDepth(j.Tenant)
-	s.admMu.Unlock()
-	// The two cheap queue gauges update per admission so depth is
-	// observable before the scheduler ever claims; the expensive scan
-	// (oldest wait, all-tenant sweep) stays on the claim path.
-	s.m.queueDepth.Set(float64(depth))
-	s.m.tenantQueued.Set(j.Tenant, float64(tenantDepth))
-	s.m.submitted.Inc()
-	s.m.tenantAdmitted.Inc(j.Tenant)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	return j, nil
-}
-
-// syncModelMetrics publishes the state of the characterization's
-// pair cache (tables and feasible lists) after an epoch. Scheduler goroutine only.
-func (s *Server) syncModelMetrics() {
-	if s.cfg.Char == nil {
-		return
-	}
-	st := s.cfg.Char.PairCacheStats()
-	s.m.pairTables.Set(float64(st.Tables))
-	s.m.feasibleLists.Set(float64(st.FeasibleLists))
-	s.m.interpolations.Add(float64(st.Interpolations - s.interpolationsSeen))
-	s.interpolationsSeen = st.Interpolations
-}
-
-// syncQueueGauges refreshes the queue-shape gauges from the admission
-// state. Callers hold admMu. Runs only on the scheduler goroutine's
-// claim/exit path — never on the request path.
-func (s *Server) syncQueueGauges() {
-	s.m.queueDepth.Set(float64(s.adm.Len()))
-	s.adm.EachDepth(func(tenant string, depth int) {
-		s.m.tenantQueued.Set(tenant, float64(depth))
-	})
-	s.m.oldestWait.Set(s.adm.OldestWait(time.Now().UTC()).Seconds())
-}
-
-// Job returns a snapshot of one job by ID.
-func (s *Server) Job(id string) (Job, bool) {
-	if j := s.table.get(id); j != nil {
-		return *j, true
-	}
-	return Job{}, false
-}
-
-// jobRef returns the job's current immutable snapshot (nil if
-// unknown); handlers encode from it without copying.
-func (s *Server) jobRef(id string) *Job { return s.table.get(id) }
-
-// Jobs returns copies of every job in submission order.
-func (s *Server) Jobs() []Job {
-	refs := s.table.ordered()
-	out := make([]Job, len(refs))
-	for i, j := range refs {
-		out[i] = *j
-	}
-	return out
-}
-
-// QueueDepth returns the number of admitted-but-unclaimed jobs.
-func (s *Server) QueueDepth() int {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
-	return s.adm.Len()
-}
-
-// Cap returns the active power cap.
-func (s *Server) Cap() units.Watts { return s.ctl.Load().cap }
-
-// DomainCaps returns the active per-plane caps (zero = unenforced).
-func (s *Server) DomainCaps() apu.DomainCaps { return s.ctl.Load().domains }
-
-// SetCap changes the package power cap live, leaving any per-plane
-// caps as they are; it applies from the next epoch.
-func (s *Server) SetCap(cap units.Watts) error {
-	return s.SetCaps(cap, s.DomainCaps())
-}
-
-// SetCaps changes the package and per-plane power caps together; they
-// apply from the next epoch. The change is journaled as one record
-// before it is acknowledged (or applied), so a restart restores the
-// full cap state atomically.
-func (s *Server) SetCaps(cap units.Watts, dc apu.DomainCaps) error {
-	return s.setCaps(context.Background(), cap, dc)
-}
-
-// setCaps is SetCaps under a request context (see changeControl).
-func (s *Server) setCaps(ctx context.Context, cap units.Watts, dc apu.DomainCaps) error {
-	if err := s.cfg.Machine.CheckCaps(cap, dc); err != nil {
-		return err
-	}
-	return s.changeControl(ctx, capRecord(cap, dc), "cap", func(c *control) { c.cap, c.domains = cap, dc })
-}
-
-// changeControl journals rec, then publishes the current control state
-// with apply made to it; ctlMu keeps journal order and publish order
-// the same. A ctx that has ended by the time ctlMu is held changes
-// nothing and returns ctx's error; a commit once begun decides.
-func (s *Server) changeControl(ctx context.Context, rec journal.Record, what string, apply func(*control)) error {
-	s.ctlMu.Lock()
-	defer s.ctlMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.jl != nil {
-		if err := s.appendDurable(ctx, rec); err != nil {
-			if errors.Is(err, ErrDegraded) || err == ctx.Err() {
-				return err
-			}
-			return fmt.Errorf("%w: journaling %s change: %v", ErrJournal, what, err)
-		}
-	}
-	c := *s.ctl.Load()
-	apply(&c)
-	s.setControl(c)
-	return nil
-}
-
-// capRecord journals the full cap state: the package cap always, each
-// plane only when configured (so old-journal replay semantics — no
-// pointer, no plane cap — stay symmetric with new writes).
-func capRecord(cap units.Watts, dc apu.DomainCaps) journal.Record {
-	w := float64(cap)
-	r := journal.Record{Type: journal.TypeCapChanged, CapWatts: &w}
-	if dc.PP0 > 0 {
-		v := float64(dc.PP0)
-		r.PP0Watts = &v
-	}
-	if dc.PP1 > 0 {
-		v := float64(dc.PP1)
-		r.PP1Watts = &v
-	}
-	return r
-}
-
-// Policy returns the active epoch policy's canonical name.
-func (s *Server) Policy() string { return s.ctl.Load().policy }
-
-// SetPolicy changes the epoch policy live, by any registry spelling;
-// it applies from the next epoch. Model-based policies require the
-// server to hold a characterization. The change is journaled before
-// it is acknowledged (or applied), so a restart restores it.
-func (s *Server) SetPolicy(name string) error {
-	return s.setPolicy(context.Background(), name)
-}
-
-// setPolicy is SetPolicy under a request context (see changeControl).
-func (s *Server) setPolicy(ctx context.Context, name string) error {
-	p, err := online.CheckPolicy(name, s.cfg.Char != nil)
-	if err != nil {
-		return err
-	}
-	return s.changeControl(ctx, journal.Record{Type: journal.TypePolicyChanged, Policy: p}, "policy", func(c *control) { c.policy = p })
-}
-
-// Plan returns the most recent epoch's schedule, if any epoch has been
-// planned yet.
-func (s *Server) Plan() (PlanView, bool) {
-	pv := s.lastPlan.Load()
-	if pv == nil {
-		return PlanView{}, false
-	}
-	return pv.clone(), true
-}
-
-// Draining reports whether admission has stopped.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Degraded reports whether the journal circuit breaker is away from
-// closed: durability is suspect, submissions and control changes are
-// shed, and /readyz reports "degraded". The daemon leaves this state
-// through a successful half-open probe once the cooldown elapses —
-// i.e. automatically, as soon as the journal works again.
-func (s *Server) Degraded() bool { return s.brk.State() != fault.BreakerClosed }
-
-// retryAfterSeconds is the Retry-After hint on load-shedding
-// responses: the breaker cooldown remainder while degraded, otherwise
-// roughly two epochs of the most recent planning+execution latency.
-func (s *Server) retryAfterSeconds() int {
-	if until := s.brk.OpenUntil(); !until.IsZero() {
-		if d := time.Until(until); d > 0 {
-			return 1 + int(d/time.Second)
-		}
-	}
-	if ns := s.lastEpochWall.Load(); ns > 0 {
-		return retryClamp(int((2*time.Duration(ns) + time.Second - 1) / time.Second))
-	}
-	return 1
-}
-
-// retryClamp bounds a Retry-After hint estimated from latency or drain
-// rate to [1, 30] s.
-func retryClamp(secs int) int { return min(max(secs, 1), 30) }
-
-// tenantRetryAfterSeconds is the Retry-After hint on a tenant's 429:
-// how long until the tenant's own backlog drains one slot, from the
-// admission layer's per-tenant drain-rate EWMA. Before any drain has
-// been observed it falls back to the global epoch-latency hint.
-func (s *Server) tenantRetryAfterSeconds(tenant string) int {
-	s.admMu.Lock()
-	rate := s.adm.DrainRate(tenant)
-	depth := s.adm.TenantDepth(tenant)
-	s.admMu.Unlock()
-	if rate > 0 {
-		return retryClamp(int(math.Ceil(float64(depth+1) / rate)))
-	}
-	return s.retryAfterSeconds()
-}
-
-// Ready reports whether the scheduler loop has started — i.e.
-// startup recovery replay has finished and its re-enqueued queue has
-// been handed to the loop. GET /readyz exposes it.
-func (s *Server) Ready() bool {
-	select {
-	case <-s.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-// WriteTrace renders the epoch trace — makespan, average power, and
-// batch size per epoch, indexed by the scheduling clock — as CSV or
-// JSON.
-func (s *Server) WriteTrace(w io.Writer, asJSON bool) error {
-	s.traceMu.Lock()
-	series := []*trace.Series{
-		s.traceMakespan.Clone(),
-		s.tracePower.Clone(),
-		s.traceBatch.Clone(),
-	}
-	s.traceMu.Unlock()
-	if asJSON {
-		return trace.WriteJSON(w, series...)
-	}
-	return trace.WriteMultiCSV(w, series...)
-}
-
-// WriteMetrics renders the Prometheus text exposition.
-func (s *Server) WriteMetrics(w io.Writer) error { return s.m.reg.Write(w) }
-
-// markDraining stops admission; idempotent. Taken under admMu so it
-// serializes against Submit's post-journal re-check and the loop's
-// exit decision.
-func (s *Server) markDraining() {
-	s.admMu.Lock()
-	s.draining.Store(true)
-	s.admMu.Unlock()
-}
-
-// loop is the single scheduler goroutine: it owns the epoch cycle and
-// is the only writer of job state transitions past admission.
-func (s *Server) loop(ctx context.Context) {
-	defer func() {
-		// The drain contract: everything journaled during the final
-		// flush round is on stable storage before Drained closes.
-		if s.jl != nil {
-			_ = s.jl.Sync()
-		}
-		s.m.up.Set(0)
-		close(s.drained)
-	}()
-	s.m.up.Set(1)
-	// Startup recovery has handed its re-enqueued queue to this loop;
-	// the server is now ready (GET /readyz).
-	s.readyOnce.Do(func() { close(s.ready) })
-	for {
-		if ctx.Err() != nil {
-			s.markDraining()
-		}
-		s.admMu.Lock()
-		pending := s.adm.Len()
-		draining := s.draining.Load()
-		if pending == 0 && draining {
-			s.syncQueueGauges()
-			s.admMu.Unlock()
-			return
-		}
-		s.admMu.Unlock()
-		if pending == 0 {
-			select {
-			case <-ctx.Done():
-			case <-s.stop:
-				s.markDraining()
-			case <-s.wake:
-			}
-			continue
-		}
-		// Claim the initial batch before the gap: the gap then doubles
-		// as the preemption window. Arrivals during it either coalesce
-		// into the epoch (batch below MaxBatch) or, when strictly
-		// higher-priority, displace claimed members at the boundary.
-		claimed := s.claimBatch()
-		if gap := s.cfg.EpochGap; gap > 0 && !draining {
-			t := time.NewTimer(gap)
-			select {
-			case <-ctx.Done():
-			case <-s.stop:
-			case <-t.C:
-			}
-			t.Stop()
-		}
-		s.runEpoch(claimed)
-	}
-}
-
-// claimBatch selects the next epoch's initial members through the
-// admission layer: strict priority across classes, weighted fair
-// queueing across tenants within a class.
-func (s *Server) claimBatch() []admission.Entry {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
-	claimed := s.adm.SelectBatch(s.cfg.MaxBatch, time.Now().UTC())
-	s.syncQueueGauges()
-	return claimed
-}
-
-// publishBatch publishes fresh immutable snapshots for every job in
-// the scheduler's private batch and returns them.
-func (s *Server) publishBatch(batch []Job) []*Job {
-	snaps := make([]*Job, len(batch))
-	for i := range batch {
-		pj := batch[i]
-		s.table.publish(&pj)
-		snaps[i] = &pj
-	}
-	return snaps
-}
-
-// runEpoch finalizes the claimed batch at the epoch boundary and runs
-// one scheduling round.
-//
-// The scheduler works on private copies of the claimed jobs (the
-// admission payloads are published snapshots and immutable); every
-// externally meaningful transition is published to the table as a
-// fresh snapshot. Only terminal transitions are journaled (in one
-// batch at the end of the round) — the intermediate planned/running
-// records carried no recovery information, since startup replay
-// resets every non-terminal job to queued anyway.
-func (s *Server) runEpoch(claimed []admission.Entry) {
-	s.admMu.Lock()
-	// The boundary decision: absorb gap arrivals up to MaxBatch, then
-	// let strictly higher-priority arrivals displace the lowest-
-	// priority claimed members. Displaced jobs return to the front of
-	// their tenant queue with their original tags — requeued, not
-	// resubmitted — and run next epoch.
-	kept, requeued := s.adm.Preempt(claimed, s.cfg.MaxBatch, time.Now().UTC())
-	s.syncQueueGauges()
-	s.admMu.Unlock()
-	if len(requeued) > 0 {
-		s.m.preemptions.Add(float64(len(requeued)))
-	}
-	batch := make([]Job, len(kept))
-	for i, e := range kept {
-		batch[i] = *e.Payload.(*Job)
-	}
-	epoch := s.epochCount + 1
-	ctl := s.ctl.Load()
-	capW, domains, policy := ctl.cap, ctl.domains, ctl.policy
-	clock := s.node.Clock()
-	seed := epochSeed(s.cfg.Seed, epoch)
-	insts := make([]*workload.Instance, len(batch))
-	var specErr error
-	for i := range batch {
-		j := &batch[i]
-		j.State = JobPlanned
-		j.Epoch = epoch
-		spec := workload.JobSpec{
-			Program: j.Program, Scale: j.Scale, Label: j.Label,
-			DeadlineS: j.DeadlineS, Tenant: j.Tenant, Priority: j.Priority,
-		}
-		inst, err := spec.Instance(i, j.ID)
-		if err != nil {
-			specErr = err
-			break
-		}
-		insts[i] = inst
-	}
-	s.publishBatch(batch)
-	pv := newPlanView(epoch, policy, capW, domains, clock, batch)
-	pv.State = "planning"
-	s.lastPlan.Store(&pv)
-	if specErr != nil {
-		s.finishEpochErr(batch, epoch, specErr)
-		return
-	}
-
-	// The epoch failpoint: an injected error fails this batch (the
-	// daemon stays up, exactly like an unschedulable cap), and a
-	// latency rule models a planning-epoch overrun.
-	if err := s.faults.Hit(SiteEpoch); err != nil {
-		s.finishEpochErr(batch, epoch, err)
-		return
-	}
-
-	opts := online.Options{
-		Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
-		Cap: capW, Domains: domains, Policy: policy, Seed: seed,
-	}
-	opts.Planned = func(plan *core.Schedule, predicted units.Seconds) {
-		for i := range batch {
-			batch[i].State = JobRunning
-			if predicted > 0 {
-				batch[i].PredictedFinishSimS = float64(clock + predicted)
-			}
-		}
-		s.publishBatch(batch)
-		run := newPlanView(epoch, policy, capW, domains, clock, batch)
-		run.State = "running"
-		fillPlan(&run, plan, predicted, batch)
-		s.lastPlan.Store(&run)
-		if predicted > 0 {
-			s.m.predMakespan.Set(float64(predicted))
-		}
-	}
-
-	start := time.Now()
-	plan, predicted, res, err := s.node.Run(opts, insts, seed)
-	s.m.epochLatency.Observe(time.Since(start).Seconds())
-	s.lastEpochWall.Store(int64(time.Since(start)))
-	s.syncModelMetrics()
-	if err != nil {
-		s.finishEpochErr(batch, epoch, err)
-		return
-	}
-
-	partners := partnerMap(res.Completions)
-	for _, c := range res.Completions {
-		j := &batch[c.Inst.ID]
-		j.State = JobDone
-		j.StartedSimS = float64(clock + c.Start)
-		j.FinishedSimS = float64(clock + c.End)
-		j.ResponseS = j.FinishedSimS - j.ArrivedSimS
-		j.Device = c.Dev.String()
-		if p, ok := partners[c.Inst.ID]; ok {
-			j.Partner = batch[p].ID
-		}
-		if j.DeadlineS > 0 {
-			met := j.ResponseS <= j.DeadlineS
-			j.DeadlineMet = &met
-			if !met {
-				s.m.deadlineMiss.Inc()
-			}
-		}
-	}
-	endClock := s.node.Clock()
-	s.epochCount = epoch
-	snaps := s.publishBatch(batch)
-
-	s.m.epochs.Inc()
-	s.m.done.Add(float64(len(res.Completions)))
-	s.m.scheduled.Add(policy, float64(len(res.Completions)))
-	s.m.energy.Add(res.EnergyJ)
-	s.m.simMakespan.Set(float64(res.Makespan))
-	s.m.simClock.Set(float64(endClock))
-	if capW > 0 {
-		s.m.capUtil.Set(float64(res.AvgPower) / float64(capW))
-	}
-	s.m.domainWatts.Set("pp0", float64(res.AvgPP0))
-	s.m.domainWatts.Set("pp1", float64(res.AvgPP1))
-	s.m.tempC.Set(res.MaxTempC)
-	s.m.throttleTotal.Add(float64(res.Throttles))
-	for _, c := range bindingConstraints {
-		v := 0.0
-		if c == res.Binding.String() {
-			v = 1
-		}
-		s.m.binding.Set(c, v)
-	}
-
-	s.traceMu.Lock()
-	s.traceMakespan.MustAdd(endClock, float64(res.Makespan))
-	s.tracePower.MustAdd(endClock, float64(res.AvgPower))
-	s.traceBatch.MustAdd(endClock, float64(len(batch)))
-	for _, series := range []*trace.Series{s.traceMakespan, s.tracePower, s.traceBatch} {
-		series.Trim(maxTraceEpochs)
-	}
-	s.traceMu.Unlock()
-
-	done := newPlanView(epoch, policy, capW, domains, clock, batch)
-	done.State = "done"
-	fillPlan(&done, plan, predicted, batch)
-	done.SimulatedMakespanS = float64(res.Makespan)
-	done.AvgPowerWatts = float64(res.AvgPower)
-	done.MaxPowerWatts = float64(res.MaxSample)
-	if capW > 0 {
-		done.CapUtilization = float64(res.AvgPower) / float64(capW)
-	}
-	done.EnergyJoules = res.EnergyJ
-	done.AvgPP0Watts = float64(res.AvgPP0)
-	done.AvgPP1Watts = float64(res.AvgPP1)
-	done.MaxTempC = res.MaxTempC
-	done.Throttles = res.Throttles
-	done.BindingConstraint = res.Binding.String()
-	done.ClockEndS = float64(endClock)
-	s.lastPlan.Store(&done)
-	s.journalAppend(s.stateRecords(snaps, float64(endClock)))
-}
-
-// epochSeed derives the per-epoch RNG seed for randomized policies
-// from the configured seed and the epoch number (splitmix64 finalizer).
-// Deriving instead of drawing from a shared rand.Rand keeps runs
-// reproducible for a given (seed, epoch) regardless of interleaving,
-// and leaves nothing for concurrent paths to contend on.
-func epochSeed(seed int64, epoch int) int64 {
-	z := uint64(seed) + uint64(epoch)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z >> 1)
-}
-
-// finishEpochErr marks a failed round. The daemon stays up: one
-// unschedulable batch (e.g. the cap was dropped below feasibility
-// between admission and planning) must not take the node down.
-func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
-	for i := range batch {
-		batch[i].State = JobFailed
-		batch[i].Error = err.Error()
-	}
-	snaps := s.publishBatch(batch)
-	s.m.failed.Add(float64(len(batch)))
-	s.m.epochs.Inc()
-	s.epochCount = epoch
-	if pv := s.lastPlan.Load(); pv != nil && pv.Epoch == epoch {
-		failed := pv.clone()
-		failed.State = "failed"
-		failed.Error = err.Error()
-		s.lastPlan.Store(&failed)
-	}
-	s.journalAppend(s.stateRecords(snaps, 0))
-}
-
-// bindingConstraints are the label values of corund_binding_constraint,
-// pre-registered so dashboards see zeros instead of absent series.
-var bindingConstraints = []string{"none", "pp0", "pp1", "package", "thermal"}
-
-func newPlanView(epoch int, policy string, capW units.Watts, dc apu.DomainCaps, clock units.Seconds, batch []Job) PlanView {
-	pv := PlanView{
-		Epoch:       epoch,
-		Policy:      policy,
-		CapWatts:    float64(capW),
-		PP0CapWatts: float64(dc.PP0),
-		PP1CapWatts: float64(dc.PP1),
-		ClockStartS: float64(clock),
-	}
-	for i := range batch {
-		pv.Jobs = append(pv.Jobs, batch[i].ID)
-	}
-	return pv
-}
-
-func fillPlan(pv *PlanView, plan *core.Schedule, predicted units.Seconds, batch []Job) {
-	if plan == nil {
-		return
-	}
-	for _, i := range plan.CPUOrder {
-		pv.CPUOrder = append(pv.CPUOrder, batch[i].ID)
-	}
-	for _, i := range plan.GPUOrder {
-		pv.GPUOrder = append(pv.GPUOrder, batch[i].ID)
-	}
-	for _, i := range plan.Jobs() {
-		if plan.Exclusive[i] {
-			pv.Exclusive = append(pv.Exclusive, batch[i].ID)
-		}
-	}
-	pv.PredictedMakespanS = float64(predicted)
-}
-
-// partnerMap pairs each completed job with the opposite-device job it
-// overlapped longest with, by instance ID.
-func partnerMap(cs []sim.Completion) map[int]int {
-	out := map[int]int{}
-	for i, a := range cs {
-		best, bestOv := -1, units.Seconds(0)
-		for j, b := range cs {
-			if i == j || a.Dev == b.Dev {
-				continue
-			}
-			ov := min(a.End, b.End) - max(a.Start, b.Start)
-			if ov > bestOv {
-				bestOv = ov
-				best = b.Inst.ID
-			}
-		}
-		if best >= 0 {
-			out[a.Inst.ID] = best
-		}
-	}
-	return out
-}

@@ -560,7 +560,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := s.SetPolicy("hcs"); err == nil {
 		t.Error("switch to model policy without characterization accepted")
 	}
-	if err := s.SetCap(-1); err == nil {
+	if err := s.SetCaps(-1, s.DomainCaps()); err == nil {
 		t.Error("negative cap accepted")
 	}
 }

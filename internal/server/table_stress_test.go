@@ -80,7 +80,7 @@ func TestJobTableStress(t *testing.T) {
 				}
 				// An acked job must be immediately visible by ID and in
 				// the next list body (never older than the acked write).
-				if got := s.jobRef(j.ID); got == nil {
+				if got := s.table.get(j.ID); got == nil {
 					t.Errorf("acked job %s invisible to Get", j.ID)
 					return
 				}
@@ -111,7 +111,7 @@ func TestJobTableStress(t *testing.T) {
 				default:
 				}
 				for _, id := range watch {
-					j := s.jobRef(id)
+					j := s.table.get(id)
 					if j == nil {
 						t.Errorf("job %s vanished", id)
 						return

@@ -1,8 +1,10 @@
 package corun
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"io/fs"
 	"os"
@@ -368,5 +370,50 @@ func TestEveryKnobIsListed(t *testing.T) {
 		if mentioned(name) {
 			t.Errorf("README.md still mentions -%s, which is a constant now", name)
 		}
+	}
+}
+
+// TestNoTwinFunctions finds code written twice. Two non-test functions
+// are twins when their bodies print identically once each method's
+// receiver is renamed to one placeholder; only bodies that print to
+// five or more lines, braces included, count. A twin is one function
+// (or one embedded type) away from being a single definition.
+func TestNoTwinFunctions(t *testing.T) {
+	const minLines = 5
+	bodies := map[string][]string{} // printed body → functions
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if fn.Recv != nil && len(fn.Recv.List[0].Names) > 0 {
+				recv := fn.Recv.List[0].Names[0].Obj
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && id.Obj != nil && id.Obj == recv {
+						id.Name = "recv"
+					}
+					return true
+				})
+			}
+			var buf strings.Builder
+			if err := printer.Fprint(&buf, fset, fn.Body); err != nil {
+				t.Fatal(err)
+			}
+			if body := buf.String(); strings.Count(body, "\n")+1 >= minLines {
+				at := fmt.Sprintf("%s:%d %s", path, fset.Position(fn.Pos()).Line, fn.Name.Name)
+				bodies[body] = append(bodies[body], at)
+			}
+		}
+	})
+	var twins []string
+	for _, at := range bodies {
+		if len(at) > 1 {
+			twins = append(twins, strings.Join(at, ", "))
+		}
+	}
+	slices.Sort(twins)
+	for _, group := range twins {
+		t.Errorf("one body, written %d times: %s", strings.Count(group, ",")+1, group)
 	}
 }
