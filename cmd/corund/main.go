@@ -148,7 +148,7 @@ func main() {
 	tenantQueue := flag.Int("tenant-queue", 0, "admission control: per-tenant queue bound (0 = none)")
 	tenantWeights := flag.String("tenant-weights", "", "weighted fair queueing weights, tenant=w,... (unlisted tenants weigh 1)")
 	maxBatch := flag.Int("max-batch", 0, "jobs claimed per epoch (0 = unbounded; a bound enables priority preemption)")
-	epochGap := flag.Duration("epoch-gap", 50*time.Millisecond, "batching window before each scheduling epoch")
+	epochGap := flag.Duration("epoch-gap", 50*time.Millisecond, "longest batching window before each scheduling epoch (an arrival that leaves -max-batch jobs on hand closes it at once)")
 	charFile := flag.String("char", "", "load the characterization from this file instead of measuring")
 	saveChar := flag.String("save-char", "", "save the measured characterization to this file")
 	seed := flag.Int64("seed", 1, "seed for refinement sampling and the random policy")

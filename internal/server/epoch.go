@@ -108,17 +108,45 @@ func (s *Server) loop(ctx context.Context) {
 		// as the preemption window. Arrivals during it either coalesce
 		// into the epoch (batch below MaxBatch) or, when strictly
 		// higher-priority, displace claimed members at the boundary.
+		// EpochGap is the longest wait: an arrival that leaves MaxBatch
+		// jobs on hand closes the epoch at once.
 		claimed := s.claimBatch()
-		if gap := s.cfg.EpochGap; gap > 0 && !draining {
-			t := time.NewTimer(gap)
-			select {
-			case <-ctx.Done():
-			case <-s.stop:
-			case <-t.C:
-			}
-			t.Stop()
-		}
+		s.m.epochCloses.Inc(s.awaitBoundary(ctx, len(claimed), draining))
 		s.runEpoch(claimed)
+	}
+}
+
+// awaitBoundary waits out the batching gap after a claim of n jobs and
+// returns what ended it: "gap" (EpochGap elapsed, or is 0), "full" (an
+// arrival left MaxBatch jobs on hand, so nothing later can join the
+// epoch) or "drain". Only an arrival closes a full epoch early: with
+// nothing queued, a claim that is already full keeps the whole gap as
+// its preemption window, and a stale wake token changes nothing.
+func (s *Server) awaitBoundary(ctx context.Context, n int, draining bool) string {
+	if draining {
+		return "drain"
+	}
+	if s.cfg.EpochGap <= 0 {
+		return "gap"
+	}
+	t := time.NewTimer(s.cfg.EpochGap)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return "drain"
+		case <-s.stop:
+			return "drain"
+		case <-t.C:
+			return "gap"
+		case <-s.wake:
+			s.admMu.Lock()
+			queued := s.adm.Len()
+			s.admMu.Unlock()
+			if mb := s.cfg.MaxBatch; mb > 0 && queued > 0 && n+queued >= mb {
+				return "full"
+			}
+		}
 	}
 }
 

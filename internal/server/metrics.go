@@ -19,6 +19,7 @@ type metrics struct {
 	deadlineMiss *promtext.Counter
 	scheduled    *promtext.CounterVec
 	epochs       *promtext.Counter
+	epochCloses  *promtext.CounterVec
 	energy       *promtext.Counter
 	epochLatency *promtext.Histogram
 	predMakespan *promtext.Gauge
@@ -120,6 +121,8 @@ func newMetrics() *metrics {
 			"Jobs scheduled, by epoch policy.", "policy"),
 		epochs: reg.NewCounter("corund_epochs_total",
 			"Scheduling epochs completed."),
+		epochCloses: reg.NewCounterVec("corund_epoch_closes_total",
+			"Batching gaps ended, by what ended them: the gap elapsed (gap), an arrival left MaxBatch jobs on hand (full), or a drain (drain).", "reason"),
 		energy: reg.NewCounter("corund_energy_joules_total",
 			"Simulated package energy across all epochs."),
 		epochLatency: reg.NewHistogram("corund_epoch_latency_seconds",
@@ -220,6 +223,9 @@ func newMetrics() *metrics {
 	// instead of absent series before the first epoch.
 	for _, p := range policy.Names() {
 		m.scheduled.Add(p, 0)
+	}
+	for _, r := range []string{"gap", "full", "drain"} {
+		m.epochCloses.Add(r, 0)
 	}
 	for _, d := range []string{"pp0", "pp1"} {
 		m.domainWatts.Set(d, 0)

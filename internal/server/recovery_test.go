@@ -362,6 +362,115 @@ func TestPriorityPreemption(t *testing.T) {
 	}
 }
 
+// waitClaimed waits until the loop has claimed every queued job.
+func waitClaimed(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("queue never claimed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestFullEpochClosesBeforeGap: the arrival that leaves MaxBatch jobs
+// on hand ends the batching gap at once — with no Drain, all four jobs
+// run in epoch 1 long before the 60 s gap would have elapsed.
+func TestFullEpochClosesBeforeGap(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.MaxBatch = 4
+		c.EpochGap = 60 * time.Second
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	submit := func() {
+		t.Helper()
+		if _, err := s.Submit(workload.JobSpec{Program: "lud"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first job is claimed alone, so the other three arrive during
+	// the gap (a claim that is already full keeps its whole gap).
+	submit()
+	waitClaimed(t, s)
+	for range 3 {
+		submit()
+	}
+	for _, j := range waitAllTerminal(t, s, 4, 5*time.Second) {
+		if j.State != JobDone || j.Epoch != 1 {
+			t.Errorf("%s: %s in epoch %d, want done in epoch 1", j.ID, j.State, j.Epoch)
+		}
+	}
+	if full, gap := s.m.epochCloses.Value("full"), s.m.epochCloses.Value("gap"); full != 1 || gap != 0 {
+		t.Errorf("epoch closes full=%v gap=%v, want 1 and 0", full, gap)
+	}
+}
+
+// TestFullClaimKeepsPreemptionWindow: a claim that fills MaxBatch by
+// itself still waits out the gap — neither the claim nor a stale wake
+// closes it — so a higher-priority arrival can displace a member, and
+// that arrival closes the gap at the moment it lands.
+func TestFullClaimKeepsPreemptionWindow(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.MaxBatch = 1
+		c.EpochGap = 60 * time.Second
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	low, err := s.Submit(workload.JobSpec{Program: "lud", Priority: "low"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClaimed(t, s)
+	// A wake with nothing queued, as a submit whose token outlived
+	// its claim leaves behind.
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	time.Sleep(200 * time.Millisecond)
+	if j, _ := s.Job(low.ID); j.State != JobQueued || j.Epoch != 0 {
+		t.Fatalf("low is %s in epoch %d 200 ms after its claim, want queued, unplanned", j.State, j.Epoch)
+	}
+
+	high, err := s.Submit(workload.JobSpec{Program: "lud", Priority: "high"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for j, _ := s.Job(high.ID); !terminal(j.State); j, _ = s.Job(high.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("high is %s 5 s after its submission: the arrival did not close the gap", j.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if j, _ := s.Job(high.ID); j.State != JobDone || j.Epoch != 1 {
+		t.Fatalf("high is %s in epoch %d, want done in epoch 1", j.State, j.Epoch)
+	}
+	// Low is back in the queue, claimed alone for epoch 2; the drain
+	// ends that epoch's gap.
+	s.Drain()
+	select {
+	case <-s.Drained():
+	case <-time.After(60 * time.Second):
+		t.Fatal("drain stuck")
+	}
+	if j, _ := s.Job(low.ID); j.State != JobDone || j.Epoch != 2 {
+		t.Errorf("low is %s in epoch %d, want done in epoch 2 (preempted)", j.State, j.Epoch)
+	}
+	if v := s.m.preemptions.Value(); v != 1 {
+		t.Errorf("preemptions %v, want 1", v)
+	}
+	if full, drain := s.m.epochCloses.Value("full"), s.m.epochCloses.Value("drain"); full != 1 || drain != 1 {
+		t.Errorf("epoch closes full=%v drain=%v, want 1 and 1", full, drain)
+	}
+}
+
 // TestRestartAfterDrain is the clean-shutdown half: drain flushes the
 // journal, and a restart restores the finished jobs and clock exactly
 // with nothing re-enqueued.

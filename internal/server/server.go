@@ -161,14 +161,18 @@ type Config struct {
 	// MaxBatch bounds how many jobs one epoch claims (0 = unbounded).
 	// A bounded batch is what gives priorities teeth: when the batch
 	// is full, a higher-priority arrival preempts (requeues) the
-	// lowest-priority claimed member at the epoch boundary.
+	// lowest-priority claimed member at the epoch boundary. It also
+	// ends the batching gap early: an arrival that leaves MaxBatch
+	// jobs on hand (claimed plus queued) closes the epoch at once.
 	MaxBatch int
 
-	// EpochGap is a real-time batching window: the scheduler waits this
-	// long after finding work before finalizing the claimed batch, so
-	// concurrent submitters coalesce into one epoch — and it doubles as
-	// the preemption window for higher-priority arrivals. 0 plans
-	// immediately.
+	// EpochGap is the longest real-time batching window: after finding
+	// work the scheduler waits up to this long before finalizing the
+	// claimed batch, so concurrent submitters coalesce into one epoch —
+	// and it doubles as the preemption window for higher-priority
+	// arrivals. An arrival that leaves MaxBatch jobs on hand closes the
+	// epoch at once; a claim that is full by itself waits for the next
+	// arrival or the whole gap. 0 plans immediately.
 	EpochGap time.Duration
 
 	// DataDir enables the durable state journal: every acknowledged

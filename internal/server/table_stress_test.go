@@ -32,11 +32,11 @@ func stateRank(s string) int {
 	return -1
 }
 
-// TestJobTableStress is the sharded job table's linearizability-style
+// TestJobTableStress is the job table's linearizability-style
 // stress test: with the scheduler live, concurrent submitters, per-job
-// pollers, and list readers hammer the table across stripes, and every
-// observation must be a legal lifecycle successor of the previous one
-// for that job — no backwards transitions, no terminal flip
+// pollers, and list readers hammer the table under the one lock, and
+// every observation must be a legal lifecycle successor of the
+// previous one for that job — no backwards transitions, no terminal flip
 // (done↔failed), no job vanishing after its ack. Meanwhile the list
 // endpoint must never serve a body missing an already-acked job. Run
 // with -race to make it a memory-model check as well.
