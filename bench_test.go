@@ -426,7 +426,7 @@ func BenchmarkOptimalGap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, optT, err := cx.OptimalScheduleOpts(core.OptimalOptions{})
+		_, optT, err := cx.OptimalSchedule()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -88,7 +88,7 @@
 //	corund -data-dir /tmp/d -fault-spec 'journal/fsync=error(every=3,times=10)'
 //
 // Sites: journal/append, journal/fsync, journal/snapshot,
-// journal/prealloc, server/admit, server/epoch, policy/plan. Kinds: error(msg,...),
+// journal/prealloc, server/admit, server/epoch. Kinds: error(msg,...),
 // latency(dur,...), panic(...), drop(msg,...) (an error that also cuts
 // the log back to its last durable offset at journal/fsync); schedule
 // args every=N, after=N, times=K, p=F, seed=S. Per-site hit and
@@ -155,7 +155,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable state journal directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "always", "journal fsync policy: always | never")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline on the journaling routes, every route with -coordinator; a deadline 503 changed nothing (0 = none)")
-	faultSpec := flag.String("fault-spec", "", "arm deterministic failpoints, e.g. 'journal/fsync=error(every=3,times=5);policy/plan=latency(50ms,p=0.5,seed=7)'")
+	faultSpec := flag.String("fault-spec", "", "arm deterministic failpoints, e.g. 'journal/fsync=error(every=3,times=5);server/epoch=latency(50ms,p=0.5,seed=7)'")
 	flag.Parse()
 
 	if *coordinator {
@@ -179,7 +179,8 @@ func main() {
 	cfg.RequestTimeout = *reqTimeout
 	cfg.NodeID = *nodeID
 	if *faultSpec != "" {
-		if err := fault.Default.ArmSpec(*faultSpec); err != nil {
+		cfg.Faults = fault.NewRegistry()
+		if err := cfg.Faults.ArmSpec(*faultSpec); err != nil {
 			log.Fatalf("corund: -fault-spec: %v", err)
 		}
 		log.Printf("corund: failpoints armed: %s", *faultSpec)

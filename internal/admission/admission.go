@@ -120,12 +120,9 @@ type Config struct {
 	// Weights are per-tenant WFQ weights — a tenant's share of epoch
 	// slots under contention, and with it the tenant's share of the
 	// power-capped node's serving capacity. Tenants absent from the
-	// map get DefaultWeight; a configured 0 pins a tenant to the
-	// MinWeight starvation floor.
+	// map weigh 1; a configured 0 pins a tenant to the MinWeight
+	// starvation floor.
 	Weights map[string]float64
-
-	// DefaultWeight is the weight of tenants not in Weights; 0 means 1.
-	DefaultWeight float64
 
 	// MaxQueue bounds the total queued jobs across all tenants
 	// (0 = unbounded).
@@ -139,9 +136,6 @@ type Config struct {
 }
 
 func (c Config) validate() error {
-	if c.DefaultWeight < 0 || !finite(c.DefaultWeight) {
-		return fmt.Errorf("admission: bad default weight %v", c.DefaultWeight)
-	}
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("admission: negative queue bound %d", c.MaxQueue)
 	}
@@ -206,9 +200,6 @@ func New(cfg Config) (*Queue, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.DefaultWeight == 0 {
-		cfg.DefaultWeight = 1
-	}
 	if len(cfg.Weights) > 0 {
 		w := make(map[string]float64, len(cfg.Weights))
 		for k, v := range cfg.Weights {
@@ -222,7 +213,7 @@ func New(cfg Config) (*Queue, error) {
 func (q *Queue) tenantState(name string) *tenant {
 	t, ok := q.tenants[name]
 	if !ok {
-		w := q.cfg.DefaultWeight
+		w := 1.0
 		if cw, configured := q.cfg.Weights[name]; configured {
 			w = cw
 		}

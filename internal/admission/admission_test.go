@@ -294,7 +294,6 @@ func depths(q *Queue) map[string]int {
 // TestNewValidation rejects bad configurations.
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
-		{DefaultWeight: -1},
 		{MaxQueue: -1},
 		{TenantQueue: -5},
 		{Weights: map[string]float64{"": 1}},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"corun/internal/apu"
@@ -130,17 +131,18 @@ type GeneticOptions struct {
 	// SeedSchedule, if non-nil, joins the initial population (e.g. the
 	// HCS output).
 	SeedSchedule *Schedule
-	// Workers bounds the pool that evaluates candidate fitness in
-	// parallel; zero picks a machine-sized default, one forces serial
-	// evaluation. The search result is identical for every worker
-	// count: candidates are generated sequentially from the seed and
-	// only their (pure) fitness evaluations fan out.
-	Workers int
 }
 
 // Genetic evolves a population of schedules under the predicted-
-// makespan fitness and returns the best individual.
+// makespan fitness and returns the best individual. Candidate fitness
+// is evaluated on GOMAXPROCS workers; the result is identical for
+// every worker count, because candidates are generated sequentially
+// from the seed and only their (pure) fitness evaluations fan out.
 func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error) {
+	return cx.genetic(opts, runtime.GOMAXPROCS(0))
+}
+
+func (cx *Context) genetic(opts GeneticOptions, workers int) (*Schedule, units.Seconds, error) {
 	n := cx.Oracle.NumJobs()
 	if n == 0 {
 		return &Schedule{Exclusive: map[int]bool{}}, 0, nil
@@ -161,8 +163,8 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 			ok bool
 		}
 		scores := make([]scored, len(cands))
-		workers := boundedWorkers(opts.Workers, len(cands))
-		if workers == 1 {
+		pool := boundedWorkers(workers, len(cands))
+		if pool == 1 {
 			for i, s := range cands {
 				t, err := cx.PredictedMakespan(s)
 				scores[i] = scored{t, err == nil}
@@ -170,7 +172,7 @@ func (cx *Context) Genetic(opts GeneticOptions) (*Schedule, units.Seconds, error
 		} else {
 			idx := make(chan int)
 			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
+			for w := 0; w < pool; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

@@ -13,32 +13,13 @@ import (
 // jobs already cost ~360k evaluations.
 const MaxOptimalJobs = 8
 
-// OptimalOptions configures the exhaustive optimal search.
-type OptimalOptions struct {
-	// Workers bounds the worker pool that fans the per-partition
-	// permutation searches out across cores; zero picks a machine-sized
-	// default, one forces the serial search.
-	Workers int
+// boundedWorkers clamps a worker count to the task count: the pool is
+// never larger than the number of tasks, and never empty.
+func boundedWorkers(workers, tasks int) int {
+	return max(1, min(workers, tasks))
 }
 
-// boundedWorkers resolves a requested worker count against the machine
-// and the task count: zero means one worker per core, and the pool is
-// never larger than the number of tasks.
-func boundedWorkers(requested, tasks int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// OptimalScheduleOpts exhaustively searches every (CPU order, GPU
+// OptimalSchedule exhaustively searches every (CPU order, GPU
 // order) partition of the batch and returns the schedule with the
 // smallest predicted makespan, along with that makespan.
 //
@@ -51,11 +32,15 @@ func boundedWorkers(requested, tasks int) int {
 // and the lower bound, not to replace them.
 //
 // Each CPU-side subset of the batch is an independent permutation
-// search, so the 2^n subsets fan out across the options' worker pool.
+// search, so the 2^n subsets fan out across GOMAXPROCS workers.
 // Results are merged in subset order with a strict less-than
 // comparison, so the returned schedule is bit-for-bit identical for
 // every worker count, including the serial search.
-func (cx *Context) OptimalScheduleOpts(opts OptimalOptions) (*Schedule, units.Seconds, error) {
+func (cx *Context) OptimalSchedule() (*Schedule, units.Seconds, error) {
+	return cx.optimalSchedule(runtime.GOMAXPROCS(0))
+}
+
+func (cx *Context) optimalSchedule(workers int) (*Schedule, units.Seconds, error) {
 	n := cx.Oracle.NumJobs()
 	if n == 0 {
 		return &Schedule{Exclusive: map[int]bool{}}, 0, nil
@@ -75,7 +60,7 @@ func (cx *Context) OptimalScheduleOpts(opts OptimalOptions) (*Schedule, units.Se
 		found bool
 	}
 	results := make([]maskResult, 1<<n)
-	workers := boundedWorkers(opts.Workers, len(results))
+	workers = boundedWorkers(workers, len(results))
 	masks := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -10,12 +10,12 @@ import (
 
 func TestOptimalEmptyAndOversized(t *testing.T) {
 	cx, _ := testContext(t, nil, 0)
-	s, m, err := cx.OptimalScheduleOpts(OptimalOptions{})
+	s, m, err := cx.OptimalSchedule()
 	if err != nil || m != 0 || len(s.Jobs()) != 0 {
 		t.Errorf("empty optimal: %v %v %v", s, m, err)
 	}
 	big, _ := testContext(t, workload.Batch16(), 15)
-	if _, _, err := big.OptimalScheduleOpts(OptimalOptions{}); err == nil {
+	if _, _, err := big.OptimalSchedule(); err == nil {
 		t.Error("oversized batch accepted")
 	}
 }
@@ -29,7 +29,7 @@ func TestOptimalDominatesHeuristics(t *testing.T) {
 	}
 	cx, opts := testContext(t, batch, 15)
 
-	opt, optT, err := cx.OptimalScheduleOpts(OptimalOptions{})
+	opt, optT, err := cx.OptimalSchedule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHeuristicNearOptimalAcrossCaps(t *testing.T) {
 	}
 	for _, cap := range []float64{0, 14, 16, 20} {
 		cx, _ := testContext(t, batch, units.Watts(cap))
-		_, optT, err := cx.OptimalScheduleOpts(OptimalOptions{})
+		_, optT, err := cx.OptimalSchedule()
 		if err != nil {
 			t.Fatalf("cap %v: %v", cap, err)
 		}
@@ -124,10 +124,10 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 	}
 	searches := map[string]func(workers int) (*Schedule, units.Seconds, error){
 		"optimal": func(workers int) (*Schedule, units.Seconds, error) {
-			return cx.OptimalScheduleOpts(OptimalOptions{Workers: workers})
+			return cx.optimalSchedule(workers)
 		},
 		"genetic": func(workers int) (*Schedule, units.Seconds, error) {
-			return cx.Genetic(GeneticOptions{Seed: 7, SeedSchedule: start, Workers: workers})
+			return cx.genetic(GeneticOptions{Seed: 7, SeedSchedule: start}, workers)
 		},
 	}
 	for name, search := range searches {
@@ -135,7 +135,7 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
-		for _, workers := range []int{0, 2, 7} {
+		for _, workers := range []int{2, 7} {
 			fanned, fannedT, err := search(workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)

@@ -45,7 +45,6 @@ type Breaker struct {
 	fails   int       // consecutive failures while closed
 	until   time.Time // open expires at this instant
 	probing bool      // the half-open probe slot is taken
-	trips   uint64
 
 	onChange func(from, to BreakerState)
 }
@@ -132,13 +131,11 @@ func (b *Breaker) Failure() {
 		b.fails++
 		if b.fails >= b.threshold {
 			b.until = b.now().Add(b.cooldown)
-			b.trips++
 			notify = b.transition(BreakerOpen)
 		}
 	case BreakerHalfOpen:
 		b.probing = false
 		b.until = b.now().Add(b.cooldown)
-		b.trips++
 		notify = b.transition(BreakerOpen)
 	}
 	b.mu.Unlock()
@@ -152,13 +149,6 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips counts transitions to Open since construction.
-func (b *Breaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // OpenUntil returns when the current open window ends, or the zero

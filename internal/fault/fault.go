@@ -5,9 +5,10 @@
 // bounded retry with jittered exponential backoff and a circuit
 // breaker that trips into a degraded mode.
 //
-// Failpoints are the testing substrate: production code calls
-// Registry.Hit("journal/fsync") at each site, which costs one atomic
-// load while the registry is disarmed. Tests (or the corund
+// Failpoints are the testing substrate: the daemon calls
+// Registry.Hit("journal/fsync") at each site on the registry it was
+// handed, and a nil registry — the daemon's without -fault-spec — is
+// disarmed at the cost of one nil check. Tests (or the corund
 // -fault-spec flag) arm sites with schedules — "fail every 3rd hit",
 // "add 10ms of latency with probability 0.5 under seed 42" — that are
 // fully deterministic for a given seed, so an induced failure storm
@@ -18,9 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -133,41 +132,22 @@ type Event struct {
 	Injected bool
 }
 
-// SiteStats is one armed site's counters.
-type SiteStats struct {
-	// Site is the failpoint name.
-	Site string `json:"site"`
-	// Hits counts Hit calls at the site while armed.
-	Hits uint64 `json:"hits"`
-	// Injected counts hits on which the rule fired.
-	Injected uint64 `json:"injected"`
-	// Exhausted reports whether the rule hit its Times bound.
-	Exhausted bool `json:"exhausted"`
-}
-
 // site is one armed failpoint's runtime state.
 type site struct {
-	rule      Rule
-	hits      uint64
-	injected  uint64
-	exhausted bool
-	rng       *rand.Rand
+	rule     Rule
+	hits     uint64
+	injected uint64
+	rng      *rand.Rand
 }
 
 // Registry holds armed failpoints. All methods are safe for
-// concurrent use; a disarmed registry's Hit costs one atomic load.
+// concurrent use; Hit on a nil Registry is a no-op.
 type Registry struct {
-	armed atomic.Int32 // number of armed sites, the fast-path gate
 	mu    sync.Mutex
 	sites map[string]*site
 	subs  []func(Event)
 	sleep func(time.Duration) // test seam for latency injection
 }
-
-// Default is the process-wide registry: production call sites that
-// have no registry threaded to them hit this one, and the corund
-// -fault-spec flag arms it.
-var Default = NewRegistry()
 
 // NewRegistry creates an empty (disarmed) registry.
 func NewRegistry() *Registry {
@@ -185,9 +165,6 @@ func (r *Registry) Arm(rules ...Rule) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, rule := range rules {
-		if _, replaced := r.sites[rule.Site]; !replaced {
-			r.armed.Add(1)
-		}
 		r.sites[rule.Site] = &site{rule: rule, rng: rand.New(rand.NewSource(rule.Seed))}
 	}
 	return nil
@@ -203,22 +180,11 @@ func (r *Registry) ArmSpec(spec string) error {
 	return r.Arm(rules...)
 }
 
-// Disarm removes the named sites, or every site when called with
-// none. Counters for removed sites are discarded.
-func (r *Registry) Disarm(sites ...string) {
+// Disarm removes every site and discards its counters.
+func (r *Registry) Disarm() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(sites) == 0 {
-		r.armed.Add(-int32(len(r.sites)))
-		r.sites = map[string]*site{}
-		return
-	}
-	for _, s := range sites {
-		if _, ok := r.sites[s]; ok {
-			delete(r.sites, s)
-			r.armed.Add(-1)
-		}
-	}
+	r.sites = map[string]*site{}
+	r.mu.Unlock()
 }
 
 // Subscribe registers an observer called on every hit at an armed
@@ -230,24 +196,12 @@ func (r *Registry) Subscribe(fn func(Event)) {
 	r.subs = append(r.subs, fn)
 }
 
-// Stats snapshots every armed site's counters, sorted by site name.
-func (r *Registry) Stats() []SiteStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SiteStats, 0, len(r.sites))
-	for name, s := range r.sites {
-		out = append(out, SiteStats{Site: name, Hits: s.hits, Injected: s.injected, Exhausted: s.exhausted})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
-
 // Hit is the production call at a failpoint site: a no-op returning
-// nil unless the site is armed and its schedule fires, in which case
-// it returns an injected error, sleeps, or panics per the rule's
-// kind. Latency injection sleeps outside the registry lock.
+// nil unless r is not nil, the site is armed and its schedule fires,
+// in which case it returns an injected error, sleeps, or panics per
+// the rule's kind. Latency injection sleeps outside the registry lock.
 func (r *Registry) Hit(siteName string) error {
-	if r.armed.Load() == 0 {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -258,18 +212,13 @@ func (r *Registry) Hit(siteName string) error {
 	}
 	s.hits++
 	fire := false
-	if !s.exhausted && s.hits > s.rule.After {
+	if (s.rule.Times == 0 || s.injected < s.rule.Times) && s.hits > s.rule.After {
 		k := s.hits - s.rule.After
 		if s.rule.Every <= 1 || k%s.rule.Every == 0 {
 			if s.rule.P <= 0 || s.rule.P >= 1 || s.rng.Float64() < s.rule.P {
 				fire = true
+				s.injected++
 			}
-		}
-	}
-	if fire {
-		s.injected++
-		if s.rule.Times > 0 && s.injected >= s.rule.Times {
-			s.exhausted = true
 		}
 	}
 	rule := s.rule

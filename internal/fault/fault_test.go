@@ -9,18 +9,31 @@ import (
 
 func TestHitDisarmedIsNil(t *testing.T) {
 	r := NewRegistry()
+	var events []Event
+	r.Subscribe(func(e Event) { events = append(events, e) })
 	for i := 0; i < 100; i++ {
 		if err := r.Hit("journal/fsync"); err != nil {
 			t.Fatalf("disarmed hit returned %v", err)
 		}
 	}
-	if got := r.Stats(); len(got) != 0 {
-		t.Fatalf("disarmed registry has stats %+v", got)
+	if len(events) != 0 {
+		t.Fatalf("disarmed registry emitted events %+v", events)
+	}
+	// A nil registry is the daemon's without -fault-spec: disarmed.
+	if err := (*Registry)(nil).Hit("journal/fsync"); err != nil {
+		t.Fatalf("nil registry hit returned %v", err)
 	}
 }
 
 func TestErrorScheduleEveryAfterTimes(t *testing.T) {
 	r := NewRegistry()
+	var hits, injected int
+	r.Subscribe(func(e Event) {
+		hits++
+		if e.Injected {
+			injected++
+		}
+	})
 	if err := r.Arm(Rule{Site: "s", Kind: KindError, Every: 3, After: 2, Times: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +51,9 @@ func TestErrorScheduleEveryAfterTimes(t *testing.T) {
 	if want := []int{5, 8}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired on hits %v, want %v", fired, want)
 	}
-	st := r.Stats()
-	if len(st) != 1 || st[0].Hits != 12 || st[0].Injected != 2 || !st[0].Exhausted {
-		t.Fatalf("stats %+v", st)
+	// The exhausted rule keeps counting hits but injects no more.
+	if hits != 12 || injected != 2 {
+		t.Fatalf("subscriber saw %d hits, %d injected; want 12, 2", hits, injected)
 	}
 }
 
@@ -204,4 +217,29 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("spec %q parsed without error", spec)
 		}
 	}
+}
+
+// FuzzParseSpec holds the -fault-spec grammar, input from outside the
+// process, to two promises: ParseSpec never panics, and every spec it
+// accepts arms a fresh registry.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"journal/fsync=error(every=3,times=5,msg=disk gone); server/epoch = latency(50ms, p=0.5, seed=42)",
+		"journal/fsync=drop(after=2,times=24)",
+		"a=latency(1ms);b=error(oops);c=panic",
+		"s=error(every=1",
+		"s=latency(delay=-1s)",
+		";;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if err := NewRegistry().Arm(rules...); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted %+v, which Arm rejects: %v", spec, rules, err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -146,6 +147,16 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	b.OnChange(func(from, to BreakerState) {
 		transitions = append(transitions, from.String()+">"+to.String())
 	})
+	// trips counts the recorded transitions into Open.
+	trips := func() int {
+		n := 0
+		for _, tr := range transitions {
+			if strings.HasSuffix(tr, ">open") {
+				n++
+			}
+		}
+		return n
+	}
 
 	// Two failures stay closed; the third trips it open.
 	b.Failure()
@@ -156,8 +167,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 	b.Failure()
 	mustState(t, b, BreakerOpen)
-	if b.Trips() != 1 {
-		t.Fatalf("trips %d, want 1", b.Trips())
+	if trips() != 1 {
+		t.Fatalf("trips %d (%v), want 1", trips(), transitions)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allowed an operation inside the cooldown")
@@ -179,8 +190,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// A failed probe re-opens for another full cooldown.
 	b.Failure()
 	mustState(t, b, BreakerOpen)
-	if b.Trips() != 2 {
-		t.Fatalf("trips %d, want 2", b.Trips())
+	if trips() != 2 {
+		t.Fatalf("trips %d (%v), want 2", trips(), transitions)
 	}
 	clk.advance(2 * time.Second)
 	if !b.Allow() {

@@ -7,15 +7,14 @@ import (
 	"time"
 )
 
-// Backoff is a bounded retry schedule: exponential growth from Base
-// toward Max with deterministic seeded jitter. The zero value retries
+// Backoff is a bounded retry schedule: each delay doubles from Base
+// toward Max, with deterministic seeded jitter. The zero value retries
 // nothing (one attempt, no sleeps).
 type Backoff struct {
-	// Base is the first retry delay; Factor grows it per attempt
-	// (default 2) and Max caps it.
-	Base   time.Duration
-	Max    time.Duration
-	Factor float64
+	// Base is the first retry delay; each retry doubles it and Max
+	// caps it.
+	Base time.Duration
+	Max  time.Duration
 
 	// Jitter spreads each delay uniformly over [1-Jitter, 1+Jitter]
 	// times its nominal value, drawn from a PRNG seeded with Seed so a
@@ -103,13 +102,9 @@ func (b Backoff) wait(ctx context.Context, d time.Duration) bool {
 
 // delay is the nominal backoff for the i-th retry (0-based), jittered.
 func (b Backoff) delay(i int, rng *rand.Rand) time.Duration {
-	factor := b.Factor
-	if factor <= 1 {
-		factor = 2
-	}
 	d := float64(b.Base)
 	for k := 0; k < i; k++ {
-		d *= factor
+		d *= 2
 		if b.Max > 0 && d >= float64(b.Max) {
 			d = float64(b.Max)
 			break

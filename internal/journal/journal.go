@@ -114,8 +114,7 @@ type Options struct {
 
 	// Faults is the failpoint registry checked at the journal's
 	// injection sites (SiteAppend, SiteFsync, SiteSnapshot,
-	// SitePrealloc); nil uses fault.Default, which is free while
-	// disarmed.
+	// SitePrealloc); nil arms none.
 	Faults *fault.Registry
 }
 
@@ -208,9 +207,6 @@ func Open(opts Options) (*Journal, *State, RecoverStats, error) {
 	}
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = 4 << 20
-	}
-	if opts.Faults == nil {
-		opts.Faults = fault.Default
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, stats, fmt.Errorf("journal: %w", err)

@@ -24,17 +24,10 @@ import (
 	"strings"
 
 	"corun/internal/core"
-	"corun/internal/fault"
 	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
-
-// SitePlan is the failpoint (internal/fault) checked, against the
-// fault.Default registry, each time a row plans (Plan, and Run for the
-// rows that execute their plan). Arming it injects planning failures
-// or latency (a planning-epoch overrun) into every front end at once.
-const SitePlan = "policy/plan"
 
 // Options passes per-plan knobs to a policy. The zero value is a valid
 // default for every policy.
@@ -152,9 +145,6 @@ func List() []Info {
 func Plan(name string, cx *core.Context, opts Options) (*core.Schedule, error) {
 	r, err := lookup(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := fault.Default.Hit(SitePlan); err != nil {
 		return nil, err
 	}
 	return r.plan(cx, opts.Seed)

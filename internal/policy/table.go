@@ -30,7 +30,7 @@ var table = []row{
 		name: "optimal",
 		desc: "exhaustive optimal-makespan search (validation; at most 8 jobs)",
 		plan: func(cx *core.Context, _ int64) (*core.Schedule, error) {
-			s, _, err := cx.OptimalScheduleOpts(core.OptimalOptions{})
+			s, _, err := cx.OptimalSchedule()
 			return s, err
 		},
 	},

@@ -231,7 +231,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	// The epoch failpoint: an injected error fails this batch (the
 	// daemon stays up, exactly like an unschedulable cap), and a
 	// latency rule models a planning-epoch overrun.
-	if err := s.faults.Hit(SiteEpoch); err != nil {
+	if err := s.cfg.Faults.Hit(SiteEpoch); err != nil {
 		s.finishEpochErr(batch, epoch, err)
 		return
 	}

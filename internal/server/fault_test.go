@@ -341,6 +341,43 @@ func TestEpochFaultFailsBatchNotDaemon(t *testing.T) {
 	}
 }
 
+// TestEpochLatencyFailpoint arms server/epoch with a latency rule, the
+// planning-overrun spelling of the daemon's one planning failpoint: the
+// round is delayed, not failed — its job still finishes done — and the
+// injection is counted per site.
+func TestEpochLatencyFailpoint(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	reg := fault.NewRegistry()
+	if err := reg.ArmSpec("server/epoch=latency(50ms,times=1)"); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, func(c *Config) { c.Faults = reg })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	if code, body := postJSON(t, ts.URL+"/v1/jobs", `{"program":"lud"}`); code != http.StatusAccepted {
+		t.Fatalf("submit -> %d: %s", code, body)
+	}
+	jobs := waitAllTerminal(t, s, 1, 60*time.Second)
+	if took := time.Since(start); took < delay {
+		t.Errorf("job terminal after %v, before the injected %v planning delay", took, delay)
+	}
+	if jobs[0].State != JobDone {
+		t.Fatalf("delayed epoch job %s state %s (%s), want done", jobs[0].ID, jobs[0].State, jobs[0].Error)
+	}
+	_, mbody := get(t, ts.URL+"/metrics")
+	if v := metricValue(t, mbody, `corund_fault_injections_total{site="server/epoch"}`); v != 1 {
+		t.Errorf("server/epoch injections %v, want 1", v)
+	}
+	if v := metricValue(t, mbody, "corund_jobs_failed_total"); v != 0 {
+		t.Errorf("failed %v, want 0", v)
+	}
+}
+
 // TestCapChangeRaceFreshPlans hammers POST /v1/cap from one goroutine
 // while submissions keep epochs planning, and asserts no plan is ever
 // produced under a cap that was never configured — the regression this

@@ -79,7 +79,7 @@ func (s *Server) submit(ctx context.Context, spec workload.JobSpec) (*Job, error
 		return nil, err
 	}
 	class, _ := admission.ParseClass(spec.Priority) // validated above
-	err := s.faults.Hit(SiteAdmit)
+	err := s.cfg.Faults.Hit(SiteAdmit)
 	if err == nil {
 		err = ctx.Err()
 	}

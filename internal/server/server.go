@@ -82,7 +82,7 @@ var (
 )
 
 // The daemon's failpoint sites (internal/fault), in addition to the
-// journal's (journal.Site*) and the policy engine's (policy.SitePlan).
+// journal's (journal.Site*).
 // SiteAdmit fires inside Submit before a job is admitted; SiteEpoch
 // fires at the top of each scheduling round, where an error fails the
 // batch (not the daemon) and a latency rule simulates a planning
@@ -189,8 +189,7 @@ type Config struct {
 
 	// Faults is the failpoint registry checked at the daemon's
 	// injection sites (SiteAdmit, SiteEpoch, and the journal's sites);
-	// nil uses fault.Default, which costs one atomic load while
-	// disarmed. Hits and injections are exported as
+	// nil arms none. Hits and injections are exported as
 	// corund_fault_hits_total / corund_fault_injections_total.
 	Faults *fault.Registry
 
@@ -211,9 +210,6 @@ func (c *Config) withDefaults() Config {
 	if out.MaxQueue == 0 {
 		out.MaxQueue = 256
 	}
-	if out.Faults == nil {
-		out.Faults = fault.Default
-	}
 	return out
 }
 
@@ -231,13 +227,12 @@ func (c *Config) withDefaults() Config {
 // The scheduler goroutine exclusively owns epochCount and the private
 // batch copies it mutates between publishes.
 type Server struct {
-	cfg    Config
-	mem    *memsys.Model
-	m      *metrics
-	jl     *journal.Journal // nil without Config.DataDir
-	faults *fault.Registry
-	brk    *fault.Breaker
-	bo     fault.Backoff // journal write retry schedule
+	cfg Config
+	mem *memsys.Model
+	m   *metrics
+	jl  *journal.Journal // nil without Config.DataDir
+	brk *fault.Breaker
+	bo  fault.Backoff // journal write retry schedule
 
 	// lastEpochWall is the wall-clock nanoseconds of the most recent
 	// epoch's planning+execution, feeding the Retry-After hint on
@@ -351,13 +346,14 @@ func New(cfg Config) (*Server, error) {
 		s.m.nodeInfo.Set(cfg.NodeID, 1)
 	}
 	s.setControl(control{cap: cfg.Cap, domains: cfg.Domains, policy: cfg.Policy})
-	s.faults = cfg.Faults
-	s.faults.Subscribe(func(ev fault.Event) {
-		s.m.faultHits.Inc(ev.Site)
-		if ev.Injected {
-			s.m.faultInjected.Inc(ev.Site)
-		}
-	})
+	if cfg.Faults != nil {
+		cfg.Faults.Subscribe(func(ev fault.Event) {
+			s.m.faultHits.Inc(ev.Site)
+			if ev.Injected {
+				s.m.faultInjected.Inc(ev.Site)
+			}
+		})
+	}
 	s.bo = fault.Backoff{
 		Base: retryBase, Max: retryMax,
 		Jitter: retryJitter, Seed: cfg.Seed,

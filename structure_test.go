@@ -160,6 +160,23 @@ func TestNoSingleCallerPackage(t *testing.T) {
 	}
 }
 
+// TestFailpointsStayInTheDaemon keeps fault injection a property of the
+// daemon, not of the libraries it calls: among non-test files only
+// internal/server, internal/journal (the daemon's journal, whose
+// registry the server hands it) and cmd/corund (which arms one from
+// -fault-spec) import internal/fault. The planner, the simulator and
+// every other front end run with no failpoint on their path.
+func TestFailpointsStayInTheDaemon(t *testing.T) {
+	allowed := map[string]bool{"internal/server": true, "internal/journal": true, "cmd/corund": true}
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "corun/internal/fault" && !allowed[dir] {
+				t.Errorf("%s imports %s; only the daemon (internal/server, internal/journal, cmd/corund) may", path, p)
+			}
+		}
+	})
+}
+
 // importName is the name an import is referred to by in its file.
 func importName(imp *ast.ImportSpec) string {
 	if imp.Name != nil {
@@ -305,8 +322,7 @@ func TestEveryKnobIsListed(t *testing.T) {
 			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
 		"internal/core.HCSOptions":     {"DisablePartition", "DisablePreference"},
 		"internal/core.RefineOptions":  {"Seed", "SkipAdjacent", "SkipRandomInQueue", "SkipCross"},
-		"internal/core.GeneticOptions": {"Seed", "SeedSchedule", "Workers"},
-		"internal/core.OptimalOptions": {"Workers"},
+		"internal/core.GeneticOptions": {"Seed", "SeedSchedule"},
 		"internal/workload.GenOptions": {"N", "Seed"},
 		"internal/sim.BiasedGovernor":  {"Cap", "Domains", "Bias"},
 		"internal/apu.DomainCaps":      {"PP0", "PP1"},
