@@ -74,12 +74,15 @@ fuzz:
 # corun/internal/... outside this module) and runs all four benchmark
 # workloads at 1/50 size, which is what catches an internal rename.
 # The epoch-boundary tests race submitters against the scheduler's
-# batching gap, so they run twenty times more under the race detector.
+# batching gap, so they run twenty times more under the race detector;
+# the durable-ack property test races submitters against injected
+# fsync faults, so it runs five times more.
 verify: fmtcheck cross
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestPriorityPreemption|TestFullEpochClosesBeforeGap|TestFullClaimKeepsPreemptionWindow' ./internal/server
+	$(GO) test -race -count=5 -run 'TestSubmitDurableAck' ./internal/server
 	cd bench/corunmark && $(GO) vet ./... && $(GO) test ./...
 
 # size prints the module's Go line counts outside bench/ (a module of

@@ -42,7 +42,7 @@ func TestNewSystemValidation(t *testing.T) {
 		t.Error("infeasible cap accepted")
 	}
 	bad := *capped15(t).Machine()
-	bad.CPUCores = 0
+	bad.IdlePower = -1
 	if _, err := NewSystem(WithMachine(&bad)); err == nil {
 		t.Error("broken machine accepted")
 	}

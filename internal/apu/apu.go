@@ -68,15 +68,6 @@ type Config struct {
 	CPUFreqs []units.GHz
 	GPUFreqs []units.GHz
 
-	// CPUCores is the number of CPU cores (OpenCL CPU kernels use all
-	// of them; the host thread of a GPU job occupies a sliver of one).
-	CPUCores int
-
-	// LLCMB is the shared last-level cache size in MiB. It is not
-	// modelled cycle-accurately; it scales the contention constants in
-	// the memory-system model.
-	LLCMB float64
-
 	// IdlePower is the always-on package power (uncore, DRAM refresh,
 	// leakage) in watts.
 	IdlePower units.Watts
@@ -103,12 +94,6 @@ type Config struct {
 	// the experiments are well below it.
 	TDP units.Watts
 
-	// DomainCaps are the machine's RAPL-style per-plane power limits
-	// (PP0 cores / PP1 iGPU); zero planes are uncapped. The package cap
-	// is not a machine property: every layer takes it as a separate
-	// argument.
-	DomainCaps DomainCaps
-
 	// Thermal is the shared-heatsink RC model; the zero value disables
 	// thermal simulation (see ThermalParams).
 	Thermal ThermalParams
@@ -131,11 +116,9 @@ type Config struct {
 // copy would carry the powMemo atomic along (vet copylocks) — and the
 // copy starts with a cold memo, rebuilt lazily on first DynPower call.
 func (c *Config) WithThermal(tp ThermalParams) *Config {
-	out := &Config{
+	return &Config{
 		CPUFreqs:        append([]units.GHz(nil), c.CPUFreqs...),
 		GPUFreqs:        append([]units.GHz(nil), c.GPUFreqs...),
-		CPUCores:        c.CPUCores,
-		LLCMB:           c.LLCMB,
 		IdlePower:       c.IdlePower,
 		CPUPowerCoeff:   c.CPUPowerCoeff,
 		CPUPowerExp:     c.CPUPowerExp,
@@ -144,10 +127,8 @@ func (c *Config) WithThermal(tp ThermalParams) *Config {
 		StallPowerFloor: c.StallPowerFloor,
 		HostPowerFrac:   c.HostPowerFrac,
 		TDP:             c.TDP,
-		DomainCaps:      c.DomainCaps,
 		Thermal:         tp,
 	}
-	return out
 }
 
 // powMemoTable is one immutable snapshot of the dynamic-power curve,
@@ -163,15 +144,13 @@ type powMemoEntry struct {
 
 // DefaultConfig returns the i7-3520M-like machine used throughout the
 // reproduction: 16 CPU levels 1.2-3.6 GHz, 10 GPU levels 0.35-1.25 GHz,
-// a 4 MB shared LLC, and power constants calibrated so that the medium
-// operating point (2.2 GHz CPU, 0.85 GHz GPU) lands near a 15-16 W cap,
-// mirroring section VI.B of the paper.
+// and power constants calibrated so that the medium operating point
+// (2.2 GHz CPU, 0.85 GHz GPU) lands near a 15-16 W cap, mirroring
+// section VI.B of the paper.
 func DefaultConfig() *Config {
 	cfg := &Config{
 		CPUFreqs:        MustFreqLadder(1.2, 3.6, 16),
 		GPUFreqs:        MustFreqLadder(0.35, 1.25, 10),
-		CPUCores:        4,
-		LLCMB:           4,
 		IdlePower:       2.0,
 		CPUPowerCoeff:   1.794,
 		CPUPowerExp:     1.8,
@@ -205,8 +184,6 @@ func KaveriConfig() *Config {
 	return &Config{
 		CPUFreqs:        MustFreqLadder(1.7, 3.7, 11),
 		GPUFreqs:        MustFreqLadder(0.35, 0.72, 8),
-		CPUCores:        4,
-		LLCMB:           4,
 		IdlePower:       4.0,
 		CPUPowerCoeff:   4.27,
 		CPUPowerExp:     1.8,
@@ -276,9 +253,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("apu: %v frequencies must be positive", d)
 		}
 	}
-	if c.CPUCores <= 0 {
-		return fmt.Errorf("apu: CPUCores must be positive, got %d", c.CPUCores)
-	}
 	if c.IdlePower < 0 {
 		return fmt.Errorf("apu: negative idle power %v", c.IdlePower)
 	}
@@ -291,13 +265,7 @@ func (c *Config) Validate() error {
 	if c.HostPowerFrac < 0 || c.HostPowerFrac > 1 {
 		return fmt.Errorf("apu: HostPowerFrac %v outside [0,1]", c.HostPowerFrac)
 	}
-	if err := c.Thermal.Validate(); err != nil {
-		return err
-	}
-	if err := c.CheckCaps(0, c.DomainCaps); err != nil {
-		return err
-	}
-	return nil
+	return c.Thermal.Validate()
 }
 
 // Freqs returns the frequency table of the given device.

@@ -241,7 +241,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{"empty cpu freqs", func(c *Config) { c.CPUFreqs = nil }},
 		{"non-ascending", func(c *Config) { c.CPUFreqs[3] = c.CPUFreqs[2] }},
-		{"zero cores", func(c *Config) { c.CPUCores = 0 }},
 		{"negative idle", func(c *Config) { c.IdlePower = -1 }},
 		{"zero coeff", func(c *Config) { c.GPUPowerCoeff = 0 }},
 		{"bad stall floor", func(c *Config) { c.StallPowerFloor = 1.5 }},

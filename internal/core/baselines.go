@@ -37,12 +37,7 @@ func (d *randomDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch {
 	if len(d.remaining) == 0 {
 		return nil
 	}
-	var other *workload.Instance
-	if dev == apu.CPU {
-		other = view.GPUJob
-	} else if len(view.CPUJobs) > 0 {
-		other = view.CPUJobs[0]
-	}
+	other := view.Running[dev.Other()]
 
 	// Honour a standing idle decision while the co-runner is unchanged.
 	if d.idleSet[dev] {

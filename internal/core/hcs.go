@@ -145,11 +145,7 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: job %d infeasible under cap %v", j, cx.Cap)
 		}
-		if dev == apu.CPU {
-			s.CPUOrder = append(s.CPUOrder, j)
-		} else {
-			s.GPUOrder = append(s.GPUOrder, j)
-		}
+		s.place(dev, j)
 		s.Exclusive[j] = true
 	}
 	if err := s.Validate(n); err != nil {
@@ -283,11 +279,7 @@ func (cx *Context) greedyPlan(sco []int, prefs []Preference, visit func(timeline
 			if j := pick(dev); j >= 0 {
 				tl.start(dev, j)
 				take(j)
-				if dev == apu.CPU {
-					s.CPUOrder = append(s.CPUOrder, j)
-				} else {
-					s.GPUOrder = append(s.GPUOrder, j)
-				}
+				s.place(dev, j)
 			}
 		}
 		if tl.idle() {

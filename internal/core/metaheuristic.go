@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"corun/internal/apu"
@@ -59,57 +60,44 @@ func (cx *Context) Anneal(s *Schedule, seed int64) (*Schedule, units.Seconds, er
 	return best, bestT, nil
 }
 
-// mutateSchedule applies one random move in place.
+// mutateSchedule applies one random move in place: a swap within one
+// device's order (move 0 on the CPU, 1 on the GPU), a swap across the
+// two, or a job's migration to the other device.
 func mutateSchedule(s *Schedule, rng *rand.Rand) {
-	type move int
 	const (
-		swapInCPU move = iota
-		swapInGPU
-		swapAcross
-		migrate
+		swapAcross = 2
+		migrate    = 3
 	)
 	for attempts := 0; attempts < 8; attempts++ {
-		switch move(rng.Intn(4)) {
-		case swapInCPU:
-			if len(s.CPUOrder) >= 2 {
-				i, j := rng.Intn(len(s.CPUOrder)), rng.Intn(len(s.CPUOrder))
-				s.CPUOrder[i], s.CPUOrder[j] = s.CPUOrder[j], s.CPUOrder[i]
-				return
-			}
-		case swapInGPU:
-			if len(s.GPUOrder) >= 2 {
-				i, j := rng.Intn(len(s.GPUOrder)), rng.Intn(len(s.GPUOrder))
-				s.GPUOrder[i], s.GPUOrder[j] = s.GPUOrder[j], s.GPUOrder[i]
+		switch m := rng.Intn(4); m {
+		case int(apu.CPU), int(apu.GPU):
+			if q := *s.order(apu.Device(m)); len(q) >= 2 {
+				i, j := rng.Intn(len(q)), rng.Intn(len(q))
+				q[i], q[j] = q[j], q[i]
 				return
 			}
 		case swapAcross:
-			if len(s.CPUOrder) > 0 && len(s.GPUOrder) > 0 {
-				i, j := rng.Intn(len(s.CPUOrder)), rng.Intn(len(s.GPUOrder))
-				s.CPUOrder[i], s.GPUOrder[j] = s.GPUOrder[j], s.CPUOrder[i]
+			if c, g := s.CPUOrder, s.GPUOrder; len(c) > 0 && len(g) > 0 {
+				i, j := rng.Intn(len(c)), rng.Intn(len(g))
+				c[i], g[j] = g[j], c[i]
 				return
 			}
 		case migrate:
-			// Move one job to a random position on the other device.
+			// Move one job to a random position on the other device:
+			// from the CPU on a coin flip, made only when it has jobs.
+			from := apu.GPU
 			if len(s.CPUOrder) > 0 && rng.Intn(2) == 0 {
-				i := rng.Intn(len(s.CPUOrder))
-				j := s.CPUOrder[i]
-				s.CPUOrder = append(s.CPUOrder[:i], s.CPUOrder[i+1:]...)
-				pos := 0
-				if len(s.GPUOrder) > 0 {
-					pos = rng.Intn(len(s.GPUOrder) + 1)
-				}
-				s.GPUOrder = append(s.GPUOrder[:pos], append([]int{j}, s.GPUOrder[pos:]...)...)
-				return
+				from = apu.CPU
 			}
-			if len(s.GPUOrder) > 0 {
-				i := rng.Intn(len(s.GPUOrder))
-				j := s.GPUOrder[i]
-				s.GPUOrder = append(s.GPUOrder[:i], s.GPUOrder[i+1:]...)
+			if src, dst := s.order(from), s.order(from.Other()); len(*src) > 0 {
+				i := rng.Intn(len(*src))
+				j := (*src)[i]
+				*src = append((*src)[:i], (*src)[i+1:]...)
 				pos := 0
-				if len(s.CPUOrder) > 0 {
-					pos = rng.Intn(len(s.CPUOrder) + 1)
+				if len(*dst) > 0 {
+					pos = rng.Intn(len(*dst) + 1)
 				}
-				s.CPUOrder = append(s.CPUOrder[:pos], append([]int{j}, s.CPUOrder[pos:]...)...)
+				*dst = slices.Insert(*dst, pos, j)
 				return
 			}
 		}
@@ -260,13 +248,8 @@ func (cx *Context) genetic(opts GeneticOptions, workers int) (*Schedule, units.S
 // free random order.
 func randomSchedule(n int, rng *rand.Rand) *Schedule {
 	s := &Schedule{Exclusive: map[int]bool{}}
-	perm := rng.Perm(n)
-	for _, j := range perm {
-		if rng.Intn(2) == 0 {
-			s.CPUOrder = append(s.CPUOrder, j)
-		} else {
-			s.GPUOrder = append(s.GPUOrder, j)
-		}
+	for _, j := range rng.Perm(n) {
+		s.place(apu.Device(rng.Intn(2)), j)
 	}
 	return s
 }
@@ -274,30 +257,24 @@ func randomSchedule(n int, rng *rand.Rand) *Schedule {
 // crossover builds a child that inherits each job's device from a
 // random parent and its relative order from parent a.
 func crossover(a, b *Schedule, n int, rng *rand.Rand) *Schedule {
-	devOf := func(s *Schedule) map[int]apu.Device {
-		m := make(map[int]apu.Device, n)
-		for _, j := range s.CPUOrder {
-			m[j] = apu.CPU
-		}
-		for _, j := range s.GPUOrder {
-			m[j] = apu.GPU
+	devOf := func(s *Schedule) []apu.Device {
+		m := make([]apu.Device, n)
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			for _, j := range *s.order(d) {
+				m[j] = d
+			}
 		}
 		return m
 	}
 	da, db := devOf(a), devOf(b)
 	child := &Schedule{Exclusive: map[int]bool{}}
 	// Order template: parent a's concatenated order.
-	order := append(append([]int(nil), a.CPUOrder...), a.GPUOrder...)
-	for _, j := range order {
+	for _, j := range a.Jobs() {
 		dev := da[j]
 		if rng.Intn(2) == 0 {
 			dev = db[j]
 		}
-		if dev == apu.CPU {
-			child.CPUOrder = append(child.CPUOrder, j)
-		} else {
-			child.GPUOrder = append(child.GPUOrder, j)
-		}
+		child.place(dev, j)
 	}
 	return child
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"corun/internal/apu"
 	"corun/internal/units"
 )
 
@@ -62,10 +63,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 
 	// Step 2: random in-device swaps.
 	for k := 0; !opts.SkipRandomInQueue && k < swaps; k++ {
-		q := best.CPUOrder
-		if rng.Intn(2) != 0 {
-			q = best.GPUOrder
-		}
+		q := *best.order(apu.Device(rng.Intn(2)))
 		if len(q) < 2 {
 			continue
 		}

@@ -27,6 +27,20 @@ type Schedule struct {
 	Exclusive map[int]bool
 }
 
+// order returns device d's dispatch order.
+func (s *Schedule) order(d apu.Device) *[]int {
+	if d == apu.CPU {
+		return &s.CPUOrder
+	}
+	return &s.GPUOrder
+}
+
+// place appends job j to device d's dispatch order.
+func (s *Schedule) place(d apu.Device, j int) {
+	q := s.order(d)
+	*q = append(*q, j)
+}
+
 // Clone returns a deep copy of the schedule.
 func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{
@@ -282,38 +296,31 @@ type scheduleDispatcher struct {
 	cx    *Context
 	s     *Schedule
 	batch []*workload.Instance
-	cpuQ  []int
-	gpuQ  []int
+
+	// queues holds each device's jobs not dispatched yet: the tails of
+	// the schedule's orders, which the dispatcher never writes.
+	queues [apu.NumDevices][]int
 }
 
 func newScheduleDispatcher(cx *Context, s *Schedule, batch []*workload.Instance) *scheduleDispatcher {
-	return &scheduleDispatcher{
-		cx: cx, s: s, batch: batch,
-		cpuQ: append([]int(nil), s.CPUOrder...),
-		gpuQ: append([]int(nil), s.GPUOrder...),
+	return &scheduleDispatcher{cx: cx, s: s, batch: batch, queues: [apu.NumDevices][]int{s.CPUOrder, s.GPUOrder}}
+}
+
+// jobID is the batch index of a running job, -1 for an idle device.
+func jobID(inst *workload.Instance) int {
+	if inst == nil {
+		return -1
 	}
+	return inst.ID
 }
 
 // Next implements sim.Dispatcher.
 func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch {
-	var q *[]int
-	if dev == apu.CPU {
-		q = &d.cpuQ
-	} else {
-		q = &d.gpuQ
-	}
-	if len(*q) == 0 {
+	q := d.queues[dev]
+	if len(q) == 0 {
 		return nil
 	}
-	head := (*q)[0]
-
-	// Identify the job on the other device, if any.
-	other := -1
-	if dev == apu.CPU && view.GPUJob != nil {
-		other = view.GPUJob.ID
-	} else if dev == apu.GPU && len(view.CPUJobs) > 0 {
-		other = view.CPUJobs[0].ID
-	}
+	head, other := q[0], jobID(view.Running[dev.Other()])
 	if !d.s.mayStart(head, other) {
 		return nil // wait for the other device to drain
 	}
@@ -323,7 +330,7 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 		// let the cap-violation accounting surface the problem.
 		fp = apu.FreqPair{}
 	}
-	*q = (*q)[1:]
+	d.queues[dev] = q[1:]
 	return &sim.Dispatch{Inst: d.batch[head], CPUFreq: fp.CPU, GPUFreq: fp.GPU}
 }
 
@@ -339,13 +346,7 @@ type planGovernor struct {
 
 // Adjust implements sim.Governor.
 func (g *planGovernor) Adjust(power units.Watts, view *sim.View, cfg *apu.Config) (int, int) {
-	ci, gi := -1, -1
-	if len(view.CPUJobs) > 0 {
-		ci = view.CPUJobs[0].ID
-	}
-	if view.GPUJob != nil {
-		gi = view.GPUJob.ID
-	}
+	ci, gi := jobID(view.Running[apu.CPU]), jobID(view.Running[apu.GPU])
 	if ci < 0 && gi < 0 {
 		return view.CPUFreq, view.GPUFreq
 	}

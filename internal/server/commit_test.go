@@ -57,7 +57,7 @@ func TestSubmitDurableAck(t *testing.T) {
 			reg := fault.NewRegistry()
 			s := newTestServer(t, func(c *Config) {
 				c.Policy = "random"
-				c.MaxQueue = goroutines * perG
+				c.MaxQueue = goroutines*perG + 1
 				c.DataDir = dir
 				c.Fsync = journal.FsyncAlways
 				c.Faults = reg
@@ -99,6 +99,14 @@ func TestSubmitDurableAck(t *testing.T) {
 			}
 			wg.Wait()
 			reg.Disarm()
+			// A failed commit gives up the log's reserved chunk, and
+			// the next append reserves it again; when the run's last
+			// commit failed, none has. One more submission, acked with
+			// the failpoints off and kept out of the tallies, is that
+			// append, so the log is read as a running daemon leaves it.
+			if _, err := s.Submit(spec); err != nil {
+				t.Fatalf("submission after disarming: %v", err)
+			}
 			drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			if err := s.DrainAndWait(drainCtx); err != nil {

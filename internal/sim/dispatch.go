@@ -10,39 +10,23 @@ import (
 // order, leaving frequencies to the governor. It is how planned
 // co-schedules (HCS, HCS+, Default's GPU side) execute.
 type QueueDispatcher struct {
-	CPUQueue []*workload.Instance
-	GPUQueue []*workload.Instance
-
-	cpuNext, gpuNext int
+	// queues holds each device's jobs not dispatched yet.
+	queues [apu.NumDevices][]*workload.Instance
 }
 
-// NewQueueDispatcher builds a dispatcher over copies of the queues.
+// NewQueueDispatcher builds a dispatcher over the queues. It reads
+// them and never writes them.
 func NewQueueDispatcher(cpu, gpu []*workload.Instance) *QueueDispatcher {
-	return &QueueDispatcher{
-		CPUQueue: append([]*workload.Instance(nil), cpu...),
-		GPUQueue: append([]*workload.Instance(nil), gpu...),
-	}
+	return &QueueDispatcher{queues: [apu.NumDevices][]*workload.Instance{cpu, gpu}}
 }
 
 // Next implements Dispatcher.
 func (q *QueueDispatcher) Next(dev apu.Device, view *View) *Dispatch {
-	var inst *workload.Instance
-	switch dev {
-	case apu.CPU:
-		if q.cpuNext >= len(q.CPUQueue) {
-			return nil
-		}
-		inst = q.CPUQueue[q.cpuNext]
-		q.cpuNext++
-	case apu.GPU:
-		if q.gpuNext >= len(q.GPUQueue) {
-			return nil
-		}
-		inst = q.GPUQueue[q.gpuNext]
-		q.gpuNext++
-	default:
+	if !dev.Valid() || len(q.queues[dev]) == 0 {
 		return nil
 	}
+	inst := q.queues[dev][0]
+	q.queues[dev] = q.queues[dev][1:]
 	return &Dispatch{Inst: inst, CPUFreq: -1, GPUFreq: -1}
 }
 
@@ -110,12 +94,11 @@ func StandaloneRun(opts Options, inst *workload.Instance, dev apu.Device) (*Resu
 
 // CoRunResult captures one pairwise degradation measurement.
 type CoRunResult struct {
-	// TargetTime is the target's wall time under interference.
-	TargetTime units.Seconds
 	// SoloTime is the target's standalone wall time at the same
 	// frequencies.
 	SoloTime units.Seconds
-	// Degradation is TargetTime/SoloTime - 1 (>= 0 up to model noise).
+	// Degradation is the target's wall time under interference over
+	// SoloTime, minus 1 (>= 0 up to model noise).
 	Degradation float64
 	// AvgPower is the average co-run package power while the target ran.
 	AvgPower units.Watts
@@ -167,11 +150,7 @@ func CoRunWithSolo(opts Options, target *workload.Instance, targetDev apu.Device
 	if err != nil {
 		return CoRunResult{}, err
 	}
-	out := CoRunResult{
-		TargetTime: res.Makespan,
-		SoloTime:   solo,
-		AvgPower:   res.AvgPower,
-	}
+	out := CoRunResult{SoloTime: solo, AvgPower: res.AvgPower}
 	if solo > 0 {
 		out.Degradation = float64(res.Makespan)/float64(solo) - 1
 	}

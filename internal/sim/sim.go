@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"corun/internal/apu"
+	"corun/internal/kernelsim"
 	"corun/internal/memsys"
 	"corun/internal/trace"
 	"corun/internal/units"
@@ -154,24 +155,21 @@ type Dispatch struct {
 }
 
 // View is the read-only simulator state exposed to dispatchers and
-// governors. The pointer and its CPUJobs slice are valid only for the
-// duration of the Next/Adjust call that received them — the simulator
-// reuses the backing storage between ticks, so implementations must
-// copy anything they want to keep.
+// governors. The pointer is valid only for the duration of the
+// Next/Adjust call that received it — the simulator reuses the View
+// between ticks, so implementations must copy anything they want to
+// keep.
 type View struct {
-	Now     units.Seconds
-	CPUJobs []*workload.Instance
-	GPUJob  *workload.Instance
+	// Running names the job on each device, nil when it idles; on a
+	// multiprogrammed CPU, the first of its jobs in dispatch order.
+	Running [apu.NumDevices]*workload.Instance
 	CPUFreq int
 	GPUFreq int
 
 	// PP0 and PP1 are the instantaneous per-plane powers of the
-	// segment that just ended (CPU cores + host thread, and iGPU), and
-	// TempC the shared-heatsink temperature — what a domain-aware
-	// governor reacts to.
-	PP0   units.Watts
-	PP1   units.Watts
-	TempC float64
+	// segment that just ended (CPU cores + host thread, and iGPU).
+	PP0 units.Watts
+	PP1 units.Watts
 }
 
 // Dispatcher supplies jobs to idle device slots. Next returns nil when
@@ -299,10 +297,13 @@ func (r *running) advancePhase() bool {
 
 // state is the mutable simulation state.
 type state struct {
-	opts    Options
-	now     units.Seconds
-	cpuJobs []*running
-	gpuJob  *running
+	opts Options
+	now  units.Seconds
+
+	// jobs is the machine's running set: the CPU's jobs in dispatch
+	// order, then the GPU's job, if any. Each job's dev says which
+	// device it is on.
+	jobs    []*running
 	cpuFreq int
 	gpuFreq int
 
@@ -318,50 +319,58 @@ type state struct {
 	gpuCeil int
 
 	// scratch backs the *View handed to dispatchers and governors.
-	// view() is called every sample tick, so reusing one View (and its
-	// CPUJobs array) keeps the hot loop allocation-free; the View doc
-	// forbids callers from retaining it.
+	// view() is called every sample tick, so reusing one View keeps the
+	// hot loop allocation-free; the View doc forbids callers from
+	// retaining it.
 	scratch View
 
 	// seg is the last segment evaluated in full (see sameSegment).
 	seg segment
 
 	// runs is the chunk newRunning carves jobs from, len(runs0) at a
-	// time. It and cpuJobs, seg.cpuJobs and scratch.CPUJobs start on the
-	// arrays below, inside the state: a pairwise measurement dispatches
-	// a few jobs, one CPU job at a time, so it seldom allocates these.
-	runs      []running
-	runs0     [4]running
-	cpuJobs0  [1]*running
-	segJobs0  [1]segmentJob
-	viewJobs0 [1]*workload.Instance
+	// time. It and jobs and seg.jobs start on the arrays below, inside
+	// the state: a pairwise measurement dispatches a few jobs, one per
+	// device at a time, so it seldom allocates these.
+	runs     []running
+	runs0    [4]running
+	jobs0    [apu.NumDevices]*running
+	segJobs0 [apu.NumDevices]segmentJob
+}
+
+// gpuJob returns the GPU's job, nil when the GPU idles: the last of
+// st.jobs, if that one is on the GPU.
+func (st *state) gpuJob() *running {
+	if n := len(st.jobs); n > 0 && st.jobs[n-1].dev == apu.GPU {
+		return st.jobs[n-1]
+	}
+	return nil
+}
+
+// cpuJobs returns the CPU's jobs in dispatch order: st.jobs up to the
+// GPU's job.
+func (st *state) cpuJobs() []*running {
+	if st.gpuJob() != nil {
+		return st.jobs[:len(st.jobs)-1]
+	}
+	return st.jobs
 }
 
 // segment is what the rate and power models read of one segment, as the
 // clamps left it — both frequency levels and each running job with its
-// phase, in the order computeRates sums them — and the package power they
-// gave. The running jobs' rates and st.split still hold that evaluation's
-// values, since nothing else writes them.
+// phase, in the order of st.jobs — and the package power they gave. The
+// running jobs' rates and st.split still hold that evaluation's values,
+// since nothing else writes them.
 type segment struct {
 	valid            bool
 	cpuFreq, gpuFreq int
-	gpuJob           segmentJob
-	cpuJobs          []segmentJob
+	jobs             []segmentJob
 	power            units.Watts
 }
 
-// segmentJob is a running job and its phase; the zero value is an idle
-// device.
+// segmentJob is a running job and its phase.
 type segmentJob struct {
 	r     *running
 	phase int
-}
-
-func jobOf(r *running) segmentJob {
-	if r == nil {
-		return segmentJob{}
-	}
-	return segmentJob{r, r.phase}
 }
 
 // sameSegment reports whether the running set, the phases and the
@@ -370,12 +379,11 @@ func jobOf(r *running) segmentJob {
 // memsys.Model and the apu.Config power curves are stateless.
 func (st *state) sameSegment() bool {
 	s := &st.seg
-	if !s.valid || s.cpuFreq != st.cpuFreq || s.gpuFreq != st.gpuFreq ||
-		s.gpuJob != jobOf(st.gpuJob) || len(s.cpuJobs) != len(st.cpuJobs) {
+	if !s.valid || s.cpuFreq != st.cpuFreq || s.gpuFreq != st.gpuFreq || len(s.jobs) != len(st.jobs) {
 		return false
 	}
-	for i, r := range st.cpuJobs {
-		if s.cpuJobs[i] != jobOf(r) {
+	for i, r := range st.jobs {
+		if s.jobs[i] != (segmentJob{r, r.phase}) {
 			return false
 		}
 	}
@@ -386,24 +394,21 @@ func (st *state) sameSegment() bool {
 func (st *state) rememberSegment(power units.Watts) {
 	s := &st.seg
 	s.valid = true
-	s.cpuFreq, s.gpuFreq, s.gpuJob, s.power = st.cpuFreq, st.gpuFreq, jobOf(st.gpuJob), power
-	s.cpuJobs = s.cpuJobs[:0]
-	for _, r := range st.cpuJobs {
-		s.cpuJobs = append(s.cpuJobs, jobOf(r))
+	s.cpuFreq, s.gpuFreq, s.power = st.cpuFreq, st.gpuFreq, power
+	s.jobs = s.jobs[:0]
+	for _, r := range st.jobs {
+		s.jobs = append(s.jobs, segmentJob{r, r.phase})
 	}
 }
 
 func (st *state) view() *View {
 	v := &st.scratch
-	v.Now, v.CPUFreq, v.GPUFreq = st.now, st.cpuFreq, st.gpuFreq
-	v.PP0, v.PP1, v.TempC = st.split.PP0, st.split.PP1, st.tempC
-	v.CPUJobs = v.CPUJobs[:0]
-	for _, r := range st.cpuJobs {
-		v.CPUJobs = append(v.CPUJobs, r.inst)
-	}
-	v.GPUJob = nil
-	if st.gpuJob != nil {
-		v.GPUJob = st.gpuJob.inst
+	v.CPUFreq, v.GPUFreq, v.PP0, v.PP1 = st.cpuFreq, st.gpuFreq, st.split.PP0, st.split.PP1
+	v.Running = [apu.NumDevices]*workload.Instance{}
+	for _, r := range st.jobs {
+		if v.Running[r.dev] == nil {
+			v.Running[r.dev] = r.inst
+		}
 	}
 	return v
 }
@@ -451,8 +456,7 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		cpuCeil: o.Cfg.MaxFreqIndex(apu.CPU),
 		gpuCeil: o.Cfg.MaxFreqIndex(apu.GPU),
 	}
-	st.runs, st.cpuJobs = st.runs0[:0], st.cpuJobs0[:0]
-	st.seg.cpuJobs, st.scratch.CPUJobs = st.segJobs0[:0], st.viewJobs0[:0]
+	st.runs, st.jobs, st.seg.jobs = st.runs0[:0], st.jobs0[:0], st.segJobs0[:0]
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
@@ -473,12 +477,7 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	for ev := 0; ev < maxEvents; ev++ {
 		// Fill idle slots.
 		dispatched := st.fill(disp)
-
-		nRunning := len(st.cpuJobs)
-		if st.gpuJob != nil {
-			nRunning++
-		}
-		if nRunning == 0 {
+		if len(st.jobs) == 0 {
 			if !dispatched {
 				break // idle and nothing left to dispatch
 			}
@@ -502,15 +501,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 				dt = d
 			}
 		}
-		for _, r := range st.cpuJobs {
+		for _, r := range st.jobs {
 			if d, err := r.eta(); err != nil {
-				return nil, err
-			} else if d < dt {
-				dt = d
-			}
-		}
-		if st.gpuJob != nil {
-			if d, err := st.gpuJob.eta(); err != nil {
 				return nil, err
 			} else if d < dt {
 				dt = d
@@ -532,11 +524,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		intervalPP1E += float64(st.split.PP1) * dt
 		pp0E += float64(st.split.PP0) * dt
 		pp1E += float64(st.split.PP1) * dt
-		for _, r := range st.cpuJobs {
+		for _, r := range st.jobs {
 			r.remaining -= r.rate * dt
-		}
-		if st.gpuJob != nil {
-			st.gpuJob.remaining -= st.gpuJob.rate * dt
 		}
 
 		// Thermal RC step over the segment, then the T_max throttle:
@@ -583,22 +572,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		}
 
 		// Phase/job completions.
-		st.cpuJobs, stopped = st.reap(st.cpuJobs, res, o.StopInstance)
-		if stopped {
+		if stopped = st.reap(res, o.StopInstance); stopped {
 			break
-		}
-		if st.gpuJob != nil && st.gpuJob.remaining <= eps {
-			if !st.gpuJob.advancePhase() {
-				res.Completions = append(res.Completions, Completion{
-					Inst: st.gpuJob.inst, Dev: apu.GPU, Start: st.gpuJob.start, End: st.now,
-				})
-				if o.StopInstance != nil && st.gpuJob.inst == o.StopInstance {
-					st.gpuJob = nil
-					stopped = true
-					break
-				}
-				st.gpuJob = nil
-			}
 		}
 
 		// Governor tick: reacts to the instantaneous power of the
@@ -642,7 +617,7 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	}
 	if !stopped {
 		// Drain check: if jobs remain running we hit the event limit.
-		if len(st.cpuJobs) > 0 || st.gpuJob != nil {
+		if len(st.jobs) > 0 {
 			return nil, fmt.Errorf("sim: event limit reached with jobs still running at t=%v", st.now)
 		}
 	}
@@ -728,13 +703,13 @@ func (st *state) evaluate() units.Watts {
 // was dispatched.
 func (st *state) fill(disp Dispatcher) bool {
 	dispatched := false
-	if st.gpuJob == nil {
+	if st.gpuJob() == nil {
 		if d := disp.Next(apu.GPU, st.view()); d != nil {
 			st.applyDispatch(d, apu.GPU)
 			dispatched = true
 		}
 	}
-	for len(st.cpuJobs) < st.opts.CPUSlots {
+	for len(st.cpuJobs()) < st.opts.CPUSlots {
 		d := disp.Next(apu.CPU, st.view())
 		if d == nil {
 			break
@@ -747,11 +722,10 @@ func (st *state) fill(disp Dispatcher) bool {
 
 func (st *state) applyDispatch(d *Dispatch, dev apu.Device) {
 	st.setFreqs(d.CPUFreq, d.GPUFreq)
-	r := st.newRunning(d.Inst, dev)
-	if dev == apu.CPU {
-		st.cpuJobs = append(st.cpuJobs, r)
-	} else {
-		st.gpuJob = r
+	st.jobs = append(st.jobs, st.newRunning(d.Inst, dev))
+	// A CPU job joins the CPU's, before the GPU's job.
+	if n := len(st.jobs); dev == apu.CPU && n > 1 && st.jobs[n-2].dev == apu.GPU {
+		st.jobs[n-2], st.jobs[n-1] = st.jobs[n-1], st.jobs[n-2]
 	}
 }
 
@@ -776,7 +750,8 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	cfg := st.opts.Cfg
 	cpuUtil, gpuUtil = -1, -1
 
-	k := len(st.cpuJobs)
+	cpuJobs, gpuJob := st.cpuJobs(), st.gpuJob()
+	k := len(cpuJobs)
 	cpuF := cfg.Freq(apu.CPU, st.cpuFreq)
 	gpuF := cfg.Freq(apu.GPU, st.gpuFreq)
 
@@ -789,7 +764,7 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	}
 	cpuDemand := 0.0
 	cpuSensNum := 0.0
-	for _, r := range st.cpuJobs {
+	for _, r := range cpuJobs {
 		prog := r.inst.Prog
 		r.potential = prog.PotentialRate(apu.CPU, cpuF) * perJobScale / math.Max(1, float64(k))
 		d := r.potential * prog.Phases[r.phase].BytesPerOp * inflation
@@ -802,10 +777,10 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	}
 
 	gpuDemand, gpuSens := 0.0, 0.0
-	if st.gpuJob != nil {
-		prog := st.gpuJob.inst.Prog
-		st.gpuJob.potential = prog.PotentialRate(apu.GPU, gpuF)
-		gpuDemand = st.gpuJob.potential * prog.Phases[st.gpuJob.phase].BytesPerOp
+	if gpuJob != nil {
+		prog := gpuJob.inst.Prog
+		gpuJob.potential = prog.PotentialRate(apu.GPU, gpuF)
+		gpuDemand = gpuJob.potential * prog.Phases[gpuJob.phase].BytesPerOp
 		gpuSens = prog.GPUSens
 	}
 
@@ -819,20 +794,15 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	// granted bytes are useful.
 	if k > 0 {
 		sumPot, sumRate := 0.0, 0.0
-		for _, r := range st.cpuJobs {
-			prog := r.inst.Prog
-			bpo := prog.Phases[r.phase].BytesPerOp
+		for _, r := range cpuJobs {
+			bpo := r.inst.Prog.Phases[r.phase].BytesPerOp
 			d := r.potential * bpo * inflation
 			share := 0.0
 			if cpuDemand > 0 {
 				share = d / cpuDemand
 			}
 			useful := float64(grant.CPU) * share / inflation
-			if bpo > 0 {
-				r.rate = math.Min(r.potential, useful/bpo)
-			} else {
-				r.rate = r.potential
-			}
+			r.rate = kernelsim.RateGivenGrant(r.potential, bpo, units.GBps(useful))
 			sumPot += r.potential
 			sumRate += r.rate
 		}
@@ -840,29 +810,24 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 			cpuUtil = sumRate / sumPot
 		}
 	}
-	if st.gpuJob != nil {
-		prog := st.gpuJob.inst.Prog
-		bpo := prog.Phases[st.gpuJob.phase].BytesPerOp
-		if bpo > 0 {
-			st.gpuJob.rate = math.Min(st.gpuJob.potential, float64(grant.GPU)/bpo)
-		} else {
-			st.gpuJob.rate = st.gpuJob.potential
-		}
-		if st.gpuJob.potential > 0 {
-			gpuUtil = st.gpuJob.rate / st.gpuJob.potential
+	if gpuJob != nil {
+		bpo := gpuJob.inst.Prog.Phases[gpuJob.phase].BytesPerOp
+		gpuJob.rate = kernelsim.RateGivenGrant(gpuJob.potential, bpo, grant.GPU)
+		if gpuJob.potential > 0 {
+			gpuUtil = gpuJob.rate / gpuJob.potential
 		}
 	}
 	return cpuUtil, gpuUtil
 }
 
 func (st *state) packagePower(cpuUtil, gpuUtil float64) units.Watts {
-	return st.opts.Cfg.PackagePower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob != nil)
+	return st.opts.Cfg.PackagePower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob() != nil)
 }
 
 // splitPower is packagePower broken down by plane (same inputs, same
 // arithmetic per term — the sum matches up to float association).
 func (st *state) splitPower(cpuUtil, gpuUtil float64) apu.PowerSplit {
-	return st.opts.Cfg.SplitPower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob != nil)
+	return st.opts.Cfg.SplitPower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob() != nil)
 }
 
 // eta returns the time for the job to finish its current phase.
@@ -876,26 +841,23 @@ func (r *running) eta() (float64, error) {
 	return r.remaining / r.rate, nil
 }
 
-// reap retires finished CPU jobs and advances phases; it reports
-// whether the stop instance completed.
-func (st *state) reap(jobs []*running, res *Result, stop *workload.Instance) ([]*running, bool) {
-	out := jobs[:0]
+// reap advances the phases of the jobs that finished one and retires
+// the jobs that finished their last, in the order of st.jobs, so the
+// CPU's completions come first; it reports whether the stop instance
+// completed. A stop on the CPU leaves the GPU's job as it was.
+func (st *state) reap(res *Result, stop *workload.Instance) bool {
+	out := st.jobs[:0]
 	stopped := false
-	for _, r := range jobs {
-		if r.remaining > eps {
-			out = append(out, r)
-			continue
-		}
-		if r.advancePhase() {
+	for _, r := range st.jobs {
+		if r.remaining > eps || stopped && r.dev == apu.GPU || r.advancePhase() {
 			out = append(out, r)
 			continue
 		}
 		res.Completions = append(res.Completions, Completion{
-			Inst: r.inst, Dev: apu.CPU, Start: r.start, End: st.now,
+			Inst: r.inst, Dev: r.dev, Start: r.start, End: st.now,
 		})
-		if stop != nil && r.inst == stop {
-			stopped = true
-		}
+		stopped = stopped || stop != nil && r.inst == stop
 	}
-	return out, stopped
+	st.jobs = out
+	return stopped
 }

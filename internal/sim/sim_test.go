@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"corun/internal/apu"
+	"corun/internal/kernelsim"
 	"corun/internal/memsys"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -325,6 +327,38 @@ func TestStopInstance(t *testing.T) {
 	}
 	if math.Abs(float64(res.Makespan-res.CompletionOf(target).End)) > 1e-9 {
 		t.Error("simulation did not stop at target completion")
+	}
+}
+
+// When both devices' jobs finish in the same event, the CPU's completion
+// is recorded first, and a stop on the CPU ends the run before the GPU's
+// job is retired; a stop on the GPU still records the CPU's.
+func TestStopInstanceTie(t *testing.T) {
+	opts := baseOpts()
+	cf := opts.Cfg.Freq(apu.CPU, opts.Cfg.MaxFreqIndex(apu.CPU))
+	gf := opts.Cfg.Freq(apu.GPU, opts.Cfg.MaxFreqIndex(apu.GPU))
+	// A compute-only program that runs at 1 GOps/s on either device.
+	prog := &kernelsim.Program{Name: "tie", Work: 1, CPUEff: 1 / float64(cf), GPUEff: 1 / float64(gf),
+		Phases: []kernelsim.Phase{{Frac: 1}}}
+	for _, stopDev := range []apu.Device{apu.CPU, apu.GPU} {
+		cpu := &workload.Instance{ID: 0, Prog: prog, Scale: 1, Label: "cpu"}
+		gpu := &workload.Instance{ID: 1, Prog: prog, Scale: 1, Label: "gpu"}
+		opts.StopInstance = [apu.NumDevices]*workload.Instance{cpu, gpu}[stopDev]
+		res, err := Run(opts, NewQueueDispatcher([]*workload.Instance{cpu}, []*workload.Instance{gpu}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []apu.Device
+		for _, c := range res.Completions {
+			got = append(got, c.Dev)
+		}
+		want := []apu.Device{apu.CPU, apu.GPU}
+		if stopDev == apu.CPU {
+			want = want[:1]
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("stop on %v: completions on %v, want %v", stopDev, got, want)
+		}
 	}
 }
 

@@ -294,10 +294,11 @@ func TestOneJobRecord(t *testing.T) {
 // TestEveryKnobIsListed makes a new setting a visible edit: corund's
 // flags, the fields of the four configuration structs that reach the
 // daemon, the fields of the six option structs of the planner, the
-// governor and the generator, and the two planes of the cap under the
-// package cap are pinned to the lists below, and README.md documents every listed flag and none of
-// the ones turned into constants (bench/ is exempt: it only passes
-// flags). A setting earns a place here when a second non-test caller
+// governor and the generator, the two planes of the cap under the
+// package cap and the fields of the machine description (the facade's
+// Machine) are pinned to the lists below, and README.md documents
+// every listed flag and none of the ones turned into constants (bench/
+// is exempt: it only passes flags). A setting earns a place here when a second non-test caller
 // needs another value, when it is a deployment setting, or when a test
 // can reach what it guards no other way (ROADMAP.md item 8(f) lists
 // each kept daemon one with its reason, DESIGN.md §2d each kept library
@@ -326,6 +327,8 @@ func TestEveryKnobIsListed(t *testing.T) {
 		"internal/workload.GenOptions": {"N", "Seed"},
 		"internal/sim.BiasedGovernor":  {"Cap", "Domains", "Bias"},
 		"internal/apu.DomainCaps":      {"PP0", "PP1"},
+		"internal/apu.Config": {"CPUFreqs", "GPUFreqs", "IdlePower", "CPUPowerCoeff", "CPUPowerExp",
+			"GPUPowerCoeff", "GPUPowerExp", "StallPowerFloor", "HostPowerFrac", "TDP", "Thermal", "powMemo"},
 	}
 
 	var gotFlags []string
