@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpecJSON -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzAdmissionSpec -fuzztime=$(FUZZTIME) ./internal/admission/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzBudgetCap -fuzztime=$(FUZZTIME) ./internal/apu/
 
 # verify is the tier-1 gate: everything must be gofmt-clean, compile
 # (for the non-Linux build tags as well), vet clean under both tag

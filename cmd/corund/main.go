@@ -134,7 +134,7 @@ func main() {
 	capW := flag.Float64("cap", 15, "package power cap in watts (0 = uncapped)")
 	capPP0 := flag.Float64("cap-pp0", 0, "PP0 (CPU core) plane power cap in watts (0 = plane uncapped)")
 	capPP1 := flag.Float64("cap-pp1", 0, "PP1 (iGPU) plane power cap in watts (0 = plane uncapped)")
-	tmax := flag.Float64("tmax", 0, "thermal trip point in Celsius overriding the machine preset (0 = keep the preset)")
+	tmax := flag.Float64("tmax", 0, "thermal trip point in Celsius overriding the machine preset (0 = keep the preset); epochs are planned inside the heatsink's heat budget below it, under -cap")
 	nodeID := flag.String("node-id", "", "stable fleet node identity (prefixes minted job IDs; empty = standalone)")
 	coordinator := flag.Bool("coordinator", false, "run as a fleet coordinator over the daemons in -nodes instead of scheduling locally")
 	nodesFlag := flag.String("nodes", "", "coordinator mode: comma list of member daemons, id=url,...")

@@ -393,6 +393,18 @@ func (c *Config) PackagePower(cpuIdx, gpuIdx int, cpuUtil, gpuUtil float64, gpuB
 	return p
 }
 
+// MaxPackagePower is the highest package power the machine draws: both
+// devices busy at their top levels, never stalled.
+func (c *Config) MaxPackagePower() units.Watts {
+	return c.PackagePower(c.MaxFreqIndex(CPU), c.MaxFreqIndex(GPU), 1, 1, true)
+}
+
+// Cold is the heatsink of a machine that has not run: at ambient, with
+// no throttle ceiling below the devices' top levels.
+func (c *Config) Cold() Heat {
+	return Heat{TempC: c.Thermal.AmbientC, Ceil: [NumDevices]int{c.MaxFreqIndex(CPU), c.MaxFreqIndex(GPU)}}
+}
+
 // MinFreqCap returns the lowest package power achievable with both
 // devices active, i.e. both at their lowest operating point, full
 // stalls. Caps below this are infeasible for co-running.

@@ -85,6 +85,49 @@ func (t ThermalParams) Step(tempC float64, p units.Watts, dt units.Seconds) floa
 	return t.Relax(tempC, p, t.Decay(dt))
 }
 
+// SustainedPower is P_sus, the highest constant package power the
+// heatsink holds below the trip point for ever: its steady state at
+// P_sus is TMaxC.
+func (t ThermalParams) SustainedPower() units.Watts {
+	return units.Watts((t.TMaxC - t.AmbientC) / t.RThermal)
+}
+
+// BudgetCap is the planning cap of a run that starts with the heatsink
+// at t0 and is expected to last horizon seconds: the constant package
+// power that brings the node from t0 to exactly TMaxC at the horizon,
+// the closed form of Step(t0, c, horizon) = TMaxC,
+//
+//	c = P_sus + (TMaxC - t0) / (R·(e^{horizon/(R·C)} - 1)),
+//
+// clipped to [P_sus, cap]. A warmer start or a longer run gets less of
+// the heat budget, never more. It is cap itself when the thermal model
+// is off, when P_sus is at or above cap (the heatsink cannot bind), and
+// for a horizon of zero or less; an uncapped caller passes the
+// machine's maximum package power as cap.
+func (t ThermalParams) BudgetCap(t0 float64, horizon units.Seconds, cap units.Watts) units.Watts {
+	sus := t.SustainedPower()
+	if !t.Enabled() || sus >= cap || horizon <= 0 {
+		return cap
+	}
+	c := float64(sus) + (t.TMaxC-t0)/(t.RThermal*math.Expm1(float64(horizon)/(t.RThermal*t.CThermal)))
+	switch {
+	case !(c > float64(sus)): // a start at or past the trip point, or a NaN
+		return sus
+	case c > float64(cap):
+		return cap
+	}
+	return units.Watts(c)
+}
+
+// Heat is the state the shared heatsink carries from one run of the
+// machine to the next: the node's temperature and the throttle's
+// frequency ceiling on each device, the highest level it lets the
+// device run at.
+type Heat struct {
+	TempC float64
+	Ceil  [NumDevices]int
+}
+
 // Validate checks the parameters' internal consistency. The zero value
 // (model disabled) is valid.
 func (t ThermalParams) Validate() error {

@@ -119,3 +119,83 @@ func TestThermalValidate(t *testing.T) {
 		t.Errorf("default thermal rejected: %v", err)
 	}
 }
+
+// budgetMachine is the default machine's heatsink at a 45 °C trip point:
+// R·C = 32 s and P_sus = (45 - 30) / 1.6 = 9.375 W.
+var budgetMachine = ThermalParams{AmbientC: 30, RThermal: 1.6, CThermal: 20, TMaxC: 45, HysteresisC: 3}
+
+// checkBudgetCap holds one BudgetCap answer to the rule's properties:
+// it lies in [P_sus, cap]; unclipped, a run at it for the horizon lands
+// on the trip point; a start at the trip point gets exactly P_sus; and
+// neither a warmer start nor a longer horizon raises it.
+func checkBudgetCap(t *testing.T, p ThermalParams, t0 float64, horizon units.Seconds, cap units.Watts) {
+	t.Helper()
+	sus := p.SustainedPower()
+	c := p.BudgetCap(t0, horizon, cap)
+	if c < sus || c > cap {
+		t.Fatalf("BudgetCap(%v, %v, %v) = %v outside [%v, %v]", t0, horizon, cap, c, sus, cap)
+	}
+	if c > sus && c < cap {
+		if end := p.Step(t0, c, horizon); math.Abs(end-p.TMaxC) > 1e-9 {
+			t.Errorf("BudgetCap(%v, %v, %v) = %v ends at %.12f °C, want the trip point %v", t0, horizon, cap, c, end, p.TMaxC)
+		}
+	}
+	if got := p.BudgetCap(p.TMaxC, horizon, cap); got != sus {
+		t.Errorf("from the trip point, BudgetCap(_, %v, %v) = %v, want P_sus %v", horizon, cap, got, sus)
+	}
+	if warmer := p.BudgetCap(t0+0.5, horizon, cap); warmer > c {
+		t.Errorf("a warmer start %v raised the cap %v -> %v", t0+0.5, c, warmer)
+	}
+	if longer := p.BudgetCap(t0, horizon*1.5, cap); longer > c {
+		t.Errorf("a longer horizon %v raised the cap %v -> %v", horizon*1.5, c, longer)
+	}
+}
+
+func TestBudgetCap(t *testing.T) {
+	p := budgetMachine
+	if sus := p.SustainedPower(); sus != 9.375 {
+		t.Fatalf("P_sus %v, want 9.375 W", sus)
+	}
+	for _, t0 := range []float64{20, 30, 33.2, 40, 44.99, 45, 47} {
+		for _, h := range []units.Seconds{0.5, 5, 32, 100, 1000} {
+			checkBudgetCap(t, p, t0, h, 15)
+		}
+	}
+	// Cold, a 32 s run may spend 15 °C / (1.6 · (e - 1)) = 5.457 W
+	// above P_sus; a 100 s run is nearly sustained already.
+	if got, want := p.BudgetCap(30, 32, 100), 9.375+15/(1.6*(math.E-1)); math.Abs(float64(got)-want) > 1e-12 {
+		t.Errorf("cold 32 s budget %v, want %v", got, want)
+	}
+	// Wherever the heatsink cannot bind, the cap stands: P_sus at or
+	// above it, the model off, or no horizon.
+	for _, tc := range []struct {
+		name    string
+		p       ThermalParams
+		horizon units.Seconds
+	}{
+		{"the preset's 95 °C", ThermalParams{AmbientC: 30, RThermal: 1.6, CThermal: 20, TMaxC: 95}, 60},
+		{"no trip point", ThermalParams{AmbientC: 30, RThermal: 1.6, CThermal: 20}, 60},
+		{"no horizon", p, 0},
+	} {
+		if got := tc.p.BudgetCap(44, tc.horizon, 15); got != 15 {
+			t.Errorf("%s: BudgetCap = %v, want the cap 15", tc.name, got)
+		}
+	}
+}
+
+// FuzzBudgetCap holds the rule's properties over arbitrary starts,
+// horizons and caps.
+func FuzzBudgetCap(f *testing.F) {
+	f.Add(30.0, 32.0, 15.0)
+	f.Add(44.9, 0.25, 15.0)
+	f.Add(45.0, 600.0, 9.5)
+	f.Add(-40.0, 1e6, 32.0)
+	f.Fuzz(func(t *testing.T, t0, horizon, cap float64) {
+		p := budgetMachine
+		if math.IsNaN(t0) || math.IsInf(t0, 0) || math.Abs(t0) > 1e3 ||
+			!(horizon > 0 && horizon < 1e7) || !(cap > float64(p.SustainedPower()) && cap < 1e3) {
+			t.Skip()
+		}
+		checkBudgetCap(t, p, t0, units.Seconds(horizon), units.Watts(cap))
+	})
+}

@@ -73,6 +73,7 @@ func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64) (*s
 		Mem:        opts.Mem,
 		PowerCap:   opts.Cap,
 		DomainCaps: opts.Domains,
+		Start:      opts.Start,
 	}
 	if opts.Cap > 0 || opts.Domains.Any() {
 		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: sim.GPUBiased}
@@ -149,6 +150,7 @@ func ExecuteDefault(opts ExecOptions, batch []*workload.Instance, o Oracle, bias
 		Mem:        opts.Mem,
 		PowerCap:   opts.Cap,
 		DomainCaps: opts.Domains,
+		Start:      opts.Start,
 		CPUSlots:   max(1, len(cpuQ)),
 	}
 	if opts.Cap > 0 || opts.Domains.Any() {

@@ -107,3 +107,21 @@ func (cx *Context) MinCoRunTime(i int, d apu.Device) (units.Seconds, bool) {
 	}
 	return units.Seconds(best), true
 }
+
+// SoloHorizon is how long the batch can be expected to run, read off
+// its solo terms alone: max(longest s_i, Σ s_i / 2), where s_i is job
+// i's best cap-feasible solo time on either device — no job ends before
+// its own solo run could, and two devices at best halve the summed solo
+// work. It asks no pair anything. ok is false when some job has no
+// cap-feasible solo run.
+func (cx *Context) SoloHorizon() (units.Seconds, bool) {
+	var longest, sum units.Seconds
+	for i := 0; i < cx.Oracle.NumJobs(); i++ {
+		_, _, s, ok := cx.BestSoloAnywhere(i)
+		if !ok {
+			return 0, false
+		}
+		longest, sum = max(longest, s), sum+s
+	}
+	return max(longest, sum/2), true
+}

@@ -126,3 +126,53 @@ func limitedContext(t testing.TB, o Oracle, cap units.Watts, domains apu.DomainC
 	cx.Domains, cx.FreqStride = domains, stride
 	return cx
 }
+
+// TestClassListsAreTheTraversal pins the feasibility-class key: over
+// every program pair of the Fig. 11 batch, under package caps drawn
+// from [P_sus, 16] W at a 45 °C trip point (9.375 W) alone and beside
+// each plane cap, the list the predictor's cache answers — by the exact
+// cap, or by a class an earlier cap reached — is the list a fresh
+// traversal at that cap finds, point for point and in order. Most caps
+// must be answered by class.
+func TestClassListsAreTheTraversal(t *testing.T) {
+	cfg, mem := apu.DefaultConfig(), memsys.Default()
+	char, err := model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := workload.Batch16()
+	prof, err := profile.Collect(cfg, mem, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := model.NewPredictor(char, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(46))
+	byClass, queries := 0, 0
+	for _, planes := range []apu.DomainCaps{{}, {PP0: 8}, {PP1: 9}} {
+		for k := 0; k < 40; k++ {
+			cap := units.Watts(9.375 + (16-9.375)*rng.Float64())
+			cached, raw := limitedContext(t, pred, cap, planes, 1), limitedContext(t, interpolated{pred, pred}, cap, planes, 1)
+			for c := range batch {
+				for g := range batch {
+					_, resident := pred.Feasible(c, g, cap, planes, 1)
+					got, want := cached.feasible(c, g), raw.feasible(c, g)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("cap %v %+v: pair (%d,%d) kept %v, traversal finds %v", cap, planes, c, g, got, want)
+					}
+					queries++
+					if resident {
+						byClass++
+					}
+				}
+			}
+		}
+	}
+	// A new continuous cap is never resident by its exact value, so every
+	// resident answer came through the class key.
+	if byClass < queries/2 {
+		t.Errorf("%d of %d queries answered by class", byClass, queries)
+	}
+}

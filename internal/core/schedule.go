@@ -366,6 +366,9 @@ type ExecOptions struct {
 	// Domains are optional per-plane caps enforced/reported alongside
 	// Cap (see Context.Domains).
 	Domains apu.DomainCaps
+	// Start is the heatsink the run starts with (sim.Options.Start);
+	// nil starts cold.
+	Start *apu.Heat
 }
 
 // Execute runs the schedule on the ground-truth simulator. Instance IDs
@@ -385,6 +388,7 @@ func (cx *Context) Execute(s *Schedule, batch []*workload.Instance, opts ExecOpt
 		Mem:        opts.Mem,
 		PowerCap:   opts.Cap,
 		DomainCaps: opts.Domains,
+		Start:      opts.Start,
 		Governor:   &planGovernor{cx: cx},
 		// The planned schedule controls frequencies; start from the
 		// floor so the first dispatch's directive decides.

@@ -1,11 +1,18 @@
 package exp
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"corun/internal/core"
+	"corun/internal/model"
+	"corun/internal/online"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -384,6 +391,88 @@ func TestOnlineStudy(t *testing.T) {
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// update rewrites the goldens a test compares against instead.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden")
+
+// The ledger's cells: EX-ONL's stream shape (24 jobs, 15 W) at each
+// mean inter-arrival gap, trip point, policy and seed. A trip point of
+// 0 keeps the preset's 95 °C, which the default machine never reaches.
+var (
+	ledgerGaps     = []float64{2, 20, 60}
+	ledgerTMaxC    = []float64{0, 45}
+	ledgerPolicies = []string{"hcs+", "random"}
+)
+
+const ledgerSeeds = 5
+
+// TestOnlineLedger pins the online loop's schedule quality cell by cell
+// — response, summed makespan, throttles, peak temperature and the
+// model's error, over light and heavy streams, with and without a
+// binding trip point: testdata/online.golden holds one line per stream,
+// readable columns first and the bits of its finish, mean and max
+// response and energy last, so a change that moves a plan, a
+// simulation, the clock or the heatsink shows as the lines it moved.
+// Regenerate with -update and name the cells that moved.
+func TestOnlineLedger(t *testing.T) {
+	s := testSuite(t)
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "%-4s %-5s %-6s %-4s %6s %5s %9s %9s %9s %9s %7s %9s | %s\n",
+		"gap", "tmax", "policy", "seed", "epochs", "batch", "resp(s)", "done(s)", "makespan", "throttle",
+		"peak(C)", "sim/pred", "bits: done, mean resp, max resp, energy")
+	for _, tmax := range ledgerTMaxC {
+		// A trip point is set as corund's -tmax sets it,
+		// characterization included.
+		cfg, char := s.Cfg, s.Char
+		if tmax != 0 {
+			tp := cfg.Thermal
+			tp.TMaxC = tmax
+			cfg = cfg.WithThermal(tp)
+			var err error
+			if char, err = model.Characterize(model.CharacterizeOptions{Cfg: cfg, Mem: s.Mem}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, gap := range ledgerGaps {
+			for _, pol := range ledgerPolicies {
+				for seed := int64(1); seed <= ledgerSeeds; seed++ {
+					arrivals, err := online.GenerateArrivals(24, gap, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := online.Serve(online.Options{
+						Cfg: cfg, Mem: s.Mem, Char: char, Cap: 15, Policy: pol, Seed: seed,
+					}, arrivals)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ratio := "-"
+					if r.Predicted > 0 {
+						ratio = fmt.Sprintf("%.4f", float64(r.Simulated/r.Predicted))
+					}
+					fmt.Fprintf(&got, "%-4g %-5g %-6s %-4d %6d %5.2f %9.2f %9.2f %9.2f %9d %7.2f %9s | %x %x %x %x\n",
+						gap, cfg.Thermal.TMaxC, pol, seed, r.Epochs, r.MeanBatch, float64(r.MeanResponse),
+						float64(r.Done), float64(r.Simulated), r.Throttles, r.PeakTempC, ratio,
+						math.Float64bits(float64(r.Done)), math.Float64bits(float64(r.MeanResponse)),
+						math.Float64bits(float64(r.MaxResponse)), math.Float64bits(r.EnergyJ))
+				}
+			}
+		}
+	}
+	name := filepath.Join("testdata", "online.golden")
+	if *update {
+		if err := os.WriteFile(name, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s differs:\ngot:\n%s\nwant:\n%s", name, got.Bytes(), want)
 	}
 }
 

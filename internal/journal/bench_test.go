@@ -149,10 +149,10 @@ func BenchmarkRecover(b *testing.B) {
 // a small margin: allocations per recovered job when Open reads
 // BenchmarkRecover's 15,000-job directory on two decoding goroutines
 // (pinned, since each goroutine has its own slab and intern table).
-// Most of the three per job are the job record and the strings that
-// are not interned: its ID and its partner's.
+// Most of the 2.6 per job are the job record and the strings that are
+// not interned: its ID and its partner's.
 func TestRecoverAllocs(t *testing.T) {
-	const jobs, ceiling = 15000, 3.0
+	const jobs, ceiling = 15000, 2.65
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	dir := t.TempDir()
 	writeServeShaped(t, dir, jobs, 0)
@@ -176,7 +176,7 @@ func TestRecoverAllocs(t *testing.T) {
 // writeServeShaped journals jobs the way a serving daemon does: every
 // job's submitted record in an Append of its own, and after every 4
 // submissions (serve-ack's epochs run 3-4 jobs) one Append with their
-// done records and the epoch's clock.
+// done records, the epoch's clock and, on the first, its heatsink.
 func writeServeShaped(tb testing.TB, dir string, jobs int, snapshotBytes int64) {
 	tb.Helper()
 	j, _, _, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotBytes: snapshotBytes})
@@ -211,7 +211,11 @@ func writeServeShaped(tb testing.TB, dir string, jobs int, snapshotBytes int64) 
 		if i%epochJobs != 0 {
 			jr.Partner = fmt.Sprintf("job-%06d", i-1)
 		}
-		epoch = append(epoch, Record{Type: TypeJobState, Job: &jr, SimClockS: clock})
+		rec := Record{Type: TypeJobState, Job: &jr, SimClockS: clock}
+		if i%epochJobs == 0 {
+			rec.Heat = &Heat{TempC: 30 + float64(i%1501)/100, CPUCeil: 15, GPUCeil: 9}
+		}
+		epoch = append(epoch, rec)
 		if len(epoch) == epochJobs || i == jobs-1 {
 			if err := j.Append(epoch...); err != nil {
 				tb.Fatal(err)

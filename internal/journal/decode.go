@@ -110,6 +110,24 @@ func (d *decoder) record(r *Record) bool {
 			return first(&seen, 6) && d.text(&r.Policy)
 		case "sim_clock_s":
 			return first(&seen, 7) && d.float(&r.SimClockS)
+		case "heat":
+			r.Heat = new(Heat)
+			return first(&seen, 8) && d.heat(r.Heat)
+		}
+		return false
+	})
+}
+
+func (d *decoder) heat(h *Heat) bool {
+	var seen uint32
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "temp_c":
+			return first(&seen, 0) && d.float(&h.TempC)
+		case "cpu_ceil":
+			return first(&seen, 1) && d.int(&h.CPUCeil)
+		case "gpu_ceil":
+			return first(&seen, 2) && d.int(&h.GPUCeil)
 		}
 		return false
 	})
@@ -192,8 +210,11 @@ func (d *decoder) state(st *State) bool {
 			return first(&seen, 3) && d.text(&st.Policy)
 		case "sim_clock_s":
 			return first(&seen, 4) && d.float(&st.SimClockS)
+		case "heat":
+			st.Heat = new(Heat)
+			return first(&seen, 5) && d.heat(st.Heat)
 		case "jobs":
-			return first(&seen, 5) && d.jobs(&st.Jobs)
+			return first(&seen, 6) && d.jobs(&st.Jobs)
 		}
 		return false
 	})

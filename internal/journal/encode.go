@@ -62,7 +62,7 @@ func (e *encoder) uint(key string, v uint64) {
 }
 
 // record writes a Record: {"seq"?,"type","job"?,"cap_watts"?,
-// "pp0_watts"?,"pp1_watts"?,"policy"?,"sim_clock_s"?}.
+// "pp0_watts"?,"pp1_watts"?,"policy"?,"sim_clock_s"?,"heat"?}.
 func (e *encoder) record(r *Record) {
 	e.b = append(e.b, '{')
 	if r.Seq != 0 {
@@ -83,6 +83,18 @@ func (e *encoder) record(r *Record) {
 	if r.SimClockS != 0 {
 		e.float(`,"sim_clock_s":`, r.SimClockS)
 	}
+	e.heat(r.Heat)
+	e.b = append(e.b, '}')
+}
+
+// heat writes ,"heat":{"temp_c","cpu_ceil","gpu_ceil"} unless h is nil.
+func (e *encoder) heat(h *Heat) {
+	if h == nil {
+		return
+	}
+	e.float(`,"heat":{"temp_c":`, h.TempC)
+	e.b = strconv.AppendInt(append(e.b, `,"cpu_ceil":`...), int64(h.CPUCeil), 10)
+	e.b = strconv.AppendInt(append(e.b, `,"gpu_ceil":`...), int64(h.GPUCeil), 10)
 	e.b = append(e.b, '}')
 }
 
@@ -174,6 +186,7 @@ func (e *encoder) snapshot(sf *snapshotFile) {
 	if st.SimClockS != 0 {
 		e.float(`,"sim_clock_s":`, st.SimClockS)
 	}
+	e.heat(st.Heat)
 	if len(st.Jobs) > 0 {
 		e.b = append(e.b, `,"jobs":[`...)
 		for i, jr := range st.Jobs {

@@ -104,6 +104,20 @@ type Record struct {
 	// SimClockS, on TypeJobState records of a finished epoch, is the
 	// node's scheduling clock after that epoch; replay keeps the max.
 	SimClockS float64 `json:"sim_clock_s,omitempty"`
+
+	// Heat, on the first TypeJobState record of a finished epoch, is
+	// the node's heatsink after that epoch; replay keeps the one of the
+	// latest clock. Absent on journals written before the heatsink was
+	// carried, which replay as a cold node.
+	Heat *Heat `json:"heat,omitempty"`
+}
+
+// Heat is a node's heatsink as the journal keeps it: the temperature
+// and the throttle's ceiling level on the CPU and on the GPU.
+type Heat struct {
+	TempC   float64 `json:"temp_c"`
+	CPUCeil int     `json:"cpu_ceil"`
+	GPUCeil int     `json:"gpu_ceil"`
 }
 
 // Validate checks that the record carries the payload its type needs.
@@ -234,10 +248,13 @@ func decodeFrame(b []byte, intern map[string]string) (r Record, consumed int, sl
 		return Record{}, 0, false, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	if !fastRecord(payload, intern, &r) {
-		if err := json.Unmarshal(payload, &r); err != nil {
+		// Into a Record of its own: passed to encoding/json, r would
+		// be moved to the heap on every frame.
+		var jr Record
+		if err := json.Unmarshal(payload, &jr); err != nil {
 			return Record{}, 0, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		slow = true
+		r, slow = jr, true
 	}
 	if err := r.Validate(); err != nil {
 		return Record{}, 0, false, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -211,17 +211,18 @@ func TestStateApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A state transition replaces the job's record and advances the
-	// clock monotonically.
-	if err := st.Apply(Record{Type: TypeJobState, SimClockS: 99,
+	// clock monotonically, and the heatsink with it.
+	hot := &Heat{TempC: 44.5, CPUCeil: 15, GPUCeil: 8}
+	if err := st.Apply(Record{Type: TypeJobState, SimClockS: 99, Heat: hot,
 		Job: &JobRecord{ID: "job-000000", Program: "cfd", State: "done"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Apply(Record{Type: TypeJobState, SimClockS: 40,
+	if err := st.Apply(Record{Type: TypeJobState, SimClockS: 40, Heat: &Heat{TempC: 31},
 		Job: &JobRecord{ID: "job-000001", Program: "cfd", State: "failed"}}); err != nil {
 		t.Fatal(err)
 	}
-	if st.SimClockS != 99 {
-		t.Errorf("clock %v, want 99 (monotone max)", st.SimClockS)
+	if st.SimClockS != 99 || st.Heat != hot {
+		t.Errorf("clock %v on %+v, want 99 (monotone max) on the heatsink journaled then", st.SimClockS, st.Heat)
 	}
 	if j, ok := st.Job("job-000000"); !ok || j.State != "done" {
 		t.Errorf("job0 %+v", j)

@@ -6,7 +6,8 @@ import (
 )
 
 // State is the materialized view a journal replays into: the last
-// journaled power cap and policy, the scheduling clock, and every
+// journaled power cap and policy, the scheduling clock and the heatsink
+// at that clock, and every
 // job's most recent record in journal order. The journal maintains
 // its own State mirror (for snapshots); Open hands callers a State of
 // their own over the same records, which nobody modifies (see
@@ -21,6 +22,7 @@ type State struct {
 	PP1Watts  *float64     `json:"pp1_watts,omitempty"`
 	Policy    string       `json:"policy,omitempty"`
 	SimClockS float64      `json:"sim_clock_s,omitempty"`
+	Heat      *Heat        `json:"heat,omitempty"`
 	Jobs      []*JobRecord `json:"jobs,omitempty"`
 
 	byID map[string]int // Jobs index, rebuilt on decode
@@ -59,6 +61,7 @@ func (st *State) Apply(r Record) error {
 		}
 		if r.SimClockS > st.SimClockS {
 			st.SimClockS = r.SimClockS
+			st.Heat = r.Heat
 		}
 	case TypeCapChanged:
 		v := *r.CapWatts

@@ -20,10 +20,12 @@ const maxRows = 64
 
 // maxFeasibleLists bounds the feasible lists resident at once: enough
 // for one list per resident table under a fixed set of caps (≈10 MB at
-// 16×10 levels, every point feasible). Caps that change every epoch —
-// the fleet pushes a fresh share to each node at every rebalance — add
-// one list per program pair per cap; at the bound the lists alone are
-// dropped whole, and refill from the caps still in use.
+// 16×10 levels, every point feasible). A list is kept per feasibility
+// class (see capClass), so caps that change every epoch — the
+// heatsink's budget cap, or the fleet's share pushed at each rebalance
+// — add a list only for a class no cap has reached before; at the bound
+// the lists alone are dropped whole, and refill from the caps still in
+// use.
 const maxFeasibleLists = maxRows * maxRows
 
 // row is the scale-free part of one program's standalone profile on
@@ -39,6 +41,7 @@ type row struct {
 	ghz   []float64
 	bw    []float64
 	power []float64
+	idle  float64
 }
 
 // pairTable holds Characterization.Degradation (clamped at zero, as
@@ -58,33 +61,78 @@ func (t *pairTable) at(side apu.Device, fc, fg int) float64 {
 	return t.vals[(int(side)*t.nc+fc)*t.ng+fg]
 }
 
-// feasibleKey addresses one feasible list: a CPU-side row beside a
-// GPU-side row under one package cap and one set of plane caps at one
+// listKey is what a feasible list depends on besides the package cap: a
+// CPU-side row beside a GPU-side row, one set of plane caps and one
 // traversal stride.
-type feasibleKey struct {
+type listKey struct {
 	rows   [apu.NumDevices]*row
-	cap    units.Watts
 	planes apu.DomainCaps
 	stride int
+}
+
+// capClass is one feasibility class of a pair: the package caps in [lo,
+// hi) admit the same operating points, so the traversal keeps the same
+// list, pts, under each of them. A point fits a cap exactly when its
+// predicted package power (the paper's standalone sum,
+// profiled.CoRunPower) is at most the cap, so a class runs from the
+// highest power among the points that fit to the lowest among those
+// that do not.
+type capClass struct {
+	lo, hi float64
+	pts    []apu.FreqPair
+}
+
+// classCap is where cap stands among the pair's powers: an uncapped
+// cap (zero or less) above every one, in the class of the caps every
+// point fits under.
+func classCap(cap units.Watts) float64 {
+	if cap <= 0 {
+		return math.MaxFloat64
+	}
+	return float64(cap)
+}
+
+// classOf returns the bounds of cap's feasibility class for k's pair,
+// over every operating point of the pair whatever the stride.
+func (k listKey) classOf(cap units.Watts) (lo, hi float64) {
+	c := classCap(cap)
+	lo, hi = math.Inf(-1), math.Inf(1)
+	cr, gr := k.rows[apu.CPU], k.rows[apu.GPU]
+	for _, pc := range cr.power {
+		for _, pg := range gr.power {
+			// profiled.CoRunPower's sum, bit for bit.
+			if p := pc + pg - cr.idle; p <= c {
+				lo = max(lo, p)
+			} else {
+				hi = min(hi, p)
+			}
+		}
+	}
+	return lo, hi
 }
 
 // pairCache is the characterization's memo of its own pure functions.
 // Its zero value is an empty, usable cache. Tables depend on nothing
 // but the characterization and the two rows, so they are valid under
-// every cap, policy and batch; feasible lists depend on the rows and
-// the caps, so each set of caps has its own. Both are dropped only
-// with the characterization or wholesale, at their bounds.
+// every cap, policy and batch; feasible lists depend on the rows, the
+// plane caps and the package cap's feasibility class, so each has its
+// own. Both are dropped only with the characterization or wholesale,
+// at their bounds.
 type pairCache struct {
 	mu     sync.Mutex
 	rows   [apu.NumDevices]map[string]*row
 	tables map[[2]*row]*pairTable
-	// feasible holds the cap-feasible operating points of a row pair, in
+	// classes holds the cap-feasible operating points of a row pair, in
 	// the planner's traversal order, as the first planner to traverse it
-	// under those caps recorded them (core.Context is the one builder).
-	feasible map[feasibleKey][]apu.FreqPair
+	// under a package cap of each feasibility class recorded them
+	// (core.Context is the one builder); classed counts them.
+	classes map[listKey][]capClass
+	classed int
 	// interpolations counts the staged interpolations computed into
-	// tables since the characterization was made.
+	// tables since the characterization was made; traversals the
+	// feasible lists traversed into the cache.
 	interpolations uint64
+	traversals     uint64
 }
 
 // PairCacheStats is a snapshot of the characterization's pair-table
@@ -92,13 +140,17 @@ type pairCache struct {
 type PairCacheStats struct {
 	// Tables is the number of pair tables resident.
 	Tables int
-	// FeasibleLists is the number of per-pair, per-cap feasible lists
+	// FeasibleLists is the number of per-pair, per-class feasible lists
 	// resident; at most maxFeasibleLists.
 	FeasibleLists int
 	// Interpolations is the number of staged interpolations computed
 	// so far; it stops growing once every program pair in service has
 	// its table.
 	Interpolations uint64
+	// Traversals is the number of feasible lists traversed so far; it
+	// stops growing once every program pair in service has its list
+	// under every feasibility class its caps reach.
+	Traversals uint64
 }
 
 // PairCacheStats reports the cache's size and the work it has done.
@@ -106,7 +158,7 @@ func (c *Characterization) PairCacheStats() PairCacheStats {
 	pc := &c.pairs
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return PairCacheStats{Tables: len(pc.tables), FeasibleLists: len(pc.feasible), Interpolations: pc.interpolations}
+	return PairCacheStats{Tables: len(pc.tables), FeasibleLists: pc.classed, Interpolations: pc.interpolations, Traversals: pc.traversals}
 }
 
 // internRow returns the resident row of job i on device d, adding it if
@@ -133,7 +185,7 @@ func (c *Characterization) internRow(prof *profile.Standalone, i int, d apu.Devi
 	if len(pc.rows[d]) >= maxRows {
 		pc.drop()
 	}
-	r := &row{ghz: make([]float64, n), bw: make([]float64, n), power: make([]float64, n)}
+	r := &row{ghz: make([]float64, n), bw: make([]float64, n), power: make([]float64, n), idle: float64(cfg.IdlePower)}
 	for f := 0; f < n; f++ {
 		r.ghz[f] = float64(cfg.Freq(d, f))
 		r.bw[f] = float64(prof.Bandwidth(i, d, f))
@@ -152,7 +204,7 @@ func (c *Characterization) internRow(prof *profile.Standalone, i int, d apu.Devi
 func (pc *pairCache) drop() {
 	pc.rows = [apu.NumDevices]map[string]*row{}
 	pc.tables = nil
-	pc.feasible = nil
+	pc.classes, pc.classed = nil, 0
 }
 
 // pairTable returns the table of CPU-side row cr beside GPU-side row
@@ -189,32 +241,45 @@ func (c *Characterization) pairTable(cr, gr *row) (t *pairTable, built bool) {
 	return fresh, true
 }
 
-// feasibleList returns the resident feasible list under k, if any.
-func (c *Characterization) feasibleList(k feasibleKey) ([]apu.FreqPair, bool) {
+// feasibleList returns the resident feasible list of k's pair under
+// cap, if any: the one kept for a cap of its feasibility class.
+func (c *Characterization) feasibleList(k listKey, cap units.Watts) ([]apu.FreqPair, bool) {
 	pc := &c.pairs
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pts, ok := pc.feasible[k]
-	return pts, ok
+	x := classCap(cap)
+	for _, cl := range pc.classes[k] {
+		if cl.lo <= x && x < cl.hi {
+			return cl.pts, true
+		}
+	}
+	return nil, false
 }
 
-// keepFeasibleList publishes pts under k unless another planner got
+// keepFeasibleList publishes pts, traversed under cap, as the list of
+// k's pair under cap's feasibility class unless another planner got
 // there first, and returns the resident list. Like a table, a list is
-// a pure function of its key, so either copy is the list.
-func (c *Characterization) keepFeasibleList(k feasibleKey, pts []apu.FreqPair) []apu.FreqPair {
+// a pure function of its key and class, so either copy is the list.
+func (c *Characterization) keepFeasibleList(k listKey, cap units.Watts, pts []apu.FreqPair) []apu.FreqPair {
+	lo, hi := k.classOf(cap)
 	pc := &c.pairs
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if old, ok := pc.feasible[k]; ok {
-		return old
+	pc.traversals++
+	classes := pc.classes[k]
+	for _, cl := range classes {
+		if cl.lo == lo {
+			return cl.pts
+		}
 	}
-	if len(pc.feasible) >= maxFeasibleLists {
-		pc.feasible = nil
+	if pc.classed >= maxFeasibleLists {
+		pc.classes, pc.classed, classes = nil, 0, nil
 	}
-	if pc.feasible == nil {
-		pc.feasible = map[feasibleKey][]apu.FreqPair{}
+	if pc.classes == nil {
+		pc.classes = map[listKey][]capClass{}
 	}
-	pc.feasible[k] = pts
+	pc.classes[k] = append(classes, capClass{lo: lo, hi: hi, pts: pts})
+	pc.classed++
 	return pts
 }
 

@@ -189,7 +189,7 @@ func (p *Predictor) PairDegradations(cj, gj int) (cpu, gpu []float64, ng int) {
 // pair under them kept them (KeepFeasible). ok is false when no list is
 // resident. The list is shared: callers must not modify it.
 func (p *Predictor) Feasible(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int) ([]apu.FreqPair, bool) {
-	return p.Char.feasibleList(p.feasibleKey(cj, gj, cap, planes, stride))
+	return p.Char.feasibleList(p.listKey(cj, gj, planes, stride), cap)
 }
 
 // KeepFeasible makes pts the pair's feasible list under the caps and
@@ -197,11 +197,11 @@ func (p *Predictor) Feasible(cj, gj int, cap units.Watts, planes apu.DomainCaps,
 // returns the resident list — pts, or an equal list a concurrent
 // planner kept first.
 func (p *Predictor) KeepFeasible(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int, pts []apu.FreqPair) []apu.FreqPair {
-	return p.Char.keepFeasibleList(p.feasibleKey(cj, gj, cap, planes, stride), pts)
+	return p.Char.keepFeasibleList(p.listKey(cj, gj, planes, stride), cap, pts)
 }
 
-func (p *Predictor) feasibleKey(cj, gj int, cap units.Watts, planes apu.DomainCaps, stride int) feasibleKey {
-	return feasibleKey{rows: [apu.NumDevices]*row{p.rows[apu.CPU][cj], p.rows[apu.GPU][gj]}, cap: cap, planes: planes, stride: stride}
+func (p *Predictor) listKey(cj, gj int, planes apu.DomainCaps, stride int) listKey {
+	return listKey{rows: [apu.NumDevices]*row{p.rows[apu.CPU][cj], p.rows[apu.GPU][gj]}, planes: planes, stride: stride}
 }
 
 // CacheStats reports where a predictor's pair tables came from.

@@ -142,6 +142,16 @@ type Result struct {
 	MaxResponse  units.Seconds
 	// EnergyJ is total energy across epochs.
 	EnergyJ float64
+
+	// The stream's sums over its epochs, for the ledger: the throttle
+	// clamps applied, the hottest the heatsink got, the mean jobs per
+	// epoch, and the summed predicted and simulated epoch makespans
+	// (Predicted counts planned epochs only; Random plans none).
+	Throttles int
+	PeakTempC float64
+	MeanBatch float64
+	Predicted units.Seconds
+	Simulated units.Seconds
 }
 
 // Serve runs the arrival stream to completion.
@@ -167,7 +177,7 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 
 	for next < len(sorted) {
 		// Wait for work, then take everything that has arrived by now.
-		node.Idle(sorted[next].At)
+		node.Idle(sorted[next].At, opts.Cfg)
 		start := node.Clock()
 		var epoch []Arrival
 		for next < len(sorted) && sorted[next].At <= start {
@@ -179,12 +189,16 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 			batch[i] = &workload.Instance{ID: i, Prog: a.Prog, Scale: a.Scale, Label: a.Label}
 		}
 
-		_, _, simRes, err := node.Run(opts, batch, rng.Int63())
+		_, predicted, simRes, err := node.Run(opts, batch, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
 		res.Epochs++
 		res.EnergyJ += simRes.EnergyJ
+		res.Throttles += simRes.Throttles
+		res.PeakTempC = max(res.PeakTempC, simRes.MaxTempC)
+		res.Predicted += predicted
+		res.Simulated += simRes.Makespan
 		for _, c := range simRes.Completions {
 			// Map the completion back to its arrival.
 			a := epoch[c.Inst.ID]
@@ -208,17 +222,25 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	}
 	if len(res.Outcomes) > 0 {
 		res.MeanResponse = units.Seconds(sum / float64(len(res.Outcomes)))
+		res.MeanBatch = float64(len(res.Outcomes)) / float64(res.Epochs)
 	}
 	res.MaxResponse = max
 	return res, nil
 }
 
-// Node is the state one simulated machine carries from epoch to epoch,
-// today its scheduling clock; the zero value is idle at time 0. Each
-// loop driving a node keeps only its own rule for closing a batch.
-// Clock may be read from any goroutine, Idle and Run from the loop.
+// Node is the state one simulated machine carries from epoch to epoch:
+// its scheduling clock, the heatsink the last epoch or idle wait left
+// and the cap the last epoch planned under; the zero value is idle and
+// cold at time 0. Each loop driving a node keeps only its own rule for
+// closing a batch. Clock may be read from any goroutine, everything
+// else only from the loop.
 type Node struct {
 	clock atomic.Uint64 // units.Seconds bits
+
+	// heat is nil until the node has run, been restored or waited:
+	// cold.
+	heat    *apu.Heat
+	planCap units.Watts
 }
 
 // Clock returns the node's scheduling clock, in simulated seconds.
@@ -226,35 +248,79 @@ func (n *Node) Clock() units.Seconds {
 	return units.Seconds(math.Float64frombits(n.clock.Load()))
 }
 
-// Idle moves the clock forward to t if t is later: the node waited
-// for work, or was down until a restart.
-func (n *Node) Idle(t units.Seconds) {
-	if t > n.Clock() {
-		n.clock.Store(math.Float64bits(float64(t)))
+// Heat returns the node's heatsink: as the last epoch or idle wait left
+// it, or cfg's cold one.
+func (n *Node) Heat(cfg *apu.Config) apu.Heat {
+	if n.heat == nil {
+		return cfg.Cold()
 	}
+	return *n.heat
+}
+
+// PlanCap returns the package cap the last epoch planned under: the
+// heatsink's budget cap (see Run), or the options' cap.
+func (n *Node) PlanCap() units.Watts { return n.planCap }
+
+// Idle moves the clock forward to t if t is later: the node waited for
+// work. The heatsink spends the wait at cfg's idle power, and a
+// throttle ceiling is released once the wait has cooled the node below
+// the release point, TMaxC - HysteresisC.
+func (n *Node) Idle(t units.Seconds, cfg *apu.Config) {
+	now := n.Clock()
+	if t <= now {
+		return
+	}
+	if tp := cfg.Thermal; tp.Enabled() {
+		h := n.Heat(cfg)
+		h.TempC = tp.Step(h.TempC, cfg.IdlePower, t-now)
+		if h.TempC < tp.TMaxC-tp.HysteresisC {
+			h.Ceil = cfg.Cold().Ceil
+		}
+		n.heat = &h
+	}
+	n.clock.Store(math.Float64bits(float64(t)))
+}
+
+// Restore puts the node where a journal left it: the clock after the
+// last journaled epoch, if later than its own, and that epoch's
+// heatsink (nil: cold, as a journal older than the heatsink reads).
+func (n *Node) Restore(clock units.Seconds, heat *apu.Heat) {
+	if clock > n.Clock() {
+		n.clock.Store(math.Float64bits(float64(clock)))
+	}
+	n.heat = heat
 }
 
 // Run schedules and executes one batch (instance IDs equal to their
 // indices) under the options' policy, through the policy table's one
-// run entry point, and advances the clock by its makespan. It returns
-// what policy.Run does: the plan (nil for the dispatcher-driven
-// baselines), its predicted makespan (0 without one) and the simulation,
-// whose times are relative to the clock before the call. An error, a
-// job left uncompleted included, leaves the clock where it was.
+// run entry point, on the heatsink the node carries, and advances the
+// clock by its makespan and the heatsink to the state the run left. It
+// returns what policy.Run does: the plan (nil for the dispatcher-driven
+// baselines), its predicted makespan (0 without one) and the
+// simulation, whose times are relative to the clock before the call. An
+// error, a job left uncompleted included, leaves the clock and the
+// heatsink where they were.
 //
-// A policy that needs the model gets the batch's predictor and
-// scheduling context; one that does not (the Random baseline) profiles
-// nothing.
+// A policy that needs the model gets the batch's predictor and a
+// scheduling context at the heatsink's budget cap (budgetCap); the
+// executor keeps the options' cap. One that does not (the Random
+// baseline) profiles nothing.
 func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.Schedule, units.Seconds, *sim.Result, error) {
 	pol, err := opts.check()
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	start := n.Heat(opts.Cfg)
+	planCap := opts.Cap
 	var cx *core.Context
 	if policy.NeedsModel(pol) {
 		var pred *model.Predictor
 		if pred, err = opts.Predictor(batch); err == nil {
-			cx, err = opts.Context(pred)
+			if planCap, err = opts.budgetCap(pred, start.TempC); err == nil {
+				at := opts
+				at.Cap = planCap
+				cx, err = at.Context(pred)
+			}
 		}
 	} else {
 		err = checkBatch(batch)
@@ -262,7 +328,8 @@ func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
+	n.planCap = planCap
+	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains, Start: &start}
 	plan, predicted, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, opts.Planned)
 	if err != nil {
 		return nil, 0, nil, err
@@ -270,8 +337,42 @@ func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.
 	if len(res.Completions) != len(batch) {
 		return nil, 0, nil, fmt.Errorf("online: %d of %d jobs completed", len(res.Completions), len(batch))
 	}
+	end := res.End
+	n.heat = &end
 	n.clock.Store(math.Float64bits(float64(n.Clock() + res.Makespan)))
 	return plan, predicted, res, nil
+}
+
+// budgetCap is the cap a batch is planned under when the heatsink starts
+// at t0: the thermal model's BudgetCap over the batch's solo horizon at
+// P_sus (core.Context.SoloHorizon), capped by the options' cap — by the
+// machine's maximum package power when uncapped. It is the options' cap
+// wherever the heatsink cannot bind: P_sus at or above that bound, the
+// model off, a job with no solo run under P_sus, or a budget that
+// reaches the bound.
+func (o Options) budgetCap(oracle core.Oracle, t0 float64) (units.Watts, error) {
+	tp := o.Cfg.Thermal
+	upper := o.Cap
+	if upper <= 0 {
+		upper = o.Cfg.MaxPackagePower()
+	}
+	if !tp.Enabled() || tp.SustainedPower() >= upper {
+		return o.Cap, nil
+	}
+	at := o
+	at.Cap = tp.SustainedPower()
+	sus, err := at.Context(oracle)
+	if err != nil {
+		return 0, err
+	}
+	horizon, ok := sus.SoloHorizon()
+	if !ok {
+		return o.Cap, nil
+	}
+	if c := tp.BudgetCap(t0, horizon, upper); c < upper {
+		return c, nil
+	}
+	return o.Cap, nil
 }
 
 // checkBatch rejects a batch that cannot be indexed by position: empty,

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"corun/internal/core"
 	"corun/internal/memsys"
 	"corun/internal/model"
+	"corun/internal/policy"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -236,7 +238,7 @@ func TestNodeRun(t *testing.T) {
 		sawPlan = plan != nil && predicted > 0
 	}
 	var node Node
-	node.Idle(100)
+	node.Idle(100, opts.Cfg)
 	plan, predicted, res, err := node.Run(opts, batch, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +255,7 @@ func TestNodeRun(t *testing.T) {
 	if got, want := node.Clock(), 100+res.Makespan; got != want {
 		t.Errorf("clock %v after the epoch, want %v", got, want)
 	}
-	node.Idle(50)
+	node.Idle(50, opts.Cfg)
 	if got := node.Clock(); got != 100+res.Makespan {
 		t.Errorf("Idle moved the clock back to %v", got)
 	}
@@ -298,5 +300,95 @@ func TestNodeRunRejectsMalformedBatch(t *testing.T) {
 				t.Errorf("%s accepted under %s", name, pol)
 			}
 		}
+	}
+}
+
+// tripAt is opts on its machine with the trip point moved to tmaxC.
+func tripAt(opts Options, tmaxC float64) Options {
+	tp := opts.Cfg.Thermal
+	tp.TMaxC = tmaxC
+	opts.Cfg = opts.Cfg.WithThermal(tp)
+	return opts
+}
+
+// Back-to-back epochs run on one heatsink: each starts on the state the
+// previous one ended in, and is — bit for bit — the policy's own run of
+// the batch from that start, planned at the budget cap the node reports
+// and executed under the configured cap. At the 45 °C trip point the
+// budget cap lies in [P_sus, 15) W; on the preset's 95 °C it is 15 W.
+func TestNodeCarriesHeat(t *testing.T) {
+	for _, tc := range []struct {
+		tmaxC  float64
+		capped bool
+	}{{45, true}, {95, false}} {
+		opts := tripAt(testOptions(t, "hcs+"), tc.tmaxC)
+		var node Node
+		prev := opts.Cfg.Cold()
+		for epoch := int64(1); epoch <= 4; epoch++ {
+			if got := node.Heat(opts.Cfg); got != prev {
+				t.Fatalf("T_max %v epoch %d starts on %+v, the last one ended on %+v", tc.tmaxC, epoch, got, prev)
+			}
+			_, predicted, res, err := node.Run(opts, workload.Batch8(), epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planCap := node.PlanCap()
+			if sus := opts.Cfg.Thermal.SustainedPower(); tc.capped != (planCap < opts.Cap) || planCap < min(sus, opts.Cap) {
+				t.Errorf("T_max %v epoch %d planned at %v W (P_sus %v)", tc.tmaxC, epoch, planCap, sus)
+			}
+
+			batch := workload.Batch8()
+			pred, err := opts.Predictor(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := opts
+			at.Cap = planCap
+			cx, err := at.Context(pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := prev
+			exec := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Start: &start}
+			_, wantPredicted, want, err := policy.Run("hcs+", cx, batch, exec, policy.Options{Seed: epoch}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if predicted != wantPredicted || res.Makespan != want.Makespan || res.EnergyJ != want.EnergyJ || res.End != want.End {
+				t.Errorf("T_max %v epoch %d: node ran %v s, %v J to %+v; the policy from that start %v s, %v J to %+v",
+					tc.tmaxC, epoch, res.Makespan, res.EnergyJ, res.End, want.Makespan, want.EnergyJ, want.End)
+			}
+			prev = res.End
+		}
+	}
+}
+
+// An idle wait spends the heatsink's heat at the machine's idle power —
+// exactly Step(T, IdlePower, dt) — and releases the throttle's ceilings
+// once the node has cooled below TMaxC - HysteresisC, not before. A
+// wait into the past changes nothing.
+func TestNodeIdleCools(t *testing.T) {
+	cfg := tripAt(testOptions(t, "hcs+"), 45).Cfg
+	tp := cfg.Thermal
+	var node Node
+	throttled := apu.Heat{TempC: 46, Ceil: [apu.NumDevices]int{3, 2}}
+	node.Restore(100, &throttled)
+
+	node.Idle(100.1, cfg)
+	h := node.Heat(cfg)
+	if want := tp.Step(46, cfg.IdlePower, 100.1-100); math.Float64bits(h.TempC) != math.Float64bits(want) || h.Ceil != throttled.Ceil {
+		t.Errorf("0.1 s idle: %+v, want %v °C and the ceilings %v kept", h, want, throttled.Ceil)
+	}
+	node.Idle(150, cfg)
+	got := node.Heat(cfg)
+	if want := tp.Step(h.TempC, cfg.IdlePower, 150-100.1); math.Float64bits(got.TempC) != math.Float64bits(want) || got.Ceil != cfg.Cold().Ceil {
+		t.Errorf("49.9 s idle: %+v, want %v °C and the ceilings released", got, want)
+	}
+	if got.TempC >= tp.TMaxC-tp.HysteresisC || node.Clock() != 150 {
+		t.Errorf("after the wait: %v °C at clock %v", got.TempC, node.Clock())
+	}
+	node.Idle(120, cfg)
+	if node.Heat(cfg) != got || node.Clock() != 150 {
+		t.Errorf("a wait into the past moved the node to %+v at %v", node.Heat(cfg), node.Clock())
 	}
 }

@@ -113,6 +113,37 @@ func TestDomainMetricsExposed(t *testing.T) {
 	}
 }
 
+// On a node whose heatsink binds below the cap — a 45 °C trip point
+// holds the default machine to P_sus = 9.375 W for ever — the epoch
+// plans under the heatsink's budget cap: GET /v1/plan reports it beside
+// the configured cap, with the temperature the epoch started at, and
+// corund_plan_cap_watts repeats it.
+func TestPlanCapExposed(t *testing.T) {
+	m := apu.DefaultConfig()
+	tp := m.Thermal
+	tp.TMaxC = 45
+	s := newTestServer(t, func(c *Config) { c.Machine = m.WithThermal(tp) })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, program := range []string{"hotspot", "lud"} {
+		if code, body := postJSON(t, ts.URL+"/v1/jobs", `{"program":"`+program+`"}`); code != http.StatusAccepted {
+			t.Fatalf("submit -> %d: %s", code, body)
+		}
+	}
+	waitAllTerminal(t, s, 2, 60*time.Second)
+	pv, ok := s.Plan()
+	if !ok || pv.State != "done" || pv.CapWatts != 15 || pv.PlanCapWatts < 9.375 || pv.PlanCapWatts >= 15 || pv.StartTempC < tp.AmbientC {
+		t.Fatalf("plan view %+v: want a budget cap in [9.375, 15) W and a start temperature", pv)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	if v := metricValue(t, body, "corund_plan_cap_watts"); v != pv.PlanCapWatts {
+		t.Errorf("plan cap gauge = %v, the plan view says %v", v, pv.PlanCapWatts)
+	}
+}
+
 func TestDomainCapRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, func(c *Config) {

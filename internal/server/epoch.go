@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"corun/internal/admission"
+	"corun/internal/apu"
 	"corun/internal/core"
 	"corun/internal/journal"
 	"corun/internal/online"
@@ -42,20 +43,24 @@ type PlanView struct {
 	PredictedMakespanS float64 `json:"predicted_makespan_s,omitempty"`
 	SimulatedMakespanS float64 `json:"simulated_makespan_s,omitempty"`
 
-	// The power budget of the epoch: the cap it planned under and how
-	// much of it execution actually used.
+	// The power budget of the epoch: the configured cap, the cap it
+	// planned under (below the configured one when the heatsink's budget
+	// binds) and how much of the configured cap execution used.
 	CapWatts       float64 `json:"cap_watts"`
+	PlanCapWatts   float64 `json:"plan_cap_watts,omitempty"`
 	AvgPowerWatts  float64 `json:"avg_power_watts,omitempty"`
 	MaxPowerWatts  float64 `json:"max_power_watts,omitempty"`
 	CapUtilization float64 `json:"cap_utilization,omitempty"`
 	EnergyJoules   float64 `json:"energy_joules,omitempty"`
 
 	// Per-plane caps the epoch planned under, the measured plane
-	// powers, and the thermal outcome.
+	// powers, and the thermal outcome from the heatsink the epoch
+	// started on.
 	PP0CapWatts       float64 `json:"pp0_cap_watts,omitempty"`
 	PP1CapWatts       float64 `json:"pp1_cap_watts,omitempty"`
 	AvgPP0Watts       float64 `json:"avg_pp0_watts,omitempty"`
 	AvgPP1Watts       float64 `json:"avg_pp1_watts,omitempty"`
+	StartTempC        float64 `json:"start_temp_c,omitempty"`
 	MaxTempC          float64 `json:"max_temp_c,omitempty"`
 	Throttles         int     `json:"throttles,omitempty"`
 	BindingConstraint string  `json:"binding_constraint,omitempty"`
@@ -250,6 +255,8 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		s.publishBatch(batch)
 		run := *s.lastPlan.Load()
 		run.State = "running"
+		run.PlanCapWatts = float64(s.node.PlanCap())
+		run.StartTempC = s.node.Heat(s.cfg.Machine).TempC
 		fillPlan(&run, plan, predicted, batch)
 		s.lastPlan.Store(&run)
 		if predicted > 0 {
@@ -302,6 +309,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	s.m.domainWatts.Set("pp0", float64(res.AvgPP0))
 	s.m.domainWatts.Set("pp1", float64(res.AvgPP1))
 	s.m.tempC.Set(res.MaxTempC)
+	s.m.planCap.Set(float64(s.node.PlanCap()))
 	s.m.throttleTotal.Add(float64(res.Throttles))
 	for _, c := range bindingConstraints {
 		v := 0.0
@@ -336,7 +344,9 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	done.BindingConstraint = res.Binding.String()
 	done.ClockEndS = float64(endClock)
 	s.lastPlan.Store(&done)
-	s.journalAppend(s.stateRecords(snaps, float64(endClock)))
+	s.journalAppend(s.stateRecords(snaps, float64(endClock), &journal.Heat{
+		TempC: res.End.TempC, CPUCeil: res.End.Ceil[apu.CPU], GPUCeil: res.End.Ceil[apu.GPU],
+	}))
 }
 
 // epochSeed derives the per-epoch RNG seed for randomized policies
@@ -370,7 +380,7 @@ func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
 	failed.State = "failed"
 	failed.Error = err.Error()
 	s.lastPlan.Store(&failed)
-	s.journalAppend(s.stateRecords(snaps, 0))
+	s.journalAppend(s.stateRecords(snaps, 0, nil))
 }
 
 // bindingConstraints are the label values of corund_binding_constraint,
@@ -484,14 +494,18 @@ func (s *Server) journalAppend(recs []journal.Record) {
 // stateRecords journals published snapshots as state records (none
 // without a journal): each record carries the snapshot itself. clock
 // is the scheduling clock after the transitions' epoch (0 for
-// transitions that do not advance it).
-func (s *Server) stateRecords(snaps []*Job, clock float64) []journal.Record {
+// transitions that do not advance it), and heat the node's heatsink
+// then (nil with clock 0), which the first record carries.
+func (s *Server) stateRecords(snaps []*Job, clock float64, heat *journal.Heat) []journal.Record {
 	if s.jl == nil {
 		return nil
 	}
 	recs := make([]journal.Record, len(snaps))
 	for i, j := range snaps {
 		recs[i] = journal.Record{Type: journal.TypeJobState, Job: j, SimClockS: clock}
+	}
+	if len(recs) > 0 {
+		recs[0].Heat = heat
 	}
 	return recs
 }

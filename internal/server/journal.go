@@ -150,7 +150,16 @@ func (s *Server) openJournal() error {
 			s.nextID.Store(int64(n) + 1)
 		}
 	}
-	s.node.Idle(units.Seconds(st.SimClockS))
+	// The heatsink the last journaled epoch left; its ceilings are held
+	// to this machine's levels, in case the preset changed between runs.
+	var heat *apu.Heat
+	if h := st.Heat; h != nil {
+		m := s.cfg.Machine
+		heat = &apu.Heat{TempC: h.TempC, Ceil: [apu.NumDevices]int{
+			min(max(h.CPUCeil, 0), m.MaxFreqIndex(apu.CPU)), min(max(h.GPUCeil, 0), m.MaxFreqIndex(apu.GPU)),
+		}}
+	}
+	s.node.Restore(units.Seconds(st.SimClockS), heat)
 
 	s.admMu.Lock()
 	s.syncQueueGauges()

@@ -34,6 +34,7 @@ type metrics struct {
 	domainWatts    *promtext.GaugeVec
 	domainCapWatts *promtext.GaugeVec
 	tempC          *promtext.Gauge
+	planCap        *promtext.Gauge
 	throttleTotal  *promtext.Counter
 	binding        *promtext.GaugeVec
 
@@ -144,6 +145,8 @@ func newMetrics() *metrics {
 			"Configured per-plane power cap (0 = plane uncapped).", "domain"),
 		tempC: reg.NewGauge("corund_temp_celsius",
 			"Peak heatsink temperature of the most recent epoch (thermal RC model)."),
+		planCap: reg.NewGauge("corund_plan_cap_watts",
+			"Package cap the most recent epoch was planned under: the heatsink's budget cap when the thermal model binds below the configured cap, else the configured cap."),
 		throttleTotal: reg.NewCounter("corund_throttle_total",
 			"Thermal throttle events: frequency-ceiling steps taken at the trip point."),
 		binding: reg.NewGaugeVec("corund_binding_constraint",

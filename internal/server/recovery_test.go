@@ -516,6 +516,34 @@ func TestRestartAfterDrain(t *testing.T) {
 	if s1.node.Clock() != s2.node.Clock() {
 		t.Errorf("clock %v restored as %v", s1.node.Clock(), s2.node.Clock())
 	}
+	m := s1.cfg.Machine
+	if h1, h2 := s1.node.Heat(m), s2.node.Heat(m); h1 != h2 || h1 == m.Cold() {
+		t.Errorf("heatsink %+v restored as %+v (cold: %+v)", h1, h2, m.Cold())
+	}
+}
+
+// A journal written before the heatsink was carried has no heat on its
+// records: it replays the clock, and a cold node.
+func TestRestartFromJournalWithoutHeat(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &journal.JobRecord{ID: "job-000000", Program: "lud", Scale: 1, State: JobDone, Epoch: 1, FinishedSimS: 42}
+	if err := jl.Append(
+		journal.Record{Type: journal.TypeJobSubmitted, Job: &journal.JobRecord{ID: job.ID, Program: "lud", Scale: 1, State: JobQueued}},
+		journal.Record{Type: journal.TypeJobState, Job: job, SimClockS: 42},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newJournalServer(t, dir)
+	if m := s.cfg.Machine; s.node.Clock() != 42 || s.node.Heat(m) != m.Cold() {
+		t.Errorf("restored at clock %v on %+v, want 42 on the cold %+v", s.node.Clock(), s.node.Heat(m), m.Cold())
+	}
 }
 
 // TestRestartNumbersEpochsOn: a restarted daemon numbers its epochs on

@@ -87,6 +87,13 @@ type Options struct {
 	// tick (reactive power capping, as the biased baselines do).
 	Governor Governor
 
+	// Start, if non-nil, is the heatsink the run starts with: the state
+	// an earlier run's Result.End left, so a machine running one batch
+	// after another heats as one machine. Nil starts cold (apu.Config's
+	// Cold: at ambient, unthrottled). Starting frequencies above a
+	// start ceiling begin at the ceiling.
+	Start *apu.Heat
+
 	// StopInstance, if non-nil, ends the simulation the moment this
 	// instance completes (used for pairwise degradation measurement).
 	StopInstance *workload.Instance
@@ -117,6 +124,16 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.MaxTime <= 0 {
 		out.MaxTime = 1e6
+	}
+	if h := out.Start; h != nil {
+		if err := units.CheckFinite("Start.TempC", h.TempC); err != nil {
+			return out, fmt.Errorf("sim: %w", err)
+		}
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			if h.Ceil[d] < 0 || h.Ceil[d] >= out.Cfg.NumFreqs(d) {
+				return out, fmt.Errorf("sim: start %v ceiling %d out of range [0,%d)", d, h.Ceil[d], out.Cfg.NumFreqs(d))
+			}
+		}
 	}
 	return out, nil
 }
@@ -235,6 +252,10 @@ type Result struct {
 	// the T_max ceiling clamps the thermal model applied.
 	MaxTempC  float64
 	Throttles int
+
+	// End is the heatsink as the run left it: the next run's
+	// Options.Start.
+	End apu.Heat
 
 	// DomainViolations counts samples where a configured plane cap was
 	// exceeded (the per-domain analogue of CapViolations).
@@ -448,19 +469,23 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		return nil, fmt.Errorf("sim: nil dispatcher")
 	}
 
+	heat := o.Cfg.Cold()
+	if o.Start != nil {
+		heat = *o.Start
+	}
 	st := &state{
 		opts:    o,
-		cpuFreq: o.InitCPUFreq.index(o.Cfg, apu.CPU),
-		gpuFreq: o.InitGPUFreq.index(o.Cfg, apu.GPU),
-		tempC:   o.Cfg.Thermal.AmbientC,
-		cpuCeil: o.Cfg.MaxFreqIndex(apu.CPU),
-		gpuCeil: o.Cfg.MaxFreqIndex(apu.GPU),
+		tempC:   heat.TempC,
+		cpuCeil: heat.Ceil[apu.CPU],
+		gpuCeil: heat.Ceil[apu.GPU],
 	}
+	st.cpuFreq = min(o.InitCPUFreq.index(o.Cfg, apu.CPU), st.cpuCeil)
+	st.gpuFreq = min(o.InitGPUFreq.index(o.Cfg, apu.GPU), st.gpuCeil)
 	st.runs, st.jobs, st.seg.jobs = st.runs0[:0], st.jobs0[:0], st.segJobs0[:0]
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
-		MaxTempC: o.Cfg.Thermal.AmbientC,
+		MaxTempC: heat.TempC,
 	}
 	thermal := o.Cfg.Thermal
 	decay, decayDt := 1.0, 0.0 // decay is thermal.Decay(decayDt)
@@ -623,6 +648,7 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	}
 
 	res.Makespan = st.now
+	res.End = apu.Heat{TempC: st.tempC, Ceil: [apu.NumDevices]int{st.cpuCeil, st.gpuCeil}}
 	if res.Makespan > 0 {
 		res.AvgPower = units.Watts(res.EnergyJ / float64(res.Makespan))
 		res.AvgPP0 = units.Watts(pp0E / float64(res.Makespan))

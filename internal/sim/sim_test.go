@@ -461,3 +461,58 @@ func TestBiasedGovernorUncapped(t *testing.T) {
 		t.Errorf("uncapped governor moved frequencies: (%d,%d)", cf, gf)
 	}
 }
+
+// A run carries the heatsink: nil Start is the machine's cold heatsink
+// bit for bit, End is where the run left the node, and a run started
+// from a hot, throttled End begins under its ceilings and at its
+// temperature. Start is checked like every other option.
+func TestStartAndEndHeat(t *testing.T) {
+	opts := baseOpts()
+	tp := opts.Cfg.Thermal
+	tp.TMaxC = 45
+	opts.Cfg = opts.Cfg.WithThermal(tp)
+	jobs := func() Dispatcher {
+		return NewQueueDispatcher([]*workload.Instance{inst("lud"), inst("srad")}, []*workload.Instance{inst("hotspot"), inst("cfd")})
+	}
+	cold, err := Run(opts, jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCold := opts
+	c := opts.Cfg.Cold()
+	withCold.Start = &c
+	same, err := Run(withCold, jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Makespan != cold.Makespan || same.EnergyJ != cold.EnergyJ || same.MaxTempC != cold.MaxTempC ||
+		same.Throttles != cold.Throttles || same.End != cold.End {
+		t.Errorf("an explicit cold start differs from nil: %+v vs %+v", same.End, cold.End)
+	}
+	if cold.Throttles == 0 || cold.End.TempC <= tp.AmbientC {
+		t.Fatalf("the batch never heated the node to its trip point: %d throttles, ends at %v", cold.Throttles, cold.End)
+	}
+
+	warm := opts
+	hot := apu.Heat{TempC: 46, Ceil: [apu.NumDevices]int{2, 1}}
+	warm.Start = &hot
+	res, err := Run(warm, jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxTempC < hot.TempC || res.Makespan <= cold.Makespan {
+		t.Errorf("a hot, throttled start peaked at %v °C over %v s; cold: %v s", res.MaxTempC, res.Makespan, cold.Makespan)
+	}
+
+	for _, bad := range []apu.Heat{
+		{TempC: math.NaN()},
+		{TempC: 40, Ceil: [apu.NumDevices]int{-1, 0}},
+		{TempC: 40, Ceil: [apu.NumDevices]int{0, opts.Cfg.NumFreqs(apu.GPU)}},
+	} {
+		o := opts
+		o.Start = &bad
+		if _, err := Run(o, jobs()); err == nil {
+			t.Errorf("start %+v accepted", bad)
+		}
+	}
+}

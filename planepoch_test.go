@@ -245,6 +245,16 @@ func TestWarmEpochComputesNothingNew(t *testing.T) {
 		if after := sys.char.PairCacheStats(); after != before {
 			t.Errorf("seed %d: warm epochs moved the pair cache from %+v to %+v", seed, before, after)
 		}
+		// A second cap of the same feasibility class for every pair —
+		// no predicted power lies within a nanowatt above 15 W — finds
+		// every list by its class and traverses nothing.
+		sys.cap = 15 + 1e-9
+		for k := 0; k < 5; k++ {
+			plan()
+		}
+		if after := sys.char.PairCacheStats(); after != before {
+			t.Errorf("seed %d: warm epochs under a second cap of the class moved the pair cache from %+v to %+v", seed, before, after)
+		}
 	}
 }
 
