@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -77,12 +78,15 @@ type Context struct {
 	// (initTables): the oracle's job count, the traversed frequency
 	// indices of each device, its level count, and every job's
 	// standalone time by device and level (times[d][i*nf[d]+f]), so the
-	// traversal's visitors make no oracle call per point.
-	tablesOnce sync.Once
-	n          int
-	levels     [apu.NumDevices][]int
-	nf         [apu.NumDevices]int
-	times      [apu.NumDevices][]units.Seconds
+	// traversal's visitors make no oracle call per point. timesNonNeg
+	// reports that every one of those times is ≥ 0 (none NaN), which
+	// the traversal's bounds need (see pairInputs.bounded).
+	tablesOnce  sync.Once
+	n           int
+	levels      [apu.NumDevices][]int
+	nf          [apu.NumDevices]int
+	times       [apu.NumDevices][]units.Seconds
+	timesNonNeg bool
 
 	// The frequency-selection memos are slices addressed by job index,
 	// sized by initTables: pairMemo has (n+1)² slots, ChoosePairFreqs(c,
@@ -194,6 +198,7 @@ func (cx *Context) initTables() {
 		cx.pairMemo = make([]memoSlot[pairChoice], (n+1)*(n+1))
 		cx.minDegMemo = make([]memoSlot[minDegradation], n*n)
 		cx.soloMemo = make([]memoSlot[soloChoice], int(apu.NumDevices)*n)
+		cx.timesNonNeg = true
 		for d := apu.CPU; d <= apu.GPU; d++ {
 			for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
 				cx.levels[d] = append(cx.levels[d], f)
@@ -202,7 +207,9 @@ func (cx *Context) initTables() {
 			cx.times[d] = make([]units.Seconds, n*cx.nf[d])
 			for i := 0; i < n; i++ {
 				for f := 0; f < cx.nf[d]; f++ {
-					cx.times[d][i*cx.nf[d]+f] = cx.Oracle.StandaloneTime(i, d, f)
+					t := cx.Oracle.StandaloneTime(i, d, f)
+					cx.times[d][i*cx.nf[d]+f] = t
+					cx.timesNonNeg = cx.timesNonNeg && t >= 0
 				}
 			}
 		}
@@ -282,23 +289,34 @@ func (cx *Context) traverse(c, g int) []apu.FreqPair {
 // per-pair loop reads a point with two loads and two multiplies. The
 // loops round each product with an explicit float64 conversion, which
 // the compiler never fuses into a multiply-add on any architecture.
+//
+// bounded reports that every degradation the visitors can read is ≥ 0
+// and not NaN, and every standalone time too. Then no point runs faster
+// than its jobs alone: its co-run lengths tc·(1+dc) and tg·(1+dg) are
+// at least tc and tg, since 1+d rounds to at least 1 and rounding to
+// nearest is monotone. The visitors may then skip a point by a bound
+// computed from the standalone times alone.
 type pairInputs struct {
-	tc, tg []units.Seconds
-	dc, dg []float64
-	ng     int
-	sc, sg float64
+	tc, tg  []units.Seconds
+	dc, dg  []float64
+	ng      int
+	sc, sg  float64
+	bounded bool
 }
 
 // pairInputs returns the inputs of CPU job c beside GPU job g over pts,
 // the pair's feasible points. A pairTables oracle lends its rows and
-// scales; any other oracle has its Degradation answers at pts copied
-// into fresh rows under unit scales (x·1 is x, bit for bit), so the
-// visitors read no other entry.
+// scales; its rows are clamped at zero when built, so they bound the
+// visitors whenever both scales are finite and ≥ 0. Any other oracle
+// has its Degradation answers at pts copied into fresh rows under unit
+// scales (x·1 is x, bit for bit), so the visitors read no other entry;
+// the copies bound the visitors if each one is ≥ 0 and not NaN.
 func (cx *Context) pairInputs(c, g int, pts []apu.FreqPair) pairInputs {
-	in := pairInputs{tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU)}
+	in := pairInputs{tc: cx.soloTimes(c, apu.CPU), tg: cx.soloTimes(g, apu.GPU), bounded: cx.timesNonNeg}
 	if t, ok := cx.Oracle.(pairTables); ok {
 		in.dc, in.dg, in.ng = t.PairDegradations(c, g)
 		in.sc, in.sg = t.Scale(c, apu.CPU), t.Scale(g, apu.GPU)
+		in.bounded = in.bounded && in.sc >= 0 && in.sg >= 0 && in.sc <= math.MaxFloat64 && in.sg <= math.MaxFloat64
 		return in
 	}
 	in.ng, in.sc, in.sg = cx.nf[apu.GPU], 1, 1
@@ -307,8 +325,10 @@ func (cx *Context) pairInputs(c, g int, pts []apu.FreqPair) pairInputs {
 	in.dc, in.dg = rows[:k:k], rows[k:]
 	for _, p := range pts {
 		at := p.CPU*in.ng + p.GPU
-		in.dc[at] = cx.Oracle.Degradation(c, apu.CPU, p.CPU, g, p.GPU)
-		in.dg[at] = cx.Oracle.Degradation(g, apu.GPU, p.GPU, c, p.CPU)
+		dc := cx.Oracle.Degradation(c, apu.CPU, p.CPU, g, p.GPU)
+		dg := cx.Oracle.Degradation(g, apu.GPU, p.GPU, c, p.CPU)
+		in.dc[at], in.dg[at] = dc, dg
+		in.bounded = in.bounded && dc >= 0 && dg >= 0
 	}
 	return in
 }
@@ -448,7 +468,21 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 		return best
 	}
 	in := cx.pairInputs(c, g, pts)
+	// A point's score is at most its jobs' undegraded progress, uc[fc] +
+	// ug[fg], the same sum over the standalone times: with bounded
+	// inputs each degraded length is at least the standalone one, and
+	// refC/x does not grow with x. A point whose bound is no more than
+	// the best score so far cannot pass the strict > below, so it is
+	// skipped; a tie keeps the earlier point either way.
+	var ucBuf, ugBuf [32]float64
+	var uc, ug []float64
+	if in.bounded {
+		uc, ug = progressTerms(ucBuf[:0], refC, in.tc), progressTerms(ugBuf[:0], refG, in.tg)
+	}
 	for _, p := range pts {
+		if in.bounded && uc[p.CPU]+ug[p.GPU] <= bestScore {
+			continue
+		}
 		k := p.CPU*in.ng + p.GPU
 		dc, dg := float64(in.dc[k]*in.sc), float64(in.dg[k]*in.sg)
 		tc := float64(in.tc[p.CPU]) * (1 + dc)
@@ -460,6 +494,16 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 		}
 	}
 	return best
+}
+
+// progressTerms appends ref/t for each standalone time t, by level: a
+// job's progress rate at that level with no co-runner, relative to its
+// reference time.
+func progressTerms(buf []float64, ref units.Seconds, times []units.Seconds) []float64 {
+	for _, t := range times {
+		buf = append(buf, float64(ref)/float64(t))
+	}
+	return buf
 }
 
 // MinPairDegradation returns the minimal combined degradation (d_c +

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"corun/internal/apu"
+	"corun/internal/units"
 )
 
 // preferenceThreshold is D of step 2: a job whose CPU and GPU times
@@ -42,11 +43,48 @@ type Partition struct {
 
 // PartitionJobs applies the Co-Run Theorem over all partners,
 // placements, and cap-feasible frequency pairs (step 1, with the
-// IV-A.2 changes).
+// IV-A.2 changes): a job joins S_co if co-running it with some other
+// job, in either placement and at some feasible pair of levels, beats
+// running the two back to back, each alone on its best cap-feasible
+// device and level. Each job tries its partners in index order and
+// stops at the first that benefits; a pair the partner's own loop
+// already asked is not asked again.
 func (cx *Context) PartitionJobs() Partition {
+	type job struct {
+		seq   units.Seconds // best solo time anywhere
+		solo  bool          // seq exists: some solo run fits the caps
+		first int           // the first partner that benefits; n if none
+	}
+	n := cx.Oracle.NumJobs()
+	var buf [32]job
+	jobs := buf[:0]
+	for i := 0; i < n; i++ {
+		_, _, t, ok := cx.BestSoloAnywhere(i)
+		jobs = append(jobs, job{seq: t, solo: ok, first: n})
+	}
 	var p Partition
-	for i := 0; i < cx.Oracle.NumJobs(); i++ {
-		if cx.coRunEverBeneficial(i) {
+	for i := range jobs {
+		a := &jobs[i]
+		for j := range jobs {
+			b := &jobs[j]
+			var benefits bool
+			switch {
+			case j == i:
+				continue
+			case j < i && i <= b.first:
+				// j's loop asked this pair and went on past it
+				// unless it benefits.
+				benefits = i == b.first
+			default:
+				seq := a.seq + b.seq
+				benefits = a.solo && b.solo && (cx.pairEverBeneficial(i, j, seq) || cx.pairEverBeneficial(j, i, seq))
+			}
+			if benefits {
+				a.first = j
+				break
+			}
+		}
+		if a.first < n {
 			p.SCo = append(p.SCo, i)
 		} else {
 			p.SSeq = append(p.SSeq, i)

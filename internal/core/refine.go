@@ -19,6 +19,28 @@ type RefineOptions struct {
 	SkipCross         bool
 }
 
+// rngs holds up to eight of Refine's random generators between plans,
+// so a plan reuses one instead of building a source of about 5 KB. A
+// plan holds its generator only while it refines, and eight is more
+// plans than one process refines at once; a generator returned to a
+// full channel is left to the collector. Unlike a sync.Pool, nothing
+// empties it, and it keeps every generator returned while there is
+// room, under the race detector too.
+var rngs = make(chan *rand.Rand, 8)
+
+// seededRand returns a generator that draws the stream of
+// rand.New(rand.NewSource(seed)): Seed puts a reused source in exactly
+// the state NewSource builds.
+func seededRand(seed int64) *rand.Rand {
+	select {
+	case r := <-rngs:
+		r.Seed(seed)
+		return r
+	default:
+		return rand.New(rand.NewSource(seed))
+	}
+}
+
 // Refine applies the paper's 3-step local refinement to a schedule and
 // returns the (possibly improved) result together with its predicted
 // makespan:
@@ -38,7 +60,13 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 	// Each random step makes twice as many swap attempts as there are
 	// jobs.
 	swaps := 2 * (len(best.CPUOrder) + len(best.GPUOrder))
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := seededRand(opts.Seed)
+	defer func() {
+		select {
+		case rngs <- rng:
+		default:
+		}
+	}()
 
 	// try swaps q[i] with r[j] in place and undoes the swap unless the
 	// predicted makespan improved. A swap keeps every job placed once,

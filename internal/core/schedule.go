@@ -340,21 +340,32 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 // importantly a device draining its queue, after which the survivor
 // must be re-upgraded to its best solo operating point instead of
 // crawling at the stale co-run setting.
+//
+// The governor ticks far more often than the running pair changes, and
+// within one context the choice is a function of the pair alone, so it
+// keeps the last pair it asked about (CPU job, GPU job; both -1 before
+// the first) and that pair's answer.
 type planGovernor struct {
-	cx *Context
+	cx   *Context
+	pair [apu.NumDevices]int
+	fp   apu.FreqPair
+	ok   bool
 }
 
 // Adjust implements sim.Governor.
 func (g *planGovernor) Adjust(power units.Watts, view *sim.View, cfg *apu.Config) (int, int) {
-	ci, gi := jobID(view.Running[apu.CPU]), jobID(view.Running[apu.GPU])
-	if ci < 0 && gi < 0 {
+	pair := [apu.NumDevices]int{jobID(view.Running[apu.CPU]), jobID(view.Running[apu.GPU])}
+	if pair[apu.CPU] < 0 && pair[apu.GPU] < 0 {
 		return view.CPUFreq, view.GPUFreq
 	}
-	fp, _, _, ok := g.cx.ChoosePairFreqs(ci, gi)
-	if !ok {
+	if pair != g.pair {
+		g.pair = pair
+		g.fp, _, _, g.ok = g.cx.ChoosePairFreqs(pair[apu.CPU], pair[apu.GPU])
+	}
+	if !g.ok {
 		return view.CPUFreq, view.GPUFreq
 	}
-	return fp.CPU, fp.GPU
+	return g.fp.CPU, g.fp.GPU
 }
 
 // ExecOptions configures schedule execution on the simulator.
@@ -389,7 +400,7 @@ func (cx *Context) Execute(s *Schedule, batch []*workload.Instance, opts ExecOpt
 		PowerCap:   opts.Cap,
 		DomainCaps: opts.Domains,
 		Start:      opts.Start,
-		Governor:   &planGovernor{cx: cx},
+		Governor:   &planGovernor{cx: cx, pair: [apu.NumDevices]int{-1, -1}},
 		// The planned schedule controls frequencies; start from the
 		// floor so the first dispatch's directive decides.
 		InitCPUFreq: sim.Pin(0),

@@ -67,45 +67,29 @@ func NaivePairMakespan(l1, l2 units.Seconds, d1, d2 float64) units.Seconds {
 	return units.Seconds(c2)
 }
 
-// coRunEverBeneficial reports whether job i can benefit from co-running
-// with any other job under the cap: the step-1 partition test. It
-// tries both placements of every partner and every cap-feasible
-// frequency pair, comparing the co-run makespan against the best
-// sequential execution of the two jobs (each alone on its best
-// cap-feasible device and level).
-func (cx *Context) coRunEverBeneficial(i int) bool {
-	n := cx.Oracle.NumJobs()
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		if cx.pairEverBeneficial(i, j) || cx.pairEverBeneficial(j, i) {
-			return true
-		}
-	}
-	return false
-}
-
 // pairEverBeneficial checks placement (c on CPU, g on GPU) for any
-// feasible frequency pair whose co-run beats sequential execution.
-func (cx *Context) pairEverBeneficial(c, g int) bool {
-	_, _, seqC, okC := cx.BestSoloAnywhere(c)
-	_, _, seqG, okG := cx.BestSoloAnywhere(g)
-	if !okC || !okG {
-		return false
-	}
-	seq := seqC + seqG
+// feasible frequency pair whose co-run beats seq, the two jobs' best
+// sequential execution (each alone on its best cap-feasible device and
+// level).
+func (cx *Context) pairEverBeneficial(c, g int, seq units.Seconds) bool {
 	pts := cx.feasible(c, g)
 	if len(pts) == 0 {
 		return false
 	}
 	in := cx.pairInputs(c, g, pts)
 	for _, p := range pts {
+		tc, tg := in.tc[p.CPU], in.tg[p.GPU]
+		// With bounded inputs the naive co-run length is at least
+		// max(tc, tg), so a point where either job alone takes seq or
+		// longer cannot beat seq.
+		if in.bounded && (tc >= seq || tg >= seq) {
+			continue
+		}
 		k := p.CPU*in.ng + p.GPU
 		dc, dg := float64(in.dc[k]*in.sc), float64(in.dg[k]*in.sg)
 		// The partition test applies the theorem's conservative
 		// (naive-length) comparison, as step 1 prescribes.
-		if NaivePairMakespan(in.tc[p.CPU], in.tg[p.GPU], dc, dg) < seq {
+		if NaivePairMakespan(tc, tg, dc, dg) < seq {
 			return true
 		}
 	}

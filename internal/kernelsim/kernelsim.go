@@ -122,12 +122,6 @@ func (p *Program) PotentialRate(d apu.Device, f units.GHz) float64 {
 	return p.Eff(d) * float64(f)
 }
 
-// PhaseDemand is the unconstrained bandwidth demand (GB/s) of phase i
-// on device d at clock f.
-func (p *Program) PhaseDemand(i int, d apu.Device, f units.GHz) units.GBps {
-	return units.GBps(p.PotentialRate(d, f) * p.Phases[i].BytesPerOp)
-}
-
 // RateGivenGrant computes the achieved execution rate when the memory
 // system grants the phase `grant` GB/s: the compute rate capped by the
 // bandwidth bottleneck. A zero-intensity phase never stalls.
@@ -138,61 +132,64 @@ func RateGivenGrant(potential float64, bytesPerOp float64, grant units.GBps) flo
 	return math.Min(potential, float64(grant)/bytesPerOp)
 }
 
-// StandaloneTime returns the program's solo execution time on device d
-// at clock f, with work scaled by scale (input size), against the given
-// memory system. Each phase runs at the minimum of its compute rate and
-// the solo-capped bandwidth rate.
-func (p *Program) StandaloneTime(d apu.Device, f units.GHz, mem *memsys.Model, scale float64) units.Seconds {
-	r0 := p.PotentialRate(d, f)
-	total := 0.0
-	for i, ph := range p.Phases {
-		demand := p.PhaseDemand(i, d, f)
-		grant := mem.Solo(soloFor(d), demand)
-		rate := RateGivenGrant(r0, ph.BytesPerOp, grant)
-		total += float64(p.Work) * scale * ph.Frac / rate
-	}
-	return units.Seconds(total)
+// SoloRun is what one solo run of a program on one device at one clock
+// yields: its execution time, its time-averaged achieved memory
+// bandwidth, and its time-averaged utilization.
+type SoloRun struct {
+	// Time is the run's duration with the program's work scaled by the
+	// input scale.
+	Time units.Seconds
+
+	// Bandwidth is total bytes moved over total time: the statistic the
+	// paper's predictive model interpolates with. It does not depend on
+	// the input scale.
+	Bandwidth units.GBps
+
+	// Util is achieved rate over potential rate, weighted by time. It
+	// feeds the power model: a bandwidth-bound program burns less
+	// dynamic power. It does not depend on the input scale either.
+	Util float64
 }
 
-// StandaloneUtilization returns the time-averaged utilization (achieved
-// rate over potential rate) of a solo run on d at f. It feeds the power
-// model: a bandwidth-bound program burns less dynamic power.
-func (p *Program) StandaloneUtilization(d apu.Device, f units.GHz, mem *memsys.Model) float64 {
+// Solo runs the program alone on device d at clock f, with work scaled
+// by scale (input size), against the given memory system: each phase
+// runs at the minimum of its compute rate and the solo-capped bandwidth
+// rate. One pass over the phases accumulates all three statistics.
+func (p *Program) Solo(d apu.Device, f units.GHz, mem *memsys.Model, scale float64) SoloRun {
 	r0 := p.PotentialRate(d, f)
-	timeTotal, busyTotal := 0.0, 0.0
-	for i, ph := range p.Phases {
-		demand := p.PhaseDemand(i, d, f)
-		grant := mem.Solo(soloFor(d), demand)
+	solo := memsys.SoloGPU
+	if d == apu.CPU {
+		solo = memsys.SoloCPU
+	}
+	work := float64(p.Work) * scale
+	total, timeTotal, busyTotal, bytesTotal := 0.0, 0.0, 0.0, 0.0
+	for _, ph := range p.Phases {
+		grant := mem.Solo(solo, units.GBps(r0*ph.BytesPerOp))
 		rate := RateGivenGrant(r0, ph.BytesPerOp, grant)
+		total += work * ph.Frac / rate
 		t := ph.Frac / rate // per unit of work; weighting is all that matters
 		timeTotal += t
 		busyTotal += t * rate / r0
-	}
-	return busyTotal / timeTotal
-}
-
-// AvgStandaloneBandwidth returns the time-averaged achieved memory
-// bandwidth (GB/s) of a solo run on d at f: total bytes moved divided
-// by total time. This is the statistic the paper's predictive model
-// interpolates with.
-func (p *Program) AvgStandaloneBandwidth(d apu.Device, f units.GHz, mem *memsys.Model) units.GBps {
-	r0 := p.PotentialRate(d, f)
-	timeTotal, bytesTotal := 0.0, 0.0
-	for i, ph := range p.Phases {
-		demand := p.PhaseDemand(i, d, f)
-		grant := mem.Solo(soloFor(d), demand)
-		rate := RateGivenGrant(r0, ph.BytesPerOp, grant)
-		t := ph.Frac / rate
-		timeTotal += t
 		bytesTotal += ph.Frac * ph.BytesPerOp
 	}
-	return units.GBps(bytesTotal / timeTotal)
+	return SoloRun{
+		Time:      units.Seconds(total),
+		Bandwidth: units.GBps(bytesTotal / timeTotal),
+		Util:      busyTotal / timeTotal,
+	}
 }
 
-// soloFor maps an apu device to the memsys solo selector.
-func soloFor(d apu.Device) memsys.SoloDevice {
-	if d == apu.CPU {
-		return memsys.SoloCPU
-	}
-	return memsys.SoloGPU
+// StandaloneTime is Solo's time.
+func (p *Program) StandaloneTime(d apu.Device, f units.GHz, mem *memsys.Model, scale float64) units.Seconds {
+	return p.Solo(d, f, mem, scale).Time
+}
+
+// StandaloneUtilization is Solo's utilization.
+func (p *Program) StandaloneUtilization(d apu.Device, f units.GHz, mem *memsys.Model) float64 {
+	return p.Solo(d, f, mem, 1).Util
+}
+
+// AvgStandaloneBandwidth is Solo's bandwidth.
+func (p *Program) AvgStandaloneBandwidth(d apu.Device, f units.GHz, mem *memsys.Model) units.GBps {
+	return p.Solo(d, f, mem, 1).Bandwidth
 }

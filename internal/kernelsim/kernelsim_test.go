@@ -174,7 +174,7 @@ func TestAvgBandwidthBetweenPhaseExtremes(t *testing.T) {
 	lo := math.Inf(1)
 	hi := math.Inf(-1)
 	for i := range p.Phases {
-		d := float64(p.PhaseDemand(i, apu.CPU, f))
+		d := p.PotentialRate(apu.CPU, f) * p.Phases[i].BytesPerOp
 		d = math.Min(d, mem.Params().SoloCapCPU)
 		lo = math.Min(lo, d)
 		hi = math.Max(hi, d)

@@ -71,15 +71,13 @@ func Collect(cfg *apu.Config, mem *memsys.Model, batch []*workload.Instance) (*S
 
 // profileOne evaluates one operating point analytically.
 func profileOne(cfg *apu.Config, mem *memsys.Model, inst *workload.Instance, d apu.Device, f int) Entry {
-	freq := cfg.Freq(d, f)
-	prog := inst.Prog
-	e := Entry{
-		Time:      prog.StandaloneTime(d, freq, mem, inst.Scale),
-		Bandwidth: prog.AvgStandaloneBandwidth(d, freq, mem),
-		Util:      prog.StandaloneUtilization(d, freq, mem),
+	run := inst.Prog.Solo(d, cfg.Freq(d, f), mem, inst.Scale)
+	return Entry{
+		Time:      run.Time,
+		Power:     standalonePower(cfg, d, f, run.Util),
+		Bandwidth: run.Bandwidth,
+		Util:      run.Util,
 	}
-	e.Power = standalonePower(cfg, d, f, e.Util)
-	return e
 }
 
 // standalonePower composes the package power of a solo run: idle plus
