@@ -37,7 +37,9 @@ fmtcheck:
 # whole facade epoch warm and cold, and the paper's tables and figures),
 # the predicted-timeline walk of the planner core
 # (BenchmarkPredictedMakespan), the simulator alone (BenchmarkRun: the
-# executor's share of an epoch, apart from the planner's), the planning
+# executor's share of an epoch, apart from the planner's; its /machine
+# case runs epochs back to back on one sim.Machine, the heatsink carried
+# from run to run), the planning
 # benchmarks of the policy layer, the append/recovery benchmarks of the
 # state journal, the handler and durable-submit benchmarks of the
 # daemon, and the fleet coordinator's hop — a submit and a status read

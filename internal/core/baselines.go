@@ -25,7 +25,7 @@ type randomDispatcher struct {
 }
 
 func newRandomDispatcher(batch []*workload.Instance, seed int64) *randomDispatcher {
-	d := &randomDispatcher{rng: rand.New(rand.NewSource(seed)), batch: batch}
+	d := &randomDispatcher{rng: seededRand(seed), batch: batch}
 	for i := range batch {
 		d.remaining = append(d.remaining, i)
 	}
@@ -68,17 +68,9 @@ func (d *randomDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch {
 // power cap is enforced by the GPU-biased reactive governor, the
 // paper's comparison setting.
 func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64) (*sim.Result, error) {
-	simOpts := sim.Options{
-		Cfg:        opts.Cfg,
-		Mem:        opts.Mem,
-		PowerCap:   opts.Cap,
-		DomainCaps: opts.Domains,
-		Start:      opts.Start,
-	}
-	if opts.Cap > 0 || opts.Domains.Any() {
-		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: sim.GPUBiased}
-	}
-	return sim.Run(simOpts, newRandomDispatcher(batch, seed))
+	d := newRandomDispatcher(batch, seed)
+	defer putRand(d.rng)
+	return opts.simulate(sim.Options{Governor: opts.biasedGovernor(sim.GPUBiased)}, d)
 }
 
 // RandomPlan builds the planned-schedule form of the Random baseline:
@@ -88,7 +80,9 @@ func ExecuteRandom(opts ExecOptions, batch []*workload.Instance, seed int64) (*s
 // it can flow through the same predicted-makespan evaluation and
 // execution paths as every planned policy.
 func RandomPlan(n int, seed int64) *Schedule {
-	return randomSchedule(n, rand.New(rand.NewSource(seed)))
+	rng := seededRand(seed)
+	defer putRand(rng)
+	return randomSchedule(n, rng)
 }
 
 // DefaultPartition reproduces the Default baseline's job placement:
@@ -145,16 +139,6 @@ func ExecuteDefault(opts ExecOptions, batch []*workload.Instance, o Oracle, bias
 	for _, j := range gpuJobs {
 		gpuQ = append(gpuQ, batch[j])
 	}
-	simOpts := sim.Options{
-		Cfg:        opts.Cfg,
-		Mem:        opts.Mem,
-		PowerCap:   opts.Cap,
-		DomainCaps: opts.Domains,
-		Start:      opts.Start,
-		CPUSlots:   max(1, len(cpuQ)),
-	}
-	if opts.Cap > 0 || opts.Domains.Any() {
-		simOpts.Governor = &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
-	}
-	return sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ))
+	return opts.simulate(sim.Options{CPUSlots: max(1, len(cpuQ)), Governor: opts.biasedGovernor(bias)},
+		sim.NewQueueDispatcher(cpuQ, gpuQ))
 }

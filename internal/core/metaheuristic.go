@@ -39,7 +39,8 @@ func (cx *Context) Anneal(s *Schedule, seed int64) (*Schedule, units.Seconds, er
 		return nil, 0, err
 	}
 	best, bestT := cur.Clone(), curT
-	rng := rand.New(rand.NewSource(seed))
+	rng := seededRand(seed)
+	defer putRand(rng)
 
 	for k := 0; k < annealIterations; k++ {
 		cand := cur.Clone()
@@ -135,7 +136,8 @@ func (cx *Context) genetic(opts GeneticOptions, workers int) (*Schedule, units.S
 	if n == 0 {
 		return &Schedule{Exclusive: map[int]bool{}}, 0, nil
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := seededRand(opts.Seed)
+	defer putRand(rng)
 
 	type indiv struct {
 		s *Schedule

@@ -19,13 +19,13 @@ type RefineOptions struct {
 	SkipCross         bool
 }
 
-// rngs holds up to eight of Refine's random generators between plans,
-// so a plan reuses one instead of building a source of about 5 KB. A
-// plan holds its generator only while it refines, and eight is more
-// plans than one process refines at once; a generator returned to a
-// full channel is left to the collector. Unlike a sync.Pool, nothing
-// empties it, and it keeps every generator returned while there is
-// room, under the race detector too.
+// rngs holds up to eight of the planners' and the Random baseline's
+// random generators between uses, so a plan or a run reuses one instead
+// of building a source of about 5 KB. A user holds its generator only
+// while it plans or runs, and eight is more than one process uses at
+// once; a generator returned to a full channel is left to the
+// collector. Unlike a sync.Pool, nothing empties it, and it keeps every
+// generator returned while there is room, under the race detector too.
 var rngs = make(chan *rand.Rand, 8)
 
 // seededRand returns a generator that draws the stream of
@@ -38,6 +38,15 @@ func seededRand(seed int64) *rand.Rand {
 		return r
 	default:
 		return rand.New(rand.NewSource(seed))
+	}
+}
+
+// putRand gives a generator from seededRand back for reuse; its holder
+// draws from it no more.
+func putRand(r *rand.Rand) {
+	select {
+	case rngs <- r:
+	default:
 	}
 }
 
@@ -61,12 +70,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 	// jobs.
 	swaps := 2 * (len(best.CPUOrder) + len(best.GPUOrder))
 	rng := seededRand(opts.Seed)
-	defer func() {
-		select {
-		case rngs <- rng:
-		default:
-		}
-	}()
+	defer putRand(rng)
 
 	// try swaps q[i] with r[j] in place and undoes the swap unless the
 	// predicted makespan improved. A swap keeps every job placed once,

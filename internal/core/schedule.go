@@ -377,9 +377,31 @@ type ExecOptions struct {
 	// Domains are optional per-plane caps enforced/reported alongside
 	// Cap (see Context.Domains).
 	Domains apu.DomainCaps
-	// Start is the heatsink the run starts with (sim.Options.Start);
-	// nil starts cold.
-	Start *apu.Heat
+	// Machine, if not nil, is the machine the run executes on: it starts
+	// on the heatsink the machine's last run left and carries the run's
+	// on (sim.Machine.Run). Nil runs on a fresh, cold machine.
+	Machine *sim.Machine
+}
+
+// simulate runs disp under simOpts with the executor's machine, memory
+// model and caps filled in, on opts.Machine if set and on a fresh
+// machine otherwise.
+func (opts ExecOptions) simulate(simOpts sim.Options, disp sim.Dispatcher) (*sim.Result, error) {
+	simOpts.Cfg, simOpts.Mem, simOpts.PowerCap, simOpts.DomainCaps = opts.Cfg, opts.Mem, opts.Cap, opts.Domains
+	if opts.Machine == nil {
+		return sim.Run(simOpts, disp)
+	}
+	return opts.Machine.Run(simOpts, disp)
+}
+
+// biasedGovernor is the baselines' reactive cap enforcement, the
+// paper's comparison setting: a governor of the given bias under the
+// executor's caps, none when nothing is capped.
+func (opts ExecOptions) biasedGovernor(bias sim.Bias) sim.Governor {
+	if opts.Cap > 0 || opts.Domains.Any() {
+		return &sim.BiasedGovernor{Cap: opts.Cap, Domains: opts.Domains, Bias: bias}
+	}
+	return nil
 }
 
 // Execute runs the schedule on the ground-truth simulator. Instance IDs
@@ -394,17 +416,11 @@ func (cx *Context) Execute(s *Schedule, batch []*workload.Instance, opts ExecOpt
 			return nil, fmt.Errorf("core: batch instance %d has ID %d; IDs must equal indices", i, in.ID)
 		}
 	}
-	simOpts := sim.Options{
-		Cfg:        opts.Cfg,
-		Mem:        opts.Mem,
-		PowerCap:   opts.Cap,
-		DomainCaps: opts.Domains,
-		Start:      opts.Start,
-		Governor:   &planGovernor{cx: cx, pair: [apu.NumDevices]int{-1, -1}},
+	return opts.simulate(sim.Options{
+		Governor: &planGovernor{cx: cx, pair: [apu.NumDevices]int{-1, -1}},
 		// The planned schedule controls frequencies; start from the
 		// floor so the first dispatch's directive decides.
 		InitCPUFreq: sim.Pin(0),
 		InitGPUFreq: sim.Pin(0),
-	}
-	return sim.Run(simOpts, newScheduleDispatcher(cx, s, batch))
+	}, newScheduleDispatcher(cx, s, batch))
 }

@@ -14,10 +14,8 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"corun/internal/apu"
 	"corun/internal/core"
@@ -171,13 +169,13 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 
 	res := &Result{}
-	var node Node
+	node := NewNode(opts.Cfg)
 	next := 0
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	for next < len(sorted) {
 		// Wait for work, then take everything that has arrived by now.
-		node.Idle(sorted[next].At, opts.Cfg)
+		node.Idle(sorted[next].At)
 		start := node.Clock()
 		var epoch []Arrival
 		for next < len(sorted) && sorted[next].At <= start {
@@ -228,78 +226,32 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	return res, nil
 }
 
-// Node is the state one simulated machine carries from epoch to epoch:
-// its scheduling clock, the heatsink the last epoch or idle wait left
-// and the cap the last epoch planned under; the zero value is idle and
-// cold at time 0. Each loop driving a node keeps only its own rule for
-// closing a batch. Clock may be read from any goroutine, everything
-// else only from the loop.
+// Node is one simulated machine serving epochs: the machine, which
+// keeps the scheduling clock and the heatsink from epoch to epoch, and
+// the cap the last epoch planned under. Each loop driving a node keeps
+// only its own rule for closing a batch. Clock may be read from any
+// goroutine, everything else only from the loop.
 type Node struct {
-	clock atomic.Uint64 // units.Seconds bits
-
-	// heat is nil until the node has run, been restored or waited:
-	// cold.
-	heat    *apu.Heat
+	*sim.Machine
 	planCap units.Watts
 }
 
-// Clock returns the node's scheduling clock, in simulated seconds.
-func (n *Node) Clock() units.Seconds {
-	return units.Seconds(math.Float64frombits(n.clock.Load()))
-}
-
-// Heat returns the node's heatsink: as the last epoch or idle wait left
-// it, or cfg's cold one.
-func (n *Node) Heat(cfg *apu.Config) apu.Heat {
-	if n.heat == nil {
-		return cfg.Cold()
-	}
-	return *n.heat
-}
+// NewNode returns a node on cfg's machine, idle and cold at time 0.
+func NewNode(cfg *apu.Config) *Node { return &Node{Machine: sim.NewMachine(cfg)} }
 
 // PlanCap returns the package cap the last epoch planned under: the
 // heatsink's budget cap (see Run), or the options' cap.
 func (n *Node) PlanCap() units.Watts { return n.planCap }
 
-// Idle moves the clock forward to t if t is later: the node waited for
-// work. The heatsink spends the wait at cfg's idle power, and a
-// throttle ceiling is released once the wait has cooled the node below
-// the release point, TMaxC - HysteresisC.
-func (n *Node) Idle(t units.Seconds, cfg *apu.Config) {
-	now := n.Clock()
-	if t <= now {
-		return
-	}
-	if tp := cfg.Thermal; tp.Enabled() {
-		h := n.Heat(cfg)
-		h.TempC = tp.Step(h.TempC, cfg.IdlePower, t-now)
-		if h.TempC < tp.TMaxC-tp.HysteresisC {
-			h.Ceil = cfg.Cold().Ceil
-		}
-		n.heat = &h
-	}
-	n.clock.Store(math.Float64bits(float64(t)))
-}
-
-// Restore puts the node where a journal left it: the clock after the
-// last journaled epoch, if later than its own, and that epoch's
-// heatsink (nil: cold, as a journal older than the heatsink reads).
-func (n *Node) Restore(clock units.Seconds, heat *apu.Heat) {
-	if clock > n.Clock() {
-		n.clock.Store(math.Float64bits(float64(clock)))
-	}
-	n.heat = heat
-}
-
 // Run schedules and executes one batch (instance IDs equal to their
 // indices) under the options' policy, through the policy table's one
-// run entry point, on the heatsink the node carries, and advances the
-// clock by its makespan and the heatsink to the state the run left. It
-// returns what policy.Run does: the plan (nil for the dispatcher-driven
-// baselines), its predicted makespan (0 without one) and the
-// simulation, whose times are relative to the clock before the call. An
-// error, a job left uncompleted included, leaves the clock and the
-// heatsink where they were.
+// run entry point, on the node's machine, which moves its clock on by
+// the makespan and keeps the heatsink the run left. It returns what
+// policy.Run does: the plan (nil for the dispatcher-driven baselines),
+// its predicted makespan (0 without one) and the simulation, whose
+// times are relative to the clock before the call. An error, a job left
+// uncompleted included, leaves the clock and the heatsink where they
+// were.
 //
 // A policy that needs the model gets the batch's predictor and a
 // scheduling context at the heatsink's budget cap (budgetCap); the
@@ -310,13 +262,13 @@ func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	start := n.Heat(opts.Cfg)
+	clock, heat := n.Clock(), n.Heat()
 	planCap := opts.Cap
 	var cx *core.Context
 	if policy.NeedsModel(pol) {
 		var pred *model.Predictor
 		if pred, err = opts.Predictor(batch); err == nil {
-			if planCap, err = opts.budgetCap(pred, start.TempC); err == nil {
+			if planCap, err = opts.budgetCap(pred, heat.TempC); err == nil {
 				at := opts
 				at.Cap = planCap
 				cx, err = at.Context(pred)
@@ -329,17 +281,15 @@ func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.
 		return nil, 0, nil, err
 	}
 	n.planCap = planCap
-	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains, Start: &start}
+	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains, Machine: n.Machine}
 	plan, predicted, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, opts.Planned)
+	if err == nil && len(res.Completions) != len(batch) {
+		n.Restore(clock, heat)
+		err = fmt.Errorf("online: %d of %d jobs completed", len(res.Completions), len(batch))
+	}
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	if len(res.Completions) != len(batch) {
-		return nil, 0, nil, fmt.Errorf("online: %d of %d jobs completed", len(res.Completions), len(batch))
-	}
-	end := res.End
-	n.heat = &end
-	n.clock.Store(math.Float64bits(float64(n.Clock() + res.Makespan)))
 	return plan, predicted, res, nil
 }
 

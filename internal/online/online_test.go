@@ -10,6 +10,7 @@ import (
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/policy"
+	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -237,8 +238,8 @@ func TestNodeRun(t *testing.T) {
 	opts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
 		sawPlan = plan != nil && predicted > 0
 	}
-	var node Node
-	node.Idle(100, opts.Cfg)
+	node := NewNode(opts.Cfg)
+	node.Idle(100)
 	plan, predicted, res, err := node.Run(opts, batch, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestNodeRun(t *testing.T) {
 	if got, want := node.Clock(), 100+res.Makespan; got != want {
 		t.Errorf("clock %v after the epoch, want %v", got, want)
 	}
-	node.Idle(50, opts.Cfg)
+	node.Idle(50)
 	if got := node.Clock(); got != 100+res.Makespan {
 		t.Errorf("Idle moved the clock back to %v", got)
 	}
@@ -266,7 +267,7 @@ func TestNodeRun(t *testing.T) {
 	ropts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
 		hookRan = plan == nil && predicted == 0
 	}
-	rplan, _, _, err := new(Node).Run(ropts, workload.Batch8(), 1)
+	rplan, _, _, err := NewNode(ropts.Cfg).Run(ropts, workload.Batch8(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,8 @@ func TestNodeRunRejectsMalformedBatch(t *testing.T) {
 		"ID ≠ position": misnumbered,
 	} {
 		for _, pol := range []string{"hcs+", "random"} {
-			if _, _, _, err := new(Node).Run(testOptions(t, pol), batch, 1); err == nil {
+			opts := testOptions(t, pol)
+			if _, _, _, err := NewNode(opts.Cfg).Run(opts, batch, 1); err == nil {
 				t.Errorf("%s accepted under %s", name, pol)
 			}
 		}
@@ -322,10 +324,10 @@ func TestNodeCarriesHeat(t *testing.T) {
 		capped bool
 	}{{45, true}, {95, false}} {
 		opts := tripAt(testOptions(t, "hcs+"), tc.tmaxC)
-		var node Node
+		node := NewNode(opts.Cfg)
 		prev := opts.Cfg.Cold()
 		for epoch := int64(1); epoch <= 4; epoch++ {
-			if got := node.Heat(opts.Cfg); got != prev {
+			if got := node.Heat(); got != prev {
 				t.Fatalf("T_max %v epoch %d starts on %+v, the last one ended on %+v", tc.tmaxC, epoch, got, prev)
 			}
 			_, predicted, res, err := node.Run(opts, workload.Batch8(), epoch)
@@ -348,17 +350,18 @@ func TestNodeCarriesHeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			start := prev
-			exec := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Start: &start}
+			start := sim.NewMachine(opts.Cfg)
+			start.Restore(0, prev)
+			exec := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Machine: start}
 			_, wantPredicted, want, err := policy.Run("hcs+", cx, batch, exec, policy.Options{Seed: epoch}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if predicted != wantPredicted || res.Makespan != want.Makespan || res.EnergyJ != want.EnergyJ || res.End != want.End {
+			if predicted != wantPredicted || res.Makespan != want.Makespan || res.EnergyJ != want.EnergyJ || node.Heat() != start.Heat() {
 				t.Errorf("T_max %v epoch %d: node ran %v s, %v J to %+v; the policy from that start %v s, %v J to %+v",
-					tc.tmaxC, epoch, res.Makespan, res.EnergyJ, res.End, want.Makespan, want.EnergyJ, want.End)
+					tc.tmaxC, epoch, res.Makespan, res.EnergyJ, node.Heat(), want.Makespan, want.EnergyJ, start.Heat())
 			}
-			prev = res.End
+			prev = node.Heat()
 		}
 	}
 }
@@ -370,25 +373,25 @@ func TestNodeCarriesHeat(t *testing.T) {
 func TestNodeIdleCools(t *testing.T) {
 	cfg := tripAt(testOptions(t, "hcs+"), 45).Cfg
 	tp := cfg.Thermal
-	var node Node
+	node := NewNode(cfg)
 	throttled := apu.Heat{TempC: 46, Ceil: [apu.NumDevices]int{3, 2}}
-	node.Restore(100, &throttled)
+	node.Restore(100, throttled)
 
-	node.Idle(100.1, cfg)
-	h := node.Heat(cfg)
+	node.Idle(100.1)
+	h := node.Heat()
 	if want := tp.Step(46, cfg.IdlePower, 100.1-100); math.Float64bits(h.TempC) != math.Float64bits(want) || h.Ceil != throttled.Ceil {
 		t.Errorf("0.1 s idle: %+v, want %v °C and the ceilings %v kept", h, want, throttled.Ceil)
 	}
-	node.Idle(150, cfg)
-	got := node.Heat(cfg)
+	node.Idle(150)
+	got := node.Heat()
 	if want := tp.Step(h.TempC, cfg.IdlePower, 150-100.1); math.Float64bits(got.TempC) != math.Float64bits(want) || got.Ceil != cfg.Cold().Ceil {
 		t.Errorf("49.9 s idle: %+v, want %v °C and the ceilings released", got, want)
 	}
 	if got.TempC >= tp.TMaxC-tp.HysteresisC || node.Clock() != 150 {
 		t.Errorf("after the wait: %v °C at clock %v", got.TempC, node.Clock())
 	}
-	node.Idle(120, cfg)
-	if node.Heat(cfg) != got || node.Clock() != 150 {
-		t.Errorf("a wait into the past moved the node to %+v at %v", node.Heat(cfg), node.Clock())
+	node.Idle(120)
+	if node.Heat() != got || node.Clock() != 150 {
+		t.Errorf("a wait into the past moved the node to %+v at %v", node.Heat(), node.Clock())
 	}
 }

@@ -63,7 +63,7 @@ func TestTable(t *testing.T) {
 			// Without a characterization: served, or refused up front.
 			bare := online.Options{Cfg: cfg, Mem: mem, Cap: testCap, Policy: info.Name}
 			_, checkErr := online.CheckPolicy(info.Name, false)
-			_, _, served, epochErr := new(online.Node).Run(bare, batch, 3)
+			_, _, served, epochErr := online.NewNode(cfg).Run(bare, batch, 3)
 			if policy.NeedsModel(info.Name) {
 				if checkErr == nil || epochErr == nil {
 					t.Errorf("model-based row accepted without a characterization (CheckPolicy %v, Node.Run %v)", checkErr, epochErr)

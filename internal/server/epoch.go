@@ -256,7 +256,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		run := *s.lastPlan.Load()
 		run.State = "running"
 		run.PlanCapWatts = float64(s.node.PlanCap())
-		run.StartTempC = s.node.Heat(s.cfg.Machine).TempC
+		run.StartTempC = s.node.Heat().TempC
 		fillPlan(&run, plan, predicted, batch)
 		s.lastPlan.Store(&run)
 		if predicted > 0 {
@@ -344,8 +344,9 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 	done.BindingConstraint = res.Binding.String()
 	done.ClockEndS = float64(endClock)
 	s.lastPlan.Store(&done)
+	heat := s.node.Heat()
 	s.journalAppend(s.stateRecords(snaps, float64(endClock), &journal.Heat{
-		TempC: res.End.TempC, CPUCeil: res.End.Ceil[apu.CPU], GPUCeil: res.End.Ceil[apu.GPU],
+		TempC: heat.TempC, CPUCeil: heat.Ceil[apu.CPU], GPUCeil: heat.Ceil[apu.GPU],
 	}))
 }
 

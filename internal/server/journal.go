@@ -150,14 +150,11 @@ func (s *Server) openJournal() error {
 			s.nextID.Store(int64(n) + 1)
 		}
 	}
-	// The heatsink the last journaled epoch left; its ceilings are held
-	// to this machine's levels, in case the preset changed between runs.
-	var heat *apu.Heat
+	// The heatsink the last journaled epoch left; a journal older than
+	// the heatsink leaves the new node's, cold.
+	heat := s.node.Heat()
 	if h := st.Heat; h != nil {
-		m := s.cfg.Machine
-		heat = &apu.Heat{TempC: h.TempC, Ceil: [apu.NumDevices]int{
-			min(max(h.CPUCeil, 0), m.MaxFreqIndex(apu.CPU)), min(max(h.GPUCeil, 0), m.MaxFreqIndex(apu.GPU)),
-		}}
+		heat = apu.Heat{TempC: h.TempC, Ceil: [apu.NumDevices]int{h.CPUCeil, h.GPUCeil}}
 	}
 	s.node.Restore(units.Seconds(st.SimClockS), heat)
 

@@ -66,7 +66,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 					t.Fatalf("the batch was not served as epoch 1 in submission order: %+v", pv)
 				}
 
-				epPlan, epPredicted, epRes, err := new(online.Node).Run(online.Options{
+				epPlan, epPredicted, epRes, err := online.NewNode(s.cfg.Machine).Run(online.Options{
 					Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 					Cap: cc.cap, Domains: cc.domains, Policy: pol,
 				}, batch, epochSeed(seed, 1))

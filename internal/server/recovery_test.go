@@ -517,7 +517,7 @@ func TestRestartAfterDrain(t *testing.T) {
 		t.Errorf("clock %v restored as %v", s1.node.Clock(), s2.node.Clock())
 	}
 	m := s1.cfg.Machine
-	if h1, h2 := s1.node.Heat(m), s2.node.Heat(m); h1 != h2 || h1 == m.Cold() {
+	if h1, h2 := s1.node.Heat(), s2.node.Heat(); h1 != h2 || h1 == m.Cold() {
 		t.Errorf("heatsink %+v restored as %+v (cold: %+v)", h1, h2, m.Cold())
 	}
 }
@@ -541,8 +541,8 @@ func TestRestartFromJournalWithoutHeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newJournalServer(t, dir)
-	if m := s.cfg.Machine; s.node.Clock() != 42 || s.node.Heat(m) != m.Cold() {
-		t.Errorf("restored at clock %v on %+v, want 42 on the cold %+v", s.node.Clock(), s.node.Heat(m), m.Cold())
+	if m := s.cfg.Machine; s.node.Clock() != 42 || s.node.Heat() != m.Cold() {
+		t.Errorf("restored at clock %v on %+v, want 42 on the cold %+v", s.node.Clock(), s.node.Heat(), m.Cold())
 	}
 }
 

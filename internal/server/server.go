@@ -261,7 +261,7 @@ type Server struct {
 
 	// Read on the request path, advanced by the scheduler: the node's
 	// scheduling clock and the latest plan.
-	node     online.Node
+	node     *online.Node
 	lastPlan atomic.Pointer[PlanView] // immutable once stored
 
 	// epochCount is owned by the scheduler goroutine (recovery writes
@@ -333,6 +333,7 @@ func New(cfg Config) (*Server, error) {
 		adm:           adm,
 		m:             newMetrics(),
 		idPrefix:      "job-",
+		node:          online.NewNode(cfg.Machine),
 		traceMakespan: trace.NewSeries("epoch_makespan", "s"),
 		tracePower:    trace.NewSeries("epoch_avg_power", "W"),
 		traceBatch:    trace.NewSeries("epoch_jobs", "count"),

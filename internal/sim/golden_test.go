@@ -155,13 +155,13 @@ func runTraced(opts Options, disp Dispatcher) (*traced, error) {
 		PP1:     trace.NewSeries("pp1_power", "w"),
 		TempC:   trace.NewSeries("temp", "c"),
 	}
-	res, err := run(opts, disp, &probe{sample: func(st *state, avgPP0, avgPP1 float64) {
-		cfg := st.opts.Cfg
-		tr.CPUFreq.MustAdd(st.now, float64(cfg.Freq(apu.CPU, st.cpuFreq)))
-		tr.GPUFreq.MustAdd(st.now, float64(cfg.Freq(apu.GPU, st.gpuFreq)))
-		tr.PP0.MustAdd(st.now, avgPP0)
-		tr.PP1.MustAdd(st.now, avgPP1)
-		tr.TempC.MustAdd(st.now, st.tempC)
+	res, err := NewMachine(opts.Cfg).run(opts, disp, &probe{sample: func(m *Machine, avgPP0, avgPP1 float64) {
+		cfg := m.opts.Cfg
+		tr.CPUFreq.MustAdd(m.now, float64(cfg.Freq(apu.CPU, m.freq[apu.CPU])))
+		tr.GPUFreq.MustAdd(m.now, float64(cfg.Freq(apu.GPU, m.freq[apu.GPU])))
+		tr.PP0.MustAdd(m.now, avgPP0)
+		tr.PP1.MustAdd(m.now, avgPP1)
+		tr.TempC.MustAdd(m.now, m.heat.TempC)
 	}})
 	if err != nil {
 		return nil, err

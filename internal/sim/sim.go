@@ -87,13 +87,6 @@ type Options struct {
 	// tick (reactive power capping, as the biased baselines do).
 	Governor Governor
 
-	// Start, if non-nil, is the heatsink the run starts with: the state
-	// an earlier run's Result.End left, so a machine running one batch
-	// after another heats as one machine. Nil starts cold (apu.Config's
-	// Cold: at ambient, unthrottled). Starting frequencies above a
-	// start ceiling begin at the ceiling.
-	Start *apu.Heat
-
 	// StopInstance, if non-nil, ends the simulation the moment this
 	// instance completes (used for pairwise degradation measurement).
 	StopInstance *workload.Instance
@@ -124,16 +117,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.MaxTime <= 0 {
 		out.MaxTime = 1e6
-	}
-	if h := out.Start; h != nil {
-		if err := units.CheckFinite("Start.TempC", h.TempC); err != nil {
-			return out, fmt.Errorf("sim: %w", err)
-		}
-		for d := apu.CPU; d <= apu.GPU; d++ {
-			if h.Ceil[d] < 0 || h.Ceil[d] >= out.Cfg.NumFreqs(d) {
-				return out, fmt.Errorf("sim: start %v ceiling %d out of range [0,%d)", d, h.Ceil[d], out.Cfg.NumFreqs(d))
-			}
-		}
 	}
 	return out, nil
 }
@@ -253,10 +236,6 @@ type Result struct {
 	MaxTempC  float64
 	Throttles int
 
-	// End is the heatsink as the run left it: the next run's
-	// Options.Start.
-	End apu.Heat
-
 	// DomainViolations counts samples where a configured plane cap was
 	// exceeded (the per-domain analogue of CapViolations).
 	DomainViolations int
@@ -292,15 +271,15 @@ type running struct {
 }
 
 // newRunning starts inst on dev now. The job is carved from the
-// state's current chunk, so a run allocates per chunk rather than per
+// machine's current chunk, so a run allocates per chunk rather than per
 // dispatch; no slot is reused within a run, since the segment cache
 // tells running jobs apart by pointer.
-func (st *state) newRunning(inst *workload.Instance, dev apu.Device) *running {
-	if len(st.runs) == cap(st.runs) {
-		st.runs = make([]running, 0, len(st.runs0))
+func (m *Machine) newRunning(inst *workload.Instance, dev apu.Device) *running {
+	if len(m.runs) == cap(m.runs) {
+		m.runs = make([]running, 0, len(m.runs0))
 	}
-	st.runs = append(st.runs, running{inst: inst, dev: dev, start: st.now})
-	r := &st.runs[len(st.runs)-1]
+	m.runs = append(m.runs, running{inst: inst, dev: dev, start: m.now})
+	r := &m.runs[len(m.runs)-1]
 	r.remaining = float64(inst.Prog.Work) * inst.Scale * inst.Prog.Phases[0].Frac
 	return r
 }
@@ -316,28 +295,32 @@ func (r *running) advancePhase() bool {
 	return true
 }
 
-// state is the mutable simulation state.
-type state struct {
+// Machine is one simulated APU kept from run to run. Its clock and its
+// heatsink — the temperature and each device's throttle ceiling — carry
+// over, so a machine running one batch after another heats as one
+// machine; the rest is a run's scratch, reset when a run starts. Clock
+// may be read from any goroutine, everything else only from the one
+// that runs, idles or restores the machine.
+type Machine struct {
+	cfg   *apu.Config
+	clock atomic.Uint64 // units.Seconds bits
+
+	// heat is the shared heatsink (thermal RC model) and the effective
+	// frequency ceilings the thermal throttle clamps down when its
+	// temperature trips T_max; setFreqs never exceeds them.
+	heat apu.Heat
+
 	opts Options
 	now  units.Seconds
 
 	// jobs is the machine's running set: the CPU's jobs in dispatch
 	// order, then the GPU's job, if any. Each job's dev says which
 	// device it is on.
-	jobs    []*running
-	cpuFreq int
-	gpuFreq int
+	jobs []*running
+	freq [apu.NumDevices]int
 
-	// split is the per-plane breakdown of the current segment's power;
-	// tempC the shared-heatsink temperature (thermal RC model).
+	// split is the per-plane breakdown of the current segment's power.
 	split apu.PowerSplit
-	tempC float64
-
-	// cpuCeil and gpuCeil are the effective frequency ceilings the
-	// thermal throttle clamps down when tempC trips T_max; setFreqs
-	// never exceeds them.
-	cpuCeil int
-	gpuCeil int
 
 	// scratch backs the *View handed to dispatchers and governors.
 	// view() is called every sample tick, so reusing one View keeps the
@@ -349,43 +332,94 @@ type state struct {
 	seg segment
 
 	// runs is the chunk newRunning carves jobs from, len(runs0) at a
-	// time. It and jobs and seg.jobs start on the arrays below, inside
-	// the state: a pairwise measurement dispatches a few jobs, one per
-	// device at a time, so it seldom allocates these.
+	// time. It and jobs and seg.jobs start each run on the arrays
+	// below, inside the machine: a pairwise measurement dispatches a
+	// few jobs, one per device at a time, so it seldom allocates these.
 	runs     []running
 	runs0    [4]running
 	jobs0    [apu.NumDevices]*running
 	segJobs0 [apu.NumDevices]segmentJob
 }
 
+// NewMachine returns cfg's machine idle and cold (apu.Config's Cold: at
+// ambient, unthrottled) at time 0. A nil cfg gives a machine no run
+// accepts, since Options.Cfg is required.
+func NewMachine(cfg *apu.Config) *Machine {
+	m := &Machine{cfg: cfg}
+	if cfg != nil {
+		m.heat = cfg.Cold()
+	}
+	return m
+}
+
+// Clock returns the machine's clock, in simulated seconds: the sum of
+// its runs' makespans and its idle waits.
+func (m *Machine) Clock() units.Seconds {
+	return units.Seconds(math.Float64frombits(m.clock.Load()))
+}
+
+func (m *Machine) setClock(t units.Seconds) { m.clock.Store(math.Float64bits(float64(t))) }
+
+// Heat returns the heatsink as the last run, wait or restore left it.
+func (m *Machine) Heat() apu.Heat { return m.heat }
+
+// Idle moves the clock forward to t if t is later: the machine waited
+// for work. The heatsink spends the wait at the idle power, and the
+// throttle's ceilings are released once the wait has cooled the node
+// below the release point, TMaxC - HysteresisC.
+func (m *Machine) Idle(t units.Seconds) {
+	now := m.Clock()
+	if t <= now {
+		return
+	}
+	if tp := m.cfg.Thermal; tp.Enabled() {
+		m.heat.TempC = tp.Step(m.heat.TempC, m.cfg.IdlePower, t-now)
+		if m.heat.TempC < tp.TMaxC-tp.HysteresisC {
+			m.heat.Ceil = m.cfg.Cold().Ceil
+		}
+	}
+	m.setClock(t)
+}
+
+// Restore puts the machine at clock with the heatsink heat, each
+// ceiling held to the machine's levels (a journal may have been written
+// on another preset).
+func (m *Machine) Restore(clock units.Seconds, heat apu.Heat) {
+	for d := range heat.Ceil {
+		heat.Ceil[d] = min(max(heat.Ceil[d], 0), m.cfg.MaxFreqIndex(apu.Device(d)))
+	}
+	m.heat = heat
+	m.setClock(clock)
+}
+
 // gpuJob returns the GPU's job, nil when the GPU idles: the last of
-// st.jobs, if that one is on the GPU.
-func (st *state) gpuJob() *running {
-	if n := len(st.jobs); n > 0 && st.jobs[n-1].dev == apu.GPU {
-		return st.jobs[n-1]
+// m.jobs, if that one is on the GPU.
+func (m *Machine) gpuJob() *running {
+	if n := len(m.jobs); n > 0 && m.jobs[n-1].dev == apu.GPU {
+		return m.jobs[n-1]
 	}
 	return nil
 }
 
-// cpuJobs returns the CPU's jobs in dispatch order: st.jobs up to the
+// cpuJobs returns the CPU's jobs in dispatch order: m.jobs up to the
 // GPU's job.
-func (st *state) cpuJobs() []*running {
-	if st.gpuJob() != nil {
-		return st.jobs[:len(st.jobs)-1]
+func (m *Machine) cpuJobs() []*running {
+	if m.gpuJob() != nil {
+		return m.jobs[:len(m.jobs)-1]
 	}
-	return st.jobs
+	return m.jobs
 }
 
 // segment is what the rate and power models read of one segment, as the
 // clamps left it — both frequency levels and each running job with its
-// phase, in the order of st.jobs — and the package power they gave. The
-// running jobs' rates and st.split still hold that evaluation's values,
+// phase, in the order of m.jobs — and the package power they gave. The
+// running jobs' rates and m.split still hold that evaluation's values,
 // since nothing else writes them.
 type segment struct {
-	valid            bool
-	cpuFreq, gpuFreq int
-	jobs             []segmentJob
-	power            units.Watts
+	valid bool
+	freq  [apu.NumDevices]int
+	jobs  []segmentJob
+	power units.Watts
 }
 
 // segmentJob is a running job and its phase.
@@ -395,15 +429,15 @@ type segmentJob struct {
 }
 
 // sameSegment reports whether the running set, the phases and the
-// frequency levels are those of st.seg: then computeRates, the power
+// frequency levels are those of m.seg: then computeRates, the power
 // model and the clamps would return what they returned for it, since
 // memsys.Model and the apu.Config power curves are stateless.
-func (st *state) sameSegment() bool {
-	s := &st.seg
-	if !s.valid || s.cpuFreq != st.cpuFreq || s.gpuFreq != st.gpuFreq || len(s.jobs) != len(st.jobs) {
+func (m *Machine) sameSegment() bool {
+	s := &m.seg
+	if !s.valid || s.freq != m.freq || len(s.jobs) != len(m.jobs) {
 		return false
 	}
-	for i, r := range st.jobs {
+	for i, r := range m.jobs {
 		if s.jobs[i] != (segmentJob{r, r.phase}) {
 			return false
 		}
@@ -412,21 +446,21 @@ func (st *state) sameSegment() bool {
 }
 
 // rememberSegment records the segment just evaluated in full at power.
-func (st *state) rememberSegment(power units.Watts) {
-	s := &st.seg
+func (m *Machine) rememberSegment(power units.Watts) {
+	s := &m.seg
 	s.valid = true
-	s.cpuFreq, s.gpuFreq, s.power = st.cpuFreq, st.gpuFreq, power
+	s.freq, s.power = m.freq, power
 	s.jobs = s.jobs[:0]
-	for _, r := range st.jobs {
+	for _, r := range m.jobs {
 		s.jobs = append(s.jobs, segmentJob{r, r.phase})
 	}
 }
 
-func (st *state) view() *View {
-	v := &st.scratch
-	v.CPUFreq, v.GPUFreq, v.PP0, v.PP1 = st.cpuFreq, st.gpuFreq, st.split.PP0, st.split.PP1
+func (m *Machine) view() *View {
+	v := &m.scratch
+	v.CPUFreq, v.GPUFreq, v.PP0, v.PP1 = m.freq[apu.CPU], m.freq[apu.GPU], m.split.PP0, m.split.PP1
 	v.Running = [apu.NumDevices]*workload.Instance{}
-	for _, r := range st.jobs {
+	for _, r := range m.jobs {
 		if v.Running[r.dev] == nil {
 			v.Running[r.dev] = r.inst
 		}
@@ -444,48 +478,64 @@ var sampleHint atomic.Int64
 
 const maxSampleHint = 1 << 12
 
-// Run executes the simulation to completion and returns its Result.
+// Run runs a fresh machine (NewMachine) to drain: one run, cold at
+// time 0.
 func Run(opts Options, disp Dispatcher) (*Result, error) {
-	return run(opts, disp, nil)
+	return NewMachine(opts.Cfg).Run(opts, disp)
+}
+
+// Run runs disp's jobs to drain from the heatsink the machine's last
+// run, wait or restore left; opts.Cfg must be the machine's. The
+// Result's times are relative to the run's start. The machine keeps the
+// heatsink the run ended on, and its clock moves on by the makespan. An
+// error changes neither.
+func (m *Machine) Run(opts Options, disp Dispatcher) (*Result, error) {
+	start := m.heat
+	res, err := m.run(opts, disp, nil)
+	if err != nil {
+		m.heat = start
+		return nil, err
+	}
+	m.setClock(m.Clock() + res.Makespan)
+	return res, nil
 }
 
 // probe watches one run from inside the event loop; run takes nil in
 // production. sample, if set, is called at every sample tick after the
-// tick's Power sample is taken, with the state as the tick left it and
+// tick's Power sample is taken, with the machine as the tick left it and
 // the interval's average PP0 and PP1 power. evaluations counts the
-// segments the run evaluated in full (state.evaluate calls).
+// segments the run evaluated in full (Machine.evaluate calls).
 type probe struct {
-	sample      func(st *state, avgPP0, avgPP1 float64)
+	sample      func(m *Machine, avgPP0, avgPP1 float64)
 	evaluations int
 }
 
-// run is Run with an optional probe.
-func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
+// run is one run's event loop, with an optional probe: Run without the
+// clock, and without the heatsink put back on an error.
+func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if o.Cfg != m.cfg {
+		return nil, fmt.Errorf("sim: Options.Cfg is not the machine's")
 	}
 	if disp == nil {
 		return nil, fmt.Errorf("sim: nil dispatcher")
 	}
 
-	heat := o.Cfg.Cold()
-	if o.Start != nil {
-		heat = *o.Start
+	// The run's scratch starts as a fresh machine's; the frequencies
+	// start under the heatsink's ceilings.
+	m.opts, m.now, m.split = o, 0, apu.PowerSplit{}
+	m.freq = [apu.NumDevices]int{
+		min(o.InitCPUFreq.index(o.Cfg, apu.CPU), m.heat.Ceil[apu.CPU]),
+		min(o.InitGPUFreq.index(o.Cfg, apu.GPU), m.heat.Ceil[apu.GPU]),
 	}
-	st := &state{
-		opts:    o,
-		tempC:   heat.TempC,
-		cpuCeil: heat.Ceil[apu.CPU],
-		gpuCeil: heat.Ceil[apu.GPU],
-	}
-	st.cpuFreq = min(o.InitCPUFreq.index(o.Cfg, apu.CPU), st.cpuCeil)
-	st.gpuFreq = min(o.InitGPUFreq.index(o.Cfg, apu.GPU), st.gpuCeil)
-	st.runs, st.jobs, st.seg.jobs = st.runs0[:0], st.jobs0[:0], st.segJobs0[:0]
+	m.runs, m.jobs, m.seg = m.runs0[:0], m.jobs0[:0], segment{jobs: m.segJobs0[:0]}
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
-		MaxTempC: heat.TempC,
+		MaxTempC: m.heat.TempC,
 	}
 	thermal := o.Cfg.Thermal
 	decay, decayDt := 1.0, 0.0 // decay is thermal.Decay(decayDt)
@@ -501,8 +551,8 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 	const maxEvents = 50_000_000
 	for ev := 0; ev < maxEvents; ev++ {
 		// Fill idle slots.
-		dispatched := st.fill(disp)
-		if len(st.jobs) == 0 {
+		dispatched := m.fill(disp)
+		if len(m.jobs) == 0 {
 			if !dispatched {
 				break // idle and nothing left to dispatch
 			}
@@ -511,22 +561,22 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 
 		// The segment's rates, power and plane split: those of the last
 		// segment while nothing they depend on has changed.
-		power := st.seg.power
-		if !st.sameSegment() {
-			power = st.evaluate()
+		power := m.seg.power
+		if !m.sameSegment() {
+			power = m.evaluate()
 			if p != nil {
 				p.evaluations++
 			}
 		}
 
 		// Earliest event.
-		dt := float64(nextSample - st.now)
+		dt := float64(nextSample - m.now)
 		if o.Governor != nil {
-			if d := float64(nextGov - st.now); d < dt {
+			if d := float64(nextGov - m.now); d < dt {
 				dt = d
 			}
 		}
-		for _, r := range st.jobs {
+		for _, r := range m.jobs {
 			if d, err := r.eta(); err != nil {
 				return nil, err
 			} else if d < dt {
@@ -536,20 +586,20 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 		if dt < 0 {
 			dt = 0
 		}
-		if st.now+units.Seconds(dt) > o.MaxTime {
-			return nil, fmt.Errorf("sim: exceeded MaxTime %v at t=%v", o.MaxTime, st.now)
+		if m.now+units.Seconds(dt) > o.MaxTime {
+			return nil, fmt.Errorf("sim: exceeded MaxTime %v at t=%v", o.MaxTime, m.now)
 		}
 
 		// Integrate.
-		st.now += units.Seconds(dt)
+		m.now += units.Seconds(dt)
 		e := float64(power) * dt
 		res.EnergyJ += e
 		intervalEnergy += e
-		intervalPP0E += float64(st.split.PP0) * dt
-		intervalPP1E += float64(st.split.PP1) * dt
-		pp0E += float64(st.split.PP0) * dt
-		pp1E += float64(st.split.PP1) * dt
-		for _, r := range st.jobs {
+		intervalPP0E += float64(m.split.PP0) * dt
+		intervalPP1E += float64(m.split.PP1) * dt
+		pp0E += float64(m.split.PP0) * dt
+		pp1E += float64(m.split.PP1) * dt
+		for _, r := range m.jobs {
 			r.remaining -= r.rate * dt
 		}
 
@@ -565,63 +615,54 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 				if dt != decayDt {
 					decay, decayDt = thermal.Decay(units.Seconds(dt)), dt
 				}
-				st.tempC = thermal.Relax(st.tempC, power, decay)
+				m.heat.TempC = thermal.Relax(m.heat.TempC, power, decay)
 			}
-			if st.tempC > res.MaxTempC {
-				res.MaxTempC = st.tempC
-			}
-			if st.tempC >= thermal.TMaxC-eps {
-				if st.cpuCeil > 0 || st.gpuCeil > 0 {
-					if st.cpuCeil > 0 {
-						st.cpuCeil--
+			res.MaxTempC = max(res.MaxTempC, m.heat.TempC)
+			if m.heat.TempC >= thermal.TMaxC-eps {
+				throttled := false
+				for d, c := range m.heat.Ceil {
+					if c > 0 {
+						m.heat.Ceil[d]--
+						throttled = true
 					}
-					if st.gpuCeil > 0 {
-						st.gpuCeil--
-					}
+					m.freq[d] = min(m.freq[d], m.heat.Ceil[d])
+				}
+				if throttled {
 					res.Throttles++
 				}
-				if st.cpuFreq > st.cpuCeil {
-					st.cpuFreq = st.cpuCeil
-				}
-				if st.gpuFreq > st.gpuCeil {
-					st.gpuFreq = st.gpuCeil
-				}
-			} else if st.tempC < thermal.TMaxC-thermal.HysteresisC {
-				if st.cpuCeil < o.Cfg.MaxFreqIndex(apu.CPU) {
-					st.cpuCeil++
-				}
-				if st.gpuCeil < o.Cfg.MaxFreqIndex(apu.GPU) {
-					st.gpuCeil++
+			} else if m.heat.TempC < thermal.TMaxC-thermal.HysteresisC {
+				for d, c := range m.heat.Ceil {
+					m.heat.Ceil[d] = min(c+1, o.Cfg.MaxFreqIndex(apu.Device(d)))
 				}
 			}
 		}
 
 		// Phase/job completions.
-		if stopped = st.reap(res, o.StopInstance); stopped {
+		if stopped = m.reap(res, o.StopInstance); stopped {
 			break
 		}
 
 		// Governor tick: reacts to the instantaneous power of the
 		// segment that just ended.
-		if o.Governor != nil && st.now >= nextGov-units.Seconds(eps) {
-			cf, gf := o.Governor.Adjust(power, st.view(), o.Cfg)
-			st.setFreqs(cf, gf)
+		if o.Governor != nil && m.now >= nextGov-units.Seconds(eps) {
+			cf, gf := o.Governor.Adjust(power, m.view(), o.Cfg)
+			m.setFreqs(cf, gf)
 			nextGov += governorInterval
 		}
 
 		// Sample tick.
-		if st.now >= nextSample-units.Seconds(eps) {
-			span := float64(st.now - intervalStart)
+		if m.now >= nextSample-units.Seconds(eps) {
+			span := float64(m.now - intervalStart)
 			avg := float64(power)
-			avgPP0, avgPP1 := float64(st.split.PP0), float64(st.split.PP1)
+			avgPP0, avgPP1 := float64(m.split.PP0), float64(m.split.PP1)
 			if span > eps {
 				avg = intervalEnergy / span
 				avgPP0 = intervalPP0E / span
 				avgPP1 = intervalPP1E / span
 			}
-			res.Power.MustAdd(st.now, avg)
+			res.Power.MustAdd(m.now, avg)
 			if p != nil && p.sample != nil {
-				p.sample(st, avgPP0, avgPP1)
+				p.sample(m, avgPP0, avgPP1)
 			}
 			if o.PowerCap > 0 && units.Watts(avg) > o.PowerCap {
 				res.CapViolations++
@@ -636,19 +677,18 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 			}
 			intervalEnergy = 0
 			intervalPP0E, intervalPP1E = 0, 0
-			intervalStart = st.now
+			intervalStart = m.now
 			nextSample += sampleInterval
 		}
 	}
 	if !stopped {
 		// Drain check: if jobs remain running we hit the event limit.
-		if len(st.jobs) > 0 {
-			return nil, fmt.Errorf("sim: event limit reached with jobs still running at t=%v", st.now)
+		if len(m.jobs) > 0 {
+			return nil, fmt.Errorf("sim: event limit reached with jobs still running at t=%v", m.now)
 		}
 	}
 
-	res.Makespan = st.now
-	res.End = apu.Heat{TempC: st.tempC, Ceil: [apu.NumDevices]int{st.cpuCeil, st.gpuCeil}}
+	res.Makespan = m.now
 	if res.Makespan > 0 {
 		res.AvgPower = units.Watts(res.EnergyJ / float64(res.Makespan))
 		res.AvgPP0 = units.Watts(pp0E / float64(res.Makespan))
@@ -676,110 +716,107 @@ func run(opts Options, disp Dispatcher, p *probe) (*Result, error) {
 // fresh evaluation of it would change nothing: the domain clamp exits on
 // the split it settled, and the package clamp is checked here because a
 // domain step may leave the package over its cap.
-func (st *state) evaluate() units.Watts {
-	o := &st.opts
-	cpuUtil, gpuUtil := st.computeRates()
-	power := st.packagePower(cpuUtil, gpuUtil)
+func (m *Machine) evaluate() units.Watts {
+	o := &m.opts
+	cpuUtil, gpuUtil := m.computeRates()
+	power := m.packagePower(cpuUtil, gpuUtil)
 
 	// RAPL-style hardware clamp: throttle within the event until the
 	// package fits the cap (or both devices hit their floors).
 	pkgClamps := func() bool {
-		return o.HardCap && o.PowerCap > 0 && power > o.PowerCap && (st.cpuFreq > 0 || st.gpuFreq > 0)
+		return o.HardCap && o.PowerCap > 0 && power > o.PowerCap && (m.freq[apu.CPU] > 0 || m.freq[apu.GPU] > 0)
 	}
 	for pkgClamps() {
-		if st.cpuFreq > 0 {
-			st.cpuFreq--
+		if m.freq[apu.CPU] > 0 {
+			m.freq[apu.CPU]--
 		} else {
-			st.gpuFreq--
+			m.freq[apu.GPU]--
 		}
-		cpuUtil, gpuUtil = st.computeRates()
-		power = st.packagePower(cpuUtil, gpuUtil)
+		cpuUtil, gpuUtil = m.computeRates()
+		power = m.packagePower(cpuUtil, gpuUtil)
 	}
-	st.split = st.splitPower(cpuUtil, gpuUtil)
+	m.split = m.splitPower(cpuUtil, gpuUtil)
 
 	// Per-plane hardware clamp: a plane cap meters one device, so the
 	// clamp steps that device down.
 	if o.HardCap && o.DomainCaps.Any() {
 	domainClamp:
-		for !o.DomainCaps.Allows(st.split) {
+		for !o.DomainCaps.Allows(m.split) {
 			switch {
-			case o.DomainCaps.PP0 > 0 && st.split.PP0 > o.DomainCaps.PP0 && st.cpuFreq > 0:
-				st.cpuFreq--
-			case o.DomainCaps.PP1 > 0 && st.split.PP1 > o.DomainCaps.PP1 && st.gpuFreq > 0:
-				st.gpuFreq--
+			case o.DomainCaps.PP0 > 0 && m.split.PP0 > o.DomainCaps.PP0 && m.freq[apu.CPU] > 0:
+				m.freq[apu.CPU]--
+			case o.DomainCaps.PP1 > 0 && m.split.PP1 > o.DomainCaps.PP1 && m.freq[apu.GPU] > 0:
+				m.freq[apu.GPU]--
 			default:
 				// Every offending plane is at its floor already.
 				break domainClamp
 			}
-			cpuUtil, gpuUtil = st.computeRates()
-			power = st.packagePower(cpuUtil, gpuUtil)
-			st.split = st.splitPower(cpuUtil, gpuUtil)
+			cpuUtil, gpuUtil = m.computeRates()
+			power = m.packagePower(cpuUtil, gpuUtil)
+			m.split = m.splitPower(cpuUtil, gpuUtil)
 		}
 	}
 
 	if pkgClamps() {
-		st.seg.valid = false
+		m.seg.valid = false
 	} else {
-		st.rememberSegment(power)
+		m.rememberSegment(power)
 	}
 	return power
 }
 
 // fill offers free slots to the dispatcher; it reports whether any job
 // was dispatched.
-func (st *state) fill(disp Dispatcher) bool {
+func (m *Machine) fill(disp Dispatcher) bool {
 	dispatched := false
-	if st.gpuJob() == nil {
-		if d := disp.Next(apu.GPU, st.view()); d != nil {
-			st.applyDispatch(d, apu.GPU)
+	if m.gpuJob() == nil {
+		if d := disp.Next(apu.GPU, m.view()); d != nil {
+			m.applyDispatch(d, apu.GPU)
 			dispatched = true
 		}
 	}
-	for len(st.cpuJobs()) < st.opts.CPUSlots {
-		d := disp.Next(apu.CPU, st.view())
+	for len(m.cpuJobs()) < m.opts.CPUSlots {
+		d := disp.Next(apu.CPU, m.view())
 		if d == nil {
 			break
 		}
-		st.applyDispatch(d, apu.CPU)
+		m.applyDispatch(d, apu.CPU)
 		dispatched = true
 	}
 	return dispatched
 }
 
-func (st *state) applyDispatch(d *Dispatch, dev apu.Device) {
-	st.setFreqs(d.CPUFreq, d.GPUFreq)
-	st.jobs = append(st.jobs, st.newRunning(d.Inst, dev))
+func (m *Machine) applyDispatch(d *Dispatch, dev apu.Device) {
+	m.setFreqs(d.CPUFreq, d.GPUFreq)
+	m.jobs = append(m.jobs, m.newRunning(d.Inst, dev))
 	// A CPU job joins the CPU's, before the GPU's job.
-	if n := len(st.jobs); dev == apu.CPU && n > 1 && st.jobs[n-2].dev == apu.GPU {
-		st.jobs[n-2], st.jobs[n-1] = st.jobs[n-1], st.jobs[n-2]
+	if n := len(m.jobs); dev == apu.CPU && n > 1 && m.jobs[n-2].dev == apu.GPU {
+		m.jobs[n-2], m.jobs[n-1] = m.jobs[n-1], m.jobs[n-2]
 	}
 }
 
-func (st *state) setFreqs(cf, gf int) {
-	if cf >= 0 && cf < st.opts.Cfg.NumFreqs(apu.CPU) {
-		if cf > st.cpuCeil {
-			cf = st.cpuCeil // thermal throttle ceiling
-		}
-		st.cpuFreq = cf
+// setFreqs applies frequency directives, each held under its device's
+// throttle ceiling; a directive outside the device's levels leaves its
+// setting untouched.
+func (m *Machine) setFreqs(cf, gf int) {
+	if cf >= 0 && cf < m.opts.Cfg.NumFreqs(apu.CPU) {
+		m.freq[apu.CPU] = min(cf, m.heat.Ceil[apu.CPU])
 	}
-	if gf >= 0 && gf < st.opts.Cfg.NumFreqs(apu.GPU) {
-		if gf > st.gpuCeil {
-			gf = st.gpuCeil
-		}
-		st.gpuFreq = gf
+	if gf >= 0 && gf < m.opts.Cfg.NumFreqs(apu.GPU) {
+		m.freq[apu.GPU] = min(gf, m.heat.Ceil[apu.GPU])
 	}
 }
 
 // computeRates fills each running job's per-segment rate and returns
 // the device utilizations (-1 when a device is idle).
-func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
-	cfg := st.opts.Cfg
+func (m *Machine) computeRates() (cpuUtil, gpuUtil float64) {
+	cfg := m.opts.Cfg
 	cpuUtil, gpuUtil = -1, -1
 
-	cpuJobs, gpuJob := st.cpuJobs(), st.gpuJob()
+	cpuJobs, gpuJob := m.cpuJobs(), m.gpuJob()
 	k := len(cpuJobs)
-	cpuF := cfg.Freq(apu.CPU, st.cpuFreq)
-	gpuF := cfg.Freq(apu.GPU, st.gpuFreq)
+	cpuF := cfg.Freq(apu.CPU, m.freq[apu.CPU])
+	gpuF := cfg.Freq(apu.GPU, m.freq[apu.GPU])
 
 	// Per-job potentials and raw demands on the CPU.
 	inflation := 1.0
@@ -810,7 +847,7 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 		gpuSens = prog.GPUSens
 	}
 
-	grant := st.opts.Mem.Arbitrate(memsys.Demand{
+	grant := m.opts.Mem.Arbitrate(memsys.Demand{
 		CPU: units.GBps(cpuDemand), GPU: units.GBps(gpuDemand),
 		CPUSens: cpuSens, GPUSens: gpuSens,
 	})
@@ -846,14 +883,14 @@ func (st *state) computeRates() (cpuUtil, gpuUtil float64) {
 	return cpuUtil, gpuUtil
 }
 
-func (st *state) packagePower(cpuUtil, gpuUtil float64) units.Watts {
-	return st.opts.Cfg.PackagePower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob() != nil)
+func (m *Machine) packagePower(cpuUtil, gpuUtil float64) units.Watts {
+	return m.opts.Cfg.PackagePower(m.freq[apu.CPU], m.freq[apu.GPU], cpuUtil, gpuUtil, m.gpuJob() != nil)
 }
 
 // splitPower is packagePower broken down by plane (same inputs, same
 // arithmetic per term — the sum matches up to float association).
-func (st *state) splitPower(cpuUtil, gpuUtil float64) apu.PowerSplit {
-	return st.opts.Cfg.SplitPower(st.cpuFreq, st.gpuFreq, cpuUtil, gpuUtil, st.gpuJob() != nil)
+func (m *Machine) splitPower(cpuUtil, gpuUtil float64) apu.PowerSplit {
+	return m.opts.Cfg.SplitPower(m.freq[apu.CPU], m.freq[apu.GPU], cpuUtil, gpuUtil, m.gpuJob() != nil)
 }
 
 // eta returns the time for the job to finish its current phase.
@@ -868,22 +905,22 @@ func (r *running) eta() (float64, error) {
 }
 
 // reap advances the phases of the jobs that finished one and retires
-// the jobs that finished their last, in the order of st.jobs, so the
+// the jobs that finished their last, in the order of m.jobs, so the
 // CPU's completions come first; it reports whether the stop instance
 // completed. A stop on the CPU leaves the GPU's job as it was.
-func (st *state) reap(res *Result, stop *workload.Instance) bool {
-	out := st.jobs[:0]
+func (m *Machine) reap(res *Result, stop *workload.Instance) bool {
+	out := m.jobs[:0]
 	stopped := false
-	for _, r := range st.jobs {
+	for _, r := range m.jobs {
 		if r.remaining > eps || stopped && r.dev == apu.GPU || r.advancePhase() {
 			out = append(out, r)
 			continue
 		}
 		res.Completions = append(res.Completions, Completion{
-			Inst: r.inst, Dev: r.dev, Start: r.start, End: st.now,
+			Inst: r.inst, Dev: r.dev, Start: r.start, End: m.now,
 		})
 		stopped = stopped || stop != nil && r.inst == stop
 	}
-	st.jobs = out
+	m.jobs = out
 	return stopped
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -462,57 +463,152 @@ func TestBiasedGovernorUncapped(t *testing.T) {
 	}
 }
 
-// A run carries the heatsink: nil Start is the machine's cold heatsink
-// bit for bit, End is where the run left the node, and a run started
-// from a hot, throttled End begins under its ceilings and at its
-// temperature. Start is checked like every other option.
-func TestStartAndEndHeat(t *testing.T) {
-	opts := baseOpts()
-	tp := opts.Cfg.Thermal
-	tp.TMaxC = 45
-	opts.Cfg = opts.Cfg.WithThermal(tp)
-	jobs := func() Dispatcher {
-		return NewQueueDispatcher([]*workload.Instance{inst("lud"), inst("srad")}, []*workload.Instance{inst("hotspot"), inst("cfd")})
+// runBits prints a run's makespan, energy, heat, completions and power
+// trace, floats by their bits.
+func runBits(res *Result) string {
+	b := math.Float64bits
+	out := fmt.Sprintf("%x %x %x %d %d|", b(float64(res.Makespan)), b(res.EnergyJ), b(res.MaxTempC), res.Throttles, res.Power.Len())
+	for _, c := range res.Completions {
+		out += fmt.Sprintf("%s@%v:%x-%x ", c.Inst.Label, c.Dev, b(float64(c.Start)), b(float64(c.End)))
 	}
-	cold, err := Run(opts, jobs())
+	for k := 0; k < res.Power.Len(); k++ {
+		out += fmt.Sprintf("%x ", b(res.Power.At(k).Value))
+	}
+	return out
+}
+
+// firstView is a Dispatcher that keeps a copy of the first View it is
+// offered.
+type firstView struct {
+	Dispatcher
+	v *View
+}
+
+func (f *firstView) Next(dev apu.Device, v *View) *Dispatch {
+	if f.v == nil {
+		c := *v
+		f.v = &c
+	}
+	return f.Dispatcher.Next(dev, v)
+}
+
+// A machine carries its heatsink and clock from run to run: a fresh
+// machine's run is Run's bit for bit; back-to-back runs on one machine
+// are, bit for bit, fresh machines each restored to where the last run
+// left the machine; a hot, throttled restore starts under its ceilings
+// and at its temperature; every run's scratch starts fresh; a run that
+// errors changes nothing; and Restore holds the ceilings to the
+// machine's levels.
+func TestMachineCarriesHeat(t *testing.T) {
+	opts, cpuQ, gpuQ := goldenSetup(goldenScenario{pkgCap: 15, tmax: 45, cpuSlots: 1})
+	cfg, tp := opts.Cfg, opts.Cfg.Thermal
+	jobs := func() Dispatcher { return NewQueueDispatcher(cpuQ, gpuQ) }
+
+	want, err := Run(opts, jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCold := opts
-	c := opts.Cfg.Cold()
-	withCold.Start = &c
-	same, err := Run(withCold, jobs())
+	fresh := NewMachine(cfg)
+	cold, err := fresh.Run(opts, jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.Makespan != cold.Makespan || same.EnergyJ != cold.EnergyJ || same.MaxTempC != cold.MaxTempC ||
-		same.Throttles != cold.Throttles || same.End != cold.End {
-		t.Errorf("an explicit cold start differs from nil: %+v vs %+v", same.End, cold.End)
+	if got, w := runBits(cold), runBits(want); got != w || fresh.Clock() != cold.Makespan {
+		t.Errorf("a fresh machine's run differs from Run:\n%s\n%s", got, w)
 	}
-	if cold.Throttles == 0 || cold.End.TempC <= tp.AmbientC {
-		t.Fatalf("the batch never heated the node to its trip point: %d throttles, ends at %v", cold.Throttles, cold.End)
+	if cold.Throttles == 0 || fresh.Heat().TempC <= tp.AmbientC {
+		t.Fatalf("the batch never heated the node to its trip point: %d throttles, ends at %+v", cold.Throttles, fresh.Heat())
 	}
 
-	warm := opts
+	m := NewMachine(cfg)
+	clock, heat := m.Clock(), m.Heat()
+	for k := 1; k <= 4; k++ {
+		res, err := m.Run(opts, jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := NewMachine(cfg)
+		restored.Restore(clock, heat)
+		alone, err := restored.Run(opts, jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := runBits(res), runBits(alone); got != w || m.Clock() != restored.Clock() || m.Heat() != restored.Heat() {
+			t.Errorf("run %d on one machine left %v on %+v:\n%s\nrestored, %v on %+v:\n%s",
+				k, m.Clock(), m.Heat(), got, restored.Clock(), restored.Heat(), w)
+		}
+		if k > 1 && heat == NewMachine(cfg).Heat() {
+			t.Errorf("run %d started cold", k)
+		}
+		if m.Clock() != clock+res.Makespan {
+			t.Errorf("run %d moved the clock %v -> %v over %v s", k, clock, m.Clock(), res.Makespan)
+		}
+		clock, heat = m.Clock(), m.Heat()
+	}
+
 	hot := apu.Heat{TempC: 46, Ceil: [apu.NumDevices]int{2, 1}}
-	warm.Start = &hot
-	res, err := Run(warm, jobs())
+	warm := NewMachine(cfg)
+	warm.Restore(0, hot)
+	res, err := warm.Run(opts, jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxTempC < hot.TempC || res.Makespan <= cold.Makespan {
 		t.Errorf("a hot, throttled start peaked at %v °C over %v s; cold: %v s", res.MaxTempC, res.Makespan, cold.Makespan)
 	}
-
-	for _, bad := range []apu.Heat{
-		{TempC: math.NaN()},
-		{TempC: 40, Ceil: [apu.NumDevices]int{-1, 0}},
-		{TempC: 40, Ceil: [apu.NumDevices]int{0, opts.Cfg.NumFreqs(apu.GPU)}},
-	} {
-		o := opts
-		o.Start = &bad
-		if _, err := Run(o, jobs()); err == nil {
-			t.Errorf("start %+v accepted", bad)
+	// Below the trip point and above the release point, with no governor,
+	// nothing but the start moves a level in the first second.
+	ungoverned := opts
+	ungoverned.Governor = nil
+	warm.Restore(0, apu.Heat{TempC: 42.5, Ceil: hot.Ceil})
+	first := true
+	if _, err := warm.run(ungoverned, jobs(), &probe{sample: func(m *Machine, _, _ float64) {
+		if first && (m.freq[apu.CPU] > hot.Ceil[apu.CPU] || m.freq[apu.GPU] > hot.Ceil[apu.GPU]) {
+			t.Errorf("a restored throttled machine ran its first second at levels %v above the ceilings %v", m.freq, hot.Ceil)
 		}
+		first = false
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A run's scratch starts as a fresh machine's: the segment cache and
+	// the plane split the last run left are not the next one's, even
+	// where the next run's first job lands in the same slot.
+	lud := *workload.MustByName("lud")
+	lud.Phases = []kernelsim.Phase{{Frac: 1, BytesPerOp: lud.Phases[0].BytesPerOp}}
+	one := []*workload.Instance{{Prog: &lud, Scale: 1, Label: "lud"}}
+	plain := baseOpts()
+	plain.Cfg = plain.Cfg.WithThermal(apu.ThermalParams{}) // no heat to carry
+	again := NewMachine(plain.Cfg)
+	var runs []string
+	for k := 0; k < 2; k++ {
+		fv := &firstView{Dispatcher: NewQueueDispatcher(nil, one)}
+		res, err := again.Run(plain, fv)
+		if err != nil {
+			t.Fatalf("run %d of one job on one machine: %v", k+1, err)
+		}
+		runs = append(runs, fmt.Sprintf("%+v %s", fv.v, runBits(res)))
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("a machine's second run differs from its first:\n%s\n%s", runs[0], runs[1])
+	}
+
+	clock, heat = m.Clock(), m.Heat()
+	short := opts
+	short.MaxTime = 1
+	other := opts
+	other.Cfg = apu.DefaultConfig()
+	for name, o := range map[string]Options{"past MaxTime": short, "on another machine's Cfg": other, "without a Cfg": {Mem: opts.Mem}} {
+		if _, err := m.Run(o, jobs()); err == nil {
+			t.Errorf("a run %s succeeded", name)
+		}
+		if m.Clock() != clock || m.Heat() != heat {
+			t.Errorf("a run %s that failed moved the machine from %v on %+v to %v on %+v", name, clock, heat, m.Clock(), m.Heat())
+		}
+	}
+
+	m.Restore(5, apu.Heat{TempC: 40, Ceil: [apu.NumDevices]int{-1, cfg.NumFreqs(apu.GPU)}})
+	if want := (apu.Heat{TempC: 40, Ceil: [apu.NumDevices]int{0, cfg.MaxFreqIndex(apu.GPU)}}); m.Heat() != want || m.Clock() != 5 {
+		t.Errorf("restored to %+v at %v, want %+v at 5", m.Heat(), m.Clock(), want)
 	}
 }

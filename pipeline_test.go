@@ -67,7 +67,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				epPlan, _, epRes, err := new(online.Node).Run(online.Options{
+				epPlan, _, epRes, err := online.NewNode(sys.cfg).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)
@@ -100,7 +100,7 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				epPlan, epPredicted, epRes, err := new(online.Node).Run(online.Options{
+				epPlan, epPredicted, epRes, err := online.NewNode(sys.cfg).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)

@@ -177,6 +177,29 @@ func TestFailpointsStayInTheDaemon(t *testing.T) {
 	})
 }
 
+// TestHeatsinkStaysInSim keeps the heatsink's state and rules in one
+// home: among non-test files only internal/apu (the thermal model) and
+// internal/sim (sim.Machine, which carries the heatsink from run to run)
+// call a method named Cold, Step, Relax or Decay. A layer above reads a
+// machine's heat and restores it; it never builds or steps one.
+func TestHeatsinkStaysInSim(t *testing.T) {
+	allowed := map[string]bool{"internal/apu": true, "internal/sim": true}
+	thermal := map[string]bool{"Cold": true, "Step": true, "Relax": true, "Decay": true}
+	eachNonTestFile(t, func(fset *token.FileSet, path, dir string, f *ast.File) {
+		if allowed[dir] {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && thermal[sel.Sel.Name] {
+					t.Errorf("%s calls %s; only internal/apu and internal/sim may", fset.Position(call.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // importName is the name an import is referred to by in its file.
 func importName(imp *ast.ImportSpec) string {
 	if imp.Name != nil {
@@ -320,7 +343,7 @@ func TestEveryKnobIsListed(t *testing.T) {
 			"RebalanceInterval", "RequestTimeout"},
 		"internal/journal.Options": {"Dir", "Fsync", "SnapshotBytes", "Observer", "Faults"},
 		"internal/sim.Options": {"Cfg", "Mem", "PowerCap", "HardCap", "DomainCaps", "CPUSlots",
-			"InitCPUFreq", "InitGPUFreq", "Governor", "Start", "StopInstance", "MaxTime"},
+			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
 		"internal/core.HCSOptions":     {"DisablePartition", "DisablePreference"},
 		"internal/core.RefineOptions":  {"Seed", "SkipAdjacent", "SkipRandomInQueue", "SkipCross"},
 		"internal/core.GeneticOptions": {"Seed", "SeedSchedule"},
