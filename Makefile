@@ -39,7 +39,9 @@ fmtcheck:
 # (BenchmarkPredictedMakespan), the simulator alone (BenchmarkRun: the
 # executor's share of an epoch, apart from the planner's; its /machine
 # case runs epochs back to back on one sim.Machine, the heatsink carried
-# from run to run), the planning
+# from run to run) and BenchmarkRunFig11 (root: a warm Fig. 11 plan's
+# run under the plan governor, the sim.execute stage of a warm epoch),
+# the planning
 # benchmarks of the policy layer, the append/recovery benchmarks of the
 # state journal, the handler and durable-submit benchmarks of the
 # daemon, and the fleet coordinator's hop — a submit and a status read
@@ -57,7 +59,9 @@ bench:
 # body the daemon serves. FuzzSnapshotSplit holds the snapshot decoded
 # in pieces, as recovery splits it across cores, to the single pass.
 # FuzzPairChoiceBound holds the planner's bounded frequency traversal
-# and partition test to exhaustive scans.
+# and partition test to exhaustive scans. FuzzQuietTicks holds the
+# simulator's event loop, which skips the calls a quiet tick need not
+# make, to the same loop asking at every tick, bit for bit.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/journal/
@@ -66,6 +70,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/policy/
 	$(GO) test -run='^$$' -fuzz=FuzzPairTimes -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPairChoiceBound -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzQuietTicks -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzArbitrate -fuzztime=$(FUZZTIME) ./internal/memsys/
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpecJSON -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzAdmissionSpec -fuzztime=$(FUZZTIME) ./internal/admission/

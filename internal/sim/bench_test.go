@@ -55,25 +55,34 @@ func TestRunAllocs(t *testing.T) {
 	}
 }
 
-// runEvaluations is the number of segments one Run of BenchmarkRun's
-// scenario evaluates in full (Machine.evaluate calls), by T_max: every
-// other segment reuses the last one's rates and power. A change that
-// lowers a count lowers it here in the same diff; one that raises it
-// says why.
-var runEvaluations = []struct {
-	tmax  float64
-	evals int
-}{{0, 45}, {45, 458}}
+// runCounts are the calls one Run of BenchmarkRun's scenario makes, by
+// T_max: evals segments evaluated in full (Machine.evaluate calls; every
+// other segment reuses the last one's rates and power), adjusts
+// Governor.Adjust calls and nexts Dispatcher.Next calls. Asking at every
+// tick, as the event loop did before it skipped quiet ticks, the same
+// runs make 2,731 / 3,783 Adjust and 1,582 / 1,850 Next calls. A change
+// that lowers a count lowers it here in the same diff; one that raises
+// it says why.
+var runCounts = []struct {
+	tmax                  float64
+	evals, adjusts, nexts int
+}{{0, 45, 44, 31}, {45, 458, 484, 27}}
 
 func TestRunEvaluations(t *testing.T) {
-	for _, c := range runEvaluations {
+	for _, c := range runCounts {
 		opts, cpuQ, gpuQ := goldenSetup(goldenScenario{pkgCap: 15, tmax: c.tmax, cpuSlots: 1})
 		p := &probe{}
-		if _, err := NewMachine(opts.Cfg).run(opts, NewQueueDispatcher(cpuQ, gpuQ), p); err != nil {
+		opts, calls := count(opts, NewQueueDispatcher(cpuQ, gpuQ))
+		if _, err := NewMachine(opts.Cfg).run(opts, calls, p); err != nil {
 			t.Fatal(err)
 		}
-		if p.evaluations > c.evals {
-			t.Errorf("tmax=%v: one Run evaluates %d segments in full, ceiling %d", c.tmax, p.evaluations, c.evals)
+		for _, n := range []struct {
+			what       string
+			got, limit int
+		}{{"segments evaluated in full", p.evaluations, c.evals}, {"Adjust calls", calls.adjusts, c.adjusts}, {"Next calls", calls.nexts, c.nexts}} {
+			if n.got > n.limit {
+				t.Errorf("tmax=%v: one Run makes %d %s, ceiling %d", c.tmax, n.got, n.what, n.limit)
+			}
 		}
 	}
 }

@@ -148,6 +148,12 @@ type traced struct {
 
 // runTraced is Run with the five series recorded.
 func runTraced(opts Options, disp Dispatcher) (*traced, error) {
+	return traceRun(NewMachine(opts.Cfg), opts, disp, &probe{})
+}
+
+// traceRun is m's run under p with the five series recorded; it sets
+// p's sample hook.
+func traceRun(m *Machine, opts Options, disp Dispatcher, p *probe) (*traced, error) {
 	tr := &traced{
 		CPUFreq: trace.NewSeries("cpu_freq", "ghz"),
 		GPUFreq: trace.NewSeries("gpu_freq", "ghz"),
@@ -155,14 +161,15 @@ func runTraced(opts Options, disp Dispatcher) (*traced, error) {
 		PP1:     trace.NewSeries("pp1_power", "w"),
 		TempC:   trace.NewSeries("temp", "c"),
 	}
-	res, err := NewMachine(opts.Cfg).run(opts, disp, &probe{sample: func(m *Machine, avgPP0, avgPP1 float64) {
+	p.sample = func(m *Machine, avgPP0, avgPP1 float64) {
 		cfg := m.opts.Cfg
 		tr.CPUFreq.MustAdd(m.now, float64(cfg.Freq(apu.CPU, m.freq[apu.CPU])))
 		tr.GPUFreq.MustAdd(m.now, float64(cfg.Freq(apu.GPU, m.freq[apu.GPU])))
 		tr.PP0.MustAdd(m.now, avgPP0)
 		tr.PP1.MustAdd(m.now, avgPP1)
 		tr.TempC.MustAdd(m.now, m.heat.TempC)
-	}})
+	}
+	res, err := m.run(opts, disp, p)
 	if err != nil {
 		return nil, err
 	}

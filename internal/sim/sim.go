@@ -175,12 +175,24 @@ type View struct {
 // Dispatcher supplies jobs to idle device slots. Next returns nil when
 // the device should stay idle for now; the simulation ends when nothing
 // is running and both devices decline to dispatch.
+//
+// A Dispatcher declines steadily: once it declines a device, it
+// declines that device again, and changes no state in doing so, until a
+// job starts or finishes. Its answer may depend on View.Running but not
+// on the frequencies or plane powers. The simulator relies on this: it
+// asks again only after a start or a finish, not at every tick.
 type Dispatcher interface {
 	Next(dev apu.Device, view *View) *Dispatch
 }
 
 // Governor reacts to measured power at each sample tick and returns the
 // frequency indices to use next (possibly unchanged).
+//
+// A Governor is pure: Adjust's answer is a function of its arguments —
+// the power, the View and cfg — and it may memoize. The simulator
+// relies on this: while none of those inputs and no throttle ceiling
+// has changed since a tick that moved no level, it does not call Adjust
+// again.
 type Governor interface {
 	Adjust(power units.Watts, view *View, cfg *apu.Config) (cpuFreq, gpuFreq int)
 }
@@ -302,7 +314,6 @@ func (r *running) advancePhase() bool {
 // may be read from any goroutine, everything else only from the one
 // that runs, idles or restores the machine.
 type Machine struct {
-	cfg   *apu.Config
 	clock atomic.Uint64 // units.Seconds bits
 
 	// heat is the shared heatsink (thermal RC model) and the effective
@@ -310,6 +321,8 @@ type Machine struct {
 	// temperature trips T_max; setFreqs never exceeds them.
 	heat apu.Heat
 
+	// opts is the last run's options; opts.Cfg is the machine's
+	// description from NewMachine on.
 	opts Options
 	now  units.Seconds
 
@@ -331,6 +344,10 @@ type Machine struct {
 	// seg is the last segment evaluated in full (see sameSegment).
 	seg segment
 
+	// quiet says which of a tick's calls would return what they last
+	// returned, so the tick skips them.
+	quiet quiet
+
 	// runs is the chunk newRunning carves jobs from, len(runs0) at a
 	// time. It and jobs and seg.jobs start each run on the arrays
 	// below, inside the machine: a pairwise measurement dispatches a
@@ -345,7 +362,7 @@ type Machine struct {
 // ambient, unthrottled) at time 0. A nil cfg gives a machine no run
 // accepts, since Options.Cfg is required.
 func NewMachine(cfg *apu.Config) *Machine {
-	m := &Machine{cfg: cfg}
+	m := &Machine{opts: Options{Cfg: cfg}}
 	if cfg != nil {
 		m.heat = cfg.Cold()
 	}
@@ -372,10 +389,11 @@ func (m *Machine) Idle(t units.Seconds) {
 	if t <= now {
 		return
 	}
-	if tp := m.cfg.Thermal; tp.Enabled() {
-		m.heat.TempC = tp.Step(m.heat.TempC, m.cfg.IdlePower, t-now)
+	cfg := m.opts.Cfg
+	if tp := cfg.Thermal; tp.Enabled() {
+		m.heat.TempC = tp.Step(m.heat.TempC, cfg.IdlePower, t-now)
 		if m.heat.TempC < tp.TMaxC-tp.HysteresisC {
-			m.heat.Ceil = m.cfg.Cold().Ceil
+			m.heat.Ceil = cfg.Cold().Ceil
 		}
 	}
 	m.setClock(t)
@@ -386,7 +404,7 @@ func (m *Machine) Idle(t units.Seconds) {
 // on another preset).
 func (m *Machine) Restore(clock units.Seconds, heat apu.Heat) {
 	for d := range heat.Ceil {
-		heat.Ceil[d] = min(max(heat.Ceil[d], 0), m.cfg.MaxFreqIndex(apu.Device(d)))
+		heat.Ceil[d] = min(max(heat.Ceil[d], 0), m.opts.Cfg.MaxFreqIndex(apu.Device(d)))
 	}
 	m.heat = heat
 	m.setClock(clock)
@@ -421,6 +439,27 @@ type segment struct {
 	jobs  []segmentJob
 	power units.Watts
 }
+
+// quiet holds, for each call an event-loop tick may skip, whether its
+// last answer provably still stands. Every write to the running set, a
+// phase or a frequency level clears seg and gov; a finish also clears
+// disp, and a new segment or a moved throttle ceiling clears gov.
+type quiet struct {
+	// disp: fill dispatched nothing and no job has started or finished
+	// since, so the dispatcher would decline every free slot again.
+	disp bool
+	// seg: no job, phase or level has changed since the segment check,
+	// so m.seg still describes the segment.
+	seg bool
+	// gov: the governor's last tick moved no level and none of its
+	// inputs — the segment's power and split, the levels, the ceilings,
+	// the running set — has changed since.
+	gov bool
+}
+
+// changed clears the quiet state a change of the running set, a phase or
+// a frequency level invalidates.
+func (m *Machine) changed() { m.quiet.seg, m.quiet.gov = false, false }
 
 // segmentJob is a running job and its phase.
 type segmentJob struct {
@@ -505,9 +544,14 @@ func (m *Machine) Run(opts Options, disp Dispatcher) (*Result, error) {
 // tick's Power sample is taken, with the machine as the tick left it and
 // the interval's average PP0 and PP1 power. evaluations counts the
 // segments the run evaluated in full (Machine.evaluate calls).
+// everyTick makes the run skip nothing a quiet tick may skip: it asks
+// the dispatcher, checks the segment, ticks the governor, walks the
+// ceiling release and reaps at every tick — the reference the skips are
+// held to.
 type probe struct {
 	sample      func(m *Machine, avgPP0, avgPP1 float64)
 	evaluations int
+	everyTick   bool
 }
 
 // run is one run's event loop, with an optional probe: Run without the
@@ -517,12 +561,13 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if o.Cfg != m.cfg {
+	if o.Cfg != m.opts.Cfg {
 		return nil, fmt.Errorf("sim: Options.Cfg is not the machine's")
 	}
 	if disp == nil {
 		return nil, fmt.Errorf("sim: nil dispatcher")
 	}
+	ref := p != nil && p.everyTick
 
 	// The run's scratch starts as a fresh machine's; the frequencies
 	// start under the heatsink's ceilings.
@@ -532,6 +577,7 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		min(o.InitGPUFreq.index(o.Cfg, apu.GPU), m.heat.Ceil[apu.GPU]),
 	}
 	m.runs, m.jobs, m.seg = m.runs0[:0], m.jobs0[:0], segment{jobs: m.segJobs0[:0]}
+	m.quiet = quiet{}
 	n := int(sampleHint.Load())
 	res := &Result{
 		Power:    trace.NewSeriesCap("package_power", "w", n),
@@ -539,6 +585,9 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 	}
 	thermal := o.Cfg.Thermal
 	decay, decayDt := 1.0, 0.0 // decay is thermal.Decay(decayDt)
+	// low: some throttle ceiling is below its maximum, so a cool tick has
+	// one to release. A restored or idled machine may start throttled.
+	low := m.heat.Ceil != o.Cfg.Cold().Ceil
 
 	nextSample := sampleInterval
 	nextGov := governorInterval
@@ -550,6 +599,10 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 
 	const maxEvents = 50_000_000
 	for ev := 0; ev < maxEvents; ev++ {
+		if ref {
+			m.quiet, low = quiet{}, true
+		}
+
 		// Fill idle slots.
 		dispatched := m.fill(disp)
 		if len(m.jobs) == 0 {
@@ -560,13 +613,17 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		}
 
 		// The segment's rates, power and plane split: those of the last
-		// segment while nothing they depend on has changed.
+		// segment while nothing they depend on has changed, checked only
+		// once something has.
 		power := m.seg.power
-		if !m.sameSegment() {
-			power = m.evaluate()
-			if p != nil {
-				p.evaluations++
+		if !m.quiet.seg {
+			if !m.sameSegment() {
+				power = m.evaluate()
+				if p != nil {
+					p.evaluations++
+				}
 			}
+			m.quiet.seg = m.seg.valid
 		}
 
 		// Earliest event.
@@ -599,8 +656,10 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		intervalPP1E += float64(m.split.PP1) * dt
 		pp0E += float64(m.split.PP0) * dt
 		pp1E += float64(m.split.PP1) * dt
+		due := ref // some job has finished its phase
 		for _, r := range m.jobs {
 			r.remaining -= r.rate * dt
+			due = due || !(r.remaining > eps)
 		}
 
 		// Thermal RC step over the segment, then the T_max throttle:
@@ -629,24 +688,36 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 				}
 				if throttled {
 					res.Throttles++
+					low = true
+					m.changed()
 				}
-			} else if m.heat.TempC < thermal.TMaxC-thermal.HysteresisC {
+			} else if low && m.heat.TempC < thermal.TMaxC-thermal.HysteresisC {
+				low = false
 				for d, c := range m.heat.Ceil {
-					m.heat.Ceil[d] = min(c+1, o.Cfg.MaxFreqIndex(apu.Device(d)))
+					top := o.Cfg.MaxFreqIndex(apu.Device(d))
+					m.heat.Ceil[d] = min(c+1, top)
+					low = low || m.heat.Ceil[d] < top
 				}
+				m.quiet.gov = false
 			}
 		}
 
 		// Phase/job completions.
-		if stopped = m.reap(res, o.StopInstance); stopped {
-			break
+		if due {
+			if stopped = m.reap(res, o.StopInstance); stopped {
+				break
+			}
 		}
 
 		// Governor tick: reacts to the instantaneous power of the
-		// segment that just ended.
+		// segment that just ended, unless it would answer as it did at
+		// its last tick, which moved no level.
 		if o.Governor != nil && m.now >= nextGov-units.Seconds(eps) {
-			cf, gf := o.Governor.Adjust(power, m.view(), o.Cfg)
-			m.setFreqs(cf, gf)
+			if !m.quiet.gov {
+				cf, gf := o.Governor.Adjust(power, m.view(), o.Cfg)
+				m.quiet.gov = true
+				m.setFreqs(cf, gf)
+			}
 			nextGov += governorInterval
 		}
 
@@ -762,12 +833,18 @@ func (m *Machine) evaluate() units.Watts {
 	} else {
 		m.rememberSegment(power)
 	}
+	m.quiet.gov = false // the governor sees a new segment
 	return power
 }
 
 // fill offers free slots to the dispatcher; it reports whether any job
-// was dispatched.
+// was dispatched. While the dispatcher declined every free slot and no
+// job has started or finished since, it would decline again: fill asks
+// nothing.
 func (m *Machine) fill(disp Dispatcher) bool {
+	if m.quiet.disp {
+		return false
+	}
 	dispatched := false
 	if m.gpuJob() == nil {
 		if d := disp.Next(apu.GPU, m.view()); d != nil {
@@ -783,11 +860,13 @@ func (m *Machine) fill(disp Dispatcher) bool {
 		m.applyDispatch(d, apu.CPU)
 		dispatched = true
 	}
+	m.quiet.disp = !dispatched
 	return dispatched
 }
 
 func (m *Machine) applyDispatch(d *Dispatch, dev apu.Device) {
 	m.setFreqs(d.CPUFreq, d.GPUFreq)
+	m.changed()
 	m.jobs = append(m.jobs, m.newRunning(d.Inst, dev))
 	// A CPU job joins the CPU's, before the GPU's job.
 	if n := len(m.jobs); dev == apu.CPU && n > 1 && m.jobs[n-2].dev == apu.GPU {
@@ -799,11 +878,16 @@ func (m *Machine) applyDispatch(d *Dispatch, dev apu.Device) {
 // throttle ceiling; a directive outside the device's levels leaves its
 // setting untouched.
 func (m *Machine) setFreqs(cf, gf int) {
+	f := m.freq
 	if cf >= 0 && cf < m.opts.Cfg.NumFreqs(apu.CPU) {
-		m.freq[apu.CPU] = min(cf, m.heat.Ceil[apu.CPU])
+		f[apu.CPU] = min(cf, m.heat.Ceil[apu.CPU])
 	}
 	if gf >= 0 && gf < m.opts.Cfg.NumFreqs(apu.GPU) {
-		m.freq[apu.GPU] = min(gf, m.heat.Ceil[apu.GPU])
+		f[apu.GPU] = min(gf, m.heat.Ceil[apu.GPU])
+	}
+	if f != m.freq {
+		m.freq = f
+		m.changed()
 	}
 }
 
@@ -907,8 +991,10 @@ func (r *running) eta() (float64, error) {
 // reap advances the phases of the jobs that finished one and retires
 // the jobs that finished their last, in the order of m.jobs, so the
 // CPU's completions come first; it reports whether the stop instance
-// completed. A stop on the CPU leaves the GPU's job as it was.
+// completed. A stop on the CPU leaves the GPU's job as it was. run calls
+// it only once some job has finished its phase.
 func (m *Machine) reap(res *Result, stop *workload.Instance) bool {
+	m.changed()
 	out := m.jobs[:0]
 	stopped := false
 	for _, r := range m.jobs {
@@ -920,6 +1006,9 @@ func (m *Machine) reap(res *Result, stop *workload.Instance) bool {
 			Inst: r.inst, Dev: r.dev, Start: r.start, End: m.now,
 		})
 		stopped = stopped || stop != nil && r.inst == stop
+	}
+	if len(out) < len(m.jobs) {
+		m.quiet.disp = false // a job finished
 	}
 	m.jobs = out
 	return stopped

@@ -140,6 +140,36 @@ func BenchmarkPlanEpochFig11(b *testing.B) {
 	})
 }
 
+// BenchmarkRunFig11 times Workload.Run of a warm Fig. 11 HCS+ plan: the
+// simulator under the plan governor, the sim.execute stage of
+// BenchmarkPlanEpochFig11/warm (and of corunmark's plan-fig11) apart
+// from planning. An untimed first run fills the pair tables the
+// governor reads.
+func BenchmarkRunFig11(b *testing.B) {
+	sys, err := NewSystem(WithPowerCap(15))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := sys.Prepare(Batch16())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := w.ScheduleSeeded("hcs+", 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.Run(plan); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Run(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // warmEpochs returns a function that plans and runs one warm Fig. 11
 // epoch through the facade (BenchmarkPlanEpochFig11/warm) per call, for
 // runs+1 calls (testing.AllocsPerRun warms up with one), over batches
