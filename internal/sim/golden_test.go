@@ -17,49 +17,92 @@ import (
 // runGolden holds, per scenario, the digest of every Result field (see
 // digestResult). The digests were recorded before the event loop reused
 // a segment's rates and power between events, so they pin that the
-// reuse returns exactly what recomputing returned.
+// reuse returns exactly what recomputing returned; the CPU-biased ("cpu/")
+// digests were recorded while BiasedGovernor still wrote each bias's
+// arms out apart, so they pin that one device order answers as both did.
 var runGolden = map[string]string{
-	"pkg15/hard=false/tmax=0/slots=1":      "3e448e828dab4b73",
-	"pkg15/hard=false/tmax=0/slots=3":      "7bf1e7aaf568e1a0",
-	"pkg15/hard=false/tmax=45/slots=1":     "51c022ad2fb66477",
-	"pkg15/hard=false/tmax=45/slots=3":     "141ced454f98f40a",
-	"pkg15/hard=true/tmax=0/slots=1":       "7b1ea2232ec258c8",
-	"pkg15/hard=true/tmax=0/slots=3":       "3d85aae1b21fc7fa",
-	"pkg15/hard=true/tmax=45/slots=1":      "c00831d62084b725",
-	"pkg15/hard=true/tmax=45/slots=3":      "4f81090b9a26cbe6",
-	"pp0/hard=false/tmax=0/slots=1":        "fa7a1f480c83a9ed",
-	"pp0/hard=false/tmax=0/slots=3":        "b75f3f775d2ab8bd",
-	"pp0/hard=false/tmax=45/slots=1":       "b03bf7396e814ac2",
-	"pp0/hard=false/tmax=45/slots=3":       "948672aa789dcfdd",
-	"pp0/hard=true/tmax=0/slots=1":         "b98486efe86eed9b",
-	"pp0/hard=true/tmax=0/slots=3":         "13fb650767ed4958",
-	"pp0/hard=true/tmax=45/slots=1":        "78126453821befe7",
-	"pp0/hard=true/tmax=45/slots=3":        "b295290c65665bca",
-	"pp1/hard=false/tmax=0/slots=1":        "d3f420fb73f6c6b0",
-	"pp1/hard=false/tmax=0/slots=3":        "518d0f09dcdac116",
-	"pp1/hard=false/tmax=45/slots=1":       "e20ded70b011846e",
-	"pp1/hard=false/tmax=45/slots=3":       "cb73d902592a699d",
-	"pp1/hard=true/tmax=0/slots=1":         "40dfed28e939b979",
-	"pp1/hard=true/tmax=0/slots=3":         "615be6a83e4d16ac",
-	"pp1/hard=true/tmax=45/slots=1":        "7ac1c576974d68e1",
-	"pp1/hard=true/tmax=45/slots=3":        "7bf539a03d3d98d0",
-	"uncapped/hard=false/tmax=0/slots=1":   "affa83ee2dda4843",
-	"uncapped/hard=false/tmax=0/slots=3":   "63ab52cba0c0108d",
-	"uncapped/hard=false/tmax=45/slots=1":  "45aa9be5b15ce9b2",
-	"uncapped/hard=false/tmax=45/slots=3":  "07c0192d32fda823",
-	"uncapped/hard=true/tmax=0/slots=1":    "affa83ee2dda4843",
-	"uncapped/hard=true/tmax=0/slots=3":    "63ab52cba0c0108d",
-	"uncapped/hard=true/tmax=45/slots=1":   "45aa9be5b15ce9b2",
-	"uncapped/hard=true/tmax=45/slots=3":   "07c0192d32fda823",
-	"pkg15+pp1/hard=false/tmax=0/slots=1":  "9e8d5c56e48c9b42",
-	"pkg15+pp1/hard=false/tmax=0/slots=3":  "61453936f8830c2c",
-	"pkg15+pp1/hard=false/tmax=45/slots=1": "cb086d126dfc9826",
-	"pkg15+pp1/hard=false/tmax=45/slots=3": "c9b91dda8a7d3e7a",
-	"pkg15+pp1/hard=true/tmax=0/slots=1":   "0edd52a2357790c1",
-	"pkg15+pp1/hard=true/tmax=0/slots=3":   "713a75412650c4d6",
-	"pkg15+pp1/hard=true/tmax=45/slots=1":  "0b575b9849fed32b",
-	"pkg15+pp1/hard=true/tmax=45/slots=3":  "486c867bb43c9ac8",
-	"stop/pkg15/tmax=45":                   "b3d2fd6181d26c4f",
+	"pkg15/hard=false/tmax=0/slots=1":          "3e448e828dab4b73",
+	"pkg15/hard=false/tmax=0/slots=3":          "7bf1e7aaf568e1a0",
+	"pkg15/hard=false/tmax=45/slots=1":         "51c022ad2fb66477",
+	"pkg15/hard=false/tmax=45/slots=3":         "141ced454f98f40a",
+	"pkg15/hard=true/tmax=0/slots=1":           "7b1ea2232ec258c8",
+	"pkg15/hard=true/tmax=0/slots=3":           "3d85aae1b21fc7fa",
+	"pkg15/hard=true/tmax=45/slots=1":          "c00831d62084b725",
+	"pkg15/hard=true/tmax=45/slots=3":          "4f81090b9a26cbe6",
+	"pp0/hard=false/tmax=0/slots=1":            "fa7a1f480c83a9ed",
+	"pp0/hard=false/tmax=0/slots=3":            "b75f3f775d2ab8bd",
+	"pp0/hard=false/tmax=45/slots=1":           "b03bf7396e814ac2",
+	"pp0/hard=false/tmax=45/slots=3":           "948672aa789dcfdd",
+	"pp0/hard=true/tmax=0/slots=1":             "b98486efe86eed9b",
+	"pp0/hard=true/tmax=0/slots=3":             "13fb650767ed4958",
+	"pp0/hard=true/tmax=45/slots=1":            "78126453821befe7",
+	"pp0/hard=true/tmax=45/slots=3":            "b295290c65665bca",
+	"pp1/hard=false/tmax=0/slots=1":            "d3f420fb73f6c6b0",
+	"pp1/hard=false/tmax=0/slots=3":            "518d0f09dcdac116",
+	"pp1/hard=false/tmax=45/slots=1":           "e20ded70b011846e",
+	"pp1/hard=false/tmax=45/slots=3":           "cb73d902592a699d",
+	"pp1/hard=true/tmax=0/slots=1":             "40dfed28e939b979",
+	"pp1/hard=true/tmax=0/slots=3":             "615be6a83e4d16ac",
+	"pp1/hard=true/tmax=45/slots=1":            "7ac1c576974d68e1",
+	"pp1/hard=true/tmax=45/slots=3":            "7bf539a03d3d98d0",
+	"uncapped/hard=false/tmax=0/slots=1":       "affa83ee2dda4843",
+	"uncapped/hard=false/tmax=0/slots=3":       "63ab52cba0c0108d",
+	"uncapped/hard=false/tmax=45/slots=1":      "45aa9be5b15ce9b2",
+	"uncapped/hard=false/tmax=45/slots=3":      "07c0192d32fda823",
+	"uncapped/hard=true/tmax=0/slots=1":        "affa83ee2dda4843",
+	"uncapped/hard=true/tmax=0/slots=3":        "63ab52cba0c0108d",
+	"uncapped/hard=true/tmax=45/slots=1":       "45aa9be5b15ce9b2",
+	"uncapped/hard=true/tmax=45/slots=3":       "07c0192d32fda823",
+	"pkg15+pp1/hard=false/tmax=0/slots=1":      "9e8d5c56e48c9b42",
+	"pkg15+pp1/hard=false/tmax=0/slots=3":      "61453936f8830c2c",
+	"pkg15+pp1/hard=false/tmax=45/slots=1":     "cb086d126dfc9826",
+	"pkg15+pp1/hard=false/tmax=45/slots=3":     "c9b91dda8a7d3e7a",
+	"pkg15+pp1/hard=true/tmax=0/slots=1":       "0edd52a2357790c1",
+	"pkg15+pp1/hard=true/tmax=0/slots=3":       "713a75412650c4d6",
+	"pkg15+pp1/hard=true/tmax=45/slots=1":      "0b575b9849fed32b",
+	"pkg15+pp1/hard=true/tmax=45/slots=3":      "486c867bb43c9ac8",
+	"stop/pkg15/tmax=45":                       "b3d2fd6181d26c4f",
+	"cpu/pkg15/hard=false/tmax=0/slots=1":      "b502ac61e3958167",
+	"cpu/pkg15/hard=false/tmax=0/slots=3":      "8df0b692a4286daa",
+	"cpu/pkg15/hard=false/tmax=45/slots=1":     "79232b72991dbb51",
+	"cpu/pkg15/hard=false/tmax=45/slots=3":     "61c446a1740cb6cc",
+	"cpu/pkg15/hard=true/tmax=0/slots=1":       "c7b4420a6d2b8953",
+	"cpu/pkg15/hard=true/tmax=0/slots=3":       "0bcdf4d50225f093",
+	"cpu/pkg15/hard=true/tmax=45/slots=1":      "dc90688be47c45fa",
+	"cpu/pkg15/hard=true/tmax=45/slots=3":      "2cc5e0c65980b964",
+	"cpu/pp0/hard=false/tmax=0/slots=1":        "fa7a1f480c83a9ed",
+	"cpu/pp0/hard=false/tmax=0/slots=3":        "b75f3f775d2ab8bd",
+	"cpu/pp0/hard=false/tmax=45/slots=1":       "ea1cc8ef59ff8d95",
+	"cpu/pp0/hard=false/tmax=45/slots=3":       "b7a1c6219e398cc0",
+	"cpu/pp0/hard=true/tmax=0/slots=1":         "b98486efe86eed9b",
+	"cpu/pp0/hard=true/tmax=0/slots=3":         "13fb650767ed4958",
+	"cpu/pp0/hard=true/tmax=45/slots=1":        "b9810ad66d485fbd",
+	"cpu/pp0/hard=true/tmax=45/slots=3":        "b69cda0a85423711",
+	"cpu/pp1/hard=false/tmax=0/slots=1":        "d3f420fb73f6c6b0",
+	"cpu/pp1/hard=false/tmax=0/slots=3":        "518d0f09dcdac116",
+	"cpu/pp1/hard=false/tmax=45/slots=1":       "18bef7ecb4e0bb72",
+	"cpu/pp1/hard=false/tmax=45/slots=3":       "074ffe5a059a4aae",
+	"cpu/pp1/hard=true/tmax=0/slots=1":         "40dfed28e939b979",
+	"cpu/pp1/hard=true/tmax=0/slots=3":         "615be6a83e4d16ac",
+	"cpu/pp1/hard=true/tmax=45/slots=1":        "483b4f6b14fca065",
+	"cpu/pp1/hard=true/tmax=45/slots=3":        "9eacea3b94f60a88",
+	"cpu/uncapped/hard=false/tmax=0/slots=1":   "affa83ee2dda4843",
+	"cpu/uncapped/hard=false/tmax=0/slots=3":   "63ab52cba0c0108d",
+	"cpu/uncapped/hard=false/tmax=45/slots=1":  "45aa9be5b15ce9b2",
+	"cpu/uncapped/hard=false/tmax=45/slots=3":  "07c0192d32fda823",
+	"cpu/uncapped/hard=true/tmax=0/slots=1":    "affa83ee2dda4843",
+	"cpu/uncapped/hard=true/tmax=0/slots=3":    "63ab52cba0c0108d",
+	"cpu/uncapped/hard=true/tmax=45/slots=1":   "45aa9be5b15ce9b2",
+	"cpu/uncapped/hard=true/tmax=45/slots=3":   "07c0192d32fda823",
+	"cpu/pkg15+pp1/hard=false/tmax=0/slots=1":  "ff044e7c7fa4bba5",
+	"cpu/pkg15+pp1/hard=false/tmax=0/slots=3":  "17ed7b9f42b8b843",
+	"cpu/pkg15+pp1/hard=false/tmax=45/slots=1": "131a3fdec5d193c1",
+	"cpu/pkg15+pp1/hard=false/tmax=45/slots=3": "9c1928ebbf45d383",
+	"cpu/pkg15+pp1/hard=true/tmax=0/slots=1":   "34e807a7e73d1925",
+	"cpu/pkg15+pp1/hard=true/tmax=0/slots=3":   "35264e92103ea420",
+	"cpu/pkg15+pp1/hard=true/tmax=45/slots=1":  "375f8f3e99c7010d",
+	"cpu/pkg15+pp1/hard=true/tmax=45/slots=3":  "09444fbbeffb5656",
+	"cpu/stop/pkg15/tmax=45":                   "7a337e812e0bec1e",
 }
 
 // goldenScenario is one simulator configuration of TestRunGolden.
@@ -71,13 +114,15 @@ type goldenScenario struct {
 	tmax     float64 // 0: thermal model off
 	cpuSlots int
 	stop     bool // end when the batch's fifth instance completes
+	bias     Bias
 }
 
 // goldenScenarios crosses every cap shape — a package cap, each plane
 // alone, none, and a package cap with a plane cap under it — with
 // hardware enforcement off and on, the thermal model off and throttling
 // at 45 C, and one or three CPU slots; the last entry stops at one
-// instance's completion.
+// instance's completion. Every scenario runs under the GPU-biased
+// governor and again, its name prefixed "cpu/", under the CPU-biased one.
 func goldenScenarios() []goldenScenario {
 	caps := []struct {
 		name    string
@@ -103,12 +148,17 @@ func goldenScenarios() []goldenScenario {
 			}
 		}
 	}
-	return append(out, goldenScenario{name: "stop/pkg15/tmax=45", pkgCap: 15, tmax: 45, cpuSlots: 1, stop: true})
+	out = append(out, goldenScenario{name: "stop/pkg15/tmax=45", pkgCap: 15, tmax: 45, cpuSlots: 1, stop: true})
+	for _, sc := range out {
+		sc.name, sc.bias = "cpu/"+sc.name, CPUBiased
+		out = append(out, sc)
+	}
+	return out
 }
 
 // goldenSetup builds the scenario's options and queues: Batch16,
-// alternate instances queued on the CPU and the GPU, under a GPU-biased
-// governor enforcing the scenario's caps.
+// alternate instances queued on the CPU and the GPU, under a governor of
+// the scenario's bias enforcing its caps.
 func goldenSetup(sc goldenScenario) (opts Options, cpuQ, gpuQ []*workload.Instance) {
 	cfg := apu.DefaultConfig()
 	tp := cfg.Thermal
@@ -126,7 +176,7 @@ func goldenSetup(sc goldenScenario) (opts Options, cpuQ, gpuQ []*workload.Instan
 	opts.Cfg = cfg
 	opts.PowerCap, opts.DomainCaps, opts.HardCap = sc.pkgCap, sc.domains, sc.hardCap
 	opts.CPUSlots = sc.cpuSlots
-	opts.Governor = &BiasedGovernor{Cap: sc.pkgCap, Domains: sc.domains, Bias: GPUBiased}
+	opts.Governor = &BiasedGovernor{Cap: sc.pkgCap, Domains: sc.domains, Bias: sc.bias}
 	if sc.stop {
 		opts.StopInstance = batch[4]
 	}
