@@ -41,7 +41,9 @@ fmtcheck:
 # case runs epochs back to back on one sim.Machine, the heatsink carried
 # from run to run) and BenchmarkRunFig11 (root: a warm Fig. 11 plan's
 # run under the plan governor, the sim.execute stage of a warm epoch),
-# the planning
+# BenchmarkBiasedAdjust (the reactive governor's Adjust alone, one call
+# per op over a fixed grid of views, both biases, with and without plane
+# caps), the planning
 # benchmarks of the policy layer, the append/recovery benchmarks of the
 # state journal, the handler and durable-submit benchmarks of the
 # daemon, and the fleet coordinator's hop — a submit and a status read
@@ -62,6 +64,10 @@ bench:
 # and partition test to exhaustive scans. FuzzQuietTicks holds the
 # simulator's event loop, which skips the calls a quiet tick need not
 # make, to the same loop asking at every tick, bit for bit.
+# FuzzBiasedAdjust holds the reactive governor to its policy: levels in
+# range, a plane overdraw lowers only its device one level, no raise over
+# the package cap, and a raise moves one device one level, the preferred
+# one first.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/journal/
@@ -71,6 +77,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPairTimes -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPairChoiceBound -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzQuietTicks -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzBiasedAdjust -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzArbitrate -fuzztime=$(FUZZTIME) ./internal/memsys/
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpecJSON -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzAdmissionSpec -fuzztime=$(FUZZTIME) ./internal/admission/

@@ -19,16 +19,19 @@ type DomainCaps struct {
 // Any reports whether at least one plane is capped.
 func (dc DomainCaps) Any() bool { return dc.PP0 > 0 || dc.PP1 > 0 }
 
-// Allows reports whether the split respects both plane caps.
-func (dc DomainCaps) Allows(s PowerSplit) bool {
-	if dc.PP0 > 0 && s.PP0 > dc.PP0 {
-		return false
+// Over reports whether w is over the cap of the plane that meters
+// device d — PP0 for the CPU, PP1 for the GPU. An uncapped plane is
+// never over.
+func (dc DomainCaps) Over(d Device, w units.Watts) bool {
+	c := dc.PP1
+	if d == CPU {
+		c = dc.PP0
 	}
-	if dc.PP1 > 0 && s.PP1 > dc.PP1 {
-		return false
-	}
-	return true
+	return c > 0 && w > c
 }
+
+// Allows reports whether the split respects both plane caps.
+func (dc DomainCaps) Allows(s PowerSplit) bool { return !dc.Over(CPU, s.PP0) && !dc.Over(GPU, s.PP1) }
 
 // Binding returns the limit the split loads most heavily — a plane cap
 // or the package cap pkg — as the largest watts/cap ratio among the

@@ -61,7 +61,7 @@ func (d *randomDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch {
 	}
 	j := d.remaining[pick]
 	d.remaining = append(d.remaining[:pick], d.remaining[pick+1:]...)
-	return &sim.Dispatch{Inst: d.batch[j], CPUFreq: -1, GPUFreq: -1}
+	return &sim.Dispatch{Inst: d.batch[j], Freq: [apu.NumDevices]int{-1, -1}}
 }
 
 // ExecuteRandom runs the Random baseline once with the given seed. The

@@ -35,7 +35,7 @@ func (s *steadyCheck) Next(dev apu.Device, v *sim.View) *sim.Dispatch {
 	cfg := apu.DefaultConfig()
 	for _, moved := range []sim.View{
 		{Running: v.Running},
-		{Running: v.Running, CPUFreq: cfg.MaxFreqIndex(apu.CPU), GPUFreq: cfg.MaxFreqIndex(apu.GPU), PP0: v.PP0 + 10, PP1: v.PP1 + 10},
+		{Running: v.Running, Freq: [apu.NumDevices]int{cfg.MaxFreqIndex(apu.CPU), cfg.MaxFreqIndex(apu.GPU)}, Plane: [apu.NumDevices]units.Watts{v.Plane[apu.CPU] + 10, v.Plane[apu.GPU] + 10}},
 	} {
 		if again := s.d.Next(dev, &moved); again != nil {
 			s.t.Errorf("%s: declined %v, then dispatched %s with the same jobs running", s.name, dev, again.Inst.Label)
@@ -117,19 +117,19 @@ type pureCheck struct {
 	asks int
 }
 
-func (c *pureCheck) Adjust(power units.Watts, v *sim.View, cfg *apu.Config) (int, int) {
+func (c *pureCheck) Adjust(power units.Watts, v *sim.View, cfg *apu.Config) [apu.NumDevices]int {
 	c.asks++
-	cf, gf := c.g.Adjust(power, v, cfg)
+	lv := c.g.Adjust(power, v, cfg)
 	memo := *c.g
-	cf2, gf2 := c.g.Adjust(power, v, cfg)
-	cf3, gf3 := (&planGovernor{cx: c.g.cx, pair: [apu.NumDevices]int{-1, -1}}).Adjust(power, v, cfg)
-	if cf2 != cf || gf2 != gf || cf3 != cf || gf3 != gf {
-		c.t.Errorf("Adjust(%v, %+v) = %d,%d, asked again %d,%d, a fresh governor %d,%d", power, *v, cf, gf, cf2, gf2, cf3, gf3)
+	lv2 := c.g.Adjust(power, v, cfg)
+	lv3 := (&planGovernor{cx: c.g.cx, pair: [apu.NumDevices]int{-1, -1}}).Adjust(power, v, cfg)
+	if lv2 != lv || lv3 != lv {
+		c.t.Errorf("Adjust(%v, %+v) = %v, asked again %v, a fresh governor %v", power, *v, lv, lv2, lv3)
 	}
 	if *c.g != memo {
 		c.t.Errorf("asking again changed the governor: %+v -> %+v", memo, *c.g)
 	}
-	return cf, gf
+	return lv
 }
 
 // The simulator skips a governor tick whose inputs are unchanged since a

@@ -331,7 +331,7 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 		fp = apu.FreqPair{}
 	}
 	d.queues[dev] = q[1:]
-	return &sim.Dispatch{Inst: d.batch[head], CPUFreq: fp.CPU, GPUFreq: fp.GPU}
+	return &sim.Dispatch{Inst: d.batch[head], Freq: [apu.NumDevices]int{fp.CPU, fp.GPU}}
 }
 
 // planGovernor re-applies the planned frequency choice to whatever pair
@@ -344,28 +344,28 @@ func (d *scheduleDispatcher) Next(dev apu.Device, view *sim.View) *sim.Dispatch 
 // The governor ticks far more often than the running pair changes, and
 // within one context the choice is a function of the pair alone, so it
 // keeps the last pair it asked about (CPU job, GPU job; both -1 before
-// the first) and that pair's answer.
+// the first) and that pair's levels, if it has a feasible choice.
 type planGovernor struct {
 	cx   *Context
 	pair [apu.NumDevices]int
-	fp   apu.FreqPair
+	lv   [apu.NumDevices]int
 	ok   bool
 }
 
 // Adjust implements sim.Governor.
-func (g *planGovernor) Adjust(power units.Watts, view *sim.View, cfg *apu.Config) (int, int) {
+func (g *planGovernor) Adjust(power units.Watts, view *sim.View, cfg *apu.Config) [apu.NumDevices]int {
 	pair := [apu.NumDevices]int{jobID(view.Running[apu.CPU]), jobID(view.Running[apu.GPU])}
 	if pair[apu.CPU] < 0 && pair[apu.GPU] < 0 {
-		return view.CPUFreq, view.GPUFreq
+		return view.Freq
 	}
 	if pair != g.pair {
-		g.pair = pair
-		g.fp, _, _, g.ok = g.cx.ChoosePairFreqs(pair[apu.CPU], pair[apu.GPU])
+		fp, _, _, ok := g.cx.ChoosePairFreqs(pair[apu.CPU], pair[apu.GPU])
+		g.pair, g.lv, g.ok = pair, [apu.NumDevices]int{fp.CPU, fp.GPU}, ok
 	}
 	if !g.ok {
-		return view.CPUFreq, view.GPUFreq
+		return view.Freq
 	}
-	return g.fp.CPU, g.fp.GPU
+	return g.lv
 }
 
 // ExecOptions configures schedule execution on the simulator.
@@ -420,7 +420,6 @@ func (cx *Context) Execute(s *Schedule, batch []*workload.Instance, opts ExecOpt
 		Governor: &planGovernor{cx: cx, pair: [apu.NumDevices]int{-1, -1}},
 		// The planned schedule controls frequencies; start from the
 		// floor so the first dispatch's directive decides.
-		InitCPUFreq: sim.Pin(0),
-		InitGPUFreq: sim.Pin(0),
+		InitFreq: [apu.NumDevices]sim.FreqSetting{sim.Pin(0), sim.Pin(0)},
 	}, newScheduleDispatcher(cx, s, batch))
 }

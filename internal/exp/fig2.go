@@ -143,7 +143,7 @@ func (s *Suite) Example3() (*Example3Result, error) {
 			}
 			simOpts := sim.Options{
 				Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
-				InitCPUFreq: sim.Pin(fp[0]), InitGPUFreq: sim.Pin(fp[1]),
+				InitFreq: [apu.NumDevices]sim.FreqSetting{sim.Pin(fp[0]), sim.Pin(fp[1])},
 			}
 			r, err := sim.Run(simOpts, sim.NewQueueDispatcher(cpuQ, gpuQ))
 			if err != nil {

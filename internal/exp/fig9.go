@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"corun/internal/apu"
 	"corun/internal/sim"
 	"corun/internal/trace"
 	"corun/internal/units"
@@ -54,7 +55,7 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 
 		opts := sim.Options{
 			Cfg: s.Cfg, Mem: s.Mem, PowerCap: cap,
-			InitCPUFreq: sim.Pin(fp.CPU), InitGPUFreq: sim.Pin(fp.GPU),
+			InitFreq:     [apu.NumDevices]sim.FreqSetting{sim.Pin(fp.CPU), sim.Pin(fp.GPU)},
 			StopInstance: target,
 		}
 		var cpuQ, gpuQ []*workload.Instance

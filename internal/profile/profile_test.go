@@ -65,13 +65,8 @@ func TestProfileMatchesSimulation(t *testing.T) {
 	}
 	for _, c := range cases {
 		o := opts
-		if c.d == apu.CPU {
-			o.InitCPUFreq = sim.Pin(c.f)
-			o.InitGPUFreq = sim.Pin(0)
-		} else {
-			o.InitGPUFreq = sim.Pin(c.f)
-			o.InitCPUFreq = sim.Pin(0)
-		}
+		o.InitFreq = [apu.NumDevices]sim.FreqSetting{sim.Pin(0), sim.Pin(0)}
+		o.InitFreq[c.d] = sim.Pin(c.f)
 		res, err := sim.StandaloneRun(o, batch[c.i], c.d)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"corun/internal/apu"
+	"corun/internal/units"
+)
 
 // BenchmarkRun times one simulation of Batch16 at a 15 W package cap
 // through QueueDispatcher under a GPU-biased governor (a tick every
@@ -30,6 +36,49 @@ func BenchmarkRun(b *testing.B) {
 		})
 	}
 }
+
+// adjustGrid is BenchmarkBiasedAdjust's fixed grid of governor inputs:
+// every level pair of the default machine, at package powers under,
+// near and over a 15 W cap, with plane powers under and over 8 W / 9 W
+// plane caps.
+func adjustGrid(cfg *apu.Config) (views []View, powers []units.Watts) {
+	for cf := 0; cf < cfg.NumFreqs(apu.CPU); cf++ {
+		for gf := 0; gf < cfg.NumFreqs(apu.GPU); gf++ {
+			for _, p := range []units.Watts{10, 14.9, 15.5, 25} {
+				for _, pl := range [][apu.NumDevices]units.Watts{{3, 4}, {9, 10}} {
+					views = append(views, View{Freq: [apu.NumDevices]int{cf, gf}, Plane: pl})
+					powers = append(powers, p)
+				}
+			}
+		}
+	}
+	return views, powers
+}
+
+// BenchmarkBiasedAdjust times BiasedGovernor.Adjust alone, one call per
+// op over adjustGrid's views in turn, under both biases, with the 15 W
+// package cap alone and with 8 W / 9 W plane caps under it.
+func BenchmarkBiasedAdjust(b *testing.B) {
+	cfg := apu.DefaultConfig()
+	views, powers := adjustGrid(cfg)
+	for _, bias := range []Bias{GPUBiased, CPUBiased} {
+		for _, planes := range []apu.DomainCaps{{}, {PP0: 8, PP1: 9}} {
+			b.Run(fmt.Sprintf("%v/planes=%v", bias, planes.Any()), func(b *testing.B) {
+				g := &BiasedGovernor{Cap: 15, Domains: planes, Bias: bias}
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					k := i % len(views)
+					lv := g.Adjust(powers[k], &views[k], cfg)
+					sum += lv[apu.CPU] + lv[apu.GPU]
+				}
+				adjustSink = sum
+			})
+		}
+	}
+}
+
+// adjustSink keeps BenchmarkBiasedAdjust's answers live.
+var adjustSink int
 
 // runAllocs is the allocation count of one Run of BenchmarkRun's
 // scenario, dispatcher included, at both thermal settings. A PR that

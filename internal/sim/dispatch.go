@@ -27,7 +27,7 @@ func (q *QueueDispatcher) Next(dev apu.Device, view *View) *Dispatch {
 	}
 	inst := q.queues[dev][0]
 	q.queues[dev] = q.queues[dev][1:]
-	return &Dispatch{Inst: inst, CPUFreq: -1, GPUFreq: -1}
+	return &Dispatch{Inst: inst, Freq: [apu.NumDevices]int{-1, -1}}
 }
 
 // repeatDispatcher runs a target instance once on its device while
@@ -53,7 +53,7 @@ type repeatDispatcher struct {
 }
 
 func newRepeatDispatcher(target *workload.Instance, targetDev apu.Device, co *workload.Instance) *repeatDispatcher {
-	r := &repeatDispatcher{target: target, targetDev: targetDev, d: Dispatch{CPUFreq: -1, GPUFreq: -1}}
+	r := &repeatDispatcher{target: target, targetDev: targetDev, d: Dispatch{Freq: [apu.NumDevices]int{-1, -1}}}
 	if co != nil {
 		r.coCopy = *co
 		r.co = &r.coCopy
@@ -124,8 +124,7 @@ func CoRun(opts Options, target *workload.Instance, targetDev apu.Device, co *wo
 // pinned returns opts with both devices pinned at the given frequency
 // indices and no governor, as every pairwise measurement runs.
 func pinned(opts Options, cpuFreq, gpuFreq int) Options {
-	opts.InitCPUFreq = Pin(cpuFreq)
-	opts.InitGPUFreq = Pin(gpuFreq)
+	opts.InitFreq = [apu.NumDevices]FreqSetting{Pin(cpuFreq), Pin(gpuFreq)}
 	opts.Governor = nil
 	return opts
 }

@@ -35,9 +35,9 @@ func TestGovernorSteadyStateNoOscillation(t *testing.T) {
 	var hist [][2]int
 	for tick := 0; tick < 50; tick++ {
 		power := cfg.PackagePower(cf, gf, 1, 1, true)
-		view.CPUFreq, view.GPUFreq = cf, gf
-		view.PP0, view.PP1 = 0, 0
-		cf, gf = g.Adjust(power, view, cfg)
+		view.Freq, view.Plane = [apu.NumDevices]int{cf, gf}, [apu.NumDevices]units.Watts{}
+		lv := g.Adjust(power, view, cfg)
+		cf, gf = lv[apu.CPU], lv[apu.GPU]
 		hist = append(hist, [2]int{cf, gf})
 	}
 	// After a settling prefix the operating point must be a fixed

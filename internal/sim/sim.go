@@ -77,11 +77,10 @@ type Options struct {
 	// multiprogram the CPU; the Default baseline does).
 	CPUSlots int
 
-	// InitCPUFreq and InitGPUFreq are the starting frequency levels;
-	// the zero value means the maximum level. Use Pin to start at a
-	// specific index.
-	InitCPUFreq FreqSetting
-	InitGPUFreq FreqSetting
+	// InitFreq holds each device's starting frequency level; the zero
+	// value means the maximum level. Use Pin to start at a specific
+	// index.
+	InitFreq [apu.NumDevices]FreqSetting
 
 	// Governor, if non-nil, may adjust frequencies at each governor
 	// tick (reactive power capping, as the biased baselines do).
@@ -109,11 +108,10 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.CPUSlots <= 0 {
 		out.CPUSlots = 1
 	}
-	if err := out.InitCPUFreq.validate(out.Cfg, apu.CPU); err != nil {
-		return out, err
-	}
-	if err := out.InitGPUFreq.validate(out.Cfg, apu.GPU); err != nil {
-		return out, err
+	for d, f := range out.InitFreq {
+		if err := f.validate(out.Cfg, apu.Device(d)); err != nil {
+			return out, err
+		}
 	}
 	if out.MaxTime <= 0 {
 		out.MaxTime = 1e6
@@ -146,12 +144,12 @@ func (f FreqSetting) validate(cfg *apu.Config, d apu.Device) error {
 	return nil
 }
 
-// Dispatch is a dispatcher's instruction to start a job. Frequency
-// directives below zero leave the current setting untouched.
+// Dispatch is a dispatcher's instruction to start a job. Freq holds a
+// frequency directive per device; one outside the device's levels, such
+// as -1, leaves its current setting untouched.
 type Dispatch struct {
-	Inst    *workload.Instance
-	CPUFreq int
-	GPUFreq int
+	Inst *workload.Instance
+	Freq [apu.NumDevices]int
 }
 
 // View is the read-only simulator state exposed to dispatchers and
@@ -163,13 +161,12 @@ type View struct {
 	// Running names the job on each device, nil when it idles; on a
 	// multiprogrammed CPU, the first of its jobs in dispatch order.
 	Running [apu.NumDevices]*workload.Instance
-	CPUFreq int
-	GPUFreq int
-
-	// PP0 and PP1 are the instantaneous per-plane powers of the
-	// segment that just ended (CPU cores + host thread, and iGPU).
-	PP0 units.Watts
-	PP1 units.Watts
+	// Freq holds each device's frequency level.
+	Freq [apu.NumDevices]int
+	// Plane holds, per device, the instantaneous power of the plane
+	// that meters it in the segment that just ended: PP0 (CPU cores +
+	// host thread) for the CPU, PP1 (iGPU) for the GPU.
+	Plane [apu.NumDevices]units.Watts
 }
 
 // Dispatcher supplies jobs to idle device slots. Next returns nil when
@@ -185,8 +182,8 @@ type Dispatcher interface {
 	Next(dev apu.Device, view *View) *Dispatch
 }
 
-// Governor reacts to measured power at each sample tick and returns the
-// frequency indices to use next (possibly unchanged).
+// Governor reacts to measured power at each sample tick and returns each
+// device's frequency index to use next (possibly unchanged).
 //
 // A Governor is pure: Adjust's answer is a function of its arguments —
 // the power, the View and cfg — and it may memoize. The simulator
@@ -194,7 +191,7 @@ type Dispatcher interface {
 // has changed since a tick that moved no level, it does not call Adjust
 // again.
 type Governor interface {
-	Adjust(power units.Watts, view *View, cfg *apu.Config) (cpuFreq, gpuFreq int)
+	Adjust(power units.Watts, view *View, cfg *apu.Config) [apu.NumDevices]int
 }
 
 // Completion records one finished job.
@@ -332,8 +329,9 @@ type Machine struct {
 	jobs []*running
 	freq [apu.NumDevices]int
 
-	// split is the per-plane breakdown of the current segment's power.
-	split apu.PowerSplit
+	// plane is the current segment's power of the plane that meters
+	// each device (View.Plane).
+	plane [apu.NumDevices]units.Watts
 
 	// scratch backs the *View handed to dispatchers and governors.
 	// view() is called every sample tick, so reusing one View keeps the
@@ -431,7 +429,7 @@ func (m *Machine) cpuJobs() []*running {
 // segment is what the rate and power models read of one segment, as the
 // clamps left it — both frequency levels and each running job with its
 // phase, in the order of m.jobs — and the package power they gave. The
-// running jobs' rates and m.split still hold that evaluation's values,
+// running jobs' rates and m.plane still hold that evaluation's values,
 // since nothing else writes them.
 type segment struct {
 	valid bool
@@ -452,8 +450,8 @@ type quiet struct {
 	// so m.seg still describes the segment.
 	seg bool
 	// gov: the governor's last tick moved no level and none of its
-	// inputs — the segment's power and split, the levels, the ceilings,
-	// the running set — has changed since.
+	// inputs — the segment's power and plane powers, the levels, the
+	// ceilings, the running set — has changed since.
 	gov bool
 }
 
@@ -497,7 +495,7 @@ func (m *Machine) rememberSegment(power units.Watts) {
 
 func (m *Machine) view() *View {
 	v := &m.scratch
-	v.CPUFreq, v.GPUFreq, v.PP0, v.PP1 = m.freq[apu.CPU], m.freq[apu.GPU], m.split.PP0, m.split.PP1
+	v.Freq, v.Plane = m.freq, m.plane
 	v.Running = [apu.NumDevices]*workload.Instance{}
 	for _, r := range m.jobs {
 		if v.Running[r.dev] == nil {
@@ -571,10 +569,9 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 
 	// The run's scratch starts as a fresh machine's; the frequencies
 	// start under the heatsink's ceilings.
-	m.opts, m.now, m.split = o, 0, apu.PowerSplit{}
-	m.freq = [apu.NumDevices]int{
-		min(o.InitCPUFreq.index(o.Cfg, apu.CPU), m.heat.Ceil[apu.CPU]),
-		min(o.InitGPUFreq.index(o.Cfg, apu.GPU), m.heat.Ceil[apu.GPU]),
+	m.opts, m.now, m.plane = o, 0, [apu.NumDevices]units.Watts{}
+	for d, f := range o.InitFreq {
+		m.freq[d] = min(f.index(o.Cfg, apu.Device(d)), m.heat.Ceil[d])
 	}
 	m.runs, m.jobs, m.seg = m.runs0[:0], m.jobs0[:0], segment{jobs: m.segJobs0[:0]}
 	m.quiet = quiet{}
@@ -592,8 +589,7 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 	nextSample := sampleInterval
 	nextGov := governorInterval
 	intervalEnergy := 0.0
-	intervalPP0E, intervalPP1E := 0.0, 0.0
-	pp0E, pp1E := 0.0, 0.0
+	var intervalPlaneE, planeE [apu.NumDevices]float64
 	intervalStart := units.Seconds(0)
 	stopped := false
 
@@ -612,7 +608,7 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 			continue
 		}
 
-		// The segment's rates, power and plane split: those of the last
+		// The segment's rates, power and plane powers: those of the last
 		// segment while nothing they depend on has changed, checked only
 		// once something has.
 		power := m.seg.power
@@ -652,10 +648,10 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		e := float64(power) * dt
 		res.EnergyJ += e
 		intervalEnergy += e
-		intervalPP0E += float64(m.split.PP0) * dt
-		intervalPP1E += float64(m.split.PP1) * dt
-		pp0E += float64(m.split.PP0) * dt
-		pp1E += float64(m.split.PP1) * dt
+		for d, w := range m.plane {
+			intervalPlaneE[d] += float64(w) * dt
+			planeE[d] += float64(w) * dt
+		}
 		due := ref // some job has finished its phase
 		for _, r := range m.jobs {
 			r.remaining -= r.rate * dt
@@ -714,9 +710,9 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		// its last tick, which moved no level.
 		if o.Governor != nil && m.now >= nextGov-units.Seconds(eps) {
 			if !m.quiet.gov {
-				cf, gf := o.Governor.Adjust(power, m.view(), o.Cfg)
+				lv := o.Governor.Adjust(power, m.view(), o.Cfg)
 				m.quiet.gov = true
-				m.setFreqs(cf, gf)
+				m.setFreqs(lv)
 			}
 			nextGov += governorInterval
 		}
@@ -724,16 +720,16 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 		// Sample tick.
 		if m.now >= nextSample-units.Seconds(eps) {
 			span := float64(m.now - intervalStart)
-			avg := float64(power)
-			avgPP0, avgPP1 := float64(m.split.PP0), float64(m.split.PP1)
+			avg, avgPlane := float64(power), m.plane
 			if span > eps {
 				avg = intervalEnergy / span
-				avgPP0 = intervalPP0E / span
-				avgPP1 = intervalPP1E / span
+				for d, e := range intervalPlaneE {
+					avgPlane[d] = units.Watts(e / span)
+				}
 			}
 			res.Power.MustAdd(m.now, avg)
 			if p != nil && p.sample != nil {
-				p.sample(m, avgPP0, avgPP1)
+				p.sample(m, float64(avgPlane[apu.CPU]), float64(avgPlane[apu.GPU]))
 			}
 			if o.PowerCap > 0 && units.Watts(avg) > o.PowerCap {
 				res.CapViolations++
@@ -742,12 +738,11 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 				}
 			}
 			if o.DomainCaps.Any() && !o.DomainCaps.Allows(apu.PowerSplit{
-				PP0: units.Watts(avgPP0), PP1: units.Watts(avgPP1), Uncore: o.Cfg.IdlePower,
+				PP0: avgPlane[apu.CPU], PP1: avgPlane[apu.GPU], Uncore: o.Cfg.IdlePower,
 			}) {
 				res.DomainViolations++
 			}
-			intervalEnergy = 0
-			intervalPP0E, intervalPP1E = 0, 0
+			intervalEnergy, intervalPlaneE = 0, [apu.NumDevices]float64{}
 			intervalStart = m.now
 			nextSample += sampleInterval
 		}
@@ -762,8 +757,8 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 	res.Makespan = m.now
 	if res.Makespan > 0 {
 		res.AvgPower = units.Watts(res.EnergyJ / float64(res.Makespan))
-		res.AvgPP0 = units.Watts(pp0E / float64(res.Makespan))
-		res.AvgPP1 = units.Watts(pp1E / float64(res.Makespan))
+		res.AvgPP0 = units.Watts(planeE[apu.CPU] / float64(res.Makespan))
+		res.AvgPP1 = units.Watts(planeE[apu.GPU] / float64(res.Makespan))
 	}
 	res.MaxSample = units.Watts(res.Power.Max())
 	sampleHint.Store(int64(min(res.Power.Len(), maxSampleHint)))
@@ -782,53 +777,49 @@ func (m *Machine) run(opts Options, disp Dispatcher, p *probe) (*Result, error) 
 	return res, nil
 }
 
-// evaluate computes the segment's rates, package power and plane split,
+// evaluate computes the segment's rates, package power and plane powers,
 // applies the hardware clamps, and remembers the settled segment when a
 // fresh evaluation of it would change nothing: the domain clamp exits on
-// the split it settled, and the package clamp is checked here because a
-// domain step may leave the package over its cap.
+// the plane powers it settled, and the package clamp is checked here
+// because a domain step may leave the package over its cap.
 func (m *Machine) evaluate() units.Watts {
 	o := &m.opts
 	cpuUtil, gpuUtil := m.computeRates()
 	power := m.packagePower(cpuUtil, gpuUtil)
 
 	// RAPL-style hardware clamp: throttle within the event until the
-	// package fits the cap (or both devices hit their floors).
-	pkgClamps := func() bool {
-		return o.HardCap && o.PowerCap > 0 && power > o.PowerCap && (m.freq[apu.CPU] > 0 || m.freq[apu.GPU] > 0)
-	}
-	for pkgClamps() {
-		if m.freq[apu.CPU] > 0 {
-			m.freq[apu.CPU]--
-		} else {
-			m.freq[apu.GPU]--
-		}
-		cpuUtil, gpuUtil = m.computeRates()
-		power = m.packagePower(cpuUtil, gpuUtil)
-	}
-	m.split = m.splitPower(cpuUtil, gpuUtil)
-
-	// Per-plane hardware clamp: a plane cap meters one device, so the
-	// clamp steps that device down.
-	if o.HardCap && o.DomainCaps.Any() {
-	domainClamp:
-		for !o.DomainCaps.Allows(m.split) {
-			switch {
-			case o.DomainCaps.PP0 > 0 && m.split.PP0 > o.DomainCaps.PP0 && m.freq[apu.CPU] > 0:
-				m.freq[apu.CPU]--
-			case o.DomainCaps.PP1 > 0 && m.split.PP1 > o.DomainCaps.PP1 && m.freq[apu.GPU] > 0:
-				m.freq[apu.GPU]--
-			default:
-				// Every offending plane is at its floor already.
-				break domainClamp
-			}
+	// package fits the cap (or both devices hit their floors), in the
+	// GPU-biased order (Options.HardCap).
+	pkgOver := func() bool { return o.HardCap && o.PowerCap > 0 && power > o.PowerCap }
+	for _, d := range GPUBiased.order() {
+		for pkgOver() && m.freq[d] > 0 {
+			m.freq[d]--
 			cpuUtil, gpuUtil = m.computeRates()
 			power = m.packagePower(cpuUtil, gpuUtil)
-			m.split = m.splitPower(cpuUtil, gpuUtil)
+		}
+	}
+	m.plane = m.planePower(cpuUtil, gpuUtil)
+
+	// Per-plane hardware clamp: a plane cap meters one device, so the
+	// clamp steps that device down, the first over its cap in the same
+	// order, and looks again, since a step moves the other plane too.
+	if o.HardCap && o.DomainCaps.Any() {
+	clamp:
+		for {
+			for _, d := range GPUBiased.order() {
+				if o.DomainCaps.Over(d, m.plane[d]) && m.freq[d] > 0 {
+					m.freq[d]--
+					cpuUtil, gpuUtil = m.computeRates()
+					power = m.packagePower(cpuUtil, gpuUtil)
+					m.plane = m.planePower(cpuUtil, gpuUtil)
+					continue clamp
+				}
+			}
+			break // no plane is over its cap, or each one over is at its floor
 		}
 	}
 
-	if pkgClamps() {
+	if pkgOver() && m.freq != [apu.NumDevices]int{} {
 		m.seg.valid = false
 	} else {
 		m.rememberSegment(power)
@@ -865,7 +856,7 @@ func (m *Machine) fill(disp Dispatcher) bool {
 }
 
 func (m *Machine) applyDispatch(d *Dispatch, dev apu.Device) {
-	m.setFreqs(d.CPUFreq, d.GPUFreq)
+	m.setFreqs(d.Freq)
 	m.changed()
 	m.jobs = append(m.jobs, m.newRunning(d.Inst, dev))
 	// A CPU job joins the CPU's, before the GPU's job.
@@ -877,13 +868,12 @@ func (m *Machine) applyDispatch(d *Dispatch, dev apu.Device) {
 // setFreqs applies frequency directives, each held under its device's
 // throttle ceiling; a directive outside the device's levels leaves its
 // setting untouched.
-func (m *Machine) setFreqs(cf, gf int) {
+func (m *Machine) setFreqs(lv [apu.NumDevices]int) {
 	f := m.freq
-	if cf >= 0 && cf < m.opts.Cfg.NumFreqs(apu.CPU) {
-		f[apu.CPU] = min(cf, m.heat.Ceil[apu.CPU])
-	}
-	if gf >= 0 && gf < m.opts.Cfg.NumFreqs(apu.GPU) {
-		f[apu.GPU] = min(gf, m.heat.Ceil[apu.GPU])
+	for d, l := range lv {
+		if l >= 0 && l < m.opts.Cfg.NumFreqs(apu.Device(d)) {
+			f[d] = min(l, m.heat.Ceil[d])
+		}
 	}
 	if f != m.freq {
 		m.freq = f
@@ -971,10 +961,12 @@ func (m *Machine) packagePower(cpuUtil, gpuUtil float64) units.Watts {
 	return m.opts.Cfg.PackagePower(m.freq[apu.CPU], m.freq[apu.GPU], cpuUtil, gpuUtil, m.gpuJob() != nil)
 }
 
-// splitPower is packagePower broken down by plane (same inputs, same
-// arithmetic per term — the sum matches up to float association).
-func (m *Machine) splitPower(cpuUtil, gpuUtil float64) apu.PowerSplit {
-	return m.opts.Cfg.SplitPower(m.freq[apu.CPU], m.freq[apu.GPU], cpuUtil, gpuUtil, m.gpuJob() != nil)
+// planePower is packagePower's share of the plane that meters each
+// device (same inputs, same arithmetic per term — with the uncore, the
+// sum matches up to float association).
+func (m *Machine) planePower(cpuUtil, gpuUtil float64) [apu.NumDevices]units.Watts {
+	s := m.opts.Cfg.SplitPower(m.freq[apu.CPU], m.freq[apu.GPU], cpuUtil, gpuUtil, m.gpuJob() != nil)
+	return [apu.NumDevices]units.Watts{s.PP0, s.PP1}
 }
 
 // eta returns the time for the job to finish its current phase.

@@ -56,7 +56,7 @@ func TestStandaloneFreqScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	slowOpts := opts
-	slowOpts.InitGPUFreq = Pin(0)
+	slowOpts.InitFreq[apu.GPU] = Pin(0)
 	slow, err := StandaloneRun(slowOpts, inst("hotspot"), apu.GPU)
 	if err != nil {
 		t.Fatal(err)
@@ -400,34 +400,35 @@ func TestBiasString(t *testing.T) {
 	}
 }
 
+// adjust is g's answer at power to a view at levels (cf, gf), as a pair.
+func adjust(g *BiasedGovernor, power units.Watts, cf, gf int) (int, int) {
+	lv := g.Adjust(power, &View{Freq: [apu.NumDevices]int{cf, gf}}, apu.DefaultConfig())
+	return lv[apu.CPU], lv[apu.GPU]
+}
+
 // The biased governor lowers the correct device first.
 func TestBiasedGovernorLowerOrder(t *testing.T) {
-	cfg := apu.DefaultConfig()
 	slight := units.Watts(16) // just above a 15 W cap
-	v := &View{CPUFreq: 5, GPUFreq: 5}
-	cf, gf := (&BiasedGovernor{Cap: 15, Bias: GPUBiased}).Adjust(slight, v, cfg)
+	cf, gf := adjust(&BiasedGovernor{Cap: 15, Bias: GPUBiased}, slight, 5, 5)
 	if cf >= 5 || gf != 5 {
 		t.Errorf("GPU-biased over cap: got (%d,%d), want CPU lowered, GPU held", cf, gf)
 	}
-	cf, gf = (&BiasedGovernor{Cap: 15, Bias: CPUBiased}).Adjust(slight, v, cfg)
+	cf, gf = adjust(&BiasedGovernor{Cap: 15, Bias: CPUBiased}, slight, 5, 5)
 	if cf != 5 || gf >= 5 {
 		t.Errorf("CPU-biased over cap: got (%d,%d), want GPU lowered, CPU held", cf, gf)
 	}
 	// At the floor of the sacrificial device, the other one gives way.
-	v = &View{CPUFreq: 0, GPUFreq: 5}
-	cf, gf = (&BiasedGovernor{Cap: 15, Bias: GPUBiased}).Adjust(slight, v, cfg)
+	cf, gf = adjust(&BiasedGovernor{Cap: 15, Bias: GPUBiased}, slight, 0, 5)
 	if cf != 0 || gf >= 5 {
 		t.Errorf("GPU-biased at CPU floor: got (%d,%d), want GPU lowered", cf, gf)
 	}
 	// Both at floor: no change even for a huge excess.
-	v = &View{CPUFreq: 0, GPUFreq: 0}
-	cf, gf = (&BiasedGovernor{Cap: 15, Bias: CPUBiased}).Adjust(99, v, cfg)
+	cf, gf = adjust(&BiasedGovernor{Cap: 15, Bias: CPUBiased}, 99, 0, 0)
 	if cf != 0 || gf != 0 {
 		t.Errorf("at floor: got (%d,%d), want (0,0)", cf, gf)
 	}
 	// A huge excess sheds multiple levels in one tick.
-	v = &View{CPUFreq: 15, GPUFreq: 9}
-	cf, gf = (&BiasedGovernor{Cap: 10, Bias: GPUBiased}).Adjust(30, v, cfg)
+	cf, _ = adjust(&BiasedGovernor{Cap: 10, Bias: GPUBiased}, 30, 15, 9)
 	if cf > 5 {
 		t.Errorf("huge excess should shed many CPU levels, got cf=%d", cf)
 	}
@@ -436,18 +437,16 @@ func TestBiasedGovernorLowerOrder(t *testing.T) {
 // The biased governor raises the preferred device when there is
 // headroom.
 func TestBiasedGovernorRaiseOrder(t *testing.T) {
-	cfg := apu.DefaultConfig()
-	v := &View{CPUFreq: 3, GPUFreq: 3}
-	cf, gf := (&BiasedGovernor{Cap: 30, Bias: GPUBiased}).Adjust(10, v, cfg)
+	cf, gf := adjust(&BiasedGovernor{Cap: 30, Bias: GPUBiased}, 10, 3, 3)
 	if !(cf == 3 && gf == 4) {
 		t.Errorf("GPU-biased with headroom: got (%d,%d), want (3,4)", cf, gf)
 	}
-	cf, gf = (&BiasedGovernor{Cap: 30, Bias: CPUBiased}).Adjust(10, v, cfg)
+	cf, gf = adjust(&BiasedGovernor{Cap: 30, Bias: CPUBiased}, 10, 3, 3)
 	if !(cf == 4 && gf == 3) {
 		t.Errorf("CPU-biased with headroom: got (%d,%d), want (4,3)", cf, gf)
 	}
 	// No headroom: hold.
-	cf, gf = (&BiasedGovernor{Cap: 15, Bias: GPUBiased}).Adjust(14.9, v, cfg)
+	cf, gf = adjust(&BiasedGovernor{Cap: 15, Bias: GPUBiased}, 14.9, 3, 3)
 	if cf != 3 || gf != 3 {
 		t.Errorf("no headroom: got (%d,%d), want (3,3)", cf, gf)
 	}
@@ -455,9 +454,7 @@ func TestBiasedGovernorRaiseOrder(t *testing.T) {
 
 // Uncapped governor does nothing.
 func TestBiasedGovernorUncapped(t *testing.T) {
-	cfg := apu.DefaultConfig()
-	v := &View{CPUFreq: 2, GPUFreq: 2}
-	cf, gf := (&BiasedGovernor{Cap: 0, Bias: GPUBiased}).Adjust(50, v, cfg)
+	cf, gf := adjust(&BiasedGovernor{Cap: 0, Bias: GPUBiased}, 50, 2, 2)
 	if cf != 2 || gf != 2 {
 		t.Errorf("uncapped governor moved frequencies: (%d,%d)", cf, gf)
 	}

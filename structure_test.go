@@ -343,7 +343,7 @@ func TestEveryKnobIsListed(t *testing.T) {
 			"RebalanceInterval", "RequestTimeout"},
 		"internal/journal.Options": {"Dir", "Fsync", "SnapshotBytes", "Observer", "Faults"},
 		"internal/sim.Options": {"Cfg", "Mem", "PowerCap", "HardCap", "DomainCaps", "CPUSlots",
-			"InitCPUFreq", "InitGPUFreq", "Governor", "StopInstance", "MaxTime"},
+			"InitFreq", "Governor", "StopInstance", "MaxTime"},
 		"internal/core.HCSOptions":     {"DisablePartition", "DisablePreference"},
 		"internal/core.RefineOptions":  {"Seed", "SkipAdjacent", "SkipRandomInQueue", "SkipCross"},
 		"internal/core.GeneticOptions": {"Seed", "SeedSchedule"},
