@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,6 +328,18 @@ func TestJournalAppendsPerJob(t *testing.T) {
 	}
 }
 
+// epochSeries are the /metrics series an epoch sets from its outcome,
+// the wall-time ones left out: TestScriptedSessionJournal pins their
+// lines after the session.
+var epochSeries = []string{
+	"corund_simulated_makespan_seconds", "corund_predicted_makespan_seconds",
+	"corund_sim_clock_seconds", "corund_power_cap_utilization",
+	"corund_domain_watts", "corund_temp_celsius", "corund_plan_cap_watts",
+	"corund_throttle_total", "corund_binding_constraint",
+	"corund_energy_joules_total", "corund_jobs_done_total",
+	"corund_jobs_scheduled_total", "corund_epochs_total",
+}
+
 // TestScriptedSessionJournal pins the daemon's epoch loop by what it
 // journals. Ten jobs from three tenants — one high-priority, one with
 // a deadline — and a cap change are all made before Start, so with
@@ -335,7 +348,9 @@ func TestJournalAppendsPerJob(t *testing.T) {
 // zeroed, and each record is re-encoded; the payloads, one a line,
 // must equal testdata/session_<policy>.golden under a planned policy
 // and under the Random dispatcher. The last epoch's GET /v1/plan body
-// must equal testdata/plan_<policy>.golden byte for byte.
+// must equal testdata/plan_<policy>.golden byte for byte, its
+// GET /v1/trace bodies (CSV, then JSON) testdata/trace_<policy>.golden,
+// and the epochSeries lines of GET /metrics testdata/metrics_<policy>.golden.
 func TestScriptedSessionJournal(t *testing.T) {
 	for _, pol := range []string{"hcs+", "random"} {
 		t.Run(pol, func(t *testing.T) {
@@ -398,11 +413,23 @@ func TestScriptedSessionJournal(t *testing.T) {
 				got = append(append(got, frame[8:]...), '\n') // past the length and CRC32
 			}
 			base := strings.ReplaceAll(pol, "+", "plus") + ".golden"
-			plan := httptest.NewRecorder()
-			s.Handler().ServeHTTP(plan, httptest.NewRequest(http.MethodGet, "/v1/plan", nil))
+			get := func(target string) []byte {
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				return rec.Body.Bytes()
+			}
+			var metrics []byte
+			for _, line := range strings.SplitAfter(string(get("/metrics")), "\n") {
+				name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+				if i := strings.IndexAny(name, "{ "); i >= 0 && slices.Contains(epochSeries, name[:i]) {
+					metrics = append(metrics, line...)
+				}
+			}
 			for name, got := range map[string][]byte{
 				filepath.Join("testdata", "session_"+base): got,
-				filepath.Join("testdata", "plan_"+base):    plan.Body.Bytes(),
+				filepath.Join("testdata", "plan_"+base):    get("/v1/plan"),
+				filepath.Join("testdata", "trace_"+base):   append(get("/v1/trace"), get("/v1/trace?format=json")...),
+				filepath.Join("testdata", "metrics_"+base): metrics,
 			} {
 				want, err := os.ReadFile(name)
 				if err != nil {
