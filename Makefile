@@ -94,13 +94,16 @@ fuzz:
 # The epoch-boundary tests race submitters against the scheduler's
 # batching gap, so they run twenty times more under the race detector;
 # the durable-ack property test races submitters against injected
-# fsync faults, so it runs five times more.
+# fsync faults, so it runs five times more. So does the job-table
+# concurrency test: its scraper renders GET /v1/trace from the slice of
+# done views while epochs append to it.
 verify: fmtcheck cross
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestPriorityPreemption|TestFullEpochClosesBeforeGap|TestFullClaimKeepsPreemptionWindow' ./internal/server
 	$(GO) test -race -count=5 -run 'TestSubmitDurableAck' ./internal/server
+	$(GO) test -race -count=5 -run 'TestJobTableConcurrency' ./internal/server
 	cd bench/corunmark && $(GO) vet ./... && $(GO) test ./...
 
 # size prints the module's Go line counts outside bench/ (a module of

@@ -288,9 +288,20 @@ func (c *Config) MaxFreqIndex(d Device) int { return c.NumFreqs(d) - 1 }
 func (c *Config) Freq(d Device, idx int) units.GHz {
 	fs := c.Freqs(d)
 	if idx < 0 || idx >= len(fs) {
-		panic(fmt.Sprintf("apu: %v frequency index %d out of range [0,%d)", d, idx, len(fs)))
+		panic(freqRangeError{d, idx, len(fs)})
 	}
 	return fs[idx]
+}
+
+// freqRangeError is Freq's panic value. Its message is formatted only
+// when printed, so that Freq itself stays within the inliner's budget.
+type freqRangeError struct {
+	d      Device
+	idx, n int
+}
+
+func (e freqRangeError) Error() string {
+	return fmt.Sprintf("apu: %v frequency index %d out of range [0,%d)", e.d, e.idx, e.n)
 }
 
 // ClosestFreqIndex returns the index of the operating point of d whose

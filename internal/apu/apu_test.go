@@ -1,6 +1,7 @@
 package apu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -227,8 +228,9 @@ func TestClosestFreqIndex(t *testing.T) {
 func TestFreqPanicsOutOfRange(t *testing.T) {
 	cfg := DefaultConfig()
 	defer func() {
-		if recover() == nil {
-			t.Error("Freq on out-of-range index did not panic")
+		want := fmt.Sprintf("apu: CPU frequency index 99 out of range [0,%d)", len(cfg.CPUFreqs))
+		if r := recover(); r == nil || fmt.Sprint(r) != want {
+			t.Errorf("Freq on an out-of-range index panicked with %v, want %q", r, want)
 		}
 	}()
 	cfg.Freq(CPU, 99)

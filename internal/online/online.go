@@ -87,13 +87,11 @@ type Options struct {
 	// Seed drives the Random policy and refinement sampling.
 	Seed int64
 
-	// Planned, if set, observes each epoch's plan after scheduling but
-	// before execution. plan is nil for the dispatcher-driven baselines
-	// (Random/Default); predicted is the model's makespan estimate for
-	// the planned schedule (0 without a plan). A daemon uses this to
-	// expose in-flight state (job status, predicted finish) while the
-	// epoch executes.
-	Planned func(plan *core.Schedule, predicted units.Seconds)
+	// Planned, if set, observes each epoch's record after scheduling
+	// but before execution, while its Result is still nil. A daemon
+	// uses this to expose in-flight state (job status, predicted
+	// finish) while the epoch executes.
+	Planned func(*Epoch)
 }
 
 // check validates the options themselves (not an arrival stream) and
@@ -187,24 +185,24 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 			batch[i] = &workload.Instance{ID: i, Prog: a.Prog, Scale: a.Scale, Label: a.Label}
 		}
 
-		_, predicted, simRes, err := node.Run(opts, batch, rng.Int63())
+		ep, err := node.Run(opts, batch, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
 		res.Epochs++
-		res.EnergyJ += simRes.EnergyJ
-		res.Throttles += simRes.Throttles
-		res.PeakTempC = max(res.PeakTempC, simRes.MaxTempC)
-		res.Predicted += predicted
-		res.Simulated += simRes.Makespan
-		for _, c := range simRes.Completions {
+		res.EnergyJ += ep.Result.EnergyJ
+		res.Throttles += ep.Result.Throttles
+		res.PeakTempC = max(res.PeakTempC, ep.Result.MaxTempC)
+		res.Predicted += ep.Predicted
+		res.Simulated += ep.Result.Makespan
+		for _, c := range ep.Result.Completions {
 			// Map the completion back to its arrival.
 			a := epoch[c.Inst.ID]
 			res.Outcomes = append(res.Outcomes, JobOutcome{
 				Label:    a.Label,
 				Arrived:  a.At,
-				Started:  start,
-				Finished: start + c.End,
+				Started:  ep.Start,
+				Finished: ep.Start + c.End,
 			})
 		}
 		res.Done = node.Clock()
@@ -226,51 +224,55 @@ func Serve(opts Options, arrivals []Arrival) (*Result, error) {
 	return res, nil
 }
 
-// Node is one simulated machine serving epochs: the machine, which
-// keeps the scheduling clock and the heatsink from epoch to epoch, and
-// the cap the last epoch planned under. Each loop driving a node keeps
-// only its own rule for closing a batch. Clock may be read from any
-// goroutine, everything else only from the loop.
-type Node struct {
-	*sim.Machine
-	planCap units.Watts
+// Epoch is one epoch's record: the clock and heatsink it started on,
+// the package cap it planned under (the heatsink's budget cap, see
+// Node.Run, or the options' cap), its plan (nil for the
+// dispatcher-driven baselines) and predicted makespan (0 without a
+// plan), and the simulation, whose times are relative to Start (nil
+// until the epoch has executed).
+type Epoch struct {
+	Start     units.Seconds
+	StartHeat apu.Heat
+	PlanCap   units.Watts
+	Plan      *core.Schedule
+	Predicted units.Seconds
+	Result    *sim.Result
 }
+
+// Node is one simulated machine serving epochs: the machine keeps the
+// scheduling clock and the heatsink from epoch to epoch. Each loop
+// driving a node keeps only its own rule for closing a batch. Clock may
+// be read from any goroutine, everything else only from the loop.
+type Node struct{ *sim.Machine }
 
 // NewNode returns a node on cfg's machine, idle and cold at time 0.
 func NewNode(cfg *apu.Config) *Node { return &Node{Machine: sim.NewMachine(cfg)} }
 
-// PlanCap returns the package cap the last epoch planned under: the
-// heatsink's budget cap (see Run), or the options' cap.
-func (n *Node) PlanCap() units.Watts { return n.planCap }
-
 // Run schedules and executes one batch (instance IDs equal to their
 // indices) under the options' policy, through the policy table's one
 // run entry point, on the node's machine, which moves its clock on by
-// the makespan and keeps the heatsink the run left. It returns what
-// policy.Run does: the plan (nil for the dispatcher-driven baselines),
-// its predicted makespan (0 without one) and the simulation, whose
-// times are relative to the clock before the call. An error, a job left
-// uncompleted included, leaves the clock and the heatsink where they
-// were.
+// the makespan and keeps the heatsink the run left. It returns the
+// epoch's record, filled from what policy.Run hands its hook. An
+// error, a job left uncompleted included, leaves the clock and the
+// heatsink where they were.
 //
 // A policy that needs the model gets the batch's predictor and a
 // scheduling context at the heatsink's budget cap (budgetCap); the
 // executor keeps the options' cap. One that does not (the Random
 // baseline) profiles nothing.
-func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.Schedule, units.Seconds, *sim.Result, error) {
+func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*Epoch, error) {
 	pol, err := opts.check()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	clock, heat := n.Clock(), n.Heat()
-	planCap := opts.Cap
+	ep := &Epoch{Start: n.Clock(), StartHeat: n.Heat(), PlanCap: opts.Cap}
 	var cx *core.Context
 	if policy.NeedsModel(pol) {
 		var pred *model.Predictor
 		if pred, err = opts.Predictor(batch); err == nil {
-			if planCap, err = opts.budgetCap(pred, heat.TempC); err == nil {
+			if ep.PlanCap, err = opts.budgetCap(pred, ep.StartHeat.TempC); err == nil {
 				at := opts
-				at.Cap = planCap
+				at.Cap = ep.PlanCap
 				cx, err = at.Context(pred)
 			}
 		}
@@ -278,19 +280,25 @@ func (n *Node) Run(opts Options, batch []*workload.Instance, seed int64) (*core.
 		err = checkBatch(batch)
 	}
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	n.planCap = planCap
+	planned := func(plan *core.Schedule, predicted units.Seconds) {
+		ep.Plan, ep.Predicted = plan, predicted
+		if opts.Planned != nil {
+			opts.Planned(ep)
+		}
+	}
 	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains, Machine: n.Machine}
-	plan, predicted, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, opts.Planned)
+	_, _, res, err := policy.Run(pol, cx, batch, execOpts, policy.Options{Seed: seed}, planned)
 	if err == nil && len(res.Completions) != len(batch) {
-		n.Restore(clock, heat)
+		n.Restore(ep.Start, ep.StartHeat)
 		err = fmt.Errorf("online: %d of %d jobs completed", len(res.Completions), len(batch))
 	}
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	return plan, predicted, res, nil
+	ep.Result = res
+	return ep, nil
 }
 
 // budgetCap is the cap a batch is planned under when the heatsink starts

@@ -15,9 +15,6 @@ import (
 	"corun/internal/workload"
 )
 
-// coreSchedule aliases the plan type so hook signatures stay readable.
-type coreSchedule = core.Schedule
-
 var (
 	charOnce sync.Once
 	charVal  *model.Characterization
@@ -235,20 +232,21 @@ func TestNodeRun(t *testing.T) {
 	opts := testOptions(t, "hcs+")
 	batch := workload.Batch8()
 	var sawPlan bool
-	opts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
-		sawPlan = plan != nil && predicted > 0
+	opts.Planned = func(ep *Epoch) {
+		sawPlan = ep.Plan != nil && ep.Predicted > 0 && ep.Result == nil
 	}
 	node := NewNode(opts.Cfg)
 	node.Idle(100)
-	plan, predicted, res, err := node.Run(opts, batch, 1)
+	ep, err := node.Run(opts, batch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || predicted <= 0 || res == nil {
-		t.Fatalf("incomplete epoch: plan %v, predicted %v, result %v", plan, predicted, res)
+	res := ep.Result
+	if ep.Plan == nil || ep.Predicted <= 0 || res == nil || ep.Start != 100 {
+		t.Fatalf("incomplete epoch: %+v", ep)
 	}
 	if !sawPlan {
-		t.Error("Planned hook not called with a plan")
+		t.Error("Planned hook not called with a plan before execution")
 	}
 	if len(res.Completions) != len(batch) {
 		t.Errorf("%d completions, want %d", len(res.Completions), len(batch))
@@ -264,19 +262,19 @@ func TestNodeRun(t *testing.T) {
 	// Baselines have no plan but still call the hook.
 	ropts := testOptions(t, "random")
 	hookRan := false
-	ropts.Planned = func(plan *coreSchedule, predicted units.Seconds) {
-		hookRan = plan == nil && predicted == 0
+	ropts.Planned = func(ep *Epoch) {
+		hookRan = ep.Plan == nil && ep.Predicted == 0
 	}
-	rplan, _, _, err := NewNode(ropts.Cfg).Run(ropts, workload.Batch8(), 1)
+	rep, err := NewNode(ropts.Cfg).Run(ropts, workload.Batch8(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rplan != nil || !hookRan {
-		t.Errorf("random baseline: plan %v, hook ok %v", rplan, hookRan)
+	if rep.Plan != nil || !hookRan {
+		t.Errorf("random baseline: plan %v, hook ok %v", rep.Plan, hookRan)
 	}
 
 	before := node.Clock()
-	if _, _, _, err := node.Run(Options{}, batch, 1); err == nil {
+	if _, err := node.Run(Options{}, batch, 1); err == nil {
 		t.Error("empty options accepted")
 	}
 	if node.Clock() != before {
@@ -298,7 +296,7 @@ func TestNodeRunRejectsMalformedBatch(t *testing.T) {
 	} {
 		for _, pol := range []string{"hcs+", "random"} {
 			opts := testOptions(t, pol)
-			if _, _, _, err := NewNode(opts.Cfg).Run(opts, batch, 1); err == nil {
+			if _, err := NewNode(opts.Cfg).Run(opts, batch, 1); err == nil {
 				t.Errorf("%s accepted under %s", name, pol)
 			}
 		}
@@ -315,7 +313,7 @@ func tripAt(opts Options, tmaxC float64) Options {
 
 // Back-to-back epochs run on one heatsink: each starts on the state the
 // previous one ended in, and is — bit for bit — the policy's own run of
-// the batch from that start, planned at the budget cap the node reports
+// the batch from that start, planned at the budget cap the epoch records
 // and executed under the configured cap. At the 45 °C trip point the
 // budget cap lies in [P_sus, 15) W; on the preset's 95 °C it is 15 W.
 func TestNodeCarriesHeat(t *testing.T) {
@@ -330,11 +328,14 @@ func TestNodeCarriesHeat(t *testing.T) {
 			if got := node.Heat(); got != prev {
 				t.Fatalf("T_max %v epoch %d starts on %+v, the last one ended on %+v", tc.tmaxC, epoch, got, prev)
 			}
-			_, predicted, res, err := node.Run(opts, workload.Batch8(), epoch)
+			ep, err := node.Run(opts, workload.Batch8(), epoch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			planCap := node.PlanCap()
+			predicted, res, planCap := ep.Predicted, ep.Result, ep.PlanCap
+			if ep.StartHeat != prev {
+				t.Errorf("T_max %v epoch %d recorded its start as %+v, want %+v", tc.tmaxC, epoch, ep.StartHeat, prev)
+			}
 			if sus := opts.Cfg.Thermal.SustainedPower(); tc.capped != (planCap < opts.Cap) || planCap < min(sus, opts.Cap) {
 				t.Errorf("T_max %v epoch %d planned at %v W (P_sus %v)", tc.tmaxC, epoch, planCap, sus)
 			}

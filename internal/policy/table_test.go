@@ -63,7 +63,7 @@ func TestTable(t *testing.T) {
 			// Without a characterization: served, or refused up front.
 			bare := online.Options{Cfg: cfg, Mem: mem, Cap: testCap, Policy: info.Name}
 			_, checkErr := online.CheckPolicy(info.Name, false)
-			_, _, served, epochErr := online.NewNode(cfg).Run(bare, batch, 3)
+			served, epochErr := online.NewNode(cfg).Run(bare, batch, 3)
 			if policy.NeedsModel(info.Name) {
 				if checkErr == nil || epochErr == nil {
 					t.Errorf("model-based row accepted without a characterization (CheckPolicy %v, Node.Run %v)", checkErr, epochErr)
@@ -73,8 +73,8 @@ func TestTable(t *testing.T) {
 				}
 			} else if checkErr != nil || epochErr != nil {
 				t.Errorf("model-free row refused without a characterization (CheckPolicy %v, Node.Run %v)", checkErr, epochErr)
-			} else if len(served.Completions) != len(batch) {
-				t.Errorf("served %d of %d jobs", len(served.Completions), len(batch))
+			} else if len(served.Result.Completions) != len(batch) {
+				t.Errorf("served %d of %d jobs", len(served.Result.Completions), len(batch))
 			}
 
 			plan, err := policy.Plan(info.Name, contextOver(t, predictorFor(t, batch)), policy.Options{Seed: 3})

@@ -7,11 +7,9 @@ import (
 
 	"corun/internal/admission"
 	"corun/internal/apu"
-	"corun/internal/core"
 	"corun/internal/journal"
 	"corun/internal/online"
 	"corun/internal/sim"
-	"corun/internal/trace"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -19,7 +17,7 @@ import (
 // This file is everything the scheduler goroutine runs: the loop, the
 // epoch step around online.Node.Run, the views and snapshots it
 // publishes, the terminal records it journals, and the trace and
-// gauges it keeps.
+// gauges it keeps — all read from the epoch's one record.
 
 // maxTraceEpochs bounds the epoch trace GET /v1/trace serves: a daemon
 // appends to it every epoch for the life of the process, so it keeps
@@ -28,8 +26,8 @@ const maxTraceEpochs = 4096
 
 // PlanView is the JSON form of one epoch's schedule, served by
 // GET /v1/plan. Orders reference job IDs. A stored PlanView is
-// immutable — each update publishes a copy of the stored view with its
-// own changes made, sharing the slices it leaves alone.
+// immutable — each view of an epoch is rendered afresh from its record
+// (planView), sharing the job-ID slices of the view before it.
 type PlanView struct {
 	Epoch  int      `json:"epoch"`
 	Policy string   `json:"policy"`
@@ -227,7 +225,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		insts[i] = inst
 	}
 	s.publishBatch(batch)
-	s.lastPlan.Store(newPlanView(epoch, ctl, clock, batch))
+	s.lastPlan.Store(planView(epoch, ctl, clock, batch, nil, nil))
 	if specErr != nil {
 		s.finishEpochErr(batch, epoch, specErr)
 		return
@@ -245,27 +243,22 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 		Cap: ctl.cap, Domains: ctl.domains, Policy: ctl.policy, Seed: seed,
 	}
-	opts.Planned = func(plan *core.Schedule, predicted units.Seconds) {
+	opts.Planned = func(ep *online.Epoch) {
 		for i := range batch {
 			batch[i].State = JobRunning
-			if predicted > 0 {
-				batch[i].PredictedFinishSimS = float64(clock + predicted)
+			if ep.Predicted > 0 {
+				batch[i].PredictedFinishSimS = float64(clock + ep.Predicted)
 			}
 		}
 		s.publishBatch(batch)
-		run := *s.lastPlan.Load()
-		run.State = "running"
-		run.PlanCapWatts = float64(s.node.PlanCap())
-		run.StartTempC = s.node.Heat().TempC
-		fillPlan(&run, plan, predicted, batch)
-		s.lastPlan.Store(&run)
-		if predicted > 0 {
-			s.m.predMakespan.Set(float64(predicted))
+		s.lastPlan.Store(planView(epoch, ctl, clock, batch, ep, s.lastPlan.Load()))
+		if ep.Predicted > 0 {
+			s.m.predMakespan.Set(float64(ep.Predicted))
 		}
 	}
 
 	start := time.Now()
-	_, _, res, err := s.node.Run(opts, insts, seed)
+	ep, err := s.node.Run(opts, insts, seed)
 	s.m.epochLatency.Observe(time.Since(start).Seconds())
 	s.lastEpochWall.Store(int64(time.Since(start)))
 	s.syncModelMetrics()
@@ -274,8 +267,8 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 		return
 	}
 
-	partners := partnerMap(res.Completions)
-	for _, c := range res.Completions {
+	partners := partnerMap(ep.Result.Completions)
+	for _, c := range ep.Result.Completions {
 		j := &batch[c.Inst.ID]
 		j.State = JobDone
 		j.StartedSimS = float64(clock + c.Start)
@@ -293,59 +286,32 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 			}
 		}
 	}
-	endClock := s.node.Clock()
 	s.epochCount = epoch
 	snaps := s.publishBatch(batch)
 
+	done := planView(epoch, ctl, clock, batch, ep, s.lastPlan.Load())
 	s.m.epochs.Inc()
-	s.m.done.Add(float64(len(res.Completions)))
-	s.m.scheduled.Add(ctl.policy, float64(len(res.Completions)))
-	s.m.energy.Add(res.EnergyJ)
-	s.m.simMakespan.Set(float64(res.Makespan))
-	s.m.simClock.Set(float64(endClock))
-	if ctl.cap > 0 {
-		s.m.capUtil.Set(float64(res.AvgPower) / float64(ctl.cap))
+	s.m.done.Add(float64(len(done.Jobs)))
+	s.m.scheduled.Add(done.Policy, float64(len(done.Jobs)))
+	s.m.energy.Add(done.EnergyJoules)
+	s.m.simMakespan.Set(done.SimulatedMakespanS)
+	s.m.simClock.Set(done.ClockEndS)
+	if done.CapWatts > 0 {
+		s.m.capUtil.Set(done.CapUtilization)
 	}
-	s.m.domainWatts.Set("pp0", float64(res.AvgPP0))
-	s.m.domainWatts.Set("pp1", float64(res.AvgPP1))
-	s.m.tempC.Set(res.MaxTempC)
-	s.m.planCap.Set(float64(s.node.PlanCap()))
-	s.m.throttleTotal.Add(float64(res.Throttles))
+	s.m.domainWatts.Set("pp0", done.AvgPP0Watts)
+	s.m.domainWatts.Set("pp1", done.AvgPP1Watts)
+	s.m.tempC.Set(done.MaxTempC)
+	s.m.planCap.Set(done.PlanCapWatts)
+	s.m.throttleTotal.Add(float64(done.Throttles))
 	for _, c := range bindingConstraints {
-		v := 0.0
-		if c == res.Binding.String() {
-			v = 1
-		}
-		s.m.binding.Set(c, v)
+		s.m.binding.Set(c, 0)
 	}
-
-	s.traceMu.Lock()
-	s.traceMakespan.MustAdd(endClock, float64(res.Makespan))
-	s.tracePower.MustAdd(endClock, float64(res.AvgPower))
-	s.traceBatch.MustAdd(endClock, float64(len(batch)))
-	for _, series := range []*trace.Series{s.traceMakespan, s.tracePower, s.traceBatch} {
-		series.Trim(maxTraceEpochs)
-	}
-	s.traceMu.Unlock()
-
-	done := *s.lastPlan.Load() // the running view
-	done.State = "done"
-	done.SimulatedMakespanS = float64(res.Makespan)
-	done.AvgPowerWatts = float64(res.AvgPower)
-	done.MaxPowerWatts = float64(res.MaxSample)
-	if ctl.cap > 0 {
-		done.CapUtilization = float64(res.AvgPower) / float64(ctl.cap)
-	}
-	done.EnergyJoules = res.EnergyJ
-	done.AvgPP0Watts = float64(res.AvgPP0)
-	done.AvgPP1Watts = float64(res.AvgPP1)
-	done.MaxTempC = res.MaxTempC
-	done.Throttles = res.Throttles
-	done.BindingConstraint = res.Binding.String()
-	done.ClockEndS = float64(endClock)
-	s.lastPlan.Store(&done)
+	s.m.binding.Set(done.BindingConstraint, 1)
+	s.traceEpoch(done)
+	s.lastPlan.Store(done)
 	heat := s.node.Heat()
-	s.journalAppend(s.stateRecords(snaps, float64(endClock), &journal.Heat{
+	s.journalAppend(s.stateRecords(snaps, done.ClockEndS, &journal.Heat{
 		TempC: heat.TempC, CPUCeil: heat.Ceil[apu.CPU], GPUCeil: heat.Ceil[apu.GPU],
 	}))
 }
@@ -388,44 +354,69 @@ func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
 // pre-registered so dashboards see zeros instead of absent series.
 var bindingConstraints = []string{"none", "pp0", "pp1", "package", "thermal"}
 
-// newPlanView is an epoch's view while it plans: the batch and the
-// control state it plans under. Every later view of the epoch is a
-// copy of it.
-func newPlanView(epoch int, ctl *control, clock units.Seconds, batch []Job) *PlanView {
-	pv := &PlanView{
-		Epoch:       epoch,
-		Policy:      ctl.policy,
-		State:       "planning",
-		CapWatts:    float64(ctl.cap),
-		PP0CapWatts: float64(ctl.domains.PP0),
-		PP1CapWatts: float64(ctl.domains.PP1),
-		ClockStartS: float64(clock),
+// planView renders the GET /v1/plan body of epoch n, the batch claimed
+// under ctl at clock, from its record: planning while ep is nil,
+// running while its Result is nil, done after. prev is the epoch's view
+// before this one (nil while planning), whose job-ID slices the new
+// view shares.
+func planView(n int, ctl *control, clock units.Seconds, batch []Job, ep *online.Epoch, prev *PlanView) *PlanView {
+	pv := &PlanView{Epoch: n, Policy: ctl.policy, State: "planning", ClockStartS: float64(clock),
+		CapWatts: float64(ctl.cap), PP0CapWatts: float64(ctl.domains.PP0), PP1CapWatts: float64(ctl.domains.PP1)}
+	if prev != nil {
+		pv.Jobs, pv.CPUOrder, pv.GPUOrder, pv.Exclusive = prev.Jobs, prev.CPUOrder, prev.GPUOrder, prev.Exclusive
+	} else {
+		for i := range batch {
+			pv.Jobs = append(pv.Jobs, batch[i].ID)
+		}
 	}
-	for i := range batch {
-		pv.Jobs = append(pv.Jobs, batch[i].ID)
+	if ep == nil {
+		return pv
 	}
+	pv.State = "running"
+	pv.PlanCapWatts = float64(ep.PlanCap)
+	pv.StartTempC = ep.StartHeat.TempC
+	pv.PredictedMakespanS = float64(ep.Predicted)
+	if plan := ep.Plan; plan != nil && (prev == nil || prev.State == "planning") {
+		for _, i := range plan.CPUOrder {
+			pv.CPUOrder = append(pv.CPUOrder, batch[i].ID)
+		}
+		for _, i := range plan.GPUOrder {
+			pv.GPUOrder = append(pv.GPUOrder, batch[i].ID)
+		}
+		for _, i := range plan.Jobs() {
+			if plan.Exclusive[i] {
+				pv.Exclusive = append(pv.Exclusive, batch[i].ID)
+			}
+		}
+	}
+	res := ep.Result
+	if res == nil {
+		return pv
+	}
+	pv.State = "done"
+	pv.SimulatedMakespanS = float64(res.Makespan)
+	pv.AvgPowerWatts, pv.MaxPowerWatts = float64(res.AvgPower), float64(res.MaxSample)
+	if ctl.cap > 0 {
+		pv.CapUtilization = float64(res.AvgPower) / float64(ctl.cap)
+	}
+	pv.EnergyJoules = res.EnergyJ
+	pv.AvgPP0Watts, pv.AvgPP1Watts = float64(res.AvgPP0), float64(res.AvgPP1)
+	pv.MaxTempC, pv.Throttles = res.MaxTempC, res.Throttles
+	pv.BindingConstraint = res.Binding.String()
+	pv.ClockEndS = float64(ep.Start + res.Makespan)
 	return pv
 }
 
-// fillPlan adds the planned orders and the predicted makespan to a
-// running view; a nil plan (the dispatcher-driven baselines) adds
-// nothing.
-func fillPlan(pv *PlanView, plan *core.Schedule, predicted units.Seconds, batch []Job) {
-	if plan == nil {
-		return
+// traceEpoch appends an epoch's done view to the trace GET /v1/trace
+// renders, dropping the oldest past maxTraceEpochs.
+func (s *Server) traceEpoch(done *PlanView) {
+	s.traceMu.Lock()
+	s.traced = append(s.traced, done)
+	if drop := len(s.traced) - maxTraceEpochs; drop > 0 {
+		clear(s.traced[:drop]) // the views go now, the array on the next growth
+		s.traced = s.traced[drop:]
 	}
-	for _, i := range plan.CPUOrder {
-		pv.CPUOrder = append(pv.CPUOrder, batch[i].ID)
-	}
-	for _, i := range plan.GPUOrder {
-		pv.GPUOrder = append(pv.GPUOrder, batch[i].ID)
-	}
-	for _, i := range plan.Jobs() {
-		if plan.Exclusive[i] {
-			pv.Exclusive = append(pv.Exclusive, batch[i].ID)
-		}
-	}
-	pv.PredictedMakespanS = float64(predicted)
+	s.traceMu.Unlock()
 }
 
 // partnerMap pairs each completed job with the opposite-device job it

@@ -17,6 +17,7 @@ import (
 	"corun/internal/apu"
 	"corun/internal/online"
 	"corun/internal/sim"
+	"corun/internal/trace"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -25,8 +26,8 @@ import (
 // test of the same name: the rescaled Fig. 11 batch, queued whole and
 // served as the daemon's first epoch, is planned and simulated exactly
 // as one direct online.Node.Run call at that epoch's seed plans and
-// simulates it — same dispatch orders, exclusive set and makespan bits —
-// under a package cap and under a PP1 plane cap. The dispatcher-driven baselines publish no plan; for them
+// simulates it — its GET /v1/plan view is the one the direct call's
+// record renders — under a package cap and under a PP1 plane cap. The dispatcher-driven baselines publish no plan; for them
 // (and for the planned policies too) every job finishes on the device
 // and at the instant Node.Run's completion for it says.
 func TestOneEpochEveryEntryPoint(t *testing.T) {
@@ -66,28 +67,21 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 					t.Fatalf("the batch was not served as epoch 1 in submission order: %+v", pv)
 				}
 
-				epPlan, epPredicted, epRes, err := online.NewNode(s.cfg.Machine).Run(online.Options{
+				ep, err := online.NewNode(s.cfg.Machine).Run(online.Options{
 					Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char,
 					Cap: cc.cap, Domains: cc.domains, Policy: pol,
 				}, batch, epochSeed(seed, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var want PlanView
-				fillPlan(&want, epPlan, epPredicted, s.Jobs())
-				if !reflect.DeepEqual(pv.CPUOrder, want.CPUOrder) || !reflect.DeepEqual(pv.GPUOrder, want.GPUOrder) ||
-					!reflect.DeepEqual(pv.Exclusive, want.Exclusive) {
-					t.Errorf("daemon planned CPU %v GPU %v exclusive %v, Node.Run CPU %v GPU %v exclusive %v",
-						pv.CPUOrder, pv.GPUOrder, pv.Exclusive, want.CPUOrder, want.GPUOrder, want.Exclusive)
-				}
-				if got, want := math.Float64bits(pv.SimulatedMakespanS), math.Float64bits(float64(epRes.Makespan)); got != want {
-					t.Errorf("daemon makespan %v, Node.Run %v", pv.SimulatedMakespanS, epRes.Makespan)
+				if want := planView(1, s.ctl.Load(), 0, s.Jobs(), ep, nil); !reflect.DeepEqual(&pv, want) {
+					t.Errorf("daemon served\n%+v\nNode.Run's record renders\n%+v", pv, *want)
 				}
 				// Epoch 1 starts at sim clock 0, so finish times are the
 				// simulator's own, and equal finish times are an equal
 				// completion order.
 				jobs := s.Jobs()
-				for _, c := range epRes.Completions {
+				for _, c := range ep.Result.Completions {
 					j := jobs[c.Inst.ID]
 					if j.Device != c.Dev.String() || math.Float64bits(j.FinishedSimS) != math.Float64bits(float64(c.End)) {
 						t.Errorf("daemon finished %s on %s at %v, Node.Run on %v at %v", j.ID, j.Device, j.FinishedSimS, c.Dev, c.End)
@@ -159,6 +153,70 @@ func TestTraceEncodingsAgree(t *testing.T) {
 			if got, want := row[k+1], fmt.Sprintf("%.4f", sm.V); got != want {
 				t.Errorf("epoch %d %s: csv %s, json %s", e, series.Name, got, want)
 			}
+		}
+	}
+}
+
+// TestPlanViewSharesIDs holds planView to rendering each view of an
+// epoch over the job-ID slices of the view before it: the running view
+// shares the planning view's jobs, the done view the running view's
+// jobs and orders.
+func TestPlanViewSharesIDs(t *testing.T) {
+	s := newTestServer(t, nil)
+	batch := workload.Batch8()
+	jobs := make([]Job, len(batch))
+	for i := range jobs {
+		jobs[i].ID = fmt.Sprintf("job-%06d", i)
+	}
+	ctl := s.ctl.Load()
+	planning := planView(1, ctl, 0, jobs, nil, nil)
+	var running *PlanView
+	ep, err := online.NewNode(s.cfg.Machine).Run(online.Options{
+		Cfg: s.cfg.Machine, Mem: s.mem, Char: s.cfg.Char, Cap: ctl.cap, Policy: "hcs+",
+		Planned: func(ep *online.Epoch) { running = planView(1, ctl, 0, jobs, ep, planning) },
+	}, batch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := planView(1, ctl, 0, jobs, ep, running)
+	if running.State != "running" || done.State != "done" || len(done.CPUOrder) == 0 || len(done.GPUOrder) == 0 {
+		t.Fatalf("running %+v\ndone %+v", running, done)
+	}
+	if &running.Jobs[0] != &planning.Jobs[0] || &done.Jobs[0] != &planning.Jobs[0] ||
+		&done.CPUOrder[0] != &running.CPUOrder[0] || &done.GPUOrder[0] != &running.GPUOrder[0] {
+		t.Error("a view of the epoch copied the job IDs of the view before it")
+	}
+}
+
+// TestTraceKeepsNewest holds the trace's bound: after maxTraceEpochs+3
+// done epochs through traceEpoch, the step runEpoch takes, GET
+// /v1/trace serves the newest maxTraceEpochs in clock order.
+func TestTraceKeepsNewest(t *testing.T) {
+	const extra = 3
+	s := newTestServer(t, nil)
+	for i := 0; i < maxTraceEpochs+extra; i++ {
+		s.traceEpoch(&PlanView{Jobs: make([]string, 1+i%4), SimulatedMakespanS: float64(i), ClockEndS: float64(10 * i)})
+	}
+	var body strings.Builder
+	if err := s.WriteTrace(&body, true); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct{ Series []*trace.Series }
+	if err := json.Unmarshal([]byte(body.String()), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Series) != 3 {
+		t.Fatalf("%d series, want 3", len(tr.Series))
+	}
+	makespan, jobs := tr.Series[0], tr.Series[2]
+	if makespan.Len() != maxTraceEpochs || jobs.Len() != maxTraceEpochs {
+		t.Fatalf("the trace holds %d and %d epochs, want %d", makespan.Len(), jobs.Len(), maxTraceEpochs)
+	}
+	for k := 0; k < maxTraceEpochs; k++ {
+		i := extra + k
+		want := trace.Sample{Time: units.Seconds(10 * i), Value: float64(i)}
+		if got := makespan.At(k); got != want || jobs.At(k).Value != float64(1+i%4) {
+			t.Fatalf("trace epoch %d: makespan %+v, %v jobs; want epoch %d: %+v, %d jobs", k, got, jobs.At(k).Value, i, want, 1+i%4)
 		}
 	}
 }

@@ -345,14 +345,21 @@ func (s *Server) tenantRetryAfterSeconds(tenant string) int {
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // WriteTrace renders the epoch trace — makespan, average power, and
-// batch size per epoch, indexed by the scheduling clock — as CSV or
-// JSON.
+// batch size per epoch, indexed by the scheduling clock at the epoch's
+// end — from the traced done views, as CSV or JSON.
 func (s *Server) WriteTrace(w io.Writer, asJSON bool) error {
 	s.traceMu.Lock()
+	n := len(s.traced)
 	series := []*trace.Series{
-		s.traceMakespan.Clone(),
-		s.tracePower.Clone(),
-		s.traceBatch.Clone(),
+		trace.NewSeriesCap("epoch_makespan", "s", n),
+		trace.NewSeriesCap("epoch_avg_power", "W", n),
+		trace.NewSeriesCap("epoch_jobs", "count", n),
+	}
+	for _, pv := range s.traced {
+		t := units.Seconds(pv.ClockEndS)
+		series[0].MustAdd(t, pv.SimulatedMakespanS)
+		series[1].MustAdd(t, pv.AvgPowerWatts)
+		series[2].MustAdd(t, float64(len(pv.Jobs)))
 	}
 	s.traceMu.Unlock()
 	if asJSON {

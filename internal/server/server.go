@@ -60,7 +60,6 @@ import (
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/online"
-	"corun/internal/trace"
 	"corun/internal/units"
 )
 
@@ -271,12 +270,10 @@ type Server struct {
 	// already been advanced by; scheduler goroutine only.
 	interpolationsSeen uint64
 
-	// The epoch trace behind GET /v1/trace: one sample per series per
-	// epoch, the most recent maxTraceEpochs epochs kept.
-	traceMu       sync.Mutex
-	traceMakespan *trace.Series
-	tracePower    *trace.Series
-	traceBatch    *trace.Series
+	// The epoch trace behind GET /v1/trace: the done views of the most
+	// recent maxTraceEpochs epochs, oldest first.
+	traceMu sync.Mutex
+	traced  []*PlanView
 
 	wake      chan struct{}
 	stop      chan struct{}
@@ -328,18 +325,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		cfg:           cfg,
-		mem:           memsys.Default(),
-		adm:           adm,
-		m:             newMetrics(),
-		idPrefix:      "job-",
-		node:          online.NewNode(cfg.Machine),
-		traceMakespan: trace.NewSeries("epoch_makespan", "s"),
-		tracePower:    trace.NewSeries("epoch_avg_power", "W"),
-		traceBatch:    trace.NewSeries("epoch_jobs", "count"),
-		wake:          make(chan struct{}, 1),
-		stop:          make(chan struct{}),
-		drained:       make(chan struct{}),
+		cfg:      cfg,
+		mem:      memsys.Default(),
+		adm:      adm,
+		m:        newMetrics(),
+		idPrefix: "job-",
+		node:     online.NewNode(cfg.Machine),
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
 	s.table.reserve(0)
 	if cfg.NodeID != "" {

@@ -19,7 +19,7 @@ type Sample struct {
 }
 
 // Series is a time series with a name and a unit label: samples are
-// appended in time order, and a long-lived holder may Trim the oldest.
+// appended in time order.
 type Series struct {
 	Name string
 	Unit string
@@ -56,20 +56,6 @@ func (s *Series) MustAdd(t units.Seconds, v float64) {
 	if err := s.Add(t, v); err != nil {
 		panic(err)
 	}
-}
-
-// Trim drops the oldest samples so that at most keep remain: the bound
-// a holder that appends for the life of a process puts on its memory
-// (the dropped storage is released the next time Add grows the series).
-func (s *Series) Trim(keep int) {
-	if n := len(s.samples); n > keep {
-		s.samples = s.samples[n-keep:]
-	}
-}
-
-// Clone returns an independent copy of the series.
-func (s *Series) Clone() *Series {
-	return &Series{Name: s.Name, Unit: s.Unit, samples: s.Samples()}
 }
 
 // Len returns the number of samples.

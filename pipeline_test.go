@@ -67,13 +67,14 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				epPlan, _, epRes, err := online.NewNode(sys.cfg).Run(online.Options{
+				ep, err := online.NewNode(sys.cfg).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
+				epPlan, epRes := ep.Plan, ep.Result
 				if !reflect.DeepEqual(plan.CPUOrder, epPlan.CPUOrder) || !reflect.DeepEqual(plan.GPUOrder, epPlan.GPUOrder) ||
 					!reflect.DeepEqual(exclusiveSet(plan), exclusiveSet(epPlan)) {
 					t.Errorf("facade planned %v, Node.Run %v", plan, epPlan)
@@ -100,13 +101,14 @@ func TestOneEpochEveryEntryPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				epPlan, epPredicted, epRes, err := online.NewNode(sys.cfg).Run(online.Options{
+				ep, err := online.NewNode(sys.cfg).Run(online.Options{
 					Cfg: sys.cfg, Mem: sys.mem, Char: sys.char,
 					Cap: sys.PowerCap(), Domains: sys.DomainCaps(), Policy: pol,
 				}, batch, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
+				epPlan, epPredicted, epRes := ep.Plan, ep.Predicted, ep.Result
 				if plan != nil || epPlan != nil || epPredicted != 0 {
 					t.Errorf("a dispatcher-driven baseline reported a plan: RunPolicy %v, Node.Run %v (predicted %v)", plan, epPlan, epPredicted)
 				}
